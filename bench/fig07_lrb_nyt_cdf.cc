@@ -21,7 +21,7 @@ int main() {
                         ": latency CDF (s) at 60 queries");
     std::vector<std::string> header = {"policy"};
     for (double p : percentiles) {
-      header.push_back("p" + TableReporter::Num(p, 0));
+      header.push_back(std::string("p").append(TableReporter::Num(p, 0)));
     }
     table.SetHeader(header);
 

@@ -1,5 +1,5 @@
 // Allowed-lateness bench (DESIGN.md "Late data"): what retaining fired
-// panes costs and what the Klink refire-debt correction buys.
+// panes costs, and the refire debt Klink prices into slack.
 //
 // Part 1 — horizon sweep. YSB queries under the heavy-tailed Pareto
 // straggler delay, allowed lateness L in {0, 100, 300, 1000} ms.
@@ -10,28 +10,23 @@
 // Klink SWM-estimator accuracy/MAE, and output latency (unchanged by L:
 // panes still fire speculatively at their deadline).
 //
-// Part 2 — refire-debt gap. Retained panes create future work the slack
+// Part 2 — refire debt. Retained panes create future work the slack
 // evaluation cannot see from the queues alone: corrections that windowed
 // operators will emit at the next watermark. The snapshot prices that
-// debt (QueryInfo::refire_debt_micros) and KlinkPolicyConfig::
-// refire_debt_correction adds it to drain cost before computing slack.
-// The bench runs the same engine with the correction on and off and
-// reports (a) the gap itself — the time-averaged pending-work estimate
-// error of the off-ablation, i.e. the debt it drops, with the flushed
-// debt alongside to show the predicted work materializes as emitted
-// corrections — and (b) the scheduling outcome (mean slowdown, p99
-// latency) of both runs. Virtual time makes both runs deterministic, so
-// any outcome difference is systematic, not noise.
+// debt (QueryInfo::refire_debt_micros) and Klink adds it to drain cost
+// before computing slack. The bench reports the time-averaged debt per
+// cycle, the flushed debt alongside it (the predicted work materializes
+// as emitted corrections), and the run's mean slowdown and p99 latency.
+// The DEBT line's `correction=1` field says the debt is priced into slack.
 //
 // Acceptance (recorded by tools/bench_lateness.sh into
 // BENCH_lateness.json):
 //   * accepted(L=1000ms) > accepted(L=100ms) > 0 and
 //     dropped(L=1000ms) < dropped(L=100ms);
-//   * correction elements emitted > 0 for every L >= 100ms;
+//   * correction elements emitted > 0 for every L >= 300ms;
 //   * peak memory at L=1000ms exceeds the L=0 baseline;
-//   * the off-ablation's estimate error (mean dropped debt) > 0 and the
-//     debt flushes (corrections materialize);
-//   * debt-corrected mean slowdown <= uncorrected.
+//   * the mean refire debt is > 0 and the debt flushes (corrections
+//     materialize).
 //
 //   micro_lateness [--executor=threads|sequential]
 
@@ -83,11 +78,9 @@ void RunSweepPoint(DurationMicros lateness, ExecutorKind executor,
   std::fflush(stdout);
 }
 
-void RunDebtVariant(bool correction, ExecutorKind executor,
-                    DurationMicros duration) {
+void RunDebt(ExecutorKind executor, DurationMicros duration) {
   ExperimentConfig config = BaseConfig(executor, duration);
   config.allowed_lateness = MillisToMicros(300);
-  config.klink.refire_debt_correction = correction;
   double debt_sum = 0.0;
   double flushed_debt = 0.0;  // per-cycle debt drops ~= work emitted
   double prev_debt = 0.0;
@@ -104,10 +97,9 @@ void RunDebtVariant(bool correction, ExecutorKind executor,
         ++cycles;
       });
   std::printf(
-      "DEBT correction=%d mean_debt_micros_per_cycle=%.2f "
+      "DEBT correction=1 mean_debt_micros_per_cycle=%.2f "
       "flushed_debt_micros=%.0f corrections=%lld accepted=%lld "
       "slowdown=%.1f p99_latency_s=%.3f\n",
-      correction ? 1 : 0,
       cycles == 0 ? 0.0 : debt_sum / static_cast<double>(cycles),
       flushed_debt,
       static_cast<long long>(r.late.retractions_emitted +
@@ -139,7 +131,6 @@ int main(int argc, char** argv) {
         MillisToMicros(1000)}) {
     RunSweepPoint(lateness, executor, duration);
   }
-  RunDebtVariant(/*correction=*/true, executor, duration);
-  RunDebtVariant(/*correction=*/false, executor, duration);
+  RunDebt(executor, duration);
   return 0;
 }

@@ -23,7 +23,7 @@
 ///  1. they carry the capability annotations (std::mutex has none), and
 ///  2. they route every acquire/release/wait/notify through the
 ///     ScheduleHooks seam below, which is how the schedule explorer
-///     (src/runtime/schedule_explorer.h) gains control of thread
+///     (tests/support/schedule_explorer.h) gains control of thread
 ///     interleavings in tests. In production the seam is a single
 ///     relaxed-free atomic load that sees nullptr.
 

@@ -153,10 +153,24 @@ DurationMicros WatermarkLagFor(DelayKind kind) {
   return MillisToMicros(150);
 }
 
+Status ExperimentConfig::Validate() const {
+  if (num_queries < 1) {
+    return Status::InvalidArgument("num_queries (--queries) must be >= 1");
+  }
+  if (!(events_per_second > 0.0)) {
+    return Status::InvalidArgument(
+        "events_per_second (--rate) must be > 0");
+  }
+  if (duration <= warmup) {
+    return Status::InvalidArgument(
+        "duration (--duration) must exceed warmup (--warmup)");
+  }
+  return engine.Validate();
+}
+
 ExperimentResult RunExperiment(const ExperimentConfig& config,
                                SnapshotProbe probe) {
-  KLINK_CHECK_GE(config.num_queries, 1);
-  KLINK_CHECK_GT(config.duration, config.warmup);
+  KLINK_CHECK_OK(config.Validate());
 
   KlinkPolicyConfig klink_config = config.klink;
   klink_config.cycle_length = config.engine.cycle_length;

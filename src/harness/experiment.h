@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/histogram.h"
+#include "src/common/status.h"
 #include "src/klink/klink_policy.h"
 #include "src/net/delay_model.h"
 #include "src/runtime/engine.h"
@@ -74,6 +75,11 @@ struct ExperimentConfig {
   /// Allowed-lateness horizon applied to every query's windowed operators
   /// and sink (see YsbConfig::allowed_lateness). 0 = strict drop policy.
   DurationMicros allowed_lateness = 0;
+
+  /// Rejects an experiment RunExperiment cannot run: the experiment fields
+  /// here, then the engine's (EngineConfig::Validate). The message names
+  /// the offending field and its klink_run flag.
+  Status Validate() const;
 };
 
 /// Aggregated outcome of one experiment.

@@ -37,9 +37,7 @@ double KlinkPolicy::EvaluateUnitSlack(const QueryInfo& info, size_t lane_idx,
   // Pending corrections drain through the pipeline ahead of the sweep just
   // like queued events do; without this term the slack of lateness-heavy
   // units is systematically optimistic.
-  const double cost =
-      lane.drain_cost_micros +
-      (config_.refire_debt_correction ? lane.refire_debt_micros : 0.0);
+  const double cost = lane.drain_cost_micros + lane.refire_debt_micros;
   if (cls != nullptr) {
     cls->const_min = kInf;
     cls->linear_min = kInf;

@@ -26,12 +26,6 @@ struct KlinkPolicyConfig {
   /// and slack degenerates to the deterministic Eq. 1 on the raw deadline
   /// (no network-delay/periodicity awareness).
   bool use_estimator = true;
-  /// Allowed-lateness refinement: add the pending-refire debt of each unit
-  /// (QueryInfo::refire_debt_micros — corrections that windowed operators
-  /// will emit at the next watermark) to its drain cost before computing
-  /// slack. Off = the ablation baseline that underestimates the cost of
-  /// lateness-heavy queries (bench/micro_lateness measures the gap).
-  bool refire_debt_correction = true;
 
   /// Memory management (Sec. 3.4). When disabled the policy is the paper's
   /// "Klink (w/o MM)" variant and the engine's backpressure is the only

@@ -262,8 +262,16 @@ bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
           CloseConnection(c);
           open = false;
           break;
-        default:
+        case FrameType::kHelloAck:
+        case FrameType::kCheckpointAck:
+          // Server-to-client acks; one arriving from a client is ignored.
           break;
+        case FrameType::kData:
+        case FrameType::kWatermark:
+        case FrameType::kMarker:
+        case FrameType::kRetraction:
+        case FrameType::kUpdate:
+          break;  // element frames took the branch above
       }
     }
     if (!open) break;

@@ -127,7 +127,13 @@ Status LoadgenConnection::ConsumeInbound() {
             "server error " +
             std::to_string(static_cast<int>(frame.error_code)) + ": " +
             frame.error_message);
-      default:
+      case FrameType::kHello:
+      case FrameType::kData:
+      case FrameType::kWatermark:
+      case FrameType::kMarker:
+      case FrameType::kBye:
+      case FrameType::kRetraction:
+      case FrameType::kUpdate:
         return Status::Internal("unexpected frame from server");
     }
   }

@@ -124,23 +124,10 @@ void WindowAggregateOperator::OnData(const Event& e, TimeMicros /*now*/,
   FoldData(e);
 }
 
-void WindowAggregateOperator::ProcessBatch(const Event* events, int64_t n,
-                                           BatchClock& clock, Emitter& out) {
-  int64_t i = 0;
-  while (i < n) {
-    if (!events[i].is_data()) {
-      Process(events[i], clock.Next(), out);
-      ++i;
-      continue;
-    }
-    int64_t j = i + 1;
-    while (j < n && events[j].is_data()) ++j;
-    const int64_t run = j - i;
-    clock.Advance(run);
-    NoteDataProcessed(run);
-    for (int64_t k = i; k < j; ++k) FoldData(events[k]);
-    i = j;
-  }
+void WindowAggregateOperator::OnDataRun(const Event* events, int64_t n,
+                                        BatchClock& clock, Emitter& /*out*/) {
+  clock.Advance(n);
+  for (int64_t i = 0; i < n; ++i) FoldData(events[i]);
 }
 
 void WindowAggregateOperator::FlushRefires(TimeMicros now, Emitter& out) {

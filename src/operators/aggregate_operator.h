@@ -54,12 +54,6 @@ class WindowAggregateOperator final : public Operator {
   const SwmTracker* swm_tracker() const override { return &tracker_; }
   DurationMicros DeadlinePeriod() const override { return assigner_->slide(); }
 
-  /// Batch fast path: folds runs of data elements into pane state without
-  /// the per-element dispatch (data events neither read the clock nor
-  /// emit, so only the fold itself remains).
-  void ProcessBatch(const Event* events, int64_t n, BatchClock& clock,
-                    Emitter& out) override;
-
   /// ---- introspection -------------------------------------------------
   const WindowAssigner& assigner() const { return *assigner_; }
   int64_t fired_panes() const { return fired_panes_; }
@@ -91,6 +85,10 @@ class WindowAggregateOperator final : public Operator {
 
  protected:
   void OnData(const Event& e, TimeMicros now, Emitter& out) override;
+  /// Folds a data run into pane state: data events neither read the clock
+  /// nor emit, so only the fold itself remains.
+  void OnDataRun(const Event* events, int64_t n, BatchClock& clock,
+                 Emitter& out) override;
   void OnWatermark(const Event& incoming, TimeMicros min_watermark,
                    TimeMicros now, Emitter& out) override;
   void SerializeState(StateWriter& w) const override;

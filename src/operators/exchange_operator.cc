@@ -138,22 +138,10 @@ void PartitionExchangeOperator::Route(const Event& e) {
   }
 }
 
-void PartitionExchangeOperator::ProcessBatch(const Event* events, int64_t n,
-                                             BatchClock& clock, Emitter& out) {
-  int64_t i = 0;
-  while (i < n) {
-    if (events[i].is_keyed_element()) {
-      int64_t j = i + 1;
-      while (j < n && events[j].is_keyed_element()) ++j;
-      clock.Advance(j - i);
-      NoteDataProcessed(j - i);
-      for (int64_t k = i; k < j; ++k) EmitData(events[k], out);
-      i = j;
-    } else {
-      Process(events[i], clock.Next(), out);
-      ++i;
-    }
-  }
+void PartitionExchangeOperator::OnDataRun(const Event* events, int64_t n,
+                                          BatchClock& clock, Emitter& out) {
+  clock.Advance(n);
+  EmitDataRun(events, n, out);
 }
 
 void PartitionExchangeOperator::SerializeState(StateWriter& w) const {

@@ -80,10 +80,11 @@ class PartitionExchangeOperator final : public Operator {
 
   /// ---- Operator overrides --------------------------------------------
   Emitter* inline_emitter() override { return &router_; }
-  void ProcessBatch(const Event* events, int64_t n, BatchClock& clock,
-                    Emitter& out) override;
 
  protected:
+  /// Routes a data run with one accounting update.
+  void OnDataRun(const Event* events, int64_t n, BatchClock& clock,
+                 Emitter& out) override;
   void SerializeState(StateWriter& w) const override;
   void RestoreState(StateReader& r) override;
 

@@ -45,29 +45,16 @@ void FilterOperator::OnData(const Event& e, TimeMicros /*now*/, Emitter& out) {
   if (keep_(e)) EmitData(e, out);
 }
 
-void FilterOperator::ProcessBatch(const Event* events, int64_t n,
-                                  BatchClock& clock, Emitter& out) {
-  int64_t i = 0;
-  while (i < n) {
-    if (!events[i].is_data()) {
-      Process(events[i], clock.Next(), out);
-      ++i;
-      continue;
-    }
-    int64_t j = i + 1;
-    while (j < n && events[j].is_data()) ++j;
-    const int64_t run = j - i;
-    clock.Advance(run);
-    NoteDataProcessed(run);
-    batch_scratch_.clear();
-    for (int64_t k = i; k < j; ++k) {
-      if (keep_(events[k])) batch_scratch_.push_back(events[k]);
-    }
-    if (!batch_scratch_.empty()) {
-      EmitDataRun(batch_scratch_.data(),
-                  static_cast<int64_t>(batch_scratch_.size()), out);
-    }
-    i = j;
+void FilterOperator::OnDataRun(const Event* events, int64_t n,
+                               BatchClock& clock, Emitter& out) {
+  clock.Advance(n);
+  batch_scratch_.clear();
+  for (int64_t i = 0; i < n; ++i) {
+    if (keep_(events[i])) batch_scratch_.push_back(events[i]);
+  }
+  if (!batch_scratch_.empty()) {
+    EmitDataRun(batch_scratch_.data(),
+                static_cast<int64_t>(batch_scratch_.size()), out);
   }
 }
 

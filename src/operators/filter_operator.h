@@ -26,13 +26,12 @@ class FilterOperator final : public Operator {
   /// stable per key.
   static PredicateFn HashPassRate(double pass_rate);
 
-  /// Batch fast path: collects passing elements of each data run into a
-  /// scratch buffer and emits them with one accounting update.
-  void ProcessBatch(const Event* events, int64_t n, BatchClock& clock,
-                    Emitter& out) override;
-
  protected:
   void OnData(const Event& e, TimeMicros now, Emitter& out) override;
+  /// Collects the passing elements of a data run into a scratch buffer and
+  /// emits them with one accounting update.
+  void OnDataRun(const Event* events, int64_t n, BatchClock& clock,
+                 Emitter& out) override;
 
  private:
   PredicateFn keep_;

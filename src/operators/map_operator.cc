@@ -15,29 +15,16 @@ void MapOperator::OnData(const Event& e, TimeMicros /*now*/, Emitter& out) {
   EmitData(mapped, out);
 }
 
-void MapOperator::ProcessBatch(const Event* events, int64_t n,
-                               BatchClock& clock, Emitter& out) {
-  int64_t i = 0;
-  while (i < n) {
-    if (!events[i].is_data()) {
-      Process(events[i], clock.Next(), out);
-      ++i;
-      continue;
-    }
-    int64_t j = i + 1;
-    while (j < n && events[j].is_data()) ++j;
-    const int64_t run = j - i;
-    clock.Advance(run);
-    NoteDataProcessed(run);
-    if (!transform_) {
-      EmitDataRun(events + i, run, out);
-    } else {
-      batch_scratch_.assign(events + i, events + j);
-      for (Event& e : batch_scratch_) transform_(e);
-      EmitDataRun(batch_scratch_.data(), run, out);
-    }
-    i = j;
+void MapOperator::OnDataRun(const Event* events, int64_t n, BatchClock& clock,
+                            Emitter& out) {
+  clock.Advance(n);
+  if (!transform_) {
+    EmitDataRun(events, n, out);
+    return;
   }
+  batch_scratch_.assign(events, events + n);
+  for (Event& e : batch_scratch_) transform_(e);
+  EmitDataRun(batch_scratch_.data(), n, out);
 }
 
 }  // namespace klink

@@ -19,14 +19,12 @@ class MapOperator final : public Operator {
   MapOperator(std::string name, double cost_micros,
               TransformFn transform = nullptr);
 
-  /// Batch fast path: transforms runs of data elements in place in a
-  /// scratch buffer and emits each run with one accounting update. An
-  /// identity map forwards runs with no copy at all.
-  void ProcessBatch(const Event* events, int64_t n, BatchClock& clock,
-                    Emitter& out) override;
-
  protected:
   void OnData(const Event& e, TimeMicros now, Emitter& out) override;
+  /// Transforms a data run in place in a scratch buffer and emits it with
+  /// one accounting update; an identity map forwards the run with no copy.
+  void OnDataRun(const Event* events, int64_t n, BatchClock& clock,
+                 Emitter& out) override;
 
  private:
   TransformFn transform_;

@@ -128,7 +128,19 @@ void Operator::Process(const Event& e, TimeMicros now, Emitter& out) {
 
 void Operator::ProcessBatch(const Event* events, int64_t n, BatchClock& clock,
                             Emitter& out) {
-  for (int64_t i = 0; i < n; ++i) Process(events[i], clock.Next(), out);
+  int64_t i = 0;
+  while (i < n) {
+    if (!events[i].is_data()) {
+      Process(events[i], clock.Next(), out);
+      ++i;
+      continue;
+    }
+    int64_t j = i + 1;
+    while (j < n && events[j].is_data()) ++j;
+    processed_data_ += j - i;
+    OnDataRun(events + i, j - i, clock, out);
+    i = j;
+  }
 }
 
 void Operator::BindMemoryAccounting(MemoryDeltaSink* sink) {
@@ -138,6 +150,11 @@ void Operator::BindMemoryAccounting(MemoryDeltaSink* sink) {
 
 void Operator::OnData(const Event& e, TimeMicros /*now*/, Emitter& out) {
   EmitData(e, out);
+}
+
+void Operator::OnDataRun(const Event* events, int64_t n, BatchClock& clock,
+                         Emitter& out) {
+  for (int64_t i = 0; i < n; ++i) OnData(events[i], clock.Next(), out);
 }
 
 void Operator::EmitData(const Event& e, Emitter& out) {

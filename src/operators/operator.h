@@ -55,7 +55,7 @@ class VectorEmitter final : public Emitter {
 /// Supplies the per-element virtual timestamps of a batch drain, exactly
 /// reproducing the scalar loop's accounting: each element advances consumed
 /// virtual time by one fixed cost, and its timestamp is the cycle start
-/// plus the consumption so far. ProcessBatch implementations must advance
+/// plus the consumption so far. Operator::OnDataRun overrides must advance
 /// the clock exactly once per element, in element order — Next() for an
 /// element whose timestamp they need, Advance(n) for a run that does not
 /// read timestamps. The identical float-addition sequence is what keeps
@@ -117,13 +117,13 @@ class Operator {
 
   /// Processes `n` elements in order, advancing `clock` once per element.
   /// Semantically identical to calling Process(events[i], clock.Next(),
-  /// out) for each element — the base class does exactly that — but hot
-  /// operators override it to pay the dispatch, accounting, and emission
-  /// overhead once per run of data elements instead of once per element.
-  /// Overrides must keep outputs and counters byte-identical to the scalar
-  /// loop (tests/batch_equivalence_test.cc enforces this).
-  virtual void ProcessBatch(const Event* events, int64_t n, BatchClock& clock,
-                            Emitter& out);
+  /// out) for each element: control elements go through Process, and each
+  /// maximal run of data elements is counted once and handed to OnDataRun,
+  /// where hot operators pay their dispatch and emission overhead once per
+  /// run instead of once per element (tests/batch_equivalence_test.cc
+  /// checks outputs and counters against the scalar loop).
+  void ProcessBatch(const Event* events, int64_t n, BatchClock& clock,
+                    Emitter& out);
 
   /// ---- topology -----------------------------------------------------
   const std::string& name() const { return name_; }
@@ -160,9 +160,7 @@ class Operator {
 
   /// Routes this operator's memory deltas — input-queue bytes and state
   /// bytes — to `sink` (the owning Query). The sink observes deltas only;
-  /// the binder seeds it with MemoryBytes() already held. Composite
-  /// operators (ChainedOperator) intercept their sub-operators' deltas and
-  /// re-publish them as their own state.
+  /// the binder seeds it with MemoryBytes() already held.
   void BindMemoryAccounting(MemoryDeltaSink* sink);
 
   /// Whether the operator can shrink in-flight volume by partial/online
@@ -262,6 +260,13 @@ class Operator {
                            TimeMicros now, Emitter& out);
   virtual void OnLatencyMarker(const Event& e, TimeMicros now, Emitter& out);
 
+  /// Batch hook: processes a run of `n` data elements that ProcessBatch has
+  /// already counted, advancing `clock` exactly once per element. The
+  /// default calls OnData(e, clock.Next(), out) per element; operators
+  /// with a cheaper per-run form override it.
+  virtual void OnDataRun(const Event* events, int64_t n, BatchClock& clock,
+                         Emitter& out);
+
   /// Late-data corrections (window/lateness.h). Retraction/update pairs
   /// originate at windowed operators when a late arrival lands inside the
   /// allowed-lateness horizon; intermediate operators forward them
@@ -288,16 +293,11 @@ class Operator {
   void EmitData(const Event& e, Emitter& out);
 
   /// Emits a run of data elements with one accounting update (equivalent
-  /// to n EmitData calls). Used by ProcessBatch overrides.
+  /// to n EmitData calls). Used by OnDataRun overrides.
   void EmitDataRun(const Event* events, int64_t n, Emitter& out) {
     emitted_data_ += n;
     out.EmitRun(events, n);
   }
-
-  /// Bumps the processed-data counter exactly as Process() does for kData
-  /// elements. ProcessBatch overrides that inline the data fast path
-  /// (bypassing Process) must call it once per data element processed.
-  void NoteDataProcessed(int64_t n) { processed_data_ += n; }
 
   /// Reports a change in operator-held state bytes. The only way state
   /// enters the memory accounting: StateBytes() and the query-level

@@ -9,15 +9,32 @@
 
 namespace klink {
 
-void EngineConfig::Validate() const {
-  KLINK_CHECK_GE(num_cores, 1);
-  KLINK_CHECK_GT(cycle_length, 0);
-  KLINK_CHECK_GT(memory_capacity_bytes, 0);
-  KLINK_CHECK_GT(backpressure_resume_fraction, 0.0);
-  KLINK_CHECK_LE(backpressure_resume_fraction, 1.0);
-  KLINK_CHECK_GE(memory_pressure_penalty, 0.0);
-  KLINK_CHECK_GT(pressure_onset_fraction, 0.0);
-  KLINK_CHECK_GT(metrics_sample_period, 0);
+Status EngineConfig::Validate() const {
+  if (num_cores < 1) {
+    return Status::InvalidArgument("num_cores (--cores) must be >= 1");
+  }
+  if (cycle_length <= 0) {
+    return Status::InvalidArgument("cycle_length must be > 0");
+  }
+  if (memory_capacity_bytes <= 0) {
+    return Status::InvalidArgument(
+        "memory_capacity_bytes (--memory-mb) must be > 0");
+  }
+  if (!(backpressure_resume_fraction > 0.0 &&
+        backpressure_resume_fraction <= 1.0)) {
+    return Status::InvalidArgument(
+        "backpressure_resume_fraction must lie in (0, 1]");
+  }
+  if (!(memory_pressure_penalty >= 0.0)) {
+    return Status::InvalidArgument("memory_pressure_penalty must be >= 0");
+  }
+  if (!(pressure_onset_fraction > 0.0)) {
+    return Status::InvalidArgument("pressure_onset_fraction must be > 0");
+  }
+  if (metrics_sample_period <= 0) {
+    return Status::InvalidArgument("metrics_sample_period must be > 0");
+  }
+  return Status::Ok();
 }
 
 Engine::Engine(const EngineConfig& config,
@@ -26,7 +43,7 @@ Engine::Engine(const EngineConfig& config,
       policy_(std::move(policy)),
       memory_(config.memory_capacity_bytes,
               config.backpressure_resume_fraction) {
-  config_.Validate();
+  KLINK_CHECK_OK(config_.Validate());
   KLINK_CHECK(policy_ != nullptr);
   executor_ = MakeExecutor(config_.executor, config_.num_cores);
   KLINK_CHECK(executor_ != nullptr);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/common/histogram.h"
+#include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/query/query.h"
 #include "src/runtime/audit.h"
@@ -48,9 +49,11 @@ struct EngineConfig {
   /// startup cost for wall-clock speedup on multi-query cycles.
   ExecutorKind executor = ExecutorKind::kSequential;
 
-  /// Aborts on out-of-range values (a misconfigured engine silently
-  /// misbehaves otherwise). Called by the Engine constructor.
-  void Validate() const;
+  /// Rejects out-of-range values (a misconfigured engine silently
+  /// misbehaves otherwise); the message names the offending field and, where
+  /// one sets it, the klink_run flag. The Engine constructor aborts on a
+  /// non-OK result.
+  Status Validate() const;
 };
 
 /// The stream processing engine: a virtual-time, state-based-scheduled SPE

@@ -88,8 +88,7 @@ struct QueryInfo {
   /// virtual CPU cost of the retraction+update correction elements that
   /// windowed operators will emit at their next watermark — invisible to
   /// queue-based drain cost until emission, yet certain to precede the
-  /// sweep. Klink folds it into the drain cost when
-  /// KlinkPolicyConfig::refire_debt_correction is on.
+  /// sweep. Klink adds it to the drain cost before computing slack.
   double refire_debt_micros = 0.0;
   /// Expected end-to-end cost of a single source event (the ideal
   /// processing time used by the slowdown metric, Sec. 6.1.2).

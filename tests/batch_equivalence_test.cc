@@ -17,7 +17,6 @@
 #include "src/klink/klink_policy.h"
 #include "src/net/delay_model.h"
 #include "src/operators/aggregate_operator.h"
-#include "src/operators/chained_operator.h"
 #include "src/operators/count_window_operator.h"
 #include "src/operators/filter_operator.h"
 #include "src/operators/map_operator.h"
@@ -174,24 +173,8 @@ TEST(BatchEquivalenceTest, Reorder) {
                    std::make_unique<ReorderOperator>("ro", 0.5), events);
 }
 
-TEST(BatchEquivalenceTest, ChainedOperators) {
-  const auto events = MakeSequence(9, 5000);
-  auto make = [] {
-    std::vector<std::unique_ptr<Operator>> ops;
-    ops.push_back(std::make_unique<FilterOperator>(
-        "f", 0.6, FilterOperator::HashPassRate(0.7), 0.7));
-    ops.push_back(std::make_unique<MapOperator>(
-        "m", 0.4, [](Event& e) { e.key %= 8; }));
-    ops.push_back(std::make_unique<WindowAggregateOperator>(
-        "agg", 2.0, std::make_unique<TumblingWindowAssigner>(SecondsToMicros(3)),
-        AggregationKind::kCount));
-    return std::make_unique<ChainedOperator>("chain", std::move(ops));
-  };
-  CheckEquivalence(make(), make(), events);
-}
-
 TEST(BatchEquivalenceTest, BaseClassFallback) {
-  // An operator without a ProcessBatch override runs the scalar loop via
+  // An operator without an OnDataRun override runs OnData per element via
   // the base class; equivalence is by construction but guards the default.
   class PassThrough final : public Operator {
    public:

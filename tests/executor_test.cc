@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/net/delay_model.h"
@@ -222,33 +223,38 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(ExecutorKindName(param_info.param));
     });
 
-using EngineConfigDeathTest = ::testing::Test;
-
-TEST(EngineConfigDeathTest, RejectsNonPositiveCores) {
+TEST(EngineConfigTest, RejectsNonPositiveCores) {
   EngineConfig config;
   config.num_cores = 0;
-  EXPECT_DEATH(config.Validate(), "KLINK_CHECK failed");
+  const Status s = config.Validate();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("--cores"), std::string::npos) << s.message();
 }
 
-TEST(EngineConfigDeathTest, RejectsNonPositiveCycleLength) {
+TEST(EngineConfigTest, RejectsNonPositiveCycleLength) {
   EngineConfig config;
   config.cycle_length = 0;
-  EXPECT_DEATH(config.Validate(), "KLINK_CHECK failed");
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(EngineConfigDeathTest, RejectsResumeFractionOutsideUnitInterval) {
+TEST(EngineConfigTest, RejectsResumeFractionOutsideUnitInterval) {
   EngineConfig low;
   low.backpressure_resume_fraction = 0.0;
-  EXPECT_DEATH(low.Validate(), "KLINK_CHECK failed");
+  EXPECT_EQ(low.Validate().code(), StatusCode::kInvalidArgument);
   EngineConfig high;
   high.backpressure_resume_fraction = 1.5;
-  EXPECT_DEATH(high.Validate(), "KLINK_CHECK failed");
+  EXPECT_EQ(high.Validate().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(EngineConfigDeathTest, AcceptsDefaultConfig) {
+TEST(EngineConfigTest, AcceptsDefaultConfig) {
+  EXPECT_TRUE(EngineConfig().Validate().ok());
+}
+
+TEST(EngineConfigDeathTest, EngineAbortsOnInvalidConfig) {
   EngineConfig config;
-  config.Validate();  // must not abort
-  SUCCEED();
+  config.num_cores = 0;
+  EXPECT_DEATH(Engine(config, std::make_unique<RoundRobinPolicy>()),
+               "KLINK_CHECK_OK failed");
 }
 
 }  // namespace

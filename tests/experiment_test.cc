@@ -1,8 +1,11 @@
 #include "src/harness/experiment.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 #include <tuple>
 
 namespace klink {
@@ -151,6 +154,50 @@ TEST(ExperimentTest, KlinkReportsEstimatorAccuracy) {
   EXPECT_GT(r.estimator_predictions, 0);
   EXPECT_GT(r.estimator_accuracy, 0.5);
 }
+
+/// One klink_run input the config validation rejects, and the flag its
+/// message must name.
+struct BadInput {
+  const char* name;
+  const char* args;
+  const char* flag;
+};
+
+class KlinkRunBadInputTest : public ::testing::TestWithParam<BadInput> {};
+
+// Bad input is a usage error, never an abort: exit status 2, with the
+// validation message (the first line, before the usage text) naming the
+// flag.
+TEST_P(KlinkRunBadInputTest, ExitsTwoNamingTheFlag) {
+  const std::string cmd = std::string(KLINK_RUN_PATH)
+                              .append(" ")
+                              .append(GetParam().args)
+                              .append(" 2>&1");
+  FILE* pipe = popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status)) << out;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << out;
+  EXPECT_NE(out.substr(0, out.find('\n')).find(GetParam().flag),
+            std::string::npos)
+      << out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, KlinkRunBadInputTest,
+    ::testing::Values(BadInput{"Queries", "--queries=0", "--queries"},
+                      BadInput{"Cores", "--cores=0", "--cores"},
+                      BadInput{"Rate", "--rate=-5", "--rate"},
+                      BadInput{"MemoryMb", "--memory-mb=0", "--memory-mb"},
+                      // the default warm-up is 30 s
+                      BadInput{"DurationBelowWarmup", "--duration=20",
+                               "--duration"}),
+    [](const ::testing::TestParamInfo<BadInput>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 }  // namespace
 }  // namespace klink

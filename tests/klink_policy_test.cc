@@ -15,7 +15,7 @@ class KlinkPolicyTest : public ::testing::Test {
     snapshot_.now = 0;
     snapshot_.memory_utilization = 0.0;
     for (int i = 0; i < n; ++i) {
-      PipelineBuilder b("q" + std::to_string(i));
+      PipelineBuilder b(std::string("q").append(std::to_string(i)));
       b.Source("s", 1.0)
           .TumblingAggregate("w", 1.0, SecondsToMicros(1),
                              AggregationKind::kCount)

@@ -10,7 +10,9 @@ namespace {
 std::unique_ptr<Query> ChainQuery(int maps) {
   PipelineBuilder b("chain");
   BuilderStream s = b.Source("src", 1.0);
-  for (int i = 0; i < maps; ++i) s = s.Map("m" + std::to_string(i), 1.0);
+  for (int i = 0; i < maps; ++i) {
+    s = s.Map(std::string("m").append(std::to_string(i)), 1.0);
+  }
   s.Sink("out", 1.0);
   return b.Build(0);
 }

@@ -23,7 +23,7 @@ class SnapshotFixture : public ::testing::Test {
     snapshot_.queries.clear();
     snapshot_.now = 0;
     for (int i = 0; i < n; ++i) {
-      PipelineBuilder b("q" + std::to_string(i));
+      PipelineBuilder b(std::string("q").append(std::to_string(i)));
       b.Source("s", 1.0)
           .TumblingAggregate("w", 1.0, 1000, AggregationKind::kCount)
           .Sink("out", 1.0);

@@ -52,7 +52,7 @@ TEST(PipelineBuilderTest, ThreeWayJoin) {
   PipelineBuilder b("lrb-like");
   std::vector<BuilderStream> inputs;
   for (int i = 0; i < 3; ++i) {
-    inputs.push_back(b.Source("s" + std::to_string(i), 1.0));
+    inputs.push_back(b.Source(std::string("s").append(std::to_string(i)), 1.0));
   }
   b.TumblingJoin("join", 1.0, 1000, inputs)
       .SlidingAggregate("acc", 1.0, 5000, 3000, AggregationKind::kMax)

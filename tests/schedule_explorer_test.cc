@@ -40,7 +40,7 @@
 #include "src/runtime/engine.h"
 #include "src/runtime/event_feed.h"
 #include "src/runtime/reshard.h"
-#include "src/runtime/schedule_explorer.h"
+#include "tests/support/schedule_explorer.h"
 #include "src/sched/fcfs_policy.h"
 #include "src/workloads/workload.h"
 

@@ -23,23 +23,12 @@ contract mechanical:
                   O(touched) via the incremental indexes. Rebuild cycles,
                   audits, and by-definition full-scan baselines carry an
                   allow pragma stating why the scan is legitimate.
-  status-discard  common/status.h must keep Status/StatusOr [[nodiscard]]
-                  (the compiler then enforces no-unchecked-Status repo-wide).
   raw-new-delete  No raw new/delete expressions; ownership goes through
                   std::unique_ptr / containers.
   include-guard   Headers carry the canonical KLINK_<PATH>_H_ guard.
   iwyu            Headers directly include the std headers whose symbols
                   they name (a deterministic include-what-you-use subset
                   for the public headers; no compiler needed).
-  event-kind-switch
-                  Switches over EventKind must enumerate every kind, with
-                  no `default:` arm. The repo compiles with -Wswitch as an
-                  error, so an exhaustive switch turns every future kind
-                  addition (e.g. kRetraction/kUpdate for allowed lateness)
-                  into a compile error at each decode/route/merge site; a
-                  `default:` silently swallows the new kind instead — the
-                  exact bug class the wire decoder and exchange merge must
-                  never have.
   relaxed-atomics Every std::memory_order_relaxed in src/ carries an allow
                   pragma citing the invariant that makes relaxed sound
                   (monotonic counter merged under the executor barrier,
@@ -51,7 +40,7 @@ contract mechanical:
                   contracts on the enclosing function, and from
                   KLINK_ACQUIRED_BEFORE/_AFTER declarations — and rejects
                   cycles. A cycle is one schedule away from deadlock; the
-                  schedule explorer (src/runtime/schedule_explorer.h) finds
+                  schedule explorer (tests/support/schedule_explorer.h) finds
                   it dynamically, this rule finds it before the code runs.
   guarded-by      (whole-tree) Every access to a KLINK_GUARDED_BY(mu) field
                   must sit inside a MutexLock scope on mu, in a function
@@ -66,13 +55,9 @@ approximation: brace-matched scopes, no type or alias analysis. Clang with
 -Werror=thread-safety (the CI thread-safety job) is the authoritative
 checker; these rules exist so a GCC-only checkout still gets a net.
 
-AST mode: with --ast=auto (default) the script uses libclang when the
-`clang.cindex` Python bindings are importable and upgrades the weakest
-lexical rules (raw-new-delete, event-kind-switch) to true AST checks —
-`= delete`d functions, prose in macros, and split-line expressions stop
-mattering. When libclang is absent the script says so once and every rule
-falls back to the lexical implementation; --ast=on makes libclang a hard
-requirement (CI), --ast=off never loads it.
+Rules the compiler already enforces are not repeated here: Status and
+StatusOr are [[nodiscard]], and -Wswitch-enum (an error with KLINK_WERROR)
+makes every switch over an enum list each of its values.
 
 Suppression: append `// klink-lint: allow(<rule>): <reason>` to the line,
 or put it on the line directly above.
@@ -83,9 +68,8 @@ path and expected findings) and then asserts the real tree is clean; ctest
 runs it as lint_rules_test.
 
 Usage:
-  tools/klink_lint.py [--repo DIR] [--changed] [--ast {auto,on,off}]
-                      [--clang-tidy EXE] [--compile-commands PATH]
-                      [files...]
+  tools/klink_lint.py [--repo DIR] [--changed] [--clang-tidy EXE]
+                      [--compile-commands PATH] [files...]
 
 Exit status is non-zero when any finding (or clang-tidy diagnostic) is
 reported. Run via `cmake --build build --target lint`.
@@ -93,7 +77,6 @@ reported. Run via `cmake --build build --target lint`.
 
 import argparse
 import concurrent.futures
-import json
 import os
 import re
 import subprocess
@@ -291,17 +274,6 @@ def check_sched_scan(path, raw, code):
                           "or add an allow pragma justifying the scan")
 
 
-def check_status_nodiscard(path, raw, code):
-    if path != "src/common/status.h":
-        return
-    text = "\n".join(code)
-    for cls in ("Status", "StatusOr"):
-        if not re.search(rf"class\s+\[\[nodiscard\]\]\s+{cls}\b", text):
-            yield Finding(path, 1, "status-discard",
-                          f"class {cls} must stay [[nodiscard]] so the "
-                          "compiler rejects unchecked Status discards")
-
-
 NEW_RE = re.compile(r"\bnew\b\s*[\(A-Za-z_:]")
 DELETE_RE = re.compile(r"\bdelete\b(\s*\[\s*\])?\s*[\(A-Za-z_:*]")
 DELETED_FN_RE = re.compile(r"=\s*delete\s*[;,)]")
@@ -367,52 +339,6 @@ def check_iwyu(path, raw, code):
                 yield Finding(path, line, "iwyu",
                               f"uses {m.group(0).strip()} but does not "
                               f"directly include {header}")
-
-
-EVENT_KIND_SWITCH_RE = re.compile(
-    r"switch\s*\(\s*[^)]*(\bkind\b|\bEventKind\b|(\.|->)\s*kind\s*\(\))")
-DEFAULT_ARM_RE = re.compile(r"\bdefault\s*:")
-
-
-def check_event_kind_switch(path, raw, code):
-    # EventKind switches must stay exhaustive: -Wswitch (an error here)
-    # then flags every decode/route/merge site when a kind is added. A
-    # `default:` arm defeats that and silently drops unknown kinds.
-    if not (path.startswith("src/") or path.startswith("tools/")
-            or path.startswith("bench/")):
-        return
-    i = 0
-    n = len(code)
-    while i < n:
-        m = EVENT_KIND_SWITCH_RE.search(code[i])
-        if m is None:
-            i += 1
-            continue
-        # Walk the switch body by brace depth, starting from the first `{`
-        # at or after the switch line.
-        depth = 0
-        entered = False
-        j = i
-        while j < n:
-            for c in code[j]:
-                if c == "{":
-                    depth += 1
-                    entered = True
-                elif c == "}":
-                    depth -= 1
-            if entered:
-                dm = DEFAULT_ARM_RE.search(code[j])
-                if dm and not allowed_near("event-kind-switch", raw, j, 2, 1):
-                    yield Finding(
-                        path, j + 1, "event-kind-switch",
-                        "default: arm in an EventKind switch; enumerate "
-                        "every kind so -Wswitch flags this site when a "
-                        "kind is added (see src/event/event.h)")
-                if depth <= 0:
-                    break
-            j += 1
-        i = max(i + 1, j)
-    return
 
 
 def check_relaxed_atomics(path, raw, code):
@@ -757,113 +683,18 @@ class ConcurrencyModel:
         return None
 
 
-# ---------------------------------------------------------------------------
-# Optional libclang AST mode. When the clang.cindex bindings are present
-# the weakest lexical rules are re-run on the real AST: raw-new-delete via
-# CXX_NEW_EXPR/CXX_DELETE_EXPR cursors (deleted functions and prose can no
-# longer confuse it) and event-kind-switch via SWITCH_STMT condition types
-# (a renamed local no longer dodges the check). Everything else stays
-# lexical — the concurrency rules are superseded by clang -Wthread-safety
-# itself when a clang build is available.
-
-AST_RULES = {"raw-new-delete", "event-kind-switch"}
-
-
-class ClangAst:
-    def __init__(self, repo, mode, compile_commands):
-        self.repo = repo
-        self.enabled = False
-        self.note = None
-        self.args_by_file = {}
-        if mode == "off":
-            return
-        try:
-            from clang import cindex  # noqa: provided by python3-clang
-            self.cindex = cindex
-            self.index = cindex.Index.create()
-            self.enabled = True
-        except Exception as e:  # ImportError or missing libclang .so
-            if mode == "on":
-                raise SystemExit(
-                    f"klink_lint: --ast=on but libclang is unusable ({e}); "
-                    "install python3-clang/libclang or drop to --ast=auto")
-            why = type(e).__name__
-            self.note = (f"klink_lint: libclang unavailable ({why}); AST "
-                         "checks fall back to the lexical implementations")
-            return
-        if compile_commands and os.path.exists(compile_commands):
-            try:
-                with open(compile_commands, encoding="utf-8") as f:
-                    for entry in json.load(f):
-                        args = entry.get("arguments") or \
-                            entry["command"].split()
-                        self.args_by_file[entry["file"]] = [
-                            a for a in args[1:]
-                            if a not in ("-c", "-o", entry["file"])
-                            and not a.endswith(".o")]
-            except Exception:
-                pass  # fall back to default args per file
-
-    def findings_for(self, path, raw):
-        """AST findings for the rules in AST_RULES, or None when the file
-        cannot be parsed (caller then runs the lexical versions)."""
-        full = os.path.join(self.repo, path)
-        try:
-            args = self.args_by_file.get(full) or \
-                ["-std=c++20", f"-I{self.repo}", "-xc++"]
-            tu = self.index.parse(full, args=args)
-            if any(d.severity >= self.cindex.Diagnostic.Fatal
-                   for d in tu.diagnostics):
-                return None
-            out = []
-            ck = self.cindex.CursorKind
-            for cur in tu.cursor.walk_preorder():
-                loc = cur.location
-                if loc.file is None or loc.file.name != full:
-                    continue
-                if cur.kind in (ck.CXX_NEW_EXPR, ck.CXX_DELETE_EXPR):
-                    if not allowed("raw-new-delete", raw, loc.line - 1):
-                        out.append(Finding(
-                            path, loc.line, "raw-new-delete",
-                            "raw new/delete; own memory with "
-                            "std::unique_ptr or a container"))
-                elif cur.kind == ck.SWITCH_STMT:
-                    out.extend(self._switch(path, raw, cur, ck))
-            return out
-        except Exception:
-            return None  # any binding hiccup: lexical fallback
-
-    @staticmethod
-    def _switch(path, raw, cur, ck):
-        kids = list(cur.get_children())
-        if not kids or "EventKind" not in kids[0].type.spelling:
-            return
-        for sub in cur.walk_preorder():
-            if sub.kind == ck.DEFAULT_STMT:
-                line = sub.location.line
-                if not allowed_near("event-kind-switch", raw, line - 1,
-                                    2, 1):
-                    yield Finding(
-                        path, line, "event-kind-switch",
-                        "default: arm in an EventKind switch; enumerate "
-                        "every kind so -Wswitch flags this site when a "
-                        "kind is added (see src/event/event.h)")
-
-
 RULES = [
     check_determinism,
     check_accounting,
     check_sched_scan,
-    check_status_nodiscard,
     check_raw_new_delete,
     check_include_guard,
     check_iwyu,
-    check_event_kind_switch,
     check_relaxed_atomics,
 ]
 
 
-def lint_file(repo, path, model=None, ast=None):
+def lint_file(repo, path, model=None):
     try:
         with open(os.path.join(repo, path), encoding="utf-8") as f:
             raw = f.read().splitlines()
@@ -871,29 +702,20 @@ def lint_file(repo, path, model=None, ast=None):
         return [Finding(path, 0, "io", str(e))]
     code = strip_code(raw)
     findings = []
-    ast_findings = None
-    if ast is not None and ast.enabled \
-            and (path.startswith("src/") or path.startswith("tools/")):
-        ast_findings = ast.findings_for(path, raw)
     for rule in RULES:
-        if ast_findings is not None and rule.__name__ in (
-                "check_raw_new_delete", "check_event_kind_switch"):
-            continue  # superseded by the AST versions this run
         findings.extend(rule(path, raw, code) or [])
-    if ast_findings is not None:
-        findings.extend(ast_findings)
     if model is not None:
         model.add_file(path, raw, code)
     return findings
 
 
-def lint_paths(repo, files, ast=None):
+def lint_paths(repo, files):
     """All findings for `files`: the per-file rules plus the whole-tree
     concurrency rules. The entry point the golden tests replay."""
     model = ConcurrencyModel()
     findings = []
     for path in files:
-        findings.extend(lint_file(repo, path, model, ast))
+        findings.extend(lint_file(repo, path, model))
     findings.extend(model.findings())
     return findings
 
@@ -932,10 +754,6 @@ def main():
         os.path.dirname(os.path.abspath(__file__))))
     ap.add_argument("--changed", action="store_true",
                     help="lint only files that differ from origin/main")
-    ap.add_argument("--ast", choices=("auto", "on", "off"), default="auto",
-                    help="libclang-backed AST checks: auto uses libclang "
-                         "when importable, on requires it, off never "
-                         "loads it")
     ap.add_argument("--clang-tidy", default=None,
                     help="clang-tidy executable to run over the same files")
     ap.add_argument("--compile-commands", default=None,
@@ -953,13 +771,7 @@ def main():
         files = repo_files(repo, ["src", "tools", "tests", "bench",
                                   "examples"])
 
-    cc_path = args.compile_commands or os.path.join(
-        repo, "build", "compile_commands.json")
-    ast = ClangAst(repo, args.ast, cc_path)
-    if ast.note:
-        print(ast.note, file=sys.stderr)
-
-    findings = lint_paths(repo, files, ast)
+    findings = lint_paths(repo, files)
     for f in findings:
         print(f)
 

@@ -638,6 +638,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--max-shards must be 0 or >= --shards (>= 1)\n");
     return Usage();
   }
+  // Listen mode has no warm-up cut (its report covers the whole run), so
+  // only the engine's fields constrain it.
+  const Status valid =
+      flags.Has("listen") ? config.engine.Validate() : config.Validate();
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.message().c_str());
+    return Usage();
+  }
 
   if (flags.Has("listen")) {
     const uint16_t port = static_cast<uint16_t>(flags.GetInt("listen", 0));
