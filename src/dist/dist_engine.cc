@@ -142,19 +142,8 @@ void DistEngine::Ingest() {
     const int64_t budget =
         host.config().memory_capacity_bytes - NodeMemoryUsage(source_node);
     if (budget <= 0) continue;
-    feed_scratch_.clear();
-    dq.feed->PollUpTo(now_, budget, &feed_scratch_);
-    const auto& sources = dq.query->sources();
-    int64_t data = 0;
-    for (const EventFeed::FeedElement& fe : feed_scratch_) {
-      KLINK_CHECK(fe.source_index >= 0 &&
-                  fe.source_index < static_cast<int>(sources.size()));
-      Event e = fe.event;
-      e.stream = 0;
-      sources[static_cast<size_t>(fe.source_index)]->input(0).Push(e);
-      if (e.is_data()) ++data;
-    }
-    metrics_.AddIngested(data);
+    metrics_.AddIngested(
+        feed_ingest_.Poll(*dq.feed, now_, budget, *dq.query).data);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "src/dist/placement.h"
 #include "src/query/query.h"
 #include "src/runtime/event_feed.h"
+#include "src/runtime/feed_ingest.h"
 #include "src/runtime/metrics.h"
 
 namespace klink {
@@ -110,7 +111,7 @@ class DistEngine {
   int64_t transit_seq_ = 0;
   EngineMetrics metrics_;
   TimeMicros now_ = 0;
-  std::vector<EventFeed::FeedElement> feed_scratch_;
+  FeedIngest feed_ingest_;
 };
 
 }  // namespace klink

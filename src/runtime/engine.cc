@@ -245,37 +245,23 @@ void Engine::RestoreClock(TimeMicros t) {
   }
 }
 
-int64_t Engine::Ingest() {
-  if (memory_.backpressured()) return memory_usage_;
+void Engine::Ingest() {
+  if (memory_.backpressured()) return;
   // Remaining buffer space bounds how much the cycle may ingest: the SPE
   // never fetches beyond its memory capacity (backpressure semantics).
   int64_t budget = config_.memory_capacity_bytes - memory_usage_;
   for (const QueryFabric::LiveQuery& lq : fabric_.fed()) {
     if (budget <= 0) break;
     if (now_ < lq.query->deploy_time()) continue;
-    feed_scratch_.clear();
-    lq.feed->PollUpTo(now_, budget, &feed_scratch_);
-    if (feed_scratch_.empty()) continue;
-    const auto& sources = lq.query->sources();
-    int64_t data = 0;
-    int64_t added_total = 0;
-    for (const EventFeed::FeedElement& fe : feed_scratch_) {
-      KLINK_CHECK(fe.source_index >= 0 &&
-                  fe.source_index < static_cast<int>(sources.size()));
-      Event e = fe.event;
-      e.stream = 0;  // source operators are unary
-      sources[static_cast<size_t>(fe.source_index)]->input(0).Push(e);
-      const int64_t added = e.payload_bytes + StreamQueue::kPerEventOverhead;
-      budget -= added;
-      added_total += added;
-      if (e.is_data()) ++data;
-    }
-    memory_usage_ += added_total;
-    accounted_mem_[lq.id] += added_total;
+    const FeedIngest::Totals polled =
+        feed_ingest_.Poll(*lq.feed, now_, budget, *lq.query);
+    if (polled.bytes == 0) continue;
+    budget -= polled.bytes;
+    memory_usage_ += polled.bytes;
+    accounted_mem_[lq.id] += polled.bytes;
     fabric_.MarkDirty(lq.id);
-    metrics_.AddIngested(data);
+    metrics_.AddIngested(polled.data);
   }
-  return memory_usage_;
 }
 
 void Engine::BuildSnapshot(RuntimeSnapshot* snap) {

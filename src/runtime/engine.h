@@ -12,6 +12,7 @@
 #include "src/runtime/audit.h"
 #include "src/runtime/event_feed.h"
 #include "src/runtime/executor.h"
+#include "src/runtime/feed_ingest.h"
 #include "src/runtime/memory_tracker.h"
 #include "src/runtime/metrics.h"
 #include "src/runtime/query_fabric.h"
@@ -171,8 +172,8 @@ class Engine {
   /// Active queries, rebuilt into audit_scratch_ for the invariant auditor.
   const std::vector<const Query*>& ActiveQueriesForAudit();
   /// Ingests feed elements due by now() into source queues, maintaining the
-  /// incremental memory total, and returns it.
-  int64_t Ingest();
+  /// incremental memory total.
+  void Ingest();
   /// Consumes the fabric's change journal into the persistent snapshot:
   /// drops detached entries, re-collects touched ones, and folds each
   /// touched query's memory delta into memory_usage_. O(touched), not
@@ -204,7 +205,7 @@ class Engine {
   int64_t memory_usage_ = 0;
   /// Per-live-query memory last folded into memory_usage_.
   std::unordered_map<QueryId, int64_t> accounted_mem_;
-  std::vector<EventFeed::FeedElement> feed_scratch_;
+  FeedIngest feed_ingest_;
   Selection selection_scratch_;
   std::vector<ExecutorTask> tasks_scratch_;
   RuntimeSnapshot snapshot_scratch_;

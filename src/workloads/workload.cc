@@ -1,5 +1,7 @@
 #include "src/workloads/workload.h"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "src/common/check.h"
@@ -33,11 +35,11 @@ SyntheticFeed::SyntheticFeed(std::vector<SourceSpec> sources,
 void SyntheticFeed::GenerateUpTo(TimeMicros horizon) {
   // Elements are generated in strict global generation-time order across
   // sources and element kinds, so the RNG draw sequence (burst switches,
-  // keys, values, delay samples) and the heap tie-break seq depend only on
-  // how far generation has advanced — never on how the caller slices its
-  // poll horizons. Polling to 6 s in one call therefore yields the
-  // byte-identical stream to polling 2.5 s, 3 s, then 6 s; crash-replay
-  // legs and paced replay both rely on this invariance.
+  // keys, values, delay samples) and the generation order that breaks
+  // delivery ties depend only on how far generation has advanced — never
+  // on how the caller slices its poll horizons. Polling to 6 s in one call
+  // therefore yields the byte-identical stream to polling 2.5 s, 3 s, then
+  // 6 s; crash-replay legs and paced replay both rely on this invariance.
   while (true) {
     size_t best_src = 0;
     int best_kind = -1;  // 0 data, 1 watermark, 2 latency marker
@@ -81,8 +83,7 @@ void SyntheticFeed::GenerateUpTo(TimeMicros horizon) {
           rng_.NextDouble() * (src.spec.value_max - src.spec.value_min);
       Event e = MakeDataEvent(gen, gen + delay_->Sample(rng_), key, value,
                               src.spec.payload_bytes);
-      pending_.push(Pending{e.ingest_time, seq_++,
-                            FeedElement{static_cast<int>(best_src), e}});
+      pending_.push_back(FeedElement{static_cast<int>(best_src), e});
       ++generated_;
       src.next_event_time += interval;
     } else if (best_kind == 1) {
@@ -90,31 +91,97 @@ void SyntheticFeed::GenerateUpTo(TimeMicros horizon) {
       const TimeMicros gen = src.next_watermark_time;
       Event wm = MakeWatermark(gen - src.spec.watermark_lag,
                                gen + delay_->Sample(rng_));
-      pending_.push(Pending{wm.ingest_time, seq_++,
-                            FeedElement{static_cast<int>(best_src), wm}});
+      pending_.push_back(FeedElement{static_cast<int>(best_src), wm});
       src.next_watermark_time += src.spec.watermark_period;
     } else {
       const TimeMicros gen = src.next_marker_time;
       Event m = MakeLatencyMarker(gen, gen + delay_->Sample(rng_));
-      pending_.push(Pending{m.ingest_time, seq_++,
-                            FeedElement{static_cast<int>(best_src), m}});
+      pending_.push_back(FeedElement{static_cast<int>(best_src), m});
       src.next_marker_time += src.spec.marker_period;
     }
   }
 }
 
+void SyntheticFeed::SortDue(TimeMicros now) {
+  due_.clear();
+  TimeMicros lo = std::numeric_limits<TimeMicros>::max();
+  TimeMicros hi = std::numeric_limits<TimeMicros>::min();
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    const TimeMicros t = pending_[i].event.ingest_time;
+    if (t > now) continue;
+    due_.push_back(DueKey{t, i});
+    lo = std::min(lo, t);
+    hi = std::max(hi, t);
+  }
+  const size_t n = due_.size();
+  if (n < 2) return;
+  // One counting pass scatters the keys, still in index order, into n
+  // equal-width ingest-time buckets; std::sort then orders each bucket. The
+  // bucket index only has to be monotone in ingest time, which the scaled
+  // floating-point product is. A heavy delay tail can stretch the span so
+  // most keys share one bucket, which is why the per-bucket sort must not
+  // be quadratic.
+  const double scale =
+      static_cast<double>(n) / (static_cast<double>(hi - lo) + 1.0);
+  const auto bucket = [lo, scale, n](const DueKey& k) {
+    return std::min(n - 1, static_cast<size_t>(
+                               static_cast<double>(k.ingest_time - lo) *
+                               scale));
+  };
+  bucket_offsets_.assign(n + 1, 0);
+  for (const DueKey& k : due_) ++bucket_offsets_[bucket(k) + 1];
+  for (size_t b = 1; b <= n; ++b) {
+    bucket_offsets_[b] += bucket_offsets_[b - 1];
+  }
+  bucketed_.resize(n);
+  for (const DueKey& k : due_) bucketed_[bucket_offsets_[bucket(k)]++] = k;
+  // The scatter advanced each bucket's offset to its end.
+  size_t begin = 0;
+  for (size_t b = 0; b < n; ++b) {
+    const size_t end = bucket_offsets_[b];
+    if (end - begin > 1) {
+      std::sort(bucketed_.begin() + static_cast<ptrdiff_t>(begin),
+                bucketed_.begin() + static_cast<ptrdiff_t>(end));
+    }
+    begin = end;
+  }
+  due_.swap(bucketed_);
+}
+
 void SyntheticFeed::PollUpTo(TimeMicros now, int64_t max_bytes,
                              std::vector<FeedElement>* out) {
   GenerateUpTo(now);
+  SortDue(now);
   int64_t delivered = 0;
-  while (!pending_.empty() && pending_.top().ingest_time <= now) {
-    const int64_t sz = pending_.top().element.event.payload_bytes +
-                       StreamQueue::kPerEventOverhead;
-    if (delivered > 0 && delivered + sz > max_bytes) break;
+  const auto admit = [&delivered, max_bytes](const FeedElement& fe) {
+    const int64_t sz =
+        fe.event.payload_bytes + StreamQueue::kPerEventOverhead;
+    if (delivered > 0 && delivered + sz > max_bytes) return false;
     delivered += sz;
-    out->push_back(pending_.top().element);
-    pending_.pop();
+    return true;
+  };
+  // Elements an earlier poll held back were due by that poll's `now`, and
+  // nothing left in pending_ was, so the held elements go first.
+  while (!held_.empty() && held_.front().event.ingest_time <= now &&
+         admit(held_.front())) {
+    out->push_back(held_.front());
+    held_.pop_front();
   }
+  size_t taken = 0;
+  if (held_.empty()) {
+    while (taken < due_.size() && admit(pending_[due_[taken].index])) {
+      out->push_back(pending_[due_[taken++].index]);
+    }
+  }
+  // Hold back the due elements that did not fit, in delivery order, and
+  // drop every due element from pending_, keeping generation order.
+  for (size_t k = taken; k < due_.size(); ++k) {
+    held_.push_back(pending_[due_[k].index]);
+  }
+  if (due_.empty()) return;
+  std::erase_if(pending_, [now](const FeedElement& fe) {
+    return fe.event.ingest_time <= now;
+  });
 }
 
 }  // namespace klink

@@ -1,8 +1,9 @@
 #ifndef KLINK_WORKLOADS_WORKLOAD_H_
 #define KLINK_WORKLOADS_WORKLOAD_H_
 
+#include <cstddef>
+#include <deque>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -44,7 +45,8 @@ struct SourceSpec {
 
 /// Deterministic synthetic feed: per-source periodic data events, periodic
 /// watermarks, and latency markers, each delayed by the configured network
-/// delay model; elements are delivered in ingestion order.
+/// delay model; elements are delivered in ingestion order, ties in
+/// generation order.
 class SyntheticFeed final : public EventFeed {
  public:
   /// `start_time`: generation begins at this virtual time (the query's
@@ -70,29 +72,38 @@ class SyntheticFeed final : public EventFeed {
     double rate_multiplier = 1.0;
     TimeMicros next_burst_switch = 0;
   };
-  struct Pending {
+  /// Sort key of a due element: its ingest time, then its position in
+  /// pending_ (generation order) as the tie-break.
+  struct DueKey {
     TimeMicros ingest_time;
-    int64_t seq;  // tie-break to keep delivery deterministic
-    FeedElement element;
-    bool operator>(const Pending& other) const {
-      if (ingest_time != other.ingest_time) {
-        return ingest_time > other.ingest_time;
-      }
-      return seq > other.seq;
+    size_t index;
+    bool operator<(const DueKey& other) const {
+      return ingest_time != other.ingest_time ? ingest_time < other.ingest_time
+                                              : index < other.index;
     }
   };
 
-  /// Generates all elements with generation time <= horizon into the
-  /// pending heap (delays are non-negative, so nothing ingestible by
-  /// `horizon` can be generated after it).
+  /// Generates all elements with generation time <= horizon into pending_
+  /// (delays are non-negative, so nothing ingestible by `horizon` can be
+  /// generated after it).
   void GenerateUpTo(TimeMicros horizon);
+  /// Fills due_ with the keys of pending_'s elements due by `now`, in
+  /// delivery order.
+  void SortDue(TimeMicros now);
 
   std::vector<SourceState> sources_;
   std::unique_ptr<DelayModel> delay_;
   Rng rng_;
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
-      pending_;
-  int64_t seq_ = 0;
+  /// Generated elements not yet due by the last poll, in generation order.
+  std::vector<FeedElement> pending_;
+  /// Due elements a poll's byte bound held back, in delivery order. They
+  /// precede everything in pending_, which was not due yet.
+  std::deque<FeedElement> held_;
+  /// SortDue scratch: the sorted keys, the bucket scatter target, and the
+  /// bucket offsets.
+  std::vector<DueKey> due_;
+  std::vector<DueKey> bucketed_;
+  std::vector<size_t> bucket_offsets_;
   int64_t generated_ = 0;
 };
 

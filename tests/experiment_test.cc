@@ -163,22 +163,26 @@ struct BadInput {
   const char* flag;
 };
 
+/// Runs the klink_run binary with `args`, capturing stdout and stderr into
+/// `out`; returns the wait status.
+int RunKlinkRun(const char* args, std::string* out) {
+  const std::string cmd =
+      std::string(KLINK_RUN_PATH).append(" ").append(args).append(" 2>&1");
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) *out += buf;
+  return pclose(pipe);
+}
+
 class KlinkRunBadInputTest : public ::testing::TestWithParam<BadInput> {};
 
 // Bad input is a usage error, never an abort: exit status 2, with the
 // validation message (the first line, before the usage text) naming the
 // flag.
 TEST_P(KlinkRunBadInputTest, ExitsTwoNamingTheFlag) {
-  const std::string cmd = std::string(KLINK_RUN_PATH)
-                              .append(" ")
-                              .append(GetParam().args)
-                              .append(" 2>&1");
-  FILE* pipe = popen(cmd.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
   std::string out;
-  char buf[256];
-  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
-  const int status = pclose(pipe);
+  const int status = RunKlinkRun(GetParam().args, &out);
   ASSERT_TRUE(WIFEXITED(status)) << out;
   EXPECT_EQ(WEXITSTATUS(status), 2) << out;
   EXPECT_NE(out.substr(0, out.find('\n')).find(GetParam().flag),
@@ -198,6 +202,25 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BadInput>& param_info) {
       return std::string(param_info.param.name);
     });
+
+// A run that completes no window reports that instead of latency 0.000
+// and slowdown 0. This overloaded configuration pins memory at its 16 MB
+// ceiling and completes none.
+TEST(KlinkRunReportTest, NoCompletedWindowsSaysSo) {
+  std::string out;
+  const int status = RunKlinkRun(
+      "--workload=ysb --queries=4 --rate=12000 --duration=35", &out);
+  ASSERT_TRUE(WIFEXITED(status)) << out;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << out;
+  for (const char* row : {"mean latency (s)", "p50 latency (s)",
+                          "p90 latency (s)", "p99 latency (s)", "slowdown"}) {
+    const size_t at = out.find(row);
+    ASSERT_NE(at, std::string::npos) << row << "\n" << out;
+    const std::string line = out.substr(at, out.find('\n', at) - at);
+    EXPECT_NE(line.find("n/a (no completed windows)"), std::string::npos)
+        << line;
+  }
+}
 
 }  // namespace
 }  // namespace klink

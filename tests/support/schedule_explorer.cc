@@ -307,6 +307,9 @@ bool ScheduleExplorer::CvWait(void* cv, Mutex* mu) {
   self->wants = nullptr;
   self->run = Run::kRunning;
   owner_[mu] = self;
+  // Release m_ before re-taking `mu`, as LockAcquire does: holding m_ here
+  // would order m_ before `mu`, the reverse of every caller's order.
+  lock.unlock();
   MutexRawAccess::RawLock(*mu);  // uncontended: participants are parked
   return true;
 }

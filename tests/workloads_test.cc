@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
+#include "src/common/serialize.h"
 #include "src/workloads/lrb.h"
 #include "src/workloads/nyt.h"
 #include "src/workloads/ysb.h"
@@ -125,43 +129,115 @@ TEST(SyntheticFeedTest, DeterministicForSeed) {
   EXPECT_EQ(run(), run());
 }
 
-// The generated stream must not depend on how the caller slices its poll
-// horizons: a crash-replay leg polls in slices around the kill point while
-// its baseline polls once to the end, and the two must compare
-// byte-identically. Regression test for the horizon-dependent RNG draw
-// order that stochastic delay models (watermark/marker delay samples
-// interleaving with key/value draws) used to expose.
-TEST(SyntheticFeedTest, SlicedPollingMatchesOneShot) {
-  SourceSpec spec;
-  spec.events_per_second = 500;
-  SourceSpec second = spec;
-  second.watermark_period = MillisToMicros(300);
-  auto make = [&] {
-    return SyntheticFeed({spec, second},
-                         std::make_unique<UniformDelay>(0, 120000), 42, 0);
-  };
-  SyntheticFeed one_shot = make();
-  SyntheticFeed sliced = make();
-  std::vector<EventFeed::FeedElement> a;
-  one_shot.PollUpTo(SecondsToMicros(6), 1ll << 40, &a);
-  std::vector<EventFeed::FeedElement> b;
-  for (const TimeMicros h : {MillisToMicros(2500), MillisToMicros(3000),
-                             SecondsToMicros(6)}) {
-    sliced.PollUpTo(h, 1ll << 40, &b);
+constexpr int64_t kUnbounded = std::numeric_limits<int64_t>::max();
+constexpr DurationMicros kCycle = MillisToMicros(120);
+
+/// One feed polled on a fixed schedule, and the stream it must deliver.
+struct FeedCase {
+  const char* name;
+  std::unique_ptr<EventFeed> (*make)();
+  /// Polls every `step` up to `until` (a single poll at `until` when 0),
+  /// each bounded by `max_bytes`.
+  DurationMicros step;
+  TimeMicros until;
+  int64_t max_bytes;
+  int64_t elements;
+  uint64_t hash;
+};
+
+/// Polls `feed` on the case's schedule, then unbounded at the final time
+/// until a poll returns nothing, and fingerprints what it delivered:
+/// FNV-1a 64 over 41 little-endian bytes per element (source_index i32,
+/// kind u8, event_time and ingest_time i64, key u64, value as double bits,
+/// payload_bytes u32), in delivery order.
+std::pair<int64_t, uint64_t> DeliveredStream(EventFeed& feed,
+                                             const FeedCase& c) {
+  std::vector<EventFeed::FeedElement> out;
+  for (TimeMicros t = c.step; c.step > 0 && t < c.until; t += c.step) {
+    feed.PollUpTo(t, c.max_bytes, &out);
   }
-  // The sliced feed delivers a prefix at each horizon but must generate
-  // (and thus ultimately deliver) the identical sequence.
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].source_index, b[i].source_index) << "element " << i;
-    EXPECT_EQ(a[i].event.kind, b[i].event.kind) << "element " << i;
-    EXPECT_EQ(a[i].event.event_time, b[i].event.event_time) << "element " << i;
-    EXPECT_EQ(a[i].event.ingest_time, b[i].event.ingest_time)
-        << "element " << i;
-    EXPECT_EQ(a[i].event.key, b[i].event.key) << "element " << i;
-    EXPECT_EQ(a[i].event.value, b[i].event.value) << "element " << i;
+  feed.PollUpTo(c.until, c.max_bytes, &out);
+  size_t before = 0;
+  do {
+    before = out.size();
+    feed.PollUpTo(c.until, kUnbounded, &out);
+  } while (out.size() != before);
+  StateWriter w;
+  for (const EventFeed::FeedElement& fe : out) {
+    w.PutU32(static_cast<uint32_t>(fe.source_index));
+    w.PutU8(static_cast<uint8_t>(fe.event.kind));
+    w.PutI64(fe.event.event_time);
+    w.PutI64(fe.event.ingest_time);
+    w.PutU64(fe.event.key);
+    w.PutDouble(fe.event.value);
+    w.PutU32(fe.event.payload_bytes);
   }
+  return {static_cast<int64_t>(out.size()),
+          Fnv1aBytes(w.bytes().data(), w.bytes().size())};
 }
+
+class FeedStreamTest : public ::testing::TestWithParam<FeedCase> {};
+
+// The delivered stream is pinned: its order is (ingest time, generation
+// order), and it must not depend on how the caller slices its poll
+// horizons or bounds each poll's bytes. A crash-replay leg polls in slices
+// around the kill point while its baseline polls once to the end, and the
+// two must compare byte-identically; stochastic delay models (watermark
+// and marker delay samples interleaving with key/value draws) once made
+// the RNG draw order horizon-dependent.
+TEST_P(FeedStreamTest, SlicedPollingMatchesOneShot) {
+  const FeedCase& c = GetParam();
+  const std::unique_ptr<EventFeed> feed = c.make();
+  const auto [elements, hash] = DeliveredStream(*feed, c);
+  EXPECT_EQ(elements, c.elements);
+  EXPECT_EQ(hash, c.hash) << std::hex << "got " << hash;
+}
+
+std::unique_ptr<EventFeed> YsbUniformFeed() {
+  return MakeYsbFeed(YsbConfig{}, MakePaperUniformDelay(), 7, 0);
+}
+
+std::unique_ptr<EventFeed> LrbZipfFeed() {
+  return MakeLrbFeed(LrbConfig{}, MakePaperZipfDelay(), 7, 0);
+}
+
+std::unique_ptr<EventFeed> ParetoFeed() {
+  SourceSpec spec;
+  spec.events_per_second = 2000;
+  return std::make_unique<SyntheticFeed>(
+      std::vector<SourceSpec>{spec}, MakeDefaultParetoDelay(), 7, 0);
+}
+
+// Two identical zero-delay sources: every timestamp is shared, so the
+// order rests entirely on the generation-order tie-break.
+std::unique_ptr<EventFeed> TiedFeed() {
+  SourceSpec spec;
+  spec.events_per_second = 1000;
+  spec.watermark_period = MillisToMicros(200);
+  spec.marker_period = MillisToMicros(200);
+  return std::make_unique<SyntheticFeed>(std::vector<SourceSpec>{spec, spec},
+                                         std::make_unique<ConstantDelay>(0),
+                                         7, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, FeedStreamTest,
+    ::testing::Values(
+        FeedCase{"YsbUniform", YsbUniformFeed, kCycle, SecondsToMicros(30),
+                 kUnbounded, 31625, 0xa344035f63f30883ull},
+        FeedCase{"LrbZipf", LrbZipfFeed, kCycle, SecondsToMicros(30),
+                 kUnbounded, 89543, 0x3eea72161fcd4defull},
+        FeedCase{"LrbZipfMaxBytes4096", LrbZipfFeed, kCycle,
+                 SecondsToMicros(30), 4096, 89543, 0x3eea72161fcd4defull},
+        FeedCase{"ParetoOnePoll", ParetoFeed, 0, SecondsToMicros(20),
+                 kUnbounded, 40060, 0xd34b89a002c2321dull},
+        FeedCase{"ParetoSliced", ParetoFeed, kCycle, SecondsToMicros(20),
+                 kUnbounded, 40060, 0xd34b89a002c2321dull},
+        FeedCase{"TiedSources", TiedFeed, kCycle, SecondsToMicros(10),
+                 kUnbounded, 20202, 0xec03d36373bbb1caull}),
+    [](const ::testing::TestParamInfo<FeedCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 TEST(YsbWorkloadTest, PipelineShape) {
   YsbConfig config;

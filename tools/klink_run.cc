@@ -137,6 +137,17 @@ int64_t WallMicros() {
       .count();
 }
 
+/// Formats the latency and slowdown cells of a results table. With no
+/// completed window the SWM latency histogram is empty and its zeros would
+/// read as perfect latency, so the cells say so instead.
+struct WindowCell {
+  bool any_completed;
+  std::string Num(double value, int precision) const {
+    return any_completed ? TableReporter::Num(value, precision)
+                         : "n/a (no completed windows)";
+  }
+};
+
 /// Checkpointing options of listen mode (see CheckpointConfig).
 struct CheckpointFlags {
   std::string dir;  // empty = checkpointing off
@@ -521,21 +532,22 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
   server.Stop();
 
   const Histogram latency = engine.AggregateSwmLatency();
+  const WindowCell cell{latency.count() > 0};
   TableReporter table("Results (TCP ingest)");
   table.SetHeader({"metric", "value"});
-  table.AddRow({"mean latency (s)", TableReporter::Num(latency.mean() / 1e6, 3)});
+  table.AddRow({"mean latency (s)", cell.Num(latency.mean() / 1e6, 3)});
   table.AddRow({"p50 latency (s)",
-                TableReporter::Num(
-                    static_cast<double>(latency.Percentile(50)) / 1e6, 3)});
+                cell.Num(static_cast<double>(latency.Percentile(50)) / 1e6,
+                         3)});
   table.AddRow({"p99 latency (s)",
-                TableReporter::Num(
-                    static_cast<double>(latency.Percentile(99)) / 1e6, 3)});
+                cell.Num(static_cast<double>(latency.Percentile(99)) / 1e6,
+                         3)});
   table.AddRow({"ingested events",
                 std::to_string(engine.metrics().ingested_events())});
   table.AddRow({"throughput (op-events/s)",
                 TableReporter::Num(
                     engine.metrics().ThroughputEps(config.duration), 0)});
-  table.AddRow({"slowdown", TableReporter::Num(engine.MeanSlowdown(), 0)});
+  table.AddRow({"slowdown", cell.Num(engine.MeanSlowdown(), 0)});
   table.AddRow({"peak memory (MB)",
                 TableReporter::Num(
                     static_cast<double>(engine.memory().peak_bytes()) /
@@ -704,15 +716,16 @@ int main(int argc, char** argv) {
 
   const ExperimentResult r = RunExperiment(config);
 
+  const WindowCell cell{r.latency.count() > 0};
   TableReporter table("Results");
   table.SetHeader({"metric", "value"});
-  table.AddRow({"mean latency (s)", TableReporter::Num(r.mean_latency_s, 3)});
-  table.AddRow({"p50 latency (s)", TableReporter::Num(r.p50_latency_s, 3)});
-  table.AddRow({"p90 latency (s)", TableReporter::Num(r.p90_latency_s, 3)});
-  table.AddRow({"p99 latency (s)", TableReporter::Num(r.p99_latency_s, 3)});
+  table.AddRow({"mean latency (s)", cell.Num(r.mean_latency_s, 3)});
+  table.AddRow({"p50 latency (s)", cell.Num(r.p50_latency_s, 3)});
+  table.AddRow({"p90 latency (s)", cell.Num(r.p90_latency_s, 3)});
+  table.AddRow({"p99 latency (s)", cell.Num(r.p99_latency_s, 3)});
   table.AddRow({"throughput (op-events/s)",
                 TableReporter::Num(r.throughput_eps, 0)});
-  table.AddRow({"slowdown", TableReporter::Num(r.slowdown, 0)});
+  table.AddRow({"slowdown", cell.Num(r.slowdown, 0)});
   table.AddRow({"mean CPU (%)",
                 TableReporter::Num(r.mean_cpu_utilization * 100.0, 1)});
   table.AddRow({"mean memory (MB)",
