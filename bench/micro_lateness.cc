@@ -17,7 +17,6 @@
 // before computing slack. The bench reports the time-averaged debt per
 // cycle, the flushed debt alongside it (the predicted work materializes
 // as emitted corrections), and the run's mean slowdown and p99 latency.
-// The DEBT line's `correction=1` field says the debt is priced into slack.
 //
 // Acceptance (recorded by tools/bench_lateness.sh into
 // BENCH_lateness.json):
@@ -97,7 +96,7 @@ void RunDebt(ExecutorKind executor, DurationMicros duration) {
         ++cycles;
       });
   std::printf(
-      "DEBT correction=1 mean_debt_micros_per_cycle=%.2f "
+      "DEBT mean_debt_micros_per_cycle=%.2f "
       "flushed_debt_micros=%.0f corrections=%lld accepted=%lld "
       "slowdown=%.1f p99_latency_s=%.3f\n",
       cycles == 0 ? 0.0 : debt_sum / static_cast<double>(cycles),
@@ -123,8 +122,8 @@ int main(int argc, char** argv) {
   const bool smoke = bench::SmokeMode();
   const DurationMicros duration = SecondsToMicros(smoke ? 8 : 30);
 
-  std::printf("# allowed-lateness: horizon sweep + refire-debt gap, "
-              "executor=%s, delay=pareto\n",
+  std::printf("# allowed-lateness: horizon sweep, executor=%s, "
+              "delay=pareto\n",
               ExecutorKindName(executor));
   for (const DurationMicros lateness :
        {DurationMicros{0}, MillisToMicros(100), MillisToMicros(300),

@@ -272,14 +272,17 @@ Status ReplayFeed(EventFeed& feed,
   };
 
   const int64_t wall_start = WallMicros();
-  TimeMicros horizon = options.speed > 0.0 ? 0 : options.until;
+  const bool paced = options.speed > 0.0;
+  TimeMicros horizon = 0;
   while (true) {
-    if (options.speed > 0.0) {
+    if (paced) {
       horizon = std::min<TimeMicros>(
           options.until,
           static_cast<TimeMicros>(
               static_cast<double>(WallMicros() - wall_start) *
               options.speed));
+    } else {
+      horizon = std::min(options.until, horizon + kBlastSlice);
     }
     scratch.clear();
     feed.PollUpTo(horizon, unbounded, &scratch);
@@ -295,8 +298,10 @@ Status ReplayFeed(EventFeed& feed,
       if (const Status s = recover(c, c->Flush()); !s.ok()) return s;
     }
     if (horizon >= options.until) break;
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options.poll_step));
+    if (paced) {
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(options.poll_step));
+    }
   }
 
   for (LoadgenConnection* c : conns) {

@@ -134,12 +134,19 @@ class LoadgenConnection {
   LoadgenStats stats_;
 };
 
+/// Virtual time an unpaced replay generates, sends and flushes per step.
+/// The blast starts sending after its first slice, and the client holds
+/// one slice plus its unacked retention instead of the whole run. The
+/// delivered stream does not depend on it: SyntheticFeed yields the same
+/// elements however polls slice virtual time.
+inline constexpr DurationMicros kBlastSlice = MillisToMicros(100);
+
 struct ReplayOptions {
   /// Replay elements with ingest_time <= until.
   TimeMicros until = 0;
-  /// 0 = unpaced (blast as fast as TCP accepts — loopback throughput
-  /// tests); 1.0 = one virtual second per wall second (live replay);
-  /// other values scale accordingly.
+  /// 0 = unpaced (blast as fast as TCP accepts, kBlastSlice of virtual
+  /// time per step — loopback throughput tests); 1.0 = one virtual second
+  /// per wall second (live replay); other values scale accordingly.
   double speed = 0.0;
   /// Pacing granularity (wall time between send bursts) when speed > 0.
   DurationMicros poll_step = MillisToMicros(20);

@@ -155,7 +155,7 @@ TEST(ExperimentTest, KlinkReportsEstimatorAccuracy) {
   EXPECT_GT(r.estimator_accuracy, 0.5);
 }
 
-/// One klink_run input the config validation rejects, and the flag its
+/// One bad input a tool's flag validation rejects, and the flag its
 /// message must name.
 struct BadInput {
   const char* name;
@@ -163,53 +163,95 @@ struct BadInput {
   const char* flag;
 };
 
-/// Runs the klink_run binary with `args`, capturing stdout and stderr into
-/// `out`; returns the wait status.
-int RunKlinkRun(const char* args, std::string* out) {
-  const std::string cmd =
-      std::string(KLINK_RUN_PATH).append(" ").append(args).append(" 2>&1");
-  FILE* pipe = popen(cmd.c_str(), "r");
+std::string BadInputName(const ::testing::TestParamInfo<BadInput>& info) {
+  return info.param.name;
+}
+
+/// Runs `cmd` through the shell, capturing stdout and stderr into `out`;
+/// returns the wait status.
+int RunCommand(const std::string& cmd, std::string* out) {
+  FILE* pipe = popen((cmd + " 2>&1").c_str(), "r");
   if (pipe == nullptr) return -1;
   char buf[256];
   while (std::fgets(buf, sizeof(buf), pipe) != nullptr) *out += buf;
   return pclose(pipe);
 }
 
-class KlinkRunBadInputTest : public ::testing::TestWithParam<BadInput> {};
-
-// Bad input is a usage error, never an abort: exit status 2, with the
-// validation message (the first line, before the usage text) naming the
-// flag.
-TEST_P(KlinkRunBadInputTest, ExitsTwoNamingTheFlag) {
+// Bad input is a usage error, never an abort or a hang: exit status 2,
+// with the validation message (the first line, before the usage text)
+// naming the flag. timeout(1) turns a tool that serves or waits instead
+// into a failing exit status.
+void ExpectUsageError(const char* tool, const BadInput& input) {
   std::string out;
-  const int status = RunKlinkRun(GetParam().args, &out);
+  const int status = RunCommand(
+      std::string("timeout 10 ").append(tool).append(" ").append(input.args),
+      &out);
   ASSERT_TRUE(WIFEXITED(status)) << out;
   EXPECT_EQ(WEXITSTATUS(status), 2) << out;
-  EXPECT_NE(out.substr(0, out.find('\n')).find(GetParam().flag),
+  EXPECT_NE(out.substr(0, out.find('\n')).find(input.flag),
             std::string::npos)
       << out;
 }
 
+class KlinkRunBadInputTest : public ::testing::TestWithParam<BadInput> {};
+
+TEST_P(KlinkRunBadInputTest, ExitsTwoNamingTheFlag) {
+  ExpectUsageError(KLINK_RUN_PATH, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Inputs, KlinkRunBadInputTest,
-    ::testing::Values(BadInput{"Queries", "--queries=0", "--queries"},
-                      BadInput{"Cores", "--cores=0", "--cores"},
-                      BadInput{"Rate", "--rate=-5", "--rate"},
-                      BadInput{"MemoryMb", "--memory-mb=0", "--memory-mb"},
-                      // the default warm-up is 30 s
-                      BadInput{"DurationBelowWarmup", "--duration=20",
-                               "--duration"}),
-    [](const ::testing::TestParamInfo<BadInput>& param_info) {
-      return std::string(param_info.param.name);
-    });
+    ::testing::Values(
+        BadInput{"Queries", "--queries=0", "--queries"},
+        BadInput{"Cores", "--cores=0", "--cores"},
+        BadInput{"Rate", "--rate=-5", "--rate"},
+        BadInput{"MemoryMb", "--memory-mb=0", "--memory-mb"},
+        // the default warm-up is 30 s
+        BadInput{"DurationBelowWarmup", "--duration=20", "--duration"},
+        BadInput{"ListenQueries", "--listen=0 --queries=0", "--queries"},
+        BadInput{"ListenIngestBudget", "--listen=0 --ingest-budget-kb=0",
+                 "--ingest-budget-kb"},
+        BadInput{"ListenNegativeIngestBudget",
+                 "--listen=0 --ingest-budget-kb=-4", "--ingest-budget-kb"},
+        BadInput{"ListenCheckpointInterval",
+                 "--listen=0 --checkpoint-dir=bad-input-ckpt "
+                 "--checkpoint-interval-ms=0",
+                 "--checkpoint-interval-ms"},
+        BadInput{"ListenNegativeCheckpointInterval",
+                 "--listen=0 --checkpoint-dir=bad-input-ckpt "
+                 "--checkpoint-interval-ms=-5",
+                 "--checkpoint-interval-ms"}),
+    BadInputName);
+
+class LoadgenBadInputTest : public ::testing::TestWithParam<BadInput> {};
+
+TEST_P(LoadgenBadInputTest, ExitsTwoNamingTheFlag) {
+  ExpectUsageError(LOADGEN_PATH, GetParam());
+}
+
+// Nothing listens on the port: validation must reject the input before
+// loadgen builds a feed or dials.
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, LoadgenBadInputTest,
+    ::testing::Values(
+        BadInput{"ZeroRate", "--port=1 --rate=0", "--rate"},
+        BadInput{"NegativeRate", "--port=1 --rate=-5", "--rate"},
+        BadInput{"Queries", "--port=1 --queries=0", "--queries"},
+        BadInput{"Duration", "--port=1 --duration=0", "--duration"},
+        BadInput{"Speed", "--port=1 --speed=-1", "--speed"},
+        BadInput{"MaxRetries", "--port=1 --max-retries=-1",
+                 "--max-retries"}),
+    BadInputName);
 
 // A run that completes no window reports that instead of latency 0.000
 // and slowdown 0. This overloaded configuration pins memory at its 16 MB
 // ceiling and completes none.
 TEST(KlinkRunReportTest, NoCompletedWindowsSaysSo) {
   std::string out;
-  const int status = RunKlinkRun(
-      "--workload=ysb --queries=4 --rate=12000 --duration=35", &out);
+  const int status = RunCommand(
+      std::string(KLINK_RUN_PATH)
+          .append(" --workload=ysb --queries=4 --rate=12000 --duration=35"),
+      &out);
   ASSERT_TRUE(WIFEXITED(status)) << out;
   EXPECT_EQ(WEXITSTATUS(status), 0) << out;
   for (const char* row : {"mean latency (s)", "p50 latency (s)",

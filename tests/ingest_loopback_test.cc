@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -27,6 +29,7 @@
 #include "src/net/socket.h"
 #include "src/net/wire.h"
 #include "src/runtime/engine.h"
+#include "src/workloads/workload.h"
 #include "src/workloads/ysb.h"
 
 namespace klink {
@@ -61,6 +64,33 @@ SinkSnapshot Snapshot(const Query& query) {
           sink.last_result_time(), sink.swm_latency().count(),
           sink.swm_latency().mean()};
 }
+
+/// Counts the polls a replay makes of the feed it wraps, and the most
+/// elements any one poll returned.
+class CountingFeed final : public EventFeed {
+ public:
+  explicit CountingFeed(std::unique_ptr<EventFeed> inner)
+      : inner_(std::move(inner)) {}
+
+  void PollUpTo(TimeMicros now, int64_t max_bytes,
+                std::vector<FeedElement>* out) override {
+    const size_t before = out->size();
+    inner_->PollUpTo(now, max_bytes, out);
+    ++polls_;
+    largest_poll_ = std::max(largest_poll_, out->size() - before);
+  }
+  int64_t generated_events() const override {
+    return inner_->generated_events();
+  }
+
+  int64_t polls() const { return polls_; }
+  size_t largest_poll() const { return largest_poll_; }
+
+ private:
+  std::unique_ptr<EventFeed> inner_;
+  int64_t polls_ = 0;
+  size_t largest_poll_ = 0;
+};
 
 /// The reference run: engine + SyntheticFeed entirely in-process.
 SinkSnapshot RunInProcess() {
@@ -97,18 +127,18 @@ TEST(IngestLoopbackTest, TcpIngestMatchesInProcessResults) {
   ASSERT_TRUE(server.Start().ok());
   const uint16_t port = server.port();
 
-  std::thread client([port]() {
-    // The identical feed the reference run consumed, replayed unpaced;
-    // TCP flow control and the gateway byte budget pace it for us.
-    auto replay_feed = MakeYsbFeed(TestYsbConfig(),
-                                   std::make_unique<ConstantDelay>(0), kSeed,
-                                   /*start_time=*/0);
+  // The identical feed the reference run consumed, replayed unpaced;
+  // TCP flow control and the gateway byte budget pace it for us.
+  CountingFeed replay_feed(MakeYsbFeed(TestYsbConfig(),
+                                       std::make_unique<ConstantDelay>(0),
+                                       kSeed, /*start_time=*/0));
+  std::thread client([port, &replay_feed]() {
     LoadgenConnection conn;
     ASSERT_TRUE(conn.Connect("127.0.0.1", port, MakeStreamId(0, 0)).ok());
     ReplayOptions opts;
     opts.until = kDuration;
     opts.speed = 0.0;  // blast
-    ASSERT_TRUE(ReplayFeed(*replay_feed, {&conn}, opts).ok());
+    ASSERT_TRUE(ReplayFeed(replay_feed, {&conn}, opts).ok());
   });
 
   // Lockstep drive: run a cycle only once every element due by its end has
@@ -127,6 +157,10 @@ TEST(IngestLoopbackTest, TcpIngestMatchesInProcessResults) {
       server.PollOnce(/*timeout_ms=*/10);
     }
   }
+  // The last slice's elements can reach kDuration before kBye is read.
+  // Serve until the goodbye closes the connection, or the client's SendBye
+  // waits out its drain deadline.
+  while (server.num_connections() > 0) server.PollOnce(/*timeout_ms=*/10);
   client.join();
   server.Stop();
 
@@ -142,6 +176,20 @@ TEST(IngestLoopbackTest, TcpIngestMatchesInProcessResults) {
   EXPECT_EQ(gateway.data_events(stream_id), feed_ptr->generated_events());
   EXPECT_GT(gateway.metrics().bytes_read(), 0);
   EXPECT_EQ(gateway.metrics().malformed_frames(), 0);
+
+  // The blast streamed the run in virtual-time slices: no poll returned
+  // more than one slice's data events (at the peak burst rate) plus its
+  // watermarks and latency markers.
+  const YsbConfig wc = TestYsbConfig();
+  const size_t slice_elements =
+      static_cast<size_t>(std::ceil(wc.events_per_second *
+                                    (1.0 + wc.burstiness) *
+                                    static_cast<double>(kBlastSlice) /
+                                    1e6)) +
+      static_cast<size_t>(kBlastSlice / wc.watermark_period + 1) +
+      static_cast<size_t>(kBlastSlice / SourceSpec{}.marker_period + 1);
+  EXPECT_GT(replay_feed.polls(), 1);
+  EXPECT_LE(replay_feed.largest_poll(), slice_elements);
 }
 
 TEST(IngestLoopbackTest, SlowConsumerStaysUnderByteBudget) {

@@ -661,11 +661,24 @@ int main(int argc, char** argv) {
 
   if (flags.Has("listen")) {
     const uint16_t port = static_cast<uint16_t>(flags.GetInt("listen", 0));
-    const int64_t budget = flags.GetInt("ingest-budget-kb", 4096) << 10;
+    const int64_t budget_kb = flags.GetInt("ingest-budget-kb", 4096);
+    const int64_t interval_ms = flags.GetInt("checkpoint-interval-ms", 1000);
+    // Tenant indexes lie in [0, --queries), also under --dynamic-attach.
+    if (config.num_queries < 1) {
+      std::fprintf(stderr, "--queries must be >= 1\n");
+      return Usage();
+    }
+    if (budget_kb < 1) {
+      std::fprintf(stderr, "--ingest-budget-kb must be >= 1\n");
+      return Usage();
+    }
+    if (interval_ms < 1) {
+      std::fprintf(stderr, "--checkpoint-interval-ms must be >= 1\n");
+      return Usage();
+    }
     CheckpointFlags ckpt;
     ckpt.dir = flags.GetString("checkpoint-dir", "");
-    ckpt.interval =
-        MillisToMicros(flags.GetInt("checkpoint-interval-ms", 1000));
+    ckpt.interval = MillisToMicros(interval_ms);
     ckpt.restore = flags.GetBool("restore", false);
     ReshardFlags reshard;
     reshard.hot_trigger = flags.GetBool("hot-reshard", false);
@@ -693,7 +706,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(config.engine.memory_capacity_bytes >>
                                        20),
                 static_cast<unsigned long long>(config.seed));
-    return RunListenMode(config, port, budget,
+    return RunListenMode(config, port, budget_kb << 10,
                          flags.GetBool("lockstep", false),
                          flags.GetBool("dynamic-attach", false),
                          static_cast<int>(flags.GetInt("expect-tenants", 0)),

@@ -10,8 +10,9 @@
 //           [--max-retries=N]
 //
 // --speed=1 replays in real time (one virtual second per wall second);
-// --speed=0 blasts the whole run as fast as TCP accepts it (throughput
-// testing against a --lockstep server).
+// --speed=0 blasts the run as fast as TCP accepts it, generating and
+// sending it in 100 ms slices of virtual time (throughput testing against
+// a --lockstep server).
 //
 // --max-retries=N arms connect/reconnect retries with exponential backoff
 // + jitter: a refused initial connect is re-dialed, and a connection lost
@@ -86,8 +87,8 @@ int main(int argc, char** argv) {
   const uint16_t port = static_cast<uint16_t>(flags.GetInt("port", 0));
   const int num_queries = static_cast<int>(flags.GetInt("queries", 1));
   const double rate = flags.GetDouble("rate", 1000.0);
-  const TimeMicros duration =
-      SecondsToMicros(flags.GetInt("duration", 30));
+  const int64_t duration_s = flags.GetInt("duration", 30);
+  const TimeMicros duration = SecondsToMicros(duration_s);
   const double speed = flags.GetDouble("speed", 1.0);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   RetryPolicy retry;
@@ -98,14 +99,20 @@ int main(int argc, char** argv) {
   // Zipf exponent for key draws (0 = uniform); skewed keys concentrate
   // load on one shard of a server-side sharded keyed operator.
   const double key_skew = flags.GetDouble("key-skew", 0.0);
-  if (key_skew < 0.0) {
-    std::fprintf(stderr, "--key-skew must be >= 0\n");
+  // Bad input is a usage error: name the flag, print the usage, exit 2.
+  const auto reject = [](const char* message) {
+    std::fprintf(stderr, "%s\n", message);
     return Usage();
-  }
+  };
+  if (num_queries < 1) return reject("--queries must be >= 1");
+  if (!(rate > 0.0)) return reject("--rate must be > 0");
+  if (duration_s < 1) return reject("--duration must be >= 1");
+  if (!(speed >= 0.0)) return reject("--speed must be >= 0 (0 blasts)");
+  if (retry.max_retries < 0) return reject("--max-retries must be >= 0");
+  if (!(key_skew >= 0.0)) return reject("--key-skew must be >= 0");
   if (churn_detach < 0 || churn_attach < 0 ||
       churn_detach + churn_attach > num_queries) {
-    std::fprintf(stderr, "churn tenant counts exceed --queries\n");
-    return Usage();
+    return reject("churn tenant counts exceed --queries");
   }
 
   const std::string workload = flags.GetString("workload", "ysb");
@@ -121,8 +128,7 @@ int main(int argc, char** argv) {
   } else if (delay == "pareto") {
     delay_kind = DelayKind::kPareto;
   } else {
-    std::fprintf(stderr, "unknown --delay\n");
-    return Usage();
+    return reject("unknown --delay");
   }
   // --delay-pareto=ALPHA,SCALE_MS overrides the default Pareto shape/scale
   // (implies --delay=pareto): alpha <= 2 gives an infinite-variance tail.
@@ -131,14 +137,12 @@ int main(int argc, char** argv) {
   if (!pareto_spec.empty()) {
     const size_t comma = pareto_spec.find(',');
     if (comma == std::string::npos) {
-      std::fprintf(stderr, "--delay-pareto expects ALPHA,SCALE_MS\n");
-      return Usage();
+      return reject("--delay-pareto expects ALPHA,SCALE_MS");
     }
     pareto_alpha = std::atof(pareto_spec.substr(0, comma).c_str());
     pareto_scale_ms = std::atof(pareto_spec.substr(comma + 1).c_str());
     if (pareto_alpha <= 0.0 || pareto_scale_ms <= 0.0) {
-      std::fprintf(stderr, "--delay-pareto expects positive ALPHA,SCALE_MS\n");
-      return Usage();
+      return reject("--delay-pareto expects positive ALPHA,SCALE_MS");
     }
     delay_kind = DelayKind::kPareto;
     no_delay = false;
@@ -189,8 +193,7 @@ int main(int argc, char** argv) {
       wc.key_skew = key_skew;
       r.feed = MakeNytFeed(wc, make_delay(), feed_seed, 0);
     } else {
-      std::fprintf(stderr, "unknown --workload\n");
-      return Usage();
+      return reject("unknown --workload");
     }
     for (int s = 0; s < num_sources; ++s) {
       r.stream_ids.push_back(MakeStreamId(q, s));
