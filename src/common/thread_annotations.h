@@ -4,6 +4,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <thread>
+#include <vector>
 
 /// Clang Thread Safety Analysis annotations plus the annotated mutex
 /// wrappers every lock in the engine goes through (DESIGN.md "Static
@@ -104,10 +106,10 @@ class ScheduleHooks {
   virtual void CvNotify(void* cv) = 0;
 
   /// Called by a thread about to perform an uninstrumented blocking join
-  /// on participating threads: grants turns until every other
-  /// participant has signed off (ThreadEnd), so the join cannot deadlock
-  /// against the explorer's turn token.
-  virtual void Quiesce() = 0;
+  /// on the participating threads `joined`: grants turns until each of
+  /// them has signed off (ThreadEnd), so the join cannot deadlock against
+  /// the explorer's turn token. Other participants may stay parked.
+  virtual void Quiesce(const std::vector<std::thread::id>& joined) = 0;
 };
 
 /// The installed hooks, or nullptr in production. Install/uninstall only
@@ -155,10 +157,11 @@ class ThreadScheduleScope {
   ScheduleHooks* hooks_ = nullptr;
 };
 
-/// Blocks until every other explorer participant has signed off. Call
-/// before std::thread::join() on participating threads; no-op otherwise.
-inline void ScheduleQuiesceBeforeJoin() {
-  if (ScheduleHooks* h = GetScheduleHooks()) h->Quiesce();
+/// Blocks until each of the `joined` explorer participants has signed
+/// off. Call before std::thread::join() on them; no-op otherwise.
+inline void ScheduleQuiesceBeforeJoin(
+    const std::vector<std::thread::id>& joined) {
+  if (ScheduleHooks* h = GetScheduleHooks()) h->Quiesce(joined);
 }
 
 /// An annotated mutex: std::mutex plus the `capability` attribute clang's
@@ -205,34 +208,17 @@ struct MutexRawAccess {
 };
 
 /// RAII lock scope over klink::Mutex, annotated as a scoped capability so
-/// clang tracks it. Unlock()/Relock() support the finalize-outside-the-
-/// lock pattern (checkpoint.cc) without losing analysis coverage.
+/// clang tracks it.
 class KLINK_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex* mu) KLINK_ACQUIRE(mu) : mu_(mu) { mu_->Lock(); }
-
-  ~MutexLock() KLINK_RELEASE() {
-    if (held_) mu_->Unlock();
-  }
-
-  /// Releases early (e.g. around file IO); the destructor then no-ops.
-  void Unlock() KLINK_RELEASE() {
-    held_ = false;
-    mu_->Unlock();
-  }
-
-  /// Reacquires after Unlock().
-  void Relock() KLINK_ACQUIRE() {
-    mu_->Lock();
-    held_ = true;
-  }
+  ~MutexLock() KLINK_RELEASE() { mu_->Unlock(); }
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
  private:
   Mutex* mu_;
-  bool held_ = true;
 };
 
 /// Condition variable over klink::Mutex. Wait() is deliberately

@@ -1,5 +1,6 @@
 #include "src/runtime/checkpoint.h"
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -34,7 +35,8 @@ std::string JoinPath(const std::string& dir, const std::string& name) {
 
 /// Writes `bytes` to `path` atomically: tmp file, flush + fsync, rename.
 /// A crash mid-write leaves either the old file or a .tmp the reader never
-/// looks at — never a torn file under the final name.
+/// looks at — never a torn file under the final name. The new name itself
+/// survives a power loss only once the directory is fsync'd (SyncDir).
 bool WriteFileAtomic(const std::string& path,
                      const std::vector<uint8_t>& bytes) {
   const std::string tmp = path + ".tmp";
@@ -42,14 +44,34 @@ bool WriteFileAtomic(const std::string& path,
   if (f == nullptr) return false;
   bool ok = bytes.empty() ||
             std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  ok = ok && std::fflush(f) == 0;
-  if (ok) fsync(fileno(f));
+  ok = ok && std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
   ok = (std::fclose(f) == 0) && ok;
   if (!ok) {
     std::remove(tmp.c_str());
     return false;
   }
   return std::rename(tmp.c_str(), path.c_str()) == 0;
+}
+
+/// fsyncs directory `dir`, making the renames inside it durable.
+bool SyncDir(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  return (::close(fd) == 0) && ok;
+}
+
+std::vector<uint8_t> ManifestBytes(
+    const std::map<uint64_t, std::pair<std::string, uint64_t>>& manifest) {
+  std::ostringstream out;
+  for (const auto& [epoch, entry] : manifest) {
+    char hash_hex[32];
+    std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
+                  static_cast<unsigned long long>(entry.second));
+    out << epoch << " " << entry.first << " " << hash_hex << "\n";
+  }
+  const std::string text = out.str();
+  return std::vector<uint8_t>(text.begin(), text.end());
 }
 
 bool ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
@@ -78,6 +100,20 @@ CheckpointCoordinator::CheckpointCoordinator(CheckpointConfig config)
     manifest_[epoch] = {file, hash};
     last_durable_epoch_ = std::max(last_durable_epoch_, epoch);
   }
+  writer_ = std::thread([this] { WriterLoop(); });
+}
+
+CheckpointCoordinator::~CheckpointCoordinator() {
+  {
+    MutexLock lock(&mu_);
+    stopping_ = true;
+    work_cv_.NotifyOne();
+  }
+  // Under the schedule explorer the writer still needs turns to drain its
+  // queue and sign off; an uninstrumented join would deadlock against the
+  // turn token. No-op in production.
+  ScheduleQuiesceBeforeJoin({writer_.get_id()});
+  writer_.join();
 }
 
 void CheckpointCoordinator::RegisterQuery(Query* query,
@@ -128,21 +164,8 @@ void CheckpointCoordinator::ResumeFrom(uint64_t epoch,
 }
 
 int64_t CheckpointCoordinator::OnCycleStart(TimeMicros now) {
-  // Finalize in epoch order on the engine thread; barriers flow FIFO, so
-  // epochs complete in order and the first incomplete one ends the sweep.
-  {
-    MutexLock lock(&mu_);
-    while (!pending_.empty()) {
-      auto it = pending_.begin();
-      if (it->second.total_captured < it->second.expected_operators) break;
-      PendingEpoch done = std::move(it->second);
-      const uint64_t epoch = it->first;
-      pending_.erase(it);
-      lock.Unlock();  // file IO and acks outside the capture lock
-      FinalizeEpoch(epoch, done);
-      lock.Relock();
-    }
-  }
+  HandOverAligned();
+  DeliverDurableEpochs();
   if (queries_.empty()) return 0;
   if (!next_time_armed_) {
     // First cycle: the first barrier fires one interval into the run.
@@ -156,6 +179,46 @@ int64_t CheckpointCoordinator::OnCycleStart(TimeMicros now) {
     next_checkpoint_time_ += config_.interval;
   }
   return added;
+}
+
+void CheckpointCoordinator::HandOverAligned() {
+  MutexLock lock(&mu_);
+  // Barriers flow FIFO, so epochs align in epoch order and the first
+  // incomplete one ends the sweep.
+  while (!pending_.empty() && pending_.begin()->second.total_captured ==
+                                  pending_.begin()->second.expected_operators) {
+    if (unfinished_ >= kMaxEpochsInFlight) {
+      done_cv_.Wait(mu_);
+      continue;
+    }
+    to_write_.emplace_back(pending_.begin()->first,
+                           std::move(pending_.begin()->second));
+    pending_.erase(pending_.begin());
+    ++unfinished_;
+    work_cv_.NotifyOne();
+  }
+}
+
+void CheckpointCoordinator::DeliverDurableEpochs() {
+  std::vector<DurableEpoch> delivered;
+  {
+    MutexLock lock(&mu_);
+    delivered.swap(durable_);
+  }
+  for (const DurableEpoch& d : delivered) {
+    last_durable_epoch_ = d.epoch;
+    if (!ack_) continue;
+    for (const auto& [stream_id, seq] : d.acks) ack_(stream_id, d.epoch, seq);
+  }
+}
+
+void CheckpointCoordinator::Flush() {
+  HandOverAligned();
+  {
+    MutexLock lock(&mu_);
+    while (unfinished_ > 0) done_cv_.Wait(mu_);
+  }
+  DeliverDurableEpochs();
 }
 
 void CheckpointCoordinator::InjectBarriers(TimeMicros now,
@@ -213,8 +276,34 @@ void CheckpointCoordinator::OnBarrierAligned(Operator& op, uint64_t epoch) {
   ++pit->second.total_captured;
 }
 
-void CheckpointCoordinator::FinalizeEpoch(uint64_t epoch,
-                                          PendingEpoch& pending) {
+void CheckpointCoordinator::WriterLoop() {
+  // Participate in explored schedules (schedule_explorer tests); declared
+  // before any lock scope so sign-off happens after the last unlock.
+  ThreadScheduleScope sched("ckpt-writer");
+  for (;;) {
+    std::pair<uint64_t, PendingEpoch> job;
+    {
+      MutexLock lock(&mu_);
+      while (to_write_.empty() && !stopping_) work_cv_.Wait(mu_);
+      if (to_write_.empty()) return;  // stopping, and nothing left to write
+      job = std::move(to_write_.front());
+      to_write_.pop_front();
+    }
+    const bool durable = PersistEpoch(job.first, job.second);
+    DurableEpoch done;
+    done.epoch = job.first;
+    for (const auto& [qid, pq] : job.second.queries) {
+      done.acks.insert(done.acks.end(), pq.cursors.begin(), pq.cursors.end());
+    }
+    MutexLock lock(&mu_);
+    if (durable) durable_.push_back(std::move(done));
+    --unfinished_;
+    done_cv_.NotifyAll();
+  }
+}
+
+bool CheckpointCoordinator::PersistEpoch(uint64_t epoch,
+                                         const PendingEpoch& pending) {
   StateWriter w;
   w.PutU64(kCheckpointMagic);
   w.PutU64(epoch);
@@ -239,47 +328,36 @@ void CheckpointCoordinator::FinalizeEpoch(uint64_t epoch,
   const std::vector<uint8_t> bytes = w.TakeBytes();
   const uint64_t hash = Fnv1aBytes(bytes.data(), bytes.size());
   const std::string file = EpochFileName(epoch);
-  if (!WriteFileAtomic(JoinPath(config_.dir, file), bytes)) {
+  const std::string path = JoinPath(config_.dir, file);
+  if (!WriteFileAtomic(path, bytes)) {
     std::fprintf(stderr, "klink: checkpoint epoch %llu write failed\n",
                  static_cast<unsigned long long>(epoch));
-    return;  // not durable: no manifest entry, no acks
+    return false;
   }
-  manifest_[epoch] = {file, hash};
-  PruneOldEpochs();
-  RewriteManifest();
-  last_durable_epoch_ = epoch;
-  // Only now — file and manifest durable — may clients trim their replay
-  // buffers: ack each stream's covered sequence prefix.
-  if (ack_) {
-    for (const auto& [qid, pq] : pending.queries) {
-      for (const auto& [stream_id, seq] : pq.cursors) {
-        ack_(stream_id, epoch, seq);
-      }
-    }
+  // The new MANIFEST lists this epoch and drops the oldest beyond
+  // keep_epochs; their files go only once it is durable.
+  std::map<uint64_t, std::pair<std::string, uint64_t>> next = manifest_;
+  next[epoch] = {file, hash};
+  std::vector<std::string> retired;
+  while (next.size() > static_cast<size_t>(config_.keep_epochs)) {
+    retired.push_back(next.begin()->second.first);
+    next.erase(next.begin());
   }
-}
-
-void CheckpointCoordinator::PruneOldEpochs() {
-  while (manifest_.size() > static_cast<size_t>(config_.keep_epochs)) {
-    const auto it = manifest_.begin();
-    std::remove(JoinPath(config_.dir, it->second.first).c_str());
-    manifest_.erase(it);
+  const bool listed =
+      WriteFileAtomic(JoinPath(config_.dir, "MANIFEST"), ManifestBytes(next));
+  if (!listed || !SyncDir(config_.dir)) {
+    std::fprintf(stderr,
+                 "klink: checkpoint epoch %llu MANIFEST write or directory "
+                 "sync failed\n",
+                 static_cast<unsigned long long>(epoch));
+    if (!listed) std::remove(path.c_str());  // no MANIFEST names it
+    return false;
   }
-}
-
-void CheckpointCoordinator::RewriteManifest() {
-  std::ostringstream out;
-  for (const auto& [epoch, entry] : manifest_) {
-    char hash_hex[32];
-    std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
-                  static_cast<unsigned long long>(entry.second));
-    out << epoch << " " << entry.first << " " << hash_hex << "\n";
+  manifest_ = std::move(next);
+  for (const std::string& name : retired) {
+    std::remove(JoinPath(config_.dir, name).c_str());
   }
-  const std::string text = out.str();
-  std::vector<uint8_t> bytes(text.begin(), text.end());
-  if (!WriteFileAtomic(JoinPath(config_.dir, "MANIFEST"), bytes)) {
-    std::fprintf(stderr, "klink: checkpoint MANIFEST write failed\n");
-  }
+  return true;
 }
 
 bool LoadLatestCheckpoint(const std::string& dir, LoadedCheckpoint* out) {

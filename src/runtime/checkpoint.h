@@ -2,9 +2,11 @@
 #define KLINK_RUNTIME_CHECKPOINT_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -63,16 +65,25 @@ struct LoadedCheckpoint {
 ///      OnBarrierAligned and its state is serialized synchronously: all
 ///      pre-barrier elements are in the snapshot, no post-barrier ones.
 ///   3. When every operator of every query has aligned, the next
-///      OnCycleStart finalizes the epoch on the engine thread: the state
-///      blobs are written to `epoch_<N>.ckpt` via tmp+rename, the MANIFEST
-///      records the file's FNV-1a hash, old epochs are pruned, and the ack
-///      callback reports each stream's durable sequence prefix (the ingest
-///      server turns these into CHECKPOINT_ACK frames, letting clients
-///      trim their replay buffers).
+///      OnCycleStart hands the epoch to the coordinator's writer thread,
+///      which persists epochs one at a time in epoch order: it builds the
+///      file's bytes and FNV-1a hash, writes `epoch_<N>.ckpt` via
+///      tmp+fsync+rename, rewrites the MANIFEST the same way, fsyncs the
+///      directory, and only then prunes old epochs. The engine thread does
+///      no file I/O; it waits only when the writer is kMaxEpochsInFlight
+///      epochs behind.
+///   4. The engine thread delivers each epoch the writer made durable, in
+///      epoch order, at the next OnCycleStart (or DeliverDurableEpochs /
+///      Flush): it advances last_durable_epoch() and the ack callback
+///      reports each stream's durable sequence prefix (the ingest server
+///      turns these into CHECKPOINT_ACK frames, letting clients trim their
+///      replay buffers). An epoch whose file, MANIFEST or directory sync
+///      failed is never delivered.
 ///
 /// Thread safety: OnBarrierAligned may run on executor worker threads (one
 /// query runs on one thread, but queries run concurrently); captures are
-/// mutex-buffered. Everything else runs on the engine thread.
+/// mutex-buffered. Persistence runs on the writer thread. Everything else,
+/// acks included, runs on the engine thread.
 class CheckpointCoordinator final : public BarrierObserver {
  public:
   /// (stream_id, epoch, durable_seq): every element with seq <= durable_seq
@@ -80,7 +91,15 @@ class CheckpointCoordinator final : public BarrierObserver {
   using AckFn =
       std::function<void(uint32_t stream_id, uint64_t epoch, uint64_t seq)>;
 
+  /// Epochs handed to the writer and not yet persisted before the engine
+  /// thread waits for it at a hand-over.
+  static constexpr int kMaxEpochsInFlight = 2;
+
   explicit CheckpointCoordinator(CheckpointConfig config);
+  /// Persists every epoch already handed to the writer, then joins it.
+  /// Fires no acks: the ack target (e.g. the ingest server) may already be
+  /// gone. Call Flush() first to deliver.
+  ~CheckpointCoordinator() override;
 
   CheckpointCoordinator(const CheckpointCoordinator&) = delete;
   CheckpointCoordinator& operator=(const CheckpointCoordinator&) = delete;
@@ -111,17 +130,27 @@ class CheckpointCoordinator final : public BarrierObserver {
 
   void SetAckCallback(AckFn fn) { ack_ = std::move(fn); }
 
-  /// Engine hook, called once per cycle after ingest. Finalizes any epochs
-  /// whose barriers have fully aligned (durable write + acks), then injects
-  /// the next epoch's barriers if `now` reached the interval. Returns the
-  /// queue bytes added by injected barriers, so the engine can fold them
-  /// into the cycle's memory update.
+  /// Engine hook, called once per cycle after ingest. Hands every epoch
+  /// whose barriers have fully aligned to the writer, delivers the epochs
+  /// it has made durable, then injects the next epoch's barriers if `now`
+  /// reached the interval. Returns the queue bytes added by injected
+  /// barriers, so the engine can fold them into the cycle's memory update.
   int64_t OnCycleStart(TimeMicros now);
+
+  /// Delivers the epochs the writer has made durable since the last
+  /// delivery (frontier + acks) without blocking. Listen loops call it
+  /// before polling the network, so acks go out while no cycle runs.
+  void DeliverDurableEpochs();
+
+  /// Hands over every fully aligned epoch, waits until the writer has
+  /// persisted them all, and delivers them.
+  void Flush();
 
   /// BarrierObserver: serializes `op` into the epoch's pending buffer.
   void OnBarrierAligned(Operator& op, uint64_t epoch) override;
 
-  /// Newest epoch whose file and manifest entry are durable (0 = none).
+  /// Newest delivered epoch: its file, MANIFEST entry and directory entry
+  /// are durable (0 = none). Lags the writer until the next delivery.
   uint64_t last_durable_epoch() const { return last_durable_epoch_; }
   uint64_t epochs_started() const { return next_epoch_ - 1; }
   int64_t barriers_injected() const { return barriers_injected_; }
@@ -148,11 +177,20 @@ class CheckpointCoordinator final : public BarrierObserver {
     int total_captured = 0;
   };
 
+  /// An epoch the writer made durable, with the acks it owes:
+  /// (stream_id, durable_seq) in query-id order.
+  struct DurableEpoch {
+    uint64_t epoch = 0;
+    std::vector<std::pair<uint32_t, uint64_t>> acks;
+  };
+
   void InjectBarriers(TimeMicros now, int64_t* added_bytes);
-  /// Writes the epoch file + MANIFEST (tmp+rename) and fires acks.
-  void FinalizeEpoch(uint64_t epoch, PendingEpoch& pending);
-  void RewriteManifest();
-  void PruneOldEpochs();
+  /// Moves fully aligned epochs from pending_ to the writer, in order.
+  void HandOverAligned();
+  void WriterLoop();
+  /// Writer thread: epoch file, MANIFEST, directory fsync, then pruning.
+  /// Returns false (leaving manifest_ as it was) if any step failed.
+  bool PersistEpoch(uint64_t epoch, const PendingEpoch& pending);
 
   const CheckpointConfig config_;
   /// Ordered by id: barrier injection and serialization walk tenants in a
@@ -166,16 +204,27 @@ class CheckpointCoordinator final : public BarrierObserver {
   bool next_time_armed_ = false;
   uint64_t last_durable_epoch_ = 0;
   int64_t barriers_injected_ = 0;
+  AckFn ack_;
 
-  /// Guards pending_: OnBarrierAligned captures into it from executor
-  /// worker threads while the engine thread injects and finalizes.
-  Mutex mu_{"ckpt.mu"};
-  std::map<uint64_t, PendingEpoch> pending_ KLINK_GUARDED_BY(mu_);
-
-  /// Durable epochs currently on disk: epoch -> (filename, hash).
+  /// Durable epochs currently on disk: epoch -> (filename, hash). Read at
+  /// construction, then owned by the writer thread.
   std::map<uint64_t, std::pair<std::string, uint64_t>> manifest_;
 
-  AckFn ack_;
+  /// Guards the epoch pipeline: OnBarrierAligned captures into pending_
+  /// from executor worker threads, the engine thread hands aligned epochs
+  /// to the writer and collects durable ones from it.
+  Mutex mu_{"ckpt.mu"};
+  CondVar work_cv_;  // writer: an epoch was handed over, or stopping_
+  CondVar done_cv_;  // engine: the writer finished an epoch
+  std::map<uint64_t, PendingEpoch> pending_ KLINK_GUARDED_BY(mu_);
+  std::deque<std::pair<uint64_t, PendingEpoch>> to_write_ KLINK_GUARDED_BY(mu_);
+  /// Epochs handed over and not yet finished (queued + being written).
+  int unfinished_ KLINK_GUARDED_BY(mu_) = 0;
+  std::vector<DurableEpoch> durable_ KLINK_GUARDED_BY(mu_);
+  bool stopping_ KLINK_GUARDED_BY(mu_) = false;
+
+  /// Declared last: it runs WriterLoop over every member above.
+  std::thread writer_;
 };
 
 /// Reads the newest complete checkpoint under `dir`: parses the MANIFEST,

@@ -23,7 +23,9 @@ ThreadPoolExecutor::~ThreadPoolExecutor() {
   // Under the schedule explorer the workers still need turns to observe
   // shutdown_ and sign off; an uninstrumented join would deadlock against
   // the turn token. No-op in production.
-  ScheduleQuiesceBeforeJoin();
+  std::vector<std::thread::id> ids;
+  for (const std::thread& t : threads_) ids.push_back(t.get_id());
+  ScheduleQuiesceBeforeJoin(ids);
   for (std::thread& t : threads_) t.join();
 }
 

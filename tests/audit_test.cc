@@ -185,6 +185,7 @@ TEST(AuditDeathTest, CheckpointHashMismatchFatalUnderAudit) {
     coordinator.RegisterQuery(&engine.query(0), {}, nullptr);
     engine.SetCheckpointCoordinator(&coordinator);
     engine.RunFor(SecondsToMicros(3));
+    coordinator.Flush();
     ASSERT_GE(coordinator.last_durable_epoch(), 1u);
     const std::string file =
         dir + "/epoch_" + std::to_string(coordinator.last_durable_epoch()) +

@@ -11,9 +11,12 @@
 //     damaged, loading reports no checkpoint instead of garbage.
 //  4. A resumed coordinator continues epoch numbering and pruning from the
 //     manifest a previous incarnation left behind.
+//  5. An epoch whose MANIFEST cannot be written is never durable: no
+//     frontier advance, no ack.
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -24,6 +27,7 @@
 
 #include "src/common/serialize.h"
 #include "src/net/delay_model.h"
+#include "src/net/ingest_gateway.h"
 #include "src/query/pipeline_builder.h"
 #include "src/query/query.h"
 #include "src/runtime/checkpoint.h"
@@ -158,6 +162,7 @@ TEST(CheckpointCoordinatorTest, WritesDurableEpochsDuringRun) {
   coordinator.RegisterQuery(&engine.query(join_id), {}, nullptr);
   engine.SetCheckpointCoordinator(&coordinator);
   engine.RunFor(SecondsToMicros(5));
+  coordinator.Flush();
 
   // ~9 epochs injected over 5 s at 500 ms spacing; at least the first few
   // must have fully aligned and become durable.
@@ -205,6 +210,7 @@ std::string RunWithCheckpoints(const std::string& tag) {
   coordinator.RegisterQuery(&engine.query(0), {}, nullptr);
   engine.SetCheckpointCoordinator(&coordinator);
   engine.RunFor(SecondsToMicros(5));
+  coordinator.Flush();
   EXPECT_GE(coordinator.last_durable_epoch(), 2u);
   return dir;
 }
@@ -292,12 +298,54 @@ TEST(CheckpointCoordinatorTest, ResumeContinuesEpochNumbering) {
   coordinator.ResumeFrom(loaded.epoch, loaded.checkpoint_time);
   engine.SetCheckpointCoordinator(&coordinator);
   engine.RunFor(SecondsToMicros(3));
+  coordinator.Flush();
 
   EXPECT_GT(coordinator.last_durable_epoch(), loaded.epoch);
   LoadedCheckpoint newer;
   ASSERT_TRUE(LoadLatestCheckpoint(dir, &newer));
   EXPECT_GT(newer.epoch, loaded.epoch);
   EXPECT_GT(newer.checkpoint_time, loaded.checkpoint_time);
+}
+
+TEST(CheckpointCoordinatorTest, FailedManifestWriteNeverAcks) {
+  // MANIFEST.tmp is a directory, so every epoch file lands but no MANIFEST
+  // can be written: no epoch is durable, and none may be acked.
+  const std::string dir = MakeTempDir("nomanifest");
+  const std::string blocker = dir + "/MANIFEST.tmp";
+  ASSERT_EQ(::mkdir(blocker.c_str(), 0755), 0);
+  CheckpointConfig cc;
+  cc.dir = dir;
+  cc.interval = MillisToMicros(500);
+  CheckpointCoordinator coordinator(cc);
+  int acks = 0;
+  coordinator.SetAckCallback(
+      [&acks](uint32_t, uint64_t, uint64_t) { ++acks; });
+
+  // The gateway only supplies replay cursors; acks are per gateway stream.
+  IngestGateway gateway;
+  gateway.RegisterStream(0, IngestStreamConfig{});
+  EngineConfig config;
+  Engine engine(config, std::make_unique<RoundRobinPolicy>());
+  engine.AddQuery(CountQuery(0), SteadyFeed(500, 1));
+  coordinator.RegisterQuery(&engine.query(0), {0}, &gateway);
+  engine.SetCheckpointCoordinator(&coordinator);
+  engine.RunFor(SecondsToMicros(3));
+  coordinator.Flush();
+
+  EXPECT_GE(coordinator.epochs_started(), 4u);
+  EXPECT_EQ(coordinator.last_durable_epoch(), 0u);
+  EXPECT_EQ(acks, 0);
+  LoadedCheckpoint loaded;
+  EXPECT_FALSE(LoadLatestCheckpoint(dir, &loaded));
+
+  // Once the MANIFEST is writable again, later epochs become durable.
+  ASSERT_EQ(::rmdir(blocker.c_str()), 0);
+  engine.RunFor(SecondsToMicros(2));
+  coordinator.Flush();
+  EXPECT_GT(coordinator.last_durable_epoch(), 0u);
+  EXPECT_GT(acks, 0);
+  ASSERT_TRUE(LoadLatestCheckpoint(dir, &loaded));
+  EXPECT_EQ(loaded.epoch, coordinator.last_durable_epoch());
 }
 
 }  // namespace

@@ -220,7 +220,14 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"ListenNegativeCheckpointInterval",
                  "--listen=0 --checkpoint-dir=bad-input-ckpt "
                  "--checkpoint-interval-ms=-5",
-                 "--checkpoint-interval-ms"}),
+                 "--checkpoint-interval-ms"},
+        BadInput{"ListenCheckpointDirWithoutParent",
+                 "--listen=0 --checkpoint-dir=/nonexistent/a/b",
+                 "--checkpoint-dir"},
+        // klink_run's own path names a regular file, not a directory.
+        BadInput{"ListenCheckpointDirIsFile",
+                 "--listen=0 --checkpoint-dir=" KLINK_RUN_PATH,
+                 "--checkpoint-dir"}),
     BadInputName);
 
 class LoadgenBadInputTest : public ::testing::TestWithParam<BadInput> {};

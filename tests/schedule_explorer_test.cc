@@ -1,8 +1,9 @@
 // Schedule-exploring race detection for the engine's concurrent protocols
 // (DESIGN.md "Static analysis & schedule exploration").
 //
-// Each test drives a real protocol — checkpoint barriers, gateway dedup,
-// live re-sharding, crash restore — through seed-driven PCT schedules
+// Each test drives a real protocol — checkpoint barriers, the checkpoint
+// writer's durable-then-ack handoff, gateway dedup, live re-sharding,
+// crash restore — through seed-driven PCT schedules
 // under the ScheduleExplorer, with the repo's strongest oracle: the
 // results_hash must be byte-identical to a sequential, unexplored
 // reference run, for every seed (plus KLINK_AUDIT invariants on the
@@ -184,7 +185,8 @@ class DiscardThroughFeed final : public EventFeed {
 // Protocol driver: checkpointed + re-sharded run (reshard_test's harness,
 // parameterized by seed-perturbed protocol timing).
 
-constexpr int kCores = 6;  // 6 workers + main = 7 explorer participants
+// 6 workers + main + checkpoint writer = 8 explorer participants.
+constexpr int kCores = 6;
 constexpr TimeMicros kCutoff = MillisToMicros(3600);
 constexpr double kAggCostMicros = 400.0;  // 2 shards backlog at 6k/s
 
@@ -262,7 +264,7 @@ RunOutcome RunCheckpointReshard(uint64_t explorer_seed, ExecutorKind executor,
   Engine engine(config, std::make_unique<FcfsPolicy>());
   const QueryId id = engine.AddQuery(MakeShardQuery(), MakeShardFeed());
   if (explorer && executor == ExecutorKind::kThreads) {
-    explorer->AwaitParticipants(1 + config.num_cores);
+    explorer->AwaitParticipants(2 + config.num_cores);
   }
   coordinator.RegisterQuery(&engine.query(id), {}, nullptr);
   engine.SetCheckpointCoordinator(&coordinator);
@@ -318,7 +320,7 @@ uint64_t RunKillRestore(uint64_t explorer_seed, const ProtocolTiming& timing) {
     CheckpointCoordinator coordinator(cc);
     Engine engine(config, std::make_unique<FcfsPolicy>());
     const QueryId id = engine.AddQuery(MakeShardQuery(), MakeShardFeed());
-    if (explorer) explorer->AwaitParticipants(1 + config.num_cores);
+    if (explorer) explorer->AwaitParticipants(2 + config.num_cores);
     coordinator.RegisterQuery(&engine.query(id), {}, nullptr);
     engine.SetCheckpointCoordinator(&coordinator);
     ReshardController resharder(&engine);
@@ -335,10 +337,11 @@ uint64_t RunKillRestore(uint64_t explorer_seed, const ProtocolTiming& timing) {
     // re-shard completion. The first epochs finalized after completion are
     // the ones whose exchange alignment fell inside the re-shard pause —
     // exactly the epochs whose restore exercises the hold buffer's
-    // checkpoint semantics (mutation #1's target). Epoch finalization is
-    // virtual-time-deterministic, so the kill point replays with the seed;
-    // seeds split between the first and second advance to also cover
-    // restores from ordinary post-pause epochs.
+    // checkpoint semantics (mutation #1's target). The writer thread is an
+    // explorer participant, so when the frontier advances is a function of
+    // the seed and the kill point replays with it; seeds split between the
+    // first and second advance to also cover restores from ordinary
+    // post-pause epochs.
     const uint64_t frontier = coordinator.last_durable_epoch();
     const uint64_t advances = 1 + explorer_seed % 2;
     while (coordinator.last_durable_epoch() < frontier + advances &&
@@ -346,7 +349,9 @@ uint64_t RunKillRestore(uint64_t explorer_seed, const ProtocolTiming& timing) {
       engine.RunFor(MillisToMicros(60));
     }
     EXPECT_GE(coordinator.last_durable_epoch(), frontier + advances);
-    // Crash: the engine (and its pending epochs) is abandoned here.
+    // Crash: the engine is abandoned here with every epoch not yet handed
+    // to the writer; the coordinator's destructor still persists the ones
+    // it was handed, as writes that finish before a kill would.
   }
 
   LoadedCheckpoint loaded;
@@ -362,7 +367,7 @@ uint64_t RunKillRestore(uint64_t explorer_seed, const ProtocolTiming& timing) {
   const QueryId id = engine.AddQuery(
       MakeShardQuery(), std::make_unique<DiscardThroughFeed>(
                             MakeShardFeed(), loaded.checkpoint_time));
-  if (explorer) explorer->AwaitParticipants(1 + config.num_cores);
+  if (explorer) explorer->AwaitParticipants(2 + config.num_cores);
   RestoreQueryState(loaded.queries[0], &engine.query(id));
   engine.RestoreClock(loaded.checkpoint_time);
   coordinator.RegisterQuery(&engine.query(id), {}, nullptr);
@@ -415,6 +420,23 @@ std::vector<EventFeed::FeedElement> GatewayEvents() {
   return events;
 }
 
+constexpr TimeMicros kGatewayChunk = MillisToMicros(120);
+
+/// Delivers every event due by `t`, from index `*next` on (seq = index +
+/// 1), to gateway stream 0, then runs the engine to `t`.
+void DeliverDueAndRun(const std::vector<EventFeed::FeedElement>& events,
+                      IngestGateway& gateway, Engine& engine, size_t* next,
+                      TimeMicros t) {
+  while (*next < events.size() && events[*next].event.ingest_time <= t) {
+    EXPECT_EQ(gateway.AcceptSeq(0, static_cast<uint64_t>(*next) + 1),
+              IngestGateway::SeqDecision::kAccept);
+    gateway.Deliver(0, events[*next].event);
+    ++*next;
+  }
+  gateway.Flush(0);
+  engine.RunUntil(t);
+}
+
 /// Feeds the gateway in ingestion-time chunks, optionally re-delivering a
 /// replay window of already-sent frames before each chunk (a reconnecting
 /// client replaying its unacked tail). AcceptSeq must drop every replayed
@@ -442,8 +464,8 @@ uint64_t RunGatewayDedup(uint64_t explorer_seed, ExecutorKind executor,
   const std::vector<EventFeed::FeedElement> events = GatewayEvents();
   size_t next = 0;  // next undelivered event; seq = index + 1
   int chunk = 0;
-  for (TimeMicros t = MillisToMicros(120); t <= kGatewayCutoff;
-       t += MillisToMicros(120), ++chunk) {
+  for (TimeMicros t = kGatewayChunk; t <= kGatewayCutoff;
+       t += kGatewayChunk, ++chunk) {
     if (with_replays && next > 0 &&
         (static_cast<uint64_t>(chunk) + explorer_seed) % 3 == 0) {
       // Reconnect replay: re-send a tail window of already-acked frames.
@@ -455,14 +477,7 @@ uint64_t RunGatewayDedup(uint64_t explorer_seed, ExecutorKind executor,
             << "seq " << i + 1;
       }
     }
-    while (next < events.size() && events[next].event.ingest_time <= t) {
-      EXPECT_EQ(gateway.AcceptSeq(0, static_cast<uint64_t>(next) + 1),
-                IngestGateway::SeqDecision::kAccept);
-      gateway.Deliver(0, events[next].event);
-      ++next;
-    }
-    gateway.Flush(0);
-    engine.RunUntil(t);
+    DeliverDueAndRun(events, gateway, engine, &next, t);
   }
   EXPECT_EQ(next, events.size());
   gateway.MarkEndOfStream(0);
@@ -474,6 +489,102 @@ uint64_t RunGatewayDedup(uint64_t explorer_seed, ExecutorKind executor,
   if (with_replays) {
     EXPECT_GT(gateway.duplicate_events(0), 0);
   }
+  return engine.query(id).sink().results_hash();
+}
+
+// ---------------------------------------------------------------------------
+// Protocol: checkpoint acks over the gateway, crash, restore.
+
+/// The gateway harness with barrier checkpoints. The coordinator's writer
+/// thread persists epochs and the engine thread acks them, so every ack
+/// must name an epoch already durable on disk. Once `2 + seed % 3` epochs
+/// are acked the run "crashes"; the restore loads the newest complete
+/// checkpoint, replays what a client that trimmed through its acks still
+/// retains, and finishes the run. Returns the final results hash.
+uint64_t RunAckedKillRestore(uint64_t explorer_seed) {
+  std::optional<ScheduleExplorer> explorer;
+  if (explorer_seed != 0) explorer.emplace(ExplorerCfg(explorer_seed));
+
+  const std::string dir = MakeTempDir();
+  const std::vector<EventFeed::FeedElement> events = GatewayEvents();
+  EngineConfig config;
+  config.num_cores = 2;
+  config.executor = ExecutorKind::kThreads;
+  CheckpointConfig cc;
+  cc.dir = dir;
+  cc.interval = MillisToMicros(200 + 50 * static_cast<int64_t>(
+                                             explorer_seed % 4));
+  const uint64_t kill_after = 2 + explorer_seed % 3;
+
+  uint64_t acked_epoch = 0;
+  uint64_t acked_seq = 0;
+  {
+    CheckpointCoordinator coordinator(cc);
+    IngestGateway gateway;
+    gateway.RegisterStream(0, IngestStreamConfig{});
+    Engine engine(config, std::make_unique<FcfsPolicy>());
+    const QueryId id = engine.AddQuery(
+        MakeGatewayQuery(),
+        std::make_unique<NetworkFeed>(&gateway, std::vector<uint32_t>{0}));
+    if (explorer) explorer->AwaitParticipants(2 + config.num_cores);
+    coordinator.RegisterQuery(&engine.query(id), {0}, &gateway);
+    coordinator.SetAckCallback(
+        [&](uint32_t, uint64_t epoch, uint64_t durable_seq) {
+          LoadedCheckpoint on_disk;
+          EXPECT_TRUE(LoadLatestCheckpoint(dir, &on_disk));
+          EXPECT_GE(on_disk.epoch, epoch) << "ack before durable";
+          EXPECT_GT(epoch, acked_epoch);
+          acked_epoch = epoch;
+          acked_seq = durable_seq;
+        });
+    engine.SetCheckpointCoordinator(&coordinator);
+    size_t next = 0;
+    for (TimeMicros t = kGatewayChunk;
+         t <= kGatewayCutoff && acked_epoch < kill_after;
+         t += kGatewayChunk) {
+      DeliverDueAndRun(events, gateway, engine, &next, t);
+    }
+    EXPECT_GE(acked_epoch, kill_after);
+    // Crash: no Flush; the destructor persists handed epochs, acks none.
+  }
+
+  LoadedCheckpoint loaded;
+  KLINK_CHECK(LoadLatestCheckpoint(dir, &loaded));
+  KLINK_CHECK_EQ(loaded.queries.size(), 1u);
+  KLINK_CHECK_EQ(loaded.queries[0].cursors.size(), 1u);
+  EXPECT_GE(loaded.epoch, acked_epoch);
+  const uint64_t cursor = loaded.queries[0].cursors[0].second;
+  // The client trimmed through acked_seq; it can replay only past it.
+  EXPECT_GE(cursor, acked_seq);
+
+  CheckpointCoordinator coordinator(cc);
+  IngestGateway gateway;
+  gateway.RegisterStream(0, IngestStreamConfig{});
+  gateway.RestoreCursor(0, cursor);
+  Engine engine(config, std::make_unique<FcfsPolicy>());
+  const QueryId id = engine.AddQuery(
+      MakeGatewayQuery(),
+      std::make_unique<NetworkFeed>(&gateway, std::vector<uint32_t>{0}));
+  if (explorer) explorer->AwaitParticipants(2 + config.num_cores);
+  RestoreQueryState(loaded.queries[0], &engine.query(id));
+  engine.RestoreClock(loaded.checkpoint_time);
+  coordinator.RegisterQuery(&engine.query(id), {0}, &gateway);
+  coordinator.ResumeFrom(loaded.epoch, loaded.checkpoint_time);
+  engine.SetCheckpointCoordinator(&coordinator);
+  size_t next = static_cast<size_t>(cursor);
+  for (TimeMicros t = kGatewayChunk; t <= kGatewayCutoff; t += kGatewayChunk) {
+    if (t > loaded.checkpoint_time) {
+      DeliverDueAndRun(events, gateway, engine, &next, t);
+    }
+  }
+  EXPECT_EQ(next, events.size());
+  gateway.MarkEndOfStream(0);
+  engine.SetCheckpointCoordinator(nullptr);  // stop barriers, then drain
+  const TimeMicros deadline = kGatewayCutoff + SecondsToMicros(30);
+  while (engine.query(id).QueuedEvents() > 0 && engine.now() < deadline) {
+    engine.RunFor(MillisToMicros(500));
+  }
+  EXPECT_EQ(engine.query(id).QueuedEvents(), 0);
   return engine.query(id).sink().results_hash();
 }
 
@@ -530,6 +641,16 @@ TEST(ScheduleExplorerTest, KillRestoreHashInvariantAcrossSchedules) {
   for (const uint64_t seed : seeds) {
     SCOPED_TRACE("explorer seed " + std::to_string(seed));
     EXPECT_EQ(RunKillRestore(seed, ProtocolTiming{}), reference);
+  }
+}
+
+TEST(ScheduleExplorerTest, CheckpointAcksFollowDurabilityAcrossSchedules) {
+  ScopedAuditOn audit;
+  const uint64_t reference =
+      RunGatewayDedup(0, ExecutorKind::kSequential, /*with_replays=*/false);
+  for (const uint64_t seed : ExplorerSeeds()) {
+    SCOPED_TRACE("explorer seed " + std::to_string(seed));
+    EXPECT_EQ(RunAckedKillRestore(seed), reference);
   }
 }
 
@@ -641,7 +762,7 @@ void DeadlockScenario() {
       MutexLock la(&a);
     });
     explorer.AwaitParticipants(3);
-    ScheduleQuiesceBeforeJoin();
+    ScheduleQuiesceBeforeJoin({t1.get_id(), t2.get_id()});
     t1.join();
     t2.join();
   }

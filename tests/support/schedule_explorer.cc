@@ -103,8 +103,8 @@ bool ScheduleExplorer::RunnableLocked(const Thread& t) const {
       return it == owner_.end() || it->second == nullptr;
     }
     case Run::kQuiescing:
-      for (const auto& u : threads_) {
-        if (u.get() != &t && u->run != Run::kEnded) return false;
+      for (const Thread* u : t.joins) {
+        if (u->run != Run::kEnded) return false;
       }
       return true;
     case Run::kRunning:
@@ -333,14 +333,21 @@ void ScheduleExplorer::CvNotify(void* cv) {
   }
 }
 
-void ScheduleExplorer::Quiesce() {
+void ScheduleExplorer::Quiesce(const std::vector<std::thread::id>& joined) {
   std::unique_lock<std::mutex> lock(m_);
   Thread* self = SelfLocked();
   if (self == nullptr) return;
   StepLocked(self, "quiesce", "");
+  // Threads that already ended left by_os_id_; non-participants never
+  // entered it. Both are joinable without turns.
+  for (const std::thread::id id : joined) {
+    const auto it = by_os_id_.find(id);
+    if (it != by_os_id_.end()) self->joins.push_back(it->second);
+  }
   self->run = Run::kQuiescing;
   PickNextLocked();
   WaitForTurnLocked(lock, self);
+  self->joins.clear();
   self->run = Run::kRunning;
 }
 

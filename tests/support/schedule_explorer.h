@@ -53,20 +53,22 @@ struct ScheduleExplorerConfig {
 /// non-ended threads remain) with a full state and trace dump.
 ///
 /// Participants are the thread-pool workers (ThreadScheduleScope in
-/// WorkerLoop) plus the thread that constructed the explorer (registered
-/// as "main"). Threads that never touch klink sync primitives while an
-/// explorer is installed are unaffected.
+/// WorkerLoop), the checkpoint writer (CheckpointCoordinator::WriterLoop)
+/// and the thread that constructed the explorer (registered as "main").
+/// Threads that never touch klink sync primitives while an explorer is
+/// installed are unaffected.
 ///
 /// Lifecycle:
 ///   ScheduleExplorer ex({.seed = s});         // installs hooks, owns token
-///   ...construct engine (spawns workers)...
-///   ex.AwaitParticipants(1 + workers);        // registration barrier: the
+///   ...construct coordinator (spawns its writer) and engine (workers)...
+///   ex.AwaitParticipants(2 + workers);        // registration barrier: the
 ///       // participant set at every later decision is seed-independent of
 ///       // OS spawn timing, which is what makes seeds replayable
 ///   ...drive the protocols...
-///   ...destroy engine (workers end)...
+///   ...destroy engine and coordinator (workers and writer end)...
 ///   // ~ScheduleExplorer uninstalls; all other participants must have
-///   // ended (the executor's destructor quiesces before joining).
+///   // ended (the executor's and the checkpoint coordinator's destructors
+///   // quiesce on their own threads before joining them).
 class ScheduleExplorer final : public ScheduleHooks {
  public:
   explicit ScheduleExplorer(const ScheduleExplorerConfig& config);
@@ -77,7 +79,8 @@ class ScheduleExplorer final : public ScheduleHooks {
 
   /// Blocks the calling (token-holding) thread until `live` participants
   /// (including itself) are registered. Call after constructing each
-  /// ThreadPoolExecutor-backed engine, before driving it.
+  /// ThreadPoolExecutor-backed engine and CheckpointCoordinator, before
+  /// driving them.
   void AwaitParticipants(int live);
 
   /// Scheduling decisions made so far (equal across replays of a seed).
@@ -93,7 +96,7 @@ class ScheduleExplorer final : public ScheduleHooks {
   void LockRelease(Mutex* mu) override;
   bool CvWait(void* cv, Mutex* mu) override;
   void CvNotify(void* cv) override;
-  void Quiesce() override;
+  void Quiesce(const std::vector<std::thread::id>& joined) override;
 
  private:
   enum class Run {
@@ -101,7 +104,7 @@ class ScheduleExplorer final : public ScheduleHooks {
     kReady,        // runnable, waiting for the token
     kBlockedMutex, // needs `wants` free before it can be granted
     kParkedCv,     // waiting for a CvNotify on `parked_on`
-    kQuiescing,    // runnable only once every other participant ended
+    kQuiescing,    // runnable only once every thread in `joins` ended
     kEnded,
   };
   struct Thread {
@@ -110,6 +113,7 @@ class ScheduleExplorer final : public ScheduleHooks {
     Run run = Run::kReady;
     Mutex* wants = nullptr;     // kBlockedMutex / kParkedCv reacquire target
     const void* parked_on = nullptr;  // kParkedCv
+    std::vector<const Thread*> joins;  // kQuiescing
     std::condition_variable cv;
     std::thread::id os_id;
     int index = 0;  // registration order, last-resort tie break

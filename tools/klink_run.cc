@@ -56,6 +56,8 @@
 // shards automatically when one shard's backlog stays far above the mean.
 // A per-shard metrics table prints at the end of listen-mode runs.
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -481,6 +483,7 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
         engine.RunUntil(engine.now() + cycle);
         continue;
       }
+      if (coordinator != nullptr) coordinator->DeliverDurableEpochs();
       server.PollOnce(10);
     } else {
       // Real time: virtual now tracks the wall clock, so delayed and
@@ -494,6 +497,7 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
         engine.RunUntil(elapsed);
         continue;
       }
+      if (coordinator != nullptr) coordinator->DeliverDurableEpochs();
       server.PollOnce(
           static_cast<int>((cycle - (elapsed - engine.now())) / 1000 + 1));
     }
@@ -529,6 +533,8 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
       engine.RunUntil(engine.now() + cycle);
     }
   }
+  // Persist and ack every aligned epoch while the server can still send.
+  if (coordinator != nullptr) coordinator->Flush();
   server.Stop();
 
   const Histogram latency = engine.AggregateSwmLatency();
@@ -680,6 +686,17 @@ int main(int argc, char** argv) {
     ckpt.dir = flags.GetString("checkpoint-dir", "");
     ckpt.interval = MillisToMicros(interval_ms);
     ckpt.restore = flags.GetBool("restore", false);
+    if (!ckpt.dir.empty()) {
+      // Create the directory (not its parents) and insist on a directory,
+      // or every epoch would fail to persist and none would ever be acked.
+      ::mkdir(ckpt.dir.c_str(), 0755);  // may already exist; stat decides
+      struct stat st {};
+      if (::stat(ckpt.dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
+        std::fprintf(stderr, "--checkpoint-dir %s is not a usable directory\n",
+                     ckpt.dir.c_str());
+        return Usage();
+      }
+    }
     ReshardFlags reshard;
     reshard.hot_trigger = flags.GetBool("hot-reshard", false);
     const std::string reshard_spec = flags.GetString("reshard", "");
