@@ -13,6 +13,7 @@
 #include "src/dist/placement.h"
 #include "src/query/query.h"
 #include "src/runtime/event_feed.h"
+#include "src/runtime/execution_context.h"
 #include "src/runtime/feed_ingest.h"
 #include "src/runtime/metrics.h"
 
@@ -37,12 +38,14 @@ struct DistEngineConfig {
 
 /// Multi-node SPE: operators are partitioned across nodes by the physical
 /// plan; each node runs its own cores and its own autonomous policy over
-/// the locally deployed sub-queries. Cross-node edges deliver events after
-/// link_latency; Klink's runtime information travels through per-query
-/// ForwardingChannels with the same latency, so every policy decision uses
-/// locally fresh + remotely stale data, as in the paper's decentralized
-/// design.
-class DistEngine {
+/// the locally deployed sub-queries. A node's share of a query is one
+/// contiguous operator range, drained by the engine's ExecutionContext and
+/// observed by the engine's CollectQueryInfo. Cross-node edges deliver
+/// events after link_latency; Klink's runtime information travels through
+/// per-query ForwardingChannels with the same latency, so every policy
+/// decision uses locally fresh + remotely stale data, as in the paper's
+/// decentralized design.
+class DistEngine : private Egress {
  public:
   using PolicyFactory =
       std::function<std::unique_ptr<SchedulingPolicy>(NodeId)>;
@@ -78,12 +81,13 @@ class DistEngine {
     std::vector<NodeId> placement;
     ForwardingChannel channel;
   };
+  /// An event on a cross-node link, stamped with its input stream at
+  /// operator `op_index`.
   struct Transit {
     TimeMicros deliver_time;
     int64_t seq;
     QueryId query_id;
     int op_index;
-    int stream;
     Event event;
     bool operator>(const Transit& other) const {
       if (deliver_time != other.deliver_time) {
@@ -98,10 +102,10 @@ class DistEngine {
   void Ingest();
   void PublishInfo();
   void BuildNodeSnapshot(NodeId node_id, RuntimeSnapshot* snap);
-  double ExecuteQueryOnNode(DeployedQuery& dq, NodeId node_id,
-                            double budget_micros, double cost_multiplier,
-                            TimeMicros cycle_start);
   int64_t NodeMemoryUsage(NodeId node_id) const;
+  /// Egress: outputs crossing to another node enter the transit heap.
+  void Ship(QueryId query, int downstream, TimeMicros completed,
+            const std::vector<Event>& events) override;
 
   DistEngineConfig config_;
   std::vector<std::unique_ptr<Node>> nodes_;
@@ -112,6 +116,9 @@ class DistEngine {
   EngineMetrics metrics_;
   TimeMicros now_ = 0;
   FeedIngest feed_ingest_;
+  /// Nodes and their slots drain one after another, so one context serves
+  /// them all.
+  ExecutionContext context_{0};
 };
 
 }  // namespace klink

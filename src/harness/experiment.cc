@@ -161,10 +161,15 @@ Status ExperimentConfig::Validate() const {
     return Status::InvalidArgument(
         "events_per_second (--rate) must be > 0");
   }
+  if (warmup < 0) {
+    return Status::InvalidArgument("warmup (--warmup) must be >= 0");
+  }
   if (duration <= warmup) {
     return Status::InvalidArgument(
         "duration (--duration) must exceed warmup (--warmup)");
   }
+  const Status klink_valid = klink.Validate();
+  if (!klink_valid.ok()) return klink_valid;
   return engine.Validate();
 }
 

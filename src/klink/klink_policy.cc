@@ -27,6 +27,14 @@ double SlackBoundMargin(double now) { return 1e-3 + std::abs(now) * 1e-9; }
 
 }  // namespace
 
+Status KlinkPolicyConfig::Validate() const {
+  if (!(confidence > 0.0 && confidence <= 1.0)) {
+    return Status::InvalidArgument(
+        "confidence (--confidence) must lie in (0, 1]");
+  }
+  return Status::Ok();
+}
+
 KlinkPolicy::KlinkPolicy(const KlinkPolicyConfig& config)
     : config_(config), audit_(AuditEnabledFromEnv()) {}
 

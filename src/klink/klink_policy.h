@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/klink/swm_estimator.h"
 #include "src/sched/deadline_index.h"
 #include "src/sched/policy.h"
@@ -45,6 +46,10 @@ struct KlinkPolicyConfig {
   /// wall-clock cost of SelectQueries, not the modeled virtual cost.
   double eval_cost_per_query_micros = 55.0;
   double eval_cost_per_step_micros = 8.0;
+
+  /// Rejects a confidence outside (0, 1] (klink_run --confidence), which
+  /// the SWM estimator would abort on.
+  Status Validate() const;
 };
 
 /// The Klink evaluator (Sec. 3, Alg. 1): schedules the query with the

@@ -179,7 +179,8 @@ void Engine::RunCycle() {
   // executor backend; per-worker counters merge at the cycle barrier.
   const double budget =
       std::max(0.0, r - sched_cost / static_cast<double>(config_.num_cores));
-  const double multiplier = CostMultiplier();
+  const double multiplier = memory_.CostMultiplier(
+      config_.pressure_onset_fraction, config_.memory_pressure_penalty);
   tasks_scratch_.clear();
   for (SlotAssignment& slot : selection_scratch_) {
     KLINK_CHECK(IsActive(slot.query));  // policies select live queries only
@@ -293,14 +294,6 @@ void Engine::BuildSnapshot(RuntimeSnapshot* snap) {
     memory_usage_ += info.memory_bytes - accounted;
     accounted = info.memory_bytes;
   }
-}
-
-double Engine::CostMultiplier() const {
-  const double onset = config_.pressure_onset_fraction;
-  if (onset >= 1.0) return 1.0;
-  const double util = memory_.utilization();
-  const double stress = std::clamp((util - onset) / (1.0 - onset), 0.0, 1.0);
-  return 1.0 + config_.memory_pressure_penalty * stress;
 }
 
 void Engine::MaybeSampleMetrics() {

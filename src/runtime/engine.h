@@ -183,7 +183,6 @@ class Engine {
   void SyncQueryMemory(const Query& q);
   /// Drops a retired query from the incremental memory accounting.
   void OnQueryRetired(QueryId id);
-  double CostMultiplier() const;
   void MaybeSampleMetrics();
 
   EngineConfig config_;

@@ -28,14 +28,11 @@ void ExecutionContext::BeginCycle(double budget_micros, double cost_multiplier,
   cycle_processed_events_ = 0;
 }
 
-double ExecutionContext::RunQuery(Query& query, int lane) {
+double ExecutionContext::RunRange(Query& query, int begin, int end,
+                                  Egress* egress) {
   double consumed = 0.0;
   bool progressed = true;
   int64_t processed = 0;
-  // Lane -1 sweeps the whole query; otherwise only the lane's operator
-  // range (a shard lane of a sharded query, or its prefix/suffix lane).
-  const int sweep_begin = lane == -1 ? 0 : query.lane(lane).begin;
-  const int sweep_end = lane == -1 ? query.num_operators() : query.lane(lane).end;
   if (batch_.size() < static_cast<size_t>(kMaxBatch)) {
     batch_.resize(static_cast<size_t>(kMaxBatch));
   }
@@ -44,9 +41,12 @@ double ExecutionContext::RunQuery(Query& query, int lane) {
   // sweep. Stops when the budget is exhausted or all queues drained.
   while (progressed) {
     progressed = false;
-    for (int i = sweep_begin; i < sweep_end; ++i) {
+    for (int i = begin; i < end; ++i) {
       Operator& op = query.op(i);
       const Query::Edge& edge = query.edge(i);
+      // Topological order puts every downstream operator after its
+      // upstream, so an edge leaves the range exactly when it ends past it.
+      const bool leaves = egress != nullptr && edge.downstream >= end;
       StreamQueue* downstream_queue =
           edge.downstream == -1
               ? nullptr
@@ -61,7 +61,7 @@ double ExecutionContext::RunQuery(Query& query, int lane) {
           inline_emitter != nullptr ? *inline_emitter : batch_emitter;
       const double cost =
           std::max(0.01, op.cost_per_event() * cost_multiplier_);
-      if (op.num_inputs() == 1) {
+      if (op.num_inputs() == 1 && !leaves) {
         // Batched fast path: a unary operator always pops its single
         // input FIFO, so the earliest-ingest scan is unnecessary and a
         // whole run can be popped, processed, and emitted at once.
@@ -90,7 +90,9 @@ double ExecutionContext::RunQuery(Query& query, int lane) {
       } else {
         // Multi-input operators (joins) interleave their inputs by
         // earliest ingest time; that per-element scan keeps the scalar
-        // loop, with outputs still buffered and flushed as one run.
+        // loop, with outputs still buffered and flushed as one run. So
+        // does an operator whose outputs leave the range: each element's
+        // outputs ship at that element's completion time.
         while (consumed + cost <= budget_micros_) {
           // Checkpoint barrier alignment (Flink-style): an input whose
           // barrier already arrived for an epoch the others have not
@@ -118,6 +120,10 @@ double ExecutionContext::RunQuery(Query& query, int lane) {
           const TimeMicros now =
               cycle_start_ + static_cast<TimeMicros>(consumed);
           op.Process(e, now, emitter);
+          if (leaves && !emit_scratch_.empty()) {
+            egress->Ship(query.id(), edge.downstream, now, emit_scratch_);
+            emit_scratch_.clear();
+          }
           ++processed;
           progressed = true;
         }
@@ -135,9 +141,9 @@ double ExecutionContext::RunQuery(Query& query, int lane) {
     // a full event walk (the batched paths are the likeliest drift source).
     KLINK_CHECK_LE(consumed, budget_micros_ + 1e-6);
     KLINK_CHECK_GE(processed, 0);
-    // Only the swept lane's queues: sibling shard lanes may be draining
+    // Only the swept range's queues: sibling shard lanes may be draining
     // concurrently on other slots, so their queues are not ours to walk.
-    for (int i = sweep_begin; i < sweep_end; ++i) {
+    for (int i = begin; i < end; ++i) {
       const Operator& op = query.op(i);
       for (int s = 0; s < op.num_inputs(); ++s) {
         const StreamQueue& in = op.input(s);

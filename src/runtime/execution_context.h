@@ -10,9 +10,26 @@
 
 namespace klink {
 
+/// Receives the outputs of an operator whose downstream operator lies
+/// outside the operator range being drained — a cross-node edge of a
+/// distributed query (dist/dist_engine.h).
+class Egress {
+ public:
+  virtual ~Egress() = default;
+
+  /// `events` go to operator `downstream` of query `query`, already
+  /// stamped with their input stream there. One input element produced
+  /// them, and its processing completed at virtual time `completed`.
+  virtual void Ship(QueryId query, int downstream, TimeMicros completed,
+                    const std::vector<Event>& events) = 0;
+};
+
 /// Per-slot execution state: one ExecutionContext per task slot (worker).
 /// The executor arms the context for each scheduling cycle (BeginCycle)
-/// and then runs the slot's assigned query against the armed budget.
+/// and then drains the slot's assigned operator range against the armed
+/// budget: a lane of a query on the engine, or a node's share of a query
+/// on DistEngine, whose Egress takes the outputs that cross to another
+/// node.
 ///
 /// Threading contract: a context is owned by exactly one worker between
 /// BeginCycle and the cycle barrier; the engine reads its counters only
@@ -30,10 +47,11 @@ class ExecutionContext {
   void BeginCycle(double budget_micros, double cost_multiplier,
                   TimeMicros cycle_start);
 
-  /// Drains `query` within the armed budget using repeated topological
-  /// sweeps: a sweep cascades events downstream; leftover upstream work
-  /// (budget permitting) is picked up by the next sweep. Returns the
-  /// virtual micros consumed and updates the slot counters.
+  /// Drains the operators [begin, end) of `query` within the armed budget
+  /// using repeated topological sweeps: a sweep cascades events
+  /// downstream; leftover upstream work (budget permitting) is picked up
+  /// by the next sweep. Returns the virtual micros consumed and updates
+  /// the slot counters.
   ///
   /// Unary operators drain through the batched fast path (PopBatch ->
   /// ProcessBatch -> buffered flush); multi-input operators keep the
@@ -41,12 +59,23 @@ class ExecutionContext {
   /// per-element virtual-time sequence, so results are byte-identical to
   /// the scalar drain (DESIGN.md "Hot path").
   ///
-  /// `lane` restricts the sweep to one lane of a sharded query (see
-  /// Query::Lane); -1 sweeps every operator. Distinct lanes of one query
-  /// touch disjoint operators and queues (the partition pushes into shard
-  /// queues only from its own stage-0 lane, which the executor orders
-  /// before the shard lanes), so lanes run concurrently on distinct slots.
-  double RunQuery(Query& query, int lane = -1);
+  /// With an `egress`, an operator whose downstream operator lies outside
+  /// the range drains through the per-element loop and ships each
+  /// element's outputs to the egress, stamped with that element's
+  /// completion time. Without one, outputs always enter the downstream
+  /// queue.
+  double RunRange(Query& query, int begin, int end, Egress* egress = nullptr);
+
+  /// Drains one lane of `query` (see Query::Lane); -1 drains every
+  /// operator. Distinct lanes of one query touch disjoint operators and
+  /// queues (the partition pushes into shard queues only from its own
+  /// stage-0 lane, which the executor orders before the shard lanes), so
+  /// lanes run concurrently on distinct slots.
+  double RunQuery(Query& query, int lane = -1) {
+    return lane == -1 ? RunRange(query, 0, query.num_operators())
+                      : RunRange(query, query.lane(lane).begin,
+                                 query.lane(lane).end);
+  }
 
   int slot() const { return slot_; }
   double budget_micros() const { return budget_micros_; }
@@ -62,7 +91,7 @@ class ExecutionContext {
 
  private:
   const int slot_;
-  /// KLINK_AUDIT=1: RunQuery self-checks its budget and queue accounting at
+  /// KLINK_AUDIT=1: RunRange self-checks its budget and queue accounting at
   /// drain end (see runtime/audit.h). Sampled once at construction.
   const bool audit_;
   double budget_micros_ = 0.0;

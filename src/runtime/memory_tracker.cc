@@ -25,4 +25,12 @@ void MemoryTracker::Update(int64_t used_bytes) {
   }
 }
 
+double MemoryTracker::CostMultiplier(double onset_fraction,
+                                     double penalty) const {
+  if (onset_fraction >= 1.0) return 1.0;
+  const double stress = std::clamp(
+      (utilization() - onset_fraction) / (1.0 - onset_fraction), 0.0, 1.0);
+  return 1.0 + penalty * stress;
+}
+
 }  // namespace klink

@@ -32,6 +32,11 @@ class MemoryTracker {
   /// True while backpressure stalls ingestion.
   bool backpressured() const { return backpressured_; }
 
+  /// Managed-runtime memory pressure: the factor inflating per-event
+  /// processing costs, rising linearly from 1 at `onset_fraction` of
+  /// capacity to 1 + `penalty` at capacity (EngineConfig documents both).
+  double CostMultiplier(double onset_fraction, double penalty) const;
+
  private:
   int64_t capacity_;
   double resume_fraction_;

@@ -19,14 +19,17 @@ const QueryInfo* RuntimeSnapshot::Find(QueryId id) const {
   return nullptr;
 }
 
-void CollectQueryInfo(const Query& query, TimeMicros now, QueryInfo* info) {
+void CollectQueryInfo(const Query& query, TimeMicros now, int begin, int end,
+                      QueryInfo* info) {
   KLINK_CHECK(info != nullptr);
+  const int n = query.num_operators();
+  KLINK_CHECK(0 <= begin && begin <= end && end <= n);
+  KLINK_CHECK(!query.sharded() || (begin == 0 && end == n));
   info->id = query.id();
   info->query = &query;
   info->deploy_time = query.deploy_time();
-  info->upcoming_deadline = query.UpcomingDeadline();
+  info->upcoming_deadline = kNoTime;
 
-  const int n = query.num_operators();
   info->op_queued.assign(static_cast<size_t>(n), 0);
   info->op_selectivity.assign(static_cast<size_t>(n), 1.0);
   info->op_cost.assign(static_cast<size_t>(n), 0.0);
@@ -41,11 +44,12 @@ void CollectQueryInfo(const Query& query, TimeMicros now, QueryInfo* info) {
   for (int i = 0; i < n; ++i) {
     const Operator& op = query.op(i);
     const size_t idx = static_cast<size_t>(i);
-    info->op_queued[idx] = op.QueuedEvents();
     info->op_selectivity[idx] = op.selectivity();
     info->op_cost[idx] = op.cost_per_event();
     info->op_windowed[idx] = op.IsWindowed() ? 1 : 0;
     info->op_partial[idx] = op.SupportsPartialComputation() ? 1 : 0;
+    if (i < begin || i >= end) continue;
+    info->op_queued[idx] = op.QueuedEvents();
     info->queued_events += info->op_queued[idx];
     info->memory_bytes += op.MemoryBytes();
     for (int s = 0; s < op.num_inputs(); ++s) {
@@ -54,6 +58,14 @@ void CollectQueryInfo(const Query& query, TimeMicros now, QueryInfo* info) {
       info->oldest_ingest = info->oldest_ingest == kNoTime
                                 ? oldest
                                 : std::min(info->oldest_ingest, oldest);
+    }
+    if (info->op_windowed[idx] != 0) {
+      const TimeMicros deadline = op.UpcomingDeadline();
+      if (deadline != kNoTime &&
+          (info->upcoming_deadline == kNoTime ||
+           deadline < info->upcoming_deadline)) {
+        info->upcoming_deadline = deadline;
+      }
     }
     if (const SwmTracker* tracker = op.swm_tracker()) {
       for (int s = 0; s < tracker->num_streams(); ++s) {
@@ -92,7 +104,7 @@ void CollectQueryInfo(const Query& query, TimeMicros now, QueryInfo* info) {
   // cost^q(t): drain cost of everything currently queued (Sec. 3), and the
   // ideal unit cost of one source event (slowdown denominator, Sec. 6.1.2).
   info->drain_cost_micros = 0.0;
-  for (int i = 0; i < n; ++i) {
+  for (int i = begin; i < end; ++i) {
     const size_t idx = static_cast<size_t>(i);
     info->drain_cost_micros +=
         static_cast<double>(info->op_queued[idx]) * path_cost[idx];
@@ -104,7 +116,7 @@ void CollectQueryInfo(const Query& query, TimeMicros now, QueryInfo* info) {
   // completes.
   std::vector<double> op_refire_debt(static_cast<size_t>(n), 0.0);
   info->refire_debt_micros = 0.0;
-  for (int i = 0; i < n; ++i) {
+  for (int i = begin; i < end; ++i) {
     const int64_t refires = query.op(i).PendingRefires();
     if (refires <= 0) continue;
     const int down = query.edge(i).downstream;

@@ -142,10 +142,22 @@ struct RuntimeSnapshot {
   const QueryInfo* Find(QueryId id) const;
 };
 
-/// Fills `info` from the live query state at virtual time `now`. Reads
-/// exclusively through const accessors — data acquisition must never
-/// perturb the state it observes.
-void CollectQueryInfo(const Query& query, TimeMicros now, QueryInfo* info);
+/// Fills `info` from the live state of the operators [begin, end) of
+/// `query` at virtual time `now` — a distributed node's share of the query.
+/// The queue counts (op_queued and queued_events), memory, oldest ingest,
+/// stream progress, upcoming deadline, drain cost, refire debt and lanes
+/// cover only the range; the per-operator cost, selectivity and kind
+/// arrays, unit_cost_micros and output_rate cover the whole query. Sharded
+/// queries take only the full range. Reads exclusively through const
+/// accessors — data acquisition must never perturb the state it observes.
+void CollectQueryInfo(const Query& query, TimeMicros now, int begin, int end,
+                      QueryInfo* info);
+
+/// CollectQueryInfo over the whole query.
+inline void CollectQueryInfo(const Query& query, TimeMicros now,
+                             QueryInfo* info) {
+  CollectQueryInfo(query, now, 0, query.num_operators(), info);
+}
 
 }  // namespace klink
 

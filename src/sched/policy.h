@@ -67,11 +67,13 @@ inline size_t LaneIndexOf(int lane) {
 
 /// A lane's scheduling stats, decoupled from how the snapshot was built.
 /// Lane-granular policies must view every QueryInfo through NumLanes /
-/// LaneAt rather than reading info.lanes directly: snapshots built outside
-/// Engine::BuildSnapshot (DistEngine node views, hand-assembled test
-/// fixtures) carry no lanes vector, and for unsharded queries the
+/// LaneAt rather than reading info.lanes directly: hand-assembled test
+/// fixtures carry no lanes vector, and for unsharded queries the
 /// query-level aggregates are the authoritative — possibly newer — copy of
-/// the single lane's stats. Both cases collapse to one whole-query lane.
+/// the single lane's stats. DistEngine node views are such a case: their
+/// lane covers the node's own operators, while the query-level drain cost,
+/// deadline and streams also hold the forwarded remote state. Both cases
+/// collapse to one whole-query lane.
 struct LaneView {
   int lane = -1;
   int64_t queued_events = 0;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
+#include "src/harness/experiment.h"
 #include "src/klink/klink_policy.h"
 #include "src/net/delay_model.h"
 #include "src/query/pipeline_builder.h"
+#include "src/runtime/engine.h"
 #include "src/sched/rr_policy.h"
 #include "src/workloads/workload.h"
 #include "src/workloads/ysb.h"
@@ -124,6 +127,168 @@ TEST(DistEngineTest, DeterministicAcrossRuns) {
                           engine.AggregateSwmLatency().mean());
   };
   EXPECT_EQ(run(), run());
+}
+
+/// A YSB deployment both engines can build identically: `queries` queries
+/// at `rate` events/s with random window offsets and deploy times.
+struct YsbDeployment {
+  int queries = 0;
+  double rate = 0.0;
+
+  /// Calls add(query, feed, deploy_time) once per query, in id order.
+  template <typename AddFn>
+  void Deploy(AddFn add) const {
+    Rng rng(7);
+    for (int q = 0; q < queries; ++q) {
+      YsbConfig wc;
+      wc.events_per_second = rate;
+      wc.watermark_lag = WatermarkLagFor(DelayKind::kUniform);
+      wc.window_offset = rng.NextInt(0, wc.window_size - 1);
+      const TimeMicros deploy = rng.NextInt(0, SecondsToMicros(4));
+      add(MakeYsbQuery(q, wc),
+          MakeYsbFeed(wc, MakeDelayModel(DelayKind::kUniform),
+                      rng.NextUint64(), deploy),
+          deploy);
+    }
+  }
+};
+
+/// One run's observable outputs, compared exactly.
+struct Outputs {
+  std::vector<uint64_t> results_hash;
+  std::vector<int64_t> results_received;
+  int64_t processed = 0;
+  int64_t ingested = 0;
+  int64_t swm_count = 0;
+  double swm_mean = 0.0;
+};
+
+template <typename EngineT>
+Outputs Observe(EngineT& engine, const std::vector<QueryId>& ids) {
+  Outputs out;
+  for (const QueryId id : ids) {
+    out.results_hash.push_back(engine.query(id).sink().results_hash());
+    out.results_received.push_back(engine.query(id).sink().results_received());
+  }
+  out.processed = engine.metrics().processed_events();
+  out.ingested = engine.metrics().ingested_events();
+  const Histogram swm = engine.AggregateSwmLatency();
+  out.swm_count = swm.count();
+  out.swm_mean = swm.mean();
+  return out;
+}
+
+// A one-node DistEngine is the Engine: a node's share of a query is the
+// whole query, drained by the same ExecutionContext and observed by the
+// same CollectQueryInfo, so every policy sees the same snapshots and makes
+// the same choices.
+TEST(DistEngineTest, OneNodeMatchesEngineForEveryPolicy) {
+  struct Setup {
+    YsbDeployment deployment;
+    int cores;
+    int64_t memory_bytes;
+  };
+  const Setup setups[] = {{{12, 2000.0}, 4, 8ll << 20},
+                          {{8, 3000.0}, 2, 4ll << 20}};
+  const PolicyKind policies[] = {
+      PolicyKind::kDefault,     PolicyKind::kFcfs,  PolicyKind::kRoundRobin,
+      PolicyKind::kHighestRate, PolicyKind::kStreamBox, PolicyKind::kKlink,
+      PolicyKind::kKlinkNoMm};
+  const TimeMicros end = SecondsToMicros(20);
+  for (const Setup& setup : setups) {
+    for (const PolicyKind policy : policies) {
+      SCOPED_TRACE(std::string(PolicyKindName(policy)) + " on " +
+                   std::to_string(setup.cores) + " cores");
+      EngineConfig ec;
+      ec.num_cores = setup.cores;
+      ec.memory_capacity_bytes = setup.memory_bytes;
+      KlinkPolicyConfig kc;
+      kc.cycle_length = ec.cycle_length;
+      Engine engine(ec, MakePolicy(policy, kc, 11));
+      std::vector<QueryId> engine_ids;
+      setup.deployment.Deploy([&](std::unique_ptr<Query> q,
+                                  std::unique_ptr<EventFeed> feed,
+                                  TimeMicros deploy) {
+        engine_ids.push_back(
+            engine.AddQuery(std::move(q), std::move(feed), deploy));
+      });
+      engine.RunUntil(end);
+
+      DistEngineConfig dc;
+      dc.num_nodes = 1;
+      dc.placement = PlacementMode::kLocal;
+      dc.node.num_cores = setup.cores;
+      dc.node.memory_capacity_bytes = setup.memory_bytes;
+      dc.cycle_length = ec.cycle_length;
+      DistEngine dist(dc,
+                      [&](NodeId) { return MakePolicy(policy, kc, 11); });
+      std::vector<QueryId> dist_ids;
+      setup.deployment.Deploy([&](std::unique_ptr<Query> q,
+                                  std::unique_ptr<EventFeed> feed,
+                                  TimeMicros deploy) {
+        dist_ids.push_back(
+            dist.AddQuery(std::move(q), std::move(feed), deploy));
+      });
+      dist.RunUntil(end);
+
+      const Outputs want = Observe(engine, engine_ids);
+      const Outputs got = Observe(dist, dist_ids);
+      EXPECT_EQ(got.results_hash, want.results_hash);
+      EXPECT_EQ(got.results_received, want.results_received);
+      EXPECT_EQ(got.processed, want.processed);
+      EXPECT_EQ(got.ingested, want.ingested);
+      EXPECT_EQ(got.swm_count, want.swm_count);
+      EXPECT_EQ(got.swm_mean, want.swm_mean);
+      EXPECT_GT(want.swm_count, 0);
+    }
+  }
+}
+
+// Pins the cross-node path: split pipelines over 3 nodes, where every
+// output crossing a node boundary enters the link at the completion time
+// of the element that produced it. The constants come from a scalar
+// per-element drain; shipping each batch's outputs at flush time instead
+// moves Klink's processed count and latency mean.
+TEST(DistEngineTest, SplitPlacementFingerprint) {
+  struct Pin {
+    PolicyKind policy;
+    int64_t processed;
+    uint64_t results_hash;
+    double swm_mean;
+  };
+  const Pin pins[] = {
+      {PolicyKind::kRoundRobin, 634782, 0x365bb3346c59951eull,
+       1096315.482142857},
+      {PolicyKind::kKlink, 624945, 0xfe93621e5d40fe58ull,
+       738813.03508771933},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(PolicyKindName(pin.policy));
+    DistEngineConfig config;
+    config.num_nodes = 3;
+    config.placement = PlacementMode::kSplit;
+    config.node.num_cores = 2;
+    config.node.memory_capacity_bytes = 8ll << 20;
+    KlinkPolicyConfig kc;
+    kc.cycle_length = config.cycle_length;
+    DistEngine engine(config,
+                      [&](NodeId) { return MakePolicy(pin.policy, kc, 11); });
+    std::vector<QueryId> ids;
+    YsbDeployment{9, 1500.0}.Deploy([&](std::unique_ptr<Query> q,
+                                        std::unique_ptr<EventFeed> feed,
+                                        TimeMicros deploy) {
+      ids.push_back(engine.AddQuery(std::move(q), std::move(feed), deploy));
+    });
+    engine.RunUntil(SecondsToMicros(20));
+    const Outputs out = Observe(engine, ids);
+    uint64_t combined = 0;
+    for (const uint64_t h : out.results_hash) {
+      combined = combined * 1099511628211ull ^ h;
+    }
+    EXPECT_EQ(out.processed, pin.processed);
+    EXPECT_EQ(combined, pin.results_hash);
+    EXPECT_EQ(out.swm_mean, pin.swm_mean);
+  }
 }
 
 }  // namespace

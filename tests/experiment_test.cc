@@ -208,6 +208,12 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"MemoryMb", "--memory-mb=0", "--memory-mb"},
         // the default warm-up is 30 s
         BadInput{"DurationBelowWarmup", "--duration=20", "--duration"},
+        BadInput{"NegativeWarmup", "--warmup=-1", "--warmup"},
+        BadInput{"ConfidenceZero", "--confidence=0", "--confidence"},
+        BadInput{"ConfidenceAboveOne", "--confidence=1.5", "--confidence"},
+        BadInput{"ConfidenceNan", "--confidence=nan", "--confidence"},
+        BadInput{"ListenConfidence", "--listen=0 --confidence=-1",
+                 "--confidence"},
         BadInput{"ListenQueries", "--listen=0 --queries=0", "--queries"},
         BadInput{"ListenIngestBudget", "--listen=0 --ingest-budget-kb=0",
                  "--ingest-budget-kb"},

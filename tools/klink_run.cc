@@ -657,9 +657,13 @@ int main(int argc, char** argv) {
     return Usage();
   }
   // Listen mode has no warm-up cut (its report covers the whole run), so
-  // only the engine's fields constrain it.
-  const Status valid =
-      flags.Has("listen") ? config.engine.Validate() : config.Validate();
+  // only the engine's and the policy's fields constrain it.
+  const auto validate = [&]() -> Status {
+    if (!flags.Has("listen")) return config.Validate();
+    const Status engine = config.engine.Validate();
+    return engine.ok() ? config.klink.Validate() : engine;
+  };
+  const Status valid = validate();
   if (!valid.ok()) {
     std::fprintf(stderr, "%s\n", valid.message().c_str());
     return Usage();
