@@ -1,14 +1,10 @@
 // Microbenchmarks of the batched hot path (google-benchmark): ring-buffer
-// queue transfer (scalar vs. batch), emitter routing (per-element push vs.
-// buffered run flush), and the headline drain comparison — the pre-batching
-// scalar drain loop, reimplemented here verbatim, against the engine's
-// batched ExecutionContext::RunQuery over an identical pipeline and
-// workload. The drain speedup is the acceptance number recorded in
-// BENCH_hotpath.json (target >= 1.3x).
+// queue transfer (per-element Push/Pop vs. PushBatch/PopBatch), buffered
+// emitter routing, and the engine's batched ExecutionContext::RunQuery
+// draining a filter-map-aggregate pipeline.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -63,19 +59,6 @@ BENCHMARK(BM_QueueBatchTransfer);
 
 /// ---- emitter routing ------------------------------------------------
 
-void BM_EmitterScalarRouting(benchmark::State& state) {
-  const auto events = MakeEvents(kQueueBatch);
-  StreamQueue downstream;
-  std::vector<Event> drain(static_cast<size_t>(kQueueBatch));
-  QueueEmitter emitter(&downstream, /*stream=*/0);
-  for (auto _ : state) {
-    for (const Event& e : events) emitter.Emit(e);
-    downstream.PopBatch(drain.data(), kQueueBatch);
-  }
-  state.SetItemsProcessed(state.iterations() * kQueueBatch);
-}
-BENCHMARK(BM_EmitterScalarRouting);
-
 void BM_EmitterBatchRouting(benchmark::State& state) {
   const auto events = MakeEvents(kQueueBatch);
   StreamQueue downstream;
@@ -91,7 +74,7 @@ void BM_EmitterBatchRouting(benchmark::State& state) {
 }
 BENCHMARK(BM_EmitterBatchRouting);
 
-/// ---- full drain: pre-batching scalar loop vs. batched RunQuery ------
+/// ---- full drain: batched RunQuery -----------------------------------
 
 constexpr int64_t kDrainEvents = 20000;
 constexpr double kBudget = 1.0e9;  // ample: the drain empties the queues
@@ -120,66 +103,6 @@ void FillSource(Query& query, int64_t n) {
     }
   }
 }
-
-/// The seed's drain loop (pre-batching ExecutionContext::RunQuery),
-/// kept verbatim as the baseline: per-element pop, earliest-ingest input
-/// scan, per-element Process, per-element routed push.
-double ScalarRunQuery(Query& query, double budget_micros,
-                      double cost_multiplier, TimeMicros cycle_start) {
-  double consumed = 0.0;
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (int i = 0; i < query.num_operators(); ++i) {
-      Operator& op = query.op(i);
-      const Query::Edge& edge = query.edge(i);
-      StreamQueue* downstream_queue =
-          edge.downstream == -1
-              ? nullptr
-              : &query.op(edge.downstream).input(edge.downstream_stream);
-      QueueEmitter emitter(downstream_queue, edge.downstream_stream);
-      const double cost =
-          std::max(0.01, op.cost_per_event() * cost_multiplier);
-      while (consumed + cost <= budget_micros) {
-        int best = -1;
-        TimeMicros best_time = 0;
-        for (int s = 0; s < op.num_inputs(); ++s) {
-          if (op.input(s).empty()) continue;
-          const TimeMicros t = op.input(s).Front().ingest_time;
-          if (best == -1 || t < best_time) {
-            best = s;
-            best_time = t;
-          }
-        }
-        if (best == -1) break;
-        Event e = op.input(best).Pop();
-        e.stream = best;
-        consumed += cost;
-        const TimeMicros now = cycle_start + static_cast<TimeMicros>(consumed);
-        op.Process(e, now, emitter);
-        progressed = true;
-      }
-      if (consumed + 0.01 > budget_micros) {
-        progressed = false;
-        break;
-      }
-    }
-  }
-  return consumed;
-}
-
-void BM_DrainScalar(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto query = MakeDrainQuery();
-    FillSource(*query, kDrainEvents);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(
-        ScalarRunQuery(*query, kBudget, 1.0, kCycleStart));
-  }
-  state.SetItemsProcessed(state.iterations() * kDrainEvents);
-}
-BENCHMARK(BM_DrainScalar)->Unit(benchmark::kMillisecond);
 
 void BM_DrainBatched(benchmark::State& state) {
   ExecutionContext context(/*slot=*/0);

@@ -1,8 +1,25 @@
 #include "src/common/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace klink {
+namespace {
+
+Status Malformed(const std::string& name, const char* what,
+                 const std::string& value) {
+  return Status::InvalidArgument("--" + name + " expects " + what +
+                                 ", got '" + value + "'");
+}
+
+Status OutOfRange(const std::string& name, const std::string& value) {
+  return Status::InvalidArgument("--" + name + " value '" + value +
+                                 "' is out of range");
+}
+
+}  // namespace
 
 Status FlagParser::Parse(int argc, const char* const* argv) {
   for (int i = 0; i < argc; ++i) {
@@ -41,21 +58,64 @@ std::string FlagParser::GetString(const std::string& name,
   return it == flags_.end() ? fallback : it->second;
 }
 
-int64_t FlagParser::GetInt(const std::string& name, int64_t fallback) const {
+Status FlagParser::GetInt(const std::string& name, int64_t fallback,
+                          int64_t* out) const {
   const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
+  if (it == flags_.end()) {
+    *out = fallback;
+    return Status::Ok();
+  }
+  const std::string& value = it->second;
   char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  return (end == nullptr || *end != '\0') ? fallback
-                                          : static_cast<int64_t>(v);
+  errno = 0;
+  const long long v = std::strtoll(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0') {
+    return Malformed(name, "an integer", value);
+  }
+  if (errno == ERANGE) return OutOfRange(name, value);
+  *out = static_cast<int64_t>(v);
+  return Status::Ok();
+}
+
+Status FlagParser::GetInt(const std::string& name, int fallback,
+                          int* out) const {
+  int64_t v = fallback;
+  const Status st = GetInt(name, int64_t{fallback}, &v);
+  if (!st.ok()) return st;
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return OutOfRange(name, flags_.at(name));
+  }
+  *out = static_cast<int>(v);
+  return Status::Ok();
+}
+
+Status FlagParser::GetDouble(const std::string& name, double fallback,
+                             double* out) const {
+  const auto it = flags_.find(name);
+  if (it == flags_.end()) {
+    *out = fallback;
+    return Status::Ok();
+  }
+  const std::string& value = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0') return Malformed(name, "a number", value);
+  if (errno == ERANGE) return OutOfRange(name, value);
+  if (!std::isfinite(v)) return Malformed(name, "a finite number", value);
+  *out = v;
+  return Status::Ok();
+}
+
+int64_t FlagParser::GetInt(const std::string& name, int64_t fallback) const {
+  int64_t v = fallback;
+  return GetInt(name, fallback, &v).ok() ? v : fallback;
 }
 
 double FlagParser::GetDouble(const std::string& name, double fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return (end == nullptr || *end != '\0') ? fallback : v;
+  double v = fallback;
+  return GetDouble(name, fallback, &v).ok() ? v : fallback;
 }
 
 Status FlagParser::GetChoice(const std::string& name,

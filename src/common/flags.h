@@ -23,13 +23,24 @@ class FlagParser {
   bool Has(const std::string& name) const;
 
   /// Typed getters returning `fallback` when the flag is absent.
-  /// GetInt/GetDouble return InvalidArgument-like fallback on parse errors
-  /// via the ok flag overloads below.
   std::string GetString(const std::string& name,
                         const std::string& fallback) const;
+  bool GetBool(const std::string& name, bool fallback) const;
+
+  /// Checked numeric getters: set `*out` to the flag's value, or to
+  /// `fallback` when the flag is absent. A present value must parse whole:
+  /// an empty value, trailing characters, a value outside the type's range
+  /// (the int overload checks int's), NaN or an infinity is
+  /// InvalidArgument naming the flag, and leaves `*out` unchanged.
+  Status GetInt(const std::string& name, int64_t fallback,
+                int64_t* out) const;
+  Status GetInt(const std::string& name, int fallback, int* out) const;
+  Status GetDouble(const std::string& name, double fallback,
+                   double* out) const;
+  /// Unchecked forms: `fallback` also when the value is malformed. Only
+  /// perfbench_driver, which reports no flag errors, still calls them.
   int64_t GetInt(const std::string& name, int64_t fallback) const;
   double GetDouble(const std::string& name, double fallback) const;
-  bool GetBool(const std::string& name, bool fallback) const;
 
   /// Enumerated flag: returns the flag's value when it is one of `allowed`,
   /// `fallback` when the flag is absent, and InvalidArgument (naming the

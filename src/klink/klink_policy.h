@@ -3,14 +3,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/klink/swm_estimator.h"
-#include "src/sched/deadline_index.h"
 #include "src/sched/policy.h"
 
 namespace klink {
@@ -41,9 +38,8 @@ struct KlinkPolicyConfig {
 
   /// Modeled evaluation overhead: fixed virtual micros per evaluated query
   /// plus per slack-integration step (charged to the engine's cycle
-  /// budget; Fig. 9d). This models the *paper's* evaluator, which walks
-  /// every query each cycle — the incremental slack index below cuts the
-  /// wall-clock cost of SelectQueries, not the modeled virtual cost.
+  /// budget; Fig. 9d). This models the paper's evaluator, which walks
+  /// every query each cycle, as SelectQueries does.
   double eval_cost_per_query_micros = 55.0;
   double eval_cost_per_step_micros = 8.0;
 
@@ -68,26 +64,9 @@ struct KlinkPolicyConfig {
 /// queries. Memory-mode cycles keep whole-query granularity — the memory
 /// plan reasons over entire pipelines.
 ///
-/// Wall-clock cost: on engine-built (incremental) snapshots the policy
-/// keeps per-cycle work proportional to the set of queries whose state
-/// changed, not to the number of deployed queries. Slack is a min over
-/// per-stream terms that fall into three classes while a query is
-/// untouched (no ingest, no execution, no estimator epoch):
-///   - constant  (windowless, or cold-start stream with no deadline),
-///   - linear    (slack = base - now: overdue prediction, or cold-start
-///                stream with a deadline),
-///   - nonlinear (a valid prediction whose confidence interval is still
-///                ahead of `now` — the Gaussian integration of Alg. 1).
-/// Units with any nonlinear stream stay "hot" and are re-evaluated
-/// exactly every cycle (the integral genuinely changes with `now`; the
-/// paper's evaluator does the same work). All other units go "cold":
-/// their constant/linear lower bounds are indexed in two lazy-deletion
-/// min-heaps, and selection pops candidates best-first, re-evaluating each
-/// popped candidate with the exact seed expression, until the heap bound
-/// proves no remaining unit can enter the top-k. Selections are therefore
-/// identical to the full-scan evaluator; only wall-clock cost changes.
-/// Non-incremental (hand-built) snapshots and memory-mode cycles use the
-/// full scan unchanged.
+/// Every cycle evaluates the slack of every unit of every query, as the
+/// paper's evaluator does: estimators observe stream progress continuously
+/// and LastSlack() is always current.
 class KlinkPolicy final : public SchedulingPolicy {
  public:
   explicit KlinkPolicy(const KlinkPolicyConfig& config = {});
@@ -110,11 +89,8 @@ class KlinkPolicy final : public SchedulingPolicy {
   /// ingestion times, in virtual micros (Fig. 9c companion metric; more
   /// sensitive than interval hit rate under heavy-tailed delays).
   double EstimatorMeanAbsErrorMicros() const;
-  /// Expected slack of query `id` computed when it was last evaluated —
-  /// the minimum over its units — or 0 if unknown (diagnostics/tests). On
-  /// incremental snapshots cold units are not re-evaluated every cycle, so
-  /// the value may date from an earlier cycle (linear terms drift with
-  /// `now`).
+  /// Expected slack of query `id` in the last cycle — the minimum over its
+  /// units — or 0 if unknown (diagnostics/tests).
   double LastSlack(QueryId id) const;
   /// Expected slack of one lane of `id` (-1 = the whole-query unit of an
   /// unsharded query), or 0 if never evaluated (reporter/tests).
@@ -124,36 +100,6 @@ class KlinkPolicy final : public SchedulingPolicy {
                                      int stream) const;
 
  private:
-  /// Per-stream slack classification accumulated by EvaluateUnitSlack (see
-  /// the class comment): exact minima of the constant terms and of the
-  /// linear bases (slack = linear_min - now), plus whether any stream
-  /// still needs the per-cycle Gaussian integration.
-  struct SlackClasses {
-    double const_min = 0.0;   // initialized to +inf by EvaluateUnitSlack
-    double linear_min = 0.0;  // initialized to +inf by EvaluateUnitSlack
-    bool has_nonlinear = false;
-  };
-
-  /// Incremental-index bookkeeping for one lane of a live query.
-  struct LaneCache {
-    bool hot = true;
-    /// Valid while cold (readiness cannot change without a touch).
-    bool ready = false;
-  };
-
-  /// Incremental-index bookkeeping for one live query. A touch re-heats
-  /// every lane: ingest and execution both funnel through shared queues of
-  /// the query, so per-lane touch tracking would buy nothing.
-  struct CacheEntry {
-    /// Bumped whenever the query is touched; heap entries carrying an
-    /// older version are stale and skipped at pop time.
-    uint64_t version = 0;
-    /// Parallel to QueryInfo::lanes (size is fixed at deploy time).
-    std::vector<LaneCache> lanes;
-    /// Estimator keys of the query's streams, for cleanup on detach.
-    std::vector<uint64_t> stream_keys;
-  };
-
   /// Stable key for one stream of one windowed operator of one query.
   static uint64_t StreamKey(QueryId q, int op_index, int stream) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(q)) << 24) |
@@ -164,34 +110,13 @@ class KlinkPolicy final : public SchedulingPolicy {
   /// Updates estimators with this cycle's progress and computes the slack
   /// of one unit: min over the lane's streams with the lane's drain cost
   /// (`lane_idx` indexes QueryInfo::lanes). Also accumulates the overhead
-  /// step count into eval_steps_. When `cls` is non-null it receives the
-  /// per-stream classification.
+  /// step count into eval_steps_.
   double EvaluateUnitSlack(const QueryInfo& info, size_t lane_idx,
-                           TimeMicros now, SlackClasses* cls = nullptr);
-  /// Marks every lane of `id` hot and refreshes its cached stream keys;
-  /// `info` must be the query's live snapshot entry.
-  void MarkQueryHot(const QueryInfo& info);
+                           TimeMicros now);
 
   void UpdateMemoryMode(const RuntimeSnapshot& snapshot);
-
-  /// The seed evaluator: exact full scan over every snapshot entry. Used
-  /// for non-incremental snapshots and during memory mode.
-  void SelectFullScan(const RuntimeSnapshot& snapshot, int slots,
-                      Selection* out);
-  /// O(touched + popped) evaluator for incremental snapshots.
-  void SelectIncremental(const RuntimeSnapshot& snapshot, int slots,
-                         Selection* out);
-  /// Drops all per-query policy state of a detached query, including its
-  /// stream estimators.
-  void RetireQueryState(QueryId id);
+  /// Drops the stream estimators of a detached query.
   void EraseEstimatorsByQuery(QueryId id);
-  /// Rebuilds heaps and caches from scratch (first incremental cycle,
-  /// after a full-scan cycle, or when lazy-deletion garbage piles up).
-  void RebuildIncrementalState(const RuntimeSnapshot& snapshot);
-  /// KLINK_AUDIT: recomputes the selection with the full scan and checks
-  /// the incremental result matches exactly.
-  void AuditIncremental(const RuntimeSnapshot& snapshot, int slots,
-                        const Selection& out);
 
   KlinkPolicyConfig config_;
   std::unordered_map<uint64_t, std::unique_ptr<KlinkEstimator>> estimators_;
@@ -205,21 +130,6 @@ class KlinkPolicy final : public SchedulingPolicy {
   // it via EvaluationCostMicros (one-cycle lag).
   double pending_eval_cost_ = 0.0;
   int64_t eval_steps_ = 0;
-  int64_t eval_queries_ = 0;
-
-  // ---- incremental slack index ----------------------------------------
-  std::unordered_map<QueryId, CacheEntry> cache_;
-  /// Total lanes across cache_ entries (sizes the lazy-deletion cap).
-  size_t cache_lanes_ = 0;
-  /// Units re-evaluated exactly every cycle (ordered for determinism).
-  std::set<int64_t> hot_;
-  /// Ready cold units by constant slack (key = slack).
-  DeadlineIndex const_heap_;
-  /// Ready cold units by linear base (key - now = slack).
-  DeadlineIndex linear_heap_;
-  /// Caches and heaps must be rebuilt before the next incremental cycle.
-  bool rebuild_ = true;
-  const bool audit_;
 };
 
 }  // namespace klink

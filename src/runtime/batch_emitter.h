@@ -9,35 +9,13 @@
 
 namespace klink {
 
-/// Routes an operator's outputs into the downstream operator's input queue
-/// one element at a time, tagging each element with the downstream
-/// input-stream index. This is the pre-batching emitter; the drain loop now
-/// uses BatchEmitter, but the scalar variant stays as the reference
-/// implementation for equivalence tests and the hot-path microbenchmark.
-class QueueEmitter final : public Emitter {
- public:
-  QueueEmitter(StreamQueue* queue, int stream)
-      : queue_(queue), stream_(stream) {}
-
-  void Emit(const Event& e) override {
-    if (queue_ == nullptr) return;  // sink: outputs leave the system
-    Event routed = e;
-    routed.stream = stream_;
-    queue_->Push(routed);
-  }
-
- private:
-  StreamQueue* queue_;
-  int stream_;
-};
-
 /// Buffering emitter for the batched drain: outputs accumulate in a
 /// borrowed scratch vector (stamped with the downstream stream index) and
 /// Flush() appends the whole run to the downstream queue with a single
 /// StreamQueue::PushBatch — one byte/data-count accounting update instead
-/// of one per element. Order-equivalent to QueueEmitter because the drain
-/// flushes before any downstream operator runs, and operators never read
-/// their own output queue.
+/// of one per element. Order-equivalent to pushing each output as it is
+/// emitted, because the drain flushes before any downstream operator runs
+/// and operators never read their own output queue.
 class BatchEmitter final : public Emitter {
  public:
   BatchEmitter(StreamQueue* queue, int stream, std::vector<Event>* scratch)

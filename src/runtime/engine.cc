@@ -266,8 +266,7 @@ void Engine::Ingest() {
 }
 
 void Engine::BuildSnapshot(RuntimeSnapshot* snap) {
-  snap->incremental = true;
-  fabric_.TakeJournal(&snap->touched, &snap->detached);
+  fabric_.TakeJournal(&touched_scratch_, &snap->detached);
   // Drop detached entries (swap-erase; the index keeps positions dense).
   for (const QueryId id : snap->detached) {
     const auto it = snap->index.find(id);
@@ -283,7 +282,7 @@ void Engine::BuildSnapshot(RuntimeSnapshot* snap) {
   }
   // Re-collect touched queries in place (or append newly attached ones),
   // folding each one's memory delta into the incremental total.
-  for (const QueryId id : snap->touched) {
+  for (const QueryId id : touched_scratch_) {
     const Query* q = fabric_.Find(id);  // live: TakeJournal filters retirees
     const auto [it, inserted] =
         snap->index.try_emplace(id, static_cast<int32_t>(snap->queries.size()));

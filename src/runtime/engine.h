@@ -71,8 +71,8 @@ struct EngineConfig {
 /// Query membership is managed by a QueryFabric (runtime/query_fabric.h):
 /// queries attach and detach live, and the engine's per-cycle state —
 /// memory total and runtime snapshot — is maintained *incrementally* from
-/// the fabric's change journal, so steady-state cycle overhead tracks the
-/// number of queries that changed, not the number deployed.
+/// the fabric's change journal, so refreshing it costs per query that
+/// changed, not per query deployed. Policies then scan the whole snapshot.
 class Engine {
  public:
   Engine(const EngineConfig& config, std::unique_ptr<SchedulingPolicy> policy);
@@ -208,6 +208,8 @@ class Engine {
   Selection selection_scratch_;
   std::vector<ExecutorTask> tasks_scratch_;
   RuntimeSnapshot snapshot_scratch_;
+  /// Ids BuildSnapshot re-collects this cycle (the fabric journal).
+  std::vector<QueryId> touched_scratch_;
   std::vector<QueryId> retired_scratch_;
   /// Non-owning; null when checkpointing is off (see SetCheckpointCoordinator).
   CheckpointCoordinator* coordinator_ = nullptr;

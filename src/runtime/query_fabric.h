@@ -30,7 +30,7 @@ struct EndpointBinding {
 
 /// The engine's query control plane: the mutable set of deployed queries,
 /// supporting live attach/detach/rewire while traffic flows (DESIGN.md
-/// "Query fabric & incremental scheduling").
+/// "Query fabric").
 ///
 /// Replaces the wired-up-front Engine::queries_ vector (whose removals
 /// left tombstones that every per-cycle loop still visited) with a slot

@@ -118,21 +118,9 @@ struct RuntimeSnapshot {
   bool backpressured = false;
   std::vector<QueryInfo> queries;
 
-  /// Incremental-maintenance journal, set by engine-built snapshots (the
-  /// snapshot object persists across cycles and only changed entries are
-  /// re-collected; see Engine::BuildSnapshot). When `incremental` is true:
-  ///  - entries for queries NOT listed in `touched` are bitwise-identical
-  ///    to the previous cycle's snapshot (CollectQueryInfo does not depend
-  ///    on `now`, so an untouched query's info cannot change);
-  ///  - `touched` holds the ids refreshed this cycle, including newly
-  ///    attached queries, in ascending id order;
-  ///  - `detached` holds ids removed since the previous cycle, ascending.
-  /// Policies exploit this to keep per-cycle work O(touched) instead of
-  /// O(queries) (klink/klink_policy.cc, sched/fcfs_policy.cc). Hand-built
-  /// snapshots leave `incremental` false and policies fall back to a full
-  /// scan, so the flag never changes *what* is selected — only the cost.
-  bool incremental = false;
-  std::vector<QueryId> touched;
+  /// Ids removed since the previous cycle, ascending, so policies can
+  /// release per-query state (Klink's estimators). Set by engine-built
+  /// snapshots (Engine::BuildSnapshot); empty in hand-built ones.
   std::vector<QueryId> detached;
   /// id -> position in `queries`, maintained by the engine. May be empty
   /// for hand-built snapshots; Find falls back to a linear scan then.

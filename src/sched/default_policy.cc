@@ -9,8 +9,7 @@ DefaultPolicy::DefaultPolicy(uint64_t seed) : rng_(seed) {}
 void DefaultPolicy::SelectQueries(const RuntimeSnapshot& snapshot, int slots,
                                   Selection* out) {
   ready_scratch_.clear();
-  // klink-lint: allow(sched-scan): the uniform-random baseline draws from
-  // the full ready set by definition.
+  // The uniform-random baseline draws from the full ready set.
   for (const QueryInfo& info : snapshot.queries) {
     if (QueryIsReady(info)) ready_scratch_.push_back(&info);
   }

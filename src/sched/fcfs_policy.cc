@@ -1,26 +1,13 @@
 #include "src/sched/fcfs_policy.h"
 
 #include <algorithm>
-
-#include "src/common/check.h"
-#include "src/runtime/audit.h"
+#include <cstdint>
+#include <vector>
 
 namespace klink {
 
-FcfsPolicy::FcfsPolicy() : audit_(AuditEnabledFromEnv()) {}
-
 void FcfsPolicy::SelectQueries(const RuntimeSnapshot& snapshot, int slots,
                                Selection* out) {
-  if (!snapshot.incremental) {
-    SelectFullScan(snapshot, slots, out);
-    rebuild_ = true;
-    return;
-  }
-  SelectIncremental(snapshot, slots, out);
-}
-
-void FcfsPolicy::SelectFullScan(const RuntimeSnapshot& snapshot, int slots,
-                                Selection* out) {
   // Rank schedulable units — whole unsharded queries and individual lanes
   // of sharded ones — by the ingestion time of their oldest queued
   // element. Shards of one query compete independently, so a hot shard's
@@ -31,8 +18,6 @@ void FcfsPolicy::SelectFullScan(const RuntimeSnapshot& snapshot, int slots,
   };
   std::vector<Cand> ready;
   ready.reserve(snapshot.queries.size());
-  // klink-lint: allow(sched-scan): this is the seed full scan — the
-  // incremental path bypasses it on engine-built snapshots.
   for (const QueryInfo& info : snapshot.queries) {
     for (size_t li = 0; li < NumLanes(info); ++li) {
       const LaneView lane = LaneAt(info, li);
@@ -49,79 +34,6 @@ void FcfsPolicy::SelectFullScan(const RuntimeSnapshot& snapshot, int slots,
                     });
   for (size_t i = 0; i < take; ++i) {
     out->AddLane(UnitQuery(ready[i].unit), UnitLane(ready[i].unit));
-  }
-}
-
-void FcfsPolicy::Index(const RuntimeSnapshot& snapshot, QueryId id) {
-  const QueryInfo* info = snapshot.Find(id);
-  KLINK_CHECK(info != nullptr);
-  const uint64_t version = version_[id];
-  for (size_t li = 0; li < NumLanes(*info); ++li) {
-    const LaneView lane = LaneAt(*info, li);
-    if (lane.queued_events <= 0) continue;
-    // oldest_ingest is integral virtual micros, exactly representable in a
-    // double, so the heap's (key, unit) order equals the full-scan
-    // comparator.
-    heap_.Push({static_cast<double>(lane.oldest_ingest),
-                UnitKey(id, lane.lane), version});
-  }
-}
-
-void FcfsPolicy::RebuildIncrementalState(const RuntimeSnapshot& snapshot) {
-  heap_.Clear();
-  version_.clear();
-  // klink-lint: allow(sched-scan): rebuild cycles only, not steady state.
-  for (const QueryInfo& info : snapshot.queries) {
-    version_[info.id] = 0;
-    Index(snapshot, info.id);
-  }
-  rebuild_ = false;
-}
-
-void FcfsPolicy::SelectIncremental(const RuntimeSnapshot& snapshot, int slots,
-                                   Selection* out) {
-  for (QueryId id : snapshot.detached) version_.erase(id);
-  const size_t heap_cap = 4 * snapshot.queries.size() + 64;
-  if (rebuild_ || heap_.size() > heap_cap) {
-    RebuildIncrementalState(snapshot);
-  } else {
-    for (QueryId id : snapshot.touched) {
-      ++version_[id];  // invalidates all the query's previous lane entries
-      Index(snapshot, id);
-    }
-  }
-
-  const auto valid = [this](const DeadlineIndex::Entry& e) {
-    const auto it = version_.find(UnitQuery(e.id));
-    return it != version_.end() && it->second == e.version;
-  };
-  // Pop the heap minimum `slots` times; re-push afterwards so entries
-  // survive to later cycles (selected queries get touched next cycle and
-  // re-indexed anyway, but re-pushing keeps this call idempotent).
-  std::vector<DeadlineIndex::Entry> popped;
-  const size_t want = static_cast<size_t>(std::max(slots, 0));
-  while (out->size() < want && !heap_.empty()) {
-    const DeadlineIndex::Entry e = heap_.Top();
-    heap_.Pop();
-    if (!valid(e)) continue;
-    popped.push_back(e);
-    out->AddLane(UnitQuery(e.id), UnitLane(e.id));
-  }
-  for (const DeadlineIndex::Entry& e : popped) heap_.Push(e);
-
-  if (audit_) AuditIncremental(snapshot, slots, *out);
-}
-
-void FcfsPolicy::AuditIncremental(const RuntimeSnapshot& snapshot, int slots,
-                                  const Selection& out) {
-  heap_.AuditHeapProperty();
-  Selection expect;
-  SelectFullScan(snapshot, slots, &expect);
-  KLINK_CHECK_EQ(static_cast<int64_t>(out.size()),
-                 static_cast<int64_t>(expect.size()));
-  for (size_t i = 0; i < expect.size(); ++i) {
-    KLINK_CHECK_EQ(out[i].query, expect[i].query);
-    KLINK_CHECK_EQ(out[i].lane, expect[i].lane);
   }
 }
 

@@ -1,12 +1,8 @@
 #ifndef KLINK_SCHED_FCFS_POLICY_H_
 #define KLINK_SCHED_FCFS_POLICY_H_
 
-#include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
-#include "src/sched/deadline_index.h"
 #include "src/sched/policy.h"
 
 namespace klink {
@@ -18,40 +14,11 @@ namespace klink {
 /// Scheduling is unit-granular: unsharded queries are one unit, sharded
 /// queries contribute one unit per lane (sched/policy.h UnitKey), so the
 /// shards of one query drain on distinct slots in arrival order.
-///
-/// On engine-built (incremental) snapshots the policy keeps a lazy-deletion
-/// min-heap keyed by (oldest_ingest, unit): a lane's key can only change
-/// when its query is touched (ingest or execution), so per-cycle work is
-/// O(touched log n + slots log n) instead of O(n). Keys are integers and
-/// exactly representable, so the heap order equals the full-scan comparator
-/// and selections are identical by construction. Hand-built snapshots use
-/// the full scan unchanged.
 class FcfsPolicy final : public SchedulingPolicy {
  public:
-  FcfsPolicy();
-
   std::string name() const override { return "FCFS"; }
   void SelectQueries(const RuntimeSnapshot& snapshot, int slots,
                      Selection* out) override;
-
- private:
-  void SelectFullScan(const RuntimeSnapshot& snapshot, int slots,
-                      Selection* out);
-  void SelectIncremental(const RuntimeSnapshot& snapshot, int slots,
-                         Selection* out);
-  void RebuildIncrementalState(const RuntimeSnapshot& snapshot);
-  /// Pushes a fresh heap entry for `id` when it is ready.
-  void Index(const RuntimeSnapshot& snapshot, QueryId id);
-  /// KLINK_AUDIT: full-scan recomputation must match the heap selection.
-  void AuditIncremental(const RuntimeSnapshot& snapshot, int slots,
-                        const Selection& out);
-
-  /// Current version per live query; heap entries with older versions are
-  /// stale. Absent ids (detached queries) invalidate all their entries.
-  std::unordered_map<QueryId, uint64_t> version_;
-  DeadlineIndex heap_;
-  bool rebuild_ = true;
-  const bool audit_;
 };
 
 }  // namespace klink

@@ -12,9 +12,7 @@ void SelectTopReadyQueries(
     Selection* out) {
   std::vector<const QueryInfo*> ready;
   ready.reserve(snapshot.queries.size());
-  // klink-lint: allow(sched-scan): shared seam for the legacy full-scan
-  // policies (HR, memory-mode Klink, full-scan fallbacks); incremental
-  // policies bypass this helper on engine-built snapshots.
+  // Shared by the whole-query rankings: HR and memory-mode Klink.
   for (const QueryInfo& info : snapshot.queries) {
     if (QueryIsReady(info)) ready.push_back(&info);
   }

@@ -45,7 +45,7 @@ class SchedulingPolicy {
 bool QueryIsReady(const QueryInfo& info);
 
 /// Packed (query, lane) scheduling-unit key used by the lane-granular
-/// policies' indexes: ascending unit order equals (id, lane) lexicographic
+/// policies' rankings: ascending unit order equals (id, lane) lexicographic
 /// order, so id tiebreaks carry over unchanged when every query has a
 /// single -1 lane. QueryId is a non-negative int32, so the shifted key
 /// fits an int64 with room for 65535 lanes.
@@ -58,11 +58,6 @@ inline QueryId UnitQuery(int64_t unit) {
 }
 inline int UnitLane(int64_t unit) {
   return static_cast<int>(unit & 0xFFFF) - 1;
-}
-/// Index into QueryInfo::lanes for a lane id (-1 = the sole whole-query
-/// lane of an unsharded query; sharded lanes are their own index).
-inline size_t LaneIndexOf(int lane) {
-  return static_cast<size_t>(lane < 0 ? 0 : lane);
 }
 
 /// A lane's scheduling stats, decoupled from how the snapshot was built.

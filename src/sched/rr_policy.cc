@@ -11,8 +11,8 @@ void RoundRobinPolicy::SelectQueries(const RuntimeSnapshot& snapshot,
   size_t inspected = 0;
   size_t pos = cursor_ % n;
   while (inspected < n && out->size() < static_cast<size_t>(slots)) {
-    // klink-lint: allow(sched-scan): the rotation cursor inspects at most
-    // one full lap and usually stops after `slots` ready queries.
+    // The rotation cursor inspects at most one full lap and usually stops
+    // after `slots` ready queries.
     const QueryInfo& info = snapshot.queries[pos];
     if (QueryIsReady(info)) out->Add(info.id);
     pos = (pos + 1) % n;

@@ -38,8 +38,8 @@ void StreamBoxPolicy::SelectQueries(const RuntimeSnapshot& snapshot, int slots,
   // Fill free slots with the earliest-deadline ready queries.
   std::vector<const QueryInfo*> candidates;
   for (const QueryInfo& info : snapshot.queries) {
-    // klink-lint: allow(sched-scan): StreamBox re-ranks every candidate at
-    // each cycle boundary by design (sticky slots, not a priority index).
+    // StreamBox re-ranks every candidate at each cycle boundary (sticky
+    // slots, not a priority index).
     if (!QueryIsReady(info) || taken.count(info.id) != 0) continue;
     candidates.push_back(&info);
   }

@@ -146,13 +146,26 @@ TEST(ExperimentTest, RunRepeatedSingleRunHasNoCi) {
   EXPECT_DOUBLE_EQ(agg.latency_ci95_s, 0.0);
 }
 
+// The modeled evaluator cost (Fig. 9d) charges every query in every cycle,
+// ready or not, and each memory-mode cycle once. Both runs are pinned to
+// their values: the second deploys queries until 30 s, so some sit idle
+// in the measured window, and its 200 KB cap puts Klink in memory mode
+// there. Charging only ready queries, or memory-mode cycles twice, moves
+// its overhead.
 TEST(ExperimentTest, KlinkReportsEstimatorAccuracy) {
   ExperimentConfig config = TinyConfig();
   config.policy = PolicyKind::kKlink;
   config.duration = SecondsToMicros(60);
   const ExperimentResult r = RunExperiment(config);
-  EXPECT_GT(r.estimator_predictions, 0);
+  EXPECT_EQ(r.estimator_predictions, 58);
   EXPECT_GT(r.estimator_accuracy, 0.5);
+  EXPECT_DOUBLE_EQ(r.scheduler_overhead, 0.019318647729346071);
+
+  config.deploy_spread = SecondsToMicros(30);
+  config.engine.memory_capacity_bytes = 200000;
+  const ExperimentResult idle_and_mm = RunExperiment(config);
+  EXPECT_EQ(idle_and_mm.estimator_predictions, 33);
+  EXPECT_DOUBLE_EQ(idle_and_mm.scheduler_overhead, 0.023682025778745563);
 }
 
 /// One bad input a tool's flag validation rejects, and the flag its
@@ -205,7 +218,13 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"Queries", "--queries=0", "--queries"},
         BadInput{"Cores", "--cores=0", "--cores"},
         BadInput{"Rate", "--rate=-5", "--rate"},
+        BadInput{"RateNotANumber", "--rate=abc", "--rate"},
+        BadInput{"QueriesFractional", "--queries=2.5", "--queries"},
+        BadInput{"CoresTrailingGarbage", "--cores=4x", "--cores"},
         BadInput{"MemoryMb", "--memory-mb=0", "--memory-mb"},
+        // 2^43 MB is 2^63 bytes, one past the int64 range.
+        BadInput{"MemoryMbOverflow", "--memory-mb=8796093022208",
+                 "--memory-mb"},
         // the default warm-up is 30 s
         BadInput{"DurationBelowWarmup", "--duration=20", "--duration"},
         BadInput{"NegativeWarmup", "--warmup=-1", "--warmup"},
@@ -215,6 +234,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"ListenConfidence", "--listen=0 --confidence=-1",
                  "--confidence"},
         BadInput{"ListenQueries", "--listen=0 --queries=0", "--queries"},
+        BadInput{"ListenPortOutOfRange", "--listen=99999", "--listen"},
         BadInput{"ListenIngestBudget", "--listen=0 --ingest-budget-kb=0",
                  "--ingest-budget-kb"},
         BadInput{"ListenNegativeIngestBudget",
@@ -249,7 +269,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         BadInput{"ZeroRate", "--port=1 --rate=0", "--rate"},
         BadInput{"NegativeRate", "--port=1 --rate=-5", "--rate"},
+        BadInput{"RateNotANumber", "--port=1 --rate=abc", "--rate"},
         BadInput{"Queries", "--port=1 --queries=0", "--queries"},
+        BadInput{"QueriesFractional", "--port=1 --queries=1.5", "--queries"},
+        BadInput{"PortOutOfRange", "--port=99999", "--port"},
         BadInput{"Duration", "--port=1 --duration=0", "--duration"},
         BadInput{"Speed", "--port=1 --speed=-1", "--speed"},
         BadInput{"MaxRetries", "--port=1 --max-retries=-1",

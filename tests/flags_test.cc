@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace klink {
 namespace {
 
@@ -57,6 +60,62 @@ TEST(FlagParserTest, FallbacksWhenAbsentOrMalformed) {
   EXPECT_EQ(p.GetInt("missing", 9), 9);
   EXPECT_FALSE(p.Has("missing"));
   EXPECT_TRUE(p.Has("n"));
+}
+
+TEST(FlagParserTest, CheckedGettersReadValuesAndFallbacks) {
+  FlagParser p = Parse({"--n=-42", "--big=9000000000", "--x=1.5e3"});
+  int64_t n = 0;
+  int small = 0;
+  double x = 0.0;
+  EXPECT_TRUE(p.GetInt("n", 7, &n).ok());
+  EXPECT_EQ(n, -42);
+  EXPECT_TRUE(p.GetInt("n", 7, &small).ok());
+  EXPECT_EQ(small, -42);
+  EXPECT_TRUE(p.GetInt("big", 7, &n).ok());
+  EXPECT_EQ(n, 9000000000);
+  EXPECT_TRUE(p.GetDouble("x", 0.5, &x).ok());
+  EXPECT_DOUBLE_EQ(x, 1500.0);
+  EXPECT_TRUE(p.GetInt("missing", 7, &n).ok());
+  EXPECT_EQ(n, 7);
+  EXPECT_TRUE(p.GetInt("missing", 8, &small).ok());
+  EXPECT_EQ(small, 8);
+  EXPECT_TRUE(p.GetDouble("missing", 0.5, &x).ok());
+  EXPECT_DOUBLE_EQ(x, 0.5);
+}
+
+TEST(FlagParserTest, CheckedGetIntRejectsMalformedAndOutOfRange) {
+  for (const char* value :
+       {"", "abc", "2.5", "4x", "1e3", "9223372036854775808"}) {
+    const std::string arg = std::string("--n=") + value;
+    FlagParser p = Parse({arg.c_str()});
+    int64_t n = 5;
+    int small = 6;
+    const Status st = p.GetInt("n", 0, &n);
+    EXPECT_FALSE(st.ok()) << arg;
+    EXPECT_NE(st.message().find("--n"), std::string::npos) << st.message();
+    EXPECT_EQ(n, 5) << arg;  // untouched on error
+    EXPECT_FALSE(p.GetInt("n", 0, &small).ok()) << arg;
+    EXPECT_EQ(small, 6) << arg;
+    EXPECT_EQ(p.GetInt("n", 9), 9) << arg;  // unchecked form: fallback
+  }
+  // In int64 range but not in int's.
+  FlagParser p = Parse({"--n=2147483648"});
+  int small = 6;
+  EXPECT_FALSE(p.GetInt("n", 0, &small).ok());
+  EXPECT_EQ(small, 6);
+}
+
+TEST(FlagParserTest, CheckedGetDoubleRejectsMalformedAndNonFinite) {
+  for (const char* value : {"", "abc", "1.5x", "nan", "inf", "-inf", "1e999"}) {
+    const std::string arg = std::string("--x=") + value;
+    FlagParser p = Parse({arg.c_str()});
+    double x = 2.5;
+    const Status st = p.GetDouble("x", 0.0, &x);
+    EXPECT_FALSE(st.ok()) << arg;
+    EXPECT_NE(st.message().find("--x"), std::string::npos) << st.message();
+    EXPECT_DOUBLE_EQ(x, 2.5) << arg;  // untouched on error
+    EXPECT_DOUBLE_EQ(p.GetDouble("x", 0.25), 0.25) << arg;
+  }
 }
 
 TEST(FlagParserTest, BareDoubleDashRejected) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "src/net/delay_model.h"
 #include "src/query/pipeline_builder.h"
+#include "src/runtime/engine.h"
+#include "src/workloads/workload.h"
 
 namespace klink {
 namespace {
@@ -205,6 +211,50 @@ TEST_F(KlinkPolicyTest, WindowlessQueriesScheduledLast) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].query, 0);  // windowed first
   EXPECT_EQ(out[1].query, 1);  // windowless still runs when slots remain
+}
+
+// A query that leaves the engine, by RemoveQuery or by a drained
+// DetachQuery, releases its stream estimators; a live one keeps its own.
+TEST(KlinkPolicyEngineTest, DepartedQueriesReleaseTheirEstimators) {
+  EngineConfig config;
+  config.num_cores = 2;
+  Engine engine(config, std::make_unique<KlinkPolicy>());
+  std::vector<QueryId> ids;
+  for (int q = 0; q < 3; ++q) {
+    PipelineBuilder b("count");
+    b.Source("src", 5.0)
+        .TumblingAggregate("w", 10.0, SecondsToMicros(1),
+                           AggregationKind::kCount)
+        .Sink("out", 2.0);
+    SourceSpec spec;
+    spec.events_per_second = 400.0;
+    spec.key_cardinality = 10;
+    spec.watermark_period = MillisToMicros(250);
+    spec.watermark_lag = MillisToMicros(50);
+    ids.push_back(engine.AddQuery(
+        b.Build(q),
+        std::make_unique<SyntheticFeed>(
+            std::vector<SourceSpec>{spec},
+            std::make_unique<ConstantDelay>(MillisToMicros(10)),
+            /*seed=*/10 + q, 0)));
+  }
+  engine.RunFor(SecondsToMicros(3));
+  const auto& policy = dynamic_cast<const KlinkPolicy&>(engine.policy());
+  // Operator 1 is the window; its one input stream is stream 0.
+  for (const QueryId id : ids) {
+    ASSERT_NE(policy.EstimatorFor(id, 1, 0), nullptr) << id;
+  }
+
+  engine.RemoveQuery(ids[0]);
+  engine.DetachQuery(ids[1]);
+  for (int i = 0; i < 100 && engine.IsActive(ids[1]); ++i) {
+    engine.RunFor(MillisToMicros(120));
+  }
+  ASSERT_FALSE(engine.IsActive(ids[1]));
+  engine.RunFor(MillisToMicros(240));  // cycles past the retirement
+  EXPECT_EQ(policy.EstimatorFor(ids[0], 1, 0), nullptr);
+  EXPECT_EQ(policy.EstimatorFor(ids[1], 1, 0), nullptr);
+  EXPECT_NE(policy.EstimatorFor(ids[2], 1, 0), nullptr);
 }
 
 }  // namespace

@@ -1,23 +1,14 @@
-// Scheduler equivalence: the incrementally-maintained policies (heap-based
-// FCFS and Klink) must select exactly what the full-scan evaluation would,
-// every cycle, including across tenant churn.
+// Audited churn: every policy runs under KLINK_AUDIT=1 while queries
+// detach, are removed and attach mid-run, so slot reuse and journal
+// consumption are exercised. The engine's invariant auditor checks memory
+// accounting, selection budgets, cycle stats and progress monotonicity
+// every cycle, and the query fabric checks its own consistency on every
+// mutation; either aborts on the first violation. A run that completes
+// is the proof.
 //
-// Two proof styles:
-//  1. KLINK_AUDIT=1 engine runs: every policy's incremental path
-//     cross-checks itself against the full scan each cycle
-//     (AuditIncremental aborts on the first divergence), and the engine's
-//     invariant auditor verifies snapshot/memory maintenance. A run that
-//     completes IS the equivalence proof. Churn (graceful detach, hard
-//     remove, live attach) happens mid-run so slot reuse and journal
-//     consumption are exercised.
-//  2. Hand-built snapshots: an FcfsPolicy fed incremental snapshots with
-//     explicit touched/detached journals is compared cycle-by-cycle
-//     against a second instance fed full-scan copies of the same state.
-//
-// A separate test shows KLINK_AUDIT observation is side-effect-free: the
+// A second test shows KLINK_AUDIT observation is side-effect-free: the
 // audited and unaudited runs produce identical results.
 
-#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <string>
@@ -26,12 +17,10 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/rng.h"
 #include "src/harness/experiment.h"
 #include "src/net/delay_model.h"
 #include "src/query/pipeline_builder.h"
 #include "src/runtime/engine.h"
-#include "src/sched/fcfs_policy.h"
 #include "src/workloads/workload.h"
 
 namespace klink {
@@ -104,10 +93,9 @@ class AuditedChurnTest : public ::testing::TestWithParam<PolicyKind> {
   void TearDown() override { unsetenv("KLINK_AUDIT"); }
 };
 
-// Completing this run under KLINK_AUDIT=1 proves per-cycle equivalence:
-// the incremental policies abort on the first selection that differs from
-// the full scan, and the engine auditor aborts on snapshot/memory drift.
-TEST_P(AuditedChurnTest, IncrementalMatchesFullScanUnderChurn) {
+// Completing this run under KLINK_AUDIT=1 proves the engine auditor and
+// the fabric found no violation in any cycle.
+TEST_P(AuditedChurnTest, AuditorAndFabricHoldUnderChurn) {
   const auto r = ChurnRun(GetParam(), /*audit=*/true);
   EXPECT_GT(std::get<0>(r), 0);
 }
@@ -133,97 +121,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
-
-// ---------------------------------------------------------------------------
-// Hand-built snapshot equivalence for the FCFS heap.
-
-QueryInfo MakeInfo(QueryId id, int64_t queued, TimeMicros oldest) {
-  QueryInfo info;
-  info.id = id;
-  info.queued_events = queued;
-  info.oldest_ingest = queued > 0 ? oldest : kNoTime;
-  return info;
-}
-
-/// The same state as a policy-visible full-scan snapshot (incremental
-/// snapshots promise untouched entries are bitwise-identical across
-/// cycles; the copy drops the journal so the full-scan path runs).
-RuntimeSnapshot AsFullScan(const RuntimeSnapshot& snap) {
-  RuntimeSnapshot copy;
-  copy.now = snap.now;
-  copy.queries = snap.queries;
-  return copy;
-}
-
-TEST(FcfsIncrementalTest, MatchesFullScanAcrossRandomMutations) {
-  FcfsPolicy incremental;
-  FcfsPolicy fullscan;
-  Rng rng(7);
-
-  RuntimeSnapshot snap;
-  snap.incremental = true;
-  QueryId next_id = 0;
-  for (int q = 0; q < 16; ++q) {
-    const QueryId id = next_id++;
-    snap.queries.push_back(
-        MakeInfo(id, rng.NextInt(0, 3), rng.NextInt(0, 1000000)));
-    snap.touched.push_back(id);
-  }
-
-  for (int cycle = 0; cycle < 300; ++cycle) {
-    snap.now = cycle * 1000;
-    Selection got;
-    Selection want;
-    incremental.SelectQueries(snap, /*slots=*/4, &got);
-    const RuntimeSnapshot full = AsFullScan(snap);
-    fullscan.SelectQueries(full, /*slots=*/4, &want);
-    ASSERT_EQ(got.ids(), want.ids()) << "cycle " << cycle;
-
-    // Mutate for the next cycle: touch a few queries (ties included —
-    // repeated oldest_ingest values exercise the id tie-break), sometimes
-    // detach one, sometimes attach a fresh id. Untouched entries are left
-    // bitwise-identical, as engine-built snapshots guarantee.
-    snap.touched.clear();
-    snap.detached.clear();
-    const int touches = static_cast<int>(rng.NextInt(1, 4));
-    for (int t = 0; t < touches && !snap.queries.empty(); ++t) {
-      const size_t pos = static_cast<size_t>(
-          rng.NextInt(0, static_cast<int64_t>(snap.queries.size()) - 1));
-      QueryInfo& info = snap.queries[pos];
-      info.queued_events = rng.NextInt(0, 3);
-      info.oldest_ingest = info.queued_events > 0
-                               ? static_cast<TimeMicros>(rng.NextInt(0, 50))
-                               : kNoTime;
-      snap.touched.push_back(info.id);
-    }
-    if (snap.queries.size() > 4 && rng.NextInt(0, 9) == 0) {
-      const size_t pos = static_cast<size_t>(
-          rng.NextInt(0, static_cast<int64_t>(snap.queries.size()) - 1));
-      const QueryId gone = snap.queries[pos].id;
-      snap.detached.push_back(gone);
-      snap.queries.erase(snap.queries.begin() +
-                         static_cast<ptrdiff_t>(pos));
-      // A detached id never appears in the same journal's touched list
-      // (TakeJournal drops dirty bits when the slot retires).
-      snap.touched.erase(
-          std::remove(snap.touched.begin(), snap.touched.end(), gone),
-          snap.touched.end());
-    }
-    if (rng.NextInt(0, 9) == 0) {
-      const QueryId id = next_id++;  // ids never reused (generation stamp)
-      snap.queries.push_back(
-          MakeInfo(id, rng.NextInt(1, 3), rng.NextInt(0, 50)));
-      snap.touched.push_back(id);
-    }
-    // Journals are consumed in ascending id order by contract; a touched
-    // id may appear once even if mutated twice.
-    std::sort(snap.touched.begin(), snap.touched.end());
-    snap.touched.erase(
-        std::unique(snap.touched.begin(), snap.touched.end()),
-        snap.touched.end());
-    std::sort(snap.detached.begin(), snap.detached.end());
-  }
-}
 
 }  // namespace
 }  // namespace klink

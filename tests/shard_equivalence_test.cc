@@ -6,9 +6,9 @@
 // complete output, not a backlog-dependent prefix.
 //
 // KLINK_AUDIT=1 makes each run also a proof of internal consistency: the
-// incremental policies cross-check their selections against the full scan
-// and the engine auditor verifies snapshot/memory maintenance while the
-// partition/merge exchanges and shard lanes churn.
+// engine auditor verifies memory accounting, selection budgets and
+// progress monotonicity every cycle while the partition/merge exchanges
+// and shard lanes churn.
 
 #include <cstdlib>
 #include <memory>

@@ -18,11 +18,6 @@ contract mechanical:
                   only be mutated by their owning accounting methods. Any
                   other mutation bypasses the MemoryDeltaSink chain and
                   desynchronizes Query::MemoryBytes() from reality.
-  sched-scan      Policy code (src/sched/, src/klink/) must not iterate the
-                  full snapshot per scheduling cycle — steady-state work is
-                  O(touched) via the incremental indexes. Rebuild cycles,
-                  audits, and by-definition full-scan baselines carry an
-                  allow pragma stating why the scan is legitimate.
   raw-new-delete  No raw new/delete expressions; ownership goes through
                   std::unique_ptr / containers.
   include-guard   Headers carry the canonical KLINK_<PATH>_H_ guard.
@@ -242,36 +237,14 @@ def check_accounting(path, raw, code):
                     f"{sorted(owners)[0]}")
 
 
-SCHED_SCAN_RE = re.compile(
-    r"for\s*\(.*(\.|->)\s*queries\b|(\.|->)\s*queries\s*\[")
-
-
-def allowed_near(rule, raw_lines, idx, up, down):
-    """Like allowed(), but the pragma may sit in the comment block up to
-    `up` lines above or `down` lines below (the loop's own body comment)."""
-    for j in range(max(0, idx - up), min(len(raw_lines), idx + down + 1)):
+def allowed_near(rule, raw_lines, idx, up):
+    """Like allowed(), but the pragma may sit anywhere in the comment block
+    up to `up` lines above."""
+    for j in range(max(0, idx - up), idx + 1):
         m = ALLOW_RE.search(raw_lines[j])
         if m and m.group(1) == rule:
             return True
     return False
-
-
-def check_sched_scan(path, raw, code):
-    # Steady-state scheduling is O(touched), not O(queries): policy code
-    # iterating the full snapshot per cycle reintroduces the linear
-    # evaluator the incremental indexes exist to avoid. Legitimate scans
-    # (rebuild cycles, audit recomputation, policies that are full-scan by
-    # definition) carry an allow pragma stating why.
-    if not (path.startswith("src/sched/") or path.startswith("src/klink/")):
-        return
-    for i, line in enumerate(code):
-        if SCHED_SCAN_RE.search(line) \
-                and not allowed_near("sched-scan", raw, i, 3, 2):
-            yield Finding(path, i + 1, "sched-scan",
-                          "per-cycle iteration over snapshot.queries in "
-                          "policy code; maintain an incremental index "
-                          "(sched/fcfs_policy.cc, klink/klink_policy.cc) "
-                          "or add an allow pragma justifying the scan")
 
 
 NEW_RE = re.compile(r"\bnew\b\s*[\(A-Za-z_:]")
@@ -350,7 +323,7 @@ def check_relaxed_atomics(path, raw, code):
         return
     for i, line in enumerate(code):
         if "memory_order_relaxed" in line \
-                and not allowed_near("relaxed-atomics", raw, i, 3, 0):
+                and not allowed_near("relaxed-atomics", raw, i, 3):
             yield Finding(path, i + 1, "relaxed-atomics",
                           "memory_order_relaxed without an audit pragma; "
                           "state the invariant that supplies the ordering "
@@ -686,7 +659,6 @@ class ConcurrencyModel:
 RULES = [
     check_determinism,
     check_accounting,
-    check_sched_scan,
     check_raw_new_delete,
     check_include_guard,
     check_iwyu,

@@ -133,6 +133,18 @@ int Usage() {
   return 2;
 }
 
+/// Rejects a `--name` value whose conversion to a finer unit (times
+/// `scale`) would overflow int64.
+Status CheckScaled(const char* name, int64_t value, int64_t scale) {
+  if (value > std::numeric_limits<int64_t>::max() / scale ||
+      value < std::numeric_limits<int64_t>::min() / scale) {
+    return Status::InvalidArgument(std::string("--") + name + " value " +
+                                   std::to_string(value) +
+                                   " is out of range");
+  }
+  return Status::Ok();
+}
+
 int64_t WallMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -635,22 +647,41 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --executor\n");
     return Usage();
   }
-  config.num_queries = static_cast<int>(flags.GetInt("queries", 20));
-  config.events_per_second = flags.GetDouble("rate", 1000.0);
-  config.duration = SecondsToMicros(flags.GetInt("duration", 120));
-  config.warmup = SecondsToMicros(flags.GetInt("warmup", 30));
-  config.engine.num_cores = static_cast<int>(flags.GetInt("cores", 8));
-  config.engine.memory_capacity_bytes = flags.GetInt("memory-mb", 16) << 20;
-  config.klink.confidence = flags.GetDouble("confidence", 0.95);
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const int64_t lateness_ms = flags.GetInt("allowed-lateness-ms", 0);
+  // Numeric flags parse whole or not at all: a malformed or out-of-range
+  // value is a usage error naming the flag. Unit conversions are
+  // range-checked before they multiply.
+  int64_t duration_s = 0, warmup_s = 0, memory_mb = 0, seed = 0;
+  int64_t lateness_ms = 0;
+  for (const Status& st :
+       {flags.GetInt("queries", 20, &config.num_queries),
+        flags.GetDouble("rate", 1000.0, &config.events_per_second),
+        flags.GetInt("duration", 120, &duration_s),
+        flags.GetInt("warmup", 30, &warmup_s),
+        flags.GetInt("cores", 8, &config.engine.num_cores),
+        flags.GetInt("memory-mb", 16, &memory_mb),
+        flags.GetDouble("confidence", 0.95, &config.klink.confidence),
+        flags.GetInt("seed", 1, &seed),
+        flags.GetInt("allowed-lateness-ms", 0, &lateness_ms),
+        flags.GetInt("shards", 1, &config.shards),
+        flags.GetInt("max-shards", 0, &config.max_shards),
+        CheckScaled("duration", duration_s, SecondsToMicros(1)),
+        CheckScaled("warmup", warmup_s, SecondsToMicros(1)),
+        CheckScaled("memory-mb", memory_mb, int64_t{1} << 20),
+        CheckScaled("allowed-lateness-ms", lateness_ms, MillisToMicros(1))}) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.message().c_str());
+      return Usage();
+    }
+  }
+  config.duration = SecondsToMicros(duration_s);
+  config.warmup = SecondsToMicros(warmup_s);
+  config.engine.memory_capacity_bytes = memory_mb << 20;
+  config.seed = static_cast<uint64_t>(seed);
   if (lateness_ms < 0) {
     std::fprintf(stderr, "--allowed-lateness-ms must be >= 0\n");
     return Usage();
   }
   config.allowed_lateness = MillisToMicros(lateness_ms);
-  config.shards = static_cast<int>(flags.GetInt("shards", 1));
-  config.max_shards = static_cast<int>(flags.GetInt("max-shards", 0));
   if (config.shards < 1 ||
       (config.max_shards != 0 && config.max_shards < config.shards)) {
     std::fprintf(stderr, "--max-shards must be 0 or >= --shards (>= 1)\n");
@@ -670,9 +701,25 @@ int main(int argc, char** argv) {
   }
 
   if (flags.Has("listen")) {
-    const uint16_t port = static_cast<uint16_t>(flags.GetInt("listen", 0));
-    const int64_t budget_kb = flags.GetInt("ingest-budget-kb", 4096);
-    const int64_t interval_ms = flags.GetInt("checkpoint-interval-ms", 1000);
+    int port = 0, expect_tenants = 0;
+    int64_t budget_kb = 0, interval_ms = 0;
+    for (const Status& st :
+         {flags.GetInt("listen", 0, &port),
+          flags.GetInt("ingest-budget-kb", 4096, &budget_kb),
+          flags.GetInt("checkpoint-interval-ms", 1000, &interval_ms),
+          flags.GetInt("expect-tenants", 0, &expect_tenants),
+          CheckScaled("ingest-budget-kb", budget_kb, int64_t{1} << 10),
+          CheckScaled("checkpoint-interval-ms", interval_ms,
+                      MillisToMicros(1))}) {
+      if (!st.ok()) {
+        std::fprintf(stderr, "%s\n", st.message().c_str());
+        return Usage();
+      }
+    }
+    if (port < 0 || port > 65535) {
+      std::fprintf(stderr, "--listen must be a port in [0, 65535]\n");
+      return Usage();
+    }
     // Tenant indexes lie in [0, --queries), also under --dynamic-attach.
     if (config.num_queries < 1) {
       std::fprintf(stderr, "--queries must be >= 1\n");
@@ -727,11 +774,10 @@ int main(int argc, char** argv) {
                 static_cast<long long>(config.engine.memory_capacity_bytes >>
                                        20),
                 static_cast<unsigned long long>(config.seed));
-    return RunListenMode(config, port, budget_kb << 10,
+    return RunListenMode(config, static_cast<uint16_t>(port), budget_kb << 10,
                          flags.GetBool("lockstep", false),
                          flags.GetBool("dynamic-attach", false),
-                         static_cast<int>(flags.GetInt("expect-tenants", 0)),
-                         ckpt, reshard);
+                         expect_tenants, ckpt, reshard);
   }
 
   std::printf("running %s on %s: %d queries x %.0f events/s, %lld s "

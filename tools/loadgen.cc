@@ -31,6 +31,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -83,35 +84,49 @@ int main(int argc, char** argv) {
   if (!flags.Parse(argc - 1, argv + 1).ok()) return Usage();
   if (flags.Has("help") || !flags.Has("port")) return Usage();
 
-  const std::string host = flags.GetString("host", "127.0.0.1");
-  const uint16_t port = static_cast<uint16_t>(flags.GetInt("port", 0));
-  const int num_queries = static_cast<int>(flags.GetInt("queries", 1));
-  const double rate = flags.GetDouble("rate", 1000.0);
-  const int64_t duration_s = flags.GetInt("duration", 30);
-  const TimeMicros duration = SecondsToMicros(duration_s);
-  const double speed = flags.GetDouble("speed", 1.0);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  RetryPolicy retry;
-  retry.max_retries = static_cast<int>(flags.GetInt("max-retries", 0));
-  const int churn_detach = static_cast<int>(flags.GetInt("churn-detach", 0));
-  const int churn_attach = static_cast<int>(flags.GetInt("churn-attach", 0));
-  const int64_t churn_delay_ms = flags.GetInt("churn-delay-ms", 500);
-  // Zipf exponent for key draws (0 = uniform); skewed keys concentrate
-  // load on one shard of a server-side sharded keyed operator.
-  const double key_skew = flags.GetDouble("key-skew", 0.0);
   // Bad input is a usage error: name the flag, print the usage, exit 2.
-  const auto reject = [](const char* message) {
-    std::fprintf(stderr, "%s\n", message);
+  const auto reject = [](const std::string& message) {
+    std::fprintf(stderr, "%s\n", message.c_str());
     return Usage();
   };
+  const std::string host = flags.GetString("host", "127.0.0.1");
+  int port_flag = 0, num_queries = 0, churn_detach = 0, churn_attach = 0;
+  double rate = 0.0, speed = 0.0;
+  // Zipf exponent for key draws (0 = uniform); skewed keys concentrate
+  // load on one shard of a server-side sharded keyed operator.
+  double key_skew = 0.0;
+  int64_t duration_s = 0, seed = 0, churn_delay_ms = 0;
+  RetryPolicy retry;
+  // Numeric flags parse whole or not at all.
+  for (const Status& st :
+       {flags.GetInt("port", 0, &port_flag),
+        flags.GetInt("queries", 1, &num_queries),
+        flags.GetDouble("rate", 1000.0, &rate),
+        flags.GetInt("duration", 30, &duration_s),
+        flags.GetDouble("speed", 1.0, &speed), flags.GetInt("seed", 1, &seed),
+        flags.GetInt("max-retries", 0, &retry.max_retries),
+        flags.GetInt("churn-detach", 0, &churn_detach),
+        flags.GetInt("churn-attach", 0, &churn_attach),
+        flags.GetInt("churn-delay-ms", 500, &churn_delay_ms),
+        flags.GetDouble("key-skew", 0.0, &key_skew)}) {
+    if (!st.ok()) return reject(st.message());
+  }
+  if (port_flag < 0 || port_flag > 65535) {
+    return reject("--port must be a port in [0, 65535]");
+  }
+  const auto port = static_cast<uint16_t>(port_flag);
   if (num_queries < 1) return reject("--queries must be >= 1");
   if (!(rate > 0.0)) return reject("--rate must be > 0");
   if (duration_s < 1) return reject("--duration must be >= 1");
+  if (duration_s > std::numeric_limits<int64_t>::max() / SecondsToMicros(1)) {
+    return reject("--duration is out of range");
+  }
+  const TimeMicros duration = SecondsToMicros(duration_s);
   if (!(speed >= 0.0)) return reject("--speed must be >= 0 (0 blasts)");
   if (retry.max_retries < 0) return reject("--max-retries must be >= 0");
   if (!(key_skew >= 0.0)) return reject("--key-skew must be >= 0");
   if (churn_detach < 0 || churn_attach < 0 ||
-      churn_detach + churn_attach > num_queries) {
+      churn_detach > num_queries - churn_attach) {
     return reject("churn tenant counts exceed --queries");
   }
 
@@ -162,7 +177,7 @@ int main(int argc, char** argv) {
   // One feed + one connection per source per query; stream ids follow the
   // klink_run --listen convention (MakeStreamId).
   std::vector<QueryReplay> replays(static_cast<size_t>(num_queries));
-  Rng rng(seed);
+  Rng rng(static_cast<uint64_t>(seed));
   for (int q = 0; q < num_queries; ++q) {
     QueryReplay& r = replays[static_cast<size_t>(q)];
     r.query_index = q;
