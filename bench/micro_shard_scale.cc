@@ -21,8 +21,8 @@
 // ceiling, which keeps queues saturated without unbounded growth — the
 // measured regime is pure drain capacity.
 //
-// Acceptance (recorded by tools/bench_shard_scale.sh into
-// BENCH_shard_scale.json): uniform-key throughput at 4 shards >= 2.5x the
+// Acceptance (ShardScaleTest in tests/shard_equivalence_test.cc, with this
+// bench's smoke settings): uniform-key throughput at 4 shards >= 2.5x the
 // 1-shard sharded topology. Zipf rows quantify how key skew erodes that
 // scaling: at s=0.99 over 1024 keys the per-shard key mass still exceeds
 // every shard's drain rate at this offered load, so scaling holds; at

@@ -21,6 +21,31 @@ Status OutOfRange(const std::string& name, const std::string& value) {
 
 }  // namespace
 
+Status ParseIntFlag(const std::string& name, const std::string& value,
+                    int64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0') {
+    return Malformed(name, "an integer", value);
+  }
+  if (errno == ERANGE) return OutOfRange(name, value);
+  *out = static_cast<int64_t>(v);
+  return Status::Ok();
+}
+
+Status ParseDoubleFlag(const std::string& name, const std::string& value,
+                       double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0') return Malformed(name, "a number", value);
+  if (errno == ERANGE) return OutOfRange(name, value);
+  if (!std::isfinite(v)) return Malformed(name, "a finite number", value);
+  *out = v;
+  return Status::Ok();
+}
+
 Status FlagParser::Parse(int argc, const char* const* argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string token = argv[i];
@@ -65,16 +90,7 @@ Status FlagParser::GetInt(const std::string& name, int64_t fallback,
     *out = fallback;
     return Status::Ok();
   }
-  const std::string& value = it->second;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(value.c_str(), &end, 10);
-  if (value.empty() || *end != '\0') {
-    return Malformed(name, "an integer", value);
-  }
-  if (errno == ERANGE) return OutOfRange(name, value);
-  *out = static_cast<int64_t>(v);
-  return Status::Ok();
+  return ParseIntFlag(name, it->second, out);
 }
 
 Status FlagParser::GetInt(const std::string& name, int fallback,
@@ -97,15 +113,7 @@ Status FlagParser::GetDouble(const std::string& name, double fallback,
     *out = fallback;
     return Status::Ok();
   }
-  const std::string& value = it->second;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(value.c_str(), &end);
-  if (value.empty() || *end != '\0') return Malformed(name, "a number", value);
-  if (errno == ERANGE) return OutOfRange(name, value);
-  if (!std::isfinite(v)) return Malformed(name, "a finite number", value);
-  *out = v;
-  return Status::Ok();
+  return ParseDoubleFlag(name, it->second, out);
 }
 
 int64_t FlagParser::GetInt(const std::string& name, int64_t fallback) const {

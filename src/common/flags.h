@@ -10,6 +10,16 @@
 
 namespace klink {
 
+/// Whole-string number parses of one flag value, shared by FlagParser's
+/// checked getters and the parts of compound flags such as
+/// `--reshard=COUNT@SECONDS`. An empty value, trailing characters, a value
+/// outside int64's (double's) range, NaN or an infinity is InvalidArgument
+/// naming `--name`, and leaves `*out` unchanged.
+Status ParseIntFlag(const std::string& name, const std::string& value,
+                    int64_t* out);
+Status ParseDoubleFlag(const std::string& name, const std::string& value,
+                       double* out);
+
 /// Minimal command-line flag parser for the CLI tools: accepts
 /// `--key=value` and `--key value` tokens plus bare positional arguments.
 /// Unknown flags are kept (callers validate), repeated flags keep the last
@@ -28,10 +38,9 @@ class FlagParser {
   bool GetBool(const std::string& name, bool fallback) const;
 
   /// Checked numeric getters: set `*out` to the flag's value, or to
-  /// `fallback` when the flag is absent. A present value must parse whole:
-  /// an empty value, trailing characters, a value outside the type's range
-  /// (the int overload checks int's), NaN or an infinity is
-  /// InvalidArgument naming the flag, and leaves `*out` unchanged.
+  /// `fallback` when the flag is absent. A present value must parse whole
+  /// (ParseIntFlag, ParseDoubleFlag); the int overload also checks int's
+  /// range. A bad value leaves `*out` unchanged.
   Status GetInt(const std::string& name, int64_t fallback,
                 int64_t* out) const;
   Status GetInt(const std::string& name, int fallback, int* out) const;

@@ -92,11 +92,10 @@ void DistEngine::RunCycle() {
     node->policy().SelectQueries(snap, node->config().num_cores, &selected);
     const double budget = std::max(
         0.0, r - sched_cost / static_cast<double>(node->config().num_cores));
-    for (SlotAssignment& slot : selected) {
-      slot.budget_micros = budget * slot.budget_fraction;
+    for (const SlotAssignment& slot : selected) {
       DeployedQuery& dq = queries_[static_cast<size_t>(slot.query)];
       const Query::Lane ops = NodeRange(dq.placement, node->id());
-      context_.BeginCycle(slot.budget_micros, multiplier, now_);
+      context_.BeginCycle(budget, multiplier, now_);
       metrics_.AddCoreBusy(
           context_.RunRange(*dq.query, ops.begin, ops.end, this));
       metrics_.AddProcessed(context_.cycle_processed_events());

@@ -32,7 +32,6 @@ void StreamQueue::Push(const Event& e) {
   const int64_t delta = e.payload_bytes + kPerEventOverhead;
   bytes_ += delta;
   if (e.is_keyed_element()) ++data_count_;
-  ReportDelta(delta);
 }
 
 void StreamQueue::PushBatch(const Event* events, int64_t n) {
@@ -58,7 +57,6 @@ void StreamQueue::PushBatch(const Event* events, int64_t n) {
   }
   bytes_ += delta;
   data_count_ += data;
-  ReportDelta(delta);
 }
 
 Event StreamQueue::Pop() {
@@ -71,7 +69,6 @@ Event StreamQueue::Pop() {
   bytes_ -= delta;
   if (e.is_keyed_element()) --data_count_;
   KLINK_DCHECK(bytes_ >= 0);
-  ReportDelta(-delta);
   return e;
 }
 
@@ -98,7 +95,6 @@ int64_t StreamQueue::PopBatch(Event* out, int64_t max_n) {
   bytes_ -= delta;
   data_count_ -= data;
   KLINK_DCHECK(bytes_ >= 0);
-  ReportDelta(-delta);
   return n;
 }
 
@@ -130,7 +126,6 @@ int64_t StreamQueue::AuditRecomputeDataCount() const {
 }
 
 void StreamQueue::Clear() {
-  ReportDelta(-bytes_);
   chunk_head_ = 0;
   head_ = 0;
   size_ = 0;

@@ -9,16 +9,6 @@
 
 namespace klink {
 
-/// Receives memory-accounting deltas (in simulated bytes) as queues and
-/// operator state grow and shrink. The Query binds one sink to each of its
-/// operators so query-level memory usage is a running counter instead of a
-/// per-cycle scan over every operator (see DESIGN.md "Hot path").
-class MemoryDeltaSink {
- public:
-  virtual ~MemoryDeltaSink() = default;
-  virtual void OnMemoryDelta(int64_t delta_bytes) = 0;
-};
-
 /// FIFO input queue of an operator, with byte accounting for the memory
 /// tracker. Events queue in arrival order; watermark/data ordering within
 /// the queue is preserved, which enforces the SWM invariant that a window's
@@ -80,12 +70,6 @@ class StreamQueue {
   /// Drops everything. Chunks stay allocated for reuse.
   void Clear();
 
-  /// Routes byte-accounting deltas (push/pop/clear) to `sink` in addition
-  /// to the queue's own counter. Pass nullptr to unbind. The sink observes
-  /// deltas only; the caller is responsible for seeding it with bytes()
-  /// already held at bind time.
-  void BindAccounting(MemoryDeltaSink* sink) { sink_ = sink; }
-
   /// Audit-mode support (KLINK_AUDIT=1, see runtime/audit.h): recomputes
   /// the byte total by walking every stored event, O(size). The invariant
   /// auditor compares this against the incremental bytes() counter to catch
@@ -115,10 +99,6 @@ class StreamQueue {
   /// Retires the (fully drained) front chunk back to the spare pool.
   void RecycleFrontChunk();
 
-  void ReportDelta(int64_t delta) {
-    if (sink_ != nullptr && delta != 0) sink_->OnMemoryDelta(delta);
-  }
-
   /// Chunks in circular order starting at chunk_head_. Spare (drained)
   /// chunks live between the in-use tail and chunk_head_.
   std::vector<std::unique_ptr<Chunk>> chunks_;
@@ -127,7 +107,6 @@ class StreamQueue {
   int64_t size_ = 0;
   int64_t bytes_ = 0;
   int64_t data_count_ = 0;
-  MemoryDeltaSink* sink_ = nullptr;
 };
 
 }  // namespace klink

@@ -104,8 +104,8 @@ void KlinkPolicy::SelectQueries(const RuntimeSnapshot& snapshot, int slots,
                                 Selection* out) {
   eval_steps_ = 0;
   UpdateMemoryMode(snapshot);
-  // Detached queries release their estimators; the engine's journal
-  // reports each detach exactly once.
+  // Detached queries release their estimators; the engine's snapshot
+  // reports each retirement exactly once.
   for (QueryId id : snapshot.detached) EraseEstimatorsByQuery(id);
 
   // Evaluate slack for every unit each cycle: estimators must observe

@@ -143,11 +143,6 @@ void Operator::ProcessBatch(const Event* events, int64_t n, BatchClock& clock,
   }
 }
 
-void Operator::BindMemoryAccounting(MemoryDeltaSink* sink) {
-  memory_sink_ = sink;
-  for (StreamQueue& q : inputs_) q.BindAccounting(sink);
-}
-
 void Operator::OnData(const Event& e, TimeMicros /*now*/, Emitter& out) {
   EmitData(e, out);
 }

@@ -152,16 +152,10 @@ class Operator {
   int64_t QueuedBytes() const;
   /// Simulated bytes of operator-held state (window panes, join buffers).
   /// Maintained incrementally: subclasses report growth/shrink through
-  /// AddStateBytes, which keeps this O(1) and feeds the bound
-  /// MemoryDeltaSink (see BindMemoryAccounting).
+  /// AddStateBytes, which keeps this O(1).
   int64_t StateBytes() const { return state_bytes_; }
   /// Queue bytes + state bytes.
   int64_t MemoryBytes() const { return QueuedBytes() + StateBytes(); }
-
-  /// Routes this operator's memory deltas — input-queue bytes and state
-  /// bytes — to `sink` (the owning Query). The sink observes deltas only;
-  /// the binder seeds it with MemoryBytes() already held.
-  void BindMemoryAccounting(MemoryDeltaSink* sink);
 
   /// Whether the operator can shrink in-flight volume by partial/online
   /// computation when scheduled (Klink memory management, Sec. 3.4).
@@ -221,8 +215,8 @@ class Operator {
   /// Serializes the full operator state: base-class watermark/progress
   /// bookkeeping followed by the subclass SerializeState payload. Restore
   /// reads the same layout into a freshly constructed identical topology;
-  /// subclasses re-apply state growth through AddStateBytes so the memory
-  /// accounting stays consistent with the bound MemoryDeltaSink.
+  /// subclasses re-apply state growth through AddStateBytes, so
+  /// StateBytes() matches the restored state.
   void Serialize(StateWriter& w) const;
   void Restore(StateReader& r);
 
@@ -300,14 +294,8 @@ class Operator {
   }
 
   /// Reports a change in operator-held state bytes. The only way state
-  /// enters the memory accounting: StateBytes() and the query-level
-  /// counter both derive from these deltas.
-  void AddStateBytes(int64_t delta) {
-    state_bytes_ += delta;
-    if (memory_sink_ != nullptr && delta != 0) {
-      memory_sink_->OnMemoryDelta(delta);
-    }
-  }
+  /// enters the memory accounting: StateBytes() derives from these deltas.
+  void AddStateBytes(int64_t delta) { state_bytes_ += delta; }
 
   /// Called from OnWatermark to control the SWM flag on the watermark the
   /// base is about to forward. Window operators set true when the watermark
@@ -343,7 +331,6 @@ class Operator {
   int64_t emitted_data_ = 0;
   double selectivity_hint_ = 1.0;
   int64_t state_bytes_ = 0;
-  MemoryDeltaSink* memory_sink_ = nullptr;
 };
 
 }  // namespace klink

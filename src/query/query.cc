@@ -78,14 +78,6 @@ Query::Query(QueryId id, std::string name,
   } else {
     lanes_.push_back(Lane{0, num_operators(), 0});
   }
-  // Seed the incremental memory counter with any state accrued before
-  // deployment, then subscribe to every queue and operator-state delta.
-  for (const auto& op : operators_) {
-    // klink-lint: allow(relaxed-atomics): deploy-time seeding on the
-    // engine thread, before any shard lane can run.
-    memory_bytes_.fetch_add(op->MemoryBytes(), std::memory_order_relaxed);
-    op->BindMemoryAccounting(this);
-  }
 }
 
 Operator& Query::op(int i) {
@@ -121,6 +113,12 @@ TimeMicros Query::UpcomingDeadline() const {
 int64_t Query::QueuedEvents() const {
   int64_t total = 0;
   for (const auto& op : operators_) total += op->QueuedEvents();
+  return total;
+}
+
+int64_t Query::MemoryBytes() const {
+  int64_t total = 0;
+  for (const auto& op : operators_) total += op->MemoryBytes();
   return total;
 }
 

@@ -1,7 +1,6 @@
 #ifndef KLINK_QUERY_QUERY_H_
 #define KLINK_QUERY_QUERY_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,7 +22,7 @@ namespace klink {
 /// identical keyed shard operators fed by partition exchange(s) and drained
 /// into a merge exchange. The region splits the query into *lanes* — the
 /// schedulable units of a sharded query (see lanes below).
-class Query : private MemoryDeltaSink {
+class Query {
  public:
   struct Edge {
     /// Index of the downstream operator in `operators()`, -1 for the sink.
@@ -101,37 +100,19 @@ class Query : private MemoryDeltaSink {
   /// Total queued elements across all operator inputs.
   int64_t QueuedEvents() const;
 
-  /// Total simulated memory (queues + operator state). O(1): maintained
-  /// incrementally from queue and operator-state deltas, so the engine's
-  /// per-cycle memory sweep is O(queries) instead of O(operators).
-  /// Atomic because concurrent shard lanes of one query report deltas from
-  /// different executor slots; relaxed ordering suffices — readers only
-  /// consume the total between cycles, under the executor barrier.
-  int64_t MemoryBytes() const {
-    // klink-lint: allow(relaxed-atomics): read between cycles only; the
-    // executor's cycle barrier orders it against the shard-lane writers.
-    return memory_bytes_.load(std::memory_order_relaxed);
-  }
+  /// Total simulated memory (queues + operator state) across all operators.
+  int64_t MemoryBytes() const;
 
   /// Virtual time when the query was deployed (set by the engine).
   TimeMicros deploy_time() const { return deploy_time_; }
   void set_deploy_time(TimeMicros t) { deploy_time_ = t; }
 
  private:
-  /// Lets the audit test plant accounting corruption to prove the auditor
-  /// detects it. Test-only; production code reports deltas via the sink.
-  friend class QueryTestPeer;
   /// The fabric stamps the generation-stamped id it allocates at attach
   /// (runtime/query_fabric.h); nothing else may rebind an id.
   friend class QueryFabric;
 
   void BindId(QueryId id) { id_ = id; }
-
-  void OnMemoryDelta(int64_t delta_bytes) override {
-    // klink-lint: allow(relaxed-atomics): commutative counter increment;
-    // totals are only consumed under the executor barrier (MemoryBytes).
-    memory_bytes_.fetch_add(delta_bytes, std::memory_order_relaxed);
-  }
 
   QueryId id_;
   std::string name_;
@@ -143,7 +124,6 @@ class Query : private MemoryDeltaSink {
   ShardRegion shard_region_;
   std::vector<Lane> lanes_;
   TimeMicros deploy_time_ = 0;
-  std::atomic<int64_t> memory_bytes_{0};
 };
 
 }  // namespace klink

@@ -19,29 +19,25 @@ bool AuditEnabledFromEnv();
 /// Deterministic invariant auditor (enabled with KLINK_AUDIT=1).
 ///
 /// Klink's scheduling quality rests on bookkeeping that is maintained
-/// *incrementally* for speed — queue byte counters updated per batch,
-/// Query::MemoryBytes() accumulated from MemoryDeltaSink deltas, watermark
-/// and SWM epoch state advanced in place (PAPER.md Sec. 3, DESIGN.md "Hot
-/// path"). The auditor cross-checks that incremental state against full
+/// *incrementally* for speed — queue byte and data counters updated per
+/// batch, operator state bytes updated per delta, watermark and SWM epoch
+/// state advanced in place (PAPER.md Sec. 3, DESIGN.md "Hot path"). The
+/// auditor cross-checks that incremental state against full
 /// recomputation at engine-cycle boundaries and aborts (KLINK_CHECK) on the
 /// first divergence, so drift is caught at the cycle it appears instead of
 /// surfacing cycles later as a mis-scheduling artifact.
 ///
 /// Checked invariants:
 ///  - StreamQueue byte/data-count counters equal a full walk of the stored
-///    events (catches drift in the batched ring-buffer transfers).
-///  - Query::MemoryBytes() equals the recomputed sum over its operators'
-///    queues and state (catches missed or double-counted deltas anywhere in
-///    the MemoryDeltaSink chain), and the engine's tracked total equals the
-///    sum over active queries.
+///    events (catches drift in the batched ring-buffer transfers), and
+///    operator state bytes are non-negative.
 ///  - Per-channel watermark monotonicity: an operator's last-seen watermark
 ///    per input stream and its forwarded minimum watermark never regress.
 ///  - SWM epoch ordering: per input stream of each windowed operator, epoch
 ///    counts, swept deadlines, and sweep ingestion times are non-decreasing,
 ///    and upcoming window deadlines never move backwards.
-///  - Selection budget invariants: at most one assignment per core, distinct
-///    queries, budget fractions in (0, 1], and slot budgets equal to the
-///    engine-derived quantum share.
+///  - Selection invariants: at most one assignment per core, distinct
+///    queries.
 ///  - Executor cycle stats: the merged CycleStats equal the slot-order sum
 ///    of the per-context counters, and no slot overran its budget.
 ///
@@ -55,16 +51,12 @@ class InvariantAuditor {
   InvariantAuditor(const InvariantAuditor&) = delete;
   InvariantAuditor& operator=(const InvariantAuditor&) = delete;
 
-  /// Cross-checks every queue and state counter of `active` queries against
-  /// full recomputation; `tracked_total` is the engine's incremental total
-  /// (MemoryTracker::used_bytes()).
-  void CheckMemoryAccounting(const std::vector<const Query*>& active,
-                             int64_t tracked_total) const;
+  /// Cross-checks every queue counter of `active` queries against full
+  /// recomputation, and their operator state bytes for sign.
+  void CheckMemoryAccounting(const std::vector<const Query*>& active) const;
 
-  /// Validates the policy's Selection after the engine assigned budgets.
-  /// `cycle_budget_micros` is the per-core quantum net of scheduler cost.
-  void CheckSelection(const Selection& selection, int num_cores,
-                      double cycle_budget_micros) const;
+  /// Validates the policy's Selection: at most `num_cores` distinct units.
+  void CheckSelection(const Selection& selection, int num_cores) const;
 
   /// Validates the merged cycle stats against the per-slot contexts.
   void CheckCycleStats(const Executor& executor,

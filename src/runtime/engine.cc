@@ -63,12 +63,7 @@ QueryId Engine::AddQuery(std::unique_ptr<Query> query,
                          std::unique_ptr<EventFeed> feed,
                          TimeMicros deploy_time) {
   KLINK_CHECK(query != nullptr);
-  const QueryId id =
-      fabric_.Attach(std::move(query), std::move(feed), deploy_time);
-  const Query* q = fabric_.Find(id);
-  accounted_mem_[id] = q->MemoryBytes();
-  memory_usage_ += q->MemoryBytes();
-  return id;
+  return fabric_.Attach(std::move(query), std::move(feed), deploy_time);
 }
 
 void Engine::RemoveQuery(QueryId id) {
@@ -89,16 +84,7 @@ void Engine::OnQueryRetired(QueryId id) {
   // A retired tenant's state leaves the checkpoint stream: drop it from
   // in-flight epochs and stop injecting barriers into it.
   if (coordinator_ != nullptr) coordinator_->DeregisterQuery(id);
-  const auto it = accounted_mem_.find(id);
-  if (it == accounted_mem_.end()) return;
-  memory_usage_ -= it->second;
-  accounted_mem_.erase(it);
-}
-
-void Engine::SyncQueryMemory(const Query& q) {
-  int64_t& accounted = accounted_mem_[q.id()];
-  memory_usage_ += q.MemoryBytes() - accounted;
-  accounted = q.MemoryBytes();
+  snapshot_scratch_.detached.push_back(id);
 }
 
 Query& Engine::query(QueryId id) {
@@ -132,26 +118,15 @@ void Engine::RunCycle() {
 
   // (1) Ingest everything due by the cycle boundary, unless backpressured;
   // checkpoint barriers inject *after* ingest (the epoch's replay cursor is
-  // the delivered prefix). Barrier injection touches every registered
-  // query's source queue, so those cycles refresh the full snapshot.
+  // the delivered prefix).
   Ingest();
-  if (coordinator_ != nullptr) {
-    const int64_t barriers_before = coordinator_->barriers_injected();
-    coordinator_->OnCycleStart(now_);
-    if (coordinator_->barriers_injected() != barriers_before) {
-      fabric_.MarkAllDirty();
-    }
-  }
+  if (coordinator_ != nullptr) coordinator_->OnCycleStart(now_);
 
-  // (2) Refresh the runtime snapshot I from the fabric's change journal —
-  // only queries touched since the last cycle are re-collected, and their
-  // memory deltas (including injected barrier bytes) fold into the
-  // incremental total, which then backs the cycle's memory update.
-  BuildSnapshot(&snapshot_scratch_);
-  memory_.Update(memory_usage_);
+  // (2) Collect the runtime snapshot I from every live query; their memory
+  // (injected barrier bytes included) backs the cycle's memory update.
+  memory_.Update(BuildSnapshot(&snapshot_scratch_));
   if (audit_ != nullptr) {
-    audit_->CheckMemoryAccounting(ActiveQueriesForAudit(),
-                                  memory_.used_bytes());
+    audit_->CheckMemoryAccounting(ActiveQueriesForAudit());
   }
   snapshot_scratch_.now = now_;
   snapshot_scratch_.memory_utilization = memory_.utilization();
@@ -174,6 +149,7 @@ void Engine::RunCycle() {
   KLINK_CHECK_LE(selection_scratch_.size(),
                  static_cast<size_t>(config_.num_cores));
   KLINK_DCHECK(selection_scratch_.IsDistinct());
+  snapshot_scratch_.detached.clear();
 
   // (5) Resolve the selection into per-slot tasks and run them on the
   // executor backend; per-worker counters merge at the cycle barrier.
@@ -182,13 +158,11 @@ void Engine::RunCycle() {
   const double multiplier = memory_.CostMultiplier(
       config_.pressure_onset_fraction, config_.memory_pressure_penalty);
   tasks_scratch_.clear();
-  for (SlotAssignment& slot : selection_scratch_) {
+  for (const SlotAssignment& slot : selection_scratch_) {
     KLINK_CHECK(IsActive(slot.query));  // policies select live queries only
-    slot.budget_micros = budget * slot.budget_fraction;
     Query& q = query(slot.query);
     const int stage = slot.lane < 0 ? 0 : q.lane(slot.lane).stage;
-    tasks_scratch_.push_back(
-        ExecutorTask{&q, slot.budget_micros, slot.lane, stage});
+    tasks_scratch_.push_back(ExecutorTask{&q, budget, slot.lane, stage});
   }
   // Producer lanes must run before the lanes they feed: publish tasks in
   // stage order. The sort is stable so equal-stage slots keep the policy's
@@ -199,17 +173,10 @@ void Engine::RunCycle() {
                      return a.stage < b.stage;
                    });
   if (audit_ != nullptr) {
-    audit_->CheckSelection(selection_scratch_, config_.num_cores, budget);
+    audit_->CheckSelection(selection_scratch_, config_.num_cores);
   }
   const CycleStats stats =
       executor_->ExecuteCycle(tasks_scratch_, multiplier, now_);
-  // Execution is the only mutation between this cycle's snapshot and the
-  // next cycle's ingest: fold the executed queries' memory deltas so the
-  // next Ingest sees an exact total, and mark them for snapshot refresh.
-  for (const ExecutorTask& task : tasks_scratch_) {
-    SyncQueryMemory(*task.query);
-    fabric_.MarkDirty(task.query->id());
-  }
   if (audit_ != nullptr) {
     audit_->CheckCycleStats(*executor_, tasks_scratch_, stats);
     audit_->CheckProgressMonotonicity(ActiveQueriesForAudit());
@@ -217,7 +184,6 @@ void Engine::RunCycle() {
   // (5b) Live re-sharding: with workers parked at the cycle barrier the
   // controller may arm partition exchanges, detect drained barriers, and
   // redistribute keyed state across a new shard count (runtime/reshard.h).
-  // It reports mutations back through NotifyQueryMutated.
   if (reshard_ != nullptr) reshard_->OnCycleEnd(now_);
   metrics_.AddProcessed(stats.processed_events);
   metrics_.AddCoreBusy(stats.busy_micros);
@@ -236,21 +202,16 @@ void Engine::RestoreClock(TimeMicros t) {
   while (next_sample_time_ <= t) {
     next_sample_time_ += config_.metrics_sample_period;
   }
-  // Checkpoint restore mutates operator state behind the engine's back
-  // (RestoreQueryState writes directly into operators); re-sync the
-  // incremental accounting so the first cycle's ingest budget matches what
-  // a full sweep would compute.
-  for (const QueryFabric::LiveQuery& lq : fabric_.live()) {
-    SyncQueryMemory(*lq.query);
-    fabric_.MarkDirty(lq.id);
-  }
 }
 
 void Engine::Ingest() {
   if (memory_.backpressured()) return;
   // Remaining buffer space bounds how much the cycle may ingest: the SPE
   // never fetches beyond its memory capacity (backpressure semantics).
-  int64_t budget = config_.memory_capacity_bytes - memory_usage_;
+  int64_t budget = config_.memory_capacity_bytes;
+  for (const QueryFabric::LiveQuery& lq : fabric_.live()) {
+    budget -= lq.query->MemoryBytes();
+  }
   for (const QueryFabric::LiveQuery& lq : fabric_.fed()) {
     if (budget <= 0) break;
     if (now_ < lq.query->deploy_time()) continue;
@@ -258,41 +219,19 @@ void Engine::Ingest() {
         feed_ingest_.Poll(*lq.feed, now_, budget, *lq.query);
     if (polled.bytes == 0) continue;
     budget -= polled.bytes;
-    memory_usage_ += polled.bytes;
-    accounted_mem_[lq.id] += polled.bytes;
-    fabric_.MarkDirty(lq.id);
     metrics_.AddIngested(polled.data);
   }
 }
 
-void Engine::BuildSnapshot(RuntimeSnapshot* snap) {
-  fabric_.TakeJournal(&touched_scratch_, &snap->detached);
-  // Drop detached entries (swap-erase; the index keeps positions dense).
-  for (const QueryId id : snap->detached) {
-    const auto it = snap->index.find(id);
-    if (it == snap->index.end()) continue;  // retired before first snapshot
-    const size_t pos = static_cast<size_t>(it->second);
-    const size_t last = snap->queries.size() - 1;
-    if (pos != last) {
-      snap->queries[pos] = std::move(snap->queries[last]);
-      snap->index[snap->queries[pos].id] = static_cast<int32_t>(pos);
-    }
-    snap->queries.pop_back();
-    snap->index.erase(it);
+int64_t Engine::BuildSnapshot(RuntimeSnapshot* snap) {
+  const std::vector<QueryFabric::LiveQuery>& live = fabric_.live();
+  snap->queries.resize(live.size());
+  int64_t memory = 0;
+  for (size_t i = 0; i < live.size(); ++i) {
+    CollectQueryInfo(*live[i].query, now_, &snap->queries[i]);
+    memory += snap->queries[i].memory_bytes;
   }
-  // Re-collect touched queries in place (or append newly attached ones),
-  // folding each one's memory delta into the incremental total.
-  for (const QueryId id : touched_scratch_) {
-    const Query* q = fabric_.Find(id);  // live: TakeJournal filters retirees
-    const auto [it, inserted] =
-        snap->index.try_emplace(id, static_cast<int32_t>(snap->queries.size()));
-    if (inserted) snap->queries.emplace_back();
-    QueryInfo& info = snap->queries[static_cast<size_t>(it->second)];
-    CollectQueryInfo(*q, now_, &info);
-    int64_t& accounted = accounted_mem_[id];
-    memory_usage_ += info.memory_bytes - accounted;
-    accounted = info.memory_bytes;
-  }
+  return memory;
 }
 
 void Engine::MaybeSampleMetrics() {

@@ -2,7 +2,6 @@
 #define KLINK_RUNTIME_ENGINE_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/histogram.h"
@@ -69,10 +68,9 @@ struct EngineConfig {
 /// and (5) samples resource metrics and advances the clock.
 ///
 /// Query membership is managed by a QueryFabric (runtime/query_fabric.h):
-/// queries attach and detach live, and the engine's per-cycle state —
-/// memory total and runtime snapshot — is maintained *incrementally* from
-/// the fabric's change journal, so refreshing it costs per query that
-/// changed, not per query deployed. Policies then scan the whole snapshot.
+/// queries attach and detach live. Each cycle the engine collects every
+/// live query, in slot order, into the runtime snapshot and sums their
+/// memory, as DistEngine does per node; policies then scan the snapshot.
 class Engine {
  public:
   Engine(const EngineConfig& config, std::unique_ptr<SchedulingPolicy> policy);
@@ -144,18 +142,9 @@ class Engine {
     reshard_ = controller;
   }
 
-  /// Re-syncs the incremental memory accounting with `id`'s state and
-  /// marks it for snapshot refresh, after out-of-band mutation (re-shard
-  /// redistribution, checkpoint restore of a single query).
-  void NotifyQueryMutated(QueryId id) {
-    SyncQueryMemory(query(id));
-    fabric_.MarkDirty(id);
-  }
-
   /// Rewinds the virtual clock to a restored checkpoint's capture time, so
   /// the resumed run replays the exact cycle boundaries of the original.
-  /// Also resynchronizes the incremental memory accounting with the
-  /// restored operator state. Only valid before the first RunUntil.
+  /// Only valid before the first RunUntil.
   void RestoreClock(TimeMicros t);
 
   /// Output latency (SWM propagation delay) merged across all query sinks,
@@ -171,17 +160,14 @@ class Engine {
   void RunCycle();
   /// Active queries, rebuilt into audit_scratch_ for the invariant auditor.
   const std::vector<const Query*>& ActiveQueriesForAudit();
-  /// Ingests feed elements due by now() into source queues, maintaining the
-  /// incremental memory total.
+  /// Ingests feed elements due by now() into source queues, bounded by the
+  /// memory the live queries leave free.
   void Ingest();
-  /// Consumes the fabric's change journal into the persistent snapshot:
-  /// drops detached entries, re-collects touched ones, and folds each
-  /// touched query's memory delta into memory_usage_. O(touched), not
-  /// O(queries).
-  void BuildSnapshot(RuntimeSnapshot* snap);
-  /// Folds `q`'s memory delta since its last accounting into memory_usage_.
-  void SyncQueryMemory(const Query& q);
-  /// Drops a retired query from the incremental memory accounting.
+  /// Collects every live query into `snap->queries`, in slot order, and
+  /// returns their summed memory_bytes.
+  int64_t BuildSnapshot(RuntimeSnapshot* snap);
+  /// Deregisters a retired query from checkpointing and reports it to the
+  /// policy through the next snapshot's `detached` list.
   void OnQueryRetired(QueryId id);
   void MaybeSampleMetrics();
 
@@ -197,19 +183,10 @@ class Engine {
   // Rolling counters for windowed metric samples.
   double busy_since_sample_ = 0.0;
   int64_t processed_at_last_sample_ = 0;
-  /// Incremental total of live queries' MemoryBytes(), synced per query at
-  /// attach, ingest, snapshot refresh, post-execution, and retire. Equals
-  /// what a full sweep would return at every cycle's memory update (the
-  /// KLINK_AUDIT memory check proves it against recomputation).
-  int64_t memory_usage_ = 0;
-  /// Per-live-query memory last folded into memory_usage_.
-  std::unordered_map<QueryId, int64_t> accounted_mem_;
   FeedIngest feed_ingest_;
   Selection selection_scratch_;
   std::vector<ExecutorTask> tasks_scratch_;
   RuntimeSnapshot snapshot_scratch_;
-  /// Ids BuildSnapshot re-collects this cycle (the fabric journal).
-  std::vector<QueryId> touched_scratch_;
   std::vector<QueryId> retired_scratch_;
   /// Non-owning; null when checkpointing is off (see SetCheckpointCoordinator).
   CheckpointCoordinator* coordinator_ = nullptr;

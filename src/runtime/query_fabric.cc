@@ -52,8 +52,6 @@ QueryId QueryFabric::Attach(std::unique_ptr<Query> query,
   s.feed = std::move(feed);
   s.deploy_time = deploy_time;
   s.state = QueryState::kActive;
-  s.dirty = true;
-  journal_touched_.push_back(id);
   ++live_count_;
   ++attached_total_;
   InvalidateViews();
@@ -70,7 +68,6 @@ void QueryFabric::Detach(QueryId id, DetachMode mode) {
     // SweepDrained retires the query once the queues empty.
     if (s->state != QueryState::kDraining) ++draining_;
     s->state = QueryState::kDraining;
-    MarkDirty(id);
     InvalidateViews();  // drops the feed from fed()
     return;
   }
@@ -105,7 +102,6 @@ void QueryFabric::Retire(int32_t slot_index) {
   retired_.emplace(id, std::move(s.query));
   s.feed.reset();
   s.state = QueryState::kUnknown;
-  s.dirty = false;
   // The next tenant of this slot gets a fresh generation, so the retired
   // id can never alias it.
   ++s.generation;
@@ -113,15 +109,6 @@ void QueryFabric::Retire(int32_t slot_index) {
   std::push_heap(free_slots_.begin(), free_slots_.end(),
                  std::greater<int32_t>());
   --live_count_;
-  journal_detached_.push_back(id);
-  // Endpoint bindings of a retiring query drop atomically with it.
-  for (auto it = endpoints_.begin(); it != endpoints_.end();) {
-    if (it->second.query == id) {
-      it = endpoints_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   InvalidateViews();
 }
 
@@ -173,67 +160,9 @@ const std::vector<QueryFabric::LiveQuery>& QueryFabric::fed() const {
   return fed_view_;
 }
 
-void QueryFabric::BindEndpoint(const std::string& name, QueryId id,
-                               int source_index) {
-  const Slot* s = LiveSlot(id);
-  KLINK_CHECK(s != nullptr);  // endpoint target must be live
-  KLINK_CHECK(source_index >= 0 &&
-              source_index < static_cast<int>(s->query->sources().size()));
-  endpoints_[name] = EndpointBinding{id, source_index};
-  if (audit_) AuditConsistency();
-}
-
-void QueryFabric::UnbindEndpoint(const std::string& name) {
-  endpoints_.erase(name);
-}
-
-const EndpointBinding* QueryFabric::ResolveEndpoint(
-    const std::string& name) const {
-  auto it = endpoints_.find(name);
-  if (it == endpoints_.end()) return nullptr;
-  if (!IsLive(it->second.query)) return nullptr;
-  return &it->second;
-}
-
-void QueryFabric::MarkDirty(QueryId id) {
-  Slot* s = LiveSlot(id);
-  if (s == nullptr) return;
-  if (s->dirty) return;
-  s->dirty = true;
-  journal_touched_.push_back(id);
-}
-
-void QueryFabric::MarkAllDirty() {
-  for (Slot& s : slots_) {
-    if (s.query == nullptr || s.dirty) continue;
-    s.dirty = true;
-    journal_touched_.push_back(s.query->id());
-  }
-}
-
-void QueryFabric::TakeJournal(std::vector<QueryId>* touched,
-                              std::vector<QueryId>* detached) {
-  touched->clear();
-  detached->clear();
-  // A query may be marked, retired, then its slot reattached within one
-  // cycle; sort so consumers see deterministic (slot, generation) order and
-  // drop touched entries for queries that retired in the same window.
-  std::sort(journal_touched_.begin(), journal_touched_.end());
-  std::sort(journal_detached_.begin(), journal_detached_.end());
-  for (QueryId id : journal_touched_) {
-    if (IsLive(id)) touched->push_back(id);
-  }
-  detached->swap(journal_detached_);
-  journal_touched_.clear();
-  for (QueryId id : *touched) {
-    Slot* s = LiveSlot(id);
-    if (s != nullptr) s->dirty = false;
-  }
-}
-
 void QueryFabric::AuditConsistency() const {
   // (a) live_count_ matches a full scan; slot ids decode back to their
-  // index; dirty marks imply a pending journal entry.
+  // index.
   int live = 0;
   for (size_t i = 0; i < slots_.size(); ++i) {
     const Slot& s = slots_[i];
@@ -243,21 +172,9 @@ void QueryFabric::AuditConsistency() const {
     KLINK_CHECK_EQ(QueryGeneration(s.query->id()), s.generation);
     KLINK_CHECK(s.state == QueryState::kActive ||
                 s.state == QueryState::kDraining);
-    if (s.dirty) {
-      KLINK_CHECK(std::find(journal_touched_.begin(), journal_touched_.end(),
-                            s.query->id()) != journal_touched_.end());
-    }
   }
   KLINK_CHECK_EQ(live, live_count_);
-  // (b) routing table only targets live queries with in-range sources.
-  for (const auto& [name, binding] : endpoints_) {
-    const Slot* s = LiveSlot(binding.query);
-    KLINK_CHECK(s != nullptr);
-    KLINK_CHECK(binding.source_index >= 0 &&
-                binding.source_index <
-                    static_cast<int>(s->query->sources().size()));
-  }
-  // (c) retired ids never alias a live slot generation.
+  // (b) retired ids never alias a live slot generation.
   for (const auto& [id, query] : retired_) {
     KLINK_CHECK(query != nullptr);
     const int32_t slot = QuerySlot(id);

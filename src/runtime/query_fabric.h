@@ -3,8 +3,6 @@
 
 #include <map>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/types.h"
@@ -21,16 +19,9 @@ enum class QueryState {
   kUnknown,   ///< id never attached to this fabric
 };
 
-/// A named ingest endpoint: events routed to `name` land on source
-/// operator `source_index` of query `query`.
-struct EndpointBinding {
-  QueryId query = -1;
-  int source_index = 0;
-};
-
 /// The engine's query control plane: the mutable set of deployed queries,
-/// supporting live attach/detach/rewire while traffic flows (DESIGN.md
-/// "Query fabric").
+/// supporting live attach/detach while traffic flows (DESIGN.md "Query
+/// fabric").
 ///
 /// Replaces the wired-up-front Engine::queries_ vector (whose removals
 /// left tombstones that every per-cycle loop still visited) with a slot
@@ -48,15 +39,9 @@ struct EndpointBinding {
 ///  - Detached queries are retained (not freed): their sinks' recorded
 ///    statistics stay readable via Find(), exactly as RemoveQuery
 ///    guaranteed before.
-///  - Named endpoints route external streams to (query, source) pairs and
-///    can be rewired live; bindings of a retiring query drop atomically
-///    with it.
 ///
-/// The fabric is also the engine's change journal: every mutation that can
-/// alter a query's runtime snapshot marks the query dirty, and the engine
-/// consumes the dirty set once per cycle to refresh only the changed
-/// QueryInfo entries — the seam that makes snapshot maintenance and
-/// scheduling O(changed) instead of O(queries) (see sched/policy.h).
+/// The engine reads every live query once per cycle, in slot order
+/// (live()), to build the runtime snapshot and the memory total.
 class QueryFabric {
  public:
   enum class DetachMode {
@@ -78,8 +63,8 @@ class QueryFabric {
   QueryFabric& operator=(const QueryFabric&) = delete;
   ~QueryFabric();
 
-  /// Attaches a query: allocates a slot, stamps the generation id onto the
-  /// query, and marks it dirty. `feed` may be null (manually driven).
+  /// Attaches a query: allocates a slot and stamps the generation id onto
+  /// the query. `feed` may be null (manually driven).
   QueryId Attach(std::unique_ptr<Query> query, std::unique_ptr<EventFeed> feed,
                  TimeMicros deploy_time);
 
@@ -89,8 +74,8 @@ class QueryFabric {
 
   /// Retires draining queries whose queues are empty, appending each
   /// retired query to `retired` (the engine notifies the checkpoint
-  /// coordinator and the snapshot journal). O(1) when nothing is
-  /// draining — safe to call every cycle.
+  /// coordinator and the policy). O(1) when nothing is draining — safe to
+  /// call every cycle.
   void SweepDrained(std::vector<QueryId>* retired);
 
   /// ---- lookup ---------------------------------------------------------
@@ -120,33 +105,10 @@ class QueryFabric {
   /// loop walks only these — idle tenants cost nothing per cycle).
   const std::vector<LiveQuery>& fed() const;
 
-  /// ---- named endpoints / stream routing -------------------------------
-  /// Binds (or rewires) `name` to source `source_index` of `id`. The query
-  /// must be live and the source index in range.
-  void BindEndpoint(const std::string& name, QueryId id, int source_index);
-  /// Drops one binding (no-op when absent).
-  void UnbindEndpoint(const std::string& name);
-  /// Resolves a name, or nullptr when unbound. A binding whose query has
-  /// retired resolves to nullptr (and is lazily dropped).
-  const EndpointBinding* ResolveEndpoint(const std::string& name) const;
-  int num_endpoints() const { return static_cast<int>(endpoints_.size()); }
-
-  /// ---- change journal -------------------------------------------------
-  /// Marks one query's runtime state changed (ingest, execution, barrier,
-  /// state restore). Live ids only; others are ignored.
-  void MarkDirty(QueryId id);
-  /// Marks every live query dirty (barrier injection, restore, MM mode).
-  void MarkAllDirty();
-  /// Drains the journal accumulated since the previous call: ids whose
-  /// QueryInfo must be re-collected, and ids retired since then. Ids are
-  /// in deterministic (slot, generation) order.
-  void TakeJournal(std::vector<QueryId>* touched,
-                   std::vector<QueryId>* detached);
-
-  /// KLINK_AUDIT=1 invariant check (also callable from tests): endpoint
-  /// targets are live, dirty marks refer to live queries, the live count
-  /// matches a full scan, and retired ids never alias a live slot
-  /// generation. Aborts on the first violation.
+  /// KLINK_AUDIT=1 invariant check (also callable from tests): the live
+  /// count matches a full scan, slot ids decode back to their slot, and
+  /// retired ids never alias a live slot generation. Aborts on the first
+  /// violation.
   void AuditConsistency() const;
 
  private:
@@ -160,7 +122,6 @@ class QueryFabric {
     TimeMicros deploy_time = 0;
     int32_t generation = 0;  // bumped when the slot is freed
     QueryState state = QueryState::kUnknown;
-    bool dirty = false;
   };
 
   Slot* LiveSlot(QueryId id);
@@ -180,11 +141,6 @@ class QueryFabric {
   int live_count_ = 0;
   int draining_ = 0;
   int64_t attached_total_ = 0;
-
-  std::unordered_map<std::string, EndpointBinding> endpoints_;
-
-  std::vector<QueryId> journal_touched_;
-  std::vector<QueryId> journal_detached_;
 
   /// Cached slot-order views, invalidated by attach/retire and rebuilt
   /// lazily on access (mutable: a logically-const cache).

@@ -132,11 +132,10 @@ void ReshardController::OnCycleEnd(TimeMicros /*now*/) {
       ++it;
       continue;
     }
-      Redistribute(q, p.new_count);
+    Redistribute(q, p.new_count);
     for (PartitionExchangeOperator* part : Partitions(q)) {
       part->CompleteReshard();
     }
-    engine_->NotifyQueryMutated(p.id);
     ++completed_;
     hot_streak_.erase(p.id);
     it = pending_.erase(it);

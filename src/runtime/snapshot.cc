@@ -8,11 +8,6 @@
 namespace klink {
 
 const QueryInfo* RuntimeSnapshot::Find(QueryId id) const {
-  if (!index.empty()) {
-    const auto it = index.find(id);
-    if (it == index.end()) return nullptr;
-    return &queries[static_cast<size_t>(it->second)];
-  }
   for (const QueryInfo& info : queries) {
     if (info.id == id) return &info;
   }

@@ -2,7 +2,6 @@
 #define KLINK_RUNTIME_SNAPSHOT_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/types.h"
@@ -116,17 +115,15 @@ struct RuntimeSnapshot {
   /// Engine memory usage / capacity.
   double memory_utilization = 0.0;
   bool backpressured = false;
+  /// One entry per live query, in slot order (QueryFabric::live()).
   std::vector<QueryInfo> queries;
 
-  /// Ids removed since the previous cycle, ascending, so policies can
-  /// release per-query state (Klink's estimators). Set by engine-built
-  /// snapshots (Engine::BuildSnapshot); empty in hand-built ones.
+  /// Ids retired since the previous cycle, in retirement order, so
+  /// policies can release per-query state (Klink's estimators). Filled by
+  /// the engine (Engine::OnQueryRetired); empty in hand-built snapshots.
   std::vector<QueryId> detached;
-  /// id -> position in `queries`, maintained by the engine. May be empty
-  /// for hand-built snapshots; Find falls back to a linear scan then.
-  std::unordered_map<QueryId, int32_t> index;
 
-  /// Entry for `id`, or nullptr when absent.
+  /// Entry for `id`, or nullptr when absent. A linear scan.
   const QueryInfo* Find(QueryId id) const;
 };
 

@@ -24,8 +24,7 @@ class SchedulingPolicy {
 
   /// Appends up to `slots` assignments of distinct queries to execute this
   /// cycle, highest priority first. Queries with no queued work should not
-  /// be selected. Assignments default to the full cycle quantum; policies
-  /// may grant partial quanta via SlotAssignment::budget_fraction.
+  /// be selected. Every assignment runs for the full cycle quantum.
   virtual void SelectQueries(const RuntimeSnapshot& snapshot, int slots,
                              Selection* out) = 0;
 

@@ -1,22 +1,11 @@
 #include "src/sched/selection.h"
 
-#include <algorithm>
-
 namespace klink {
 
-void Selection::Add(QueryId query, double budget_fraction) {
-  SlotAssignment a;
-  a.query = query;
-  a.budget_fraction = std::clamp(budget_fraction, 0.0, 1.0);
-  slots_.push_back(a);
-}
+void Selection::Add(QueryId query) { slots_.push_back(SlotAssignment{query}); }
 
-void Selection::AddLane(QueryId query, int lane, double budget_fraction) {
-  SlotAssignment a;
-  a.query = query;
-  a.lane = lane;
-  a.budget_fraction = std::clamp(budget_fraction, 0.0, 1.0);
-  slots_.push_back(a);
+void Selection::AddLane(QueryId query, int lane) {
+  slots_.push_back(SlotAssignment{query, lane});
 }
 
 std::vector<QueryId> Selection::ids() const {

@@ -8,10 +8,9 @@
 
 namespace klink {
 
-/// One task slot's share of a scheduling cycle: which query runs and how
-/// much of the cycle quantum it is granted. Policies fill `query` and
-/// (optionally) `budget_fraction`; the engine derives `budget_micros`
-/// after charging the policy's own evaluation cost against the quantum.
+/// One task slot's share of a scheduling cycle: which query (or lane) runs.
+/// Every slot is granted the full per-core quantum, net of the policy's
+/// own evaluation cost (strict cycle-grained scheduling, Sec. 5).
 struct SlotAssignment {
   QueryId query = -1;
   /// Lane of the query this slot drains: -1 for the whole query (the only
@@ -19,14 +18,6 @@ struct SlotAssignment {
   /// query (see Query::Lane). Shard-granular policies assign individual
   /// lanes so shards of one query drain on distinct slots concurrently.
   int lane = -1;
-  /// Fraction of the cycle quantum this slot may consume, in (0, 1].
-  /// Policies that reason only about *which* queries run keep the default
-  /// full quantum (strict cycle-grained scheduling, Sec. 5); budget-aware
-  /// policies can grant partial quanta.
-  double budget_fraction = 1.0;
-  /// Absolute virtual-CPU budget for the slot, filled by the engine before
-  /// the selection is handed to the executor.
-  double budget_micros = 0.0;
 };
 
 /// A policy's verdict for one scheduling cycle: at most one assignment per
@@ -39,12 +30,11 @@ class Selection {
  public:
   void Clear() { slots_.clear(); }
 
-  /// Appends a whole-query assignment; `budget_fraction` defaults to the
-  /// full quantum.
-  void Add(QueryId query, double budget_fraction = 1.0);
+  /// Appends a whole-query assignment.
+  void Add(QueryId query);
 
   /// Appends a single-lane assignment of a sharded query.
-  void AddLane(QueryId query, int lane, double budget_fraction = 1.0);
+  void AddLane(QueryId query, int lane);
 
   bool empty() const { return slots_.empty(); }
   size_t size() const { return slots_.size(); }

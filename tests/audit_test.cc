@@ -23,18 +23,7 @@ namespace klink {
 /// the class of silent drift the audit layer exists to catch.
 class StreamQueueTestPeer {
  public:
-  static void CorruptBytes(StreamQueue& q, int64_t delta) {
-    // klink-lint: allow(accounting): deliberate corruption under test
-    q.bytes_ += delta;
-  }
-};
-
-class QueryTestPeer {
- public:
-  static void CorruptMemoryBytes(Query& q, int64_t delta) {
-    // klink-lint: allow(accounting): deliberate corruption under test
-    q.memory_bytes_ += delta;
-  }
+  static void CorruptBytes(StreamQueue& q, int64_t delta) { q.bytes_ += delta; }
 };
 
 namespace {
@@ -113,22 +102,6 @@ TEST(AuditDeathTest, DetectsCorruptedQueueBytes) {
         // touching the stored events: the next cycle's cross-check against
         // full recomputation must abort.
         StreamQueueTestPeer::CorruptBytes(engine.query(0).op(0).input(0), 64);
-        engine.RunFor(SecondsToMicros(1));
-      },
-      "KLINK_CHECK failed");
-}
-
-TEST(AuditDeathTest, DetectsCorruptedQueryMemoryTotal) {
-  EXPECT_DEATH(
-      {
-        setenv("KLINK_AUDIT", "1", 1);
-        EngineConfig config;
-        Engine engine(config, std::make_unique<RoundRobinPolicy>());
-        engine.AddQuery(CountQuery(0), SteadyFeed(500, 1));
-        engine.RunFor(SecondsToMicros(1));
-        // A phantom MemoryDeltaSink delta: Query::MemoryBytes() drifts from
-        // the sum of its operators' queues and state.
-        QueryTestPeer::CorruptMemoryBytes(engine.query(0), 4096);
         engine.RunFor(SecondsToMicros(1));
       },
       "KLINK_CHECK failed");
@@ -218,29 +191,13 @@ TEST(AuditDeathTest, CheckpointHashMismatchFatalUnderAudit) {
 TEST(AuditDeathTest, SelectionBudgetInvariants) {
   InvariantAuditor auditor;
   Selection sel;
-  sel.Add(0, 1.0);
-  sel[0].budget_micros = 1000.0;
-  auditor.CheckSelection(sel, 2, 1000.0);  // consistent: passes
-
-  Selection over;
-  over.Add(0, 1.5);  // fraction above the full quantum
-  over[0].budget_micros = 1500.0;
-  EXPECT_DEATH(auditor.CheckSelection(over, 2, 1000.0),
-               "KLINK_CHECK failed");
-
-  Selection skewed;
-  skewed.Add(0, 0.5);
-  skewed[0].budget_micros = 900.0;  // should be 0.5 * 1000
-  EXPECT_DEATH(auditor.CheckSelection(skewed, 2, 1000.0),
-               "KLINK_CHECK failed");
+  sel.Add(0);
+  auditor.CheckSelection(sel, 2);  // consistent: passes
 
   Selection duplicated;
-  duplicated.Add(0, 1.0);
-  duplicated.Add(0, 1.0);
-  duplicated[0].budget_micros = 1000.0;
-  duplicated[1].budget_micros = 1000.0;
-  EXPECT_DEATH(auditor.CheckSelection(duplicated, 2, 1000.0),
-               "KLINK_CHECK failed");
+  duplicated.Add(0);
+  duplicated.Add(0);
+  EXPECT_DEATH(auditor.CheckSelection(duplicated, 2), "KLINK_CHECK failed");
 }
 
 }  // namespace

@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/klink/klink_policy.h"
-#include "src/net/delay_model.h"
 #include "src/operators/aggregate_operator.h"
 #include "src/operators/count_window_operator.h"
 #include "src/operators/filter_operator.h"
@@ -23,10 +21,7 @@
 #include "src/operators/operator.h"
 #include "src/operators/reorder_operator.h"
 #include "src/operators/session_window_operator.h"
-#include "src/query/pipeline_builder.h"
-#include "src/runtime/engine.h"
 #include "src/window/window_assigner.h"
-#include "src/workloads/workload.h"
 
 namespace klink {
 namespace {
@@ -183,39 +178,6 @@ TEST(BatchEquivalenceTest, BaseClassFallback) {
   const auto events = MakeSequence(10, 2000);
   CheckEquivalence(std::make_unique<PassThrough>(),
                    std::make_unique<PassThrough>(), events);
-}
-
-TEST(BatchEquivalenceTest, QueryMemoryCounterStaysExact) {
-  // After a full engine run, each query's incremental memory counter must
-  // equal the recomputed sum over operators: every queue and state delta
-  // was accounted exactly once.
-  EngineConfig config;
-  config.num_cores = 2;
-  Engine engine(config, std::make_unique<KlinkPolicy>());
-
-  PipelineBuilder b("eq");
-  b.Source("src", 1.0)
-      .Filter("f", 0.8, FilterOperator::HashPassRate(0.5), 0.5)
-      .Map("m", 0.5)
-      .TumblingAggregate("agg", 2.0, SecondsToMicros(2),
-                         AggregationKind::kCount)
-      .Sink("out", 0.5);
-
-  SourceSpec spec;
-  spec.events_per_second = 4000;
-  spec.key_cardinality = 30;
-  auto feed = std::make_unique<SyntheticFeed>(
-      std::vector<SourceSpec>{spec}, MakePaperUniformDelay(), /*seed=*/7, 0);
-  engine.AddQuery(b.Build(0), std::move(feed));
-  engine.RunFor(SecondsToMicros(20));
-
-  const Query& q = engine.query(0);
-  int64_t recomputed = 0;
-  for (int i = 0; i < q.num_operators(); ++i) {
-    recomputed += q.op(i).MemoryBytes();
-  }
-  EXPECT_EQ(q.MemoryBytes(), recomputed);
-  EXPECT_GE(q.MemoryBytes(), 0);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/klink/klink_policy.h"
 #include "src/net/delay_model.h"
 #include "src/query/pipeline_builder.h"
@@ -207,6 +211,60 @@ TEST(EngineTest, RemoveQueryFreesMemoryAccounting) {
   engine.RemoveQuery(0);
   engine.RunFor(SecondsToMicros(1));
   EXPECT_EQ(engine.memory().used_bytes(), 0);
+}
+
+/// Records what the engine hands the policy each cycle: the snapshot's
+/// query ids in order, and its detached list. Selects nothing.
+class RecordingPolicy final : public SchedulingPolicy {
+ public:
+  std::string name() const override { return "recording"; }
+  void SelectQueries(const RuntimeSnapshot& snapshot, int /*slots*/,
+                     Selection* /*out*/) override {
+    std::vector<QueryId> ids;
+    for (const QueryInfo& info : snapshot.queries) ids.push_back(info.id);
+    seen_ids.push_back(std::move(ids));
+    seen_detached.push_back(snapshot.detached);
+  }
+
+  std::vector<std::vector<QueryId>> seen_ids;
+  std::vector<std::vector<QueryId>> seen_detached;
+};
+
+TEST(EngineTest, SnapshotFollowsLiveSlotOrderAndReportsRetirementsOnce) {
+  EngineConfig config;
+  auto owned = std::make_unique<RecordingPolicy>();
+  const RecordingPolicy* policy = owned.get();
+  Engine engine(config, std::move(owned));
+  std::vector<std::vector<QueryId>> live_ids;
+  const auto run_cycle = [&] {
+    engine.RunFor(config.cycle_length);
+    std::vector<QueryId> ids;
+    for (const QueryFabric::LiveQuery& lq : engine.fabric().live()) {
+      ids.push_back(lq.id);
+    }
+    live_ids.push_back(std::move(ids));
+  };
+
+  const QueryId first = engine.AddQuery(CountQuery(0), nullptr);
+  engine.AddQuery(CountQuery(1), nullptr);
+  engine.AddQuery(CountQuery(2), nullptr);
+  run_cycle();
+  engine.RemoveQuery(first);
+  run_cycle();
+  const QueryId fourth = engine.AddQuery(CountQuery(3), nullptr);
+  EXPECT_EQ(QuerySlot(fourth), QuerySlot(first));  // reuses slot 0
+  run_cycle();
+  run_cycle();
+
+  ASSERT_EQ(policy->seen_ids.size(), live_ids.size());
+  EXPECT_EQ(live_ids.back(), (std::vector<QueryId>{fourth, 1, 2}));
+  int64_t reported = 0;
+  for (size_t c = 0; c < live_ids.size(); ++c) {
+    EXPECT_EQ(policy->seen_ids[c], live_ids[c]) << "cycle " << c;
+    const std::vector<QueryId>& detached = policy->seen_detached[c];
+    reported += std::count(detached.begin(), detached.end(), first);
+  }
+  EXPECT_EQ(reported, 1);
 }
 
 }  // namespace

@@ -253,7 +253,13 @@ INSTANTIATE_TEST_SUITE_P(
         // klink_run's own path names a regular file, not a directory.
         BadInput{"ListenCheckpointDirIsFile",
                  "--listen=0 --checkpoint-dir=" KLINK_RUN_PATH,
-                 "--checkpoint-dir"}),
+                 "--checkpoint-dir"},
+        BadInput{"ListenReshardCountTrailingGarbage",
+                 "--listen=0 --checkpoint-dir=bad-input-ckpt --reshard=4x@2",
+                 "--reshard"},
+        BadInput{"ListenReshardSecondsNotANumber",
+                 "--listen=0 --checkpoint-dir=bad-input-ckpt --reshard=2@abc",
+                 "--reshard"}),
     BadInputName);
 
 class LoadgenBadInputTest : public ::testing::TestWithParam<BadInput> {};
@@ -276,7 +282,9 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"Duration", "--port=1 --duration=0", "--duration"},
         BadInput{"Speed", "--port=1 --speed=-1", "--speed"},
         BadInput{"MaxRetries", "--port=1 --max-retries=-1",
-                 "--max-retries"}),
+                 "--max-retries"},
+        BadInput{"DelayParetoTrailingGarbage",
+                 "--port=1 --delay-pareto=1.5x,20", "--delay-pareto"}),
     BadInputName);
 
 // A run that completes no window reports that instead of latency 0.000

@@ -118,6 +118,31 @@ TEST(FlagParserTest, CheckedGetDoubleRejectsMalformedAndNonFinite) {
   }
 }
 
+// The free parsers take one part of a compound flag (--reshard=COUNT@SECONDS)
+// and name the whole flag in their errors.
+TEST(FlagParserTest, FreeParsersReadWholePartsOfCompoundFlags) {
+  int64_t count = 0;
+  double seconds = 0.0;
+  EXPECT_TRUE(ParseIntFlag("reshard", "4", &count).ok());
+  EXPECT_EQ(count, 4);
+  EXPECT_TRUE(ParseDoubleFlag("reshard", "2.5", &seconds).ok());
+  EXPECT_DOUBLE_EQ(seconds, 2.5);
+
+  const Status bad_count = ParseIntFlag("reshard", "4x", &count);
+  EXPECT_FALSE(bad_count.ok());
+  EXPECT_NE(bad_count.message().find("--reshard"), std::string::npos)
+      << bad_count.message();
+  EXPECT_EQ(count, 4);  // untouched on error
+  for (const char* value : {"", "abc", "1.5x", "nan", "inf"}) {
+    const Status st = ParseDoubleFlag("delay-pareto", value, &seconds);
+    EXPECT_FALSE(st.ok()) << value;
+    EXPECT_NE(st.message().find("--delay-pareto"), std::string::npos)
+        << st.message();
+    EXPECT_DOUBLE_EQ(seconds, 2.5) << value;
+  }
+  EXPECT_FALSE(ParseIntFlag("reshard", "9223372036854775808", &count).ok());
+}
+
 TEST(FlagParserTest, BareDoubleDashRejected) {
   FlagParser p;
   const char* args[] = {"--"};

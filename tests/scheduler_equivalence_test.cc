@@ -1,8 +1,8 @@
 // Audited churn: every policy runs under KLINK_AUDIT=1 while queries
-// detach, are removed and attach mid-run, so slot reuse and journal
-// consumption are exercised. The engine's invariant auditor checks memory
-// accounting, selection budgets, cycle stats and progress monotonicity
-// every cycle, and the query fabric checks its own consistency on every
+// detach, are removed and attach mid-run, so slot reuse and retirement
+// reporting are exercised. The engine's invariant auditor checks queue
+// accounting, selections, cycle stats and progress monotonicity every
+// cycle, and the query fabric checks its own consistency on every
 // mutation; either aborts on the first violation. A run that completes
 // is the proof.
 //

@@ -6,9 +6,12 @@
 // complete output, not a backlog-dependent prefix.
 //
 // KLINK_AUDIT=1 makes each run also a proof of internal consistency: the
-// engine auditor verifies memory accounting, selection budgets and
-// progress monotonicity every cycle while the partition/merge exchanges
-// and shard lanes churn.
+// engine auditor verifies queue accounting, selections and progress
+// monotonicity every cycle while the partition/merge exchanges and shard
+// lanes churn.
+//
+// ShardScaleTest holds the scaling bar of bench/micro_shard_scale: sharding
+// must raise a keyed operator's drain throughput, not only keep its output.
 
 #include <cstdlib>
 #include <memory>
@@ -152,6 +155,58 @@ INSTANTIATE_TEST_SUITE_P(Policies, ShardEquivalenceTest,
                            return p.param == PolicyKind::kFcfs ? "Fcfs"
                                                                : "Klink";
                          });
+
+/// Events the keyed aggregate drains in 2 s of virtual time after a 1 s
+/// warm-up, with bench/micro_shard_scale's smoke setup: FCFS on 12 cores,
+/// a 100 us keyed count fed 120k uniform-key ev/s over 1024 keys, so every
+/// shard keeps backlog and drain capacity is what is measured. Virtual
+/// drain does not depend on the executor; the test runs the sequential one.
+int64_t KeyedDrain(int shards) {
+  PipelineBuilder b("shard-scale");
+  b.Source("src", 0.2)
+      .ShardedTumblingAggregate("keyed-count", 100.0, SecondsToMicros(1),
+                                AggregationKind::kCount,
+                                ShardSpec{shards, shards})
+      .Sink("out", 0.2);
+  SourceSpec spec;
+  spec.events_per_second = 120000.0;
+  spec.key_cardinality = 1024;
+  spec.watermark_period = MillisToMicros(500);
+  spec.watermark_lag = MillisToMicros(100);
+  EngineConfig config;
+  config.num_cores = 12;
+  config.cycle_length = MillisToMicros(120);
+  config.memory_capacity_bytes = 64ll << 20;
+  Engine engine(config, MakePolicy(PolicyKind::kFcfs, KlinkPolicyConfig{},
+                                   /*seed=*/7));
+  const QueryId id = engine.AddQuery(
+      b.Build(/*id=*/0),
+      std::make_unique<SyntheticFeed>(
+          std::vector<SourceSpec>{spec},
+          std::make_unique<ConstantDelay>(MillisToMicros(5)), /*seed=*/42, 0));
+  const auto drained = [&] {
+    const Query::ShardRegion& region = engine.query(id).shard_region();
+    int64_t total = 0;
+    for (int i = region.shard_begin; i < region.shard_end; ++i) {
+      total += engine.query(id).op(i).processed_data_count();
+    }
+    return total;
+  };
+  engine.RunFor(SecondsToMicros(1));
+  const int64_t before = drained();
+  engine.RunFor(SecondsToMicros(2));
+  return drained() - before;
+}
+
+// Sharding lifts the one-quantum-per-cycle cap of a keyed operator: with
+// uniform keys, 4 shards drain at least 2.5x what 1 shard does.
+TEST(ShardScaleTest, FourShardsDrainAtLeastTwoAndAHalfTimesOne) {
+  const int64_t one = KeyedDrain(1);
+  const int64_t four = KeyedDrain(4);
+  ASSERT_GT(one, 0);
+  EXPECT_GE(static_cast<double>(four), 2.5 * static_cast<double>(one))
+      << "1 shard drained " << one << ", 4 shards " << four;
+}
 
 }  // namespace
 }  // namespace klink

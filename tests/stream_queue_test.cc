@@ -11,13 +11,6 @@
 namespace klink {
 namespace {
 
-/// Memory sink that records the running sum of reported deltas.
-class RecordingSink final : public MemoryDeltaSink {
- public:
-  void OnMemoryDelta(int64_t delta_bytes) override { total += delta_bytes; }
-  int64_t total = 0;
-};
-
 TEST(StreamQueueTest, FifoOrder) {
   StreamQueue q;
   q.Push(MakeDataEvent(1, 10, 1, 1.0));
@@ -239,21 +232,6 @@ TEST(StreamQueueTest, InterleavedOpsKeepInvariants) {
     }
     check();
   }
-}
-
-TEST(StreamQueueTest, BoundSinkObservesAllDeltas) {
-  RecordingSink sink;
-  StreamQueue q;
-  q.Push(MakeDataEvent(0, 0, 0, 0.0));  // pre-bind bytes are not reported
-  const int64_t pre_bind = q.bytes();
-  q.BindAccounting(&sink);
-  std::vector<Event> batch(50, MakeDataEvent(1, 1, 1, 1.0));
-  q.PushBatch(batch.data(), 50);
-  q.Pop();
-  q.PopBatch(batch.data(), 20);
-  EXPECT_EQ(pre_bind + sink.total, q.bytes());
-  q.Clear();
-  EXPECT_EQ(pre_bind + sink.total, 0);
 }
 
 TEST(EventTest, NetworkDelay) {

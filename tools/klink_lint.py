@@ -5,19 +5,13 @@ Klink's scheduling decisions are driven by exact bookkeeping — watermark
 monotonicity, SWM epoch ordering, per-query byte accounting (PAPER.md
 Sec. 3) — and the engine replays byte-identically across executor backends.
 That contract is easy to break silently: one wall-clock read in a policy, one
-counter mutated behind the MemoryDeltaSink's back. These rules make the
-contract mechanical:
+lock taken out of order. These rules make the contract mechanical:
 
   determinism     src/ (outside src/harness/) must not read wall clocks or
                   non-seeded randomness. The engine runs on virtual time;
                   the harness and the real-socket net paths are the only
                   places real time may enter, and the latter need an
                   explicit allow pragma.
-  accounting      The incremental byte counters (Operator::state_bytes_,
-                  Query::memory_bytes_, StreamQueue::bytes_/data_count_) may
-                  only be mutated by their owning accounting methods. Any
-                  other mutation bypasses the MemoryDeltaSink chain and
-                  desynchronizes Query::MemoryBytes() from reality.
   raw-new-delete  No raw new/delete expressions; ownership goes through
                   std::unique_ptr / containers.
   include-guard   Headers carry the canonical KLINK_<PATH>_H_ guard.
@@ -51,8 +45,10 @@ approximation: brace-matched scopes, no type or alias analysis. Clang with
 checker; these rules exist so a GCC-only checkout still gets a net.
 
 Rules the compiler already enforces are not repeated here: Status and
-StatusOr are [[nodiscard]], and -Wswitch-enum (an error with KLINK_WERROR)
-makes every switch over an enum list each of its values.
+StatusOr are [[nodiscard]], -Wswitch-enum (an error with KLINK_WERROR)
+makes every switch over an enum list each of its values, and the byte
+counters (StreamQueue::bytes_/data_count_, Operator::state_bytes_) are
+private members only their owners and test peers can write.
 
 Suppression: append `// klink-lint: allow(<rule>): <reason>` to the line,
 or put it on the line directly above.
@@ -208,33 +204,6 @@ def check_determinism(path, raw, code):
                               f"{what} in the virtual-time engine; real time "
                               "belongs in src/harness/ (or add an allow "
                               "pragma with a reason)")
-
-
-# Counter -> the only files allowed to mutate it (the accounting methods).
-ACCOUNTING_OWNERS = {
-    "state_bytes_": {"src/operators/operator.h"},
-    "memory_bytes_": {"src/query/query.h", "src/query/query.cc"},
-    "bytes_": {"src/event/stream_queue.h", "src/event/stream_queue.cc"},
-    "data_count_": {"src/event/stream_queue.h", "src/event/stream_queue.cc"},
-}
-MUTATION_RE = r"(\+\+|--|[+\-*/|&^]=|=(?![=]))"
-
-
-def check_accounting(path, raw, code):
-    if not (path.startswith("src/") or path.startswith("tools/")):
-        return
-    for counter, owners in ACCOUNTING_OWNERS.items():
-        if path in owners:
-            continue
-        pat = re.compile(
-            rf"(\b{counter}\s*{MUTATION_RE}|(\+\+|--)\s*{counter}\b)")
-        for i, line in enumerate(code):
-            if pat.search(line) and not allowed("accounting", raw, i):
-                yield Finding(
-                    path, i + 1, "accounting",
-                    f"direct mutation of {counter} outside its accounting "
-                    f"method bypasses MemoryDeltaSink; use the owner in "
-                    f"{sorted(owners)[0]}")
 
 
 def allowed_near(rule, raw_lines, idx, up):
@@ -658,7 +627,6 @@ class ConcurrencyModel:
 
 RULES = [
     check_determinism,
-    check_accounting,
     check_raw_new_delete,
     check_include_guard,
     check_iwyu,

@@ -61,7 +61,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <memory>
@@ -757,13 +756,33 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--reshard expects COUNT@SECONDS\n");
         return Usage();
       }
-      reshard.target = std::atoi(reshard_spec.substr(0, at).c_str());
-      reshard.at = static_cast<TimeMicros>(
-          std::atof(reshard_spec.substr(at + 1).c_str()) * 1e6);
-      if (reshard.target < 1) {
-        std::fprintf(stderr, "--reshard expects COUNT >= 1\n");
+      int64_t count = 0;
+      double seconds = 0.0;
+      for (const Status& st :
+           {ParseIntFlag("reshard", reshard_spec.substr(0, at), &count),
+            ParseDoubleFlag("reshard", reshard_spec.substr(at + 1),
+                            &seconds)}) {
+        if (!st.ok()) {
+          std::fprintf(stderr, "%s\n", st.message().c_str());
+          return Usage();
+        }
+      }
+      if (count < 1 || count > std::numeric_limits<int>::max()) {
+        std::fprintf(stderr, "--reshard expects an int COUNT >= 1\n");
         return Usage();
       }
+      if (seconds < 0.0) {
+        std::fprintf(stderr, "--reshard expects SECONDS >= 0\n");
+        return Usage();
+      }
+      // Range-checked before the conversion to micros.
+      if (seconds > static_cast<double>(std::numeric_limits<int64_t>::max() /
+                                        SecondsToMicros(1))) {
+        std::fprintf(stderr, "--reshard SECONDS is out of range\n");
+        return Usage();
+      }
+      reshard.target = static_cast<int>(count);
+      reshard.at = static_cast<TimeMicros>(seconds * 1e6);
     }
     std::printf("serving %s on %s: %d queries, %d cores (%s executor), "
                 "%lld MB, seed %llu\n",

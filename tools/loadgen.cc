@@ -30,7 +30,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -154,10 +153,21 @@ int main(int argc, char** argv) {
     if (comma == std::string::npos) {
       return reject("--delay-pareto expects ALPHA,SCALE_MS");
     }
-    pareto_alpha = std::atof(pareto_spec.substr(0, comma).c_str());
-    pareto_scale_ms = std::atof(pareto_spec.substr(comma + 1).c_str());
+    for (const Status& st :
+         {ParseDoubleFlag("delay-pareto", pareto_spec.substr(0, comma),
+                          &pareto_alpha),
+          ParseDoubleFlag("delay-pareto", pareto_spec.substr(comma + 1),
+                          &pareto_scale_ms)}) {
+      if (!st.ok()) return reject(st.message());
+    }
     if (pareto_alpha <= 0.0 || pareto_scale_ms <= 0.0) {
       return reject("--delay-pareto expects positive ALPHA,SCALE_MS");
+    }
+    // Range-checked before the conversion to micros.
+    if (pareto_scale_ms > static_cast<double>(
+                              std::numeric_limits<int64_t>::max() /
+                              MillisToMicros(1))) {
+      return reject("--delay-pareto SCALE_MS is out of range");
     }
     delay_kind = DelayKind::kPareto;
     no_delay = false;
