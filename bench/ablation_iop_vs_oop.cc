@@ -67,7 +67,8 @@ Outcome Run(bool iop) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (!ParseArgs(argc, argv, nullptr)) return 2;
   const Outcome oop = Run(/*iop=*/false);
   const Outcome iop = Run(/*iop=*/true);
   TableReporter table("Ablation: OOP (watermarks) vs IOP (reorder buffer)");

@@ -28,7 +28,10 @@ void LowConfidence(ExperimentConfig* c) { c->klink.confidence = 0.67; }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  ExecutorKind executor = ExecutorKind::kSequential;
+  if (!ParseArgs(argc, argv, &executor)) return 2;
+
   const std::vector<int> query_counts =
       SmokeMode() ? std::vector<int>{40} : std::vector<int>{40, 60, 80};
 
@@ -48,7 +51,7 @@ int main() {
   for (const Variant& v : variants) {
     std::vector<std::string> row = {v.label};
     for (int n : query_counts) {
-      ExperimentConfig config = BaseConfig();
+      ExperimentConfig config = BaseConfig(executor);
       ApplySmoke(&config);
       config.policy = PolicyKind::kKlink;
       config.workload = WorkloadKind::kYsb;

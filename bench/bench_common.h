@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "src/common/flags.h"
@@ -19,27 +20,37 @@ inline std::vector<PolicyKind> AllPolicies() {
           PolicyKind::kKlink};
 }
 
+/// Parses a bench's command line. A bench whose runs honour the executor
+/// passes `executor`, holding its default, and accepts
+/// --executor=sequential|threads; both backends print identical output,
+/// so the flag changes wall-clock time only. A bench that passes nullptr
+/// accepts no flag. Any other flag, a positional argument or a bad value
+/// prints a message naming it and returns false; the bench then exits 2.
+inline bool ParseArgs(int argc, char** argv, ExecutorKind* executor) {
+  std::vector<std::string> known;
+  std::string name = "sequential";
+  if (executor != nullptr) {
+    known.push_back("executor");
+    name = ExecutorKindName(*executor);
+  }
+  FlagParser flags;
+  for (const Status& st :
+       {flags.Parse(argc - 1, argv + 1), flags.CheckKnown(known),
+        flags.GetChoice("executor", {"sequential", "threads"}, name, &name)}) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.message().c_str());
+      return false;
+    }
+  }
+  return executor == nullptr || ParseExecutorKind(name, executor);
+}
+
 /// Baseline experiment configuration shared by the figure benches. The
 /// paper's 20-minute, 10K-events/s/query runs are scaled down 10x so every
 /// bench finishes in seconds of wall time; the contention regime (offered
 /// load vs. core capacity, memory headroom vs. backlog) is preserved. See
 /// DESIGN.md "Substitutions".
-/// Executor backend for the bench run: KLINK_EXECUTOR=threads (or
-/// sequential) in the environment; both backends produce identical figures,
-/// so this only changes wall-clock time. Unknown names abort rather than
-/// silently falling back.
-inline ExecutorKind EnvExecutor() {
-  const char* env = std::getenv("KLINK_EXECUTOR");
-  if (env == nullptr || env[0] == '\0') return ExecutorKind::kSequential;
-  ExecutorKind kind;
-  if (!ParseExecutorKind(env, &kind)) {
-    std::fprintf(stderr, "KLINK_EXECUTOR must be 'sequential' or 'threads'\n");
-    std::abort();
-  }
-  return kind;
-}
-
-inline ExperimentConfig BaseConfig() {
+inline ExperimentConfig BaseConfig(ExecutorKind executor) {
   ExperimentConfig config;
   config.events_per_second = 1000.0;
   config.duration = SecondsToMicros(120);
@@ -48,27 +59,9 @@ inline ExperimentConfig BaseConfig() {
   config.engine.num_cores = 8;
   config.engine.cycle_length = MillisToMicros(120);
   config.engine.memory_capacity_bytes = 16ll << 20;
-  config.engine.executor = EnvExecutor();
+  config.engine.executor = executor;
   config.seed = 1;
   return config;
-}
-
-/// Command-line override for benches that accept argv: --executor=threads
-/// takes precedence over KLINK_EXECUTOR. Returns false (after printing a
-/// message) on an unknown value so the bench can exit non-zero.
-inline bool ApplyExecutorFlag(int argc, char** argv,
-                              ExperimentConfig* config) {
-  FlagParser flags;
-  if (!flags.Parse(argc - 1, argv + 1).ok()) return false;
-  std::string name;
-  const Status st = flags.GetChoice(
-      "executor", {"sequential", "threads"},
-      ExecutorKindName(config->engine.executor), &name);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.message().c_str());
-    return false;
-  }
-  return ParseExecutorKind(name, &config->engine.executor);
 }
 
 /// Smoke mode: KLINK_BENCH_SMOKE=1 shrinks runs so the whole bench suite

@@ -84,7 +84,8 @@ Outcome Run(PolicyKind policy, int num_queries) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (!ParseArgs(argc, argv, nullptr)) return 2;
   const int kQueries = SmokeMode() ? 30 : 60;
   TableReporter table(
       "Extension: session windows (data-dependent deadlines), 60 queries");

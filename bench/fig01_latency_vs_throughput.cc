@@ -10,9 +10,12 @@
 #include "bench/bench_common.h"
 #include "src/harness/reporter.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace klink;
   using namespace klink::bench;
+
+  ExecutorKind executor = ExecutorKind::kSequential;
+  if (!ParseArgs(argc, argv, &executor)) return 2;
 
   // Total offered source events/second across all queries (the paper's
   // x-axis, scaled down 10x with the rest of the environment).
@@ -43,7 +46,7 @@ int main() {
   for (const Series& s : series) {
     std::vector<std::string> row = {s.label};
     for (double total : totals) {
-      ExperimentConfig config = BaseConfig();
+      ExperimentConfig config = BaseConfig(executor);
       ApplySmoke(&config);
       config.policy = s.policy;
       config.workload = s.workload;

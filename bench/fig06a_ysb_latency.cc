@@ -14,8 +14,8 @@ int main(int argc, char** argv) {
   using namespace klink;
   using namespace klink::bench;
 
-  ExperimentConfig base = BaseConfig();
-  if (!ApplyExecutorFlag(argc, argv, &base)) return 2;
+  ExecutorKind executor = ExecutorKind::kSequential;
+  if (!ParseArgs(argc, argv, &executor)) return 2;
 
   const std::vector<int> query_counts = SmokeMode()
                                             ? std::vector<int>{1, 20, 40}
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   for (PolicyKind policy : AllPolicies()) {
     std::vector<std::string> row = {PolicyKindName(policy)};
     for (int n : query_counts) {
-      ExperimentConfig config = base;
+      ExperimentConfig config = BaseConfig(executor);
       ApplySmoke(&config);
       config.policy = policy;
       config.workload = WorkloadKind::kYsb;

@@ -10,9 +10,12 @@
 #include "bench/bench_common.h"
 #include "src/harness/reporter.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace klink;
   using namespace klink::bench;
+
+  ExecutorKind executor = ExecutorKind::kSequential;
+  if (!ParseArgs(argc, argv, &executor)) return 2;
 
   const std::vector<double> percentiles = {40, 50, 60, 70, 80, 90, 95, 99};
   const int kQueries = SmokeMode() ? 30 : 60;
@@ -25,7 +28,7 @@ int main() {
   table.SetHeader(header);
 
   for (PolicyKind policy : AllPolicies()) {
-    ExperimentConfig config = BaseConfig();
+    ExperimentConfig config = BaseConfig(executor);
     ApplySmoke(&config);
     config.policy = policy;
     config.workload = WorkloadKind::kYsb;

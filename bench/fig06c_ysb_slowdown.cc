@@ -9,9 +9,12 @@
 #include "bench/bench_common.h"
 #include "src/harness/reporter.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace klink;
   using namespace klink::bench;
+
+  ExecutorKind executor = ExecutorKind::kSequential;
+  if (!ParseArgs(argc, argv, &executor)) return 2;
 
   const std::vector<int> query_counts = SmokeMode()
                                             ? std::vector<int>{1, 40}
@@ -25,7 +28,7 @@ int main() {
   for (PolicyKind policy : AllPolicies()) {
     std::vector<std::string> row = {PolicyKindName(policy)};
     for (int n : query_counts) {
-      ExperimentConfig config = BaseConfig();
+      ExperimentConfig config = BaseConfig(executor);
       ApplySmoke(&config);
       config.policy = policy;
       config.workload = WorkloadKind::kYsb;

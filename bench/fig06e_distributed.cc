@@ -57,7 +57,8 @@ double RunDistributed(PolicyKind policy, int num_nodes, int num_queries,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (!ParseArgs(argc, argv, nullptr)) return 2;
   const std::vector<int> node_counts =
       SmokeMode() ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
   const int kQueries = SmokeMode() ? 40 : 80;

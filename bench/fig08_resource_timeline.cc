@@ -9,16 +9,19 @@
 #include "bench/bench_common.h"
 #include "src/harness/reporter.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace klink;
   using namespace klink::bench;
+
+  ExecutorKind executor = ExecutorKind::kSequential;
+  if (!ParseArgs(argc, argv, &executor)) return 2;
 
   const int kQueries = SmokeMode() ? 30 : 60;
 
   ExperimentResult results[2];
   const PolicyKind policies[2] = {PolicyKind::kDefault, PolicyKind::kKlink};
   for (int i = 0; i < 2; ++i) {
-    ExperimentConfig config = BaseConfig();
+    ExperimentConfig config = BaseConfig(executor);
     ApplySmoke(&config);
     config.policy = policies[i];
     config.workload = WorkloadKind::kYsb;

@@ -10,9 +10,12 @@
 #include "bench/bench_common.h"
 #include "src/harness/reporter.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace klink;
   using namespace klink::bench;
+
+  ExecutorKind executor = ExecutorKind::kSequential;
+  if (!ParseArgs(argc, argv, &executor)) return 2;
 
   const std::vector<double> totals = SmokeMode()
                                          ? std::vector<double>{40000, 80000}
@@ -38,7 +41,7 @@ int main() {
     std::vector<std::string> cpu_avg = mem_avg;
     std::vector<std::string> cpu_p90 = mem_p90;
     for (double total : totals) {
-      ExperimentConfig config = BaseConfig();
+      ExperimentConfig config = BaseConfig(executor);
       ApplySmoke(&config);
       config.policy = policy;
       config.workload = WorkloadKind::kYsb;

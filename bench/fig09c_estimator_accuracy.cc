@@ -67,7 +67,10 @@ class EstimatorBank {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  ExecutorKind executor = ExecutorKind::kSequential;
+  if (!ParseArgs(argc, argv, &executor)) return 2;
+
   TableReporter table(
       "Fig. 9c: SWM ingestion estimation accuracy (%) by delay distribution");
   table.SetHeader({"estimator", "Uniform", "Zipf", "predictions"});
@@ -86,7 +89,7 @@ int main() {
         [] { return std::make_unique<KlinkEstimator>(400, 0.90); });
     EstimatorBank lr([] { return std::make_unique<LinearRegressionEstimator>(); });
 
-    ExperimentConfig config = BaseConfig();
+    ExperimentConfig config = BaseConfig(executor);
     ApplySmoke(&config);
     config.policy = PolicyKind::kKlink;
     config.workload = WorkloadKind::kYsb;

@@ -10,9 +10,12 @@
 #include "bench/bench_common.h"
 #include "src/harness/reporter.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace klink;
   using namespace klink::bench;
+
+  ExecutorKind executor = ExecutorKind::kSequential;
+  if (!ParseArgs(argc, argv, &executor)) return 2;
 
   const std::vector<double> confidences = {1.00, 0.99, 0.95, 0.90, 0.67};
   const int kQueries = SmokeMode() ? 30 : 60;
@@ -22,7 +25,7 @@ int main() {
   table.SetHeader({"confidence", "overhead_%", "mean_latency_s"});
 
   for (double f : confidences) {
-    ExperimentConfig config = BaseConfig();
+    ExperimentConfig config = BaseConfig(executor);
     ApplySmoke(&config);
     config.policy = PolicyKind::kKlink;
     config.workload = WorkloadKind::kYsb;

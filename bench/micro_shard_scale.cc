@@ -143,10 +143,8 @@ RunResult RunOne(int shards, double key_skew, ExecutorKind executor,
 int main(int argc, char** argv) {
   using namespace klink;
 
-  ExperimentConfig flag_holder;
-  flag_holder.engine.executor = ExecutorKind::kThreads;
-  if (!bench::ApplyExecutorFlag(argc, argv, &flag_holder)) return 2;
-  const ExecutorKind executor = flag_holder.engine.executor;
+  ExecutorKind executor = ExecutorKind::kThreads;
+  if (!bench::ParseArgs(argc, argv, &executor)) return 2;
 
   const bool smoke = bench::SmokeMode();
   const DurationMicros warmup = SecondsToMicros(smoke ? 1 : 2);

@@ -10,9 +10,12 @@
 #include "bench/bench_common.h"
 #include "src/harness/reporter.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace klink;
   using namespace klink::bench;
+
+  ExecutorKind executor = ExecutorKind::kSequential;
+  if (!ParseArgs(argc, argv, &executor)) return 2;
 
   const std::vector<int64_t> cycles_ms =
       SmokeMode() ? std::vector<int64_t>{120, 480}
@@ -25,7 +28,7 @@ int main() {
                    "Default_latency_s"});
 
   for (int64_t r : cycles_ms) {
-    ExperimentConfig config = BaseConfig();
+    ExperimentConfig config = BaseConfig(executor);
     ApplySmoke(&config);
     config.workload = WorkloadKind::kYsb;
     config.num_queries = kQueries;

@@ -1,5 +1,6 @@
 #include "src/common/flags.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -68,6 +69,19 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
       flags_[body] = argv[++i];
     } else {
       flags_[body] = "true";
+    }
+  }
+  return Status::Ok();
+}
+
+Status FlagParser::CheckKnown(const std::vector<std::string>& known) const {
+  if (!positional_.empty()) {
+    return Status::InvalidArgument("unexpected argument '" + positional_[0] +
+                                   "'");
+  }
+  for (const auto& [name, value] : flags_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return Status::InvalidArgument("unknown flag --" + name);
     }
   }
   return Status::Ok();
@@ -150,13 +164,27 @@ Status FlagParser::GetChoice(const std::string& name,
   return Status::InvalidArgument(msg);
 }
 
-bool FlagParser::GetBool(const std::string& name, bool fallback) const {
+Status FlagParser::GetBool(const std::string& name, bool fallback,
+                           bool* out) const {
   const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
+  if (it == flags_.end()) {
+    *out = fallback;
+    return Status::Ok();
+  }
   const std::string& v = it->second;
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  return fallback;
+  if (v == "true" || v == "1" || v == "yes" || v == "on") {
+    *out = true;
+  } else if (v == "false" || v == "0" || v == "no" || v == "off") {
+    *out = false;
+  } else {
+    return Malformed(name, "true or false", v);
+  }
+  return Status::Ok();
+}
+
+bool FlagParser::GetBool(const std::string& name, bool fallback) const {
+  bool v = fallback;
+  return GetBool(name, fallback, &v).ok() ? v : fallback;
 }
 
 }  // namespace klink

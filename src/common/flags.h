@@ -22,34 +22,41 @@ Status ParseDoubleFlag(const std::string& name, const std::string& value,
 
 /// Minimal command-line flag parser for the CLI tools: accepts
 /// `--key=value` and `--key value` tokens plus bare positional arguments.
-/// Unknown flags are kept (callers validate), repeated flags keep the last
-/// value. No dependencies, no global state.
+/// Parse keeps every flag; CheckKnown rejects the ones a tool does not
+/// take. Repeated flags keep the last value. No dependencies, no global
+/// state.
 class FlagParser {
  public:
   /// Parses argv (excluding argv[0]). Returns InvalidArgument on malformed
   /// tokens (e.g. `--` with no name).
   Status Parse(int argc, const char* const* argv);
 
+  /// InvalidArgument naming the first positional argument, or else the
+  /// first flag (in name order) not in `known`.
+  Status CheckKnown(const std::vector<std::string>& known) const;
+
   bool Has(const std::string& name) const;
 
-  /// Typed getters returning `fallback` when the flag is absent.
+  /// Typed getter returning `fallback` when the flag is absent.
   std::string GetString(const std::string& name,
                         const std::string& fallback) const;
-  bool GetBool(const std::string& name, bool fallback) const;
 
-  /// Checked numeric getters: set `*out` to the flag's value, or to
-  /// `fallback` when the flag is absent. A present value must parse whole
-  /// (ParseIntFlag, ParseDoubleFlag); the int overload also checks int's
-  /// range. A bad value leaves `*out` unchanged.
+  /// Checked getters: set `*out` to the flag's value, or to `fallback`
+  /// when the flag is absent. A present number must parse whole
+  /// (ParseIntFlag, ParseDoubleFlag), the int overload also checks int's
+  /// range, and a boolean is one of true/false/1/0/yes/no/on/off (a bare
+  /// `--name` reads true). A bad value leaves `*out` unchanged.
   Status GetInt(const std::string& name, int64_t fallback,
                 int64_t* out) const;
   Status GetInt(const std::string& name, int fallback, int* out) const;
   Status GetDouble(const std::string& name, double fallback,
                    double* out) const;
+  Status GetBool(const std::string& name, bool fallback, bool* out) const;
   /// Unchecked forms: `fallback` also when the value is malformed. Only
   /// perfbench_driver, which reports no flag errors, still calls them.
   int64_t GetInt(const std::string& name, int64_t fallback) const;
   double GetDouble(const std::string& name, double fallback) const;
+  bool GetBool(const std::string& name, bool fallback) const;
 
   /// Enumerated flag: returns the flag's value when it is one of `allowed`,
   /// `fallback` when the flag is absent, and InvalidArgument (naming the

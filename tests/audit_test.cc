@@ -15,6 +15,7 @@
 #include "src/runtime/engine.h"
 #include "src/sched/rr_policy.h"
 #include "src/workloads/workload.h"
+#include "tests/support/klink_run_process.h"
 
 namespace klink {
 
@@ -141,11 +142,7 @@ TEST(AuditDeathTest, CheckpointHashMismatchFatalUnderAudit) {
   // KLINK_AUDIT=1: tmp+rename makes torn files impossible, so a hash
   // mismatch in audit runs is writer corruption and must abort rather
   // than silently fall back.
-  std::string tmpl = ::testing::TempDir() + "klink_audit_ckpt_XXXXXX";
-  std::vector<char> pathbuf(tmpl.begin(), tmpl.end());
-  pathbuf.push_back('\0');
-  ASSERT_NE(mkdtemp(pathbuf.data()), nullptr);
-  const std::string dir(pathbuf.data());
+  const std::string dir = MakeTempDir("audit_ckpt");
   {
     unsetenv("KLINK_AUDIT");
     CheckpointConfig cc;

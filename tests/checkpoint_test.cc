@@ -34,17 +34,10 @@
 #include "src/runtime/engine.h"
 #include "src/sched/rr_policy.h"
 #include "src/workloads/workload.h"
+#include "tests/support/klink_run_process.h"
 
 namespace klink {
 namespace {
-
-std::string MakeTempDir(const std::string& tag) {
-  std::string tmpl = ::testing::TempDir() + "klink_ckpt_" + tag + "_XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  EXPECT_NE(mkdtemp(buf.data()), nullptr);
-  return std::string(buf.data());
-}
 
 /// Masks KLINK_AUDIT for one scope. LoadLatestCheckpoint treats a hash
 /// mismatch as fatal under audit (tmp+rename makes torn files impossible in
@@ -147,7 +140,7 @@ TEST(CheckpointStateTest, OperatorRoundTripIsByteIdentical) {
 }
 
 TEST(CheckpointCoordinatorTest, WritesDurableEpochsDuringRun) {
-  const std::string dir = MakeTempDir("run");
+  const std::string dir = MakeTempDir("ckpt_run");
   CheckpointConfig cc;
   cc.dir = dir;
   cc.interval = MillisToMicros(500);
@@ -199,7 +192,7 @@ TEST(CheckpointCoordinatorTest, WritesDurableEpochsDuringRun) {
 /// Runs a short checkpointed engine and returns the checkpoint dir with at
 /// least two durable epochs in it.
 std::string RunWithCheckpoints(const std::string& tag) {
-  const std::string dir = MakeTempDir(tag);
+  const std::string dir = MakeTempDir("ckpt_" + tag);
   CheckpointConfig cc;
   cc.dir = dir;
   cc.interval = MillisToMicros(500);
@@ -310,7 +303,7 @@ TEST(CheckpointCoordinatorTest, ResumeContinuesEpochNumbering) {
 TEST(CheckpointCoordinatorTest, FailedManifestWriteNeverAcks) {
   // MANIFEST.tmp is a directory, so every epoch file lands but no MANIFEST
   // can be written: no epoch is durable, and none may be acked.
-  const std::string dir = MakeTempDir("nomanifest");
+  const std::string dir = MakeTempDir("ckpt_nomanifest");
   const std::string blocker = dir + "/MANIFEST.tmp";
   ASSERT_EQ(::mkdir(blocker.c_str(), 0755), 0);
   CheckpointConfig cc;

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <tuple>
+
+#include "tests/support/klink_run_process.h"
 
 namespace klink {
 namespace {
@@ -169,7 +172,8 @@ TEST(ExperimentTest, KlinkReportsEstimatorAccuracy) {
 }
 
 /// One bad input a tool's flag validation rejects, and the flag its
-/// message must name.
+/// message must name. A `CKPT` in `args` stands for a fresh path the tool
+/// must not create.
 struct BadInput {
   const char* name;
   const char* args;
@@ -191,19 +195,29 @@ int RunCommand(const std::string& cmd, std::string* out) {
 }
 
 // Bad input is a usage error, never an abort or a hang: exit status 2,
-// with the validation message (the first line, before the usage text)
-// naming the flag. timeout(1) turns a tool that serves or waits instead
-// into a failing exit status.
+// with the validation message (the first line) naming the flag, then the
+// usage text. timeout(1) turns a tool that serves or waits instead into a
+// failing exit status. Validation precedes every side effect, so the
+// checkpoint directory a rejected run names is never created.
 void ExpectUsageError(const char* tool, const BadInput& input) {
+  std::string args = input.args;
+  std::string dir;  // fresh and empty; CKPT names a path inside it
+  if (const size_t at = args.find("CKPT"); at != std::string::npos) {
+    dir = MakeTempDir("bad_input");
+    args.replace(at, 4, dir + "/ckpt");
+  }
   std::string out;
   const int status = RunCommand(
-      std::string("timeout 10 ").append(tool).append(" ").append(input.args),
-      &out);
+      std::string("timeout 10 ").append(tool).append(" ").append(args), &out);
   ASSERT_TRUE(WIFEXITED(status)) << out;
   EXPECT_EQ(WEXITSTATUS(status), 2) << out;
   EXPECT_NE(out.substr(0, out.find('\n')).find(input.flag),
             std::string::npos)
       << out;
+  EXPECT_NE(out.find("usage: "), std::string::npos) << out;
+  // rmdir succeeds only on an empty directory.
+  EXPECT_TRUE(dir.empty() || ::rmdir(dir.c_str()) == 0)
+      << dir << "/ckpt was created";
 }
 
 class KlinkRunBadInputTest : public ::testing::TestWithParam<BadInput> {};
@@ -240,11 +254,11 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"ListenNegativeIngestBudget",
                  "--listen=0 --ingest-budget-kb=-4", "--ingest-budget-kb"},
         BadInput{"ListenCheckpointInterval",
-                 "--listen=0 --checkpoint-dir=bad-input-ckpt "
+                 "--listen=0 --checkpoint-dir=CKPT "
                  "--checkpoint-interval-ms=0",
                  "--checkpoint-interval-ms"},
         BadInput{"ListenNegativeCheckpointInterval",
-                 "--listen=0 --checkpoint-dir=bad-input-ckpt "
+                 "--listen=0 --checkpoint-dir=CKPT "
                  "--checkpoint-interval-ms=-5",
                  "--checkpoint-interval-ms"},
         BadInput{"ListenCheckpointDirWithoutParent",
@@ -255,11 +269,37 @@ INSTANTIATE_TEST_SUITE_P(
                  "--listen=0 --checkpoint-dir=" KLINK_RUN_PATH,
                  "--checkpoint-dir"},
         BadInput{"ListenReshardCountTrailingGarbage",
-                 "--listen=0 --checkpoint-dir=bad-input-ckpt --reshard=4x@2",
+                 "--listen=0 --checkpoint-dir=CKPT --reshard=4x@2",
                  "--reshard"},
         BadInput{"ListenReshardSecondsNotANumber",
-                 "--listen=0 --checkpoint-dir=bad-input-ckpt --reshard=2@abc",
-                 "--reshard"}),
+                 "--listen=0 --checkpoint-dir=CKPT --reshard=2@abc",
+                 "--reshard"},
+        BadInput{"ListenReshardCountZero",
+                 "--listen=0 --checkpoint-dir=CKPT --reshard=0@2",
+                 "--reshard"},
+        BadInput{"ListenRestoreWithoutCheckpointDir", "--listen=0 --restore",
+                 "--restore"},
+        BadInput{"ListenHotReshardWithoutCheckpointDir",
+                 "--listen=0 --hot-reshard", "--hot-reshard"},
+        // Only indexes below --queries attach, so the lockstep loop would
+        // wait for the fifth tenant forever.
+        BadInput{"ListenExpectTenantsAboveQueries",
+                 "--listen=0 --lockstep --dynamic-attach --queries=2 "
+                 "--expect-tenants=5",
+                 "--expect-tenants"},
+        BadInput{"ListenExpectTenantsNegative",
+                 "--listen=0 --expect-tenants=-1", "--expect-tenants"},
+        // A short valid run around each, so a tool that ignores the
+        // input exits 0 quickly.
+        BadInput{"UnknownFlag", "--bogus-flag=7 --queries=1 --duration=3 "
+                                "--warmup=1",
+                 "--bogus-flag"},
+        BadInput{"BoolNotABool", "--lockstep=maybe --queries=1 "
+                                 "--duration=3 --warmup=1",
+                 "--lockstep"},
+        BadInput{"PositionalArgument", "extra --queries=1 --duration=3 "
+                                       "--warmup=1",
+                 "extra"}),
     BadInputName);
 
 class LoadgenBadInputTest : public ::testing::TestWithParam<BadInput> {};
@@ -284,7 +324,9 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"MaxRetries", "--port=1 --max-retries=-1",
                  "--max-retries"},
         BadInput{"DelayParetoTrailingGarbage",
-                 "--port=1 --delay-pareto=1.5x,20", "--delay-pareto"}),
+                 "--port=1 --delay-pareto=1.5x,20", "--delay-pareto"},
+        BadInput{"UnknownFlag", "--port=1 --bogus=1", "--bogus"},
+        BadInput{"PositionalArgument", "--port=1 extra", "extra"}),
     BadInputName);
 
 // A run that completes no window reports that instead of latency 0.000

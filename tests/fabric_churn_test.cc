@@ -11,33 +11,20 @@
 //    churn baseline's, including the tenant that detaches right after
 //    the restore.
 //
-// Same harness style as recovery_test.cc: fork/exec the real klink_run
-// (KLINK_RUN_PATH), parse its stdout over a pipe.
+// Same harness as recovery_test.cc: tests/support/klink_run_process.h
+// fork/execs the real klink_run and parses its stdout over a pipe.
 
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <limits>
-#include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/common/check.h"
-#include "src/common/rng.h"
 #include "src/net/delay_model.h"
-#include "src/net/ingest_gateway.h"
 #include "src/net/loadgen.h"
 #include "src/workloads/ysb.h"
+#include "tests/support/klink_run_process.h"
 
 namespace klink {
 namespace {
@@ -53,23 +40,6 @@ constexpr TimeMicros kDuration = SecondsToMicros(6);
 constexpr TimeMicros kPreCrashSafe = SecondsToMicros(2);
 constexpr TimeMicros kPreCrashSent = MillisToMicros(2500);
 
-std::string MakeTempDir() {
-  std::string tmpl = ::testing::TempDir() + "klink_churn_XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  const char* dir = mkdtemp(buf.data());
-  KLINK_CHECK(dir != nullptr);
-  return std::string(dir);
-}
-
-/// Feed seeds as the loadgen tool draws them: one NextUint64 per tenant.
-std::vector<uint64_t> FeedSeeds() {
-  Rng rng(kSeed);
-  std::vector<uint64_t> seeds;
-  for (int q = 0; q < kTenants; ++q) seeds.push_back(rng.NextUint64());
-  return seeds;
-}
-
 std::unique_ptr<EventFeed> TenantFeed(uint64_t feed_seed) {
   YsbConfig wc;
   wc.events_per_second = kRate;
@@ -78,35 +48,12 @@ std::unique_ptr<EventFeed> TenantFeed(uint64_t feed_seed) {
                      /*start_time=*/0);
 }
 
-RetryPolicy TestRetry() {
-  RetryPolicy retry;
-  retry.max_retries = 60;
-  retry.initial_backoff = MillisToMicros(20);
-  retry.max_backoff = MillisToMicros(500);
-  return retry;
-}
-
-struct ServerProc {
-  pid_t pid = -1;
-  std::FILE* out = nullptr;
-  uint16_t port = 0;
-  bool restored = false;
-};
-
-struct ServerResult {
-  int exit_code = -1;
-  int64_t results = -1;
-  std::string combined_hash;
-  /// tenant index -> per-tenant results hash ("results_hash qN <hash>").
-  std::map<int, std::string> tenant_hashes;
-  uint64_t durable_epoch = 0;
-  std::string output;
-};
-
-ServerProc SpawnServer(const std::string& executor, uint16_t port,
-                       const std::string& checkpoint_dir, bool restore) {
+/// The server's command line (argv after the program name).
+std::vector<std::string> ServerArgs(const std::string& executor,
+                                    uint16_t port,
+                                    const std::string& checkpoint_dir,
+                                    bool restore) {
   std::vector<std::string> args = {
-      "klink_run",
       "--listen=" + std::to_string(port),
       "--lockstep",
       "--dynamic-attach",
@@ -126,121 +73,11 @@ ServerProc SpawnServer(const std::string& executor, uint16_t port,
     args.push_back("--checkpoint-interval-ms=500");
   }
   if (restore) args.push_back("--restore");
-
-  int fds[2];
-  KLINK_CHECK_EQ(pipe(fds), 0);
-  const pid_t pid = fork();
-  KLINK_CHECK_GE(pid, 0);
-  if (pid == 0) {
-    dup2(fds[1], STDOUT_FILENO);
-    close(fds[0]);
-    close(fds[1]);
-    std::vector<char*> argv;
-    for (std::string& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    execv(KLINK_RUN_PATH, argv.data());
-    _exit(127);
-  }
-  close(fds[1]);
-
-  ServerProc p;
-  p.pid = pid;
-  p.out = fdopen(fds[0], "r");
-  KLINK_CHECK(p.out != nullptr);
-  char line[512];
-  while (std::fgets(line, sizeof(line), p.out) != nullptr) {
-    unsigned long long epoch = 0;
-    unsigned bound = 0;
-    if (std::sscanf(line, "restored checkpoint epoch %llu", &epoch) == 1) {
-      p.restored = true;
-    }
-    if (std::sscanf(line, "listening on 127.0.0.1:%u", &bound) == 1) {
-      p.port = static_cast<uint16_t>(bound);
-      break;
-    }
-  }
-  return p;
-}
-
-ServerResult WaitServer(ServerProc& p) {
-  ServerResult r;
-  char line[512];
-  while (std::fgets(line, sizeof(line), p.out) != nullptr) {
-    r.output += line;
-    long long results = 0;
-    char hash[64];
-    int q = 0;
-    unsigned long long epoch = 0;
-    if (std::sscanf(line, "results %lld", &results) == 1) r.results = results;
-    // Per-tenant lines first: the combined pattern would eat "qN" as the
-    // hash otherwise.
-    if (std::sscanf(line, "results_hash q%d %63s", &q, hash) == 2) {
-      r.tenant_hashes[q] = hash;
-    } else if (std::sscanf(line, "results_hash %63s", hash) == 1) {
-      r.combined_hash = hash;
-    }
-    if (std::sscanf(line, "checkpoint durable_epoch %llu", &epoch) == 1) {
-      r.durable_epoch = epoch;
-    }
-  }
-  std::fclose(p.out);
-  p.out = nullptr;
-  int status = 0;
-  KLINK_CHECK_EQ(waitpid(p.pid, &status, 0), p.pid);
-  r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return r;
-}
-
-void KillServer(ServerProc& p) {
-  KLINK_CHECK_EQ(kill(p.pid, SIGKILL), 0);
-  int status = 0;
-  KLINK_CHECK_EQ(waitpid(p.pid, &status, 0), p.pid);
-  std::fclose(p.out);
-  p.out = nullptr;
+  return args;
 }
 
 /// Each tenant's churn role: how far it replays before goodbye.
 TimeMicros TenantUntil(int q) { return q == 0 ? kDetachAt : kDuration; }
-
-void SendSlice(std::vector<std::unique_ptr<EventFeed>>& feeds,
-               std::vector<std::unique_ptr<LoadgenConnection>>& conns,
-               int q, TimeMicros until, bool send_bye,
-               const RetryPolicy& reconnect) {
-  ReplayOptions opts;
-  opts.until = until;
-  opts.speed = 0.0;  // blast; the --lockstep server makes it deterministic
-  opts.send_bye = send_bye;
-  opts.reconnect = reconnect;
-  const Status s = ReplayFeed(*feeds[static_cast<size_t>(q)],
-                              {conns[static_cast<size_t>(q)].get()}, opts);
-  ASSERT_TRUE(s.ok()) << "tenant " << q << ": " << s.ToString();
-}
-
-void Connect(std::vector<std::unique_ptr<LoadgenConnection>>& conns, int q,
-             uint16_t port) {
-  ASSERT_TRUE(conns[static_cast<size_t>(q)]
-                  ->Connect("127.0.0.1", port, MakeStreamId(q, 0),
-                            TestRetry())
-                  .ok())
-      << "tenant " << q;
-}
-
-void AwaitDurableEpochs(
-    std::vector<std::unique_ptr<LoadgenConnection>>& conns, uint64_t epochs) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (true) {
-    uint64_t min_epoch = std::numeric_limits<uint64_t>::max();
-    for (auto& conn : conns) {
-      ASSERT_TRUE(conn->PollAcks().ok());
-      min_epoch = std::min(min_epoch, conn->durable_epoch());
-    }
-    if (min_epoch >= epochs) return;
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "no durable checkpoint acks from the server";
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-}
 
 /// One full churn run: tenants 0..2 attach up front, tenant 3's first
 /// hello lands after the others already blasted their feeds (a genuinely
@@ -249,12 +86,12 @@ void AwaitDurableEpochs(
 ServerResult RunChurn(const std::string& executor,
                       const std::string& checkpoint_dir) {
   ServerResult r;
-  ServerProc server = SpawnServer(executor, /*port=*/0, checkpoint_dir,
-                                  /*restore=*/false);
+  ServerProc server = SpawnServer(
+      ServerArgs(executor, /*port=*/0, checkpoint_dir, /*restore=*/false));
   EXPECT_GT(server.port, 0);
   if (server.port == 0) return r;
 
-  const std::vector<uint64_t> seeds = FeedSeeds();
+  const std::vector<uint64_t> seeds = FeedSeeds(kSeed, kTenants);
   std::vector<std::unique_ptr<EventFeed>> feeds;
   std::vector<std::unique_ptr<LoadgenConnection>> conns;
   for (int q = 0; q < kTenants; ++q) {
@@ -262,7 +99,7 @@ ServerResult RunChurn(const std::string& executor,
     conns.push_back(std::make_unique<LoadgenConnection>());
   }
   for (int q = 0; q < kTenants - 1; ++q) {
-    Connect(conns, q, server.port);
+    Connect(*conns[static_cast<size_t>(q)], q, server.port);
     if (::testing::Test::HasFatalFailure()) return r;
   }
   // Survivors 1, 2 blast their entire runs before tenant 3 even connects.
@@ -271,7 +108,7 @@ ServerResult RunChurn(const std::string& executor,
               RetryPolicy{});
     if (::testing::Test::HasFatalFailure()) return r;
   }
-  Connect(conns, kTenants - 1, server.port);
+  Connect(*conns.back(), kTenants - 1, server.port);
   if (::testing::Test::HasFatalFailure()) return r;
   SendSlice(feeds, conns, kTenants - 1, TenantUntil(kTenants - 1),
             /*send_bye=*/true, RetryPolicy{});
@@ -302,7 +139,7 @@ TEST(FabricChurnTest, ChurnResultsByteIdenticalAcrossExecutors) {
   if (::testing::Test::HasFatalFailure()) return;
   ASSERT_FALSE(seq.tenant_hashes.empty());
   EXPECT_EQ(seq.tenant_hashes, thr.tenant_hashes);
-  EXPECT_EQ(seq.combined_hash, thr.combined_hash);
+  EXPECT_EQ(seq.results_hash, thr.results_hash);
   EXPECT_EQ(seq.results, thr.results);
 }
 
@@ -312,24 +149,24 @@ TEST(FabricChurnTest, ChurnResultsByteIdenticalAcrossExecutors) {
 // post-restore barriers are in flight). Every tenant's hash must equal the
 // uninterrupted churn baseline's.
 TEST(FabricChurnTest, ChurnRacingCheckpointSurvivesKillAndRestore) {
-  const ServerResult baseline = RunChurn("sequential", MakeTempDir());
+  const ServerResult baseline = RunChurn("sequential", MakeTempDir("churn"));
   if (::testing::Test::HasFatalFailure()) return;
   ASSERT_EQ(baseline.tenant_hashes.size(), static_cast<size_t>(kTenants));
   EXPECT_GE(baseline.durable_epoch, 2u);
 
-  const std::string dir = MakeTempDir();
-  ServerProc first = SpawnServer("sequential", /*port=*/0, dir,
-                                 /*restore=*/false);
+  const std::string dir = MakeTempDir("churn");
+  ServerProc first = SpawnServer(
+      ServerArgs("sequential", /*port=*/0, dir, /*restore=*/false));
   ASSERT_GT(first.port, 0);
   const uint16_t port = first.port;
 
-  const std::vector<uint64_t> seeds = FeedSeeds();
+  const std::vector<uint64_t> seeds = FeedSeeds(kSeed, kTenants);
   std::vector<std::unique_ptr<EventFeed>> feeds;
   std::vector<std::unique_ptr<LoadgenConnection>> conns;
   for (int q = 0; q < kTenants; ++q) {
     feeds.push_back(TenantFeed(seeds[static_cast<size_t>(q)]));
     conns.push_back(std::make_unique<LoadgenConnection>());
-    Connect(conns, q, port);
+    Connect(*conns.back(), q, port);
     if (::testing::Test::HasFatalFailure()) return;
   }
   for (int q = 0; q < kTenants; ++q) {
@@ -350,7 +187,8 @@ TEST(FabricChurnTest, ChurnRacingCheckpointSurvivesKillAndRestore) {
   // expect-tenants gate is already satisfied); clients reconnect, replay
   // their unacked tails, and the churn proceeds: tenant 0 finishes its
   // half-run and detaches while the restored run's barriers circulate.
-  ServerProc second = SpawnServer("sequential", port, dir, /*restore=*/true);
+  ServerProc second =
+      SpawnServer(ServerArgs("sequential", port, dir, /*restore=*/true));
   ASSERT_GT(second.port, 0);
   EXPECT_TRUE(second.restored);
   int64_t replayed = 0;
@@ -372,7 +210,7 @@ TEST(FabricChurnTest, ChurnRacingCheckpointSurvivesKillAndRestore) {
   EXPECT_NE(r.output.find("tenant 0 detached"), std::string::npos)
       << r.output;
   EXPECT_EQ(r.tenant_hashes, baseline.tenant_hashes);
-  EXPECT_EQ(r.combined_hash, baseline.combined_hash);
+  EXPECT_EQ(r.results_hash, baseline.results_hash);
   EXPECT_EQ(r.results, baseline.results);
 }
 

@@ -41,6 +41,37 @@ TEST(FlagParserTest, BoolSpellings) {
   EXPECT_TRUE(p.GetBool("e", true));  // unparsable -> fallback
 }
 
+TEST(FlagParserTest, CheckedGetBoolRejectsOtherSpellings) {
+  FlagParser p = Parse({"--a", "--b=off", "--c=maybe"});
+  bool v = false;
+  EXPECT_TRUE(p.GetBool("a", false, &v).ok());
+  EXPECT_TRUE(v);
+  EXPECT_TRUE(p.GetBool("b", true, &v).ok());
+  EXPECT_FALSE(v);
+  EXPECT_TRUE(p.GetBool("missing", true, &v).ok());
+  EXPECT_TRUE(v);
+  const Status st = p.GetBool("c", false, &v);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("--c"), std::string::npos) << st.message();
+  EXPECT_TRUE(v);  // untouched on error
+}
+
+TEST(FlagParserTest, CheckKnownNamesUnknownFlagOrPositional) {
+  EXPECT_TRUE(Parse({"--queries=4", "--lockstep"})
+                  .CheckKnown({"lockstep", "queries", "rate"})
+                  .ok());
+  const Status unknown =
+      Parse({"--queries=4", "--bogus=7"}).CheckKnown({"queries"});
+  EXPECT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.message().find("--bogus"), std::string::npos)
+      << unknown.message();
+  const Status positional =
+      Parse({"--queries=4", "extra"}).CheckKnown({"queries"});
+  EXPECT_FALSE(positional.ok());
+  EXPECT_NE(positional.message().find("extra"), std::string::npos)
+      << positional.message();
+}
+
 TEST(FlagParserTest, PositionalArguments) {
   FlagParser p = Parse({"run", "--n=3", "extra"});
   ASSERT_EQ(p.positional().size(), 2u);

@@ -11,41 +11,37 @@
 //      hash of a lateness-enabled networked run byte-identical to an
 //      uninterrupted baseline (retained panes, correction bookkeeping and
 //      the sink's converging log all live in checkpointed state).
+//  (d) at workload scale, under the heavy-tailed Pareto delay, a longer
+//      horizon accepts more late events and drops fewer, emits matched
+//      corrections and costs retained-pane memory, and the refire debt
+//      Klink prices into slack is real work that flushes as corrections.
 //
-// The in-process runs are driven to full drain so the comparison covers
-// the complete converged output, not a backlog-dependent prefix.
-
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
+// The in-process runs of (a) and (b) are driven to full drain so the
+// comparison covers the complete converged output, not a
+// backlog-dependent prefix.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <limits>
+#include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/common/check.h"
-#include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/harness/experiment.h"
 #include "src/net/delay_model.h"
-#include "src/net/ingest_gateway.h"
 #include "src/net/loadgen.h"
 #include "src/operators/filter_operator.h"
 #include "src/query/pipeline_builder.h"
 #include "src/runtime/engine.h"
 #include "src/runtime/event_feed.h"
+#include "src/runtime/snapshot.h"
 #include "src/workloads/workload.h"
 #include "src/workloads/ysb.h"
+#include "tests/support/klink_run_process.h"
 
 namespace klink {
 namespace {
@@ -241,22 +237,6 @@ constexpr TimeMicros kPreCrashSafe = MillisToMicros(2500);
 constexpr TimeMicros kPreCrashSent = MillisToMicros(3000);
 constexpr DurationMicros kNetLateness = MillisToMicros(300);
 
-std::string MakeTempDir() {
-  std::string tmpl = ::testing::TempDir() + "klink_lateness_XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  const char* dir = mkdtemp(buf.data());
-  KLINK_CHECK(dir != nullptr);
-  return std::string(dir);
-}
-
-std::vector<uint64_t> FeedSeeds() {
-  Rng rng(kSeed);
-  std::vector<uint64_t> seeds;
-  for (int q = 0; q < kQueries; ++q) seeds.push_back(rng.NextUint64());
-  return seeds;
-}
-
 std::unique_ptr<EventFeed> QueryFeed(uint64_t feed_seed) {
   YsbConfig wc;
   wc.events_per_second = kRate;
@@ -267,33 +247,10 @@ std::unique_ptr<EventFeed> QueryFeed(uint64_t feed_seed) {
                      feed_seed, /*start_time=*/0);
 }
 
-RetryPolicy TestRetry() {
-  RetryPolicy retry;
-  retry.max_retries = 60;
-  retry.initial_backoff = MillisToMicros(20);
-  retry.max_backoff = MillisToMicros(500);
-  return retry;
-}
-
-struct ServerProc {
-  pid_t pid = -1;
-  std::FILE* out = nullptr;
-  uint16_t port = 0;
-  bool restored = false;
-  uint64_t restored_epoch = 0;
-};
-
-struct ServerResult {
-  int exit_code = -1;
-  int64_t results = -1;
-  std::string results_hash;
-  uint64_t durable_epoch = 0;
-};
-
-ServerProc SpawnServer(const std::string& checkpoint_dir, uint16_t port,
-                       bool restore) {
+/// The server's command line (argv after the program name).
+std::vector<std::string> ServerArgs(const std::string& checkpoint_dir,
+                                    uint16_t port, bool restore) {
   std::vector<std::string> args = {
-      "klink_run",
       "--listen=" + std::to_string(port),
       "--lockstep",
       "--policy=fcfs",
@@ -310,132 +267,25 @@ ServerProc SpawnServer(const std::string& checkpoint_dir, uint16_t port,
       "--checkpoint-interval-ms=500",
   };
   if (restore) args.push_back("--restore");
-
-  int fds[2];
-  KLINK_CHECK_EQ(pipe(fds), 0);
-  const pid_t pid = fork();
-  KLINK_CHECK_GE(pid, 0);
-  if (pid == 0) {
-    dup2(fds[1], STDOUT_FILENO);
-    close(fds[0]);
-    close(fds[1]);
-    std::vector<char*> argv;
-    for (std::string& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    execv(KLINK_RUN_PATH, argv.data());
-    _exit(127);
-  }
-  close(fds[1]);
-
-  ServerProc p;
-  p.pid = pid;
-  p.out = fdopen(fds[0], "r");
-  KLINK_CHECK(p.out != nullptr);
-  char line[512];
-  while (std::fgets(line, sizeof(line), p.out) != nullptr) {
-    unsigned long long epoch = 0;
-    unsigned bound = 0;
-    if (std::sscanf(line, "restored checkpoint epoch %llu", &epoch) == 1) {
-      p.restored = true;
-      p.restored_epoch = epoch;
-    }
-    if (std::sscanf(line, "listening on 127.0.0.1:%u", &bound) == 1) {
-      p.port = static_cast<uint16_t>(bound);
-      break;
-    }
-  }
-  return p;
-}
-
-ServerResult WaitServer(ServerProc& p) {
-  ServerResult r;
-  char line[512];
-  while (std::fgets(line, sizeof(line), p.out) != nullptr) {
-    long long results = 0;
-    char hash[64];
-    unsigned long long epoch = 0;
-    if (std::sscanf(line, "results %lld", &results) == 1) r.results = results;
-    if (std::sscanf(line, "results_hash %63s", hash) == 1) {
-      r.results_hash = hash;
-    }
-    if (std::sscanf(line, "checkpoint durable_epoch %llu", &epoch) == 1) {
-      r.durable_epoch = epoch;
-    }
-  }
-  std::fclose(p.out);
-  p.out = nullptr;
-  int status = 0;
-  KLINK_CHECK_EQ(waitpid(p.pid, &status, 0), p.pid);
-  r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return r;
-}
-
-void KillServer(ServerProc& p) {
-  KLINK_CHECK_EQ(kill(p.pid, SIGKILL), 0);
-  int status = 0;
-  KLINK_CHECK_EQ(waitpid(p.pid, &status, 0), p.pid);
-  std::fclose(p.out);
-  p.out = nullptr;
-}
-
-void SendSlice(std::vector<std::unique_ptr<EventFeed>>& feeds,
-               std::vector<std::unique_ptr<LoadgenConnection>>& conns,
-               TimeMicros until, bool send_bye, const RetryPolicy& reconnect) {
-  for (int q = 0; q < kQueries; ++q) {
-    ReplayOptions opts;
-    opts.until = until;
-    opts.speed = 0.0;
-    opts.send_bye = send_bye;
-    opts.reconnect = reconnect;
-    const Status s = ReplayFeed(*feeds[static_cast<size_t>(q)],
-                                {conns[static_cast<size_t>(q)].get()}, opts);
-    ASSERT_TRUE(s.ok()) << "query " << q << ": " << s.ToString();
-  }
-}
-
-void ConnectAll(std::vector<std::unique_ptr<LoadgenConnection>>& conns,
-                uint16_t port) {
-  for (int q = 0; q < kQueries; ++q) {
-    auto conn = std::make_unique<LoadgenConnection>();
-    ASSERT_TRUE(
-        conn->Connect("127.0.0.1", port, MakeStreamId(q, 0), TestRetry())
-            .ok());
-    conns.push_back(std::move(conn));
-  }
-}
-
-void AwaitDurableEpochs(
-    std::vector<std::unique_ptr<LoadgenConnection>>& conns, uint64_t epochs) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (true) {
-    uint64_t min_epoch = std::numeric_limits<uint64_t>::max();
-    for (auto& conn : conns) {
-      ASSERT_TRUE(conn->PollAcks().ok());
-      min_epoch = std::min(min_epoch, conn->durable_epoch());
-    }
-    if (min_epoch >= epochs) return;
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "no durable checkpoint acks from the server";
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  return args;
 }
 
 TEST(LatenessRecoveryTest, KillMidRunConvergesByteIdentical) {
-  const std::vector<uint64_t> seeds = FeedSeeds();
+  const std::vector<uint64_t> seeds = FeedSeeds(kSeed, kQueries);
 
   std::string baseline_hash;
   int64_t baseline_results = 0;
   {
-    const std::string dir = MakeTempDir();
-    ServerProc server = SpawnServer(dir, /*port=*/0, /*restore=*/false);
+    const std::string dir = MakeTempDir("lateness");
+    ServerProc server =
+        SpawnServer(ServerArgs(dir, /*port=*/0, /*restore=*/false));
     ASSERT_GT(server.port, 0);
     std::vector<std::unique_ptr<EventFeed>> feeds;
     std::vector<std::unique_ptr<LoadgenConnection>> conns;
     for (int q = 0; q < kQueries; ++q) {
       feeds.push_back(QueryFeed(seeds[static_cast<size_t>(q)]));
     }
-    ConnectAll(conns, server.port);
+    ConnectAll(conns, kQueries, server.port);
     if (::testing::Test::HasFatalFailure()) return;
     SendSlice(feeds, conns, kDuration, /*send_bye=*/true, RetryPolicy{});
     if (::testing::Test::HasFatalFailure()) return;
@@ -447,8 +297,9 @@ TEST(LatenessRecoveryTest, KillMidRunConvergesByteIdentical) {
     baseline_results = r.results;
   }
 
-  const std::string dir = MakeTempDir();
-  ServerProc first = SpawnServer(dir, /*port=*/0, /*restore=*/false);
+  const std::string dir = MakeTempDir("lateness");
+  ServerProc first =
+      SpawnServer(ServerArgs(dir, /*port=*/0, /*restore=*/false));
   ASSERT_GT(first.port, 0);
   const uint16_t port = first.port;
   std::vector<std::unique_ptr<EventFeed>> feeds;
@@ -456,7 +307,7 @@ TEST(LatenessRecoveryTest, KillMidRunConvergesByteIdentical) {
   for (int q = 0; q < kQueries; ++q) {
     feeds.push_back(QueryFeed(seeds[static_cast<size_t>(q)]));
   }
-  ConnectAll(conns, port);
+  ConnectAll(conns, kQueries, port);
   if (::testing::Test::HasFatalFailure()) return;
   SendSlice(feeds, conns, kPreCrashSafe, /*send_bye=*/false, RetryPolicy{});
   if (::testing::Test::HasFatalFailure()) return;
@@ -466,7 +317,8 @@ TEST(LatenessRecoveryTest, KillMidRunConvergesByteIdentical) {
   if (::testing::Test::HasFatalFailure()) return;
   KillServer(first);
 
-  ServerProc second = SpawnServer(dir, port, /*restore=*/true);
+  ServerProc second =
+      SpawnServer(ServerArgs(dir, port, /*restore=*/true));
   ASSERT_GT(second.port, 0);
   EXPECT_TRUE(second.restored);
   for (auto& conn : conns) {
@@ -480,6 +332,77 @@ TEST(LatenessRecoveryTest, KillMidRunConvergesByteIdentical) {
   // Crash + restore + replay is invisible in the converged output.
   EXPECT_EQ(r.results, baseline_results);
   EXPECT_EQ(r.results_hash, baseline_hash);
+}
+
+// ---------------------------------------------------------------------------
+// Leg (d): what the horizon buys and costs. Four YSB queries x 3000 ev/s
+// under the Pareto straggler delay, 2 cores, seed 7, 30 s, swept over
+// allowed lateness {0, 100, 300, 1000} ms, plus the refire debt at 300 ms
+// (DESIGN.md "Late data"). Each expectation names its check.
+
+ExperimentConfig ParetoYsbConfig(DurationMicros lateness) {
+  ExperimentConfig config;
+  config.policy = PolicyKind::kKlink;
+  config.workload = WorkloadKind::kYsb;
+  config.delay = DelayKind::kPareto;
+  config.num_queries = 4;
+  config.events_per_second = 3000.0;
+  config.duration = SecondsToMicros(30);
+  config.deploy_spread = SecondsToMicros(1);
+  config.warmup = SecondsToMicros(2);
+  config.engine.num_cores = 2;
+  config.seed = 7;
+  config.allowed_lateness = lateness;
+  return config;
+}
+
+int64_t Corrections(const ExperimentResult& r) {
+  return r.late.retractions_emitted + r.late.updates_emitted;
+}
+
+TEST(LatenessSweepTest, ParetoHorizonSweepAndRefireDebt) {
+  std::map<int64_t, ExperimentResult> at;  // by horizon in ms
+  for (const int64_t ms : {0, 100, 300, 1000}) {
+    at[ms] = RunExperiment(ParetoYsbConfig(MillisToMicros(ms)));
+  }
+  EXPECT_GT(at[1000].late.late_accepted, at[100].late.late_accepted)
+      << "accepted_grows_with_horizon";
+  EXPECT_GT(at[100].late.late_accepted, 0) << "accepted_grows_with_horizon";
+  EXPECT_LT(at[1000].late.late_dropped_beyond_horizon,
+            at[100].late.late_dropped_beyond_horizon)
+      << "dropped_shrinks_with_horizon";
+  EXPECT_GT(Corrections(at[300]), 0) << "corrections_emitted";
+  EXPECT_GT(Corrections(at[1000]), 0) << "corrections_emitted";
+  for (const auto& [ms, r] : at) {
+    EXPECT_EQ(r.late.unmatched_retractions, 0)
+        << "no_unmatched_retractions at " << ms << " ms";
+    EXPECT_GT(r.estimator_predictions, 0)
+        << "estimator_measured_under_pareto at " << ms << " ms";
+  }
+  EXPECT_GT(at[1000].peak_memory_bytes, at[0].peak_memory_bytes)
+      << "retained_panes_cost_memory";
+
+  // Refire debt: pending corrections priced at their downstream drain
+  // cost, summed over queries each cycle. A drop from one cycle to the
+  // next is debt that materialized as emitted corrections.
+  double debt_sum = 0.0;
+  double flushed = 0.0;
+  double prev = 0.0;
+  int64_t cycles = 0;
+  const ExperimentResult debt_run = RunExperiment(
+      ParetoYsbConfig(MillisToMicros(300)), [&](const RuntimeSnapshot& snap) {
+        double debt = 0.0;
+        for (const QueryInfo& q : snap.queries) debt += q.refire_debt_micros;
+        debt_sum += debt;
+        if (debt < prev) flushed += prev - debt;
+        prev = debt;
+        ++cycles;
+      });
+  ASSERT_GT(cycles, 0);
+  EXPECT_GT(debt_sum / static_cast<double>(cycles), 0.0)
+      << "refire_debt_flushes_as_corrections";
+  EXPECT_GT(flushed, 0.0) << "refire_debt_flushes_as_corrections";
+  EXPECT_GT(Corrections(debt_run), 0) << "refire_debt_flushes_as_corrections";
 }
 
 }  // namespace

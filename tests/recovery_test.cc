@@ -6,34 +6,20 @@
 // byte-identical results_hash of an uninterrupted baseline, for both the
 // sequential and the thread-pool executor.
 //
-// The server binary is driven the way an operator would drive it — via
-// fork/exec of the real klink_run (path baked in as KLINK_RUN_PATH), its
-// stdout parsed over a pipe for the bound port, the restore banner and the
-// final results lines.
+// The server binary is driven the way an operator would drive it, through
+// the fork/exec harness in tests/support/klink_run_process.h.
 
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/common/check.h"
-#include "src/common/rng.h"
 #include "src/net/delay_model.h"
-#include "src/net/ingest_gateway.h"
 #include "src/net/loadgen.h"
 #include "src/workloads/ysb.h"
+#include "tests/support/klink_run_process.h"
 
 namespace klink {
 namespace {
@@ -49,24 +35,6 @@ constexpr TimeMicros kPreCrashSafe = MillisToMicros(2500);
 /// data the replay must win back.
 constexpr TimeMicros kPreCrashSent = MillisToMicros(3000);
 
-std::string MakeTempDir() {
-  std::string tmpl = ::testing::TempDir() + "klink_recovery_XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  const char* dir = mkdtemp(buf.data());
-  KLINK_CHECK(dir != nullptr);
-  return std::string(dir);
-}
-
-/// Per-query feed seeds, drawn the way the loadgen tool draws them: one
-/// NextUint64 per query from the run seed.
-std::vector<uint64_t> FeedSeeds() {
-  Rng rng(kSeed);
-  std::vector<uint64_t> seeds;
-  for (int q = 0; q < kQueries; ++q) seeds.push_back(rng.NextUint64());
-  return seeds;
-}
-
 std::unique_ptr<EventFeed> QueryFeed(uint64_t feed_seed) {
   YsbConfig wc;
   wc.events_per_second = kRate;
@@ -75,38 +43,11 @@ std::unique_ptr<EventFeed> QueryFeed(uint64_t feed_seed) {
                      /*start_time=*/0);
 }
 
-RetryPolicy TestRetry() {
-  RetryPolicy retry;
-  retry.max_retries = 60;
-  retry.initial_backoff = MillisToMicros(20);
-  retry.max_backoff = MillisToMicros(500);
-  return retry;
-}
-
-struct ServerProc {
-  pid_t pid = -1;
-  std::FILE* out = nullptr;  // server stdout, read end of the pipe
-  uint16_t port = 0;
-  bool restored = false;
-  uint64_t restored_epoch = 0;
-};
-
-struct ServerResult {
-  int exit_code = -1;
-  int64_t results = -1;
-  std::string results_hash;
-  uint64_t durable_epoch = 0;
-  std::string output;
-};
-
-/// Forks and execs klink_run in listen mode, then reads its stdout until
-/// the "listening on" banner so the (possibly auto-assigned) port is known.
-/// port == 0 on return means the server never came up.
-ServerProc SpawnServer(const std::string& checkpoint_dir,
-                       const std::string& executor, uint16_t port,
-                       bool restore) {
+/// The server's command line (argv after the program name).
+std::vector<std::string> ServerArgs(const std::string& checkpoint_dir,
+                                    const std::string& executor,
+                                    uint16_t port, bool restore) {
   std::vector<std::string> args = {
-      "klink_run",
       "--listen=" + std::to_string(port),
       "--lockstep",
       "--policy=fcfs",
@@ -122,140 +63,26 @@ ServerProc SpawnServer(const std::string& checkpoint_dir,
       "--checkpoint-interval-ms=500",
   };
   if (restore) args.push_back("--restore");
-
-  int fds[2];
-  KLINK_CHECK_EQ(pipe(fds), 0);
-  const pid_t pid = fork();
-  KLINK_CHECK_GE(pid, 0);
-  if (pid == 0) {
-    dup2(fds[1], STDOUT_FILENO);  // stderr stays on the test's stderr
-    close(fds[0]);
-    close(fds[1]);
-    std::vector<char*> argv;
-    for (std::string& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    execv(KLINK_RUN_PATH, argv.data());
-    _exit(127);
-  }
-  close(fds[1]);
-
-  ServerProc p;
-  p.pid = pid;
-  p.out = fdopen(fds[0], "r");
-  KLINK_CHECK(p.out != nullptr);
-  char line[512];
-  while (std::fgets(line, sizeof(line), p.out) != nullptr) {
-    unsigned long long epoch = 0;
-    unsigned bound = 0;
-    if (std::sscanf(line, "restored checkpoint epoch %llu", &epoch) == 1) {
-      p.restored = true;
-      p.restored_epoch = epoch;
-    }
-    if (std::sscanf(line, "listening on 127.0.0.1:%u", &bound) == 1) {
-      p.port = static_cast<uint16_t>(bound);
-      break;
-    }
-  }
-  return p;
-}
-
-/// Reads the server's remaining output to EOF (results lines included) and
-/// reaps the process.
-ServerResult WaitServer(ServerProc& p) {
-  ServerResult r;
-  char line[512];
-  while (std::fgets(line, sizeof(line), p.out) != nullptr) {
-    r.output += line;
-    long long results = 0;
-    char hash[64];
-    unsigned long long epoch = 0;
-    if (std::sscanf(line, "results %lld", &results) == 1) r.results = results;
-    if (std::sscanf(line, "results_hash %63s", hash) == 1) {
-      r.results_hash = hash;
-    }
-    if (std::sscanf(line, "checkpoint durable_epoch %llu", &epoch) == 1) {
-      r.durable_epoch = epoch;
-    }
-  }
-  std::fclose(p.out);
-  p.out = nullptr;
-  int status = 0;
-  KLINK_CHECK_EQ(waitpid(p.pid, &status, 0), p.pid);
-  r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return r;
-}
-
-/// The crash: SIGKILL, no flush, no shutdown hooks.
-void KillServer(ServerProc& p) {
-  KLINK_CHECK_EQ(kill(p.pid, SIGKILL), 0);
-  int status = 0;
-  KLINK_CHECK_EQ(waitpid(p.pid, &status, 0), p.pid);
-  std::fclose(p.out);
-  p.out = nullptr;
-}
-
-/// Sends each query's feed slice (ingest_time <= until) on its connection.
-void SendSlice(std::vector<std::unique_ptr<EventFeed>>& feeds,
-               std::vector<std::unique_ptr<LoadgenConnection>>& conns,
-               TimeMicros until, bool send_bye, const RetryPolicy& reconnect) {
-  for (int q = 0; q < kQueries; ++q) {
-    ReplayOptions opts;
-    opts.until = until;
-    opts.speed = 0.0;  // blast; the --lockstep server makes it deterministic
-    opts.send_bye = send_bye;
-    opts.reconnect = reconnect;
-    const Status s = ReplayFeed(*feeds[static_cast<size_t>(q)],
-                                {conns[static_cast<size_t>(q)].get()}, opts);
-    ASSERT_TRUE(s.ok()) << "query " << q << ": " << s.ToString();
-  }
-}
-
-void ConnectAll(std::vector<std::unique_ptr<LoadgenConnection>>& conns,
-                uint16_t port) {
-  for (int q = 0; q < kQueries; ++q) {
-    auto conn = std::make_unique<LoadgenConnection>();
-    ASSERT_TRUE(
-        conn->Connect("127.0.0.1", port, MakeStreamId(q, 0), TestRetry())
-            .ok());
-    conns.push_back(std::move(conn));
-  }
-}
-
-/// Polls acks until every connection has seen >= `epochs` durable epochs.
-void AwaitDurableEpochs(
-    std::vector<std::unique_ptr<LoadgenConnection>>& conns, uint64_t epochs) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (true) {
-    uint64_t min_epoch = std::numeric_limits<uint64_t>::max();
-    for (auto& conn : conns) {
-      ASSERT_TRUE(conn->PollAcks().ok());
-      min_epoch = std::min(min_epoch, conn->durable_epoch());
-    }
-    if (min_epoch >= epochs) return;
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "no durable checkpoint acks from the server";
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  return args;
 }
 
 void RunRecoveryScenario(const std::string& executor) {
-  const std::vector<uint64_t> seeds = FeedSeeds();
+  const std::vector<uint64_t> seeds = FeedSeeds(kSeed, kQueries);
 
   // Uninterrupted baseline: same flags, same feeds, no crash.
   std::string baseline_hash;
   int64_t baseline_results = 0;
   {
-    const std::string dir = MakeTempDir();
-    ServerProc server = SpawnServer(dir, executor, /*port=*/0,
-                                    /*restore=*/false);
+    const std::string dir = MakeTempDir("recovery");
+    ServerProc server = SpawnServer(
+        ServerArgs(dir, executor, /*port=*/0, /*restore=*/false));
     ASSERT_GT(server.port, 0);
     std::vector<std::unique_ptr<EventFeed>> feeds;
     std::vector<std::unique_ptr<LoadgenConnection>> conns;
     for (int q = 0; q < kQueries; ++q) {
       feeds.push_back(QueryFeed(seeds[static_cast<size_t>(q)]));
     }
-    ConnectAll(conns, server.port);
+    ConnectAll(conns, kQueries, server.port);
     if (::testing::Test::HasFatalFailure()) return;
     SendSlice(feeds, conns, kDuration, /*send_bye=*/true, RetryPolicy{});
     if (::testing::Test::HasFatalFailure()) return;
@@ -270,9 +97,9 @@ void RunRecoveryScenario(const std::string& executor) {
 
   // Interrupted run: deliver a prefix, wait for durable epochs, push a
   // little more past the durable frontier, then SIGKILL mid-run.
-  const std::string dir = MakeTempDir();
-  ServerProc first = SpawnServer(dir, executor, /*port=*/0,
-                                 /*restore=*/false);
+  const std::string dir = MakeTempDir("recovery");
+  ServerProc first = SpawnServer(
+      ServerArgs(dir, executor, /*port=*/0, /*restore=*/false));
   ASSERT_GT(first.port, 0);
   const uint16_t port = first.port;
   std::vector<std::unique_ptr<EventFeed>> feeds;
@@ -280,7 +107,7 @@ void RunRecoveryScenario(const std::string& executor) {
   for (int q = 0; q < kQueries; ++q) {
     feeds.push_back(QueryFeed(seeds[static_cast<size_t>(q)]));
   }
-  ConnectAll(conns, port);
+  ConnectAll(conns, kQueries, port);
   if (::testing::Test::HasFatalFailure()) return;
   SendSlice(feeds, conns, kPreCrashSafe, /*send_bye=*/false, RetryPolicy{});
   if (::testing::Test::HasFatalFailure()) return;
@@ -292,7 +119,8 @@ void RunRecoveryScenario(const std::string& executor) {
 
   // Restart on the same port with --restore; clients reconnect and replay
   // their retained unacked tails, then finish the run.
-  ServerProc second = SpawnServer(dir, executor, port, /*restore=*/true);
+  ServerProc second =
+      SpawnServer(ServerArgs(dir, executor, port, /*restore=*/true));
   ASSERT_GT(second.port, 0);
   EXPECT_TRUE(second.restored);
   EXPECT_GE(second.restored_epoch, 2u);

@@ -14,28 +14,16 @@
 // results_hash must match an uninterrupted run with the same trigger —
 // modeled on tests/recovery_test.cc.
 
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/common/check.h"
-#include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/net/delay_model.h"
-#include "src/net/ingest_gateway.h"
 #include "src/net/loadgen.h"
 #include "src/operators/exchange_operator.h"
 #include "src/query/pipeline_builder.h"
@@ -46,18 +34,10 @@
 #include "src/sched/fcfs_policy.h"
 #include "src/workloads/workload.h"
 #include "src/workloads/ysb.h"
+#include "tests/support/klink_run_process.h"
 
 namespace klink {
 namespace {
-
-std::string MakeTempDir() {
-  std::string tmpl = ::testing::TempDir() + "klink_reshard_XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  const char* dir = mkdtemp(buf.data());
-  KLINK_CHECK(dir != nullptr);
-  return std::string(dir);
-}
 
 // ---------------------------------------------------------------------------
 // In-process: re-shard mid-run == never re-sharded, to the byte.
@@ -114,7 +94,7 @@ std::unique_ptr<EventFeed> MakeFeed() {
 /// One fully drained run; `reshard_to` > 0 requests that count at t=1.5s.
 uint64_t RunHash(int shards, int max_shards, int reshard_to,
                  ExecutorKind executor) {
-  const std::string dir = MakeTempDir();
+  const std::string dir = MakeTempDir("reshard");
   CheckpointConfig cc;
   cc.dir = dir;
   cc.interval = MillisToMicros(250);
@@ -197,13 +177,6 @@ constexpr double kReshardAtSeconds = 2.2;
 constexpr TimeMicros kPreCrashSafe = MillisToMicros(2500);
 constexpr TimeMicros kPreCrashSent = MillisToMicros(3000);
 
-std::vector<uint64_t> FeedSeeds() {
-  Rng rng(kSeed);
-  std::vector<uint64_t> seeds;
-  for (int q = 0; q < kQueries; ++q) seeds.push_back(rng.NextUint64());
-  return seeds;
-}
-
 std::unique_ptr<EventFeed> QueryFeed(uint64_t feed_seed) {
   YsbConfig wc;
   wc.events_per_second = kRate;
@@ -212,33 +185,10 @@ std::unique_ptr<EventFeed> QueryFeed(uint64_t feed_seed) {
                      /*start_time=*/0);
 }
 
-RetryPolicy TestRetry() {
-  RetryPolicy retry;
-  retry.max_retries = 60;
-  retry.initial_backoff = MillisToMicros(20);
-  retry.max_backoff = MillisToMicros(500);
-  return retry;
-}
-
-struct ServerProc {
-  pid_t pid = -1;
-  std::FILE* out = nullptr;
-  uint16_t port = 0;
-  bool restored = false;
-};
-
-struct ServerResult {
-  int exit_code = -1;
-  int64_t results = -1;
-  std::string results_hash;
-  int64_t reshards_completed = -1;
-  std::string output;
-};
-
-ServerProc SpawnServer(const std::string& checkpoint_dir, uint16_t port,
-                       bool restore) {
+/// The server's command line (argv after the program name).
+std::vector<std::string> ServerArgs(const std::string& checkpoint_dir,
+                                    uint16_t port, bool restore) {
   std::vector<std::string> args = {
-      "klink_run",
       "--listen=" + std::to_string(port),
       "--lockstep",
       "--policy=fcfs",
@@ -257,132 +207,26 @@ ServerProc SpawnServer(const std::string& checkpoint_dir, uint16_t port,
       "--checkpoint-interval-ms=500",
   };
   if (restore) args.push_back("--restore");
-
-  int fds[2];
-  KLINK_CHECK_EQ(pipe(fds), 0);
-  const pid_t pid = fork();
-  KLINK_CHECK_GE(pid, 0);
-  if (pid == 0) {
-    dup2(fds[1], STDOUT_FILENO);
-    close(fds[0]);
-    close(fds[1]);
-    std::vector<char*> argv;
-    for (std::string& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    execv(KLINK_RUN_PATH, argv.data());
-    _exit(127);
-  }
-  close(fds[1]);
-
-  ServerProc p;
-  p.pid = pid;
-  p.out = fdopen(fds[0], "r");
-  KLINK_CHECK(p.out != nullptr);
-  char line[512];
-  while (std::fgets(line, sizeof(line), p.out) != nullptr) {
-    unsigned long long epoch = 0;
-    unsigned bound = 0;
-    if (std::sscanf(line, "restored checkpoint epoch %llu", &epoch) == 1) {
-      p.restored = true;
-    }
-    if (std::sscanf(line, "listening on 127.0.0.1:%u", &bound) == 1) {
-      p.port = static_cast<uint16_t>(bound);
-      break;
-    }
-  }
-  return p;
-}
-
-ServerResult WaitServer(ServerProc& p) {
-  ServerResult r;
-  char line[512];
-  while (std::fgets(line, sizeof(line), p.out) != nullptr) {
-    r.output += line;
-    long long value = 0;
-    char hash[64];
-    if (std::sscanf(line, "results %lld", &value) == 1) r.results = value;
-    if (std::sscanf(line, "results_hash %63s", hash) == 1) {
-      r.results_hash = hash;
-    }
-    if (std::sscanf(line, "reshards completed %lld", &value) == 1) {
-      r.reshards_completed = value;
-    }
-  }
-  std::fclose(p.out);
-  p.out = nullptr;
-  int status = 0;
-  KLINK_CHECK_EQ(waitpid(p.pid, &status, 0), p.pid);
-  r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return r;
-}
-
-void KillServer(ServerProc& p) {
-  KLINK_CHECK_EQ(kill(p.pid, SIGKILL), 0);
-  int status = 0;
-  KLINK_CHECK_EQ(waitpid(p.pid, &status, 0), p.pid);
-  std::fclose(p.out);
-  p.out = nullptr;
-}
-
-void SendSlice(std::vector<std::unique_ptr<EventFeed>>& feeds,
-               std::vector<std::unique_ptr<LoadgenConnection>>& conns,
-               TimeMicros until, bool send_bye, const RetryPolicy& reconnect) {
-  for (int q = 0; q < kQueries; ++q) {
-    ReplayOptions opts;
-    opts.until = until;
-    opts.speed = 0.0;
-    opts.send_bye = send_bye;
-    opts.reconnect = reconnect;
-    const Status s = ReplayFeed(*feeds[static_cast<size_t>(q)],
-                                {conns[static_cast<size_t>(q)].get()}, opts);
-    ASSERT_TRUE(s.ok()) << "query " << q << ": " << s.ToString();
-  }
-}
-
-void ConnectAll(std::vector<std::unique_ptr<LoadgenConnection>>& conns,
-                uint16_t port) {
-  for (int q = 0; q < kQueries; ++q) {
-    auto conn = std::make_unique<LoadgenConnection>();
-    ASSERT_TRUE(
-        conn->Connect("127.0.0.1", port, MakeStreamId(q, 0), TestRetry())
-            .ok());
-    conns.push_back(std::move(conn));
-  }
-}
-
-void AwaitDurableEpochs(
-    std::vector<std::unique_ptr<LoadgenConnection>>& conns, uint64_t epochs) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (true) {
-    uint64_t min_epoch = std::numeric_limits<uint64_t>::max();
-    for (auto& conn : conns) {
-      ASSERT_TRUE(conn->PollAcks().ok());
-      min_epoch = std::min(min_epoch, conn->durable_epoch());
-    }
-    if (min_epoch >= epochs) return;
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "no durable checkpoint acks from the server";
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  return args;
 }
 
 TEST(ReshardRecoveryTest, KillRacingReshardIsByteIdentical) {
-  const std::vector<uint64_t> seeds = FeedSeeds();
+  const std::vector<uint64_t> seeds = FeedSeeds(kSeed, kQueries);
 
   // Uninterrupted baseline with the same timed re-shard.
   std::string baseline_hash;
   int64_t baseline_results = 0;
   {
-    const std::string dir = MakeTempDir();
-    ServerProc server = SpawnServer(dir, /*port=*/0, /*restore=*/false);
+    const std::string dir = MakeTempDir("reshard");
+    ServerProc server =
+        SpawnServer(ServerArgs(dir, /*port=*/0, /*restore=*/false));
     ASSERT_GT(server.port, 0);
     std::vector<std::unique_ptr<EventFeed>> feeds;
     std::vector<std::unique_ptr<LoadgenConnection>> conns;
     for (int q = 0; q < kQueries; ++q) {
       feeds.push_back(QueryFeed(seeds[static_cast<size_t>(q)]));
     }
-    ConnectAll(conns, server.port);
+    ConnectAll(conns, kQueries, server.port);
     if (::testing::Test::HasFatalFailure()) return;
     SendSlice(feeds, conns, kDuration, /*send_bye=*/true, RetryPolicy{});
     if (::testing::Test::HasFatalFailure()) return;
@@ -398,8 +242,9 @@ TEST(ReshardRecoveryTest, KillRacingReshardIsByteIdentical) {
 
   // Interrupted run: durable prefix, a tail past the frontier with the
   // re-shard trigger inside it, SIGKILL.
-  const std::string dir = MakeTempDir();
-  ServerProc first = SpawnServer(dir, /*port=*/0, /*restore=*/false);
+  const std::string dir = MakeTempDir("reshard");
+  ServerProc first =
+      SpawnServer(ServerArgs(dir, /*port=*/0, /*restore=*/false));
   ASSERT_GT(first.port, 0);
   const uint16_t port = first.port;
   std::vector<std::unique_ptr<EventFeed>> feeds;
@@ -407,7 +252,7 @@ TEST(ReshardRecoveryTest, KillRacingReshardIsByteIdentical) {
   for (int q = 0; q < kQueries; ++q) {
     feeds.push_back(QueryFeed(seeds[static_cast<size_t>(q)]));
   }
-  ConnectAll(conns, port);
+  ConnectAll(conns, kQueries, port);
   if (::testing::Test::HasFatalFailure()) return;
   SendSlice(feeds, conns, kPreCrashSafe, /*send_bye=*/false, RetryPolicy{});
   if (::testing::Test::HasFatalFailure()) return;
@@ -420,7 +265,7 @@ TEST(ReshardRecoveryTest, KillRacingReshardIsByteIdentical) {
   // Restore on the same port: the timed trigger re-fires (idempotent when
   // the restored checkpoint already carries the re-shard in flight or
   // completed) and the clients replay their unacked tails.
-  ServerProc second = SpawnServer(dir, port, /*restore=*/true);
+  ServerProc second = SpawnServer(ServerArgs(dir, port, /*restore=*/true));
   ASSERT_GT(second.port, 0);
   EXPECT_TRUE(second.restored);
   for (auto& conn : conns) {

@@ -41,6 +41,7 @@
 #include "src/runtime/engine.h"
 #include "src/runtime/event_feed.h"
 #include "src/runtime/reshard.h"
+#include "tests/support/klink_run_process.h"
 #include "tests/support/schedule_explorer.h"
 #include "src/sched/fcfs_policy.h"
 #include "src/workloads/workload.h"
@@ -50,15 +51,6 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Harness plumbing.
-
-std::string MakeTempDir() {
-  std::string tmpl = ::testing::TempDir() + "klink_explorer_XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  const char* dir = mkdtemp(buf.data());
-  KLINK_CHECK(dir != nullptr);
-  return std::string(dir);
-}
 
 /// Forces KLINK_AUDIT=1 for a scope: every explored schedule replays under
 /// the invariant auditor's cross-checks, not just the hash oracle.
@@ -254,7 +246,7 @@ RunOutcome RunCheckpointReshard(uint64_t explorer_seed, ExecutorKind executor,
   std::optional<ScheduleExplorer> explorer;
   if (explorer_seed != 0) explorer.emplace(ExplorerCfg(explorer_seed));
 
-  const std::string dir = MakeTempDir();
+  const std::string dir = MakeTempDir("explorer");
   CheckpointConfig cc;
   cc.dir = dir;
   cc.interval = timing.ckpt_interval;
@@ -309,7 +301,7 @@ uint64_t RunKillRestore(uint64_t explorer_seed, const ProtocolTiming& timing) {
   std::optional<ScheduleExplorer> explorer;
   if (explorer_seed != 0) explorer.emplace(ExplorerCfg(explorer_seed));
 
-  const std::string dir = MakeTempDir();
+  const std::string dir = MakeTempDir("explorer");
   const EngineConfig config = ShardEngineCfg(ExecutorKind::kThreads);
 
   // Phase 1: run, re-shard, crash shortly after the protocol completes.
@@ -505,7 +497,7 @@ uint64_t RunAckedKillRestore(uint64_t explorer_seed) {
   std::optional<ScheduleExplorer> explorer;
   if (explorer_seed != 0) explorer.emplace(ExplorerCfg(explorer_seed));
 
-  const std::string dir = MakeTempDir();
+  const std::string dir = MakeTempDir("explorer");
   const std::vector<EventFeed::FeedElement> events = GatewayEvents();
   EngineConfig config;
   config.num_cores = 2;

@@ -266,19 +266,13 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
     cc.dir = ckpt.dir;
     cc.interval = ckpt.interval;
     coordinator = std::make_unique<CheckpointCoordinator>(cc);
-  } else if (ckpt.restore) {
-    std::fprintf(stderr, "--restore requires --checkpoint-dir\n");
-    return 2;
   }
 
   // Live re-sharding pauses at checkpoint barriers, so the protocol only
-  // runs when a coordinator injects them.
+  // runs when a coordinator injects them (main insists on one).
   std::unique_ptr<ReshardController> resharder;
   if (reshard.target > 0 || reshard.hot_trigger) {
-    if (coordinator == nullptr) {
-      std::fprintf(stderr, "--reshard/--hot-reshard require --checkpoint-dir\n");
-      return 2;
-    }
+    KLINK_CHECK(coordinator != nullptr);
     resharder = std::make_unique<ReshardController>(&engine);
     if (reshard.hot_trigger) resharder->EnableHotShardTrigger();
     engine.SetReshardController(resharder.get());
@@ -618,14 +612,30 @@ int main(int argc, char** argv) {
   if (!flags.Parse(argc - 1, argv + 1).ok()) return Usage();
   if (flags.Has("help")) return Usage();
 
+  // Bad input is a usage error: name the flag, print the usage, exit 2.
+  // Every flag is validated before listen mode creates --checkpoint-dir.
+  const auto reject = [](const std::string& message) {
+    std::fprintf(stderr, "%s\n", message.c_str());
+    return Usage();
+  };
+  // Exactly the flags Usage() lists.
+  if (const Status st = flags.CheckKnown(
+          {"policy", "workload", "queries", "rate", "delay", "duration",
+           "allowed-lateness-ms", "warmup", "cores", "memory-mb", "executor",
+           "confidence", "seed", "csv", "shards", "max-shards", "listen",
+           "ingest-budget-kb", "lockstep", "dynamic-attach", "expect-tenants",
+           "checkpoint-dir", "checkpoint-interval-ms", "restore", "reshard",
+           "hot-reshard"});
+      !st.ok()) {
+    return reject(st.message());
+  }
+
   ExperimentConfig config;
   if (!ParsePolicy(flags.GetString("policy", "klink"), &config.policy)) {
-    std::fprintf(stderr, "unknown --policy\n");
-    return Usage();
+    return reject("unknown --policy");
   }
   if (!ParseWorkload(flags.GetString("workload", "ysb"), &config.workload)) {
-    std::fprintf(stderr, "unknown --workload\n");
-    return Usage();
+    return reject("unknown --workload");
   }
   const std::string delay = flags.GetString("delay", "uniform");
   if (delay == "uniform") {
@@ -635,22 +645,22 @@ int main(int argc, char** argv) {
   } else if (delay == "pareto") {
     config.delay = DelayKind::kPareto;
   } else {
-    std::fprintf(stderr, "unknown --delay\n");
-    return Usage();
+    return reject("unknown --delay");
   }
   std::string executor_name;
   if (!flags.GetChoice("executor", {"sequential", "threads"}, "sequential",
                        &executor_name)
            .ok() ||
       !ParseExecutorKind(executor_name, &config.engine.executor)) {
-    std::fprintf(stderr, "unknown --executor\n");
-    return Usage();
+    return reject("unknown --executor");
   }
-  // Numeric flags parse whole or not at all: a malformed or out-of-range
-  // value is a usage error naming the flag. Unit conversions are
-  // range-checked before they multiply.
+  // Numeric and boolean flags parse whole or not at all: a malformed or
+  // out-of-range value is a usage error naming the flag. Unit conversions
+  // are range-checked before they multiply.
   int64_t duration_s = 0, warmup_s = 0, memory_mb = 0, seed = 0;
   int64_t lateness_ms = 0;
+  bool lockstep = false, dynamic_attach = false, restore = false;
+  bool hot_reshard = false;
   for (const Status& st :
        {flags.GetInt("queries", 20, &config.num_queries),
         flags.GetDouble("rate", 1000.0, &config.events_per_second),
@@ -663,28 +673,25 @@ int main(int argc, char** argv) {
         flags.GetInt("allowed-lateness-ms", 0, &lateness_ms),
         flags.GetInt("shards", 1, &config.shards),
         flags.GetInt("max-shards", 0, &config.max_shards),
+        flags.GetBool("lockstep", false, &lockstep),
+        flags.GetBool("dynamic-attach", false, &dynamic_attach),
+        flags.GetBool("restore", false, &restore),
+        flags.GetBool("hot-reshard", false, &hot_reshard),
         CheckScaled("duration", duration_s, SecondsToMicros(1)),
         CheckScaled("warmup", warmup_s, SecondsToMicros(1)),
         CheckScaled("memory-mb", memory_mb, int64_t{1} << 20),
         CheckScaled("allowed-lateness-ms", lateness_ms, MillisToMicros(1))}) {
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.message().c_str());
-      return Usage();
-    }
+    if (!st.ok()) return reject(st.message());
   }
   config.duration = SecondsToMicros(duration_s);
   config.warmup = SecondsToMicros(warmup_s);
   config.engine.memory_capacity_bytes = memory_mb << 20;
   config.seed = static_cast<uint64_t>(seed);
-  if (lateness_ms < 0) {
-    std::fprintf(stderr, "--allowed-lateness-ms must be >= 0\n");
-    return Usage();
-  }
+  if (lateness_ms < 0) return reject("--allowed-lateness-ms must be >= 0");
   config.allowed_lateness = MillisToMicros(lateness_ms);
   if (config.shards < 1 ||
       (config.max_shards != 0 && config.max_shards < config.shards)) {
-    std::fprintf(stderr, "--max-shards must be 0 or >= --shards (>= 1)\n");
-    return Usage();
+    return reject("--max-shards must be 0 or >= --shards (>= 1)");
   }
   // Listen mode has no warm-up cut (its report covers the whole run), so
   // only the engine's and the policy's fields constrain it.
@@ -694,10 +701,7 @@ int main(int argc, char** argv) {
     return engine.ok() ? config.klink.Validate() : engine;
   };
   const Status valid = validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "%s\n", valid.message().c_str());
-    return Usage();
-  }
+  if (!valid.ok()) return reject(valid.message());
 
   if (flags.Has("listen")) {
     int port = 0, expect_tenants = 0;
@@ -710,51 +714,33 @@ int main(int argc, char** argv) {
           CheckScaled("ingest-budget-kb", budget_kb, int64_t{1} << 10),
           CheckScaled("checkpoint-interval-ms", interval_ms,
                       MillisToMicros(1))}) {
-      if (!st.ok()) {
-        std::fprintf(stderr, "%s\n", st.message().c_str());
-        return Usage();
-      }
+      if (!st.ok()) return reject(st.message());
     }
     if (port < 0 || port > 65535) {
-      std::fprintf(stderr, "--listen must be a port in [0, 65535]\n");
-      return Usage();
+      return reject("--listen must be a port in [0, 65535]");
     }
     // Tenant indexes lie in [0, --queries), also under --dynamic-attach.
-    if (config.num_queries < 1) {
-      std::fprintf(stderr, "--queries must be >= 1\n");
-      return Usage();
+    if (config.num_queries < 1) return reject("--queries must be >= 1");
+    // More expected tenants than can attach would hold virtual time
+    // forever.
+    if (expect_tenants < 0 || expect_tenants > config.num_queries) {
+      return reject("--expect-tenants must lie in [0, --queries]");
     }
-    if (budget_kb < 1) {
-      std::fprintf(stderr, "--ingest-budget-kb must be >= 1\n");
-      return Usage();
-    }
+    if (budget_kb < 1) return reject("--ingest-budget-kb must be >= 1");
     if (interval_ms < 1) {
-      std::fprintf(stderr, "--checkpoint-interval-ms must be >= 1\n");
-      return Usage();
+      return reject("--checkpoint-interval-ms must be >= 1");
     }
     CheckpointFlags ckpt;
     ckpt.dir = flags.GetString("checkpoint-dir", "");
     ckpt.interval = MillisToMicros(interval_ms);
-    ckpt.restore = flags.GetBool("restore", false);
-    if (!ckpt.dir.empty()) {
-      // Create the directory (not its parents) and insist on a directory,
-      // or every epoch would fail to persist and none would ever be acked.
-      ::mkdir(ckpt.dir.c_str(), 0755);  // may already exist; stat decides
-      struct stat st {};
-      if (::stat(ckpt.dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
-        std::fprintf(stderr, "--checkpoint-dir %s is not a usable directory\n",
-                     ckpt.dir.c_str());
-        return Usage();
-      }
-    }
+    ckpt.restore = restore;
     ReshardFlags reshard;
-    reshard.hot_trigger = flags.GetBool("hot-reshard", false);
+    reshard.hot_trigger = hot_reshard;
     const std::string reshard_spec = flags.GetString("reshard", "");
     if (!reshard_spec.empty()) {
       const size_t at = reshard_spec.find('@');
       if (at == std::string::npos) {
-        std::fprintf(stderr, "--reshard expects COUNT@SECONDS\n");
-        return Usage();
+        return reject("--reshard expects COUNT@SECONDS");
       }
       int64_t count = 0;
       double seconds = 0.0;
@@ -762,27 +748,37 @@ int main(int argc, char** argv) {
            {ParseIntFlag("reshard", reshard_spec.substr(0, at), &count),
             ParseDoubleFlag("reshard", reshard_spec.substr(at + 1),
                             &seconds)}) {
-        if (!st.ok()) {
-          std::fprintf(stderr, "%s\n", st.message().c_str());
-          return Usage();
-        }
+        if (!st.ok()) return reject(st.message());
       }
       if (count < 1 || count > std::numeric_limits<int>::max()) {
-        std::fprintf(stderr, "--reshard expects an int COUNT >= 1\n");
-        return Usage();
+        return reject("--reshard expects an int COUNT >= 1");
       }
-      if (seconds < 0.0) {
-        std::fprintf(stderr, "--reshard expects SECONDS >= 0\n");
-        return Usage();
-      }
+      if (seconds < 0.0) return reject("--reshard expects SECONDS >= 0");
       // Range-checked before the conversion to micros.
       if (seconds > static_cast<double>(std::numeric_limits<int64_t>::max() /
                                         SecondsToMicros(1))) {
-        std::fprintf(stderr, "--reshard SECONDS is out of range\n");
-        return Usage();
+        return reject("--reshard SECONDS is out of range");
       }
       reshard.target = static_cast<int>(count);
       reshard.at = static_cast<TimeMicros>(seconds * 1e6);
+    }
+    // A restore reads checkpoints, and live re-sharding pauses at their
+    // barriers.
+    if (ckpt.dir.empty() && ckpt.restore) {
+      return reject("--restore requires --checkpoint-dir");
+    }
+    if (ckpt.dir.empty() && (reshard.target > 0 || reshard.hot_trigger)) {
+      return reject("--reshard/--hot-reshard require --checkpoint-dir");
+    }
+    if (!ckpt.dir.empty()) {
+      // Create the directory (not its parents) and insist on a directory,
+      // or every epoch would fail to persist and none would ever be acked.
+      ::mkdir(ckpt.dir.c_str(), 0755);  // may already exist; stat decides
+      struct stat st {};
+      if (::stat(ckpt.dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
+        return reject("--checkpoint-dir " + ckpt.dir +
+                      " is not a usable directory");
+      }
     }
     std::printf("serving %s on %s: %d queries, %d cores (%s executor), "
                 "%lld MB, seed %llu\n",
@@ -794,9 +790,8 @@ int main(int argc, char** argv) {
                                        20),
                 static_cast<unsigned long long>(config.seed));
     return RunListenMode(config, static_cast<uint16_t>(port), budget_kb << 10,
-                         flags.GetBool("lockstep", false),
-                         flags.GetBool("dynamic-attach", false),
-                         expect_tenants, ckpt, reshard);
+                         lockstep, dynamic_attach, expect_tenants, ckpt,
+                         reshard);
   }
 
   std::printf("running %s on %s: %d queries x %.0f events/s, %lld s "

@@ -81,13 +81,22 @@ struct QueryReplay {
 int main(int argc, char** argv) {
   FlagParser flags;
   if (!flags.Parse(argc - 1, argv + 1).ok()) return Usage();
-  if (flags.Has("help") || !flags.Has("port")) return Usage();
+  if (flags.Has("help")) return Usage();
 
   // Bad input is a usage error: name the flag, print the usage, exit 2.
   const auto reject = [](const std::string& message) {
     std::fprintf(stderr, "%s\n", message.c_str());
     return Usage();
   };
+  // Exactly the flags Usage() lists.
+  if (const Status st = flags.CheckKnown(
+          {"port", "host", "workload", "queries", "rate", "delay", "duration",
+           "delay-pareto", "speed", "seed", "max-retries", "key-skew",
+           "churn-detach", "churn-attach", "churn-delay-ms"});
+      !st.ok()) {
+    return reject(st.message());
+  }
+  if (!flags.Has("port")) return Usage();
   const std::string host = flags.GetString("host", "127.0.0.1");
   int port_flag = 0, num_queries = 0, churn_detach = 0, churn_attach = 0;
   double rate = 0.0, speed = 0.0;
