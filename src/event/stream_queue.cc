@@ -28,6 +28,7 @@ void StreamQueue::Push(const Event& e) {
   const int64_t tail = head_ + size_;
   if (tail == static_cast<int64_t>(chunks_.size()) * kChunkEvents) Grow();
   chunks_[ChunkIndexFor(tail)]->events[tail & (kChunkEvents - 1)] = e;
+  if (size_ == 0) front_ingest_ = e.ingest_time;
   ++size_;
   const int64_t delta = e.payload_bytes + kPerEventOverhead;
   bytes_ += delta;
@@ -36,6 +37,7 @@ void StreamQueue::Push(const Event& e) {
 
 void StreamQueue::PushBatch(const Event* events, int64_t n) {
   KLINK_CHECK_GE(n, 0);
+  if (size_ == 0 && n > 0) front_ingest_ = events[0].ingest_time;
   int64_t delta = 0;
   int64_t data = 0;
   int64_t i = 0;
@@ -65,6 +67,7 @@ Event StreamQueue::Pop() {
   ++head_;
   --size_;
   if (head_ == kChunkEvents) RecycleFrontChunk();
+  ReloadFrontIngest();
   const int64_t delta = e.payload_bytes + kPerEventOverhead;
   bytes_ -= delta;
   if (e.is_keyed_element()) --data_count_;
@@ -94,6 +97,7 @@ int64_t StreamQueue::PopBatch(Event* out, int64_t max_n) {
   size_ -= n;
   bytes_ -= delta;
   data_count_ -= data;
+  ReloadFrontIngest();
   KLINK_DCHECK(bytes_ >= 0);
   return n;
 }
@@ -101,10 +105,6 @@ int64_t StreamQueue::PopBatch(Event* out, int64_t max_n) {
 const Event& StreamQueue::Front() const {
   KLINK_CHECK(size_ > 0);
   return chunks_[chunk_head_]->events[head_];
-}
-
-TimeMicros StreamQueue::OldestIngestTime() const {
-  return size_ == 0 ? kNoTime : Front().ingest_time;
 }
 
 int64_t StreamQueue::AuditRecomputeBytes() const {
@@ -125,12 +125,17 @@ int64_t StreamQueue::AuditRecomputeDataCount() const {
   return data;
 }
 
+TimeMicros StreamQueue::AuditRecomputeOldestIngestTime() const {
+  return size_ == 0 ? kNoTime : Front().ingest_time;
+}
+
 void StreamQueue::Clear() {
   chunk_head_ = 0;
   head_ = 0;
   size_ = 0;
   bytes_ = 0;
   data_count_ = 0;
+  front_ingest_ = kNoTime;
 }
 
 }  // namespace klink

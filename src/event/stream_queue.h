@@ -61,8 +61,10 @@ class StreamQueue {
   int64_t bytes() const { return bytes_; }
 
   /// Ingestion time of the oldest queued element, or kNoTime when empty.
-  /// Used by the FCFS policy.
-  TimeMicros OldestIngestTime() const;
+  /// Read by every cycle's snapshot (FCFS, lane oldest-ingest), so it is
+  /// kept in a field written wherever the front changes instead of read
+  /// from the front chunk.
+  TimeMicros OldestIngestTime() const { return front_ingest_; }
 
   /// Number of queued data (non-punctuation) elements.
   int64_t data_count() const { return data_count_; }
@@ -77,6 +79,9 @@ class StreamQueue {
   int64_t AuditRecomputeBytes() const;
   /// Same full walk for the data (non-punctuation) element count.
   int64_t AuditRecomputeDataCount() const;
+  /// OldestIngestTime() read from the stored front element instead of the
+  /// cached field.
+  TimeMicros AuditRecomputeOldestIngestTime() const;
 
  private:
   /// Lets the audit test plant accounting corruption to prove the auditor
@@ -99,6 +104,12 @@ class StreamQueue {
   /// Retires the (fully drained) front chunk back to the spare pool.
   void RecycleFrontChunk();
 
+  /// Re-reads front_ingest_ after elements left the front.
+  void ReloadFrontIngest() {
+    front_ingest_ =
+        size_ == 0 ? kNoTime : chunks_[chunk_head_]->events[head_].ingest_time;
+  }
+
   /// Chunks in circular order starting at chunk_head_. Spare (drained)
   /// chunks live between the in-use tail and chunk_head_.
   std::vector<std::unique_ptr<Chunk>> chunks_;
@@ -107,6 +118,8 @@ class StreamQueue {
   int64_t size_ = 0;
   int64_t bytes_ = 0;
   int64_t data_count_ = 0;
+  /// Ingest time of the front element, kNoTime when empty.
+  TimeMicros front_ingest_ = kNoTime;
 };
 
 }  // namespace klink

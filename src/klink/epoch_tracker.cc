@@ -28,23 +28,18 @@ void EpochTracker::PushEpoch(double mu, double chi, double offset_micros,
       mus_.pop_front();
       chis_.pop_front();
     }
+    mean_mu_ = MeanOf(mus_);
+    mean_chi_ = MeanOf(chis_);
   }
   offsets_.push_back(offset_micros);
   if (static_cast<int>(offsets_.size()) > history_) offsets_.pop_front();
-}
-
-double EpochTracker::MeanMu() const { return MeanOf(mus_); }
-
-double EpochTracker::MeanChi() const { return MeanOf(chis_); }
-
-double EpochTracker::MeanOffset() const { return MeanOf(offsets_); }
-
-double EpochTracker::VarOffset() const {
-  if (offsets_.size() < 2) return 0.0;
-  const double mean = MeanOffset();
-  double acc = 0.0;
-  for (double o : offsets_) acc += (o - mean) * (o - mean);
-  return acc / static_cast<double>(offsets_.size());
+  mean_offset_ = MeanOf(offsets_);
+  var_offset_ = 0.0;
+  if (offsets_.size() >= 2) {
+    double acc = 0.0;
+    for (double o : offsets_) acc += (o - mean_offset_) * (o - mean_offset_);
+    var_offset_ = acc / static_cast<double>(offsets_.size());
+  }
 }
 
 double EpochTracker::Eq6Variance() const {

@@ -25,8 +25,20 @@ Status KlinkPolicyConfig::Validate() const {
 
 KlinkPolicy::KlinkPolicy(const KlinkPolicyConfig& config) : config_(config) {}
 
+KlinkEstimator& KlinkPolicy::EstimatorIn(EstimatorGroup& group, int op_index,
+                                         int stream) {
+  for (StreamEstimator& e : group) {
+    if (e.op_index == op_index && e.stream == stream) return e.estimator;
+  }
+  return group
+      .emplace_back(StreamEstimator{
+          op_index, stream,
+          KlinkEstimator(config_.history_epochs, config_.confidence)})
+      .estimator;
+}
+
 double KlinkPolicy::EvaluateUnitSlack(const QueryInfo& info, size_t lane_idx,
-                                      TimeMicros now) {
+                                      TimeMicros now, EstimatorGroup* group) {
   const double now_d = static_cast<double>(now);
   const LaneView lane = LaneAt(info, lane_idx);
   // Pending corrections drain through the pipeline ahead of the sweep just
@@ -43,21 +55,11 @@ double KlinkPolicy::EvaluateUnitSlack(const QueryInfo& info, size_t lane_idx,
   double min_slack = std::numeric_limits<double>::max();
   for (int si = lane.streams_begin; si < lane.streams_end; ++si) {
     const StreamProgress& progress = info.streams[static_cast<size_t>(si)];
-    KlinkEstimator* est;
-    const uint64_t key = StreamKey(info.id, progress.op_index,
-                                   progress.stream);
-    const auto it = estimators_.find(key);
-    if (it == estimators_.end()) {
-      est = estimators_
-                .emplace(key, std::make_unique<KlinkEstimator>(
-                                  config_.history_epochs, config_.confidence))
-                .first->second.get();
-    } else {
-      est = it->second.get();
-    }
-    est->Observe(progress);
+    KlinkEstimator& est =
+        EstimatorIn(*group, progress.op_index, progress.stream);
+    est.Observe(progress);
     const IngestionPrediction pred =
-        config_.use_estimator ? est->Predict(progress) : IngestionPrediction{};
+        config_.use_estimator ? est.Predict(progress) : IngestionPrediction{};
     double slack;
     if (pred.valid) {
       const SlackResult r = ComputeExpectedSlack(
@@ -106,31 +108,32 @@ void KlinkPolicy::SelectQueries(const RuntimeSnapshot& snapshot, int slots,
   UpdateMemoryMode(snapshot);
   // Detached queries release their estimators; the engine's snapshot
   // reports each retirement exactly once.
-  for (QueryId id : snapshot.detached) EraseEstimatorsByQuery(id);
+  for (QueryId id : snapshot.detached) estimators_.erase(id);
 
   // Evaluate slack for every unit each cycle: estimators must observe
   // stream progress continuously, and LastSlack() stays fresh.
   last_slack_.clear();
-  std::vector<std::pair<double, int64_t>> ranked;  // ready (slack, unit)
-  std::unordered_map<QueryId, double> query_slack;
-  std::unordered_map<QueryId, double> mm_reduction;
+  ranked_.clear();
+  memory_ranked_.clear();
   for (const QueryInfo& info : snapshot.queries) {
+    EstimatorGroup* group =
+        info.streams.empty() ? nullptr : &estimators_[info.id];
     double min_slack = kInf;
     for (size_t l = 0; l < NumLanes(info); ++l) {
       const LaneView lane = LaneAt(info, l);
-      const double slack = EvaluateUnitSlack(info, l, snapshot.now);
+      const double slack = EvaluateUnitSlack(info, l, snapshot.now, group);
       const int64_t unit = UnitKey(info.id, lane.lane);
-      last_slack_[unit] = slack;
+      last_slack_.emplace_back(unit, slack);
       min_slack = std::min(min_slack, slack);
       if (!mm_active_ && lane.queued_events > 0) {
-        ranked.emplace_back(slack, unit);
+        ranked_.emplace_back(slack, unit);
       }
     }
-    if (mm_active_) {
-      query_slack[info.id] = min_slack;
-      mm_reduction[info.id] =
+    if (mm_active_ && QueryIsReady(info)) {
+      memory_ranked_.push_back(MemoryRank{
           ComputeMemoryPlan(info, static_cast<double>(config_.cycle_length))
-              .potential_events;
+              .potential_events,
+          min_slack, info.id});
     }
   }
   pending_eval_cost_ +=
@@ -146,33 +149,26 @@ void KlinkPolicy::SelectQueries(const RuntimeSnapshot& snapshot, int slots,
     // mode keeps whole-query granularity: the memory plan reasons over
     // entire pipelines, and a whole-query slot drains every lane in
     // topological order.
-    SelectTopReadyQueries(
-        snapshot, slots,
-        [&query_slack, &mm_reduction](const QueryInfo& a, const QueryInfo& b) {
-          const double ra = mm_reduction.at(a.id);
-          const double rb = mm_reduction.at(b.id);
-          if (ra != rb) return ra > rb;
-          return query_slack.at(a.id) < query_slack.at(b.id);
-        },
-        out);
+    const size_t take = std::min(memory_ranked_.size(),
+                                 static_cast<size_t>(std::max(slots, 0)));
+    std::partial_sort(memory_ranked_.begin(),
+                      memory_ranked_.begin() + static_cast<long>(take),
+                      memory_ranked_.end(),
+                      [](const MemoryRank& a, const MemoryRank& b) {
+                        if (a.reduction != b.reduction) {
+                          return a.reduction > b.reduction;
+                        }
+                        return a.slack < b.slack;
+                      });
+    for (size_t i = 0; i < take; ++i) out->Add(memory_ranked_[i].id);
   } else {
     const size_t take = std::min(
-        ranked.size(), static_cast<size_t>(std::max(slots, 0)));
-    std::partial_sort(ranked.begin(),
-                      ranked.begin() + static_cast<long>(take), ranked.end());
+        ranked_.size(), static_cast<size_t>(std::max(slots, 0)));
+    std::partial_sort(ranked_.begin(),
+                      ranked_.begin() + static_cast<long>(take),
+                      ranked_.end());
     for (size_t i = 0; i < take; ++i) {
-      out->AddLane(UnitQuery(ranked[i].second), UnitLane(ranked[i].second));
-    }
-  }
-}
-
-void KlinkPolicy::EraseEstimatorsByQuery(QueryId id) {
-  const uint64_t tag = static_cast<uint64_t>(static_cast<uint32_t>(id));
-  for (auto it = estimators_.begin(); it != estimators_.end();) {
-    if ((it->first >> 24) == tag) {
-      it = estimators_.erase(it);
-    } else {
-      ++it;
+      out->AddLane(UnitQuery(ranked_[i].second), UnitLane(ranked_[i].second));
     }
   }
 }
@@ -187,9 +183,11 @@ double KlinkPolicy::EvaluationCostMicros(const RuntimeSnapshot& /*snapshot*/) {
 
 double KlinkPolicy::EstimatorAccuracy() const {
   int64_t hits = 0, preds = 0;
-  for (const auto& [key, est] : estimators_) {
-    hits += est->hits();
-    preds += est->predictions();
+  for (const auto& [id, group] : estimators_) {
+    for (const StreamEstimator& e : group) {
+      hits += e.estimator.hits();
+      preds += e.estimator.predictions();
+    }
   }
   return preds == 0 ? 0.0
                     : static_cast<double>(hits) / static_cast<double>(preds);
@@ -197,24 +195,32 @@ double KlinkPolicy::EstimatorAccuracy() const {
 
 int64_t KlinkPolicy::total_predictions() const {
   int64_t preds = 0;
-  for (const auto& [key, est] : estimators_) preds += est->predictions();
+  for (const auto& [id, group] : estimators_) {
+    for (const StreamEstimator& e : group) preds += e.estimator.predictions();
+  }
   return preds;
 }
 
 double KlinkPolicy::EstimatorMeanAbsErrorMicros() const {
   int64_t preds = 0;
   double err = 0.0;
-  for (const auto& [key, est] : estimators_) {
-    preds += est->predictions();
-    err += est->abs_error_sum_micros();
+  for (const auto& [id, group] : estimators_) {
+    for (const StreamEstimator& e : group) {
+      preds += e.estimator.predictions();
+      err += e.estimator.abs_error_sum_micros();
+    }
   }
   return preds == 0 ? 0.0 : err / static_cast<double>(preds);
 }
 
 const KlinkEstimator* KlinkPolicy::EstimatorFor(QueryId id, int op_index,
                                                 int stream) const {
-  const auto it = estimators_.find(StreamKey(id, op_index, stream));
-  return it == estimators_.end() ? nullptr : it->second.get();
+  const auto group = estimators_.find(id);
+  if (group == estimators_.end()) return nullptr;
+  for (const StreamEstimator& e : group->second) {
+    if (e.op_index == op_index && e.stream == stream) return &e.estimator;
+  }
+  return nullptr;
 }
 
 double KlinkPolicy::LastSlack(QueryId id) const {
@@ -229,8 +235,11 @@ double KlinkPolicy::LastSlack(QueryId id) const {
 }
 
 double KlinkPolicy::LastSlack(QueryId id, int lane) const {
-  const auto it = last_slack_.find(UnitKey(id, lane));
-  return it == last_slack_.end() ? 0.0 : it->second;
+  const int64_t unit = UnitKey(id, lane);
+  for (const auto& [u, slack] : last_slack_) {
+    if (u == unit) return slack;
+  }
+  return 0.0;
 }
 
 }  // namespace klink

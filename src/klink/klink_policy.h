@@ -2,9 +2,10 @@
 #define KLINK_KLINK_KLINK_POLICY_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/klink/swm_estimator.h"
@@ -66,7 +67,10 @@ struct KlinkPolicyConfig {
 ///
 /// Every cycle evaluates the slack of every unit of every query, as the
 /// paper's evaluator does: estimators observe stream progress continuously
-/// and LastSlack() is always current.
+/// and LastSlack() is always current. That walk is per-cycle, per-tenant
+/// work, so it allocates nothing in steady state: a query's estimators
+/// form one group found with one lookup, and the rankings and last slacks
+/// live in member vectors reused from cycle to cycle.
 class KlinkPolicy final : public SchedulingPolicy {
  public:
   explicit KlinkPolicy(const KlinkPolicyConfig& config = {});
@@ -90,38 +94,59 @@ class KlinkPolicy final : public SchedulingPolicy {
   /// sensitive than interval hit rate under heavy-tailed delays).
   double EstimatorMeanAbsErrorMicros() const;
   /// Expected slack of query `id` in the last cycle — the minimum over its
-  /// units — or 0 if unknown (diagnostics/tests).
+  /// units — or 0 if unknown (diagnostics/tests). A linear scan.
   double LastSlack(QueryId id) const;
   /// Expected slack of one lane of `id` (-1 = the whole-query unit of an
-  /// unsharded query), or 0 if never evaluated (reporter/tests).
+  /// unsharded query) in the last cycle, or 0 if not evaluated then
+  /// (reporter/tests). A linear scan.
   double LastSlack(QueryId id, int lane) const;
   /// The estimator of one stream, or nullptr (diagnostics/tests).
   const KlinkEstimator* EstimatorFor(QueryId id, int op_index,
                                      int stream) const;
 
  private:
-  /// Stable key for one stream of one windowed operator of one query.
-  static uint64_t StreamKey(QueryId q, int op_index, int stream) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(q)) << 24) |
-           (static_cast<uint64_t>(static_cast<uint32_t>(op_index)) << 8) |
-           static_cast<uint64_t>(static_cast<uint32_t>(stream));
-  }
+  /// The estimator of one stream of one windowed operator of a query.
+  struct StreamEstimator {
+    int op_index;
+    int stream;
+    KlinkEstimator estimator;
+  };
+  /// One query's stream estimators, in the order first evaluated. A query
+  /// has a few streams, so finding one is a short scan.
+  using EstimatorGroup = std::vector<StreamEstimator>;
+
+  /// One ready query in a memory-mode cycle.
+  struct MemoryRank {
+    /// MemoryPlan::potential_events: larger ranks first.
+    double reduction;
+    /// Least slack over the query's units: breaks reduction ties.
+    double slack;
+    QueryId id;
+  };
 
   /// Updates estimators with this cycle's progress and computes the slack
   /// of one unit: min over the lane's streams with the lane's drain cost
-  /// (`lane_idx` indexes QueryInfo::lanes). Also accumulates the overhead
-  /// step count into eval_steps_.
+  /// (`lane_idx` indexes QueryInfo::lanes). `group` holds the query's
+  /// estimators; null when the query has no streams. Also accumulates the
+  /// overhead step count into eval_steps_.
   double EvaluateUnitSlack(const QueryInfo& info, size_t lane_idx,
-                           TimeMicros now);
+                           TimeMicros now, EstimatorGroup* group);
+  /// The estimator of (op_index, stream) in `group`, created on first use.
+  KlinkEstimator& EstimatorIn(EstimatorGroup& group, int op_index,
+                              int stream);
 
   void UpdateMemoryMode(const RuntimeSnapshot& snapshot);
-  /// Drops the stream estimators of a detached query.
-  void EraseEstimatorsByQuery(QueryId id);
 
   KlinkPolicyConfig config_;
-  std::unordered_map<uint64_t, std::unique_ptr<KlinkEstimator>> estimators_;
-  /// Slack of each unit when it was last evaluated, keyed by UnitKey.
-  std::unordered_map<int64_t, double> last_slack_;
+  /// Estimator groups by query; a detached query's group is erased whole.
+  std::unordered_map<QueryId, EstimatorGroup> estimators_;
+  /// (UnitKey, slack) of every unit evaluated in the last cycle, in
+  /// snapshot order.
+  std::vector<std::pair<int64_t, double>> last_slack_;
+  /// This cycle's ready units as (slack, UnitKey), outside memory mode.
+  std::vector<std::pair<double, int64_t>> ranked_;
+  /// This cycle's ready queries in memory mode, in snapshot order.
+  std::vector<MemoryRank> memory_ranked_;
   bool mm_active_ = false;
   double mm_entry_utilization_ = 0.0;
   TimeMicros mm_entry_time_ = 0;

@@ -38,11 +38,27 @@ SlackResult ComputeExpectedSlack(double now, double drain_cost,
 
   double slack = 0.0;
   int steps = 0;
-  for (double x = std::max(now, t_min); x <= t_max; x += step) {
-    const double pr =
-        GaussianIntervalProb(x, x + step, pred.mean, pred.stddev) / denom;
-    slack += pr * ((x + step - now) - drain_cost);
-    ++steps;
+  double x = std::max(now, t_min);
+  if (pred.stddev <= 0.0) {
+    // Point mass: GaussianIntervalProb's own case per window.
+    for (; x <= t_max; x += step) {
+      const double pr =
+          GaussianIntervalProb(x, x + step, pred.mean, pred.stddev) / denom;
+      slack += pr * ((x + step - now) - drain_cost);
+      ++steps;
+    }
+  } else {
+    // P(x <= w <= x + step) = Phi(upper) - Phi(lower). Each window's upper
+    // edge is the next window's lower edge, the same double x + step, so
+    // carrying its CDF over halves the erfc calls without changing a bit.
+    double cdf_lo = GaussianCdf((x - pred.mean) / pred.stddev);
+    for (; x <= t_max; x += step) {
+      const double cdf_hi = GaussianCdf((x + step - pred.mean) / pred.stddev);
+      const double pr = (cdf_hi - cdf_lo) / denom;
+      slack += pr * ((x + step - now) - drain_cost);
+      ++steps;
+      cdf_lo = cdf_hi;
+    }
   }
   result.slack = slack;
   result.steps = steps;

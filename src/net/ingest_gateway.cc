@@ -133,8 +133,7 @@ void IngestGateway::MarkEndOfStream(uint32_t stream_id) {
 }
 
 TimeMicros IngestGateway::PeekIngestTime(uint32_t stream_id) const {
-  const Stream& s = GetStream(stream_id);
-  return s.staged.empty() ? kNoTime : s.staged.Front().ingest_time;
+  return GetStream(stream_id).staged.OldestIngestTime();
 }
 
 const Event& IngestGateway::Front(uint32_t stream_id) const {

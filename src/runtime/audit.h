@@ -30,7 +30,9 @@ bool AuditEnabledFromEnv();
 /// Checked invariants:
 ///  - StreamQueue byte/data-count counters equal a full walk of the stored
 ///    events (catches drift in the batched ring-buffer transfers), and
-///    operator state bytes are non-negative.
+///    operator state bytes are non-negative. At each drain end,
+///    ExecutionContext::RunRange also checks the drained queues' byte
+///    counter and cached front ingest time against the stored events.
 ///  - Per-channel watermark monotonicity: an operator's last-seen watermark
 ///    per input stream and its forwarded minimum watermark never regress.
 ///  - SWM epoch ordering: per input stream of each windowed operator, epoch

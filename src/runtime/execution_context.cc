@@ -137,8 +137,9 @@ double ExecutionContext::RunRange(Query& query, int begin, int end,
   }
   if (audit_) {
     // Strict cycle-grained scheduling: the drain never overruns the armed
-    // budget, and the drained queues' incremental accounting still matches
-    // a full event walk (the batched paths are the likeliest drift source).
+    // budget, and the drained queues' incremental accounting and cached
+    // front time still match the stored events (the batched paths are the
+    // likeliest drift source).
     KLINK_CHECK_LE(consumed, budget_micros_ + 1e-6);
     KLINK_CHECK_GE(processed, 0);
     // Only the swept range's queues: sibling shard lanes may be draining
@@ -148,6 +149,8 @@ double ExecutionContext::RunRange(Query& query, int begin, int end,
       for (int s = 0; s < op.num_inputs(); ++s) {
         const StreamQueue& in = op.input(s);
         KLINK_CHECK_EQ(in.bytes(), in.AuditRecomputeBytes());
+        KLINK_CHECK_EQ(in.OldestIngestTime(),
+                       in.AuditRecomputeOldestIngestTime());
       }
     }
   }

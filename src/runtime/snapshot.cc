@@ -54,13 +54,12 @@ void CollectQueryInfo(const Query& query, TimeMicros now, int begin, int end,
                                 ? oldest
                                 : std::min(info->oldest_ingest, oldest);
     }
-    if (info->op_windowed[idx] != 0) {
-      const TimeMicros deadline = op.UpcomingDeadline();
-      if (deadline != kNoTime &&
-          (info->upcoming_deadline == kNoTime ||
-           deadline < info->upcoming_deadline)) {
-        info->upcoming_deadline = deadline;
-      }
+    // Only windowed operators have a deadline, and an SWM tracker.
+    const TimeMicros deadline =
+        info->op_windowed[idx] != 0 ? op.UpcomingDeadline() : kNoTime;
+    if (deadline != kNoTime && (info->upcoming_deadline == kNoTime ||
+                                deadline < info->upcoming_deadline)) {
+      info->upcoming_deadline = deadline;
     }
     if (const SwmTracker* tracker = op.swm_tracker()) {
       for (int s = 0; s < tracker->num_streams(); ++s) {
@@ -68,7 +67,7 @@ void CollectQueryInfo(const Query& query, TimeMicros now, int begin, int end,
         StreamProgress progress;
         progress.op_index = i;
         progress.stream = s;
-        progress.upcoming_deadline = op.UpcomingDeadline();
+        progress.upcoming_deadline = deadline;
         progress.deadline_period = op.DeadlinePeriod();
         progress.epoch = st.epoch;
         progress.current_mu = st.current_delays.mean();
@@ -87,7 +86,8 @@ void CollectQueryInfo(const Query& query, TimeMicros now, int begin, int end,
   // Expected remaining end-to-end cost per element queued at each operator:
   // path_cost[i] = cost_i + selectivity_i * path_cost[downstream(i)].
   // Topological order means a reverse scan sees downstream before upstream.
-  std::vector<double> path_cost(static_cast<size_t>(n), 0.0);
+  std::vector<double>& path_cost = info->op_path_cost;
+  path_cost.assign(static_cast<size_t>(n), 0.0);
   for (int i = n - 1; i >= 0; --i) {
     const size_t idx = static_cast<size_t>(i);
     const int down = query.edge(i).downstream;
@@ -109,7 +109,8 @@ void CollectQueryInfo(const Query& query, TimeMicros now, int begin, int end,
   // queued anywhere yet, but will be emitted at the next watermark and must
   // drain through the emitting operator's downstream path before the sweep
   // completes.
-  std::vector<double> op_refire_debt(static_cast<size_t>(n), 0.0);
+  std::vector<double>& op_refire_debt = info->op_refire_debt;
+  op_refire_debt.assign(static_cast<size_t>(n), 0.0);
   info->refire_debt_micros = 0.0;
   for (int i = begin; i < end; ++i) {
     const int64_t refires = query.op(i).PendingRefires();

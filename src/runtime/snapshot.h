@@ -107,6 +107,12 @@ struct QueryInfo {
   std::vector<double> op_cost;
   std::vector<uint8_t> op_windowed;
   std::vector<uint8_t> op_partial;
+  /// Expected remaining end-to-end cost of one element queued at each
+  /// operator, and each operator's share of refire_debt_micros (0 outside
+  /// the collected range). Held here so that re-collecting the same
+  /// QueryInfo every cycle reuses their storage.
+  std::vector<double> op_path_cost;
+  std::vector<double> op_refire_debt;
 };
 
 /// The tuple I for all deployed queries at a scheduling cycle boundary.

@@ -13,6 +13,7 @@
 #include "src/query/query.h"
 #include "src/runtime/checkpoint.h"
 #include "src/runtime/engine.h"
+#include "src/runtime/execution_context.h"
 #include "src/sched/rr_policy.h"
 #include "src/workloads/workload.h"
 #include "tests/support/klink_run_process.h"
@@ -25,6 +26,9 @@ namespace klink {
 class StreamQueueTestPeer {
  public:
   static void CorruptBytes(StreamQueue& q, int64_t delta) { q.bytes_ += delta; }
+  static void CorruptFrontIngest(StreamQueue& q, TimeMicros delta) {
+    q.front_ingest_ += delta;
+  }
 };
 
 namespace {
@@ -106,6 +110,25 @@ TEST(AuditDeathTest, DetectsCorruptedQueueBytes) {
         engine.RunFor(SecondsToMicros(1));
       },
       "KLINK_CHECK failed");
+}
+
+TEST(AuditDeathTest, DetectsStaleFrontIngestTime) {
+  EXPECT_DEATH(
+      {
+        setenv("KLINK_AUDIT", "1", 1);
+        std::unique_ptr<Query> query = CountQuery(0);
+        StreamQueue& in = query->op(0).input(0);
+        in.Push(MakeDataEvent(/*event_time=*/0, /*ingest_time=*/10, 1, 1.0));
+        // Skew the cached front time without touching the stored element.
+        // A zero budget drains nothing, so no pop rewrites the field before
+        // RunRange's drain-end check compares it with the front element.
+        StreamQueueTestPeer::CorruptFrontIngest(in, 5);
+        ExecutionContext context(/*slot=*/0);
+        context.BeginCycle(/*budget_micros=*/0.0, /*cost_multiplier=*/1.0,
+                           /*cycle_start=*/0);
+        context.RunRange(*query, 0, query->num_operators());
+      },
+      "OldestIngestTime");
 }
 
 TEST(AuditDeathTest, CorruptionIsInvisibleWithoutAudit) {

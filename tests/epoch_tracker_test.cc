@@ -3,9 +3,86 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
+
+#include "src/common/rng.h"
 
 namespace klink {
 namespace {
+
+/// Reference: the statistics as fresh walks over a copy of the history,
+/// which the tracker's cached values must equal bit for bit.
+struct WalkedHistory {
+  int history;
+  std::deque<double> mus, chis, offsets;
+
+  void Push(double mu, double chi, double offset, bool has_delay_stats) {
+    if (has_delay_stats) {
+      mus.push_back(mu);
+      chis.push_back(chi);
+      if (static_cast<int>(mus.size()) > history) {
+        mus.pop_front();
+        chis.pop_front();
+      }
+    }
+    offsets.push_back(offset);
+    if (static_cast<int>(offsets.size()) > history) offsets.pop_front();
+  }
+  static double MeanOf(const std::deque<double>& xs) {
+    if (xs.empty()) return 0.0;
+    double sum = 0.0;
+    for (double x : xs) sum += x;
+    return sum / static_cast<double>(xs.size());
+  }
+  double VarOffset() const {
+    if (offsets.size() < 2) return 0.0;
+    const double mean = MeanOf(offsets);
+    double acc = 0.0;
+    for (double o : offsets) acc += (o - mean) * (o - mean);
+    return acc / static_cast<double>(offsets.size());
+  }
+  double Eq6Variance() const {
+    const size_t h = mus.size();
+    if (h < 2) return 0.0;
+    double sum_mu = 0.0, sum_mu_sq = 0.0;
+    for (double m : mus) {
+      sum_mu += m;
+      sum_mu_sq += m * m;
+    }
+    const double hd = static_cast<double>(h);
+    const double mu_bar = sum_mu / hd;
+    const double cross = sum_mu * sum_mu - sum_mu_sq;
+    return (MeanOf(chis) + cross / hd) / hd - mu_bar * mu_bar;
+  }
+};
+
+TEST(EpochTrackerTest, CachedStatisticsEqualAFreshWalkBitForBit) {
+  // Random epochs well past the history bound, once with delay statistics
+  // on every epoch and once with a random half of them missing.
+  for (const bool always_delay : {true, false}) {
+    SCOPED_TRACE(always_delay ? "every epoch has delay stats"
+                              : "some epochs lack delay stats");
+    constexpr int kHistory = 23;
+    Rng rng(always_delay ? 11 : 12);
+    EpochTracker tracker(kHistory);
+    WalkedHistory walk{kHistory, {}, {}, {}};
+    for (int i = 0; i < 6 * kHistory; ++i) {
+      const double mu = rng.NextDouble() * 4e4;
+      const double chi = mu * mu + rng.NextDouble() * 1e8;
+      const double offset = (rng.NextDouble() - 0.3) * 3e5;
+      const bool has_delay_stats = always_delay || rng.NextInt(0, 1) == 1;
+      tracker.PushEpoch(mu, chi, offset, has_delay_stats);
+      walk.Push(mu, chi, offset, has_delay_stats);
+      EXPECT_EQ(tracker.MeanMu(), WalkedHistory::MeanOf(walk.mus)) << i;
+      EXPECT_EQ(tracker.MeanChi(), WalkedHistory::MeanOf(walk.chis)) << i;
+      EXPECT_EQ(tracker.MeanOffset(), WalkedHistory::MeanOf(walk.offsets))
+          << i;
+      EXPECT_EQ(tracker.VarOffset(), walk.VarOffset()) << i;
+      EXPECT_EQ(tracker.Eq6Variance(), walk.Eq6Variance()) << i;
+    }
+    EXPECT_EQ(tracker.history_size(), kHistory);
+  }
+}
 
 TEST(EpochTrackerTest, StartsEmpty) {
   EpochTracker t(10);

@@ -299,7 +299,36 @@ INSTANTIATE_TEST_SUITE_P(
                  "--lockstep"},
         BadInput{"PositionalArgument", "extra --queries=1 --duration=3 "
                                        "--warmup=1",
-                 "extra"}),
+                 "extra"},
+        // Listen-only flags in an in-process run, valid values included.
+        BadInput{"IngestBudgetWithoutListen",
+                 "--ingest-budget-kb=64 --queries=1 --duration=3 --warmup=1",
+                 "--ingest-budget-kb"},
+        BadInput{"LockstepWithoutListen",
+                 "--lockstep --queries=1 --duration=3 --warmup=1",
+                 "--lockstep"},
+        BadInput{"DynamicAttachWithoutListen",
+                 "--dynamic-attach --queries=1 --duration=3 --warmup=1",
+                 "--dynamic-attach"},
+        BadInput{"ExpectTenantsWithoutListen",
+                 "--expect-tenants=99 --queries=1 --duration=3 --warmup=1",
+                 "--expect-tenants"},
+        BadInput{"CheckpointDirWithoutListen",
+                 "--checkpoint-dir=CKPT --queries=1 --duration=3 --warmup=1",
+                 "--checkpoint-dir"},
+        BadInput{"CheckpointIntervalWithoutListen",
+                 "--checkpoint-interval-ms=500 --queries=1 --duration=3 "
+                 "--warmup=1",
+                 "--checkpoint-interval-ms"},
+        BadInput{"RestoreWithoutListen",
+                 "--restore --queries=1 --duration=3 --warmup=1",
+                 "--restore"},
+        BadInput{"ReshardWithoutListen",
+                 "--reshard=bogus --queries=1 --duration=3 --warmup=1",
+                 "--reshard"},
+        BadInput{"HotReshardWithoutListen",
+                 "--hot-reshard --queries=1 --duration=3 --warmup=1",
+                 "--hot-reshard"}),
     BadInputName);
 
 class LoadgenBadInputTest : public ::testing::TestWithParam<BadInput> {};

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "src/common/gaussian.h"
+#include "src/common/rng.h"
+
 namespace klink {
 namespace {
 
@@ -70,6 +76,61 @@ TEST(SlackTest, StepCountBounded) {
   const SlackResult r =
       ComputeExpectedSlack(0.0, 0.0, Pred(1e9, 1e8), /*step_r=*/100.0);
   EXPECT_LE(r.steps, kMaxSlackSteps + 1);
+}
+
+/// Reference: Alg. 1's window sum with each window's probability from
+/// GaussianIntervalProb, i.e. two CDF evaluations per window.
+SlackResult SlackWithTwoCdfsPerWindow(double now, double drain_cost,
+                                      const IngestionPrediction& pred,
+                                      double step_r) {
+  SlackResult result;
+  if (pred.hi <= now) {
+    result.slack = (pred.mean - now) - drain_cost;
+    return result;
+  }
+  double step = step_r;
+  const double span = pred.hi - std::max(now, pred.lo);
+  if (span / step > static_cast<double>(kMaxSlackSteps)) {
+    step = span / static_cast<double>(kMaxSlackSteps);
+  }
+  const double denom =
+      std::max(GaussianTailProb(now, pred.mean, pred.stddev), 1e-12);
+  for (double x = std::max(now, pred.lo); x <= pred.hi; x += step) {
+    const double pr =
+        GaussianIntervalProb(x, x + step, pred.mean, pred.stddev) / denom;
+    result.slack += pr * ((x + step - now) - drain_cost);
+    ++result.steps;
+  }
+  return result;
+}
+
+TEST(SlackTest, CarriedCdfIsBitIdenticalToTwoCdfsPerWindow) {
+  Rng rng(99);
+  int overdue = 0, capped = 0, point_mass = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const double now = rng.NextDouble() * 60e6;
+    const double mean = now + (rng.NextDouble() - 0.4) * 5e6;
+    // Every tenth prediction is a point mass (stddev 0 or negative); the
+    // rest span 1 ms to 20 s, so wide ones hit the step cap.
+    double stddev = 1e3 * std::exp(rng.NextDouble() * std::log(2e4));
+    if (i % 10 == 0) stddev = i % 20 == 0 ? 0.0 : -1.0;
+    const double z = 1.0 + rng.NextDouble() * 2.0;
+    IngestionPrediction p = Pred(mean, std::max(stddev, 0.0), z);
+    p.stddev = stddev;
+    const double cost = rng.NextDouble() * 1e6;
+    const double step_r = i % 3 == 0 ? 1000.0 : 120000.0;
+    const SlackResult got = ComputeExpectedSlack(now, cost, p, step_r);
+    const SlackResult want = SlackWithTwoCdfsPerWindow(now, cost, p, step_r);
+    EXPECT_EQ(got.slack, want.slack) << i;
+    EXPECT_EQ(got.steps, want.steps) << i;
+    overdue += p.hi <= now ? 1 : 0;
+    capped += want.steps >= kMaxSlackSteps ? 1 : 0;
+    point_mass += stddev <= 0.0 ? 1 : 0;
+  }
+  // The draw covers every path.
+  EXPECT_GT(overdue, 0);
+  EXPECT_GT(capped, 0);
+  EXPECT_GT(point_mass, 0);
 }
 
 TEST(SlackTest, FallbackSlackIsEq1) {

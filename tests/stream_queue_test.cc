@@ -234,6 +234,76 @@ TEST(StreamQueueTest, InterleavedOpsKeepInvariants) {
   }
 }
 
+TEST(StreamQueueTest, CachedFrontIngestTimeFollowsEveryFrontChange) {
+  // OldestIngestTime() is a field written wherever the front changes.
+  // Every element carries a distinct ingest time, so a path that moves the
+  // front without updating the field reads a stale value here.
+  constexpr int64_t kChunk = StreamQueue::kChunkEvents;
+  StreamQueue q;
+  std::deque<TimeMicros> ref;  // ingest times in queue order
+  TimeMicros next = 1000;
+  const auto next_event = [&] {
+    const TimeMicros t = next++;
+    ref.push_back(t);
+    return MakeDataEvent(t - 500, t, static_cast<uint64_t>(t), 1.0);
+  };
+  const auto push_batch = [&](int64_t n) {
+    std::vector<Event> batch;
+    for (int64_t i = 0; i < n; ++i) batch.push_back(next_event());
+    q.PushBatch(batch.data(), n);
+  };
+  std::vector<Event> out(static_cast<size_t>(4 * kChunk));
+  const auto pop_batch = [&](int64_t n) {
+    ASSERT_EQ(q.PopBatch(out.data(), n), n);
+    ref.erase(ref.begin(), ref.begin() + n);
+  };
+  const auto expect_front = [&](const char* step) {
+    const TimeMicros want = ref.empty() ? kNoTime : ref.front();
+    EXPECT_EQ(q.OldestIngestTime(), want) << step;
+    EXPECT_EQ(q.AuditRecomputeOldestIngestTime(), want) << step;
+  };
+
+  expect_front("empty");
+  q.Push(next_event());
+  expect_front("Push into an empty queue");
+  q.Push(next_event());
+  expect_front("Push behind the front");
+  q.Pop();
+  ref.pop_front();
+  expect_front("Pop");
+  q.Pop();
+  ref.pop_front();
+  expect_front("Pop to empty");
+
+  push_batch(kChunk + 40);
+  expect_front("PushBatch into an empty queue");
+  push_batch(3);
+  expect_front("PushBatch behind the front");
+  pop_batch(kChunk - 10);
+  expect_front("PopBatch within the front chunk");
+  pop_batch(30);  // 10 from the front chunk, 20 from the next one
+  expect_front("PopBatch across a chunk boundary");
+
+  // The front now sits in the second of two chunks and the first is
+  // spare: filling both makes the ring wrap, and one more element makes
+  // it grow while the head is wrapped.
+  push_batch(2 * kChunk);
+  expect_front("PushBatch that wraps and grows");
+  for (int i = 0; i < kChunk; ++i) q.Push(next_event());
+  expect_front("Push that grows again");
+  while (!ref.empty()) {
+    pop_batch(std::min<int64_t>(static_cast<int64_t>(ref.size()), 97));
+    expect_front("PopBatch draining across chunks");
+  }
+
+  push_batch(5);
+  q.Clear();
+  ref.clear();
+  expect_front("Clear");
+  q.Push(next_event());
+  expect_front("Push after Clear");
+}
+
 TEST(EventTest, NetworkDelay) {
   const Event e = MakeDataEvent(/*event_time=*/100, /*ingest_time=*/175, 0, 0.0);
   EXPECT_EQ(e.network_delay(), 75);

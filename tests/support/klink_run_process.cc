@@ -7,8 +7,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
+#include <system_error>
 #include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -18,12 +21,48 @@
 
 namespace klink {
 
+namespace {
+
+/// Removes the directories MakeTempDir made during a test once the test
+/// has ended, by then with its servers reaped. A failed test's directories
+/// stay behind for inspection.
+class TempDirReaper final : public ::testing::EmptyTestEventListener {
+ public:
+  void Add(std::string dir) { dirs_.push_back(std::move(dir)); }
+
+  void OnTestEnd(const ::testing::TestInfo& test) override {
+    if (!test.result()->Failed()) {
+      for (const std::string& dir : dirs_) {
+        std::error_code ignored;  // a test may have removed it already
+        std::filesystem::remove_all(dir, ignored);
+      }
+    }
+    dirs_.clear();
+  }
+
+ private:
+  std::vector<std::string> dirs_;
+};
+
+TempDirReaper& Reaper() {
+  // Installed on first use; gtest owns listeners once appended.
+  static TempDirReaper* const reaper = [] {
+    auto* r = new TempDirReaper;
+    ::testing::UnitTest::GetInstance()->listeners().Append(r);
+    return r;
+  }();
+  return *reaper;
+}
+
+}  // namespace
+
 std::string MakeTempDir(const std::string& tag) {
   std::string tmpl = ::testing::TempDir() + "klink_" + tag + "_XXXXXX";
   std::vector<char> buf(tmpl.begin(), tmpl.end());
   buf.push_back('\0');
   const char* dir = mkdtemp(buf.data());
   KLINK_CHECK(dir != nullptr);
+  Reaper().Add(dir);
   return std::string(dir);
 }
 

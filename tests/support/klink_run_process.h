@@ -24,6 +24,8 @@ namespace klink {
 // serves every test that needs a scratch directory.
 
 /// A fresh directory under the gtest temp dir, named klink_<tag>_XXXXXX.
+/// It is removed with its contents when the current test ends, unless the
+/// test failed.
 std::string MakeTempDir(const std::string& tag);
 
 /// Connect and reconnect retries generous enough to ride out a server

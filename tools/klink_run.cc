@@ -683,6 +683,17 @@ int main(int argc, char** argv) {
         CheckScaled("allowed-lateness-ms", lateness_ms, MillisToMicros(1))}) {
     if (!st.ok()) return reject(st.message());
   }
+  // The server's flags would be silently ignored by an in-process run.
+  if (!flags.Has("listen")) {
+    for (const char* name :
+         {"ingest-budget-kb", "lockstep", "dynamic-attach", "expect-tenants",
+          "checkpoint-dir", "checkpoint-interval-ms", "restore", "reshard",
+          "hot-reshard"}) {
+      if (flags.Has(name)) {
+        return reject(std::string("--") + name + " requires --listen");
+      }
+    }
+  }
   config.duration = SecondsToMicros(duration_s);
   config.warmup = SecondsToMicros(warmup_s);
   config.engine.memory_capacity_bytes = memory_mb << 20;
