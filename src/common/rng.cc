@@ -3,16 +3,14 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/common/hash.h"
 
 namespace klink {
 namespace {
 
 // SplitMix64, used only to expand the seed into xoshiro state.
 uint64_t SplitMix64(uint64_t* x) {
-  uint64_t z = (*x += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return Mix64(*x += 0x9e3779b97f4a7c15ULL);
 }
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

@@ -54,12 +54,12 @@ void WindowAggregateOperator::FoldLateIntoRetained(const WindowSpan& w,
   // at the next watermark.
   auto [pane_it, pane_inserted] = retained_.try_emplace({w.end, w.start});
   if (pane_inserted) AddStateBytes(kBytesPerPane);
-  auto [it, inserted] = pane_it->second.try_emplace(e.key);
+  const auto [slot, inserted] = pane_it->second.TryEmplace(e.key);
   if (inserted) {
     ++retained_key_states_;
     AddStateBytes(kBytesPerRetainedState);
   }
-  RetainedEntry& entry = it->second;
+  RetainedEntry& entry = *slot;
   ++entry.agg.count;
   entry.agg.sum += e.value;
   entry.agg.max =
@@ -98,12 +98,12 @@ void WindowAggregateOperator::FoldData(const Event& e) {
     }
     auto [pane_it, pane_inserted] = panes_.try_emplace({w.end, w.start});
     if (pane_inserted) AddStateBytes(kBytesPerPane);
-    auto [it, inserted] = pane_it->second.try_emplace(e.key);
+    const auto [slot, inserted] = pane_it->second.TryEmplace(e.key);
     if (inserted) {
       ++total_key_states_;
       AddStateBytes(kBytesPerKeyState);
     }
-    Aggregate& agg = it->second;
+    Aggregate& agg = *slot;
     ++agg.count;
     agg.sum += e.value;
     agg.max = agg.count == 1 ? e.value : std::max(agg.max, e.value);
@@ -137,9 +137,9 @@ void WindowAggregateOperator::FlushRefires(TimeMicros now, Emitter& out) {
   for (const auto& [pane_key, key] : dirty_) {
     const auto pane_it = retained_.find(pane_key);
     KLINK_CHECK(pane_it != retained_.end());
-    const auto it = pane_it->second.find(key);
-    KLINK_CHECK(it != pane_it->second.end());
-    RetainedEntry& entry = it->second;
+    RetainedEntry* const found = pane_it->second.Find(key);
+    KLINK_CHECK(found != nullptr);
+    RetainedEntry& entry = *found;
     if (entry.has_emitted) {
       EmitData(MakeRetractionEvent(/*event_time=*/pane_key.first,
                                    /*ingest_time=*/now, key, entry.emitted,
@@ -202,12 +202,12 @@ void WindowAggregateOperator::OnWatermark(const Event& incoming,
     const auto it = panes_.begin();
     const TimeMicros end = it->first.first;
     // Emit in sorted-key order: a deterministic order that survives
-    // checkpoint/restore, unlike the hash map's iteration order.
+    // checkpoint/restore, unlike the pane's arrival order.
     scratch_keys_.clear();
     for (const auto& [key, agg] : it->second) scratch_keys_.push_back(key);
     std::sort(scratch_keys_.begin(), scratch_keys_.end());
     for (const uint64_t key : scratch_keys_) {
-      const Aggregate& agg = it->second.find(key)->second;
+      const Aggregate& agg = *it->second.Find(key);
       Event result = MakeDataEvent(/*event_time=*/end, /*ingest_time=*/now,
                                    key, OutputValue(agg),
                                    output_payload_bytes_);
@@ -223,8 +223,8 @@ void WindowAggregateOperator::OnWatermark(const Event& incoming,
       KLINK_CHECK(rinserted);  // a pane fires exactly once
       AddStateBytes(kBytesPerPane);
       for (const auto& [key, agg] : it->second) {
-        rit->second.emplace(key,
-                            RetainedEntry{agg, OutputValue(agg), true});
+        *rit->second.TryEmplace(key).first =
+            RetainedEntry{agg, OutputValue(agg), true};
         ++retained_key_states_;
         AddStateBytes(kBytesPerRetainedState);
       }
@@ -323,9 +323,9 @@ void WindowAggregateOperator::ImportKeyedState(const KeyedStateEntry& entry) {
     KLINK_CHECK(r.ok());
     auto [pane_it, pane_inserted] = panes_.try_emplace({end, start});
     if (pane_inserted) AddStateBytes(kBytesPerPane);
-    const auto [it, inserted] = pane_it->second.emplace(entry.key, agg);
-    (void)it;
+    const auto [slot, inserted] = pane_it->second.TryEmplace(entry.key);
     KLINK_CHECK(inserted);  // each (pane, key) comes from exactly one shard
+    *slot = agg;
     ++total_key_states_;
     AddStateBytes(kBytesPerKeyState);
   }
@@ -342,9 +342,9 @@ void WindowAggregateOperator::ImportKeyedState(const KeyedStateEntry& entry) {
     KLINK_CHECK(r.ok());
     auto [pane_it, pane_inserted] = retained_.try_emplace({end, start});
     if (pane_inserted) AddStateBytes(kBytesPerPane);
-    const auto [it, inserted] = pane_it->second.emplace(entry.key, re);
-    (void)it;
+    const auto [slot, inserted] = pane_it->second.TryEmplace(entry.key);
     KLINK_CHECK(inserted);
+    *slot = re;
     ++retained_key_states_;
     AddStateBytes(kBytesPerRetainedState);
     if (dirty) {
@@ -366,7 +366,7 @@ void WindowAggregateOperator::SerializeState(StateWriter& w) const {
     for (const auto& [key, agg] : pane) keys.push_back(key);
     std::sort(keys.begin(), keys.end());
     for (const uint64_t key : keys) {
-      const Aggregate& agg = pane.find(key)->second;
+      const Aggregate& agg = *pane.Find(key);
       w.PutU64(key);
       w.PutI64(agg.count);
       w.PutDouble(agg.sum);
@@ -387,7 +387,7 @@ void WindowAggregateOperator::SerializeState(StateWriter& w) const {
     for (const auto& [key, entry] : pane) keys.push_back(key);
     std::sort(keys.begin(), keys.end());
     for (const uint64_t key : keys) {
-      const RetainedEntry& entry = pane.find(key)->second;
+      const RetainedEntry& entry = *pane.Find(key);
       w.PutU64(key);
       w.PutI64(entry.agg.count);
       w.PutDouble(entry.agg.sum);
@@ -417,14 +417,13 @@ void WindowAggregateOperator::RestoreState(StateReader& r) {
     KLINK_CHECK(r.ok());
     Pane& pane = panes_[{end, start}];
     AddStateBytes(kBytesPerPane);
-    pane.reserve(static_cast<size_t>(num_keys));
+    pane.Reserve(static_cast<size_t>(num_keys));
     for (uint64_t k = 0; k < num_keys; ++k) {
       const uint64_t key = r.GetU64();
-      Aggregate agg;
+      Aggregate& agg = *pane.TryEmplace(key).first;
       agg.count = r.GetI64();
       agg.sum = r.GetDouble();
       agg.max = r.GetDouble();
-      pane.emplace(key, agg);
       ++total_key_states_;
       AddStateBytes(kBytesPerKeyState);
     }
@@ -441,16 +440,15 @@ void WindowAggregateOperator::RestoreState(StateReader& r) {
     KLINK_CHECK(r.ok());
     RetainedPane& pane = retained_[{end, start}];
     AddStateBytes(kBytesPerPane);
-    pane.reserve(static_cast<size_t>(num_keys));
+    pane.Reserve(static_cast<size_t>(num_keys));
     for (uint64_t k = 0; k < num_keys; ++k) {
       const uint64_t key = r.GetU64();
-      RetainedEntry entry;
+      RetainedEntry& entry = *pane.TryEmplace(key).first;
       entry.agg.count = r.GetI64();
       entry.agg.sum = r.GetDouble();
       entry.agg.max = r.GetDouble();
       entry.has_emitted = r.GetBool();
       entry.emitted = r.GetDouble();
-      pane.emplace(key, entry);
       ++retained_key_states_;
       AddStateBytes(kBytesPerRetainedState);
     }
@@ -465,9 +463,9 @@ void WindowAggregateOperator::RestoreState(StateReader& r) {
     KLINK_CHECK(dirty_.insert({{end, start}, key}).second);
     const auto pane_it = retained_.find({end, start});
     KLINK_CHECK(pane_it != retained_.end());
-    const auto it = pane_it->second.find(key);
-    KLINK_CHECK(it != pane_it->second.end());
-    pending_correction_elements_ += it->second.has_emitted ? 2 : 1;
+    const RetainedEntry* const entry = pane_it->second.Find(key);
+    KLINK_CHECK(entry != nullptr);
+    pending_correction_elements_ += entry->has_emitted ? 2 : 1;
   }
   late_.Restore(r);
   tracker_.Restore(r);

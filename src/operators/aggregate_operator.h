@@ -6,10 +6,10 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/common/flat_table.h"
 #include "src/operators/operator.h"
 #include "src/window/lateness.h"
 #include "src/window/swm_tracker.h"
@@ -102,7 +102,7 @@ class WindowAggregateOperator final : public Operator {
   };
   // Panes keyed by (end, start) so iteration order is deadline order.
   using PaneKey = std::pair<TimeMicros, TimeMicros>;
-  using Pane = std::unordered_map<uint64_t, Aggregate>;
+  using Pane = FlatTable<Aggregate>;
 
   /// A speculatively fired pane's per-key state: the live aggregate plus
   /// the last emitted result, which the next refire must retract.
@@ -111,7 +111,7 @@ class WindowAggregateOperator final : public Operator {
     double emitted = 0.0;
     bool has_emitted = false;
   };
-  using RetainedPane = std::unordered_map<uint64_t, RetainedEntry>;
+  using RetainedPane = FlatTable<RetainedEntry>;
 
   double OutputValue(const Aggregate& agg) const;
   /// Folds one data element into pane state (the OnData body).
@@ -141,8 +141,8 @@ class WindowAggregateOperator final : public Operator {
   int64_t fired_panes_ = 0;
   int64_t dropped_late_ = 0;
   std::vector<WindowSpan> scratch_windows_;
-  /// Scratch for firing panes in sorted-key order: hash-map iteration
-  /// order is an implementation detail that would diverge between an
+  /// Scratch for firing panes in sorted-key order: a pane's iteration
+  /// order is its keys' arrival order, which would diverge between an
   /// uninterrupted run and a checkpoint-restored one.
   std::vector<uint64_t> scratch_keys_;
 };

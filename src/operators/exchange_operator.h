@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/event/stream_queue.h"
 #include "src/operators/operator.h"
 
@@ -16,10 +17,7 @@ namespace klink {
 /// state redistribution must agree on this exact function: an event for key
 /// k and the keyed state for k must always land on the same shard.
 inline uint64_t ShardMix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+  return Mix64(x + 0x9e3779b97f4a7c15ull);
 }
 
 /// Shard index of `key` among `num_shards` active shards.

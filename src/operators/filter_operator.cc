@@ -4,18 +4,9 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/hash.h"
 
 namespace klink {
-namespace {
-
-// Stateless 64-bit mix (SplitMix64 finalizer).
-uint64_t Mix64(uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 FilterOperator::FilterOperator(std::string name, double cost_micros,
                                PredicateFn keep, double expected_pass_rate)

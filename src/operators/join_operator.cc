@@ -44,15 +44,14 @@ void WindowJoinOperator::OnData(const Event& e, TimeMicros /*now*/,
       pane.per_stream.resize(static_cast<size_t>(num_inputs()));
       AddStateBytes(kBytesPerPane);
     }
-    auto [it, inserted] =
-        pane.per_stream[static_cast<size_t>(e.stream)].try_emplace(e.key);
+    const auto [agg, inserted] =
+        pane.per_stream[static_cast<size_t>(e.stream)].TryEmplace(e.key);
     if (inserted) {
       ++total_key_states_;
       AddStateBytes(kBytesPerKeyState);
     }
-    Aggregate& agg = it->second;
-    ++agg.count;
-    agg.sum += e.value;
+    ++agg->count;
+    agg->sum += e.value;
   }
 }
 
@@ -68,26 +67,26 @@ void WindowJoinOperator::FirePane(const PaneKey& pane_key, Pane& pane,
     }
   }
   // Probe in sorted-key order: a deterministic order that survives
-  // checkpoint/restore, unlike the hash map's iteration order.
+  // checkpoint/restore, unlike the table's arrival order.
   scratch_keys_.clear();
   for (const auto& [key, agg] : pane.per_stream[smallest]) {
     scratch_keys_.push_back(key);
   }
   std::sort(scratch_keys_.begin(), scratch_keys_.end());
   for (const uint64_t key : scratch_keys_) {
-    const Aggregate& agg = pane.per_stream[smallest].find(key)->second;
+    const Aggregate& agg = *pane.per_stream[smallest].Find(key);
     double sum = agg.sum;
     int64_t count = agg.count;
     bool in_all = true;
     for (size_t s = 0; s < pane.per_stream.size(); ++s) {
       if (s == smallest) continue;
-      const auto it = pane.per_stream[s].find(key);
-      if (it == pane.per_stream[s].end()) {
+      const Aggregate* other = pane.per_stream[s].Find(key);
+      if (other == nullptr) {
         in_all = false;
         break;
       }
-      sum += it->second.sum;
-      count += it->second.count;
+      sum += other->sum;
+      count += other->count;
     }
     if (!in_all) continue;
     Event result = MakeDataEvent(/*event_time=*/end, /*ingest_time=*/now, key,
@@ -180,10 +179,10 @@ void WindowJoinOperator::ImportKeyedState(const KeyedStateEntry& entry) {
       pane.per_stream.resize(static_cast<size_t>(num_inputs()));
       AddStateBytes(kBytesPerPane);
     }
-    const auto [it, inserted] =
-        pane.per_stream[static_cast<size_t>(stream)].emplace(entry.key, agg);
-    (void)it;
+    const auto [slot, inserted] =
+        pane.per_stream[static_cast<size_t>(stream)].TryEmplace(entry.key);
     KLINK_CHECK(inserted);
+    *slot = agg;
     ++total_key_states_;
     AddStateBytes(kBytesPerKeyState);
   }
@@ -202,7 +201,7 @@ void WindowJoinOperator::SerializeState(StateWriter& w) const {
       for (const auto& [key, agg] : stream_map) keys.push_back(key);
       std::sort(keys.begin(), keys.end());
       for (const uint64_t key : keys) {
-        const Aggregate& agg = stream_map.find(key)->second;
+        const Aggregate& agg = *stream_map.Find(key);
         w.PutU64(key);
         w.PutI64(agg.count);
         w.PutDouble(agg.sum);
@@ -232,13 +231,12 @@ void WindowJoinOperator::RestoreState(StateReader& r) {
     for (auto& stream_map : pane.per_stream) {
       const uint64_t num_keys = r.GetU64();
       KLINK_CHECK(r.ok());
-      stream_map.reserve(static_cast<size_t>(num_keys));
+      stream_map.Reserve(static_cast<size_t>(num_keys));
       for (uint64_t k = 0; k < num_keys; ++k) {
         const uint64_t key = r.GetU64();
-        Aggregate agg;
+        Aggregate& agg = *stream_map.TryEmplace(key).first;
         agg.count = r.GetI64();
         agg.sum = r.GetDouble();
-        stream_map.emplace(key, agg);
         ++total_key_states_;
         AddStateBytes(kBytesPerKeyState);
       }

@@ -4,10 +4,10 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/common/flat_table.h"
 #include "src/operators/operator.h"
 #include "src/window/swm_tracker.h"
 #include "src/window/window_assigner.h"
@@ -71,7 +71,7 @@ class WindowJoinOperator final : public Operator {
   using PaneKey = std::pair<TimeMicros, TimeMicros>;  // (end, start)
   struct Pane {
     /// per_stream[s][key] -> aggregate of stream s contributions.
-    std::vector<std::unordered_map<uint64_t, Aggregate>> per_stream;
+    std::vector<FlatTable<Aggregate>> per_stream;
   };
 
   void FirePane(const PaneKey& pane_key, Pane& pane, TimeMicros now,

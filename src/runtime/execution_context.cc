@@ -1,6 +1,7 @@
 #include "src/runtime/execution_context.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "src/common/check.h"
 #include "src/runtime/audit.h"
@@ -61,73 +62,36 @@ double ExecutionContext::RunRange(Query& query, int begin, int end,
           inline_emitter != nullptr ? *inline_emitter : batch_emitter;
       const double cost =
           std::max(0.01, op.cost_per_event() * cost_multiplier_);
-      if (op.num_inputs() == 1 && !leaves) {
-        // Batched fast path: a unary operator always pops its single
-        // input FIFO, so the earliest-ingest scan is unnecessary and a
-        // whole run can be popped, processed, and emitted at once.
-        StreamQueue& in = op.input(0);
-        while (true) {
-          const int64_t avail = std::min(in.size(), kMaxBatch);
-          // Size the batch by replaying the scalar loop's budget
-          // additions: the same floats added in the same order, so the
-          // batch ends exactly where the scalar loop would stop.
-          int64_t n = 0;
-          double replay = consumed;
-          while (n < avail && replay + cost <= budget_micros_) {
-            replay += cost;
-            ++n;
-          }
-          if (n == 0) break;
-          const int64_t got = in.PopBatch(batch_.data(), n);
-          for (int64_t k = 0; k < got; ++k) batch_[k].stream = 0;
-          BatchClock clock(cycle_start_, consumed, cost);
-          op.ProcessBatch(batch_.data(), got, clock, emitter);
-          consumed = clock.consumed_micros();
-          batch_emitter.Flush();
-          processed += got;
-          progressed = true;
+      // Outputs that leave the range ship per element, at that element's
+      // completion time, so such an operator drains batches of one.
+      const int64_t max_batch = leaves ? 1 : kMaxBatch;
+      while (true) {
+        // Size the batch by replaying the per-element budget additions
+        // (admit while consumed + cost <= budget): the same floats added in
+        // the same order, so the batch ends exactly where a per-element
+        // loop would stop.
+        const int64_t avail = std::min(op.QueuedEvents(), max_batch);
+        int64_t fit = 0;
+        double replay = consumed;
+        while (fit < avail && replay + cost <= budget_micros_) {
+          replay += cost;
+          ++fit;
         }
-      } else {
-        // Multi-input operators (joins) interleave their inputs by
-        // earliest ingest time; that per-element scan keeps the scalar
-        // loop, with outputs still buffered and flushed as one run. So
-        // does an operator whose outputs leave the range: each element's
-        // outputs ship at that element's completion time.
-        while (consumed + cost <= budget_micros_) {
-          // Checkpoint barrier alignment (Flink-style): an input whose
-          // barrier already arrived for an epoch the others have not
-          // reached is blocked — its post-barrier elements must not enter
-          // operator state before the snapshot is taken at alignment.
-          uint64_t min_epoch = op.last_barrier_epoch(0);
-          for (int s = 1; s < op.num_inputs(); ++s) {
-            min_epoch = std::min(min_epoch, op.last_barrier_epoch(s));
-          }
-          int best = -1;
-          TimeMicros best_time = 0;
-          for (int s = 0; s < op.num_inputs(); ++s) {
-            if (op.input(s).empty()) continue;
-            if (op.last_barrier_epoch(s) > min_epoch) continue;  // blocked
-            const TimeMicros t = op.input(s).Front().ingest_time;
-            if (best == -1 || t < best_time) {
-              best = s;
-              best_time = t;
-            }
-          }
-          if (best == -1) break;
-          Event e = op.input(best).Pop();
-          e.stream = best;
-          consumed += cost;
-          const TimeMicros now =
-              cycle_start_ + static_cast<TimeMicros>(consumed);
-          op.Process(e, now, emitter);
-          if (leaves && !emit_scratch_.empty()) {
-            egress->Ship(query.id(), edge.downstream, now, emit_scratch_);
-            emit_scratch_.clear();
-          }
-          ++processed;
-          progressed = true;
+        if (fit == 0) break;
+        const int64_t n = SelectBatch(op, fit);
+        if (n == 0) break;  // every queued element is behind a barrier
+        BatchClock clock(cycle_start_, consumed, cost);
+        op.ProcessBatch(batch_.data(), n, clock, emitter);
+        consumed = clock.consumed_micros();
+        if (leaves && !emit_scratch_.empty()) {
+          egress->Ship(query.id(), edge.downstream,
+                       cycle_start_ + static_cast<TimeMicros>(consumed),
+                       emit_scratch_);
+          emit_scratch_.clear();
         }
         batch_emitter.Flush();
+        processed += n;
+        progressed = true;
       }
       if (consumed + 0.01 > budget_micros_) {
         progressed = false;
@@ -159,6 +123,53 @@ double ExecutionContext::RunRange(Query& query, int begin, int end,
   cycle_busy_micros_ += consumed;
   cycle_processed_events_ += processed;
   return consumed;
+}
+
+int64_t ExecutionContext::SelectBatch(Operator& op, int64_t max_n) {
+  if (op.num_inputs() == 1) {
+    // A unary operator pops its single input FIFO: one contiguous run.
+    const int64_t got = op.input(0).PopBatch(batch_.data(), max_n);
+    for (int64_t k = 0; k < got; ++k) batch_[k].stream = 0;
+    return got;
+  }
+  // Multi-input operators (joins, shard merges) interleave their inputs by
+  // earliest ingest time, the lowest stream winning ties, one element at a
+  // time. Checkpoint barrier alignment (Flink-style): an input whose
+  // barrier already arrived for an epoch the others have not reached is
+  // blocked, because its post-barrier elements must not enter operator
+  // state before the snapshot is taken at alignment. Processing a barrier
+  // is the only thing that changes which inputs are blocked, so selecting
+  // one advances its input's epoch here, before the next pick.
+  const int num_inputs = op.num_inputs();
+  epochs_.resize(static_cast<size_t>(num_inputs));
+  uint64_t min_epoch = UINT64_MAX;
+  for (int s = 0; s < num_inputs; ++s) {
+    epochs_[s] = op.last_barrier_epoch(s);
+    min_epoch = std::min(min_epoch, epochs_[s]);
+  }
+  int64_t n = 0;
+  while (n < max_n) {
+    int best = -1;
+    TimeMicros best_time = 0;
+    for (int s = 0; s < num_inputs; ++s) {
+      const StreamQueue& in = op.input(s);
+      if (in.empty() || epochs_[s] > min_epoch) continue;
+      const TimeMicros t = in.OldestIngestTime();
+      if (best == -1 || t < best_time) {
+        best = s;
+        best_time = t;
+      }
+    }
+    if (best == -1) break;
+    Event& e = batch_[n++];
+    e = op.input(best).Pop();
+    e.stream = best;
+    if (e.is_barrier()) {
+      epochs_[best] = e.barrier_epoch();
+      min_epoch = *std::min_element(epochs_.begin(), epochs_.end());
+    }
+  }
+  return n;
 }
 
 }  // namespace klink

@@ -53,17 +53,20 @@ class ExecutionContext {
   /// by the next sweep. Returns the virtual micros consumed and updates
   /// the slot counters.
   ///
-  /// Unary operators drain through the batched fast path (PopBatch ->
-  /// ProcessBatch -> buffered flush); multi-input operators keep the
-  /// scalar earliest-ingest interleave. Both paths charge the identical
-  /// per-element virtual-time sequence, so results are byte-identical to
-  /// the scalar drain (DESIGN.md "Hot path").
+  /// Every operator drains in batches: each pass selects up to 512
+  /// elements, sized by replaying the per-element budget additions, and
+  /// hands them to one Operator::ProcessBatch call whose outputs flush
+  /// downstream as one run. A unary operator selects a run of its input
+  /// FIFO; a multi-input operator merges its inputs one element at a time
+  /// by earliest ingest time (lowest stream on ties), skipping inputs
+  /// blocked behind a checkpoint barrier. Selection order, virtual
+  /// timestamps and consumed budget are those of a per-element loop, so
+  /// results are byte-identical to it (DESIGN.md "Hot path").
   ///
   /// With an `egress`, an operator whose downstream operator lies outside
-  /// the range drains through the per-element loop and ships each
-  /// element's outputs to the egress, stamped with that element's
-  /// completion time. Without one, outputs always enter the downstream
-  /// queue.
+  /// the range drains batches of one and ships each element's outputs to
+  /// the egress, stamped with that element's completion time. Without
+  /// one, outputs always enter the downstream queue.
   double RunRange(Query& query, int begin, int end, Egress* egress = nullptr);
 
   /// Drains one lane of `query` (see Query::Lane); -1 drains every
@@ -101,11 +104,17 @@ class ExecutionContext {
   int64_t processed_events_ = 0;
   double cycle_busy_micros_ = 0.0;
   int64_t cycle_processed_events_ = 0;
-  /// Per-slot scratch buffers for the batched drain (popped inputs and
-  /// buffered outputs). Slot-local, so thread-pool execution needs no
+  /// Pops up to `max_n` elements of `op`'s inputs into batch_ in drain
+  /// order, each stamped with its input stream. Returns how many.
+  int64_t SelectBatch(Operator& op, int64_t max_n);
+
+  /// Per-slot scratch buffers for the batched drain (selected inputs,
+  /// buffered outputs, and the per-input barrier epochs a multi-input
+  /// selection advances). Slot-local, so thread-pool execution needs no
   /// synchronization around them.
   std::vector<Event> batch_;
   std::vector<Event> emit_scratch_;
+  std::vector<uint64_t> epochs_;
 };
 
 }  // namespace klink

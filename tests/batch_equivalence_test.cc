@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
@@ -17,6 +18,7 @@
 #include "src/operators/aggregate_operator.h"
 #include "src/operators/count_window_operator.h"
 #include "src/operators/filter_operator.h"
+#include "src/operators/join_operator.h"
 #include "src/operators/map_operator.h"
 #include "src/operators/operator.h"
 #include "src/operators/reorder_operator.h"
@@ -72,11 +74,12 @@ void ExpectSameEvents(const std::vector<Event>& a, const std::vector<Event>& b) 
 }
 
 /// Runs the same sequence through a scalar-driven copy and a batch-driven
-/// copy of the operator and asserts full equivalence.
-void CheckEquivalence(std::unique_ptr<Operator> scalar_op,
-                      std::unique_ptr<Operator> batch_op,
-                      const std::vector<Event>& events,
-                      double cost = 1.7) {
+/// copy of the operator and asserts full equivalence. Returns how many
+/// elements the operator emitted.
+size_t CheckEquivalence(std::unique_ptr<Operator> scalar_op,
+                        std::unique_ptr<Operator> batch_op,
+                        const std::vector<Event>& events,
+                        double cost = 1.7) {
   VectorEmitter scalar_out;
   double consumed = 0.0;
   for (const Event& e : events) {
@@ -96,6 +99,7 @@ void CheckEquivalence(std::unique_ptr<Operator> scalar_op,
   EXPECT_EQ(scalar_op->emitted_data_count(), batch_op->emitted_data_count());
   EXPECT_EQ(scalar_op->StateBytes(), batch_op->StateBytes());
   EXPECT_EQ(scalar_op->forwarded_watermarks(), batch_op->forwarded_watermarks());
+  return scalar_out.events.size();
 }
 
 TEST(BatchEquivalenceTest, IdentityMap) {
@@ -142,6 +146,22 @@ TEST(BatchEquivalenceTest, SlidingAggregate) {
         AggregationKind::kAverage);
   };
   CheckEquivalence(make(), make(), events);
+}
+
+TEST(BatchEquivalenceTest, WindowJoin) {
+  // The join reads each element's input from its `stream` field: spread
+  // the sequence over three streams, so panes join keys across all three
+  // and the minimum watermark advances only once every stream has one.
+  std::vector<Event> events = MakeSequence(11, 6000);
+  Rng rng(12);
+  for (Event& e : events) e.stream = static_cast<int32_t>(rng.NextInt(0, 2));
+  auto make = [] {
+    return std::make_unique<WindowJoinOperator>(
+        "join", 2.0,
+        std::make_unique<TumblingWindowAssigner>(SecondsToMicros(2)),
+        /*num_inputs=*/3);
+  };
+  EXPECT_GT(CheckEquivalence(make(), make(), events), 0u);
 }
 
 TEST(BatchEquivalenceTest, CountWindow) {

@@ -13,6 +13,8 @@
 //     manifest a previous incarnation left behind.
 //  5. An epoch whose MANIFEST cannot be written is never durable: no
 //     frontier advance, no ack.
+//  6. The checkpoint bytes of a 3-input join and of an allowed-lateness
+//     aggregate are pinned, so epochs written by earlier builds restore.
 
 #include <gtest/gtest.h>
 
@@ -28,11 +30,14 @@
 #include "src/common/serialize.h"
 #include "src/net/delay_model.h"
 #include "src/net/ingest_gateway.h"
+#include "src/operators/aggregate_operator.h"
+#include "src/operators/join_operator.h"
 #include "src/query/pipeline_builder.h"
 #include "src/query/query.h"
 #include "src/runtime/checkpoint.h"
 #include "src/runtime/engine.h"
 #include "src/sched/rr_policy.h"
+#include "src/window/window_assigner.h"
 #include "src/workloads/workload.h"
 #include "tests/support/klink_run_process.h"
 
@@ -137,6 +142,103 @@ TEST(CheckpointStateTest, OperatorRoundTripIsByteIdentical) {
     // this is what makes a restored run's results byte-identical.
     EXPECT_EQ(SerializeAllOps(*fresh), blobs) << "join=" << join;
   }
+}
+
+/// FNV-1a of `op`'s checkpoint bytes, after checking that they restore
+/// into `fresh` (an identically built operator) and re-serialize
+/// unchanged.
+uint64_t CheckpointHash(const Operator& op, Operator& fresh) {
+  StateWriter w;
+  op.Serialize(w);
+  const std::vector<uint8_t> bytes = w.TakeBytes();
+  StateReader r(bytes);
+  fresh.Restore(r);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.AtEnd());
+  StateWriter again;
+  fresh.Serialize(again);
+  EXPECT_EQ(again.TakeBytes(), bytes);
+  return Fnv1aBytes(bytes.data(), bytes.size());
+}
+
+/// Keys arrive out of sorted order (k = 7i mod 13), so a format that wrote
+/// a pane's keys in arrival order instead of sorted order would change the
+/// bytes.
+uint64_t ScrambledKey(int i) { return static_cast<uint64_t>(i * 7 % 13); }
+
+std::unique_ptr<WindowJoinOperator> ThreeInputJoin() {
+  return std::make_unique<WindowJoinOperator>(
+      "join", 1.0,
+      std::make_unique<TumblingWindowAssigner>(MillisToMicros(100)),
+      /*num_inputs=*/3);
+}
+
+TEST(CheckpointFormatTest, ThreeInputJoinBytesArePinned) {
+  // The checkpoint format of a join's pane state: epochs written by
+  // earlier builds must restore into this one. The constant was captured
+  // before pane state moved from std::unordered_map to FlatTable.
+  std::unique_ptr<WindowJoinOperator> join = ThreeInputJoin();
+  NullEmitter out;
+  TimeMicros now = 0;
+  for (int i = 0; i < 450; ++i) {
+    const TimeMicros t = MillisToMicros(i);
+    // Stream 2 skips every fifth element, so some keys miss one stream.
+    for (int s = 0; s < 3; ++s) {
+      if (s == 2 && i % 5 == 0) continue;
+      Event e = MakeDataEvent(t, t + 700, ScrambledKey(i + s), 0.25 * i);
+      e.stream = s;
+      join->Process(e, now += 3, out);
+    }
+    if (i % 60 == 59 && i > 150) {
+      for (int s = 0; s < 3; ++s) {
+        Event wm = MakeWatermark(t - MillisToMicros(150), t + 700);
+        wm.stream = s;
+        join->Process(wm, now += 3, out);
+      }
+    }
+  }
+  ASSERT_GT(join->fired_panes(), 0);
+  ASSERT_GT(join->open_panes(), 1);
+  std::unique_ptr<WindowJoinOperator> fresh = ThreeInputJoin();
+  EXPECT_EQ(CheckpointHash(*join, *fresh), 0x958d12515af925bbULL);
+}
+
+std::unique_ptr<WindowAggregateOperator> LateAggregate() {
+  auto agg = std::make_unique<WindowAggregateOperator>(
+      "agg", 1.0,
+      std::make_unique<TumblingWindowAssigner>(MillisToMicros(100)),
+      AggregationKind::kSum);
+  agg->SetAllowedLateness(MillisToMicros(300));
+  return agg;
+}
+
+TEST(CheckpointFormatTest, AggregateWithLatenessBytesArePinned) {
+  // Open panes, retained (speculatively fired) panes and pending refire
+  // marks all in one checkpoint. The constant was captured before pane
+  // state moved from std::unordered_map to FlatTable.
+  std::unique_ptr<WindowAggregateOperator> agg = LateAggregate();
+  NullEmitter out;
+  TimeMicros now = 0;
+  for (int i = 0; i < 450; ++i) {
+    const TimeMicros t = MillisToMicros(i);
+    agg->Process(MakeDataEvent(t, t + 700, ScrambledKey(i), 0.5 * i),
+                 now += 3, out);
+  }
+  // Fires [0,100), [100,200) and [200,300) into the retained store.
+  agg->Process(MakeWatermark(MillisToMicros(320), MillisToMicros(460)),
+               now += 3, out);
+  // Late arrivals fold into retained panes and mark them dirty.
+  for (int i = 0; i < 40; ++i) {
+    const TimeMicros t = MillisToMicros(5 * i + 50);
+    agg->Process(MakeDataEvent(t, MillisToMicros(470), ScrambledKey(3 * i),
+                               1.5 + i),
+                 now += 3, out);
+  }
+  ASSERT_GT(agg->open_panes(), 0);
+  ASSERT_GT(agg->retained_panes(), 0);
+  ASSERT_GT(agg->PendingRefires(), 0);
+  std::unique_ptr<WindowAggregateOperator> fresh = LateAggregate();
+  EXPECT_EQ(CheckpointHash(*agg, *fresh), 0xe080139627004091ULL);
 }
 
 TEST(CheckpointCoordinatorTest, WritesDurableEpochsDuringRun) {
