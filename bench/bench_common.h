@@ -22,7 +22,7 @@ inline std::vector<PolicyKind> AllPolicies() {
 
 /// Parses a bench's command line. A bench whose runs honour the executor
 /// passes `executor`, holding its default, and accepts
-/// --executor=sequential|threads; both backends print identical output,
+/// --executor=sequential|threads; both kinds print identical output,
 /// so the flag changes wall-clock time only. A bench that passes nullptr
 /// accepts no flag. Any other flag, a positional argument or a bad value
 /// prints a message naming it and returns false; the bench then exits 2.

@@ -72,7 +72,7 @@ void DistEngine::RunCycle() {
 
   // Per-node memory accounting.
   for (auto& node : nodes_) {
-    node->memory().Update(NodeMemoryUsage(node->id()));
+    node->memory().Update(node_usage_[static_cast<size_t>(node->id())]);
   }
 
   PublishInfo();
@@ -84,8 +84,7 @@ void DistEngine::RunCycle() {
     BuildNodeSnapshot(node->id(), &snap);
     const double sched_cost = node->policy().EvaluationCostMicros(snap);
     metrics_.AddSchedulerCost(sched_cost);
-    const double multiplier = node->memory().CostMultiplier(
-        config_.pressure_onset_fraction, config_.memory_pressure_penalty);
+    const double multiplier = node->memory().CostMultiplier();
     // Strict cycle-grained quanta, as in Engine::RunCycle: each selected
     // sub-query occupies one local core for the whole cycle.
     selected.Clear();
@@ -125,6 +124,13 @@ void DistEngine::Ship(QueryId query, int downstream, TimeMicros completed,
 }
 
 void DistEngine::Ingest() {
+  node_usage_.assign(nodes_.size(), 0);
+  for (const DeployedQuery& dq : queries_) {
+    for (int i = 0; i < dq.query->num_operators(); ++i) {
+      const NodeId node = dq.placement[static_cast<size_t>(i)];
+      node_usage_[static_cast<size_t>(node)] += dq.query->op(i).MemoryBytes();
+    }
+  }
   for (DeployedQuery& dq : queries_) {
     if (dq.feed == nullptr || now_ < dq.query->deploy_time()) continue;
     // Backpressure of the node hosting the sources stalls this query's
@@ -132,11 +138,15 @@ void DistEngine::Ingest() {
     const NodeId source_node = dq.placement.empty() ? 0 : dq.placement[0];
     Node& host = *nodes_[static_cast<size_t>(source_node)];
     if (host.memory().backpressured()) continue;
-    const int64_t budget =
-        host.config().memory_capacity_bytes - NodeMemoryUsage(source_node);
+    int64_t& usage = node_usage_[static_cast<size_t>(source_node)];
+    const int64_t budget = host.config().memory_capacity_bytes - usage;
     if (budget <= 0) continue;
-    metrics_.AddIngested(
-        feed_ingest_.Poll(*dq.feed, now_, budget, *dq.query).data);
+    // The polled bytes are what the source queues now hold on top of the
+    // walk (StreamQueue counts the same payload + overhead per element).
+    const FeedIngest::Totals polled =
+        feed_ingest_.Poll(*dq.feed, now_, budget, *dq.query);
+    usage += polled.bytes;
+    metrics_.AddIngested(polled.data);
   }
 }
 
@@ -207,18 +217,6 @@ void DistEngine::BuildNodeSnapshot(NodeId node_id, RuntimeSnapshot* snap) {
       info.streams.push_back(p);
     }
   }
-}
-
-int64_t DistEngine::NodeMemoryUsage(NodeId node_id) const {
-  int64_t total = 0;
-  for (const DeployedQuery& dq : queries_) {
-    for (int i = 0; i < dq.query->num_operators(); ++i) {
-      if (dq.placement[static_cast<size_t>(i)] == node_id) {
-        total += dq.query->op(i).MemoryBytes();
-      }
-    }
-  }
-  return total;
 }
 
 Histogram DistEngine::AggregateSwmLatency() const {

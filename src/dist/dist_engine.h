@@ -29,9 +29,6 @@ struct DistEngineConfig {
   /// information forwarding: remote nodes read cost/delay records this much
   /// later than they were published.
   DurationMicros link_latency = MillisToMicros(2);
-  /// Managed-runtime memory pressure model (see EngineConfig).
-  double memory_pressure_penalty = 0.35;
-  double pressure_onset_fraction = 0.7;
   /// Physical plan strategy (see PlacementMode).
   PlacementMode placement = PlacementMode::kLocal;
 };
@@ -99,10 +96,12 @@ class DistEngine : private Egress {
 
   void RunCycle();
   void DeliverTransit();
+  /// Walks every node's memory once into node_usage_, then ingests feed
+  /// elements due by now() into source queues, each poll bounded by the
+  /// memory its source node leaves free and charged to that node.
   void Ingest();
   void PublishInfo();
   void BuildNodeSnapshot(NodeId node_id, RuntimeSnapshot* snap);
-  int64_t NodeMemoryUsage(NodeId node_id) const;
   /// Egress: outputs crossing to another node enter the transit heap.
   void Ship(QueryId query, int downstream, TimeMicros completed,
             const std::vector<Event>& events) override;
@@ -116,6 +115,8 @@ class DistEngine : private Egress {
   EngineMetrics metrics_;
   TimeMicros now_ = 0;
   FeedIngest feed_ingest_;
+  /// node_usage_[n]: bytes held by node n's operators, as of Ingest().
+  std::vector<int64_t> node_usage_;
   /// Nodes and their slots drain one after another, so one context serves
   /// them all.
   ExecutionContext context_{0};

@@ -15,7 +15,6 @@ namespace klink {
 struct NodeConfig {
   int num_cores = 8;
   int64_t memory_capacity_bytes = 256ll << 20;
-  double backpressure_resume_fraction = 0.8;
 };
 
 class Node {
@@ -25,8 +24,7 @@ class Node {
       : id_(id),
         config_(config),
         policy_(std::move(policy)),
-        memory_(config.memory_capacity_bytes,
-                config.backpressure_resume_fraction) {}
+        memory_(config.memory_capacity_bytes) {}
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;

@@ -136,10 +136,15 @@ void KlinkPolicy::SelectQueries(const RuntimeSnapshot& snapshot, int slots,
           min_slack, info.id});
     }
   }
+  // Modeled evaluation overhead, charged to the engine's cycle budget
+  // (Fig. 9d): fixed virtual micros per evaluated query plus per
+  // slack-integration step. It models the paper's evaluator, which walks
+  // every query each cycle, as this loop does.
+  constexpr double kEvalCostPerQueryMicros = 55.0;
+  constexpr double kEvalCostPerStepMicros = 8.0;
   pending_eval_cost_ +=
-      static_cast<double>(snapshot.queries.size()) *
-          config_.eval_cost_per_query_micros +
-      static_cast<double>(eval_steps_) * config_.eval_cost_per_step_micros;
+      static_cast<double>(snapshot.queries.size()) * kEvalCostPerQueryMicros +
+      static_cast<double>(eval_steps_) * kEvalCostPerStepMicros;
 
   if (mm_active_) {
     ++mm_cycles_;

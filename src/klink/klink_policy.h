@@ -37,13 +37,6 @@ struct KlinkPolicyConfig {
   /// ...or this much virtual time elapsed, whichever comes first.
   DurationMicros mm_max_duration = SecondsToMicros(1);
 
-  /// Modeled evaluation overhead: fixed virtual micros per evaluated query
-  /// plus per slack-integration step (charged to the engine's cycle
-  /// budget; Fig. 9d). This models the paper's evaluator, which walks
-  /// every query each cycle, as SelectQueries does.
-  double eval_cost_per_query_micros = 55.0;
-  double eval_cost_per_step_micros = 8.0;
-
   /// Rejects a confidence outside (0, 1] (klink_run --confidence), which
   /// the SWM estimator would abort on.
   Status Validate() const;

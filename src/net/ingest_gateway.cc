@@ -44,8 +44,6 @@ void IngestGateway::AuditStream(const Stream& s) const {
 void IngestGateway::RegisterStream(uint32_t stream_id,
                                    const IngestStreamConfig& config) {
   KLINK_CHECK_GT(config.byte_budget, 0);
-  KLINK_CHECK_GT(config.resume_fraction, 0.0);
-  KLINK_CHECK_LE(config.resume_fraction, 1.0);
   KLINK_CHECK(streams_.find(stream_id) == streams_.end());
   streams_[stream_id].config = config;
 }
@@ -119,8 +117,9 @@ void IngestGateway::NoteStall(uint32_t stream_id) {
 bool IngestGateway::TryResume(uint32_t stream_id) {
   Stream& s = GetStream(stream_id);
   if (!s.stalled) return true;
+  constexpr double kResumeFraction = 0.5;
   const int64_t resume_below = static_cast<int64_t>(
-      static_cast<double>(s.config.byte_budget) * s.config.resume_fraction);
+      static_cast<double>(s.config.byte_budget) * kResumeFraction);
   if (s.staged.bytes() + s.scratch_bytes >= resume_below) return false;
   s.stalled = false;
   metrics_.stream(stream_id).stall_micros +=

@@ -27,12 +27,10 @@ inline constexpr uint32_t MakeStreamId(int query_index, int source_index) {
 /// Buffering policy of one registered ingest stream.
 struct IngestStreamConfig {
   /// Credit budget: once the staging queue holds this many (simulated)
-  /// bytes, the connection feeding the stream stops being read.
+  /// bytes, the connection feeding the stream stops being read. Reading
+  /// resumes once the staging queue drains below half of it (hysteresis,
+  /// like the engine's memory-tracker backpressure).
   int64_t byte_budget = 4ll << 20;
-  /// Reading resumes once the staging queue drains below
-  /// byte_budget * resume_fraction (hysteresis, like the engine's
-  /// memory-tracker backpressure).
-  double resume_fraction = 0.5;
 };
 
 /// Bridges decoded wire frames into the engine: one staging StreamQueue

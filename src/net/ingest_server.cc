@@ -24,10 +24,12 @@ IngestServer::IngestServer(const IngestServerConfig& config,
                            IngestGateway* gateway)
     : config_(config), gateway_(gateway) {
   KLINK_CHECK(gateway_ != nullptr);
-  KLINK_CHECK_GE(config_.max_connections, 1);
   KLINK_CHECK_GE(config_.idle_timeout_ms, 0);
-  KLINK_CHECK_GT(config_.read_chunk_bytes, kWireHeaderLen);
-  read_scratch_.resize(config_.read_chunk_bytes);
+  // Max bytes read from one connection per poll iteration (fairness, and
+  // a bound on per-connection buffering).
+  constexpr size_t kReadChunkBytes = 64 * 1024;
+  static_assert(kReadChunkBytes > kWireHeaderLen);
+  read_scratch_.resize(kReadChunkBytes);
 }
 
 IngestServer::~IngestServer() { Stop(); }
@@ -110,10 +112,13 @@ int64_t IngestServer::PollOnce(int timeout_ms) {
 }
 
 void IngestServer::AcceptPending() {
+  // Clients are outside the program's control, so their connections are
+  // capped; one over the cap draws an error frame and is closed.
+  constexpr size_t kMaxConnections = 256;
   while (true) {
     StatusOr<int> fd = AcceptNonBlocking(listen_fd_);
     if (!fd.ok() || fd.value() < 0) return;
-    if (static_cast<int>(conns_.size()) >= config_.max_connections) {
+    if (conns_.size() >= kMaxConnections) {
       send_scratch_.clear();
       EncodeError(WireError::kProtocolViolation, "too many connections",
                   &send_scratch_);

@@ -15,14 +15,10 @@ namespace klink {
 struct IngestServerConfig {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port (see port()).
   uint16_t port = 0;
-  int max_connections = 256;
   /// Connections with no traffic for this long are closed with an
   /// kIdleTimeout error frame; 0 disables. Paused (backpressured)
   /// connections are exempt — they are stalled on purpose.
   int64_t idle_timeout_ms = 0;
-  /// Max bytes read from one connection per poll iteration (fairness, and
-  /// a bound on per-connection buffering).
-  size_t read_chunk_bytes = 64 * 1024;
   /// Dynamic tenant attach: when set, a kHello naming a stream the gateway
   /// does not know is offered to this hook instead of drawing
   /// kUnknownStream. The hook attaches the tenant (registers the stream

@@ -11,7 +11,7 @@ namespace {
 
 /// Slack for comparing re-accumulated doubles: the auditor re-adds the same
 /// values in the same order, so equality should be exact; the epsilon only
-/// forgives the executor backends' documented freedom in merge order.
+/// forgives a merge order other than slot order.
 constexpr double kBudgetEpsilon = 1e-6;
 
 /// `next` never regresses below `prev`; kNoTime means "not seen yet" and

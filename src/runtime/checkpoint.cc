@@ -88,7 +88,6 @@ CheckpointCoordinator::CheckpointCoordinator(CheckpointConfig config)
     : config_(std::move(config)) {
   KLINK_CHECK(!config_.dir.empty());
   KLINK_CHECK_GT(config_.interval, 0);
-  KLINK_CHECK_GE(config_.keep_epochs, 2);
   ::mkdir(config_.dir.c_str(), 0755);  // may already exist
   // Adopt any epochs a previous incarnation left behind, so the fallback
   // chain survives a restore and pruning sees the whole set.
@@ -335,11 +334,13 @@ bool CheckpointCoordinator::PersistEpoch(uint64_t epoch,
     return false;
   }
   // The new MANIFEST lists this epoch and drops the oldest beyond
-  // keep_epochs; their files go only once it is durable.
+  // kKeepEpochs; their files go only once it is durable. Two, so a torn
+  // newest checkpoint always leaves a complete predecessor to fall back to.
+  constexpr size_t kKeepEpochs = 2;
   std::map<uint64_t, std::pair<std::string, uint64_t>> next = manifest_;
   next[epoch] = {file, hash};
   std::vector<std::string> retired;
-  while (next.size() > static_cast<size_t>(config_.keep_epochs)) {
+  while (next.size() > kKeepEpochs) {
     retired.push_back(next.begin()->second.first);
     next.erase(next.begin());
   }

@@ -26,9 +26,6 @@ struct CheckpointConfig {
   std::string dir;
   /// Virtual-time spacing between barrier injections.
   DurationMicros interval = SecondsToMicros(1);
-  /// Complete epochs retained on disk. Must be >= 2 so a torn newest
-  /// checkpoint always leaves a complete predecessor to fall back to.
-  int keep_epochs = 2;
 };
 
 /// One query's slice of a loaded checkpoint.

@@ -8,6 +8,12 @@
 #include "src/runtime/reshard.h"
 
 namespace klink {
+namespace {
+
+/// Resource time-series sampling period (the paper samples every 200 ms).
+constexpr DurationMicros kMetricsSamplePeriod = MillisToMicros(200);
+
+}  // namespace
 
 Status EngineConfig::Validate() const {
   if (num_cores < 1) {
@@ -20,20 +26,6 @@ Status EngineConfig::Validate() const {
     return Status::InvalidArgument(
         "memory_capacity_bytes (--memory-mb) must be > 0");
   }
-  if (!(backpressure_resume_fraction > 0.0 &&
-        backpressure_resume_fraction <= 1.0)) {
-    return Status::InvalidArgument(
-        "backpressure_resume_fraction must lie in (0, 1]");
-  }
-  if (!(memory_pressure_penalty >= 0.0)) {
-    return Status::InvalidArgument("memory_pressure_penalty must be >= 0");
-  }
-  if (!(pressure_onset_fraction > 0.0)) {
-    return Status::InvalidArgument("pressure_onset_fraction must be > 0");
-  }
-  if (metrics_sample_period <= 0) {
-    return Status::InvalidArgument("metrics_sample_period must be > 0");
-  }
   return Status::Ok();
 }
 
@@ -41,13 +33,11 @@ Engine::Engine(const EngineConfig& config,
                std::unique_ptr<SchedulingPolicy> policy)
     : config_(config),
       policy_(std::move(policy)),
-      memory_(config.memory_capacity_bytes,
-              config.backpressure_resume_fraction) {
+      memory_(config.memory_capacity_bytes) {
   KLINK_CHECK_OK(config_.Validate());
   KLINK_CHECK(policy_ != nullptr);
-  executor_ = MakeExecutor(config_.executor, config_.num_cores);
-  KLINK_CHECK(executor_ != nullptr);
-  next_sample_time_ = config.metrics_sample_period;
+  executor_ = std::make_unique<Executor>(config_.executor, config_.num_cores);
+  next_sample_time_ = kMetricsSamplePeriod;
   if (AuditEnabledFromEnv()) audit_ = std::make_unique<InvariantAuditor>();
 }
 
@@ -152,11 +142,10 @@ void Engine::RunCycle() {
   snapshot_scratch_.detached.clear();
 
   // (5) Resolve the selection into per-slot tasks and run them on the
-  // executor backend; per-worker counters merge at the cycle barrier.
+  // executor; per-slot counters merge at the cycle barrier.
   const double budget =
       std::max(0.0, r - sched_cost / static_cast<double>(config_.num_cores));
-  const double multiplier = memory_.CostMultiplier(
-      config_.pressure_onset_fraction, config_.memory_pressure_penalty);
+  const double multiplier = memory_.CostMultiplier();
   tasks_scratch_.clear();
   for (const SlotAssignment& slot : selection_scratch_) {
     KLINK_CHECK(IsActive(slot.query));  // policies select live queries only
@@ -166,8 +155,8 @@ void Engine::RunCycle() {
   }
   // Producer lanes must run before the lanes they feed: publish tasks in
   // stage order. The sort is stable so equal-stage slots keep the policy's
-  // priority order, and both backends execute slots in published order —
-  // which is what keeps sequential and thread-pool results bit-identical.
+  // priority order. Task i drains on slot i whichever thread claims it,
+  // which is what keeps both executor kinds bit-identical.
   std::stable_sort(tasks_scratch_.begin(), tasks_scratch_.end(),
                    [](const ExecutorTask& a, const ExecutorTask& b) {
                      return a.stage < b.stage;
@@ -200,7 +189,7 @@ void Engine::RestoreClock(TimeMicros t) {
   now_ = t;
   last_sample_time_ = t;
   while (next_sample_time_ <= t) {
-    next_sample_time_ += config_.metrics_sample_period;
+    next_sample_time_ += kMetricsSamplePeriod;
   }
 }
 
@@ -255,7 +244,7 @@ void Engine::MaybeSampleMetrics() {
   processed_at_last_sample_ = processed_now;
   last_sample_time_ = now_;
   while (next_sample_time_ <= now_) {
-    next_sample_time_ += config_.metrics_sample_period;
+    next_sample_time_ += kMetricsSamplePeriod;
   }
 }
 

@@ -31,22 +31,14 @@ struct EngineConfig {
   /// Scheduling cycle r: the policy re-evaluates every cycle_length of
   /// virtual time (paper default 120 ms, Sec. 6.2).
   DurationMicros cycle_length = MillisToMicros(120);
-  /// Simulated memory capacity for queues + operator state.
+  /// Simulated memory capacity for queues + operator state. Ingestion
+  /// stalls at capacity (MemoryTracker backpressure), and per-event costs
+  /// inflate as usage nears it (MemoryTracker::CostMultiplier).
   int64_t memory_capacity_bytes = 256ll << 20;
-  /// Backpressure hysteresis: ingestion stalls at capacity and resumes
-  /// below this fraction of capacity. Must lie in (0, 1].
-  double backpressure_resume_fraction = 0.8;
-  /// Managed-runtime memory-pressure model: per-event processing costs are
-  /// inflated by up to (1 + memory_pressure_penalty) as utilization rises
-  /// from pressure_onset_fraction to 1.0, reproducing the JVM GC/allocator
-  /// slowdown that throttles Flink near its memory ceiling (Fig. 8/9).
-  double memory_pressure_penalty = 0.35;
-  double pressure_onset_fraction = 0.7;
-  /// Resource time-series sampling period (paper samples every 200 ms).
-  DurationMicros metrics_sample_period = MillisToMicros(200);
-  /// Execution backend for the task slots. Both backends produce
-  /// bit-identical results (see src/runtime/executor.h); kThreads trades
-  /// startup cost for wall-clock speedup on multi-query cycles.
+  /// Which threads drain the task slots. Both kinds give bit-identical
+  /// results (see src/runtime/executor.h); kThreads is the oracle for the
+  /// concurrent protocols and runs shard lanes in parallel, not a speed
+  /// option.
   ExecutorKind executor = ExecutorKind::kSequential;
 
   /// Rejects out-of-range values (a misconfigured engine silently

@@ -31,12 +31,13 @@ class Egress {
 /// on DistEngine, whose Egress takes the outputs that cross to another
 /// node.
 ///
-/// Threading contract: a context is owned by exactly one worker between
-/// BeginCycle and the cycle barrier; the engine reads its counters only
-/// after the barrier. Slot-parallel execution is safe because each Query
-/// owns its operators and queues, so distinct queries share no mutable
-/// state, and virtual time inside a slot depends only on that slot's own
-/// consumption — which is what keeps both executor backends bit-identical.
+/// Threading contract: a context is owned by the one thread that claimed
+/// its slot's task, between BeginCycle and the cycle barrier; the engine
+/// reads its counters only after the barrier. Slot-parallel execution is
+/// safe because each Query owns its operators and queues, so distinct
+/// queries share no mutable state, and virtual time inside a slot depends
+/// only on that slot's own consumption — which is what keeps both
+/// executor kinds bit-identical.
 class ExecutionContext {
  public:
   explicit ExecutionContext(int slot);

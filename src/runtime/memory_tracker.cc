@@ -3,12 +3,20 @@
 #include <algorithm>
 
 namespace klink {
+namespace {
 
-MemoryTracker::MemoryTracker(int64_t capacity_bytes, double resume_fraction)
-    : capacity_(capacity_bytes), resume_fraction_(resume_fraction) {
+/// Backpressure lifts once usage falls to this fraction of capacity.
+constexpr double kResumeFraction = 0.8;
+/// Costs start to inflate at this utilization...
+constexpr double kPressureOnset = 0.7;
+/// ...and reach 1 + this factor at capacity.
+constexpr double kPressurePenalty = 0.35;
+
+}  // namespace
+
+MemoryTracker::MemoryTracker(int64_t capacity_bytes)
+    : capacity_(capacity_bytes) {
   KLINK_CHECK_GT(capacity_bytes, 0);
-  KLINK_CHECK_GT(resume_fraction, 0.0);
-  KLINK_CHECK_LE(resume_fraction, 1.0);
 }
 
 void MemoryTracker::Update(int64_t used_bytes) {
@@ -17,7 +25,7 @@ void MemoryTracker::Update(int64_t used_bytes) {
   peak_ = std::max(peak_, used_);
   if (backpressured_) {
     if (static_cast<double>(used_) <=
-        resume_fraction_ * static_cast<double>(capacity_)) {
+        kResumeFraction * static_cast<double>(capacity_)) {
       backpressured_ = false;
     }
   } else if (used_ >= capacity_) {
@@ -25,12 +33,10 @@ void MemoryTracker::Update(int64_t used_bytes) {
   }
 }
 
-double MemoryTracker::CostMultiplier(double onset_fraction,
-                                     double penalty) const {
-  if (onset_fraction >= 1.0) return 1.0;
+double MemoryTracker::CostMultiplier() const {
   const double stress = std::clamp(
-      (utilization() - onset_fraction) / (1.0 - onset_fraction), 0.0, 1.0);
-  return 1.0 + penalty * stress;
+      (utilization() - kPressureOnset) / (1.0 - kPressureOnset), 0.0, 1.0);
+  return 1.0 + kPressurePenalty * stress;
 }
 
 }  // namespace klink

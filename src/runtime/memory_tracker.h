@@ -10,12 +10,12 @@ namespace klink {
 /// Tracks simulated memory consumption of the SPE (queued events + operator
 /// state) against a configured capacity, and drives the backpressure
 /// hysteresis: ingestion stalls when usage reaches capacity and resumes once
-/// usage falls below `resume_fraction * capacity` (the throttling heuristic
-/// Sec. 3.4 contrasts Klink's memory manager with).
+/// usage falls to 80% of it (the throttling heuristic Sec. 3.4 contrasts
+/// Klink's memory manager with).
 class MemoryTracker {
  public:
-  /// Requires capacity > 0 and resume_fraction in (0, 1].
-  MemoryTracker(int64_t capacity_bytes, double resume_fraction = 0.8);
+  /// Requires capacity > 0.
+  explicit MemoryTracker(int64_t capacity_bytes);
 
   /// Records current usage (recomputed each scheduling cycle).
   void Update(int64_t used_bytes);
@@ -32,14 +32,14 @@ class MemoryTracker {
   /// True while backpressure stalls ingestion.
   bool backpressured() const { return backpressured_; }
 
-  /// Managed-runtime memory pressure: the factor inflating per-event
-  /// processing costs, rising linearly from 1 at `onset_fraction` of
-  /// capacity to 1 + `penalty` at capacity (EngineConfig documents both).
-  double CostMultiplier(double onset_fraction, double penalty) const;
+  /// Managed-runtime memory pressure, reproducing the JVM GC/allocator
+  /// slowdown that throttles Flink near its memory ceiling (Fig. 8/9): the
+  /// factor inflating per-event processing costs is 1 up to 70% of
+  /// capacity, rises linearly to 1.35 at capacity, and stays there above.
+  double CostMultiplier() const;
 
  private:
   int64_t capacity_;
-  double resume_fraction_;
   int64_t used_ = 0;
   int64_t peak_ = 0;
   bool backpressured_ = false;

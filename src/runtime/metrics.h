@@ -37,7 +37,7 @@ struct QueryLateMetrics {
 QueryLateMetrics CollectQueryLateMetrics(const Query& query);
 
 /// One point of the resource-utilization time series (paper Fig. 8),
-/// sampled every EngineConfig::metrics_sample_period of virtual time.
+/// sampled every 200 ms of virtual time, as the paper samples.
 struct ResourceSample {
   TimeMicros time = 0;
   int64_t memory_bytes = 0;

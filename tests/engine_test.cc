@@ -108,29 +108,36 @@ TEST(EngineTest, BackpressureBoundsMemory) {
 }
 
 TEST(EngineTest, MemoryPressureInflatesCosts) {
+  // The managed-runtime slowdown model: no inflation up to the onset, the
+  // full penalty at capacity and beyond.
+  MemoryTracker tracker(1000);
+  tracker.Update(500);
+  EXPECT_EQ(tracker.CostMultiplier(), 1.0);
+  tracker.Update(700);
+  EXPECT_EQ(tracker.CostMultiplier(), 1.0);
+  tracker.Update(1000);
+  EXPECT_DOUBLE_EQ(tracker.CostMultiplier(), 1.35);
+  tracker.Update(1200);
+  EXPECT_DOUBLE_EQ(tracker.CostMultiplier(), 1.35);
+
   // Identical offered load and work; the run whose memory sits above the
-  // pressure onset pays more CPU time per event (the managed-runtime
-  // slowdown model).
-  auto busy_per_event = [](double penalty) {
+  // pressure onset pays more CPU time per event.
+  auto busy_per_event = [](int64_t capacity_bytes) {
     EngineConfig config;
     config.num_cores = 1;
-    // Tiny capacity: the overloaded query pins utilization near 1.0.
-    config.memory_capacity_bytes = 256 << 10;
-    config.pressure_onset_fraction = 0.3;
-    config.memory_pressure_penalty = penalty;
+    config.memory_capacity_bytes = capacity_bytes;
     Engine engine(config, std::make_unique<RoundRobinPolicy>());
     engine.AddQuery(CountQuery(0), SteadyFeed(20000, 5));
     engine.RunFor(SecondsToMicros(5));
     return engine.metrics().core_busy_micros() /
            static_cast<double>(engine.metrics().processed_events());
   };
-  EXPECT_GT(busy_per_event(/*penalty=*/1.0),
-            busy_per_event(/*penalty=*/0.0) * 1.2);
+  // Tiny capacity: the overloaded query pins utilization near 1.0.
+  EXPECT_GT(busy_per_event(256 << 10), busy_per_event(256 << 20) * 1.15);
 }
 
 TEST(EngineTest, MetricsSamplesCollected) {
   EngineConfig config;
-  config.metrics_sample_period = MillisToMicros(240);
   Engine engine(config, std::make_unique<RoundRobinPolicy>());
   engine.AddQuery(CountQuery(0), SteadyFeed(500, 2));
   engine.RunFor(SecondsToMicros(6));

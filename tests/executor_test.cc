@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "src/net/delay_model.h"
+#include "src/event/event.h"
 #include "src/klink/klink_policy.h"
+#include "src/net/delay_model.h"
 #include "src/query/pipeline_builder.h"
 #include "src/runtime/engine.h"
 #include "src/sched/rr_policy.h"
@@ -54,15 +60,132 @@ TEST(ExecutorKindTest, ParseRejectsUnknownNames) {
   EXPECT_EQ(kind, ExecutorKind::kSequential);  // untouched on failure
 }
 
-TEST(ExecutorFactoryTest, BuildsNamedBackends) {
-  const auto seq = MakeExecutor(ExecutorKind::kSequential, 3);
-  ASSERT_NE(seq, nullptr);
-  EXPECT_EQ(seq->name(), "sequential");
-  EXPECT_EQ(seq->num_slots(), 3);
-  const auto thr = MakeExecutor(ExecutorKind::kThreads, 2);
-  ASSERT_NE(thr, nullptr);
-  EXPECT_EQ(thr->name(), "threads");
-  EXPECT_EQ(thr->num_slots(), 2);
+/// This process's OS threads per /proc/self/status, -1 without procfs.
+/// With `want` >= 0, re-read for up to a second until the count equals
+/// it: a joined thread can stay listed for a moment after join returns.
+int OsThreads(int want) {
+  int threads = -1;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+      if (line.rfind("Threads:", 0) == 0) threads = std::atoi(&line[8]);
+    }
+    if (want < 0 || threads == want || threads < 0) return threads;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return threads;
+}
+
+/// The OS threads `executor` owns: how many fewer the process runs once it
+/// is destroyed. Counting on destruction leaves out helper threads a
+/// runtime starts with the process's first thread (TSan's, say).
+int OwnedThreads(std::unique_ptr<Executor> executor) {
+  const int workers = executor->num_workers();
+  const int with = OsThreads(-1);
+  executor.reset();
+  if (with < 0) return workers;  // no procfs: trust the count
+  return with - OsThreads(with - workers);
+}
+
+int HostCpus() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+TEST(ExecutorTest, SequentialStartsNoThreadAndThePoolIsHostSized) {
+  auto sequential = std::make_unique<Executor>(ExecutorKind::kSequential, 3);
+  EXPECT_EQ(sequential->num_slots(), 3);
+  EXPECT_EQ(sequential->num_workers(), 0);
+  EXPECT_EQ(OwnedThreads(std::move(sequential)), 0);
+  auto one_slot = std::make_unique<Executor>(ExecutorKind::kThreads, 1);
+  EXPECT_EQ(one_slot->num_workers(), 0);
+  EXPECT_EQ(OwnedThreads(std::move(one_slot)), 0);
+  for (const int slots : {2, 3, 8, 16}) {
+    SCOPED_TRACE("slots " + std::to_string(slots));
+    auto pool = std::make_unique<Executor>(ExecutorKind::kThreads, slots);
+    EXPECT_EQ(pool->num_slots(), slots);
+    EXPECT_EQ(pool->num_workers(), std::min(slots, HostCpus()) - 1);
+    EXPECT_EQ(OwnedThreads(std::move(pool)), std::min(slots, HostCpus()) - 1);
+  }
+}
+
+/// source -> map -> sink with `events` data events queued at its source;
+/// the map runs `transform` on each.
+std::unique_ptr<Query> QueuedMapQuery(
+    QueryId id, int events, MapOperator::TransformFn transform = nullptr) {
+  PipelineBuilder b("map");
+  b.Source("src", 1.0).Map("map", 3.0, std::move(transform)).Sink("out", 1.0);
+  std::unique_ptr<Query> q = b.Build(id);
+  for (int i = 0; i < events; ++i) {
+    q->sources()[0]->input(0).Push(MakeDataEvent(i, i, i, 1.0));
+  }
+  return q;
+}
+
+struct SlotOutcome {
+  double busy = 0.0;
+  int64_t processed = 0;
+  int64_t left_queued = 0;
+};
+
+TEST(ExecutorTest, WideGroupDrainsEachTaskOnItsOwnSlot) {
+  // One equal-stage group of 16 tasks: more tasks than the host has
+  // threads, so workers and the calling thread each claim several. Every
+  // slot's query differs in length and budget, so a task drained on
+  // another slot's context, or twice, shows in the per-slot counters.
+  constexpr int kSlots = 16;
+  const auto run = [](ExecutorKind kind, std::vector<SlotOutcome>* slots) {
+    std::vector<std::unique_ptr<Query>> queries;
+    std::vector<ExecutorTask> tasks;
+    for (int i = 0; i < kSlots; ++i) {
+      queries.push_back(QueuedMapQuery(i, 20 + 13 * i));
+      tasks.push_back(ExecutorTask{queries.back().get(), 60.0 + 45.0 * i});
+    }
+    Executor executor(kind, kSlots);
+    const CycleStats stats =
+        executor.ExecuteCycle(tasks, 1.3, SecondsToMicros(1));
+    for (int i = 0; i < kSlots; ++i) {
+      const ExecutionContext& ctx = executor.context(i);
+      // Run once: a second BeginCycle would have reset the cycle counters
+      // below the lifetime ones.
+      EXPECT_EQ(ctx.cycle_processed_events(), ctx.processed_events()) << i;
+      EXPECT_EQ(ctx.cycle_busy_micros(), ctx.busy_micros()) << i;
+      EXPECT_GT(ctx.cycle_processed_events(), 0) << i;
+      slots->push_back(SlotOutcome{ctx.cycle_busy_micros(),
+                                   ctx.cycle_processed_events(),
+                                   queries[static_cast<size_t>(i)]
+                                       ->QueuedEvents()});
+    }
+    return stats;
+  };
+  std::vector<SlotOutcome> sequential;
+  std::vector<SlotOutcome> pooled;
+  const CycleStats want = run(ExecutorKind::kSequential, &sequential);
+  const CycleStats got = run(ExecutorKind::kThreads, &pooled);
+  for (int i = 0; i < kSlots; ++i) {
+    const size_t s = static_cast<size_t>(i);
+    EXPECT_EQ(pooled[s].busy, sequential[s].busy) << "slot " << i;
+    EXPECT_EQ(pooled[s].processed, sequential[s].processed) << "slot " << i;
+    EXPECT_EQ(pooled[s].left_queued, sequential[s].left_queued)
+        << "slot " << i;
+  }
+  EXPECT_EQ(got.busy_micros, want.busy_micros);
+  EXPECT_EQ(got.processed_events, want.processed_events);
+}
+
+TEST(ExecutorTest, OneTaskGroupRunsOnTheCallingThread) {
+  std::vector<std::thread::id> drained_on;
+  std::unique_ptr<Query> q = QueuedMapQuery(0, 5, [&drained_on](Event&) {
+    drained_on.push_back(std::this_thread::get_id());
+  });
+  Executor executor(ExecutorKind::kThreads, 4);
+  EXPECT_EQ(executor.num_workers(), std::min(4, HostCpus()) - 1);
+  const std::vector<ExecutorTask> tasks = {ExecutorTask{q.get(), 1e6}};
+  EXPECT_EQ(executor.ExecuteCycle(tasks, 1.0, 0).processed_events, 15);
+  ASSERT_EQ(drained_on.size(), 5u);
+  for (const std::thread::id id : drained_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
 }
 
 // Everything the figures are built from, captured after one run.
@@ -235,15 +358,6 @@ TEST(EngineConfigTest, RejectsNonPositiveCycleLength) {
   EngineConfig config;
   config.cycle_length = 0;
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(EngineConfigTest, RejectsResumeFractionOutsideUnitInterval) {
-  EngineConfig low;
-  low.backpressure_resume_fraction = 0.0;
-  EXPECT_EQ(low.Validate().code(), StatusCode::kInvalidArgument);
-  EngineConfig high;
-  high.backpressure_resume_fraction = 1.5;
-  EXPECT_EQ(high.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EngineConfigTest, AcceptsDefaultConfig) {

@@ -22,7 +22,7 @@ TEST(MemoryTrackerTest, PeakTracksMaximum) {
 }
 
 TEST(MemoryTrackerTest, BackpressureEngagesAtCapacity) {
-  MemoryTracker t(1000, /*resume_fraction=*/0.8);
+  MemoryTracker t(1000);
   t.Update(999);
   EXPECT_FALSE(t.backpressured());
   t.Update(1000);
@@ -30,7 +30,7 @@ TEST(MemoryTrackerTest, BackpressureEngagesAtCapacity) {
 }
 
 TEST(MemoryTrackerTest, HysteresisOnResume) {
-  MemoryTracker t(1000, 0.8);
+  MemoryTracker t(1000);
   t.Update(1000);
   ASSERT_TRUE(t.backpressured());
   t.Update(900);  // below capacity but above the resume threshold
@@ -40,7 +40,7 @@ TEST(MemoryTrackerTest, HysteresisOnResume) {
 }
 
 TEST(MemoryTrackerTest, ReengagesAfterResume) {
-  MemoryTracker t(1000, 0.5);
+  MemoryTracker t(1000);
   t.Update(1000);
   t.Update(500);
   EXPECT_FALSE(t.backpressured());

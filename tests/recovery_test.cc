@@ -142,11 +142,11 @@ void RunRecoveryScenario(const std::string& executor) {
   EXPECT_EQ(r.results_hash, baseline_hash);
 }
 
-TEST(RecoveryTest, KillMidRunIsByteIdenticalSequentialExecutor) {
+TEST(RecoveryTest, KillMidRunIsByteIdenticalOnSequential) {
   RunRecoveryScenario("sequential");
 }
 
-TEST(RecoveryTest, KillMidRunIsByteIdenticalThreadPoolExecutor) {
+TEST(RecoveryTest, KillMidRunIsByteIdenticalOnThreads) {
   RunRecoveryScenario("threads");
 }
 

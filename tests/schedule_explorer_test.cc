@@ -177,7 +177,8 @@ class DiscardThroughFeed final : public EventFeed {
 // Protocol driver: checkpointed + re-sharded run (reshard_test's harness,
 // parameterized by seed-perturbed protocol timing).
 
-// 6 workers + main + checkpoint writer = 8 explorer participants.
+// Six slots: the executor's workers (min(6, CPUs) - 1), the main thread
+// and the checkpoint writer are the explorer participants.
 constexpr int kCores = 6;
 constexpr TimeMicros kCutoff = MillisToMicros(3600);
 constexpr double kAggCostMicros = 400.0;  // 2 shards backlog at 6k/s
@@ -256,7 +257,7 @@ RunOutcome RunCheckpointReshard(uint64_t explorer_seed, ExecutorKind executor,
   Engine engine(config, std::make_unique<FcfsPolicy>());
   const QueryId id = engine.AddQuery(MakeShardQuery(), MakeShardFeed());
   if (explorer && executor == ExecutorKind::kThreads) {
-    explorer->AwaitParticipants(2 + config.num_cores);
+    explorer->AwaitParticipants(2 + engine.executor().num_workers());
   }
   coordinator.RegisterQuery(&engine.query(id), {}, nullptr);
   engine.SetCheckpointCoordinator(&coordinator);
@@ -312,7 +313,9 @@ uint64_t RunKillRestore(uint64_t explorer_seed, const ProtocolTiming& timing) {
     CheckpointCoordinator coordinator(cc);
     Engine engine(config, std::make_unique<FcfsPolicy>());
     const QueryId id = engine.AddQuery(MakeShardQuery(), MakeShardFeed());
-    if (explorer) explorer->AwaitParticipants(2 + config.num_cores);
+    if (explorer) {
+      explorer->AwaitParticipants(2 + engine.executor().num_workers());
+    }
     coordinator.RegisterQuery(&engine.query(id), {}, nullptr);
     engine.SetCheckpointCoordinator(&coordinator);
     ReshardController resharder(&engine);
@@ -359,7 +362,9 @@ uint64_t RunKillRestore(uint64_t explorer_seed, const ProtocolTiming& timing) {
   const QueryId id = engine.AddQuery(
       MakeShardQuery(), std::make_unique<DiscardThroughFeed>(
                             MakeShardFeed(), loaded.checkpoint_time));
-  if (explorer) explorer->AwaitParticipants(2 + config.num_cores);
+  if (explorer) {
+    explorer->AwaitParticipants(2 + engine.executor().num_workers());
+  }
   RestoreQueryState(loaded.queries[0], &engine.query(id));
   engine.RestoreClock(loaded.checkpoint_time);
   coordinator.RegisterQuery(&engine.query(id), {}, nullptr);
@@ -450,7 +455,7 @@ uint64_t RunGatewayDedup(uint64_t explorer_seed, ExecutorKind executor,
       MakeGatewayQuery(),
       std::make_unique<NetworkFeed>(&gateway, std::vector<uint32_t>{0}));
   if (explorer && executor == ExecutorKind::kThreads) {
-    explorer->AwaitParticipants(1 + config.num_cores);
+    explorer->AwaitParticipants(1 + engine.executor().num_workers());
   }
 
   const std::vector<EventFeed::FeedElement> events = GatewayEvents();
@@ -518,7 +523,9 @@ uint64_t RunAckedKillRestore(uint64_t explorer_seed) {
     const QueryId id = engine.AddQuery(
         MakeGatewayQuery(),
         std::make_unique<NetworkFeed>(&gateway, std::vector<uint32_t>{0}));
-    if (explorer) explorer->AwaitParticipants(2 + config.num_cores);
+    if (explorer) {
+      explorer->AwaitParticipants(2 + engine.executor().num_workers());
+    }
     coordinator.RegisterQuery(&engine.query(id), {0}, &gateway);
     coordinator.SetAckCallback(
         [&](uint32_t, uint64_t epoch, uint64_t durable_seq) {
@@ -557,7 +564,9 @@ uint64_t RunAckedKillRestore(uint64_t explorer_seed) {
   const QueryId id = engine.AddQuery(
       MakeGatewayQuery(),
       std::make_unique<NetworkFeed>(&gateway, std::vector<uint32_t>{0}));
-  if (explorer) explorer->AwaitParticipants(2 + config.num_cores);
+  if (explorer) {
+    explorer->AwaitParticipants(2 + engine.executor().num_workers());
+  }
   RestoreQueryState(loaded.queries[0], &engine.query(id));
   engine.RestoreClock(loaded.checkpoint_time);
   coordinator.RegisterQuery(&engine.query(id), {0}, &gateway);

@@ -79,7 +79,7 @@ class ScheduleExplorer final : public ScheduleHooks {
 
   /// Blocks the calling (token-holding) thread until `live` participants
   /// (including itself) are registered. Call after constructing each
-  /// ThreadPoolExecutor-backed engine and CheckpointCoordinator, before
+  /// engine with executor workers and each CheckpointCoordinator, before
   /// driving them.
   void AwaitParticipants(int live);
 

@@ -19,8 +19,10 @@
 //
 // --lockstep advances virtual time only through prefixes that have fully
 // arrived (per-stream arrival watermarks), making a blast-mode loadgen
-// replay deterministic — the networked run produces the same results as
-// the equivalent in-process run.
+// replay deterministic: the same results on either executor, with or
+// without checkpoints, however loadgen slices its replay. It is not the
+// in-process run of the same flags, which spreads deploys over 20 s and
+// cuts a warm-up, where the listen server deploys every tenant at t=0.
 //
 // --dynamic-attach turns the closed-world server into a multi-tenant
 // fabric: no queries are deployed up front; the first kHello naming a
