@@ -2,6 +2,7 @@
 #define KLINK_COMMON_HISTOGRAM_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/common/serialize.h"
@@ -11,10 +12,10 @@ namespace klink {
 /// Log-bucketed histogram of non-negative values (HdrHistogram-style),
 /// used for latency distributions and CDF reporting. Relative quantile
 /// error is bounded by the per-decade sub-bucket resolution (~1.6%).
+/// Only non-empty buckets are stored, 16 B each, so an empty histogram
+/// holds nothing and memory follows the number of distinct buckets hit.
 class Histogram {
  public:
-  Histogram();
-
   /// Records one value; negatives are clamped to 0.
   void Add(int64_t value);
 
@@ -35,35 +36,29 @@ class Histogram {
   /// Convenience: Quantile(p / 100).
   int64_t Percentile(double p) const { return Quantile(p / 100.0); }
 
-  /// Checkpoint support: full bucket array plus summary accumulators.
-  void Serialize(StateWriter& w) const {
-    w.PutU64(static_cast<uint64_t>(buckets_.size()));
-    for (const int64_t b : buckets_) w.PutI64(b);
-    w.PutI64(count_);
-    w.PutI64(min_);
-    w.PutI64(max_);
-    w.PutDouble(sum_);
-  }
+  /// Checkpoint support: the non-empty buckets plus summary accumulators.
+  void Serialize(StateWriter& w) const;
 
-  void Restore(StateReader& r) {
-    const uint64_t n = r.GetU64();
-    if (!r.ok() || n != buckets_.size()) return;
-    for (int64_t& b : buckets_) b = r.GetI64();
-    count_ = r.GetI64();
-    min_ = r.GetI64();
-    max_ = r.GetI64();
-    sum_ = r.GetDouble();
-  }
+  /// Reads what Serialize writes, or the dense layout of earlier builds.
+  /// A blob that breaks the bucket invariants (index out of range, indices
+  /// not ascending, a count <= 0, counts not summing to count()) fails `r`
+  /// and leaves this histogram empty.
+  void Restore(StateReader& r);
 
  private:
+  struct Bucket {
+    int32_t index;
+    int64_t count;  // > 0
+  };
+
   static constexpr int kSubBuckets = 64;  // per power-of-two bucket
 
   static int BucketFor(int64_t value);
   static int64_t BucketMidpoint(int index);
 
-  std::vector<int64_t> buckets_;
+  std::vector<Bucket> buckets_;  // non-empty buckets, ascending index
   int64_t count_ = 0;
-  int64_t min_ = 0;
+  int64_t min_ = std::numeric_limits<int64_t>::max();
   int64_t max_ = 0;
   double sum_ = 0.0;
 };

@@ -27,17 +27,9 @@ class StateWriter {
  public:
   void PutU8(uint8_t v) { buf_.push_back(v); }
 
-  void PutU32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
+  void PutU32(uint32_t v) { PutLittleEndian(v); }
 
-  void PutU64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
+  void PutU64(uint64_t v) { PutLittleEndian(v); }
 
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
 
@@ -64,6 +56,16 @@ class StateWriter {
   std::vector<uint8_t> TakeBytes() { return std::move(buf_); }
 
  private:
+  /// One append per integer: the bytes are built on the stack first.
+  template <typename T>
+  void PutLittleEndian(T v) {
+    uint8_t bytes[sizeof(T)];
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      bytes[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+    buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
+  }
+
   std::vector<uint8_t> buf_;
 };
 
@@ -124,10 +126,16 @@ class StateReader {
     return s;
   }
 
-  /// True while every read so far stayed in bounds.
+  /// True while every read so far stayed in bounds and no decoder called
+  /// Fail().
   bool ok() const { return ok_; }
   size_t remaining() const { return len_ - off_; }
   bool AtEnd() const { return off_ == len_; }
+
+  /// Marks the blob malformed. A decoder whose bytes are in bounds but
+  /// break its own invariants fails the reader like a short read, so the
+  /// callers' ok() checks refuse the blob.
+  void Fail() { ok_ = false; }
 
  private:
   bool Need(uint64_t n) {

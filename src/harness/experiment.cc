@@ -190,9 +190,11 @@ ExperimentResult RunExperiment(const ExperimentConfig& config,
   Engine engine(config.engine, std::move(policy));
   Rng rng(config.seed);
 
+  int undeployed_queries = 0;
   for (int q = 0; q < config.num_queries; ++q) {
     const TimeMicros deploy =
         config.deploy_spread > 0 ? rng.NextInt(0, config.deploy_spread) : 0;
+    if (deploy >= config.duration) ++undeployed_queries;
     const uint64_t feed_seed = rng.NextUint64();
     std::unique_ptr<Query> query;
     std::unique_ptr<EventFeed> feed;
@@ -249,6 +251,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config,
 
   ExperimentResult result;
   result.policy_name = PolicyKindName(config.policy);
+  result.undeployed_queries = undeployed_queries;
   result.latency = engine.AggregateSwmLatency();
   result.mean_latency_s = result.latency.mean() / 1e6;
   result.p50_latency_s = static_cast<double>(result.latency.Percentile(50)) / 1e6;

@@ -112,6 +112,10 @@ struct ExperimentResult {
   double estimator_mae_s = 0.0;
   /// Late-data accounting summed over every query (allowed lateness).
   QueryLateMetrics late;
+  /// Queries whose deploy time is at or after `duration`: they never run.
+  /// Deploys spread over ExperimentConfig::deploy_spread, so a run shorter
+  /// than that can leave some, or all, of them out.
+  int undeployed_queries = 0;
   /// Raw time series for Fig. 8-style plots.
   std::vector<ResourceSample> samples;
 };

@@ -13,18 +13,23 @@
 //     manifest a previous incarnation left behind.
 //  5. An epoch whose MANIFEST cannot be written is never durable: no
 //     frontier advance, no ack.
-//  6. The checkpoint bytes of a 3-input join and of an allowed-lateness
-//     aggregate are pinned, so epochs written by earlier builds restore.
+//  6. The checkpoint bytes of a 3-input join, of an allowed-lateness
+//     aggregate and of a sink holding latency samples are pinned, so
+//     epochs written by earlier builds restore; a sink written with the
+//     dense latency histograms of earlier builds restores into this one.
 
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/serialize.h"
@@ -32,6 +37,7 @@
 #include "src/net/ingest_gateway.h"
 #include "src/operators/aggregate_operator.h"
 #include "src/operators/join_operator.h"
+#include "src/operators/sink_operator.h"
 #include "src/query/pipeline_builder.h"
 #include "src/query/query.h"
 #include "src/runtime/checkpoint.h"
@@ -39,6 +45,7 @@
 #include "src/sched/rr_policy.h"
 #include "src/window/window_assigner.h"
 #include "src/workloads/workload.h"
+#include "tests/support/dense_histogram.h"
 #include "tests/support/klink_run_process.h"
 
 namespace klink {
@@ -239,6 +246,99 @@ TEST(CheckpointFormatTest, AggregateWithLatenessBytesArePinned) {
   ASSERT_GT(agg->PendingRefires(), 0);
   std::unique_ptr<WindowAggregateOperator> fresh = LateAggregate();
   EXPECT_EQ(CheckpointHash(*agg, *fresh), 0xe080139627004091ULL);
+}
+
+/// A sink's latency samples, recorded by the sink and by dense references.
+struct LatencySink {
+  std::unique_ptr<SinkOperator> sink =
+      std::make_unique<SinkOperator>("out", 2.0);
+  DenseHistogram swm;
+  DenseHistogram marker;
+};
+
+/// A sink holding results, SWM latencies and marker latencies from 0 us to
+/// hours, so the samples land in exact, low and high buckets.
+LatencySink SinkWithLatencies() {
+  LatencySink s;
+  NullEmitter out;
+  for (int i = 0; i < 300; ++i) {
+    const TimeMicros t = MillisToMicros(10 * (i + 1));
+    s.sink->Process(MakeDataEvent(t, t, ScrambledKey(i), 0.25 * i), t + 40,
+                    out);
+    const DurationMicros lat =
+        i % 7 == 0 ? i % 50 : (int64_t{1} << (i % 36)) + 7 * i;
+    Event wm = MakeWatermark(t, t);
+    wm.swm = i % 3 != 0;
+    s.sink->Process(wm, t + lat, out);
+    if (wm.swm) s.swm.Add(lat);
+    const DurationMicros marker_lat = lat / 3 + i;
+    s.sink->Process(MakeLatencyMarker(t, t), t + marker_lat, out);
+    s.marker.Add(marker_lat);
+  }
+  return s;
+}
+
+TEST(CheckpointFormatTest, SinkWithLatenciesBytesArePinned) {
+  // Only the non-empty latency buckets are written.
+  const LatencySink s = SinkWithLatencies();
+  ASSERT_GT(s.sink->swm_latency().count(), 0);
+  ASSERT_GT(s.sink->marker_latency().count(), 0);
+  SinkOperator fresh("out", 2.0);
+  EXPECT_EQ(CheckpointHash(*s.sink, fresh), 0x7179e28e7a421244ULL);
+}
+
+/// The sink's checkpoint bytes in the layout of builds whose histograms
+/// wrote every bucket: its own bytes, with the two latency histograms it
+/// serializes last re-encoded densely.
+std::vector<uint8_t> LegacyDenseBytes(const LatencySink& s) {
+  StateWriter all;
+  s.sink->Serialize(all);
+  std::vector<uint8_t> bytes = all.TakeBytes();
+  StateWriter sparse;
+  s.sink->swm_latency().Serialize(sparse);
+  s.sink->marker_latency().Serialize(sparse);
+  const size_t prefix = bytes.size() - sparse.bytes().size();
+  EXPECT_TRUE(std::equal(sparse.bytes().begin(), sparse.bytes().end(),
+                         bytes.begin() + static_cast<std::ptrdiff_t>(prefix)));
+  bytes.resize(prefix);
+  StateWriter dense;
+  s.swm.SerializeDense(dense);
+  s.marker.SerializeDense(dense);
+  bytes.insert(bytes.end(), dense.bytes().begin(), dense.bytes().end());
+  return bytes;
+}
+
+TEST(CheckpointFormatTest, DenseLatencySinkFromEarlierBuildsRestores) {
+  // The constant is the FNV-1a of what SinkOperator::Serialize wrote for
+  // this sink while Histogram kept all 3712 buckets, so LegacyDenseBytes
+  // writes exactly that layout.
+  const LatencySink s = SinkWithLatencies();
+  const std::vector<uint8_t> legacy = LegacyDenseBytes(s);
+  EXPECT_EQ(Fnv1aBytes(legacy.data(), legacy.size()), 0xc9189cfe7d371da3ULL);
+  SinkOperator fresh("out", 2.0);
+  StateReader r(legacy);
+  fresh.Restore(r);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r.AtEnd());
+  EXPECT_EQ(fresh.results_hash(), s.sink->results_hash());
+  EXPECT_EQ(fresh.results_received(), s.sink->results_received());
+  const std::pair<const Histogram*, const Histogram*> pairs[] = {
+      {&fresh.swm_latency(), &s.sink->swm_latency()},
+      {&fresh.marker_latency(), &s.sink->marker_latency()}};
+  for (const auto& [restored, original] : pairs) {
+    EXPECT_EQ(restored->count(), original->count());
+    EXPECT_EQ(restored->min(), original->min());
+    EXPECT_EQ(restored->max(), original->max());
+    EXPECT_EQ(restored->mean(), original->mean());
+    for (const double p : {0.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+      EXPECT_EQ(restored->Percentile(p), original->Percentile(p)) << "p" << p;
+    }
+  }
+  // Restored, the sink writes what the original writes in this build.
+  StateWriter again, original;
+  fresh.Serialize(again);
+  s.sink->Serialize(original);
+  EXPECT_EQ(again.bytes(), original.bytes());
 }
 
 TEST(CheckpointCoordinatorTest, WritesDurableEpochsDuringRun) {

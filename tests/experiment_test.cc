@@ -379,5 +379,40 @@ TEST(KlinkRunReportTest, NoCompletedWindowsSaysSo) {
   }
 }
 
+// Queries deploy at uniform times within the first 20 s. A shorter
+// in-process run warns on stderr how many of them never run; stdout, the
+// report, stays as it was.
+TEST(KlinkRunReportTest, WarnsWhenQueriesDeployAfterTheRun) {
+  const std::string run = std::string(KLINK_RUN_PATH)
+                              .append(" --queries=2 --duration=10 --warmup=0");
+  std::string err;
+  int status = RunCommand("(" + run + " >/dev/null)", &err);
+  ASSERT_TRUE(WIFEXITED(status)) << err;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << err;
+  EXPECT_NE(err.find("warning: 2 of 2 queries deploy at or after "
+                     "--duration=10 s"),
+            std::string::npos)
+      << err;
+  std::string out;
+  status = RunCommand("(" + run + " 2>/dev/null)", &out);
+  ASSERT_TRUE(WIFEXITED(status)) << out;
+  EXPECT_EQ(out.find("warning"), std::string::npos) << out;
+  EXPECT_NE(out.find("n/a (no completed windows)"), std::string::npos)
+      << out;
+}
+
+TEST(KlinkRunReportTest, NoWarningWhenEveryQueryDeploysInTheRun) {
+  // 25 s outlasts the 20 s deploy spread.
+  std::string err;
+  const int status = RunCommand(
+      "(" +
+          std::string(KLINK_RUN_PATH)
+              .append(" --queries=2 --duration=25 --warmup=0 >/dev/null)"),
+      &err);
+  ASSERT_TRUE(WIFEXITED(status)) << err;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << err;
+  EXPECT_EQ(err.find("warning"), std::string::npos) << err;
+}
+
 }  // namespace
 }  // namespace klink

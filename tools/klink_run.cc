@@ -822,6 +822,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(config.seed));
 
   const ExperimentResult r = RunExperiment(config);
+  if (r.undeployed_queries > 0) {
+    std::fprintf(stderr,
+                 "warning: %d of %d queries deploy at or after --duration=%lld "
+                 "s (deploys spread over the first %lld s) and never run\n",
+                 r.undeployed_queries, config.num_queries,
+                 static_cast<long long>(config.duration / 1000000),
+                 static_cast<long long>(config.deploy_spread / 1000000));
+  }
 
   const WindowCell cell{r.latency.count() > 0};
   TableReporter table("Results");
