@@ -6,13 +6,13 @@
 // with Klink maintaining a clear (paper: ~40%) advantage throughout.
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/common/rng.h"
 #include "src/dist/dist_engine.h"
 #include "src/harness/reporter.h"
-#include "src/workloads/ysb.h"
 
 namespace {
 
@@ -33,19 +33,22 @@ double RunDistributed(PolicyKind policy, int num_nodes, int num_queries,
                       /*seed=*/0x6e0de ^ static_cast<uint64_t>(node));
   });
 
+  // Like RunExperiment, each query draws its deploy time, feed seed and
+  // window offset, in that order.
   Rng rng(1);
   const DurationMicros spread = SecondsToMicros(20);
+  TenantSpec tenant;
+  tenant.watermark_lag = WatermarkLagFor(DelayKind::kUniform);
   for (int q = 0; q < num_queries; ++q) {
     const TimeMicros deploy = rng.NextInt(0, spread);
     const uint64_t feed_seed = rng.NextUint64();
-    YsbConfig wc;
-    wc.events_per_second = 1000.0;
-    wc.watermark_lag = WatermarkLagFor(DelayKind::kUniform);
-    wc.window_offset = rng.NextInt(0, wc.window_size - 1);
-    engine.AddQuery(MakeYsbQuery(q, wc),
-                    MakeYsbFeed(wc, MakeDelayModel(DelayKind::kUniform),
-                                feed_seed, deploy),
-                    deploy);
+    tenant.window_offset =
+        rng.NextInt(0, WindowOffsetRange(tenant.workload) - 1);
+    std::unique_ptr<Query> query;
+    std::unique_ptr<EventFeed> feed;
+    MakeTenant(tenant, q, &query, &feed, MakeDelayModel(DelayKind::kUniform),
+               feed_seed, deploy);
+    engine.AddQuery(std::move(query), std::move(feed), deploy);
   }
   engine.RunUntil(warmup);
   for (int q = 0; q < engine.num_queries(); ++q) {

@@ -99,8 +99,6 @@ void DistEngine::RunCycle() {
           context_.RunRange(*dq.query, ops.begin, ops.end, this));
       metrics_.AddProcessed(context_.cycle_processed_events());
     }
-    metrics_.AddCoreAvailable(static_cast<double>(node->config().num_cores) *
-                              r);
   }
 
   now_ += config_.cycle_length;

@@ -43,6 +43,38 @@ class ProbePolicy final : public SchedulingPolicy {
   SnapshotProbe probe_;
 };
 
+constexpr std::pair<const char*, WorkloadKind> kWorkloadFlags[] = {
+    {"ysb", WorkloadKind::kYsb},
+    {"lrb", WorkloadKind::kLrb},
+    {"nyt", WorkloadKind::kNyt},
+};
+constexpr std::pair<const char*, DelayKind> kDelayFlags[] = {
+    {"uniform", DelayKind::kUniform},
+    {"zipf", DelayKind::kZipf},
+    {"pareto", DelayKind::kPareto},
+};
+
+template <typename Kind, size_t N>
+const char* FlagName(const std::pair<const char*, Kind> (&table)[N],
+                     Kind kind) {
+  for (const auto& [name, k] : table) {
+    if (k == kind) return name;
+  }
+  return "?";
+}
+
+template <typename Kind, size_t N>
+bool ParseFlag(const std::pair<const char*, Kind> (&table)[N],
+               const std::string& name, Kind* out) {
+  for (const auto& [n, kind] : table) {
+    if (name == n) {
+      *out = kind;
+      return true;
+    }
+  }
+  return false;
+}
+
 double Percentile(std::vector<double> values, double p) {
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
@@ -99,6 +131,22 @@ const char* DelayKindName(DelayKind kind) {
   return "?";
 }
 
+const char* WorkloadFlagName(WorkloadKind kind) {
+  return FlagName(kWorkloadFlags, kind);
+}
+
+bool ParseWorkloadFlag(const std::string& name, WorkloadKind* out) {
+  return ParseFlag(kWorkloadFlags, name, out);
+}
+
+const char* DelayFlagName(DelayKind kind) {
+  return FlagName(kDelayFlags, kind);
+}
+
+bool ParseDelayFlag(const std::string& name, DelayKind* out) {
+  return ParseFlag(kDelayFlags, name, out);
+}
+
 std::unique_ptr<SchedulingPolicy> MakePolicy(
     PolicyKind kind, const KlinkPolicyConfig& klink_config, uint64_t seed) {
   switch (kind) {
@@ -153,6 +201,84 @@ DurationMicros WatermarkLagFor(DelayKind kind) {
   return MillisToMicros(150);
 }
 
+DurationMicros WindowOffsetRange(WorkloadKind workload) {
+  switch (workload) {
+    case WorkloadKind::kYsb:
+      return YsbConfig{}.window_size;
+    case WorkloadKind::kLrb:
+      return LrbConfig{}.join_window;
+    case WorkloadKind::kNyt:
+      return NytConfig{}.slide;
+  }
+  return 0;
+}
+
+void MakeTenant(const TenantSpec& spec, QueryId id,
+                std::unique_ptr<Query>* query,
+                std::unique_ptr<EventFeed>* feed,
+                std::unique_ptr<DelayModel> delay, uint64_t feed_seed,
+                TimeMicros start_time) {
+  switch (spec.workload) {
+    case WorkloadKind::kYsb: {
+      YsbConfig wc;
+      wc.events_per_second = spec.events_per_second;
+      wc.watermark_lag = spec.watermark_lag;
+      wc.window_offset = spec.window_offset;
+      wc.allowed_lateness = spec.allowed_lateness;
+      wc.shards = spec.shards;
+      wc.max_shards = spec.max_shards;
+      wc.key_skew = spec.key_skew;
+      if (query != nullptr) *query = MakeYsbQuery(id, wc);
+      if (feed != nullptr) {
+        *feed = MakeYsbFeed(wc, std::move(delay), feed_seed, start_time);
+      }
+      return;
+    }
+    case WorkloadKind::kLrb: {
+      // LRB's windowed join builds no shard region.
+      LrbConfig wc;
+      wc.events_per_substream_per_second = spec.events_per_second;
+      wc.watermark_lag = spec.watermark_lag;
+      wc.window_offset = spec.window_offset;
+      wc.allowed_lateness = spec.allowed_lateness;
+      wc.key_skew = spec.key_skew;
+      if (query != nullptr) *query = MakeLrbQuery(id, wc);
+      if (feed != nullptr) {
+        *feed = MakeLrbFeed(wc, std::move(delay), feed_seed, start_time);
+      }
+      return;
+    }
+    case WorkloadKind::kNyt: {
+      NytConfig wc;
+      wc.events_per_second = spec.events_per_second;
+      wc.watermark_lag = spec.watermark_lag;
+      wc.window_offset = spec.window_offset;
+      wc.allowed_lateness = spec.allowed_lateness;
+      wc.shards = spec.shards;
+      wc.max_shards = spec.max_shards;
+      wc.key_skew = spec.key_skew;
+      if (query != nullptr) *query = MakeNytQuery(id, wc);
+      if (feed != nullptr) {
+        *feed = MakeNytFeed(wc, std::move(delay), feed_seed, start_time);
+      }
+      return;
+    }
+  }
+}
+
+TenantSpec TenantOf(const ExperimentConfig& config,
+                    DurationMicros window_offset) {
+  TenantSpec spec;
+  spec.workload = config.workload;
+  spec.events_per_second = config.events_per_second;
+  spec.watermark_lag = WatermarkLagFor(config.delay);
+  spec.window_offset = window_offset;
+  spec.allowed_lateness = config.allowed_lateness;
+  spec.shards = config.shards;
+  spec.max_shards = config.max_shards;
+  return spec;
+}
+
 Status ExperimentConfig::Validate() const {
   if (num_queries < 1) {
     return Status::InvalidArgument("num_queries (--queries) must be >= 1");
@@ -190,50 +316,21 @@ ExperimentResult RunExperiment(const ExperimentConfig& config,
   Engine engine(config.engine, std::move(policy));
   Rng rng(config.seed);
 
+  // Each query draws its deploy time, feed seed and window offset, in that
+  // order; every in-process figure depends on it. (klink_run --listen and
+  // loadgen draw differently: see there.)
   int undeployed_queries = 0;
   for (int q = 0; q < config.num_queries; ++q) {
     const TimeMicros deploy =
         config.deploy_spread > 0 ? rng.NextInt(0, config.deploy_spread) : 0;
     if (deploy >= config.duration) ++undeployed_queries;
     const uint64_t feed_seed = rng.NextUint64();
+    const TenantSpec tenant = TenantOf(
+        config, rng.NextInt(0, WindowOffsetRange(config.workload) - 1));
     std::unique_ptr<Query> query;
     std::unique_ptr<EventFeed> feed;
-    switch (config.workload) {
-      case WorkloadKind::kYsb: {
-        YsbConfig wc;
-        wc.events_per_second = config.events_per_second;
-        wc.watermark_lag = WatermarkLagFor(config.delay);
-        wc.window_offset = rng.NextInt(0, wc.window_size - 1);
-        wc.shards = config.shards;
-        wc.max_shards = config.max_shards;
-        wc.allowed_lateness = config.allowed_lateness;
-        query = MakeYsbQuery(q, wc);
-        feed = MakeYsbFeed(wc, MakeDelayModel(config.delay), feed_seed, deploy);
-        break;
-      }
-      case WorkloadKind::kLrb: {
-        LrbConfig wc;
-        wc.events_per_substream_per_second = config.events_per_second;
-        wc.watermark_lag = WatermarkLagFor(config.delay);
-        wc.window_offset = rng.NextInt(0, wc.join_window - 1);
-        wc.allowed_lateness = config.allowed_lateness;
-        query = MakeLrbQuery(q, wc);
-        feed = MakeLrbFeed(wc, MakeDelayModel(config.delay), feed_seed, deploy);
-        break;
-      }
-      case WorkloadKind::kNyt: {
-        NytConfig wc;
-        wc.events_per_second = config.events_per_second;
-        wc.watermark_lag = WatermarkLagFor(config.delay);
-        wc.window_offset = rng.NextInt(0, wc.slide - 1);
-        wc.shards = config.shards;
-        wc.max_shards = config.max_shards;
-        wc.allowed_lateness = config.allowed_lateness;
-        query = MakeNytQuery(q, wc);
-        feed = MakeNytFeed(wc, MakeDelayModel(config.delay), feed_seed, deploy);
-        break;
-      }
-    }
+    MakeTenant(tenant, q, &query, &feed, MakeDelayModel(config.delay),
+               feed_seed, deploy);
     engine.AddQuery(std::move(query), std::move(feed), deploy);
   }
 

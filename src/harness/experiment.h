@@ -37,6 +37,14 @@ const char* PolicyKindName(PolicyKind kind);
 const char* WorkloadKindName(WorkloadKind kind);
 const char* DelayKindName(DelayKind kind);
 
+/// The --workload and --delay spellings of klink_run and loadgen ("ysb",
+/// "uniform", ...), one table each, so a command one tool prints is one
+/// the other parses. Parse returns false for a name not in the table.
+const char* WorkloadFlagName(WorkloadKind kind);
+bool ParseWorkloadFlag(const std::string& name, WorkloadKind* out);
+const char* DelayFlagName(DelayKind kind);
+bool ParseDelayFlag(const std::string& name, DelayKind* out);
+
 /// Builds a policy instance. `klink_config` applies to the Klink variants;
 /// seed feeds the Default policy's randomness.
 std::unique_ptr<SchedulingPolicy> MakePolicy(
@@ -48,6 +56,40 @@ std::unique_ptr<DelayModel> MakeDelayModel(DelayKind kind);
 /// Watermark lag (the application's lateness bound) appropriate for the
 /// delay distribution: generous enough that late drops are rare.
 DurationMicros WatermarkLagFor(DelayKind kind);
+
+/// One tenant of a run: a copy of the workload's fixed pipeline (Sec.
+/// 6.1.1) whose window deadlines are phase-shifted by its own offset
+/// (Sec. 6.2.1). Every other parameter keeps its YsbConfig, LrbConfig or
+/// NytConfig default.
+struct TenantSpec {
+  WorkloadKind workload = WorkloadKind::kYsb;
+  /// Data events per second per source (LRB has 3 sources).
+  double events_per_second = 1000.0;
+  DurationMicros watermark_lag = MillisToMicros(150);
+  /// In [0, WindowOffsetRange(workload)); each caller draws its own.
+  DurationMicros window_offset = 0;
+  DurationMicros allowed_lateness = 0;
+  /// Shards of the keyed aggregation (YSB and NYT; see YsbConfig::shards).
+  int shards = 1;
+  int max_shards = 0;
+  /// Zipf exponent of the feed's key draws; 0 = uniform.
+  double key_skew = 0.0;
+};
+
+/// Window offsets are drawn from [0, WindowOffsetRange(workload)): one
+/// period of the workload's first window operator.
+DurationMicros WindowOffsetRange(WorkloadKind workload);
+
+/// Builds tenant `id`'s query into `*query` and its feed into `*feed`,
+/// skipping a null output: the listen server builds only queries, loadgen
+/// only feeds. The feed draws from `feed_seed` through `delay` and
+/// generates from `start_time` on. The one place the workload configs of
+/// a tenant are filled.
+void MakeTenant(const TenantSpec& spec, QueryId id,
+                std::unique_ptr<Query>* query,
+                std::unique_ptr<EventFeed>* feed,
+                std::unique_ptr<DelayModel> delay = nullptr,
+                uint64_t feed_seed = 0, TimeMicros start_time = 0);
 
 /// One experiment = one engine run: N query instances of one workload under
 /// one scheduling policy for `duration` of virtual time.
@@ -69,7 +111,7 @@ struct ExperimentConfig {
   KlinkPolicyConfig klink;
   uint64_t seed = 1;
   /// Intra-query key sharding of the workloads' keyed aggregation (YSB and
-  /// NYT; LRB's join stays unsharded here). See YsbConfig::shards.
+  /// NYT; LRB builds no shard region). See YsbConfig::shards.
   int shards = 1;
   int max_shards = 0;
   /// Allowed-lateness horizon applied to every query's windowed operators
@@ -81,6 +123,10 @@ struct ExperimentConfig {
   /// the offending field and its klink_run flag.
   Status Validate() const;
 };
+
+/// The tenant every query of `config` runs, with its own window offset.
+TenantSpec TenantOf(const ExperimentConfig& config,
+                    DurationMicros window_offset);
 
 /// Aggregated outcome of one experiment.
 struct ExperimentResult {

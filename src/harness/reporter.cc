@@ -131,7 +131,7 @@ void PrintShardMetrics(Engine& engine, QueryId id) {
   if (!q.sharded()) return;
   const Query::ShardRegion& region = q.shard_region();
   const auto* partition = static_cast<const PartitionExchangeOperator*>(
-      &q.op(region.partition_ops.front()));
+      &q.op(region.partition_op));
   const auto* klink = dynamic_cast<const KlinkPolicy*>(&engine.policy());
   TableReporter table("Per-shard metrics (query " + std::to_string(id) +
                       ", " + std::to_string(partition->active_shards()) + "/" +

@@ -76,12 +76,22 @@ class WindowAggregateOperator final : public Operator {
   /// the aggregate plus the emitted value needed for its retraction.
   static constexpr int64_t kBytesPerRetainedState = 64;
 
-  /// ---- re-sharding ----------------------------------------------------
-  /// Keyed state moves between shards as per-key blobs of
-  /// (end, start, count, sum, max) pane records.
-  bool HasKeyedState() const override { return true; }
-  void ExportKeyedState(std::vector<KeyedStateEntry>* out) override;
-  void ImportKeyedState(const KeyedStateEntry& entry) override;
+  /// ---- live re-sharding ----------------------------------------------
+  /// A shard region's lanes are all WindowAggregateOperators, and the
+  /// re-shard controller moves their keyed state between them:
+  /// ExportKeyedState drains every key into one (key, blob) entry
+  /// (reporting the byte shrink through AddStateBytes), and
+  /// ImportKeyedState upserts one entry (reporting growth). A blob holds
+  /// the key's open-pane (end, start, count, sum, max) records, then its
+  /// retained-pane records with their emitted value and refire mark.
+  /// Per-operator counters (processed/fired/dropped) stay put: they are
+  /// per-shard diagnostics.
+  struct KeyedStateEntry {
+    uint64_t key = 0;
+    std::vector<uint8_t> blob;
+  };
+  void ExportKeyedState(std::vector<KeyedStateEntry>* out);
+  void ImportKeyedState(const KeyedStateEntry& entry);
 
  protected:
   void OnData(const Event& e, TimeMicros now, Emitter& out) override;

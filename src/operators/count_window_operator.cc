@@ -50,36 +50,6 @@ void CountWindowOperator::OnData(const Event& e, TimeMicros /*now*/,
   EmitData(result, out);
 }
 
-void CountWindowOperator::ExportKeyedState(std::vector<KeyedStateEntry>* out) {
-  std::vector<uint64_t> keys;
-  keys.reserve(state_.size());
-  for (const auto& [key, agg] : state_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  for (const uint64_t key : keys) {
-    const Aggregate& agg = state_.find(key)->second;
-    StateWriter w;
-    w.PutI64(agg.count);
-    w.PutDouble(agg.sum);
-    w.PutDouble(agg.max);
-    out->push_back(KeyedStateEntry{key, w.TakeBytes()});
-  }
-  AddStateBytes(-static_cast<int64_t>(state_.size()) * kBytesPerKeyState);
-  state_.clear();
-}
-
-void CountWindowOperator::ImportKeyedState(const KeyedStateEntry& entry) {
-  StateReader r(entry.blob);
-  Aggregate agg;
-  agg.count = r.GetI64();
-  agg.sum = r.GetDouble();
-  agg.max = r.GetDouble();
-  KLINK_CHECK(r.ok() && r.AtEnd());
-  const auto [it, inserted] = state_.emplace(entry.key, agg);
-  (void)it;
-  KLINK_CHECK(inserted);
-  AddStateBytes(kBytesPerKeyState);
-}
-
 void CountWindowOperator::SerializeState(StateWriter& w) const {
   w.PutU64(static_cast<uint64_t>(state_.size()));
   std::vector<uint64_t> keys;

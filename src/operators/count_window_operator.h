@@ -43,11 +43,6 @@ class CountWindowOperator final : public Operator {
 
   static constexpr int64_t kBytesPerKeyState = 48;
 
-  /// ---- re-sharding ----------------------------------------------------
-  bool HasKeyedState() const override { return true; }
-  void ExportKeyedState(std::vector<KeyedStateEntry>* out) override;
-  void ImportKeyedState(const KeyedStateEntry& entry) override;
-
  protected:
   void OnData(const Event& e, TimeMicros now, Emitter& out) override;
   void SerializeState(StateWriter& w) const override;

@@ -60,17 +60,13 @@ class PartitionExchangeOperator final : public Operator {
   void SetTargets(std::vector<StreamQueue*> targets);
 
   int active_shards() const { return active_shards_; }
-  int max_shards() const { return max_shards_; }
   bool reshard_paused() const { return paused_; }
   int pending_shards() const { return pending_new_count_; }
   uint64_t last_broadcast_epoch() const { return last_broadcast_epoch_; }
-  int64_t held_elements() const { return static_cast<int64_t>(hold_.size()); }
 
   /// Requests a re-shard to `new_count` active shards, pausing right after
   /// the barrier of epoch `pause_at_epoch` is broadcast. The controller
-  /// arms every partition of a query with the same epoch so multi-input
-  /// shard operators (joins) never see a barrier from one partition that
-  /// the other is holding back.
+  /// passes the first epoch not yet broadcast.
   void ArmReshard(int new_count, uint64_t pause_at_epoch);
 
   /// Switches to the armed shard count and replays held elements.
@@ -139,7 +135,6 @@ class MergeExchangeOperator final : public Operator {
   MergeExchangeOperator(std::string name, double cost_micros, int num_shards);
 
   int64_t buffered_events() const { return buffered_events_; }
-  int64_t flushed_segments() const { return flushed_; }
 
  protected:
   void OnData(const Event& e, TimeMicros now, Emitter& out) override;

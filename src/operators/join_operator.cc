@@ -138,56 +138,6 @@ void WindowJoinOperator::OnWatermark(const Event& /*incoming*/,
   SetForwardSwm(true);
 }
 
-void WindowJoinOperator::ExportKeyedState(std::vector<KeyedStateEntry>* out) {
-  std::map<uint64_t, StateWriter> blobs;
-  int64_t keys = 0;
-  for (const auto& [pane_key, pane] : panes_) {
-    for (size_t s = 0; s < pane.per_stream.size(); ++s) {
-      for (const auto& [key, agg] : pane.per_stream[s]) {
-        StateWriter& w = blobs[key];
-        w.PutI64(pane_key.first);   // end
-        w.PutI64(pane_key.second);  // start
-        w.PutU32(static_cast<uint32_t>(s));
-        w.PutI64(agg.count);
-        w.PutDouble(agg.sum);
-        ++keys;
-      }
-    }
-  }
-  AddStateBytes(-(static_cast<int64_t>(panes_.size()) * kBytesPerPane +
-                  keys * kBytesPerKeyState));
-  total_key_states_ = 0;
-  panes_.clear();
-  for (auto& [key, w] : blobs) {
-    out->push_back(KeyedStateEntry{key, w.TakeBytes()});
-  }
-}
-
-void WindowJoinOperator::ImportKeyedState(const KeyedStateEntry& entry) {
-  StateReader r(entry.blob);
-  while (r.remaining() > 0) {
-    const TimeMicros end = r.GetI64();
-    const TimeMicros start = r.GetI64();
-    const uint32_t stream = r.GetU32();
-    Aggregate agg;
-    agg.count = r.GetI64();
-    agg.sum = r.GetDouble();
-    KLINK_CHECK(r.ok());
-    KLINK_CHECK_GT(static_cast<uint32_t>(num_inputs()), stream);
-    Pane& pane = panes_[{end, start}];
-    if (pane.per_stream.empty()) {
-      pane.per_stream.resize(static_cast<size_t>(num_inputs()));
-      AddStateBytes(kBytesPerPane);
-    }
-    const auto [slot, inserted] =
-        pane.per_stream[static_cast<size_t>(stream)].TryEmplace(entry.key);
-    KLINK_CHECK(inserted);
-    *slot = agg;
-    ++total_key_states_;
-    AddStateBytes(kBytesPerKeyState);
-  }
-}
-
 void WindowJoinOperator::SerializeState(StateWriter& w) const {
   w.PutU64(static_cast<uint64_t>(panes_.size()));
   for (const auto& [pane_key, pane] : panes_) {

@@ -49,12 +49,6 @@ class WindowJoinOperator final : public Operator {
   static constexpr int64_t kBytesPerKeyState = 48;
   static constexpr int64_t kBytesPerPane = 96;
 
-  /// ---- re-sharding ----------------------------------------------------
-  /// Per-key blobs of (end, start, stream, count, sum) records.
-  bool HasKeyedState() const override { return true; }
-  void ExportKeyedState(std::vector<KeyedStateEntry>* out) override;
-  void ImportKeyedState(const KeyedStateEntry& entry) override;
-
  protected:
   void OnData(const Event& e, TimeMicros now, Emitter& out) override;
   void OnWatermark(const Event& incoming, TimeMicros min_watermark,

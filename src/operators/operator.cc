@@ -180,14 +180,6 @@ void Operator::SerializeState(StateWriter& /*w*/) const {}
 
 void Operator::RestoreState(StateReader& /*r*/) {}
 
-void Operator::ExportKeyedState(std::vector<KeyedStateEntry>* /*out*/) {
-  KLINK_CHECK(false);  // only keyed operators participate in re-sharding
-}
-
-void Operator::ImportKeyedState(const KeyedStateEntry& /*entry*/) {
-  KLINK_CHECK(false);
-}
-
 uint64_t Operator::last_barrier_epoch(int stream) const {
   KLINK_CHECK(stream >= 0 && stream < num_inputs());
   return last_barrier_epoch_[static_cast<size_t>(stream)];

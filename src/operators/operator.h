@@ -227,21 +227,6 @@ class Operator {
   /// the seam that lets a partition exchange fan out to per-shard queues.
   virtual Emitter* inline_emitter() { return nullptr; }
 
-  /// ---- live re-sharding ----------------------------------------------
-  /// Keyed operators opt in to state re-partitioning: ExportKeyedState
-  /// drains the operator's keyed state into (key, blob) entries (reporting
-  /// the byte shrink through AddStateBytes), and ImportKeyedState upserts
-  /// one entry (reporting growth). Blob layouts are operator-private; only
-  /// same-type export/import pairs ever meet. Per-operator counters
-  /// (processed/fired/dropped) stay put — they are per-shard diagnostics.
-  struct KeyedStateEntry {
-    uint64_t key = 0;
-    std::vector<uint8_t> blob;
-  };
-  virtual bool HasKeyedState() const { return false; }
-  virtual void ExportKeyedState(std::vector<KeyedStateEntry>* out);
-  virtual void ImportKeyedState(const KeyedStateEntry& entry);
-
  protected:
   /// Subclass hooks. Default OnData forwards; OnLatencyMarker forwards;
   /// OnWatermark does nothing extra. The base forwards the (minimum)

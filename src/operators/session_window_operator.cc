@@ -211,123 +211,6 @@ void SessionWindowOperator::OnWatermark(const Event& incoming,
   SetForwardSwm(fired);
 }
 
-void SessionWindowOperator::ExportKeyedState(
-    std::vector<KeyedStateEntry>* out) {
-  // Export open sessions in by_close_ order so the target multimaps' tie
-  // order (equal close times) is rebuilt deterministically. Each blob
-  // carries the key's open session (if any) plus its retained sessions.
-  std::set<uint64_t> exported;
-  for (const auto& [close, key] : by_close_) {
-    const auto sit = sessions_.find(key);
-    KLINK_CHECK(sit != sessions_.end());
-    const Session& s = sit->second;
-    StateWriter w;
-    w.PutU32(1);  // has open session
-    w.PutI64(s.start);
-    w.PutI64(s.last_event);
-    w.PutI64(s.count);
-    w.PutDouble(s.sum);
-    w.PutDouble(s.max);
-    uint32_t retained_count = 0;
-    for (auto rit = retained_.lower_bound(
-             {key, std::numeric_limits<TimeMicros>::min()});
-         rit != retained_.end() && rit->first.first == key; ++rit) {
-      ++retained_count;
-    }
-    w.PutU32(retained_count);
-    for (auto rit = retained_.lower_bound(
-             {key, std::numeric_limits<TimeMicros>::min()});
-         rit != retained_.end() && rit->first.first == key; ++rit) {
-      const RetainedSession& rs = rit->second;
-      w.PutI64(rs.close);
-      w.PutI64(rs.s.start);
-      w.PutI64(rs.s.last_event);
-      w.PutI64(rs.s.count);
-      w.PutDouble(rs.s.sum);
-      w.PutDouble(rs.s.max);
-      w.PutDouble(rs.emitted);
-    }
-    out->push_back(KeyedStateEntry{key, w.TakeBytes()});
-    exported.insert(key);
-    (void)close;
-  }
-  // Keys with retained sessions but no open one.
-  for (auto rit = retained_.begin(); rit != retained_.end();) {
-    const uint64_t key = rit->first.first;
-    uint32_t retained_count = 0;
-    auto end = rit;
-    for (; end != retained_.end() && end->first.first == key; ++end) {
-      ++retained_count;
-    }
-    if (exported.count(key) != 0) {
-      rit = end;
-      continue;
-    }
-    StateWriter w;
-    w.PutU32(0);  // no open session
-    w.PutU32(retained_count);
-    for (; rit != end; ++rit) {
-      const RetainedSession& rs = rit->second;
-      w.PutI64(rs.close);
-      w.PutI64(rs.s.start);
-      w.PutI64(rs.s.last_event);
-      w.PutI64(rs.s.count);
-      w.PutDouble(rs.s.sum);
-      w.PutDouble(rs.s.max);
-      w.PutDouble(rs.emitted);
-    }
-    out->push_back(KeyedStateEntry{key, w.TakeBytes()});
-  }
-  AddStateBytes(-static_cast<int64_t>(sessions_.size()) * kBytesPerSession -
-                static_cast<int64_t>(retained_.size()) *
-                    kBytesPerRetainedSession);
-  sessions_.clear();
-  by_close_.clear();
-  retained_.clear();
-  retained_by_close_.clear();
-}
-
-void SessionWindowOperator::ImportKeyedState(const KeyedStateEntry& entry) {
-  StateReader r(entry.blob);
-  const uint32_t has_open = r.GetU32();
-  KLINK_CHECK(r.ok());
-  if (has_open != 0) {
-    KLINK_CHECK(has_open == 1);
-    Session s;
-    s.start = r.GetI64();
-    s.last_event = r.GetI64();
-    s.count = r.GetI64();
-    s.sum = r.GetDouble();
-    s.max = r.GetDouble();
-    KLINK_CHECK(r.ok());
-    const auto [it, inserted] = sessions_.emplace(entry.key, s);
-    (void)it;
-    KLINK_CHECK(inserted);
-    by_close_.emplace(s.last_event + gap_, entry.key);
-    AddStateBytes(kBytesPerSession);
-  }
-  const uint32_t retained_count = r.GetU32();
-  KLINK_CHECK(r.ok());
-  for (uint32_t i = 0; i < retained_count; ++i) {
-    RetainedSession rs;
-    rs.close = r.GetI64();
-    rs.s.start = r.GetI64();
-    rs.s.last_event = r.GetI64();
-    rs.s.count = r.GetI64();
-    rs.s.sum = r.GetDouble();
-    rs.s.max = r.GetDouble();
-    rs.emitted = r.GetDouble();
-    KLINK_CHECK(r.ok());
-    const auto [it, inserted] =
-        retained_.emplace(std::make_pair(entry.key, rs.close), rs);
-    (void)it;
-    KLINK_CHECK(inserted);
-    retained_by_close_.insert({rs.close, entry.key});
-    AddStateBytes(kBytesPerRetainedSession);
-  }
-  KLINK_CHECK(r.ok() && r.AtEnd());
-}
-
 void SessionWindowOperator::SerializeState(StateWriter& w) const {
   // Serialize in by_close_ iteration order and restore by re-inserting in
   // that order: the multimap's tie order (equal close times) determines

@@ -72,11 +72,6 @@ class SessionWindowOperator final : public Operator {
   /// emitted value needed for retraction.
   static constexpr int64_t kBytesPerRetainedSession = 112;
 
-  /// ---- re-sharding ----------------------------------------------------
-  bool HasKeyedState() const override { return true; }
-  void ExportKeyedState(std::vector<KeyedStateEntry>* out) override;
-  void ImportKeyedState(const KeyedStateEntry& entry) override;
-
  protected:
   void OnData(const Event& e, TimeMicros now, Emitter& out) override;
   void OnWatermark(const Event& incoming, TimeMicros min_watermark,

@@ -68,7 +68,7 @@ BuilderStream BuilderStream::ShardedTumblingAggregate(
     std::string name, double cost_micros, DurationMicros window_size,
     AggregationKind kind, ShardSpec spec, DurationMicros offset) {
   return builder_->ShardRegionImpl(
-      name, {*this}, spec, [&](const std::string& shard_name) {
+      name, *this, spec, [&](const std::string& shard_name) {
         return std::make_unique<WindowAggregateOperator>(
             shard_name, cost_micros, MakeTumblingWindow(window_size, offset),
             kind);
@@ -80,34 +80,10 @@ BuilderStream BuilderStream::ShardedSlidingAggregate(
     DurationMicros slide, AggregationKind kind, ShardSpec spec,
     DurationMicros offset) {
   return builder_->ShardRegionImpl(
-      name, {*this}, spec, [&](const std::string& shard_name) {
+      name, *this, spec, [&](const std::string& shard_name) {
         return std::make_unique<WindowAggregateOperator>(
             shard_name, cost_micros,
             MakeSlidingWindow(window_size, slide, offset), kind);
-      });
-}
-
-BuilderStream BuilderStream::ShardedSessionWindow(std::string name,
-                                                  double cost_micros,
-                                                  DurationMicros gap,
-                                                  AggregationKind kind,
-                                                  ShardSpec spec) {
-  return builder_->ShardRegionImpl(
-      name, {*this}, spec, [&](const std::string& shard_name) {
-        return std::make_unique<SessionWindowOperator>(shard_name, cost_micros,
-                                                       gap, kind);
-      });
-}
-
-BuilderStream BuilderStream::ShardedCountWindow(std::string name,
-                                                double cost_micros,
-                                                int64_t count,
-                                                AggregationKind kind,
-                                                ShardSpec spec) {
-  return builder_->ShardRegionImpl(
-      name, {*this}, spec, [&](const std::string& shard_name) {
-        return std::make_unique<CountWindowOperator>(shard_name, cost_micros,
-                                                     count, kind);
       });
 }
 
@@ -153,26 +129,9 @@ BuilderStream PipelineBuilder::TumblingJoin(std::string name,
                                             DurationMicros window_size,
                                             std::vector<BuilderStream> inputs,
                                             DurationMicros offset) {
-  return JoinImpl(std::move(name), cost_micros,
-                  MakeTumblingWindow(window_size, offset), std::move(inputs));
-}
-
-BuilderStream PipelineBuilder::SlidingJoin(std::string name, double cost_micros,
-                                           DurationMicros window_size,
-                                           DurationMicros slide,
-                                           std::vector<BuilderStream> inputs,
-                                           DurationMicros offset) {
-  return JoinImpl(std::move(name), cost_micros,
-                  MakeSlidingWindow(window_size, slide, offset),
-                  std::move(inputs));
-}
-
-BuilderStream PipelineBuilder::JoinImpl(std::string name, double cost_micros,
-                                        std::unique_ptr<WindowAssigner> assigner,
-                                        std::vector<BuilderStream> inputs) {
   KLINK_CHECK_GE(inputs.size(), 2u);
   const int idx = Append(std::make_unique<WindowJoinOperator>(
-      std::move(name), cost_micros, std::move(assigner),
+      std::move(name), cost_micros, MakeTumblingWindow(window_size, offset),
       static_cast<int>(inputs.size())));
   for (size_t s = 0; s < inputs.size(); ++s) {
     KLINK_CHECK(inputs[s].builder_ == this);
@@ -181,47 +140,37 @@ BuilderStream PipelineBuilder::JoinImpl(std::string name, double cost_micros,
   return BuilderStream(this, idx);
 }
 
-BuilderStream PipelineBuilder::ShardedTumblingJoin(
-    std::string name, double cost_micros, DurationMicros window_size,
-    std::vector<BuilderStream> inputs, ShardSpec spec, DurationMicros offset) {
-  KLINK_CHECK_GE(inputs.size(), 2u);
-  const int num_inputs = static_cast<int>(inputs.size());
-  return ShardRegionImpl(
-      name, std::move(inputs), spec, [&](const std::string& shard_name) {
-        return std::make_unique<WindowJoinOperator>(
-            shard_name, cost_micros, MakeTumblingWindow(window_size, offset),
-            num_inputs);
-      });
-}
-
 BuilderStream PipelineBuilder::ShardRegionImpl(
-    const std::string& name, std::vector<BuilderStream> inputs, ShardSpec spec,
-    const std::function<std::unique_ptr<Operator>(const std::string&)>&
-        make_shard) {
+    const std::string& name, BuilderStream input, ShardSpec spec,
+    const std::function<std::unique_ptr<WindowAggregateOperator>(
+        const std::string&)>& make_shard) {
   KLINK_CHECK_EQ(shard_region_.max_shards, 0);  // one region per query
   KLINK_CHECK_GE(spec.shards, 1);
   KLINK_CHECK_GE(spec.max_shards, spec.shards);
-  KLINK_CHECK(!inputs.empty());
+  KLINK_CHECK_LE(spec.max_shards, kMaxShards);
+  KLINK_CHECK(input.builder_ == this);
 
-  // One partition exchange per input chain; fan-out happens through the
-  // partition's inline router, not the Edge graph.
-  std::vector<int> partition_idx;
-  for (size_t c = 0; c < inputs.size(); ++c) {
-    KLINK_CHECK(inputs[c].builder_ == this);
-    const int idx = Append(std::make_unique<PartitionExchangeOperator>(
-        name + "/part" + std::to_string(c), kExchangeCostMicros, spec.shards,
-        spec.max_shards));
-    Connect(inputs[c].tail_, idx, /*stream=*/0);
-    partition_idx.push_back(idx);
-  }
+  auto partition = std::make_unique<PartitionExchangeOperator>(
+      name + "/part", kExchangeCostMicros, spec.shards, spec.max_shards);
+  PartitionExchangeOperator* router = partition.get();
+  const int partition_idx = Append(std::move(partition));
+  Connect(input.tail_, partition_idx, /*stream=*/0);
 
   const int shard_begin = static_cast<int>(operators_.size());
+  std::vector<StreamQueue*> targets;
   for (int s = 0; s < spec.max_shards; ++s) {
-    auto op = make_shard(name + "/s" + std::to_string(s));
-    KLINK_CHECK_EQ(op->num_inputs(), static_cast<int>(inputs.size()));
-    Append(std::move(op));
+    std::unique_ptr<WindowAggregateOperator> shard =
+        make_shard(name + "/s" + std::to_string(s));
+    targets.push_back(&shard->input());
+    Append(std::move(shard));
   }
   const int shard_end = static_cast<int>(operators_.size());
+  // The partition fans out to every shard's input through its inline
+  // router, not the Edge graph. Its one Edge, to the first shard, lets the
+  // snapshot's path-cost walk see the downstream drain cost; the emitter
+  // never uses it.
+  router->SetTargets(std::move(targets));
+  Connect(partition_idx, shard_begin, /*stream=*/0);
 
   const int merge_idx = Append(std::make_unique<MergeExchangeOperator>(
       name + "/merge", kExchangeCostMicros, spec.max_shards));
@@ -229,28 +178,10 @@ BuilderStream PipelineBuilder::ShardRegionImpl(
     Connect(shard_begin + s, merge_idx, /*stream=*/s);
   }
 
-  // Give each partition a representative Edge to the first shard operator
-  // so the snapshot's path-cost walk sees the downstream drain cost; the
-  // emitter never uses it (inline router). Then wire the real targets:
-  // partition of chain c feeds input stream c of every shard operator.
-  for (size_t c = 0; c < partition_idx.size(); ++c) {
-    Connect(partition_idx[c], shard_begin, static_cast<int>(c));
-    auto* part = static_cast<PartitionExchangeOperator*>(
-        operators_[static_cast<size_t>(partition_idx[c])].get());
-    std::vector<StreamQueue*> targets;
-    targets.reserve(static_cast<size_t>(spec.max_shards));
-    for (int s = 0; s < spec.max_shards; ++s) {
-      targets.push_back(
-          &operators_[static_cast<size_t>(shard_begin + s)]->input(
-              static_cast<int>(c)));
-    }
-    part->SetTargets(std::move(targets));
-  }
-
   shard_region_.shard_begin = shard_begin;
   shard_region_.shard_end = shard_end;
   shard_region_.max_shards = spec.max_shards;
-  shard_region_.partition_ops = std::move(partition_idx);
+  shard_region_.partition_op = partition_idx;
   shard_region_.merge_op = merge_idx;
   return BuilderStream(this, merge_idx);
 }

@@ -31,6 +31,11 @@ struct ShardSpec {
   int max_shards = 1;
 };
 
+/// Ceiling of ShardSpec::max_shards. All max_shards shards are built up
+/// front as operators and lanes, active or not, so this bounds the size
+/// of a sharded query.
+inline constexpr int kMaxShards = 64;
+
 /// Handle to the head of a partially built chain; returned by builder
 /// methods so pipelines compose fluently:
 ///
@@ -74,12 +79,13 @@ class BuilderStream {
   BuilderStream CountWindow(std::string name, double cost_micros,
                             int64_t count, AggregationKind kind);
 
-  /// Sharded variants of the keyed windows: the operator is hash-
+  /// Sharded variants of the window aggregations: the operator is hash-
   /// partitioned into spec.max_shards shard lanes (spec.shards initially
   /// active) between a partition exchange and a merge exchange, so shards
   /// drain concurrently on the thread-pool executor and keyed state can be
   /// re-partitioned live (see DESIGN.md "Sharded execution"). Results are
-  /// byte-identical to the unsharded operator.
+  /// byte-identical to the unsharded operator. At most one sharded region
+  /// per query.
   BuilderStream ShardedTumblingAggregate(std::string name, double cost_micros,
                                          DurationMicros window_size,
                                          AggregationKind kind, ShardSpec spec,
@@ -89,12 +95,6 @@ class BuilderStream {
                                         DurationMicros slide,
                                         AggregationKind kind, ShardSpec spec,
                                         DurationMicros offset = 0);
-  BuilderStream ShardedSessionWindow(std::string name, double cost_micros,
-                                     DurationMicros gap, AggregationKind kind,
-                                     ShardSpec spec);
-  BuilderStream ShardedCountWindow(std::string name, double cost_micros,
-                                   int64_t count, AggregationKind kind,
-                                   ShardSpec spec);
 
   /// Appends an in-order-processing buffer (IOP, Sec. 2.1): downstream
   /// operators observe events sorted by event-time.
@@ -146,20 +146,6 @@ class PipelineBuilder {
                              std::vector<BuilderStream> inputs,
                              DurationMicros offset = 0);
 
-  /// Joins 2+ chains with a sliding-window equi-join.
-  BuilderStream SlidingJoin(std::string name, double cost_micros,
-                            DurationMicros window_size, DurationMicros slide,
-                            std::vector<BuilderStream> inputs,
-                            DurationMicros offset = 0);
-
-  /// Sharded tumbling-window equi-join: each input chain gets its own
-  /// partition exchange and the shard joins consume one partitioned stream
-  /// per input. At most one sharded region per query.
-  BuilderStream ShardedTumblingJoin(std::string name, double cost_micros,
-                                    DurationMicros window_size,
-                                    std::vector<BuilderStream> inputs,
-                                    ShardSpec spec, DurationMicros offset = 0);
-
   /// Finalizes the query. Requires exactly one sink and every chain
   /// terminated. The builder is consumed.
   std::unique_ptr<Query> Build(QueryId id);
@@ -169,16 +155,14 @@ class PipelineBuilder {
 
   int Append(std::unique_ptr<Operator> op);
   void Connect(int from, int to, int stream);
-  BuilderStream JoinImpl(std::string name, double cost_micros,
-                         std::unique_ptr<WindowAssigner> assigner,
-                         std::vector<BuilderStream> inputs);
-  /// Builds the partition(s) -> shard operators -> merge region. The
-  /// factory is invoked once per shard with the shard operator's name.
+  /// Builds the partition -> shard aggregates -> merge region after
+  /// `input`. The factory is invoked once per shard with the shard
+  /// operator's name; its return type is what lets the re-shard
+  /// controller treat every shard lane as a WindowAggregateOperator.
   BuilderStream ShardRegionImpl(
-      const std::string& name, std::vector<BuilderStream> inputs,
-      ShardSpec spec,
-      const std::function<std::unique_ptr<Operator>(const std::string&)>&
-          make_shard);
+      const std::string& name, BuilderStream input, ShardSpec spec,
+      const std::function<std::unique_ptr<WindowAggregateOperator>(
+          const std::string&)>& make_shard);
 
   std::string query_name_;
   std::vector<std::unique_ptr<Operator>> operators_;

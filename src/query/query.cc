@@ -30,10 +30,7 @@ Query::Query(QueryId id, std::string name,
     KLINK_CHECK_LT(sr.shard_end, static_cast<int>(operators_.size()));
     KLINK_CHECK_EQ(sr.max_shards, sr.shard_end - sr.shard_begin);
     KLINK_CHECK_EQ(sr.merge_op, sr.shard_end);
-    KLINK_CHECK(!sr.partition_ops.empty());
-    for (const int p : sr.partition_ops) {
-      KLINK_CHECK(p >= 0 && p < sr.shard_begin);
-    }
+    KLINK_CHECK(sr.partition_op >= 0 && sr.partition_op < sr.shard_begin);
   }
   std::vector<int> in_degree(operators_.size(), 0);
   for (size_t i = 0; i < operators_.size(); ++i) {

@@ -19,9 +19,9 @@ namespace klink {
 /// executes a query by draining its operators in topological order.
 ///
 /// Sharded queries additionally carry a ShardRegion: a contiguous run of
-/// identical keyed shard operators fed by partition exchange(s) and drained
-/// into a merge exchange. The region splits the query into *lanes* — the
-/// schedulable units of a sharded query (see lanes below).
+/// identical window-aggregate shard operators fed by one partition exchange
+/// and drained into a merge exchange. The region splits the query into
+/// *lanes* — the schedulable units of a sharded query (see lanes below).
 class Query {
  public:
   struct Edge {
@@ -33,17 +33,15 @@ class Query {
 
   /// Describes the sharded span of the operator vector (at most one per
   /// query): operators [shard_begin, shard_end) are the max_shards shard
-  /// operators; partition exchange(s) live before shard_begin and the merge
-  /// exchange at shard_end. Built by PipelineBuilder.
+  /// operators, all WindowAggregateOperators; the partition exchange lives
+  /// before shard_begin and the merge exchange at shard_end. Built by
+  /// PipelineBuilder.
   struct ShardRegion {
-    int shard_begin = 0;  // first shard operator index
-    int shard_end = 0;    // one past the last shard operator index
-    int max_shards = 0;   // == shard_end - shard_begin
-    /// Indices of the partition exchange operators (one per shard input
-    /// chain; joins have several).
-    std::vector<int> partition_ops;
-    /// Index of the merge exchange operator.
-    int merge_op = 0;
+    int shard_begin = 0;   // first shard operator index
+    int shard_end = 0;     // one past the last shard operator index
+    int max_shards = 0;    // == shard_end - shard_begin
+    int partition_op = 0;  // index of the partition exchange operator
+    int merge_op = 0;      // index of the merge exchange operator
   };
 
   /// A lane is a contiguous operator range drained as one schedulable

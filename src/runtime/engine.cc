@@ -177,7 +177,6 @@ void Engine::RunCycle() {
   metrics_.AddProcessed(stats.processed_events);
   metrics_.AddCoreBusy(stats.busy_micros);
   busy_since_sample_ += stats.busy_micros;
-  metrics_.AddCoreAvailable(static_cast<double>(config_.num_cores) * r);
 
   // (6) Sample the resource time series and advance the virtual clock.
   now_ += config_.cycle_length;

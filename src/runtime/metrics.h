@@ -54,7 +54,6 @@ class EngineMetrics {
   void AddProcessed(int64_t n) { processed_events_ += n; }
   void AddIngested(int64_t n) { ingested_events_ += n; }
   void AddCoreBusy(double micros) { core_busy_micros_ += micros; }
-  void AddCoreAvailable(double micros) { core_available_micros_ += micros; }
   void AddSchedulerCost(double micros) { scheduler_micros_ += micros; }
   void AddSample(const ResourceSample& s) { samples_.push_back(s); }
   /// Overwrites the cached late-data accounting of one query (counters are
@@ -71,23 +70,7 @@ class EngineMetrics {
   int64_t ingested_events() const { return ingested_events_; }
 
   double core_busy_micros() const { return core_busy_micros_; }
-  double core_available_micros() const { return core_available_micros_; }
   double scheduler_micros() const { return scheduler_micros_; }
-
-  /// Mean CPU utilization over the whole run.
-  double MeanCpuUtilization() const {
-    return core_available_micros_ <= 0.0
-               ? 0.0
-               : core_busy_micros_ / core_available_micros_;
-  }
-
-  /// Scheduler overhead as a fraction of total useful+scheduling time —
-  /// the throughput the SPE forgoes to run the scheduling algorithm
-  /// (paper Fig. 9d).
-  double SchedulerOverheadFraction() const {
-    const double total = core_busy_micros_ + scheduler_micros_;
-    return total <= 0.0 ? 0.0 : scheduler_micros_ / total;
-  }
 
   /// Aggregate operator-events per second over `duration`.
   double ThroughputEps(DurationMicros duration) const {
@@ -121,7 +104,6 @@ class EngineMetrics {
   int64_t processed_events_ = 0;
   int64_t ingested_events_ = 0;
   double core_busy_micros_ = 0.0;
-  double core_available_micros_ = 0.0;
   double scheduler_micros_ = 0.0;
   std::vector<ResourceSample> samples_;
   std::map<QueryId, QueryLateMetrics> late_by_query_;

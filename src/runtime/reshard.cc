@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/operators/aggregate_operator.h"
 #include "src/operators/exchange_operator.h"
 #include "src/query/query.h"
 #include "src/runtime/engine.h"
@@ -13,15 +14,10 @@ ReshardController::ReshardController(Engine* engine) : engine_(engine) {
   KLINK_CHECK(engine != nullptr);
 }
 
-std::vector<PartitionExchangeOperator*> ReshardController::Partitions(
-    Query& q) const {
-  std::vector<PartitionExchangeOperator*> parts;
-  parts.reserve(q.shard_region().partition_ops.size());
-  for (const int idx : q.shard_region().partition_ops) {
-    // The builder places only PartitionExchangeOperators at these indices.
-    parts.push_back(static_cast<PartitionExchangeOperator*>(&q.op(idx)));
-  }
-  return parts;
+PartitionExchangeOperator& ReshardController::Partition(Query& q) {
+  // The builder places only a PartitionExchangeOperator at this index.
+  return static_cast<PartitionExchangeOperator&>(
+      q.op(q.shard_region().partition_op));
 }
 
 bool ReshardController::reshard_in_flight(QueryId id) const {
@@ -36,13 +32,11 @@ bool ReshardController::RequestReshard(QueryId id, int new_count) {
   Query& q = engine_->query(id);
   if (!q.sharded()) return false;
   if (new_count < 1 || new_count > q.shard_region().max_shards) return false;
-  const auto parts = Partitions(q);
-  if (new_count == parts.front()->active_shards()) return false;
-  for (const PartitionExchangeOperator* p : parts) {
-    // An in-flight protocol the controller does not know about (restored
-    // from a checkpoint and not yet adopted) blocks new requests.
-    if (p->pending_shards() != 0 || p->reshard_paused()) return false;
-  }
+  const PartitionExchangeOperator& part = Partition(q);
+  if (new_count == part.active_shards()) return false;
+  // An in-flight protocol the controller does not know about (restored
+  // from a checkpoint and not yet adopted) blocks new requests.
+  if (part.pending_shards() != 0 || part.reshard_paused()) return false;
   pending_.push_back(Pending{id, new_count, /*armed=*/false});
   return true;
 }
@@ -55,33 +49,11 @@ void ReshardController::EnableHotShardTrigger(double ratio, int cycles) {
   hot_cycles_ = cycles;
 }
 
-void ReshardController::Arm(Query& q, Pending& p) {
-  const auto parts = Partitions(q);
-  // The first epoch every partition is still guaranteed to broadcast:
-  // epochs at or before the max are already broadcast by some partition
-  // (possibly in flight toward the others), so pausing there would split
-  // the partitions across different barriers.
-  uint64_t epoch = 0;
-  for (const PartitionExchangeOperator* part : parts) {
-    epoch = std::max(epoch, part->last_broadcast_epoch());
-  }
-  ++epoch;
-  for (PartitionExchangeOperator* part : parts) {
-    part->ArmReshard(p.new_count, epoch);
-  }
-  p.armed = true;
-}
-
-bool ReshardController::Drained(Query& q) const {
-  for (const PartitionExchangeOperator* part : Partitions(q)) {
-    if (!part->reshard_paused()) return false;
-  }
+bool ReshardController::Drained(Query& q) {
+  if (!Partition(q).reshard_paused()) return false;
   const Query::ShardRegion& region = q.shard_region();
   for (int i = region.shard_begin; i < region.shard_end; ++i) {
-    const Operator& op = q.op(i);
-    for (int s = 0; s < op.num_inputs(); ++s) {
-      if (!op.input(s).empty()) return false;
-    }
+    if (!q.op(i).input().empty()) return false;
   }
   return true;
 }
@@ -93,13 +65,17 @@ void ReshardController::Redistribute(Query& q, int new_count) {
   // into the shard that will own its key under the new count. The routing
   // hash is ShardOf — the same function the partition router uses — so
   // replayed and future data always finds the moved state.
-  std::vector<Operator::KeyedStateEntry> entries;
-  for (int i = region.shard_begin; i < region.shard_end; ++i) {
-    if (q.op(i).HasKeyedState()) q.op(i).ExportKeyedState(&entries);
+  // The builder's typed factory constructs only WindowAggregateOperators
+  // in a shard region.
+  const auto shard = [&](int s) -> WindowAggregateOperator& {
+    return static_cast<WindowAggregateOperator&>(q.op(region.shard_begin + s));
+  };
+  std::vector<WindowAggregateOperator::KeyedStateEntry> entries;
+  for (int s = 0; s < region.max_shards; ++s) {
+    shard(s).ExportKeyedState(&entries);
   }
-  for (const Operator::KeyedStateEntry& entry : entries) {
-    const int target = ShardOf(entry.key, new_count);
-    q.op(region.shard_begin + target).ImportKeyedState(entry);
+  for (const WindowAggregateOperator::KeyedStateEntry& entry : entries) {
+    shard(ShardOf(entry.key, new_count)).ImportKeyedState(entry);
   }
 }
 
@@ -109,10 +85,9 @@ void ReshardController::OnCycleEnd(TimeMicros /*now*/) {
   // while the controller starts empty.
   for (const QueryFabric::LiveQuery& lq : engine_->fabric().live()) {
     if (!lq.query->sharded() || reshard_in_flight(lq.id)) continue;
-    const auto parts = Partitions(*lq.query);
-    if (parts.front()->pending_shards() != 0) {
-      pending_.push_back(
-          Pending{lq.id, parts.front()->pending_shards(), /*armed=*/true});
+    const int pending_shards = Partition(*lq.query).pending_shards();
+    if (pending_shards != 0) {
+      pending_.push_back(Pending{lq.id, pending_shards, /*armed=*/true});
     }
   }
 
@@ -124,7 +99,10 @@ void ReshardController::OnCycleEnd(TimeMicros /*now*/) {
     }
     Query& q = engine_->query(p.id);
     if (!p.armed) {
-      Arm(q, p);
+      // The first barrier the partition has not broadcast yet.
+      PartitionExchangeOperator& part = Partition(q);
+      part.ArmReshard(p.new_count, part.last_broadcast_epoch() + 1);
+      p.armed = true;
       ++it;
       continue;
     }
@@ -133,9 +111,7 @@ void ReshardController::OnCycleEnd(TimeMicros /*now*/) {
       continue;
     }
     Redistribute(q, p.new_count);
-    for (PartitionExchangeOperator* part : Partitions(q)) {
-      part->CompleteReshard();
-    }
+    Partition(q).CompleteReshard();
     ++completed_;
     hot_streak_.erase(p.id);
     it = pending_.erase(it);
@@ -149,17 +125,12 @@ void ReshardController::CheckHotShards() {
     Query& q = *lq.query;
     if (!q.sharded() || reshard_in_flight(lq.id)) continue;
     const Query::ShardRegion& region = q.shard_region();
-    const auto parts = Partitions(q);
-    const int active = parts.front()->active_shards();
+    const int active = Partition(q).active_shards();
     if (active >= region.max_shards) continue;
     int64_t total = 0;
     int64_t hottest = 0;
     for (int s = 0; s < active; ++s) {
-      const Operator& op = q.op(region.shard_begin + s);
-      int64_t queued = 0;
-      for (int c = 0; c < op.num_inputs(); ++c) {
-        queued += op.input(c).data_count();
-      }
+      const int64_t queued = q.op(region.shard_begin + s).input().data_count();
       total += queued;
       hottest = std::max(hottest, queued);
     }

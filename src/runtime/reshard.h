@@ -18,16 +18,14 @@ class Query;
 /// results (runtime/exchange docs; DESIGN.md "Sharded execution").
 ///
 /// Protocol, executed entirely on the engine thread between cycles:
-///  1. *Arm*: every partition exchange of the query is armed with the same
-///     pause epoch, max(last broadcast epoch) + 1 — the first barrier
-///     every partition is still guaranteed to broadcast. Arming them with
-///     one epoch is what keeps multi-input shard operators (joins) from
-///     waiting forever on a barrier one partition already holds back.
-///  2. *Drain*: partitions pause right after broadcasting that barrier,
+///  1. *Arm*: the query's partition exchange is armed with the pause epoch
+///     last broadcast epoch + 1, the first barrier it has not yet
+///     broadcast.
+///  2. *Drain*: the partition pauses right after broadcasting that barrier,
 ///     holding subsequent output in an ordered buffer; the controller
-///     waits until every partition is paused and every shard input queue
-///     is empty — all pre-barrier work has been fully processed.
-///  3. *Redistribute*: keyed state is exported from all shard operators,
+///     waits until the partition is paused and every shard input queue is
+///     empty — all pre-barrier work has been fully processed.
+///  3. *Redistribute*: keyed state is exported from all shard aggregates,
 ///     rerouted by ShardOf(key, new_count), and imported into its new
 ///     owner. The hash used here is the router's, so data and state can
 ///     never disagree about a key's shard.
@@ -71,12 +69,11 @@ class ReshardController {
     bool armed = false;
   };
 
-  /// The query's partition exchanges, in region order.
-  std::vector<PartitionExchangeOperator*> Partitions(Query& q) const;
-  void Arm(Query& q, Pending& p);
-  /// True when every partition is paused and every shard input is empty.
-  bool Drained(Query& q) const;
-  void Redistribute(Query& q, int new_count);
+  /// The query's partition exchange.
+  static PartitionExchangeOperator& Partition(Query& q);
+  /// True when the partition is paused and every shard input is empty.
+  static bool Drained(Query& q);
+  static void Redistribute(Query& q, int new_count);
   void CheckHotShards();
 
   Engine* engine_;

@@ -32,6 +32,27 @@ TEST(ExperimentTest, NamesRoundTrip) {
   EXPECT_STREQ(DelayKindName(DelayKind::kZipf), "Zipf");
 }
 
+// klink_run and loadgen parse, and the listen server's feed hint prints,
+// the same lowercase spellings; the report names do not parse.
+TEST(ExperimentTest, FlagSpellingsRoundTrip) {
+  for (const WorkloadKind kind :
+       {WorkloadKind::kYsb, WorkloadKind::kLrb, WorkloadKind::kNyt}) {
+    WorkloadKind parsed = WorkloadKind::kYsb;
+    EXPECT_TRUE(ParseWorkloadFlag(WorkloadFlagName(kind), &parsed));
+    EXPECT_EQ(parsed, kind);
+    EXPECT_FALSE(ParseWorkloadFlag(WorkloadKindName(kind), &parsed));
+  }
+  for (const DelayKind kind :
+       {DelayKind::kUniform, DelayKind::kZipf, DelayKind::kPareto}) {
+    DelayKind parsed = DelayKind::kUniform;
+    EXPECT_TRUE(ParseDelayFlag(DelayFlagName(kind), &parsed));
+    EXPECT_EQ(parsed, kind);
+    EXPECT_FALSE(ParseDelayFlag(DelayKindName(kind), &parsed));
+  }
+  EXPECT_STREQ(WorkloadFlagName(WorkloadKind::kNyt), "nyt");
+  EXPECT_STREQ(DelayFlagName(DelayKind::kPareto), "pareto");
+}
+
 TEST(ExperimentTest, MakePolicyProducesAllKinds) {
   KlinkPolicyConfig kc;
   for (PolicyKind kind :
@@ -180,7 +201,9 @@ struct BadInput {
   const char* flag;
 };
 
-std::string BadInputName(const ::testing::TestParamInfo<BadInput>& info) {
+/// Names a parameterized case after its parameter's `name`.
+template <typename Param>
+std::string ParamName(const ::testing::TestParamInfo<Param>& info) {
   return info.param.name;
 }
 
@@ -248,6 +271,9 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"ListenConfidence", "--listen=0 --confidence=-1",
                  "--confidence"},
         BadInput{"ListenQueries", "--listen=0 --queries=0", "--queries"},
+        // The feed hint would print a command loadgen rejects.
+        BadInput{"ListenRate", "--listen=0 --rate=0", "--rate"},
+        BadInput{"ListenDuration", "--listen=0 --duration=0", "--duration"},
         BadInput{"ListenPortOutOfRange", "--listen=99999", "--listen"},
         BadInput{"ListenIngestBudget", "--listen=0 --ingest-budget-kb=0",
                  "--ingest-budget-kb"},
@@ -289,6 +315,14 @@ INSTANTIATE_TEST_SUITE_P(
                  "--expect-tenants"},
         BadInput{"ListenExpectTenantsNegative",
                  "--listen=0 --expect-tenants=-1", "--expect-tenants"},
+        // LRB builds no shard region, so shard flags would be ignored.
+        BadInput{"ListenLrbShards", "--listen=0 --workload=lrb --shards=2",
+                 "--shards"},
+        BadInput{"ListenLrbMaxShards",
+                 "--listen=0 --workload=lrb --max-shards=4", "--max-shards"},
+        // The server has no warm-up cut and writes no CSV report.
+        BadInput{"ListenWarmup", "--listen=0 --warmup=5", "--warmup"},
+        BadInput{"ListenCsv", "--listen=0 --csv=CKPT", "--csv"},
         // A short valid run around each, so a tool that ignores the
         // input exits 0 quickly.
         BadInput{"UnknownFlag", "--bogus-flag=7 --queries=1 --duration=3 "
@@ -300,6 +334,19 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"PositionalArgument", "extra --queries=1 --duration=3 "
                                        "--warmup=1",
                  "extra"},
+        BadInput{"LrbShards", "--workload=lrb --shards=2 --queries=2 "
+                              "--rate=100 --duration=3 --warmup=1",
+                 "--shards"},
+        BadInput{"LrbMaxShards", "--workload=lrb --max-shards=2 --queries=1 "
+                                 "--duration=3 --warmup=1",
+                 "--max-shards"},
+        // One above the ceiling (kMaxShards = 64).
+        BadInput{"ShardsAboveCeiling",
+                 "--shards=65 --queries=1 --duration=3 --warmup=1",
+                 "--shards"},
+        BadInput{"MaxShardsAboveCeiling",
+                 "--max-shards=65 --queries=1 --duration=3 --warmup=1",
+                 "--max-shards"},
         // Listen-only flags in an in-process run, valid values included.
         BadInput{"IngestBudgetWithoutListen",
                  "--ingest-budget-kb=64 --queries=1 --duration=3 --warmup=1",
@@ -329,7 +376,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"HotReshardWithoutListen",
                  "--hot-reshard --queries=1 --duration=3 --warmup=1",
                  "--hot-reshard"}),
-    BadInputName);
+    ParamName<BadInput>);
 
 class LoadgenBadInputTest : public ::testing::TestWithParam<BadInput> {};
 
@@ -356,7 +403,65 @@ INSTANTIATE_TEST_SUITE_P(
                  "--port=1 --delay-pareto=1.5x,20", "--delay-pareto"},
         BadInput{"UnknownFlag", "--port=1 --bogus=1", "--bogus"},
         BadInput{"PositionalArgument", "--port=1 extra", "extra"}),
-    BadInputName);
+    ParamName<BadInput>);
+
+/// A lockstep TCP run's pinned outcome for one workload and executor.
+struct TcpPin {
+  const char* name;
+  const char* workload;
+  const char* executor;
+  const char* results_hash;
+  int64_t results;
+};
+
+class KlinkRunTcpPinTest : public ::testing::TestWithParam<TcpPin> {};
+
+// The listen server's feed hint is a command loadgen accepts, with every
+// flag the tenants' feeds depend on: fed exactly that command plus
+// --speed=0, the server reproduces its pinned results. This pins LRB and
+// NYT over TCP (the CI release job pins YSB), so the feed recipe of
+// loadgen and the query recipe of klink_run cannot drift apart. Blast
+// replay into --lockstep is deterministic; --expect-tenants=2 holds
+// virtual time until both tenants attach, so a tenant whose replay ends
+// before the other connects cannot end the run early.
+TEST_P(KlinkRunTcpPinTest, HintedLoadgenReproducesPin) {
+  const TcpPin& pin = GetParam();
+  ServerProc server = SpawnServer(
+      {"--listen=0", "--lockstep", "--dynamic-attach", "--expect-tenants=2",
+       "--queries=2", "--rate=300", "--duration=20", "--seed=3",
+       std::string("--workload=") + pin.workload,
+       std::string("--executor=") + pin.executor});
+  ASSERT_NE(server.port, 0) << "no listening banner";
+  // The banner's next line: "  loadgen --port=... --seed=3".
+  char line[512];
+  ASSERT_NE(std::fgets(line, sizeof(line), server.out), nullptr);
+  std::string hint = line;
+  const size_t at = hint.find("loadgen --port=");
+  ASSERT_NE(at, std::string::npos) << hint;
+  hint = hint.substr(at + std::string("loadgen").size());
+  hint.erase(hint.find_last_not_of('\n') + 1);
+  const std::string cmd =
+      std::string("timeout 60 ") + LOADGEN_PATH + hint + " --speed=0";
+  std::string out;
+  const int status = RunCommand(cmd, &out);
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    KillServer(server);  // it would wait for the tenants forever
+    FAIL() << cmd << "\n" << out;
+  }
+  const ServerResult r = WaitServer(server);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.results_hash, pin.results_hash) << cmd << "\n" << r.output;
+  EXPECT_EQ(r.results, pin.results) << r.output;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, KlinkRunTcpPinTest,
+    ::testing::Values(
+        TcpPin{"LrbSequential", "lrb", "sequential", "433c848d9337c752", 1003},
+        TcpPin{"LrbThreads", "lrb", "threads", "433c848d9337c752", 1003},
+        TcpPin{"NytSequential", "nyt", "sequential", "6941dd10a77b59bb", 6849},
+        TcpPin{"NytThreads", "nyt", "threads", "6941dd10a77b59bb", 6849}),
+    ParamName<TcpPin>);
 
 // A run that completes no window reports that instead of latency 0.000
 // and slowdown 0. This overloaded configuration pins memory at its 16 MB

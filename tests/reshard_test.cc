@@ -128,7 +128,7 @@ uint64_t RunHash(int shards, int max_shards, int reshard_to,
     EXPECT_FALSE(resharder.reshard_in_flight(id));
     const Query& q = engine.query(id);
     const auto* partition = dynamic_cast<const PartitionExchangeOperator*>(
-        &q.op(q.shard_region().partition_ops.front()));
+        &q.op(q.shard_region().partition_op));
     EXPECT_NE(partition, nullptr);
     if (partition != nullptr) {
       EXPECT_EQ(partition->active_shards(), reshard_to);

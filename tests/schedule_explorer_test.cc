@@ -772,7 +772,23 @@ void DeadlockScenario() {
 
 TEST(ScheduleExplorerDeathTest, LockOrderInversionAbortsWithReport) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // Under ThreadSanitizer, TSan's own lock-order-inversion report would
+  // end the re-executed child before the explorer reports. Only that child
+  // runs with TSan's deadlock detector off: the runtime reads TSAN_OPTIONS
+  // at startup, so this process keeps its detector.
+  const char* inherited = std::getenv("TSAN_OPTIONS");
+  const bool had_options = inherited != nullptr;
+  const std::string options = had_options ? inherited : "";
+  std::string child_options = options;
+  if (!child_options.empty()) child_options += ':';
+  child_options += "detect_deadlocks=0";
+  setenv("TSAN_OPTIONS", child_options.c_str(), /*overwrite=*/1);
   EXPECT_DEATH(DeadlockScenario(), "schedule explorer DEADLOCK");
+  if (had_options) {
+    setenv("TSAN_OPTIONS", options.c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv("TSAN_OPTIONS");
+  }
 }
 
 }  // namespace

@@ -50,8 +50,10 @@
 //
 // Sharded execution: --shards=N hash-partitions each query's keyed
 // aggregation into N concurrently schedulable shard lanes (--max-shards
-// raises the re-shard ceiling above the initial count); results are
-// byte-identical to the unsharded run. In listen mode with checkpoints,
+// raises the re-shard ceiling above the initial count, up to 64); results
+// are byte-identical to the unsharded run. Only YSB and NYT shard: LRB's
+// windowed join builds no shard region, so --workload=lrb rejects either
+// flag above 1. In listen mode with checkpoints,
 // --reshard=COUNT@SECONDS re-partitions every query's keyed state to
 // COUNT active shards at the first barrier after the given virtual time —
 // while the run keeps going — and --hot-reshard doubles a query's active
@@ -61,6 +63,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -77,12 +80,10 @@
 #include "src/harness/reporter.h"
 #include "src/net/ingest_gateway.h"
 #include "src/net/ingest_server.h"
+#include "src/query/pipeline_builder.h"
 #include "src/runtime/checkpoint.h"
 #include "src/runtime/engine.h"
 #include "src/runtime/reshard.h"
-#include "src/workloads/lrb.h"
-#include "src/workloads/nyt.h"
-#include "src/workloads/ysb.h"
 
 namespace {
 
@@ -105,14 +106,6 @@ bool ParsePolicy(const std::string& s, PolicyKind* out) {
     }
   }
   return false;
-}
-
-bool ParseWorkload(const std::string& s, WorkloadKind* out) {
-  if (s == "ysb") *out = WorkloadKind::kYsb;
-  else if (s == "lrb") *out = WorkloadKind::kLrb;
-  else if (s == "nyt") *out = WorkloadKind::kNyt;
-  else return false;
-  return true;
 }
 
 int Usage() {
@@ -205,62 +198,24 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
   Engine engine(config.engine, MakePolicy(config.policy, klink_config,
                                           config.seed ^ 0x5eedULL));
 
-  // Same per-tenant workload parameters as the in-process harness (same
-  // rng stream), drawn up front for every index: in dynamic-attach mode
-  // tenants deploy in network arrival order, which must never perturb
-  // another tenant's window offset.
+  // Each tenant draws a feed seed and a window offset from --seed, in that
+  // order, and uses only the offset: the server builds no feed, and loadgen
+  // draws its own seeds (one per tenant). The unused draw keeps the offsets,
+  // and so every pinned TCP hash, where they are. Neither order is the
+  // in-process harness's (deploy, feed seed, offset), so a TCP tenant does
+  // not get the window phase of the in-process tenant with the same index.
+  // All offsets are drawn up front: in dynamic-attach mode tenants deploy
+  // in network arrival order, which must never perturb another tenant's
+  // window offset.
   IngestGateway gateway;
   Rng rng(config.seed);
   std::vector<DurationMicros> window_offsets;
   window_offsets.reserve(static_cast<size_t>(config.num_queries));
   for (int q = 0; q < config.num_queries; ++q) {
-    const uint64_t feed_seed = rng.NextUint64();
-    (void)feed_seed;  // consumed by the loadgen side
-    DurationMicros range = 0;
-    switch (config.workload) {
-      case WorkloadKind::kYsb: range = YsbConfig{}.window_size; break;
-      case WorkloadKind::kLrb: range = LrbConfig{}.join_window; break;
-      case WorkloadKind::kNyt: range = NytConfig{}.slide; break;
-    }
-    window_offsets.push_back(rng.NextInt(0, range - 1));
+    rng.NextUint64();  // the feed seed
+    window_offsets.push_back(
+        rng.NextInt(0, WindowOffsetRange(config.workload) - 1));
   }
-  auto build_query = [&](int q) {
-    std::unique_ptr<Query> query;
-    switch (config.workload) {
-      case WorkloadKind::kYsb: {
-        YsbConfig wc;
-        wc.events_per_second = config.events_per_second;
-        wc.watermark_lag = WatermarkLagFor(config.delay);
-        wc.window_offset = window_offsets[static_cast<size_t>(q)];
-        wc.shards = config.shards;
-        wc.max_shards = config.max_shards;
-        wc.allowed_lateness = config.allowed_lateness;
-        query = MakeYsbQuery(q, wc);
-        break;
-      }
-      case WorkloadKind::kLrb: {
-        LrbConfig wc;
-        wc.events_per_substream_per_second = config.events_per_second;
-        wc.watermark_lag = WatermarkLagFor(config.delay);
-        wc.window_offset = window_offsets[static_cast<size_t>(q)];
-        wc.allowed_lateness = config.allowed_lateness;
-        query = MakeLrbQuery(q, wc);
-        break;
-      }
-      case WorkloadKind::kNyt: {
-        NytConfig wc;
-        wc.events_per_second = config.events_per_second;
-        wc.watermark_lag = WatermarkLagFor(config.delay);
-        wc.window_offset = window_offsets[static_cast<size_t>(q)];
-        wc.shards = config.shards;
-        wc.max_shards = config.max_shards;
-        wc.allowed_lateness = config.allowed_lateness;
-        query = MakeNytQuery(q, wc);
-        break;
-      }
-    }
-    return query;
-  };
 
   std::unique_ptr<CheckpointCoordinator> coordinator;
   if (!ckpt.dir.empty()) {
@@ -288,7 +243,9 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
   auto attach_tenant = [&](int q) -> bool {
     if (q < 0 || q >= config.num_queries) return false;
     if (tenants.count(q) != 0) return false;
-    std::unique_ptr<Query> query = build_query(q);
+    std::unique_ptr<Query> query;
+    MakeTenant(TenantOf(config, window_offsets[static_cast<size_t>(q)]), q,
+               &query, /*feed=*/nullptr);
     Tenant t;
     for (size_t s = 0; s < query->sources().size(); ++s) {
       const uint32_t id = MakeStreamId(q, static_cast<int>(s));
@@ -419,14 +376,20 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
           server.SendCheckpointAck(stream_id, epoch, durable_seq);
         });
   }
+  // The hint is a command loadgen accepts, with every flag that decides
+  // what the tenants' feeds carry; the rate prints in its shortest
+  // round-trip form.
+  char rate[32] = {};  // to_chars writes no terminator
+  std::to_chars(rate, rate + sizeof(rate) - 1, config.events_per_second);
   std::printf("listening on 127.0.0.1:%u (%s mode%s); feed with e.g.\n"
-              "  loadgen --port=%u --workload=%s --queries=%d --rate=%.0f "
-              "--duration=%lld\n",
+              "  loadgen --port=%u --workload=%s --queries=%d --rate=%s "
+              "--duration=%lld --delay=%s --seed=%llu\n",
               server.port(), lockstep ? "lockstep" : "real-time",
-              dynamic_attach ? ", dynamic tenants" : "",
-              server.port(), WorkloadKindName(config.workload),
-              config.num_queries, config.events_per_second,
-              static_cast<long long>(config.duration / 1000000));
+              dynamic_attach ? ", dynamic tenants" : "", server.port(),
+              WorkloadFlagName(config.workload), config.num_queries, rate,
+              static_cast<long long>(config.duration / 1000000),
+              DelayFlagName(config.delay),
+              static_cast<unsigned long long>(config.seed));
   // Harnesses (the kill-mid-run recovery test) read the port and the final
   // results_hash over a pipe; flush so they see the line promptly.
   std::fflush(stdout);
@@ -636,17 +599,11 @@ int main(int argc, char** argv) {
   if (!ParsePolicy(flags.GetString("policy", "klink"), &config.policy)) {
     return reject("unknown --policy");
   }
-  if (!ParseWorkload(flags.GetString("workload", "ysb"), &config.workload)) {
+  if (!ParseWorkloadFlag(flags.GetString("workload", "ysb"),
+                         &config.workload)) {
     return reject("unknown --workload");
   }
-  const std::string delay = flags.GetString("delay", "uniform");
-  if (delay == "uniform") {
-    config.delay = DelayKind::kUniform;
-  } else if (delay == "zipf") {
-    config.delay = DelayKind::kZipf;
-  } else if (delay == "pareto") {
-    config.delay = DelayKind::kPareto;
-  } else {
+  if (!ParseDelayFlag(flags.GetString("delay", "uniform"), &config.delay)) {
     return reject("unknown --delay");
   }
   std::string executor_name;
@@ -685,7 +642,8 @@ int main(int argc, char** argv) {
         CheckScaled("allowed-lateness-ms", lateness_ms, MillisToMicros(1))}) {
     if (!st.ok()) return reject(st.message());
   }
-  // The server's flags would be silently ignored by an in-process run.
+  // The server's flags would be silently ignored by an in-process run,
+  // and the in-process run's warm-up cut and CSV report by the server.
   if (!flags.Has("listen")) {
     for (const char* name :
          {"ingest-budget-kb", "lockstep", "dynamic-attach", "expect-tenants",
@@ -695,6 +653,13 @@ int main(int argc, char** argv) {
         return reject(std::string("--") + name + " requires --listen");
       }
     }
+  } else {
+    for (const char* name : {"warmup", "csv"}) {
+      if (flags.Has(name)) {
+        return reject(std::string("--") + name +
+                      " applies to in-process runs, not to --listen");
+      }
+    }
   }
   config.duration = SecondsToMicros(duration_s);
   config.warmup = SecondsToMicros(warmup_s);
@@ -702,9 +667,21 @@ int main(int argc, char** argv) {
   config.seed = static_cast<uint64_t>(seed);
   if (lateness_ms < 0) return reject("--allowed-lateness-ms must be >= 0");
   config.allowed_lateness = MillisToMicros(lateness_ms);
-  if (config.shards < 1 ||
-      (config.max_shards != 0 && config.max_shards < config.shards)) {
-    return reject("--max-shards must be 0 or >= --shards (>= 1)");
+  // Both modes build their queries from these, so both check them here.
+  if (config.shards < 1 || config.shards > kMaxShards) {
+    return reject("--shards must lie in [1, " + std::to_string(kMaxShards) +
+                  "]");
+  }
+  if (config.max_shards != 0 && (config.max_shards < config.shards ||
+                                 config.max_shards > kMaxShards)) {
+    return reject("--max-shards must be 0 or lie in [--shards, " +
+                  std::to_string(kMaxShards) + "]");
+  }
+  if (config.workload == WorkloadKind::kLrb &&
+      (config.shards > 1 || config.max_shards > 1)) {
+    return reject(std::string(config.shards > 1 ? "--shards" : "--max-shards") +
+                  " above 1 needs --workload=ysb or nyt: lrb's windowed "
+                  "join builds no shard region");
   }
   // Listen mode has no warm-up cut (its report covers the whole run), so
   // only the engine's and the policy's fields constrain it.
@@ -734,6 +711,11 @@ int main(int argc, char** argv) {
     }
     // Tenant indexes lie in [0, --queries), also under --dynamic-attach.
     if (config.num_queries < 1) return reject("--queries must be >= 1");
+    // The feed hint passes these to loadgen, which needs both positive.
+    if (!(config.events_per_second > 0.0)) {
+      return reject("--rate must be > 0");
+    }
+    if (duration_s < 1) return reject("--duration must be >= 1");
     // More expected tenants than can attach would hold virtual time
     // forever.
     if (expect_tenants < 0 || expect_tenants > config.num_queries) {

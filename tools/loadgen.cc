@@ -42,9 +42,6 @@
 #include "src/net/delay_model.h"
 #include "src/net/ingest_gateway.h"
 #include "src/net/loadgen.h"
-#include "src/workloads/lrb.h"
-#include "src/workloads/nyt.h"
-#include "src/workloads/ysb.h"
 
 namespace {
 
@@ -138,19 +135,16 @@ int main(int argc, char** argv) {
     return reject("churn tenant counts exceed --queries");
   }
 
+  TenantSpec tenant;
   const std::string workload = flags.GetString("workload", "ysb");
+  if (!ParseWorkloadFlag(workload, &tenant.workload)) {
+    return reject("unknown --workload");
+  }
+  // klink_run's --delay spellings, plus "none".
   const std::string delay = flags.GetString("delay", "uniform");
   DelayKind delay_kind = DelayKind::kUniform;
-  bool no_delay = false;
-  if (delay == "none") {
-    no_delay = true;
-  } else if (delay == "uniform") {
-    delay_kind = DelayKind::kUniform;
-  } else if (delay == "zipf") {
-    delay_kind = DelayKind::kZipf;
-  } else if (delay == "pareto") {
-    delay_kind = DelayKind::kPareto;
-  } else {
+  bool no_delay = delay == "none";
+  if (!no_delay && !ParseDelayFlag(delay, &delay_kind)) {
     return reject("unknown --delay");
   }
   // --delay-pareto=ALPHA,SCALE_MS overrides the default Pareto shape/scale
@@ -190,11 +184,16 @@ int main(int argc, char** argv) {
     }
     return MakeDelayModel(delay_kind);
   };
-  const DurationMicros watermark_lag =
+  tenant.events_per_second = rate;
+  tenant.watermark_lag =
       no_delay ? MillisToMicros(50) : WatermarkLagFor(delay_kind);
+  tenant.key_skew = key_skew;
 
   // One feed + one connection per source per query; stream ids follow the
-  // klink_run --listen convention (MakeStreamId).
+  // klink_run --listen convention (MakeStreamId). Each tenant draws only
+  // its feed seed from --seed. The in-process harness draws a deploy time,
+  // a feed seed and a window offset per query, so a TCP tenant does not
+  // replay the feed of the in-process query with the same index.
   std::vector<QueryReplay> replays(static_cast<size_t>(num_queries));
   Rng rng(static_cast<uint64_t>(seed));
   for (int q = 0; q < num_queries; ++q) {
@@ -205,30 +204,10 @@ int main(int argc, char** argv) {
     r.until = q < churn_detach ? duration / 2 : duration;
     r.connect_delay_ms =
         q >= num_queries - churn_attach ? churn_delay_ms : 0;
-    int num_sources = 1;
-    const uint64_t feed_seed = rng.NextUint64();
-    if (workload == "ysb") {
-      YsbConfig wc;
-      wc.events_per_second = rate;
-      wc.watermark_lag = watermark_lag;
-      wc.key_skew = key_skew;
-      r.feed = MakeYsbFeed(wc, make_delay(), feed_seed, 0);
-    } else if (workload == "lrb") {
-      LrbConfig wc;
-      wc.events_per_substream_per_second = rate;
-      wc.watermark_lag = watermark_lag;
-      wc.key_skew = key_skew;
-      r.feed = MakeLrbFeed(wc, make_delay(), feed_seed, 0);
-      num_sources = 3;
-    } else if (workload == "nyt") {
-      NytConfig wc;
-      wc.events_per_second = rate;
-      wc.watermark_lag = watermark_lag;
-      wc.key_skew = key_skew;
-      r.feed = MakeNytFeed(wc, make_delay(), feed_seed, 0);
-    } else {
-      return reject("unknown --workload");
-    }
+    MakeTenant(tenant, q, /*query=*/nullptr, &r.feed, make_delay(),
+               /*feed_seed=*/rng.NextUint64(), /*start_time=*/0);
+    // LRB has three position-report sub-streams.
+    const int num_sources = tenant.workload == WorkloadKind::kLrb ? 3 : 1;
     for (int s = 0; s < num_sources; ++s) {
       r.stream_ids.push_back(MakeStreamId(q, s));
       r.conns.push_back(std::make_unique<LoadgenConnection>());
