@@ -1,22 +1,15 @@
 #include "src/net/ingest_gateway.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/net/socket.h"
 #include "src/runtime/audit.h"
 
 namespace klink {
 namespace {
-
-int64_t WallMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             // klink-lint: allow(determinism): stall-time metrics of real TCP connections
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 int64_t StagedCost(const Event& e) {
   return e.payload_bytes + StreamQueue::kPerEventOverhead;
@@ -131,6 +124,13 @@ void IngestGateway::MarkEndOfStream(uint32_t stream_id) {
   GetStream(stream_id).ended = true;
 }
 
+void IngestGateway::NoteConnection(uint32_t stream_id, bool open) {
+  Stream& s = GetStream(stream_id);
+  s.greeted = true;
+  s.connections += open ? 1 : -1;
+  KLINK_CHECK_GE(s.connections, 0);
+}
+
 TimeMicros IngestGateway::PeekIngestTime(uint32_t stream_id) const {
   return GetStream(stream_id).staged.OldestIngestTime();
 }
@@ -197,6 +197,29 @@ TimeMicros IngestGateway::StagedThrough(uint32_t stream_id) const {
   return s.staged_through;
 }
 
+TimeMicros IngestGateway::MinStagedThrough() const {
+  if (streams_.empty()) return kNoTime;
+  TimeMicros frontier = std::numeric_limits<TimeMicros>::max();
+  for (const auto& [id, s] : streams_) {
+    if (!s.ended) frontier = std::min(frontier, s.staged_through);
+  }
+  return frontier;
+}
+
+bool IngestGateway::AllStreamsFinished() const {
+  if (streams_.empty()) return false;
+  for (const auto& [id, s] : streams_) {
+    if (!s.ended && (!s.greeted || s.connections > 0)) return false;
+  }
+  return true;
+}
+
+int64_t IngestGateway::TotalStagedEvents() const {
+  int64_t total = 0;
+  for (const auto& [id, s] : streams_) total += s.staged.size();
+  return total;
+}
+
 NetworkFeed::NetworkFeed(IngestGateway* gateway,
                          std::vector<uint32_t> stream_ids)
     : gateway_(gateway), streams_(std::move(stream_ids)) {
@@ -236,14 +259,6 @@ int64_t NetworkFeed::generated_events() const {
   int64_t n = 0;
   for (uint32_t id : streams_) n += gateway_->data_events(id);
   return n;
-}
-
-TimeMicros NetworkFeed::SafeThrough() const {
-  TimeMicros safe = std::numeric_limits<TimeMicros>::max();
-  for (uint32_t id : streams_) {
-    safe = std::min(safe, gateway_->StagedThrough(id));
-  }
-  return safe;
 }
 
 }  // namespace klink

@@ -84,8 +84,11 @@ class IngestGateway {
   /// True (ending the stall-time interval) once the staging queue has
   /// drained below the resume threshold, so the server may read again.
   bool TryResume(uint32_t stream_id);
-  /// Graceful end-of-stream (kBye received or connection closed cleanly).
+  /// Graceful end-of-stream: kBye received.
   void MarkEndOfStream(uint32_t stream_id);
+  /// A hello bound a connection to the stream (`open`), or that
+  /// connection closed, after kBye or abruptly.
+  void NoteConnection(uint32_t stream_id, bool open);
 
   /// ---- drain path (called by NetworkFeed on the engine thread) -------
   /// Ingest time of the oldest staged element, or kNoTime when empty.
@@ -118,9 +121,20 @@ class IngestGateway {
   /// Arrival progress: every element with ingest_time <= StagedThrough()
   /// has been staged (clients send in ingestion order, so the last staged
   /// ingest_time is a watermark over the TCP stream). INT64_MAX once the
-  /// stream ended. Deterministic replays (tests, loadgen --lockstep) use
-  /// this to advance virtual time only through fully-arrived prefixes.
+  /// stream ended.
   TimeMicros StagedThrough(uint32_t stream_id) const;
+
+  /// ---- arrival progress over every registered stream -----------------
+  /// The minimum StagedThrough, or kNoTime while no stream is registered.
+  /// A stream that never connected, or has not reconnected since a
+  /// restore, has staged nothing and holds it at 0.
+  TimeMicros MinStagedThrough() const;
+  /// True once streams are registered and each has said kBye or lost its
+  /// connection after its hello (a client that died; its StagedThrough
+  /// stays finite). A stream that never connected has not finished.
+  bool AllStreamsFinished() const;
+  /// Events staged on every stream and not yet drained.
+  int64_t TotalStagedEvents() const;
 
   IngestMetrics& metrics() { return metrics_; }
   const IngestMetrics& metrics() const { return metrics_; }
@@ -135,6 +149,8 @@ class IngestGateway {
     bool stalled = false;
     int64_t stall_start_micros = 0;  // wall clock
     bool ended = false;
+    bool greeted = false;  // some connection said hello
+    int connections = 0;   // live connections bound to the stream
     uint64_t last_seq_received = 0;  // highest accepted (0 = none yet)
     uint64_t delivered_seq = 0;      // last seq popped by the engine
     int64_t duplicates = 0;          // replayed frames dropped by dedup
@@ -171,10 +187,6 @@ class NetworkFeed final : public EventFeed {
   void PollUpTo(TimeMicros now, int64_t max_bytes,
                 std::vector<FeedElement>* out) override;
   int64_t generated_events() const override;
-
-  /// Min arrival progress across this feed's streams (see
-  /// IngestGateway::StagedThrough).
-  TimeMicros SafeThrough() const;
 
  private:
   IngestGateway* gateway_;

@@ -3,22 +3,11 @@
 #include <poll.h>
 
 #include <algorithm>
-#include <chrono>
 
 #include "src/common/check.h"
 #include "src/net/socket.h"
 
 namespace klink {
-namespace {
-
-int64_t WallMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             // klink-lint: allow(determinism): idle timeouts of real TCP connections
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 IngestServer::IngestServer(const IngestServerConfig& config,
                            IngestGateway* gateway)
@@ -234,6 +223,7 @@ bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
             open = false;
           } else {
             c.stream_id = frame.stream_id;
+            gateway_->NoteConnection(frame.stream_id, /*open=*/true);
             // HELLO_ACK tells the client where to (re)start: the next
             // acceptable sequence number. On a fresh stream that is 1; on
             // a reconnect (or after a checkpoint restore rewound the
@@ -254,11 +244,7 @@ bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
             const uint32_t stream = static_cast<uint32_t>(c.stream_id);
             gateway_->Flush(stream);
             gateway_->MarkEndOfStream(stream);
-            if (config_.on_stream_end != nullptr) {
-              config_.on_stream_end(stream);
-            }
           }
-          c.stream_id = -1;  // end-of-stream already recorded
           CloseConnection(c);
           open = false;
           break;
@@ -314,6 +300,9 @@ void IngestServer::FailConnection(Connection& c, WireError code,
 void IngestServer::CloseConnection(Connection& c) {
   if (c.stream_id >= 0) {
     gateway_->Flush(static_cast<uint32_t>(c.stream_id));
+    gateway_->NoteConnection(static_cast<uint32_t>(c.stream_id),
+                             /*open=*/false);
+    c.stream_id = -1;
   }
   CloseFd(c.fd);
   c.fd = -1;

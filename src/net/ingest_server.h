@@ -27,11 +27,6 @@ struct IngestServerConfig {
   /// keeps the unknown-stream rejection. Unset (the default) preserves the
   /// closed-world behavior: unknown streams are a client error.
   std::function<bool(uint32_t stream_id)> on_unknown_stream;
-  /// Graceful-detach hook: invoked after a kBye marked `stream_id`'s
-  /// end-of-stream. The owner uses it to drain-detach a tenant once all of
-  /// its streams said goodbye. Abrupt disconnects (no kBye) deliberately
-  /// do not fire it — the client may reconnect and resume.
-  std::function<void(uint32_t stream_id)> on_stream_end;
 };
 
 /// Non-blocking, poll()-based TCP ingest front end. Accepts many client

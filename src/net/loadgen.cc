@@ -12,13 +12,6 @@
 namespace klink {
 namespace {
 
-int64_t WallMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             // klink-lint: allow(determinism): paces real TCP replay against wall time
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Backoff with jitter: sleep a uniform-ish duration in [b/2, b], so a
 /// fleet of clients reconnecting after a server restart doesn't stampede
 /// in lockstep.

@@ -1,0 +1,35 @@
+#ifndef KLINK_NET_SERVE_LOOP_H_
+#define KLINK_NET_SERVE_LOOP_H_
+
+#include <functional>
+
+#include "src/common/types.h"
+
+namespace klink {
+
+class CheckpointCoordinator;
+class Engine;
+class IngestGateway;
+class IngestServer;
+
+/// The listen-mode serve loop: runs `engine` against what a started
+/// `server` stages into `gateway` until virtual time reaches `duration`,
+/// then persists and acks every aligned epoch (`coordinator` may be null)
+/// and stops the server. Each iteration first calls `each_iteration` (may
+/// be null), then advances virtual time or, when it may not advance yet,
+/// delivers durable-epoch acks and polls the sockets.
+///  - lockstep: a cycle runs once the gateway's arrival frontier covers
+///    its end, or once every stream has finished; virtual time holds while
+///    `each_iteration` returns true. Past `duration` the run drains until
+///    no connection is open and nothing is staged or queued (at most 60 s
+///    of virtual time more), so runs of one stream compare over their
+///    complete output.
+///  - real time: virtual time tracks the wall clock; no drain.
+void ServeIngest(Engine* engine, IngestServer* server,
+                 const IngestGateway& gateway,
+                 CheckpointCoordinator* coordinator, TimeMicros duration,
+                 bool lockstep, const std::function<bool()>& each_iteration);
+
+}  // namespace klink
+
+#endif  // KLINK_NET_SERVE_LOOP_H_

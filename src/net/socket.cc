@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 
 namespace klink {
@@ -146,6 +147,13 @@ StatusOr<int64_t> ReadSomeNonBlocking(int fd, uint8_t* buf, size_t len) {
 
 void CloseFd(int fd) {
   if (fd >= 0) ::close(fd);
+}
+
+int64_t WallMicros() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             // klink-lint: allow(determinism): stall/idle timers, replay pacing, real-time serving
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
 }  // namespace klink

@@ -47,6 +47,11 @@ StatusOr<int64_t> ReadSomeNonBlocking(int fd, uint8_t* buf, size_t len);
 
 void CloseFd(int fd);
 
+/// Microseconds on the host's monotonic clock: the one wall-clock read of
+/// the TCP paths (stall and idle timers, replay pacing, and the real-time
+/// serve loop's virtual clock).
+int64_t WallMicros();
+
 }  // namespace klink
 
 #endif  // KLINK_NET_SOCKET_H_

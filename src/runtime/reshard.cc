@@ -1,7 +1,5 @@
 #include "src/runtime/reshard.h"
 
-#include <algorithm>
-
 #include "src/common/check.h"
 #include "src/operators/aggregate_operator.h"
 #include "src/operators/exchange_operator.h"
@@ -39,14 +37,6 @@ bool ReshardController::RequestReshard(QueryId id, int new_count) {
   if (part.pending_shards() != 0 || part.reshard_paused()) return false;
   pending_.push_back(Pending{id, new_count, /*armed=*/false});
   return true;
-}
-
-void ReshardController::EnableHotShardTrigger(double ratio, int cycles) {
-  KLINK_CHECK_GT(ratio, 1.0);
-  KLINK_CHECK_GE(cycles, 1);
-  hot_trigger_ = true;
-  hot_ratio_ = ratio;
-  hot_cycles_ = cycles;
 }
 
 bool ReshardController::Drained(Query& q) {
@@ -113,40 +103,7 @@ void ReshardController::OnCycleEnd(TimeMicros /*now*/) {
     Redistribute(q, p.new_count);
     Partition(q).CompleteReshard();
     ++completed_;
-    hot_streak_.erase(p.id);
     it = pending_.erase(it);
-  }
-
-  if (hot_trigger_) CheckHotShards();
-}
-
-void ReshardController::CheckHotShards() {
-  for (const QueryFabric::LiveQuery& lq : engine_->fabric().live()) {
-    Query& q = *lq.query;
-    if (!q.sharded() || reshard_in_flight(lq.id)) continue;
-    const Query::ShardRegion& region = q.shard_region();
-    const int active = Partition(q).active_shards();
-    if (active >= region.max_shards) continue;
-    int64_t total = 0;
-    int64_t hottest = 0;
-    for (int s = 0; s < active; ++s) {
-      const int64_t queued = q.op(region.shard_begin + s).input().data_count();
-      total += queued;
-      hottest = std::max(hottest, queued);
-    }
-    // Require a real backlog before calling skew: a handful of events
-    // trivially violates any ratio.
-    const double mean =
-        static_cast<double>(total) / static_cast<double>(active);
-    if (total >= 64 && static_cast<double>(hottest) > hot_ratio_ * mean) {
-      if (++hot_streak_[lq.id] >= hot_cycles_) {
-        hot_streak_[lq.id] = 0;
-        RequestReshard(lq.id,
-                       std::min(active * 2, region.max_shards));
-      }
-    } else {
-      hot_streak_[lq.id] = 0;
-    }
   }
 }
 

@@ -2,7 +2,6 @@
 #define KLINK_RUNTIME_RESHARD_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/types.h"
@@ -49,12 +48,6 @@ class ReshardController {
   /// idempotently, e.g. a time trigger re-fired after crash recovery.
   bool RequestReshard(QueryId id, int new_count);
 
-  /// Enables the hot-shard trigger: at each cycle end, any sharded query
-  /// whose most loaded active shard queues more than `ratio` times the
-  /// mean across active shards for `cycles` consecutive cycle ends gets
-  /// its active count doubled (capped at max_shards).
-  void EnableHotShardTrigger(double ratio = 2.0, int cycles = 8);
-
   bool reshard_in_flight(QueryId id) const;
   int64_t completed_reshards() const { return completed_; }
 
@@ -74,17 +67,10 @@ class ReshardController {
   /// True when the partition is paused and every shard input is empty.
   static bool Drained(Query& q);
   static void Redistribute(Query& q, int new_count);
-  void CheckHotShards();
 
   Engine* engine_;
   std::vector<Pending> pending_;
   int64_t completed_ = 0;
-
-  // Hot-shard trigger state.
-  bool hot_trigger_ = false;
-  double hot_ratio_ = 2.0;
-  int hot_cycles_ = 8;
-  std::unordered_map<QueryId, int> hot_streak_;
 };
 
 }  // namespace klink

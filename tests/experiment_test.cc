@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "tests/support/klink_run_process.h"
 
@@ -405,11 +406,48 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"PositionalArgument", "--port=1 extra", "extra"}),
     ParamName<BadInput>);
 
-/// A lockstep TCP run's pinned outcome for one workload and executor.
+/// Spawns a listen-mode klink_run with `args` and feeds it the loadgen
+/// command its banner hints, plus --speed=0 (blast replay, which the
+/// --lockstep server makes deterministic). A loadgen failure kills the
+/// server, which could otherwise wait for its tenants forever, and fails
+/// the test.
+ServerResult ServeHintedBlast(const std::vector<std::string>& args) {
+  ServerProc server = SpawnServer(args);
+  if (server.port == 0) {
+    ADD_FAILURE() << "no listening banner";
+    return WaitServer(server);
+  }
+  // The banner's next line: "  loadgen --port=... --seed=N".
+  char line[512];
+  std::string hint =
+      std::fgets(line, sizeof(line), server.out) != nullptr ? line : "";
+  const size_t at = hint.find("loadgen --port=");
+  if (at == std::string::npos) {
+    KillServer(server);
+    ADD_FAILURE() << "no loadgen hint: " << hint;
+    return ServerResult{};
+  }
+  hint = hint.substr(at + std::string("loadgen").size());
+  hint.erase(hint.find_last_not_of('\n') + 1);
+  const std::string cmd =
+      std::string("timeout 60 ") + LOADGEN_PATH + hint + " --speed=0";
+  std::string out;
+  const int status = RunCommand(cmd, &out);
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    KillServer(server);
+    ADD_FAILURE() << cmd << "\n" << out;
+    return ServerResult{};
+  }
+  return WaitServer(server);
+}
+
+/// A lockstep TCP run's pinned outcome for one workload, executor and
+/// tenant mode.
 struct TcpPin {
   const char* name;
   const char* workload;
   const char* executor;
+  bool dynamic_attach;
   const char* results_hash;
   int64_t results;
 };
@@ -420,48 +458,87 @@ class KlinkRunTcpPinTest : public ::testing::TestWithParam<TcpPin> {};
 // flag the tenants' feeds depend on: fed exactly that command plus
 // --speed=0, the server reproduces its pinned results. This pins LRB and
 // NYT over TCP (the CI release job pins YSB), so the feed recipe of
-// loadgen and the query recipe of klink_run cannot drift apart. Blast
-// replay into --lockstep is deterministic; --expect-tenants=2 holds
-// virtual time until both tenants attach, so a tenant whose replay ends
-// before the other connects cannot end the run early.
+// loadgen and the query recipe of klink_run cannot drift apart. Loadgen
+// connects each tenant on its own thread, so one tenant's replay can end
+// before the other connects. Neither server mode may end the run then: a
+// closed-world server holds virtual time until every registered stream
+// has finished, and a dynamic one until --expect-tenants=2 have attached.
 TEST_P(KlinkRunTcpPinTest, HintedLoadgenReproducesPin) {
   const TcpPin& pin = GetParam();
-  ServerProc server = SpawnServer(
-      {"--listen=0", "--lockstep", "--dynamic-attach", "--expect-tenants=2",
-       "--queries=2", "--rate=300", "--duration=20", "--seed=3",
-       std::string("--workload=") + pin.workload,
-       std::string("--executor=") + pin.executor});
-  ASSERT_NE(server.port, 0) << "no listening banner";
-  // The banner's next line: "  loadgen --port=... --seed=3".
-  char line[512];
-  ASSERT_NE(std::fgets(line, sizeof(line), server.out), nullptr);
-  std::string hint = line;
-  const size_t at = hint.find("loadgen --port=");
-  ASSERT_NE(at, std::string::npos) << hint;
-  hint = hint.substr(at + std::string("loadgen").size());
-  hint.erase(hint.find_last_not_of('\n') + 1);
-  const std::string cmd =
-      std::string("timeout 60 ") + LOADGEN_PATH + hint + " --speed=0";
-  std::string out;
-  const int status = RunCommand(cmd, &out);
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    KillServer(server);  // it would wait for the tenants forever
-    FAIL() << cmd << "\n" << out;
+  std::vector<std::string> args = {
+      "--listen=0", "--lockstep", "--queries=2", "--rate=300",
+      "--duration=20", "--seed=3", std::string("--workload=") + pin.workload,
+      std::string("--executor=") + pin.executor};
+  if (pin.dynamic_attach) {
+    args.push_back("--dynamic-attach");
+    args.push_back("--expect-tenants=2");
   }
-  const ServerResult r = WaitServer(server);
+  const ServerResult r = ServeHintedBlast(args);
+  if (::testing::Test::HasFailure()) return;
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_EQ(r.results_hash, pin.results_hash) << cmd << "\n" << r.output;
+  EXPECT_EQ(r.results_hash, pin.results_hash) << r.output;
   EXPECT_EQ(r.results, pin.results) << r.output;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, KlinkRunTcpPinTest,
     ::testing::Values(
-        TcpPin{"LrbSequential", "lrb", "sequential", "433c848d9337c752", 1003},
-        TcpPin{"LrbThreads", "lrb", "threads", "433c848d9337c752", 1003},
-        TcpPin{"NytSequential", "nyt", "sequential", "6941dd10a77b59bb", 6849},
-        TcpPin{"NytThreads", "nyt", "threads", "6941dd10a77b59bb", 6849}),
+        TcpPin{"LrbSequential", "lrb", "sequential", true, "433c848d9337c752",
+               1003},
+        TcpPin{"LrbThreads", "lrb", "threads", true, "433c848d9337c752", 1003},
+        TcpPin{"NytSequential", "nyt", "sequential", true, "6941dd10a77b59bb",
+               6849},
+        TcpPin{"NytThreads", "nyt", "threads", true, "6941dd10a77b59bb", 6849},
+        TcpPin{"YsbClosedWorldSequential", "ysb", "sequential", false,
+               "0917707864d3479e", 1164},
+        TcpPin{"YsbClosedWorldThreads", "ysb", "threads", false,
+               "0917707864d3479e", 1164}),
     ParamName<TcpPin>);
+
+class KlinkRunRestoreMismatchTest
+    : public ::testing::TestWithParam<BadInput> {};
+
+// A --restore whose run does not build the checkpoint's queries is bad
+// input: exit 2 with a message naming the setting, before the server
+// listens, instead of an abort. The checkpoint is a real one, written by
+// a lockstep run of 3 YSB queries.
+TEST_P(KlinkRunRestoreMismatchTest, ExitsTwoNamingTheSetting) {
+  const std::string dir = MakeTempDir("restore_mismatch");
+  const std::vector<std::string> run = {
+      "--listen=0", "--lockstep", "--rate=300", "--duration=3", "--seed=1",
+      "--checkpoint-interval-ms=500", "--checkpoint-dir=" + dir};
+  std::vector<std::string> written = run;
+  written.push_back("--queries=3");
+  const ServerResult w = ServeHintedBlast(written);
+  if (::testing::Test::HasFailure()) return;
+  ASSERT_EQ(w.exit_code, 0) << w.output;
+  ASSERT_GT(w.durable_epoch, 0u) << w.output;
+
+  std::string cmd = std::string("timeout 10 ") + KLINK_RUN_PATH;
+  for (const std::string& arg : run) cmd += " " + arg;
+  std::string out;
+  const int status =
+      RunCommand(cmd + " --restore " + GetParam().args, &out);
+  ASSERT_TRUE(WIFEXITED(status)) << out;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << out;
+  const size_t at = out.find("--restore: ");
+  ASSERT_NE(at, std::string::npos) << out;
+  EXPECT_NE(out.substr(at, out.find('\n', at) - at).find(GetParam().flag),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("listening on"), std::string::npos) << out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, KlinkRunRestoreMismatchTest,
+    ::testing::Values(
+        // 7 operators per NYT query against YSB's 5.
+        BadInput{"OtherWorkload", "--queries=3 --workload=nyt", "--workload"},
+        BadInput{"FewerQueries", "--queries=2", "--queries"},
+        // Dynamic tenants re-attach by index; index 2 lies outside [0, 2).
+        BadInput{"DynamicTenantOutsideQueries",
+                 "--queries=2 --dynamic-attach", "--queries"}),
+    ParamName<BadInput>);
 
 // A run that completes no window reports that instead of latency 0.000
 // and slowdown 0. This overloaded configuration pins memory at its 16 MB

@@ -1,9 +1,12 @@
 // End-to-end tests of the TCP ingest path over real loopback sockets:
 //
-//  1. Equivalence: a YSB query fed over loadgen -> IngestServer ->
-//     NetworkFeed produces byte-identical results (count, order-sensitive
-//     hash, latencies) to the same query fed by the in-process
-//     SyntheticFeed — the wire protocol and gateway are transparent.
+//  1. Equivalence: YSB queries fed over loadgen -> IngestServer ->
+//     NetworkFeed and served by the lockstep ServeIngest loop produce
+//     byte-identical results (count, order-sensitive hash, latencies) to
+//     the same queries fed their feeds in-process — the wire protocol,
+//     the gateway and the serve loop are transparent, also when a tenant
+//     connects only after another one said goodbye. The real-time loop
+//     ingests a paced replay and returns on time.
 //  2. Backpressure: a blasting client against an undrained gateway keeps
 //     the staging queue bounded by the stream's byte budget; nothing is
 //     lost once the consumer drains.
@@ -26,6 +29,7 @@
 #include "src/net/ingest_gateway.h"
 #include "src/net/ingest_server.h"
 #include "src/net/loadgen.h"
+#include "src/net/serve_loop.h"
 #include "src/net/socket.h"
 #include "src/net/wire.h"
 #include "src/runtime/engine.h"
@@ -50,6 +54,11 @@ YsbConfig TestYsbConfig() {
   return wc;
 }
 
+std::unique_ptr<EventFeed> TestFeed(uint64_t seed) {
+  return MakeYsbFeed(TestYsbConfig(), std::make_unique<ConstantDelay>(0),
+                     seed, /*start_time=*/0);
+}
+
 struct SinkSnapshot {
   int64_t results = 0;
   uint64_t hash = 0;
@@ -63,6 +72,14 @@ SinkSnapshot Snapshot(const Query& query) {
   return {sink.results_received(), sink.results_hash(),
           sink.last_result_time(), sink.swm_latency().count(),
           sink.swm_latency().mean()};
+}
+
+void ExpectSameSink(const SinkSnapshot& got, const SinkSnapshot& expected) {
+  EXPECT_EQ(got.results, expected.results);
+  EXPECT_EQ(got.hash, expected.hash);
+  EXPECT_EQ(got.last_result_time, expected.last_result_time);
+  EXPECT_EQ(got.swm_count, expected.swm_count);
+  EXPECT_DOUBLE_EQ(got.swm_mean, expected.swm_mean);
 }
 
 /// Counts the polls a replay makes of the feed it wraps, and the most
@@ -92,88 +109,129 @@ class CountingFeed final : public EventFeed {
   size_t largest_poll_ = 0;
 };
 
-/// The reference run: engine + SyntheticFeed entirely in-process.
-SinkSnapshot RunInProcess() {
+/// In-process, what a replay through kDuration carries: the test feed of
+/// `seed` cut at kDuration. remaining() counts the elements through
+/// kDuration not yet delivered, as the gateway counts staged ones.
+class ReplayedFeed final : public EventFeed {
+ public:
+  explicit ReplayedFeed(uint64_t seed) : inner_(TestFeed(seed)) {
+    std::vector<FeedElement> all;
+    TestFeed(seed)->PollUpTo(kDuration, std::numeric_limits<int64_t>::max(),
+                             &all);
+    remaining_ = static_cast<int64_t>(all.size());
+  }
+
+  void PollUpTo(TimeMicros now, int64_t max_bytes,
+                std::vector<FeedElement>* out) override {
+    const size_t before = out->size();
+    inner_->PollUpTo(std::min(now, kDuration), max_bytes, out);
+    remaining_ -= static_cast<int64_t>(out->size() - before);
+  }
+  int64_t generated_events() const override {
+    return inner_->generated_events();
+  }
+
+  int64_t remaining() const { return remaining_; }
+
+ private:
+  std::unique_ptr<EventFeed> inner_;
+  int64_t remaining_ = 0;
+};
+
+/// The reference run: one query per seed, each fed in-process what its
+/// replay carries, and drained the way ServeIngest drains a lockstep run —
+/// cycles continue past kDuration until every element has been ingested
+/// and every queue is empty.
+std::vector<SinkSnapshot> RunInProcess(const std::vector<uint64_t>& seeds) {
   Engine engine(TestEngineConfig(),
                 MakePolicy(PolicyKind::kFcfs, KlinkPolicyConfig{}, kSeed));
-  const QueryId id = engine.AddQuery(
-      MakeYsbQuery(0, TestYsbConfig()),
-      MakeYsbFeed(TestYsbConfig(), std::make_unique<ConstantDelay>(0), kSeed,
-                  /*start_time=*/0),
-      /*deploy_time=*/0);
+  std::vector<QueryId> ids;
+  std::vector<const ReplayedFeed*> feeds;
+  for (size_t q = 0; q < seeds.size(); ++q) {
+    auto feed = std::make_unique<ReplayedFeed>(seeds[q]);
+    feeds.push_back(feed.get());
+    ids.push_back(engine.AddQuery(
+        MakeYsbQuery(static_cast<int>(q), TestYsbConfig()), std::move(feed),
+        /*deploy_time=*/0));
+  }
+  const auto pending = [&]() {
+    for (size_t q = 0; q < ids.size(); ++q) {
+      if (feeds[q]->remaining() > 0 ||
+          engine.query(ids[q]).QueuedEvents() > 0) {
+        return true;
+      }
+    }
+    return false;
+  };
   engine.RunUntil(kDuration);
-  return Snapshot(engine.query(id));
+  // The last whole cycle started before kDuration, so the drain has work.
+  EXPECT_TRUE(pending());
+  while (pending()) engine.RunFor(engine.config().cycle_length);
+  std::vector<SinkSnapshot> sinks;
+  for (const QueryId id : ids) sinks.push_back(Snapshot(engine.query(id)));
+  return sinks;
+}
+
+/// Registers query q's one stream and deploys its YSB query, fed from it.
+QueryId AddTenant(Engine* engine, IngestGateway* gateway, int q) {
+  const uint32_t stream = MakeStreamId(q, 0);
+  gateway->RegisterStream(stream, IngestStreamConfig{});
+  return engine->AddQuery(
+      MakeYsbQuery(q, TestYsbConfig()),
+      std::make_unique<NetworkFeed>(gateway, std::vector<uint32_t>{stream}),
+      /*deploy_time=*/0);
+}
+
+/// Replays `feed` through `until` as query q's stream, then says goodbye;
+/// SendBye returns once the server has closed the connection. Returns the
+/// data events sent.
+int64_t Replay(uint16_t port, int q, EventFeed& feed, TimeMicros until,
+               double speed) {
+  LoadgenConnection conn;
+  if (!conn.Connect("127.0.0.1", port, MakeStreamId(q, 0)).ok()) {
+    ADD_FAILURE() << "query " << q << " could not connect";
+    return -1;
+  }
+  ReplayOptions opts;
+  opts.until = until;
+  opts.speed = speed;
+  EXPECT_TRUE(ReplayFeed(feed, {&conn}, opts).ok());
+  return conn.stats().data_events_sent;
 }
 
 TEST(IngestLoopbackTest, TcpIngestMatchesInProcessResults) {
-  const SinkSnapshot expected = RunInProcess();
+  const SinkSnapshot expected = RunInProcess({kSeed})[0];
   ASSERT_GT(expected.results, 0);
   ASSERT_GT(expected.swm_count, 0);
 
   // Networked run: same engine, same query, but the feed arrives over a
-  // real TCP socket from a blasting client thread.
+  // real TCP socket from a blasting client thread, served in lockstep.
   Engine engine(TestEngineConfig(),
                 MakePolicy(PolicyKind::kFcfs, KlinkPolicyConfig{}, kSeed));
   IngestGateway gateway;
-  const uint32_t stream_id = MakeStreamId(0, 0);
-  gateway.RegisterStream(stream_id, IngestStreamConfig{});
-  auto feed = std::make_unique<NetworkFeed>(&gateway,
-                                            std::vector<uint32_t>{stream_id});
-  NetworkFeed* feed_ptr = feed.get();
-  const QueryId id = engine.AddQuery(MakeYsbQuery(0, TestYsbConfig()),
-                                     std::move(feed), /*deploy_time=*/0);
-
+  const QueryId id = AddTenant(&engine, &gateway, 0);
   IngestServer server(IngestServerConfig{}, &gateway);
   ASSERT_TRUE(server.Start().ok());
   const uint16_t port = server.port();
 
   // The identical feed the reference run consumed, replayed unpaced;
   // TCP flow control and the gateway byte budget pace it for us.
-  CountingFeed replay_feed(MakeYsbFeed(TestYsbConfig(),
-                                       std::make_unique<ConstantDelay>(0),
-                                       kSeed, /*start_time=*/0));
-  std::thread client([port, &replay_feed]() {
-    LoadgenConnection conn;
-    ASSERT_TRUE(conn.Connect("127.0.0.1", port, MakeStreamId(0, 0)).ok());
-    ReplayOptions opts;
-    opts.until = kDuration;
-    opts.speed = 0.0;  // blast
-    ASSERT_TRUE(ReplayFeed(replay_feed, {&conn}, opts).ok());
+  CountingFeed replay_feed(TestFeed(kSeed));
+  int64_t sent = 0;
+  std::thread client([&]() {
+    sent = Replay(port, 0, replay_feed, kDuration, /*speed=*/0.0);
   });
-
-  // Lockstep drive: run a cycle only once every element due by its end has
-  // been staged (the client sends in ingestion order, so StagedThrough is
-  // an arrival watermark; kBye lifts it to infinity).
-  const DurationMicros cycle = engine.config().cycle_length;
-  while (engine.now() < kDuration) {
-    const TimeMicros safe = feed_ptr->SafeThrough();
-    if (safe >= kDuration) {
-      // Everything through the end of the run has arrived (kBye lifts the
-      // watermark to infinity): finish exactly like the reference run.
-      engine.RunUntil(kDuration);
-    } else if (engine.now() + cycle <= safe) {
-      engine.RunUntil(engine.now() + cycle);
-    } else {
-      server.PollOnce(/*timeout_ms=*/10);
-    }
-  }
-  // The last slice's elements can reach kDuration before kBye is read.
-  // Serve until the goodbye closes the connection, or the client's SendBye
-  // waits out its drain deadline.
-  while (server.num_connections() > 0) server.PollOnce(/*timeout_ms=*/10);
+  ServeIngest(&engine, &server, gateway, /*coordinator=*/nullptr, kDuration,
+              /*lockstep=*/true, /*each_iteration=*/nullptr);
   client.join();
-  server.Stop();
 
-  const SinkSnapshot got = Snapshot(engine.query(id));
-  EXPECT_EQ(got.results, expected.results);
-  EXPECT_EQ(got.hash, expected.hash);
-  EXPECT_EQ(got.last_result_time, expected.last_result_time);
-  EXPECT_EQ(got.swm_count, expected.swm_count);
-  EXPECT_DOUBLE_EQ(got.swm_mean, expected.swm_mean);
+  ExpectSameSink(Snapshot(engine.query(id)), expected);
 
-  // The wire made the trip: every data event the feed generated was
-  // decoded from TCP frames, none synthesized locally.
-  EXPECT_EQ(gateway.data_events(stream_id), feed_ptr->generated_events());
+  // The wire made the trip: every data event the client sent was decoded
+  // from TCP frames and ingested, none synthesized locally.
+  EXPECT_GT(sent, 0);
+  EXPECT_EQ(gateway.data_events(MakeStreamId(0, 0)), sent);
+  EXPECT_EQ(engine.metrics().ingested_events(), sent);
   EXPECT_GT(gateway.metrics().bytes_read(), 0);
   EXPECT_EQ(gateway.metrics().malformed_frames(), 0);
 
@@ -190,6 +248,78 @@ TEST(IngestLoopbackTest, TcpIngestMatchesInProcessResults) {
       static_cast<size_t>(kBlastSlice / SourceSpec{}.marker_period + 1);
   EXPECT_GT(replay_feed.polls(), 1);
   EXPECT_LE(replay_feed.largest_poll(), slice_elements);
+}
+
+// A closed-world lockstep server waits for every registered stream: a
+// stream that never connected holds virtual time. Tenant 1 connects only
+// after tenant 0's goodbye closed its connection, when no connection is
+// open, and both tenants still compute what they compute in-process.
+TEST(IngestLoopbackTest, LateTenantHoldsVirtualTime) {
+  const std::vector<uint64_t> seeds = {kSeed, kSeed + 1};
+  const std::vector<SinkSnapshot> expected = RunInProcess(seeds);
+  ASSERT_GT(expected[1].results, 0);
+
+  Engine engine(TestEngineConfig(),
+                MakePolicy(PolicyKind::kFcfs, KlinkPolicyConfig{}, kSeed));
+  IngestGateway gateway;
+  const std::vector<QueryId> ids = {AddTenant(&engine, &gateway, 0),
+                                    AddTenant(&engine, &gateway, 1)};
+  IngestServer server(IngestServerConfig{}, &gateway);
+  ASSERT_TRUE(server.Start().ok());
+  const uint16_t port = server.port();
+
+  std::vector<int64_t> sent(seeds.size(), 0);
+  std::thread client([&]() {
+    for (size_t q = 0; q < seeds.size(); ++q) {
+      const std::unique_ptr<EventFeed> feed = TestFeed(seeds[q]);
+      sent[q] = Replay(port, static_cast<int>(q), *feed, kDuration,
+                       /*speed=*/0.0);
+    }
+  });
+  ServeIngest(&engine, &server, gateway, /*coordinator=*/nullptr, kDuration,
+              /*lockstep=*/true, /*each_iteration=*/nullptr);
+  client.join();
+
+  EXPECT_EQ(gateway.metrics().connections_accepted(), 2);
+  for (size_t q = 0; q < seeds.size(); ++q) {
+    SCOPED_TRACE(q);
+    ExpectSameSink(Snapshot(engine.query(ids[q])), expected[q]);
+    EXPECT_EQ(gateway.data_events(MakeStreamId(static_cast<int>(q), 0)),
+              sent[q]);
+  }
+}
+
+// Without lockstep, virtual time tracks the wall clock: the loop returns
+// once its wall budget has passed, give or take a bounded slack, and a
+// paced replay that ends well inside it is ingested whole.
+TEST(IngestLoopbackTest, RealTimeServeIngestsPacedReplay) {
+  constexpr TimeMicros kReplay = SecondsToMicros(1);
+  constexpr TimeMicros kRun = MillisToMicros(1500);
+  Engine engine(TestEngineConfig(),
+                MakePolicy(PolicyKind::kFcfs, KlinkPolicyConfig{}, kSeed));
+  IngestGateway gateway;
+  AddTenant(&engine, &gateway, 0);
+  IngestServer server(IngestServerConfig{}, &gateway);
+  ASSERT_TRUE(server.Start().ok());
+  const uint16_t port = server.port();
+
+  int64_t sent = 0;
+  std::thread client([&]() {
+    const std::unique_ptr<EventFeed> feed = TestFeed(kSeed);
+    sent = Replay(port, 0, *feed, kReplay, /*speed=*/1.0);
+  });
+  const int64_t wall_start = WallMicros();
+  ServeIngest(&engine, &server, gateway, /*coordinator=*/nullptr, kRun,
+              /*lockstep=*/false, /*each_iteration=*/nullptr);
+  const int64_t wall = WallMicros() - wall_start;
+  client.join();
+
+  EXPECT_GE(engine.now(), kRun);
+  EXPECT_GE(wall, kRun);
+  EXPECT_LT(wall, kRun + SecondsToMicros(1));
+  EXPECT_GT(sent, 0);
+  EXPECT_EQ(gateway.data_events(MakeStreamId(0, 0)), sent);
+  EXPECT_EQ(engine.metrics().ingested_events(), sent);
 }
 
 TEST(IngestLoopbackTest, SlowConsumerStaysUnderByteBudget) {

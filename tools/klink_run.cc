@@ -18,11 +18,14 @@
 //             --duration=30 [--ingest-budget-kb=4096] [--lockstep]
 //
 // --lockstep advances virtual time only through prefixes that have fully
-// arrived (per-stream arrival watermarks), making a blast-mode loadgen
-// replay deterministic: the same results on either executor, with or
-// without checkpoints, however loadgen slices its replay. It is not the
-// in-process run of the same flags, which spreads deploys over 20 s and
-// cuts a warm-up, where the listen server deploys every tenant at t=0.
+// arrived on every stream (per-stream arrival watermarks; a stream that
+// has not connected yet holds the clock, so the server waits for every
+// tenant), making a blast-mode loadgen replay deterministic: the same
+// results on either executor, with or without checkpoints, however
+// loadgen slices its replay. It is not the in-process run of the same
+// flags, which spreads deploys over 20 s and cuts a warm-up, where the
+// listen server deploys every tenant at t=0. Both modes run the serve
+// loop ServeIngest (src/net/serve_loop.h).
 //
 // --dynamic-attach turns the closed-world server into a multi-tenant
 // fabric: no queries are deployed up front; the first kHello naming a
@@ -55,16 +58,14 @@
 // windowed join builds no shard region, so --workload=lrb rejects either
 // flag above 1. In listen mode with checkpoints,
 // --reshard=COUNT@SECONDS re-partitions every query's keyed state to
-// COUNT active shards at the first barrier after the given virtual time —
-// while the run keeps going — and --hot-reshard doubles a query's active
-// shards automatically when one shard's backlog stays far above the mean.
-// A per-shard metrics table prints at the end of listen-mode runs.
+// COUNT active shards at the first barrier after the given virtual time,
+// while the run keeps going. A per-shard metrics table prints at the end
+// of listen-mode runs.
 
 #include <sys/stat.h>
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -80,6 +81,7 @@
 #include "src/harness/reporter.h"
 #include "src/net/ingest_gateway.h"
 #include "src/net/ingest_server.h"
+#include "src/net/serve_loop.h"
 #include "src/query/pipeline_builder.h"
 #include "src/runtime/checkpoint.h"
 #include "src/runtime/engine.h"
@@ -122,8 +124,7 @@ int Usage() {
       "                 [--listen=PORT [--ingest-budget-kb=N] [--lockstep]\n"
       "                  [--dynamic-attach [--expect-tenants=N]]\n"
       "                  [--checkpoint-dir=DIR [--checkpoint-interval-ms=N]\n"
-      "                   [--restore] [--reshard=COUNT@SECONDS]\n"
-      "                   [--hot-reshard]]]\n");
+      "                   [--restore] [--reshard=COUNT@SECONDS]]]\n");
   return 2;
 }
 
@@ -137,12 +138,6 @@ Status CheckScaled(const char* name, int64_t value, int64_t scale) {
                                    " is out of range");
   }
   return Status::Ok();
-}
-
-int64_t WallMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 /// Formats the latency and slowdown cells of a results table. With no
@@ -170,9 +165,8 @@ struct CheckpointFlags {
 /// re-shard and restarted with --restore converges to the same state no
 /// matter which protocol step the newest checkpoint captured.
 struct ReshardFlags {
-  int target = 0;          // 0 = no explicit re-shard
-  TimeMicros at = 0;       // virtual trigger time
-  bool hot_trigger = false;  // --hot-reshard: double hot queries' shards
+  int target = 0;     // 0 = no re-shard
+  TimeMicros at = 0;  // virtual trigger time
 };
 
 /// One tenant of the listen-mode server: a query index in
@@ -181,10 +175,6 @@ struct ReshardFlags {
 struct Tenant {
   QueryId id = 0;
   std::vector<uint32_t> streams;
-  /// Streams that have seen kBye; the tenant drain-detaches once all have.
-  std::set<uint32_t> ended;
-  /// All streams ended; detach once the gateway staging drains.
-  bool detach_pending = false;
   bool detached = false;
 };
 
@@ -228,10 +218,9 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
   // Live re-sharding pauses at checkpoint barriers, so the protocol only
   // runs when a coordinator injects them (main insists on one).
   std::unique_ptr<ReshardController> resharder;
-  if (reshard.target > 0 || reshard.hot_trigger) {
+  if (reshard.target > 0) {
     KLINK_CHECK(coordinator != nullptr);
     resharder = std::make_unique<ReshardController>(&engine);
-    if (reshard.hot_trigger) resharder->EnableHotShardTrigger();
     engine.SetReshardController(resharder.get());
   }
 
@@ -273,11 +262,31 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
 
   // Arm barrier checkpoints (and optionally restore) before serving: the
   // gateway's sequence cursors must be rewound before the first client
-  // hello reads them back via HELLO_ACK.
+  // hello reads them back via HELLO_ACK. A checkpoint whose queries this
+  // run does not build is refused (exit 2) before the server listens.
   if (coordinator != nullptr) {
     if (ckpt.restore) {
       LoadedCheckpoint loaded;
       if (LoadLatestCheckpoint(ckpt.dir, &loaded)) {
+        const auto mismatch = [&](const std::string& why) {
+          std::fprintf(stderr, "--restore: checkpoint epoch %llu in %s %s\n",
+                       static_cast<unsigned long long>(loaded.epoch),
+                       ckpt.dir.c_str(), why.c_str());
+          return Usage();
+        };
+        if (!dynamic_attach) {
+          std::set<QueryId> saved, built;
+          for (const LoadedQueryState& qs : loaded.queries) {
+            saved.insert(qs.query_id);
+          }
+          for (const auto& [q, t] : tenants) built.insert(t.id);
+          if (saved != built) {
+            return mismatch("holds " + std::to_string(saved.size()) +
+                            " queries where this run deploys " +
+                            std::to_string(built.size()) +
+                            ": --queries must match the run that wrote it");
+          }
+        }
         for (const LoadedQueryState& qs : loaded.queries) {
           QueryId target = qs.query_id;
           if (dynamic_attach) {
@@ -285,11 +294,26 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
             // index is recoverable from any cursor's stream id. The fresh
             // attach may stamp a different generation than the captured
             // id, so state restores into the new id.
-            KLINK_CHECK(!qs.cursors.empty());
             const int q =
-                static_cast<int>(qs.cursors[0].first / kStreamsPerQuery);
-            KLINK_CHECK(attach_tenant(q));
+                qs.cursors.empty()
+                    ? -1
+                    : static_cast<int>(qs.cursors[0].first / kStreamsPerQuery);
+            if (!attach_tenant(q)) {
+              return mismatch("holds tenant " + std::to_string(q) +
+                              ", which --queries=" +
+                              std::to_string(config.num_queries) +
+                              " cannot attach once");
+            }
             target = tenants.at(q).id;
+          }
+          const int built_ops = engine.query(target).num_operators();
+          if (static_cast<int>(qs.op_blobs.size()) != built_ops) {
+            return mismatch(
+                "holds " + std::to_string(qs.op_blobs.size()) +
+                " operators for a query this run builds with " +
+                std::to_string(built_ops) +
+                ": --workload, --shards and --max-shards must match the "
+                "run that wrote it");
           }
           RestoreQueryState(qs, &engine.query(target));
           for (const auto& [stream_id, seq] : qs.cursors) {
@@ -325,45 +349,8 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
       // of range for this workload; registration truth decides.
       return gateway.HasStream(stream_id);
     };
-    server_config.on_stream_end = [&](uint32_t stream_id) {
-      const int q = static_cast<int>(stream_id / kStreamsPerQuery);
-      const auto it = tenants.find(q);
-      if (it == tenants.end() || it->second.detached) return;
-      Tenant& t = it->second;
-      if (!t.ended.insert(stream_id).second) return;  // repeat kBye
-      if (t.ended.size() < t.streams.size()) return;
-      // Every stream said goodbye. Don't detach yet: the goodbye raced
-      // ahead of virtual time, and elements still staged in the gateway
-      // must ingest first or the tenant's results would cut off at
-      // whatever instant the kBye happened to arrive (wall-clock
-      // dependent). The run loop detaches once staging drains.
-      t.detach_pending = true;
-    };
   }
   IngestServer server(server_config, &gateway);
-  // Detach goodbye'd tenants whose staged elements have all been ingested;
-  // called every run-loop iteration. From here the fabric drain takes
-  // over: queued work — including in-flight checkpoint barriers — keeps
-  // being scheduled until the queues empty, then the query retires.
-  auto sweep_detach = [&]() {
-    for (auto& [q, t] : tenants) {
-      if (!t.detach_pending || t.detached) continue;
-      bool staged_empty = true;
-      for (const uint32_t sid : t.streams) {
-        if (gateway.PeekIngestTime(sid) != kNoTime) {
-          staged_empty = false;
-          break;
-        }
-      }
-      if (!staged_empty) continue;
-      engine.DetachQuery(t.id);
-      t.detached = true;
-      std::printf("tenant %d detached (query id %llu) at t=%.3f s\n", q,
-                  static_cast<unsigned long long>(t.id),
-                  MicrosToSeconds(engine.now()));
-      std::fflush(stdout);
-    }
-  };
   if (const Status s = server.Start(); !s.ok()) {
     std::fprintf(stderr, "listen failed: %s\n", s.ToString().c_str());
     return 1;
@@ -394,12 +381,31 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
   // results_hash over a pipe; flush so they see the line promptly.
   std::fflush(stdout);
 
-  const DurationMicros cycle = config.engine.cycle_length;
-  const int64_t wall_start = WallMicros();
-  while (engine.now() < config.duration) {
-    if (dynamic_attach) sweep_detach();
-    if (resharder != nullptr && reshard.target > 0 &&
-        engine.now() >= reshard.at) {
+  // What the serve loop runs first in every iteration.
+  const auto each_iteration = [&]() {
+    // A dynamic tenant whose streams all said goodbye detaches once its
+    // staged elements have all been ingested: the goodbye races ahead of
+    // virtual time, and detaching earlier would cut the tenant's results
+    // off at whatever instant the kBye happened to arrive. From here the
+    // fabric drain takes over: queued work, including in-flight checkpoint
+    // barriers, keeps being scheduled until the queues empty.
+    for (auto& [q, t] : tenants) {
+      if (!dynamic_attach) break;  // closed-world tenants never detach
+      if (t.detached) continue;
+      const bool drained = std::all_of(
+          t.streams.begin(), t.streams.end(), [&gateway](uint32_t sid) {
+            return gateway.end_of_stream(sid) &&
+                   gateway.PeekIngestTime(sid) == kNoTime;
+          });
+      if (!drained) continue;
+      engine.DetachQuery(t.id);
+      t.detached = true;
+      std::printf("tenant %d detached (query id %llu) at t=%.3f s\n", q,
+                  static_cast<unsigned long long>(t.id),
+                  MicrosToSeconds(engine.now()));
+      std::fflush(stdout);
+    }
+    if (resharder != nullptr && engine.now() >= reshard.at) {
       // Re-request every iteration: RequestReshard refuses (returns false)
       // while a protocol is in flight — including one adopted from a
       // restored checkpoint — and once the query runs at the target, so
@@ -408,104 +414,14 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
         if (!t.detached) resharder->RequestReshard(t.id, reshard.target);
       }
     }
-    if (lockstep) {
-      // Run only through prefixes every live tenant's streams have fully
-      // delivered, so results are independent of network timing. Once all
-      // clients are gone (finished or died), drain whatever arrived.
-      TimeMicros safe = std::numeric_limits<TimeMicros>::max();
-      bool any_live_stream = false;
-      for (const auto& [q, t] : tenants) {
-        if (t.detached) continue;
-        for (const uint32_t sid : t.streams) {
-          safe = std::min(safe, gateway.StagedThrough(sid));
-          any_live_stream = true;
-        }
-      }
-      // --expect-tenants keeps a blast-mode churn run deterministic: until
-      // that many tenants have attached, the server neither declares the
-      // clients gone nor runs ahead to the end of the run — it holds
-      // virtual time and keeps serving, so a delayed tenant's hello still
-      // lands inside the run no matter how fast the others blasted.
-      const bool all_expected =
-          static_cast<int>(tenants.size()) >= expect_tenants;
-      const bool clients_done = all_expected &&
-                                gateway.metrics().connections_accepted() >
-                                    0 &&
-                                server.num_connections() == 0;
-      if (clients_done) {
-        safe = std::numeric_limits<TimeMicros>::max();
-      } else if (!all_expected || !any_live_stream) {
-        // Expected tenants still missing, or dynamic mode before the
-        // first tenant (or between tenants): arrival progress isn't fully
-        // bounded yet, so hold virtual time and poll.
-        safe = engine.now();
-      }
-      if (safe >= config.duration) {
-        // Final drain, still a cycle per iteration: the detach sweep must
-        // keep running so a tenant whose goodbye arrived just before the
-        // clients finished retires as soon as its queues drain, not at
-        // end-of-run. (RunUntil runs whole cycles either way, so chunking
-        // the advance does not change what executes.)
-        engine.RunUntil(std::min(config.duration, engine.now() + cycle));
-        continue;
-      }
-      if (engine.now() + cycle <= safe) {
-        engine.RunUntil(engine.now() + cycle);
-        continue;
-      }
-      if (coordinator != nullptr) coordinator->DeliverDurableEpochs();
-      server.PollOnce(10);
-    } else {
-      // Real time: virtual now tracks the wall clock, so delayed and
-      // out-of-order TCP arrivals are genuinely late for the scheduler.
-      const TimeMicros elapsed = WallMicros() - wall_start;
-      if (elapsed >= config.duration) {
-        engine.RunUntil(config.duration);  // final (possibly partial) step
-        continue;
-      }
-      if (engine.now() + cycle <= elapsed) {
-        engine.RunUntil(elapsed);
-        continue;
-      }
-      if (coordinator != nullptr) coordinator->DeliverDurableEpochs();
-      server.PollOnce(
-          static_cast<int>((cycle - (elapsed - engine.now())) / 1000 + 1));
-    }
-  }
-  // Lockstep runs drain to empty before reporting. Two runs of the same
-  // stream compare byte-identically only over their complete output: a
-  // crash + --restore, or a re-shard pausing at a different barrier,
-  // legitimately shifts WHEN queued work is absorbed, so cutting the run
-  // at a fixed virtual time would fingerprint whatever tail each run
-  // happened not to have drained yet.
-  if (lockstep) {
-    const TimeMicros drain_deadline = engine.now() + SecondsToMicros(60);
-    // Count gateway-staged events alongside engine queues: a delayed tail
-    // (ingest_time past the current virtual now) is otherwise cut off the
-    // moment the engine queues happen to empty, fingerprinting the run.
-    const auto pending_total = [&tenants, &engine, &gateway]() {
-      int64_t total = 0;
-      for (const auto& [q, t] : tenants) {
-        if (t.detached) continue;
-        total += engine.query(t.id).QueuedEvents();
-        for (const uint32_t sid : t.streams) {
-          total += gateway.staged_events(sid);
-        }
-      }
-      return total;
-    };
-    while ((server.num_connections() > 0 || pending_total() > 0) &&
-           engine.now() < drain_deadline) {
-      if (dynamic_attach) sweep_detach();
-      // Paced clients may still be flushing their post-duration delay
-      // tail; keep reading so it lands in the drain instead of in flight.
-      if (server.num_connections() > 0) server.PollOnce(0);
-      engine.RunUntil(engine.now() + cycle);
-    }
-  }
-  // Persist and ack every aligned epoch while the server can still send.
-  if (coordinator != nullptr) coordinator->Flush();
-  server.Stop();
+    // --expect-tenants keeps a blast-mode churn run deterministic: until
+    // that many tenants have attached, virtual time holds, so a delayed
+    // tenant's hello still lands inside the run however fast the others
+    // blasted.
+    return static_cast<int>(tenants.size()) < expect_tenants;
+  };
+  ServeIngest(&engine, &server, gateway, coordinator.get(), config.duration,
+              lockstep, each_iteration);
 
   const Histogram latency = engine.AggregateSwmLatency();
   const WindowCell cell{latency.count() > 0};
@@ -589,8 +505,7 @@ int main(int argc, char** argv) {
            "allowed-lateness-ms", "warmup", "cores", "memory-mb", "executor",
            "confidence", "seed", "csv", "shards", "max-shards", "listen",
            "ingest-budget-kb", "lockstep", "dynamic-attach", "expect-tenants",
-           "checkpoint-dir", "checkpoint-interval-ms", "restore", "reshard",
-           "hot-reshard"});
+           "checkpoint-dir", "checkpoint-interval-ms", "restore", "reshard"});
       !st.ok()) {
     return reject(st.message());
   }
@@ -619,7 +534,6 @@ int main(int argc, char** argv) {
   int64_t duration_s = 0, warmup_s = 0, memory_mb = 0, seed = 0;
   int64_t lateness_ms = 0;
   bool lockstep = false, dynamic_attach = false, restore = false;
-  bool hot_reshard = false;
   for (const Status& st :
        {flags.GetInt("queries", 20, &config.num_queries),
         flags.GetDouble("rate", 1000.0, &config.events_per_second),
@@ -635,7 +549,6 @@ int main(int argc, char** argv) {
         flags.GetBool("lockstep", false, &lockstep),
         flags.GetBool("dynamic-attach", false, &dynamic_attach),
         flags.GetBool("restore", false, &restore),
-        flags.GetBool("hot-reshard", false, &hot_reshard),
         CheckScaled("duration", duration_s, SecondsToMicros(1)),
         CheckScaled("warmup", warmup_s, SecondsToMicros(1)),
         CheckScaled("memory-mb", memory_mb, int64_t{1} << 20),
@@ -647,8 +560,7 @@ int main(int argc, char** argv) {
   if (!flags.Has("listen")) {
     for (const char* name :
          {"ingest-budget-kb", "lockstep", "dynamic-attach", "expect-tenants",
-          "checkpoint-dir", "checkpoint-interval-ms", "restore", "reshard",
-          "hot-reshard"}) {
+          "checkpoint-dir", "checkpoint-interval-ms", "restore", "reshard"}) {
       if (flags.Has(name)) {
         return reject(std::string("--") + name + " requires --listen");
       }
@@ -730,7 +642,6 @@ int main(int argc, char** argv) {
     ckpt.interval = MillisToMicros(interval_ms);
     ckpt.restore = restore;
     ReshardFlags reshard;
-    reshard.hot_trigger = hot_reshard;
     const std::string reshard_spec = flags.GetString("reshard", "");
     if (!reshard_spec.empty()) {
       const size_t at = reshard_spec.find('@');
@@ -762,8 +673,8 @@ int main(int argc, char** argv) {
     if (ckpt.dir.empty() && ckpt.restore) {
       return reject("--restore requires --checkpoint-dir");
     }
-    if (ckpt.dir.empty() && (reshard.target > 0 || reshard.hot_trigger)) {
-      return reject("--reshard/--hot-reshard require --checkpoint-dir");
+    if (ckpt.dir.empty() && reshard.target > 0) {
+      return reject("--reshard requires --checkpoint-dir");
     }
     if (!ckpt.dir.empty()) {
       // Create the directory (not its parents) and insist on a directory,
