@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/little_endian.h"
+
 namespace klink {
 
 /// FNV-1a over a byte range. Used for checkpoint manifest integrity and by
@@ -60,9 +62,7 @@ class StateWriter {
   template <typename T>
   void PutLittleEndian(T v) {
     uint8_t bytes[sizeof(T)];
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      bytes[i] = static_cast<uint8_t>(v >> (8 * i));
-    }
+    StoreLittleEndian(v, bytes);
     buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
   }
 
@@ -84,27 +84,9 @@ class StateReader {
     return data_[off_++];
   }
 
-  uint32_t GetU32() {
-    if (!Need(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(data_[off_ + static_cast<size_t>(i)])
-           << (8 * i);
-    }
-    off_ += 4;
-    return v;
-  }
+  uint32_t GetU32() { return GetLittleEndian<uint32_t>(); }
 
-  uint64_t GetU64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(data_[off_ + static_cast<size_t>(i)])
-           << (8 * i);
-    }
-    off_ += 8;
-    return v;
-  }
+  uint64_t GetU64() { return GetLittleEndian<uint64_t>(); }
 
   int64_t GetI64() { return static_cast<int64_t>(GetU64()); }
 
@@ -138,6 +120,14 @@ class StateReader {
   void Fail() { ok_ = false; }
 
  private:
+  template <typename T>
+  T GetLittleEndian() {
+    if (!Need(sizeof(T))) return 0;
+    const T v = LoadLittleEndian<T>(data_ + off_);
+    off_ += sizeof(T);
+    return v;
+  }
+
   bool Need(uint64_t n) {
     if (!ok_ || n > len_ - off_) {
       ok_ = false;

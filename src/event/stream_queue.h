@@ -51,6 +51,12 @@ class StreamQueue {
   /// min(max_n, size()).
   int64_t PopBatch(Event* out, int64_t max_n);
 
+  /// Removes front elements in order while `take(e)` returns true, with
+  /// one accounting update; `take` copies what it keeps, and the first
+  /// element it refuses stays at the front. Returns the number removed.
+  template <typename Take>
+  int64_t PopWhile(Take&& take);
+
   /// Returns the front element without removing it. Requires !empty().
   const Event& Front() const;
 
@@ -121,6 +127,26 @@ class StreamQueue {
   /// Ingest time of the front element, kNoTime when empty.
   TimeMicros front_ingest_ = kNoTime;
 };
+
+template <typename Take>
+int64_t StreamQueue::PopWhile(Take&& take) {
+  int64_t n = 0;
+  int64_t delta = 0;
+  int64_t data = 0;
+  while (n < size_) {
+    const Event& e = chunks_[chunk_head_]->events[head_];
+    if (!take(e)) break;
+    delta += e.payload_bytes + kPerEventOverhead;
+    data += e.is_keyed_element() ? 1 : 0;
+    ++n;
+    if (++head_ == kChunkEvents) RecycleFrontChunk();
+  }
+  size_ -= n;
+  bytes_ -= delta;
+  data_count_ -= data;
+  ReloadFrontIngest();
+  return n;
+}
 
 }  // namespace klink
 

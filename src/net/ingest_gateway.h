@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.h"
@@ -38,12 +39,17 @@ struct IngestStreamConfig {
 /// path via PushBatch and drained by a NetworkFeed on the engine side.
 ///
 /// Credit-based backpressure (DESIGN.md "Network ingest"): the server asks
-/// HasCredit() before decoding each element frame; when the staging queue
-/// is over budget the connection is paused — its socket is no longer
+/// Stream::HasCredit() before staging each element frame; when the staging
+/// queue is over budget the connection is paused — its socket is no longer
 /// polled for reads, so TCP flow control pushes back to the client — and
 /// resumes via TryResume() once the engine drains the queue below the
 /// resume threshold. A slow query therefore bounds its ingest memory at
 /// byte_budget instead of OOMing the engine.
+///
+/// Per-frame work makes no lookup: the server resolves a connection's
+/// Stream once per socket read and NetworkFeed its streams once at
+/// construction; the per-stream calls below by id are for once-per-read
+/// and control paths.
 ///
 /// Single-threaded by design: the server poll loop and the engine cycle
 /// loop run on the same thread (sockets, not threads, provide asynchrony).
@@ -54,11 +60,6 @@ class IngestGateway {
   IngestGateway(const IngestGateway&) = delete;
   IngestGateway& operator=(const IngestGateway&) = delete;
 
-  /// Registers a stream before serving. Stream ids are dense small
-  /// integers by convention (MakeStreamId) but any uint32 works.
-  void RegisterStream(uint32_t stream_id, const IngestStreamConfig& config);
-  bool HasStream(uint32_t stream_id) const;
-
   /// Verdict on an element frame's per-stream sequence number.
   enum class SeqDecision {
     kAccept,     ///< next expected: stage it
@@ -66,18 +67,95 @@ class IngestGateway {
     kGap,        ///< skipped ahead: protocol violation, fail the connection
   };
 
-  /// ---- decode path (called by IngestServer) --------------------------
-  /// True while the stream's staged + scratch bytes are under budget.
-  bool HasCredit(uint32_t stream_id) const;
-  /// Admits or rejects an element frame by its sequence number. Seqs are
-  /// client-assigned, contiguous from 1 per stream; after a reconnect the
-  /// client replays its unacked tail, so overlaps are expected (dropped as
-  /// duplicates) while gaps can only mean a broken client.
-  SeqDecision AcceptSeq(uint32_t stream_id, uint64_t seq);
-  /// Stages one decoded element (into the scratch run; Flush commits).
-  void Deliver(uint32_t stream_id, const Event& e);
+  /// One registered stream: its staging queue, the scratch run the decode
+  /// path fills, and its exactly-once cursors. An entry keeps its address
+  /// for the gateway's lifetime, also while other streams register (the
+  /// dynamic-attach hook registers one in the middle of a decode), so a
+  /// caller may hold it across frames and reads.
+  class Stream {
+   public:
+    /// ---- decode path (IngestServer, per element frame) ---------------
+    /// True while the staged + scratch bytes are under budget.
+    bool HasCredit() const {
+      return staged_.bytes() + scratch_bytes_ < config_.byte_budget;
+    }
+    /// Admits or rejects an element frame by its sequence number. Seqs are
+    /// client-assigned, contiguous from 1 per stream; after a reconnect the
+    /// client replays its unacked tail, so overlaps are expected (dropped
+    /// as duplicates) while gaps can only mean a broken client.
+    SeqDecision AcceptSeq(uint64_t seq) {
+      if (seq == last_seq_received_ + 1) {
+        last_seq_received_ = seq;
+        return SeqDecision::kAccept;
+      }
+      if (seq <= last_seq_received_) {
+        ++duplicates_;
+        return SeqDecision::kDuplicate;
+      }
+      return SeqDecision::kGap;
+    }
+    /// Stages one decoded element, `wire_bytes` long on the wire, into the
+    /// scratch run. IngestGateway::Flush commits the run and adds its
+    /// frames to the metrics.
+    void Deliver(const Event& e, int64_t wire_bytes) {
+      scratch_.push_back(e);
+      scratch_bytes_ += e.payload_bytes + StreamQueue::kPerEventOverhead;
+      scratch_wire_bytes_ += wire_bytes;
+      scratch_data_events_ += e.is_data() ? 1 : 0;
+    }
+
+    /// ---- drain path (NetworkFeed, on the engine thread) --------------
+    /// Ingest time of the oldest staged element, or kNoTime when empty.
+    TimeMicros OldestIngestTime() const { return staged_.OldestIngestTime(); }
+    /// Hands staged elements to the engine from the front while `take`
+    /// accepts them (StreamQueue::PopWhile), advancing delivered_seq.
+    template <typename Take>
+    void PopWhile(Take&& take) {
+      // Seqs are contiguous and every accepted element passes through the
+      // staging queue exactly once, so the delivered cursor is a count.
+      delivered_seq_ +=
+          static_cast<uint64_t>(staged_.PopWhile(std::forward<Take>(take)));
+      Audit();
+    }
+
+   private:
+    friend class IngestGateway;
+
+    /// KLINK_AUDIT=1: cross-checks the staging accounting (ring buffer
+    /// bytes vs full recompute, scratch-run bytes) at commit and drain
+    /// boundaries. No-op when auditing is off.
+    void Audit() const;
+
+    IngestStreamConfig config_;
+    bool audit_ = false;  // KLINK_AUDIT, sampled by the gateway
+    StreamQueue staged_;
+    std::vector<Event> scratch_;  // decoded, not yet committed
+    int64_t scratch_bytes_ = 0;   // staging cost of scratch_
+    int64_t scratch_wire_bytes_ = 0;
+    int64_t scratch_data_events_ = 0;
+    TimeMicros staged_through_ = 0;
+    bool stalled_ = false;
+    int64_t stall_start_micros_ = 0;  // wall clock
+    bool ended_ = false;
+    bool greeted_ = false;  // some connection said hello
+    int connections_ = 0;   // live connections bound to the stream
+    uint64_t last_seq_received_ = 0;  // highest accepted (0 = none yet)
+    uint64_t delivered_seq_ = 0;      // last seq popped by the engine
+    int64_t duplicates_ = 0;          // replayed frames dropped by dedup
+  };
+
+  /// Registers a stream before serving. Stream ids are dense small
+  /// integers by convention (MakeStreamId) but any uint32 works.
+  void RegisterStream(uint32_t stream_id, const IngestStreamConfig& config);
+  bool HasStream(uint32_t stream_id) const;
+  /// The registered stream `stream_id` (checked).
+  Stream& GetStream(uint32_t stream_id);
+  const Stream& GetStream(uint32_t stream_id) const;
+
+  /// ---- decode path (called by IngestServer, once per read) -----------
   /// Commits the scratch run into the staging ring buffer with one
-  /// PushBatch, and advances the stream's arrival watermark.
+  /// PushBatch, adds its frames to the metrics, and advances the stream's
+  /// arrival watermark.
   void Flush(uint32_t stream_id);
   /// Records that the stream's connection was paused for lack of credit.
   void NoteStall(uint32_t stream_id);
@@ -90,10 +168,10 @@ class IngestGateway {
   /// connection closed, after kBye or abruptly.
   void NoteConnection(uint32_t stream_id, bool open);
 
-  /// ---- drain path (called by NetworkFeed on the engine thread) -------
+  /// ---- inspection (tools and tests) ----------------------------------
   /// Ingest time of the oldest staged element, or kNoTime when empty.
   TimeMicros PeekIngestTime(uint32_t stream_id) const;
-  const Event& Front(uint32_t stream_id) const;
+  /// Removes the oldest staged element, as NetworkFeed would deliver it.
   Event Pop(uint32_t stream_id);
 
   int64_t staged_bytes(uint32_t stream_id) const;
@@ -107,7 +185,7 @@ class IngestGateway {
   /// ---- exactly-once bookkeeping --------------------------------------
   /// Highest sequence number accepted from the stream's connection.
   uint64_t last_seq_received(uint32_t stream_id) const;
-  /// Sequence number of the last element handed to the engine via Pop().
+  /// Sequence number of the last element handed to the engine.
   /// Sampled by the checkpoint coordinator at barrier injection: it is the
   /// stream's replay cursor (everything <= it is pre-barrier).
   uint64_t delivered_seq(uint32_t stream_id) const;
@@ -140,31 +218,7 @@ class IngestGateway {
   const IngestMetrics& metrics() const { return metrics_; }
 
  private:
-  struct Stream {
-    IngestStreamConfig config;
-    StreamQueue staged;
-    std::vector<Event> scratch;  // decoded, not yet committed
-    int64_t scratch_bytes = 0;
-    TimeMicros staged_through = 0;
-    bool stalled = false;
-    int64_t stall_start_micros = 0;  // wall clock
-    bool ended = false;
-    bool greeted = false;  // some connection said hello
-    int connections = 0;   // live connections bound to the stream
-    uint64_t last_seq_received = 0;  // highest accepted (0 = none yet)
-    uint64_t delivered_seq = 0;      // last seq popped by the engine
-    int64_t duplicates = 0;          // replayed frames dropped by dedup
-  };
-
-  Stream& GetStream(uint32_t stream_id);
-  const Stream& GetStream(uint32_t stream_id) const;
-
-  /// KLINK_AUDIT=1: cross-checks one stream's staging accounting (ring
-  /// buffer bytes vs full recompute, scratch-run bytes, credit/stall
-  /// consistency, arrival-watermark monotonicity) at commit and drain
-  /// boundaries. No-op when auditing is off.
-  void AuditStream(const Stream& s) const;
-
+  /// std::map: entries never move, which Stream's contract relies on.
   std::map<uint32_t, Stream> streams_;
   IngestMetrics metrics_;
   /// Sampled from KLINK_AUDIT once at construction (see runtime/audit.h).
@@ -190,7 +244,9 @@ class NetworkFeed final : public EventFeed {
 
  private:
   IngestGateway* gateway_;
-  std::vector<uint32_t> streams_;
+  std::vector<uint32_t> stream_ids_;
+  /// stream_ids_ resolved at construction: the drain makes no lookup.
+  std::vector<IngestGateway::Stream*> streams_;
 };
 
 }  // namespace klink

@@ -1,7 +1,5 @@
 #include "src/net/ingest_server.h"
 
-#include <poll.h>
-
 #include <algorithm>
 
 #include "src/common/check.h"
@@ -9,16 +7,23 @@
 
 namespace klink {
 
+namespace {
+
+// Max bytes read from one connection per poll iteration (fairness, and a
+// bound on per-connection buffering).
+constexpr size_t kReadChunkBytes = 64 * 1024;
+static_assert(kReadChunkBytes > kWireHeaderLen);
+// The longest valid frame, an error frame with the longest message. A
+// connection that is read (not paused) holds less than this undecoded.
+constexpr size_t kMaxFrameBytes = kWireHeaderLen + 2 + kMaxErrorMessageLen;
+
+}  // namespace
+
 IngestServer::IngestServer(const IngestServerConfig& config,
                            IngestGateway* gateway)
     : config_(config), gateway_(gateway) {
   KLINK_CHECK(gateway_ != nullptr);
   KLINK_CHECK_GE(config_.idle_timeout_ms, 0);
-  // Max bytes read from one connection per poll iteration (fairness, and
-  // a bound on per-connection buffering).
-  constexpr size_t kReadChunkBytes = 64 * 1024;
-  static_assert(kReadChunkBytes > kWireHeaderLen);
-  read_scratch_.resize(kReadChunkBytes);
 }
 
 IngestServer::~IngestServer() { Stop(); }
@@ -57,33 +62,32 @@ int64_t IngestServer::PollOnce(int timeout_ms) {
     ++i;
   }
 
-  std::vector<pollfd> fds;
-  fds.reserve(conns_.size() + 1);
-  fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-  std::vector<size_t> fd_conn;  // fds[i + 1] -> conns_[fd_conn[i]]
+  poll_fds_.clear();
+  poll_conns_.clear();
+  poll_fds_.push_back(pollfd{listen_fd_, POLLIN, 0});
   for (size_t i = 0; i < conns_.size(); ++i) {
     if (conns_[i].paused) continue;
-    fds.push_back(pollfd{conns_[i].fd, POLLIN, 0});
-    fd_conn.push_back(i);
+    poll_fds_.push_back(pollfd{conns_[i].fd, POLLIN, 0});
+    poll_conns_.push_back(i);
   }
 
-  const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                        timeout_ms);
+  const int rc = ::poll(poll_fds_.data(),
+                        static_cast<nfds_t>(poll_fds_.size()), timeout_ms);
   if (rc < 0) return delivered;  // EINTR: retry next iteration
 
-  if ((fds[0].revents & POLLIN) != 0) AcceptPending();
+  if ((poll_fds_[0].revents & POLLIN) != 0) AcceptPending();
 
-  std::vector<size_t> to_close;
-  for (size_t i = 0; i < fd_conn.size(); ++i) {
-    const short ev = fds[i + 1].revents;
+  to_close_.clear();
+  for (size_t i = 0; i < poll_conns_.size(); ++i) {
+    const short ev = poll_fds_[i + 1].revents;
     if ((ev & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-    Connection& c = conns_[fd_conn[i]];
-    if (!ReadAndDecode(c, &delivered)) to_close.push_back(fd_conn[i]);
+    Connection& c = conns_[poll_conns_[i]];
+    if (!ReadAndDecode(c, &delivered)) to_close_.push_back(poll_conns_[i]);
   }
-  // Erase closed connections back-to-front so indices stay valid.
-  std::sort(to_close.begin(), to_close.end());
-  for (size_t i = to_close.size(); i > 0; --i) {
-    conns_.erase(conns_.begin() + static_cast<ptrdiff_t>(to_close[i - 1]));
+  // Erase closed connections back-to-front so indices stay valid
+  // (poll_conns_ is ascending, so to_close_ is too).
+  for (size_t i = to_close_.size(); i > 0; --i) {
+    conns_.erase(conns_.begin() + static_cast<ptrdiff_t>(to_close_[i - 1]));
   }
 
   if (config_.idle_timeout_ms > 0) {
@@ -125,8 +129,13 @@ void IngestServer::AcceptPending() {
 }
 
 bool IngestServer::ReadAndDecode(Connection& c, int64_t* delivered) {
+  // Receive straight into the buffer's tail. Sized for one read behind a
+  // partial frame, the buffer is allocated (and zero-filled) once.
+  if (c.buf.size() < c.end + kReadChunkBytes) {
+    c.buf.resize(c.end + kReadChunkBytes + kMaxFrameBytes);
+  }
   const StatusOr<int64_t> n =
-      ReadSome(c.fd, read_scratch_.data(), read_scratch_.size());
+      ReadSome(c.fd, c.buf.data() + c.end, kReadChunkBytes);
   if (!n.ok()) {
     CloseConnection(c);
     return false;
@@ -140,19 +149,26 @@ bool IngestServer::ReadAndDecode(Connection& c, int64_t* delivered) {
   }
   c.last_activity_micros = WallMicros();
   gateway_->metrics().AddBytesRead(n.value());
-  c.buf.insert(c.buf.end(), read_scratch_.begin(),
-               read_scratch_.begin() + static_cast<ptrdiff_t>(n.value()));
+  c.end += static_cast<size_t>(n.value());
   return DecodeBuffered(c, delivered);
 }
 
 bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
+  // The connection's gateway stream, resolved once per call (or by the
+  // hello below): frames make no lookup. Gateway entries keep their
+  // address while the dynamic-attach hook registers other streams.
+  IngestGateway::Stream* stream =
+      c.stream_id < 0
+          ? nullptr
+          : &gateway_->GetStream(static_cast<uint32_t>(c.stream_id));
+  // Reused across frames: each decode writes the fields of its type.
+  Frame frame;
+  int64_t staged = 0;
   bool open = true;
   while (open && !c.paused) {
-    Frame frame;
     size_t consumed = 0;
-    const DecodeResult r = DecodeFrame(c.buf.data() + c.off,
-                                       c.buf.size() - c.off, &frame,
-                                       &consumed);
+    const DecodeResult r = DecodeFrame(c.buf.data() + c.off, c.end - c.off,
+                                       &frame, &consumed);
     if (r == DecodeResult::kNeedMore) break;
     if (r == DecodeResult::kVersionMismatch) {
       // Version skew (e.g. a v1 client against this v2 server) draws a
@@ -171,28 +187,24 @@ bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
       break;
     }
     if (IsElementFrame(frame.type)) {
-      if (c.stream_id < 0) {
+      if (stream == nullptr) {
         FailConnection(c, WireError::kProtocolViolation,
                        "element frame before hello");
         open = false;
         break;
       }
-      const uint32_t stream = static_cast<uint32_t>(c.stream_id);
-      if (!gateway_->HasCredit(stream)) {
+      if (!stream->HasCredit()) {
         // Out of credit: leave the frame in the buffer and stop reading
         // this socket until the engine drains the staging queue.
-        gateway_->Flush(stream);
-        gateway_->NoteStall(stream);
+        gateway_->Flush(static_cast<uint32_t>(c.stream_id));
+        gateway_->NoteStall(static_cast<uint32_t>(c.stream_id));
         c.paused = true;
         break;
       }
-      switch (gateway_->AcceptSeq(stream, frame.seq)) {
+      switch (stream->AcceptSeq(frame.seq)) {
         case IngestGateway::SeqDecision::kAccept:
-          gateway_->Deliver(stream, frame.event);
-          gateway_->metrics().AddFrame(stream,
-                                       static_cast<int64_t>(consumed),
-                                       frame.event.is_data());
-          ++*delivered;
+          stream->Deliver(frame.event, static_cast<int64_t>(consumed));
+          ++staged;
           break;
         case IngestGateway::SeqDecision::kDuplicate:
           // Replay overlap after a client reconnect: already staged (and
@@ -223,6 +235,7 @@ bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
             open = false;
           } else {
             c.stream_id = frame.stream_id;
+            stream = &gateway_->GetStream(frame.stream_id);
             gateway_->NoteConnection(frame.stream_id, /*open=*/true);
             // HELLO_ACK tells the client where to (re)start: the next
             // acceptable sequence number. On a fresh stream that is 1; on
@@ -241,9 +254,9 @@ bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
           break;
         case FrameType::kBye:
           if (c.stream_id >= 0) {
-            const uint32_t stream = static_cast<uint32_t>(c.stream_id);
-            gateway_->Flush(stream);
-            gateway_->MarkEndOfStream(stream);
+            const uint32_t id = static_cast<uint32_t>(c.stream_id);
+            gateway_->Flush(id);
+            gateway_->MarkEndOfStream(id);
           }
           CloseConnection(c);
           open = false;
@@ -268,10 +281,13 @@ bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
     if (!open) break;
     c.off += consumed;
   }
+  // Every exit commits the staged run with its frame counts: here, or in
+  // the pause branch, or in CloseConnection.
   if (open && c.stream_id >= 0) {
     gateway_->Flush(static_cast<uint32_t>(c.stream_id));
   }
   if (open) CompactBuffer(c);
+  *delivered += staged;
   return open;
 }
 
@@ -311,11 +327,9 @@ void IngestServer::CloseConnection(Connection& c) {
 
 void IngestServer::CompactBuffer(Connection& c) {
   if (c.off == 0) return;
-  if (c.off == c.buf.size()) {
-    c.buf.clear();
-  } else {
-    c.buf.erase(c.buf.begin(), c.buf.begin() + static_cast<ptrdiff_t>(c.off));
-  }
+  std::copy(c.buf.begin() + static_cast<ptrdiff_t>(c.off),
+            c.buf.begin() + static_cast<ptrdiff_t>(c.end), c.buf.begin());
+  c.end -= c.off;
   c.off = 0;
 }
 

@@ -1,6 +1,8 @@
 #ifndef KLINK_NET_INGEST_SERVER_H_
 #define KLINK_NET_INGEST_SERVER_H_
 
+#include <poll.h>
+
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -32,7 +34,11 @@ struct IngestServerConfig {
 /// Non-blocking, poll()-based TCP ingest front end. Accepts many client
 /// connections; the first frame on each must be kHello binding it to a
 /// registered gateway stream, after which element frames are decoded and
-/// staged through the IngestGateway.
+/// staged through the IngestGateway. Each socket read lands in the tail of
+/// the connection's buffer, and its frames are staged through the
+/// connection's gateway Stream, resolved once per read: credit and the
+/// sequence number are checked frame by frame, and the frame counters are
+/// committed with the staged run.
 ///
 /// Single-threaded: the owner calls PollOnce() from the engine loop; all
 /// asynchrony lives in the kernel's socket buffers. Robustness: a
@@ -78,8 +84,12 @@ class IngestServer {
  private:
   struct Connection {
     int fd = -1;
-    std::vector<uint8_t> buf;  // undecoded bytes (after compaction)
-    size_t off = 0;            // consumed prefix of buf
+    /// Receive buffer: buf[off, end) is read and not yet decoded. Reads
+    /// land at `end`; a connection that is read holds at most a partial
+    /// frame between reads, so buf stays one read and one frame long.
+    std::vector<uint8_t> buf;
+    size_t off = 0;
+    size_t end = 0;
     int64_t stream_id = -1;    // -1 until kHello binds one
     bool paused = false;       // out of gateway credit
     int64_t last_activity_micros = 0;
@@ -102,8 +112,11 @@ class IngestServer {
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::vector<Connection> conns_;
-  std::vector<uint8_t> read_scratch_;
   std::vector<uint8_t> send_scratch_;
+  /// PollOnce's per-call lists, kept to reuse their storage.
+  std::vector<pollfd> poll_fds_;
+  std::vector<size_t> poll_conns_;  // conns_ index of poll_fds_[i + 1]
+  std::vector<size_t> to_close_;
 };
 
 }  // namespace klink

@@ -1,7 +1,10 @@
 #include "src/net/wire.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+
+#include "src/common/little_endian.h"
 
 namespace klink {
 namespace {
@@ -13,45 +16,31 @@ constexpr size_t kHelloPayloadLen = 4;
 constexpr size_t kHelloAckPayloadLen = 12;
 constexpr size_t kCheckpointAckPayloadLen = 16;
 
-void PutU16(uint16_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v & 0xff));
-  out->push_back(static_cast<uint8_t>(v >> 8));
+/// Grows `out` by one whole frame of `payload_len` bytes, writes its
+/// header, and returns where the payload goes: a frame is appended with
+/// one write, not byte by byte.
+uint8_t* AppendFrame(FrameType type, uint32_t payload_len,
+                     std::vector<uint8_t>* out) {
+  const size_t at = out->size();
+  out->resize(at + kWireHeaderLen + payload_len);
+  uint8_t* p = out->data() + at;
+  StoreLittleEndian(kWireMagic, p);
+  p[2] = kWireVersion;
+  p[3] = static_cast<uint8_t>(type);
+  StoreLittleEndian(payload_len, p + 4);
+  return p + kWireHeaderLen;
 }
 
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+uint16_t GetU16(const uint8_t* p) { return LoadLittleEndian<uint16_t>(p); }
+uint32_t GetU32(const uint8_t* p) { return LoadLittleEndian<uint32_t>(p); }
+uint64_t GetU64(const uint8_t* p) { return LoadLittleEndian<uint64_t>(p); }
+
+TimeMicros GetTime(const uint8_t* p) {
+  return static_cast<TimeMicros>(GetU64(p));
 }
 
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (static_cast<uint16_t>(p[1]) << 8));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-void PutHeader(FrameType type, uint32_t payload_len,
-               std::vector<uint8_t>* out) {
-  PutU16(kWireMagic, out);
-  out->push_back(kWireVersion);
-  out->push_back(static_cast<uint8_t>(type));
-  PutU32(payload_len, out);
+void PutTime(TimeMicros t, uint8_t* p) {
+  StoreLittleEndian(static_cast<uint64_t>(t), p);
 }
 
 bool ValidType(uint8_t t) {
@@ -84,18 +73,6 @@ int64_t ExpectedPayloadLen(FrameType t) {
   return -1;
 }
 
-double BitsToDouble(uint64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
-uint64_t DoubleToBits(double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
 }  // namespace
 
 DecodeResult DecodeFrame(const uint8_t* data, size_t len, Frame* frame,
@@ -117,16 +94,11 @@ DecodeResult DecodeFrame(const uint8_t* data, size_t len, Frame* frame,
   }
   if (len < kWireHeaderLen + payload_len) return DecodeResult::kNeedMore;
 
+  // Each type writes exactly its own fields. Data frames are nearly every
+  // frame, so they store each event field in place: assigning a whole
+  // Event built on the stack reloads it over the fresh stores.
   const uint8_t* p = data + kWireHeaderLen;
   frame->type = type;
-  frame->event = Event{};
-  frame->stream_id = 0;
-  frame->seq = 0;
-  frame->next_seq = 0;
-  frame->epoch = 0;
-  frame->durable_seq = 0;
-  frame->error_code = 0;
-  frame->error_message.clear();
   switch (type) {
     case FrameType::kHello:
       frame->stream_id = GetU32(p);
@@ -138,12 +110,14 @@ DecodeResult DecodeFrame(const uint8_t* data, size_t len, Frame* frame,
       e.kind = type == FrameType::kData ? EventKind::kData
                : type == FrameType::kRetraction ? EventKind::kRetraction
                                                 : EventKind::kUpdate;
+      e.stream = 0;
       frame->seq = GetU64(p);
-      e.event_time = static_cast<TimeMicros>(GetU64(p + 8));
-      e.ingest_time = static_cast<TimeMicros>(GetU64(p + 16));
+      e.event_time = GetTime(p + 8);
+      e.ingest_time = GetTime(p + 16);
       e.key = GetU64(p + 24);
-      e.value = BitsToDouble(GetU64(p + 32));
+      e.value = std::bit_cast<double>(GetU64(p + 32));
       e.payload_bytes = GetU32(p + 40);
+      e.swm = false;
       if (frame->seq == 0 || e.event_time < 0 || e.ingest_time < 0 ||
           e.payload_bytes > kMaxEventPayloadBytes) {
         return DecodeResult::kMalformed;
@@ -151,32 +125,24 @@ DecodeResult DecodeFrame(const uint8_t* data, size_t len, Frame* frame,
       break;
     }
     case FrameType::kWatermark: {
-      Event& e = frame->event;
-      e.kind = EventKind::kWatermark;
       frame->seq = GetU64(p);
-      e.event_time = static_cast<TimeMicros>(GetU64(p + 8));
-      e.ingest_time = static_cast<TimeMicros>(GetU64(p + 16));
+      frame->event = MakeWatermark(GetTime(p + 8), GetTime(p + 16));
       const uint8_t flags = p[24];
       if ((flags & ~uint8_t{1}) != 0) return DecodeResult::kMalformed;
-      e.swm = (flags & 1) != 0;
-      e.payload_bytes = 16;
-      if (frame->seq == 0 || e.ingest_time < 0) {
+      frame->event.swm = (flags & 1) != 0;
+      if (frame->seq == 0 || frame->event.ingest_time < 0) {
         return DecodeResult::kMalformed;
       }
       break;
     }
-    case FrameType::kMarker: {
-      Event& e = frame->event;
-      e.kind = EventKind::kLatencyMarker;
+    case FrameType::kMarker:
       frame->seq = GetU64(p);
-      e.event_time = static_cast<TimeMicros>(GetU64(p + 8));
-      e.ingest_time = static_cast<TimeMicros>(GetU64(p + 16));
-      e.payload_bytes = 16;
-      if (frame->seq == 0 || e.event_time < 0 || e.ingest_time < 0) {
+      frame->event = MakeLatencyMarker(GetTime(p + 8), GetTime(p + 16));
+      if (frame->seq == 0 || frame->event.event_time < 0 ||
+          frame->event.ingest_time < 0) {
         return DecodeResult::kMalformed;
       }
       break;
-    }
     case FrameType::kError:
       frame->error_code = GetU16(p);
       frame->error_message.assign(reinterpret_cast<const char*>(p + 2),
@@ -199,71 +165,69 @@ DecodeResult DecodeFrame(const uint8_t* data, size_t len, Frame* frame,
 }
 
 void EncodeHello(uint32_t stream_id, std::vector<uint8_t>* out) {
-  PutHeader(FrameType::kHello, kHelloPayloadLen, out);
-  PutU32(stream_id, out);
+  StoreLittleEndian(stream_id,
+                    AppendFrame(FrameType::kHello, kHelloPayloadLen, out));
 }
 
 void EncodeEvent(const Event& e, uint64_t seq, std::vector<uint8_t>* out) {
+  uint8_t* p = nullptr;
   switch (e.kind) {
     case EventKind::kData:
     case EventKind::kRetraction:
-    case EventKind::kUpdate:
-      PutHeader(e.kind == EventKind::kData        ? FrameType::kData
-                : e.kind == EventKind::kRetraction ? FrameType::kRetraction
-                                                   : FrameType::kUpdate,
-                kDataPayloadLen, out);
-      PutU64(seq, out);
-      PutU64(static_cast<uint64_t>(e.event_time), out);
-      PutU64(static_cast<uint64_t>(e.ingest_time), out);
-      PutU64(e.key, out);
-      PutU64(DoubleToBits(e.value), out);
-      PutU32(e.payload_bytes, out);
+    case EventKind::kUpdate: {
+      const FrameType type = e.kind == EventKind::kData ? FrameType::kData
+                             : e.kind == EventKind::kRetraction
+                                 ? FrameType::kRetraction
+                                 : FrameType::kUpdate;
+      p = AppendFrame(type, kDataPayloadLen, out);
+      StoreLittleEndian(e.key, p + 24);
+      StoreLittleEndian(std::bit_cast<uint64_t>(e.value), p + 32);
+      StoreLittleEndian(e.payload_bytes, p + 40);
       break;
+    }
     case EventKind::kWatermark:
-      PutHeader(FrameType::kWatermark, kWatermarkPayloadLen, out);
-      PutU64(seq, out);
-      PutU64(static_cast<uint64_t>(e.event_time), out);
-      PutU64(static_cast<uint64_t>(e.ingest_time), out);
-      out->push_back(e.swm ? 1 : 0);
+      p = AppendFrame(FrameType::kWatermark, kWatermarkPayloadLen, out);
+      p[24] = e.swm ? 1 : 0;
       break;
     case EventKind::kLatencyMarker:
-      PutHeader(FrameType::kMarker, kMarkerPayloadLen, out);
-      PutU64(seq, out);
-      PutU64(static_cast<uint64_t>(e.event_time), out);
-      PutU64(static_cast<uint64_t>(e.ingest_time), out);
+      p = AppendFrame(FrameType::kMarker, kMarkerPayloadLen, out);
       break;
     case EventKind::kCheckpointBarrier:
       // Barriers are injected by the server-side coordinator; they never
       // cross the ingest wire.
-      break;
+      return;
   }
+  StoreLittleEndian(seq, p);
+  PutTime(e.event_time, p + 8);
+  PutTime(e.ingest_time, p + 16);
 }
 
 void EncodeError(WireError code, const std::string& message,
                  std::vector<uint8_t>* out) {
   const size_t msg_len = std::min(message.size(), kMaxErrorMessageLen);
-  PutHeader(FrameType::kError, static_cast<uint32_t>(2 + msg_len), out);
-  PutU16(static_cast<uint16_t>(code), out);
-  out->insert(out->end(), message.begin(),
-              message.begin() + static_cast<ptrdiff_t>(msg_len));
+  uint8_t* p = AppendFrame(FrameType::kError,
+                           static_cast<uint32_t>(2 + msg_len), out);
+  StoreLittleEndian(static_cast<uint16_t>(code), p);
+  std::memcpy(p + 2, message.data(), msg_len);
 }
 
 void EncodeBye(std::vector<uint8_t>* out) {
-  PutHeader(FrameType::kBye, 0, out);
+  AppendFrame(FrameType::kBye, 0, out);
 }
 
 void EncodeHelloAck(uint32_t stream_id, uint64_t next_seq,
                     std::vector<uint8_t>* out) {
-  PutHeader(FrameType::kHelloAck, kHelloAckPayloadLen, out);
-  PutU32(stream_id, out);
-  PutU64(next_seq, out);
+  uint8_t* p = AppendFrame(FrameType::kHelloAck, kHelloAckPayloadLen, out);
+  StoreLittleEndian(stream_id, p);
+  StoreLittleEndian(next_seq, p + 4);
 }
 
 void EncodeCheckpointAck(uint64_t epoch, uint64_t durable_seq,
                          std::vector<uint8_t>* out) {
-  PutHeader(FrameType::kCheckpointAck, kCheckpointAckPayloadLen, out);
-  PutU64(epoch, out);
-  PutU64(durable_seq, out);
+  uint8_t* p =
+      AppendFrame(FrameType::kCheckpointAck, kCheckpointAckPayloadLen, out);
+  StoreLittleEndian(epoch, p);
+  StoreLittleEndian(durable_seq, p + 8);
 }
 
 size_t EncodedEventSize(const Event& e) {

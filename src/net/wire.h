@@ -112,6 +112,8 @@ enum class WireError : uint16_t {
 /// event's kind/swm fields are filled from the frame type), `stream_id` for
 /// kHello and kHelloAck, `next_seq` for kHelloAck, `epoch`/`durable_seq`
 /// for kCheckpointAck, and `error_code`/`error_message` for kError.
+/// DecodeFrame writes exactly the valid fields of the decoded type; the
+/// others keep what they held, so one Frame can be reused across frames.
 struct Frame {
   FrameType type = FrameType::kBye;
   uint32_t stream_id = 0;

@@ -132,12 +132,14 @@ class IngestMetrics {
   void AddIdleTimeout() { ++idle_timeouts_; }
   void AddMalformedFrame() { ++malformed_frames_; }
   void AddBytesRead(int64_t n) { bytes_read_ += n; }
-  void AddFrame(uint32_t stream_id, int64_t wire_bytes, bool is_data) {
-    ++frames_decoded_;
+  /// Element frames staged on one stream, counted once per commit.
+  void AddFrames(uint32_t stream_id, int64_t frames, int64_t wire_bytes,
+                 int64_t data_events) {
+    frames_decoded_ += frames;
     IngestStreamMetrics& s = streams_[stream_id];
-    ++s.frames;
+    s.frames += frames;
     s.bytes += wire_bytes;
-    if (is_data) ++s.data_events;
+    s.data_events += data_events;
   }
   void AddControlFrame() { ++frames_decoded_; }
   IngestStreamMetrics& stream(uint32_t stream_id) {

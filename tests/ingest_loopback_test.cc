@@ -13,17 +13,21 @@
 //  3. Robustness: malformed frames, unknown streams, protocol violations
 //     and abrupt disconnects close the offending connection (with an error
 //     frame where possible) without disturbing the server.
+//  4. NetworkFeed's run merge delivers what a merge of one element at a
+//     time delivers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/harness/experiment.h"
 #include "src/net/delay_model.h"
 #include "src/net/ingest_gateway.h"
@@ -41,6 +45,8 @@ namespace {
 
 constexpr uint64_t kSeed = 42;
 constexpr TimeMicros kDuration = SecondsToMicros(5);
+/// Wire size of one data frame: 8-byte header, 44-byte payload.
+constexpr int64_t kDataFrameBytes = 52;
 
 EngineConfig TestEngineConfig() {
   EngineConfig config;
@@ -336,7 +342,8 @@ TEST(IngestLoopbackTest, SlowConsumerStaysUnderByteBudget) {
   ASSERT_TRUE(server.Start().ok());
   const uint16_t port = server.port();
 
-  std::thread client([port]() {
+  LoadgenStats sent;
+  std::thread client([port, &sent]() {
     LoadgenConnection conn;
     ASSERT_TRUE(conn.Connect("127.0.0.1", port, 7).ok());
     for (int i = 0; i < kEvents; ++i) {
@@ -345,6 +352,7 @@ TEST(IngestLoopbackTest, SlowConsumerStaysUnderByteBudget) {
       ASSERT_TRUE(conn.SendEvent(MakeDataEvent(i, i, 0, 1.0)).ok());
     }
     ASSERT_TRUE(conn.SendBye().ok());
+    sent = conn.stats();
   });
 
   // Phase 1: poll without draining. The gateway must pause the connection
@@ -376,6 +384,17 @@ TEST(IngestLoopbackTest, SlowConsumerStaysUnderByteBudget) {
   EXPECT_EQ(gateway.staged_events(7), 0);
   EXPECT_LE(gateway.peak_staged_bytes(7), kBudget + kEventCost);
   EXPECT_GT(gateway.metrics().stream(7).stall_micros, 0);
+
+  // Frames are counted once per read, across every pause and resume: the
+  // totals are what the client sent (its hello and bye are the two
+  // control frames).
+  const IngestMetrics& m = gateway.metrics();
+  EXPECT_EQ(sent.frames_sent, kEvents + 2);
+  EXPECT_EQ(m.frames_decoded(), sent.frames_sent);
+  EXPECT_EQ(m.bytes_read(), sent.bytes_sent);
+  EXPECT_EQ(m.streams().at(7).frames, kEvents);
+  EXPECT_EQ(m.streams().at(7).data_events, sent.data_events_sent);
+  EXPECT_EQ(m.streams().at(7).bytes, kEvents * kDataFrameBytes);
   server.Stop();
 }
 
@@ -549,8 +568,14 @@ TEST(IngestLoopbackTest, SequenceGapDrawsProtocolViolation) {
   EXPECT_EQ(DrainUntilClosed(server, fd),
             static_cast<uint16_t>(WireError::kProtocolViolation));
   EXPECT_EQ(server.num_connections(), 0);
-  // The contiguous prefix before the gap was delivered.
+  // The contiguous prefix before the gap was delivered, and only it
+  // counts, besides the hello.
   EXPECT_EQ(gateway.staged_events(1), 1);
+  const IngestMetrics& m = gateway.metrics();
+  EXPECT_EQ(m.frames_decoded(), 2);
+  EXPECT_EQ(m.streams().at(1).frames, 1);
+  EXPECT_EQ(m.streams().at(1).data_events, 1);
+  EXPECT_EQ(m.streams().at(1).bytes, kDataFrameBytes);
   server.Stop();
 }
 
@@ -581,6 +606,12 @@ TEST(IngestLoopbackTest, DuplicateSequencesDroppedSilently) {
   EXPECT_EQ(gateway.staged_events(1), 7);
   EXPECT_EQ(gateway.duplicate_events(1), 3);
   EXPECT_EQ(gateway.last_seq_received(1), 7u);
+  // The dropped duplicates are not counted: hello, 7 staged frames, bye.
+  const IngestMetrics& m = gateway.metrics();
+  EXPECT_EQ(m.frames_decoded(), 9);
+  EXPECT_EQ(m.streams().at(1).frames, 7);
+  EXPECT_EQ(m.streams().at(1).data_events, 7);
+  EXPECT_EQ(m.streams().at(1).bytes, 7 * kDataFrameBytes);
   // Staged elements are the dedup'd contiguous stream, in order.
   for (int i = 0; i < 7; ++i) {
     const Event e = gateway.Pop(1);
@@ -608,6 +639,94 @@ TEST(IngestLoopbackTest, IdleConnectionTimedOut) {
             static_cast<uint16_t>(WireError::kIdleTimeout));
   EXPECT_EQ(gateway.metrics().idle_timeouts(), 1);
   server.Stop();
+}
+
+// NetworkFeed hands a stream's due elements over in runs. What it delivers
+// must be the per-element merge of the EventFeed contract: the oldest due
+// front first, ties to the lowest stream, at least one element, then none
+// past the byte budget.
+TEST(NetworkFeedTest, RunMergeMatchesOneElementAtATime) {
+  constexpr int kStreams = 3;
+  IngestGateway gateway;
+  const std::vector<uint32_t> ids = {4, 9, 17};
+  for (const uint32_t id : ids) {
+    gateway.RegisterStream(id, IngestStreamConfig{});
+  }
+  NetworkFeed feed(&gateway, ids);
+  // The reference holds what each stream staged and merges it one element
+  // at a time. The key is the element's sequence number on its stream.
+  std::vector<std::deque<Event>> staged(kStreams);
+  std::vector<uint64_t> next_seq(kStreams, 1);
+  Rng rng(7);
+  const auto reference_poll = [&](TimeMicros now, int64_t max_bytes) {
+    std::vector<EventFeed::FeedElement> out;
+    int64_t delivered = 0;
+    while (true) {
+      int best = -1;
+      for (int s = 0; s < kStreams; ++s) {
+        const std::deque<Event>& q = staged[static_cast<size_t>(s)];
+        if (q.empty() || q.front().ingest_time > now) continue;
+        if (best < 0 || q.front().ingest_time <
+                            staged[static_cast<size_t>(best)]
+                                .front()
+                                .ingest_time) {
+          best = s;
+        }
+      }
+      if (best < 0) break;
+      std::deque<Event>& q = staged[static_cast<size_t>(best)];
+      const int64_t sz =
+          q.front().payload_bytes + StreamQueue::kPerEventOverhead;
+      if (delivered > 0 && delivered + sz > max_bytes) break;
+      delivered += sz;
+      out.push_back(EventFeed::FeedElement{best, q.front()});
+      q.pop_front();
+    }
+    return out;
+  };
+  int64_t total = 0;
+  for (TimeMicros horizon = 10; horizon <= 600; horizon += 10) {
+    for (size_t s = 0; s < ids.size(); ++s) {
+      IngestGateway::Stream& stream = gateway.GetStream(ids[s]);
+      const int64_t n = rng.NextInt(0, 40);
+      for (int64_t i = 0; i < n; ++i) {
+        // Few distinct times, so fronts tie often; nor are a stream's
+        // times sorted, which the merge must not assume.
+        const TimeMicros t = horizon - rng.NextInt(0, 9);
+        const Event e =
+            MakeDataEvent(t, t, next_seq[s], 1.0,
+                          static_cast<uint32_t>(rng.NextInt(1, 200)));
+        ASSERT_EQ(stream.AcceptSeq(next_seq[s]++),
+                  IngestGateway::SeqDecision::kAccept);
+        stream.Deliver(e, kDataFrameBytes);
+        staged[s].push_back(e);
+      }
+      gateway.Flush(ids[s]);
+    }
+    for (int poll = 0; poll < 3; ++poll) {
+      const TimeMicros now = horizon - rng.NextInt(0, 12);
+      const int64_t max_bytes = rng.NextInt(0, 3000);
+      std::vector<EventFeed::FeedElement> got;
+      feed.PollUpTo(now, max_bytes, &got);
+      const std::vector<EventFeed::FeedElement> want =
+          reference_poll(now, max_bytes);
+      ASSERT_EQ(got.size(), want.size()) << "now " << now;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].source_index, want[i].source_index);
+        EXPECT_EQ(got[i].event.key, want[i].event.key);
+        EXPECT_EQ(got[i].event.ingest_time, want[i].event.ingest_time);
+      }
+      total += static_cast<int64_t>(got.size());
+    }
+  }
+  EXPECT_GT(total, 1000);
+  // The replay cursor counts what each stream handed over.
+  for (size_t s = 0; s < ids.size(); ++s) {
+    EXPECT_EQ(gateway.delivered_seq(ids[s]),
+              next_seq[s] - 1 - staged[s].size());
+    EXPECT_EQ(gateway.staged_events(ids[s]),
+              static_cast<int64_t>(staged[s].size()));
+  }
 }
 
 }  // namespace

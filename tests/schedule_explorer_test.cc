@@ -36,6 +36,7 @@
 #include "src/common/types.h"
 #include "src/net/delay_model.h"
 #include "src/net/ingest_gateway.h"
+#include "src/net/wire.h"
 #include "src/query/pipeline_builder.h"
 #include "src/runtime/checkpoint.h"
 #include "src/runtime/engine.h"
@@ -424,10 +425,12 @@ constexpr TimeMicros kGatewayChunk = MillisToMicros(120);
 void DeliverDueAndRun(const std::vector<EventFeed::FeedElement>& events,
                       IngestGateway& gateway, Engine& engine, size_t* next,
                       TimeMicros t) {
+  IngestGateway::Stream& stream = gateway.GetStream(0);
   while (*next < events.size() && events[*next].event.ingest_time <= t) {
-    EXPECT_EQ(gateway.AcceptSeq(0, static_cast<uint64_t>(*next) + 1),
+    const Event& e = events[*next].event;
+    EXPECT_EQ(stream.AcceptSeq(static_cast<uint64_t>(*next) + 1),
               IngestGateway::SeqDecision::kAccept);
-    gateway.Deliver(0, events[*next].event);
+    stream.Deliver(e, static_cast<int64_t>(EncodedEventSize(e)));
     ++*next;
   }
   gateway.Flush(0);
@@ -469,7 +472,7 @@ uint64_t RunGatewayDedup(uint64_t explorer_seed, ExecutorKind executor,
       const size_t window = std::min<size_t>(next, 7);
       for (size_t i = next - window; i < next; ++i) {
         // Duplicate: the frame is dropped before Deliver.
-        EXPECT_EQ(gateway.AcceptSeq(0, static_cast<uint64_t>(i) + 1),
+        EXPECT_EQ(gateway.GetStream(0).AcceptSeq(static_cast<uint64_t>(i) + 1),
                   IngestGateway::SeqDecision::kDuplicate)
             << "seq " << i + 1;
       }

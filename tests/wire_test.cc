@@ -7,10 +7,18 @@
 // Protocol v2 adds per-stream sequence numbers on element frames plus the
 // kHelloAck/kCheckpointAck control frames; version skew decodes to the
 // distinct kVersionMismatch result, not generic kMalformed.
+//
+// Round trips would pass an encoder and decoder that changed together, so
+// one frame of each type is also pinned byte for byte, and decoded from
+// an odd offset: frames start anywhere in a connection's buffer.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
 #include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -26,6 +34,288 @@ Frame MustDecode(const std::vector<uint8_t>& bytes) {
             DecodeResult::kOk);
   EXPECT_EQ(consumed, bytes.size());
   return frame;
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  std::string hex;
+  char digits[3];
+  for (const uint8_t b : bytes) {
+    std::snprintf(digits, sizeof(digits), "%02x", b);
+    hex += digits;
+  }
+  return hex;
+}
+
+std::vector<uint8_t> Unhex(const std::string& hex) {
+  std::vector<uint8_t> bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+void ExpectSameEvent(const Event& got, const Event& want) {
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.stream, want.stream);
+  EXPECT_EQ(got.event_time, want.event_time);
+  EXPECT_EQ(got.ingest_time, want.ingest_time);
+  EXPECT_EQ(got.key, want.key);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.value),
+            std::bit_cast<uint64_t>(want.value));
+  EXPECT_EQ(got.payload_bytes, want.payload_bytes);
+  EXPECT_EQ(got.swm, want.swm);
+}
+
+/// Compares every field a frame of `want.type` defines.
+void ExpectSameFrame(const Frame& got, const Frame& want) {
+  ASSERT_EQ(got.type, want.type);
+  switch (want.type) {
+    case FrameType::kHello:
+      EXPECT_EQ(got.stream_id, want.stream_id);
+      break;
+    case FrameType::kData:
+    case FrameType::kWatermark:
+    case FrameType::kMarker:
+    case FrameType::kRetraction:
+    case FrameType::kUpdate:
+      EXPECT_EQ(got.seq, want.seq);
+      ExpectSameEvent(got.event, want.event);
+      break;
+    case FrameType::kError:
+      EXPECT_EQ(got.error_code, want.error_code);
+      EXPECT_EQ(got.error_message, want.error_message);
+      break;
+    case FrameType::kBye:
+      break;
+    case FrameType::kHelloAck:
+      EXPECT_EQ(got.stream_id, want.stream_id);
+      EXPECT_EQ(got.next_seq, want.next_seq);
+      break;
+    case FrameType::kCheckpointAck:
+      EXPECT_EQ(got.epoch, want.epoch);
+      EXPECT_EQ(got.durable_seq, want.durable_seq);
+      break;
+  }
+}
+
+/// A frame of `type` whose own fields `set` fills.
+template <typename Set>
+Frame MakeFrame(FrameType type, Set set) {
+  Frame f;
+  f.type = type;
+  set(f);
+  return f;
+}
+
+Frame ElementFrame(FrameType type, const Event& e, uint64_t seq) {
+  return MakeFrame(type, [&](Frame& f) {
+    f.event = e;
+    f.seq = seq;
+  });
+}
+
+Event SwmWatermark(TimeMicros timestamp, TimeMicros ingest_time) {
+  Event wm = MakeWatermark(timestamp, ingest_time);
+  wm.swm = true;
+  return wm;
+}
+
+/// One frame of a type: how it is encoded, its bytes, and what it decodes
+/// to.
+struct GoldenFrame {
+  std::function<void(std::vector<uint8_t>*)> encode;
+  const char* hex;
+  Frame decoded;
+};
+
+std::vector<GoldenFrame> GoldenFrames() {
+  const Event data = MakeDataEvent(123456789, 123459999, 0xDEADBEEFCAFEull,
+                                   -3.25, /*payload_bytes=*/96);
+  const Event retraction = MakeRetractionEvent(1000, 1600, 42, 5.5, 64);
+  const Event update = MakeUpdateEvent(1000, 1600, 42, 7.5, 64);
+  const Event wm = MakeWatermark(1000, 2000);
+  const Event swm = SwmWatermark(1000, 2000);
+  const Event marker = MakeLatencyMarker(777, 888);
+  return {
+      {[](auto* out) { EncodeHello(0x01020304u, out); },
+       "4c4b03010400000004030201",
+       MakeFrame(FrameType::kHello,
+                 [](Frame& f) { f.stream_id = 0x01020304u; })},
+      {[=](auto* out) { EncodeEvent(data, 77, out); },
+       "4c4b03022c0000004d0000000000000015cd5b07000000009fd95b0700000000"
+       "fecaefbeadde00000000000000000ac060000000",
+       ElementFrame(FrameType::kData, data, 77)},
+      {[=](auto* out) { EncodeEvent(retraction, 9, out); },
+       "4c4b03092c0000000900000000000000e8030000000000004006000000000000"
+       "2a00000000000000000000000000164040000000",
+       ElementFrame(FrameType::kRetraction, retraction, 9)},
+      {[=](auto* out) { EncodeEvent(update, 10, out); },
+       "4c4b030a2c0000000a00000000000000e8030000000000004006000000000000"
+       "2a000000000000000000000000001e4040000000",
+       ElementFrame(FrameType::kUpdate, update, 10)},
+      {[=](auto* out) { EncodeEvent(wm, 1, out); },
+       "4c4b0303190000000100000000000000e803000000000000d007000000000000"
+       "00",
+       ElementFrame(FrameType::kWatermark, wm, 1)},
+      {[=](auto* out) { EncodeEvent(swm, 2, out); },
+       "4c4b0303190000000200000000000000e803000000000000d007000000000000"
+       "01",
+       ElementFrame(FrameType::kWatermark, swm, 2)},
+      {[=](auto* out) { EncodeEvent(marker, 999, out); },
+       "4c4b030418000000e70300000000000009030000000000007803000000000000",
+       ElementFrame(FrameType::kMarker, marker, 999)},
+      {[](auto* out) {
+         EncodeError(WireError::kUnknownStream, "no such stream", out);
+       },
+       "4c4b03051000000002006e6f20737563682073747265616d",
+       MakeFrame(FrameType::kError,
+                 [](Frame& f) {
+                   f.error_code =
+                       static_cast<uint16_t>(WireError::kUnknownStream);
+                   f.error_message = "no such stream";
+                 })},
+      {[](auto* out) { EncodeBye(out); }, "4c4b030600000000",
+       MakeFrame(FrameType::kBye, [](Frame&) {})},
+      {[](auto* out) { EncodeHelloAck(13, 0x1122334455667788ull, out); },
+       "4c4b03070c0000000d0000008877665544332211",
+       MakeFrame(FrameType::kHelloAck,
+                 [](Frame& f) {
+                   f.stream_id = 13;
+                   f.next_seq = 0x1122334455667788ull;
+                 })},
+      {[](auto* out) { EncodeCheckpointAck(5, 123456, out); },
+       "4c4b030810000000050000000000000040e2010000000000",
+       MakeFrame(FrameType::kCheckpointAck,
+                 [](Frame& f) {
+                   f.epoch = 5;
+                   f.durable_seq = 123456;
+                 })},
+  };
+}
+
+TEST(WireTest, GoldenFramesPinTheWireFormat) {
+  for (const GoldenFrame& g : GoldenFrames()) {
+    SCOPED_TRACE(g.hex);
+    std::vector<uint8_t> bytes;
+    g.encode(&bytes);
+    EXPECT_EQ(Hex(bytes), g.hex);
+    // Appending encodes after what the buffer already holds.
+    std::vector<uint8_t> appended = {0xAB};
+    g.encode(&appended);
+    EXPECT_EQ(Hex(appended), "ab" + std::string(g.hex));
+  }
+}
+
+TEST(WireTest, GoldenFramesDecodeFromOddOffsets) {
+  for (const GoldenFrame& g : GoldenFrames()) {
+    SCOPED_TRACE(g.hex);
+    const std::vector<uint8_t> frame = Unhex(g.hex);
+    for (const size_t offset : {size_t{1}, size_t{3}, size_t{7}}) {
+      // The frame sits between unrelated bytes, as in a receive buffer.
+      std::vector<uint8_t> buf(offset, 0xEE);
+      buf.insert(buf.end(), frame.begin(), frame.end());
+      buf.insert(buf.end(), {0x4C, 0x4B, 0x03});
+      Frame f;
+      size_t consumed = 0;
+      ASSERT_EQ(DecodeFrame(buf.data() + offset, buf.size() - offset, &f,
+                            &consumed),
+                DecodeResult::kOk);
+      EXPECT_EQ(consumed, frame.size());
+      ExpectSameFrame(f, g.decoded);
+    }
+  }
+}
+
+TEST(WireTest, ReusedFrameKeepsNoStaleFields) {
+  // The server decodes a read's frames into one Frame, and an element
+  // frame does not reset the control fields: every decode must define
+  // each field of its own type, whatever the frame held before.
+  const std::vector<Frame> sequence = {
+      ElementFrame(FrameType::kWatermark, SwmWatermark(50, 60), 1),
+      // A data frame after a watermark: swm and payload_bytes are its own.
+      ElementFrame(FrameType::kData,
+                   MakeDataEvent(100, 110, /*key=*/0xFEEDull, /*value=*/2.5,
+                                 /*payload_bytes=*/96),
+                   2),
+      // A watermark after a data frame with a nonzero key and value.
+      ElementFrame(FrameType::kWatermark, MakeWatermark(120, 130), 3),
+      ElementFrame(FrameType::kUpdate, MakeUpdateEvent(140, 150, 7, 9.5, 80),
+                   4),
+      // A marker after an update.
+      ElementFrame(FrameType::kMarker, MakeLatencyMarker(160, 170), 5),
+      ElementFrame(FrameType::kRetraction,
+                   MakeRetractionEvent(180, 190, 8, -1.5, 72), 6),
+      // Control frames after element frames read back exactly.
+      MakeFrame(FrameType::kError,
+                [](Frame& f) {
+                  f.error_code = static_cast<uint16_t>(WireError::kIdleTimeout);
+                  f.error_message = "idle";
+                }),
+      ElementFrame(FrameType::kData, MakeDataEvent(200, 210, 9, 4.0), 7),
+      MakeFrame(FrameType::kHelloAck,
+                [](Frame& f) {
+                  f.stream_id = 3;
+                  f.next_seq = 41;
+                }),
+      ElementFrame(FrameType::kUpdate, MakeUpdateEvent(220, 230, 10, 1.0),
+                   8),
+      MakeFrame(FrameType::kCheckpointAck,
+                [](Frame& f) {
+                  f.epoch = 6;
+                  f.durable_seq = 40;
+                }),
+      // An empty message after a longer one.
+      MakeFrame(FrameType::kError,
+                [](Frame& f) {
+                  f.error_code =
+                      static_cast<uint16_t>(WireError::kServerShutdown);
+                }),
+  };
+  const auto encode = [](const Frame& f, std::vector<uint8_t>* out) {
+    switch (f.type) {
+      case FrameType::kError:
+        EncodeError(static_cast<WireError>(f.error_code), f.error_message,
+                    out);
+        break;
+      case FrameType::kHelloAck:
+        EncodeHelloAck(f.stream_id, f.next_seq, out);
+        break;
+      case FrameType::kCheckpointAck:
+        EncodeCheckpointAck(f.epoch, f.durable_seq, out);
+        break;
+      case FrameType::kData:
+      case FrameType::kWatermark:
+      case FrameType::kMarker:
+      case FrameType::kRetraction:
+      case FrameType::kUpdate:
+        EncodeEvent(f.event, f.seq, out);
+        break;
+      case FrameType::kHello:
+      case FrameType::kBye:
+        FAIL() << "not in the sequence";
+    }
+  };
+  // Every field starts out holding something no frame above decodes to.
+  Frame frame;
+  frame.event = MakeDataEvent(-9, -9, 99, 99.0, 999, /*stream=*/5);
+  frame.event.swm = true;
+  frame.seq = 999;
+  frame.stream_id = 999;
+  frame.next_seq = 999;
+  frame.epoch = 999;
+  frame.durable_seq = 999;
+  frame.error_code = 999;
+  frame.error_message = "stale";
+  for (const Frame& want : sequence) {
+    std::vector<uint8_t> bytes;
+    encode(want, &bytes);
+    size_t consumed = 0;
+    ASSERT_EQ(DecodeFrame(bytes.data(), bytes.size(), &frame, &consumed),
+              DecodeResult::kOk);
+    EXPECT_EQ(consumed, bytes.size());
+    ExpectSameFrame(frame, want);
+  }
 }
 
 TEST(WireTest, HelloRoundTrip) {
