@@ -58,11 +58,6 @@ constexpr double MicrosToSeconds(TimeMicros us) {
   return static_cast<double>(us) / 1e6;
 }
 
-/// Converts TimeMicros to fractional milliseconds (for reporting only).
-constexpr double MicrosToMillis(TimeMicros us) {
-  return static_cast<double>(us) / 1e3;
-}
-
 }  // namespace klink
 
 #endif  // KLINK_COMMON_TYPES_H_

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/operators/sink_operator.h"
 #include "src/runtime/snapshot.h"
 
 namespace klink {
@@ -24,14 +25,12 @@ Query::Lane NodeRange(const std::vector<NodeId>& placement, NodeId node) {
 
 DistEngine::DistEngine(const DistEngineConfig& config,
                        const PolicyFactory& factory)
-    : config_(config) {
+    : config_(config), fed_(static_cast<size_t>(config.num_nodes)) {
   KLINK_CHECK_GE(config.num_nodes, 1);
   for (int i = 0; i < config.num_nodes; ++i) {
-    std::unique_ptr<SchedulingPolicy> policy = factory(i);
-    KLINK_CHECK(policy != nullptr);
-    nodes_.push_back(
-        std::make_unique<Node>(i, config.node, std::move(policy)));
+    nodes_.push_back(std::make_unique<Node>(config.node, factory(i)));
   }
+  if (AuditEnabledFromEnv()) audit_ = std::make_unique<InvariantAuditor>();
 }
 
 QueryId DistEngine::AddQuery(std::unique_ptr<Query> query,
@@ -48,6 +47,13 @@ QueryId DistEngine::AddQuery(std::unique_ptr<Query> query,
                      config_.placement);
   dq.query = std::move(query);
   dq.feed = std::move(feed);
+  // The node hosting the sources (the first placement segment) ingests.
+  if (dq.feed != nullptr) {
+    fed_[static_cast<size_t>(dq.placement.front())].push_back(
+        QueryFabric::LiveQuery{id, dq.query.get(), dq.feed.get(),
+                               deploy_time});
+  }
+  all_.push_back(dq.query.get());
   queries_.push_back(std::move(dq));
   return id;
 }
@@ -68,38 +74,45 @@ void DistEngine::RunUntil(TimeMicros end_time) {
 
 void DistEngine::RunCycle() {
   DeliverTransit();
-  Ingest();
 
-  // Per-node memory accounting.
-  for (auto& node : nodes_) {
-    node->memory().Update(node_usage_[static_cast<size_t>(node->id())]);
+  // Each node ingests for the queries whose sources it hosts, within the
+  // memory its operators leave free. One walk charges every operator's
+  // bytes to the node that hosts it.
+  std::vector<int64_t> used_bytes(nodes_.size(), 0);
+  for (const DeployedQuery& dq : queries_) {
+    for (int i = 0; i < dq.query->num_operators(); ++i) {
+      used_bytes[static_cast<size_t>(dq.placement[static_cast<size_t>(i)])] +=
+          dq.query->op(i).MemoryBytes();
+    }
   }
+  for (size_t n = 0; n < nodes_.size(); ++n) {
+    metrics_.AddIngested(nodes_[n]->Ingest(now_, used_bytes[n], fed_[n]).data);
+  }
+  if (audit_ != nullptr) audit_->CheckMemoryAccounting(all_);
 
   PublishInfo();
 
-  const double r = static_cast<double>(config_.cycle_length);
   RuntimeSnapshot snap;
   Selection selected;
-  for (auto& node : nodes_) {
-    BuildNodeSnapshot(node->id(), &snap);
-    const double sched_cost = node->policy().EvaluationCostMicros(snap);
-    metrics_.AddSchedulerCost(sched_cost);
-    const double multiplier = node->memory().CostMultiplier();
-    // Strict cycle-grained quanta, as in Engine::RunCycle: each selected
-    // sub-query occupies one local core for the whole cycle.
-    selected.Clear();
-    node->policy().SelectQueries(snap, node->config().num_cores, &selected);
-    const double budget = std::max(
-        0.0, r - sched_cost / static_cast<double>(node->config().num_cores));
+  for (size_t n = 0; n < nodes_.size(); ++n) {
+    const NodeId node_id = static_cast<NodeId>(n);
+    BuildNodeSnapshot(node_id, &snap);
+    const Node::Grant grant = nodes_[n]->Schedule(now_, config_.cycle_length,
+                                                  &snap, &selected);
+    metrics_.AddSchedulerCost(grant.scheduler_cost_micros);
+    // Each selected sub-query occupies one local core for the whole cycle.
     for (const SlotAssignment& slot : selected) {
+      KLINK_CHECK(slot.query >= 0 && slot.query < num_queries());
       DeployedQuery& dq = queries_[static_cast<size_t>(slot.query)];
-      const Query::Lane ops = NodeRange(dq.placement, node->id());
-      context_.BeginCycle(budget, multiplier, now_);
+      const Query::Lane ops = NodeRange(dq.placement, node_id);
+      context_.BeginCycle(grant.slot_budget_micros, grant.cost_multiplier,
+                          now_);
       metrics_.AddCoreBusy(
           context_.RunRange(*dq.query, ops.begin, ops.end, this));
       metrics_.AddProcessed(context_.cycle_processed_events());
     }
   }
+  if (audit_ != nullptr) audit_->CheckProgressMonotonicity(all_);
 
   now_ += config_.cycle_length;
 }
@@ -121,33 +134,6 @@ void DistEngine::Ship(QueryId query, int downstream, TimeMicros completed,
   }
 }
 
-void DistEngine::Ingest() {
-  node_usage_.assign(nodes_.size(), 0);
-  for (const DeployedQuery& dq : queries_) {
-    for (int i = 0; i < dq.query->num_operators(); ++i) {
-      const NodeId node = dq.placement[static_cast<size_t>(i)];
-      node_usage_[static_cast<size_t>(node)] += dq.query->op(i).MemoryBytes();
-    }
-  }
-  for (DeployedQuery& dq : queries_) {
-    if (dq.feed == nullptr || now_ < dq.query->deploy_time()) continue;
-    // Backpressure of the node hosting the sources stalls this query's
-    // ingestion (sources sit in the first placement segment).
-    const NodeId source_node = dq.placement.empty() ? 0 : dq.placement[0];
-    Node& host = *nodes_[static_cast<size_t>(source_node)];
-    if (host.memory().backpressured()) continue;
-    int64_t& usage = node_usage_[static_cast<size_t>(source_node)];
-    const int64_t budget = host.config().memory_capacity_bytes - usage;
-    if (budget <= 0) continue;
-    // The polled bytes are what the source queues now hold on top of the
-    // walk (StreamQueue counts the same payload + overhead per element).
-    const FeedIngest::Totals polled =
-        feed_ingest_.Poll(*dq.feed, now_, budget, *dq.query);
-    usage += polled.bytes;
-    metrics_.AddIngested(polled.data);
-  }
-}
-
 void DistEngine::PublishInfo() {
   // Each query's owning nodes publish their runtime information; remote
   // readers see it after link_latency (Sec. 4 forwarding). One range
@@ -162,7 +148,7 @@ void DistEngine::PublishInfo() {
     for (int begin = 0, end = 0; begin < n; begin = end) {
       const NodeId node = dq.placement[static_cast<size_t>(begin)];
       while (end < n && dq.placement[static_cast<size_t>(end)] == node) ++end;
-      CollectQueryInfo(*dq.query, now_, begin, end, &info);
+      CollectQueryInfo(*dq.query, begin, end, &info);
       fwd.drain_cost_by_node[static_cast<size_t>(node)] =
           info.drain_cost_micros;
       fwd.streams.insert(fwd.streams.end(), info.streams.begin(),
@@ -179,10 +165,6 @@ void DistEngine::PublishInfo() {
 }
 
 void DistEngine::BuildNodeSnapshot(NodeId node_id, RuntimeSnapshot* snap) {
-  Node& node = *nodes_[static_cast<size_t>(node_id)];
-  snap->now = now_;
-  snap->memory_utilization = node.memory().utilization();
-  snap->backpressured = node.memory().backpressured();
   snap->queries.clear();
   snap->queries.reserve(queries_.size());
 
@@ -191,7 +173,7 @@ void DistEngine::BuildNodeSnapshot(NodeId node_id, RuntimeSnapshot* snap) {
     if (ops.begin == ops.end) continue;  // no presence on this node
     // Locally observable state is fresh: this node's operators only.
     QueryInfo& info = snap->queries.emplace_back();
-    CollectQueryInfo(*dq.query, now_, ops.begin, ops.end, &info);
+    CollectQueryInfo(*dq.query, ops.begin, ops.end, &info);
     // Remote nodes' contributions come from the last forwarded record,
     // stale by link_latency — the information flow of Sec. 4. The merged
     // query-level fields are what policies read (sched/policy.h LaneAt).
@@ -218,19 +200,11 @@ void DistEngine::BuildNodeSnapshot(NodeId node_id, RuntimeSnapshot* snap) {
 }
 
 Histogram DistEngine::AggregateSwmLatency() const {
-  Histogram h;
-  for (const DeployedQuery& dq : queries_) {
-    h.Merge(dq.query->sink().swm_latency());
-  }
-  return h;
+  return MergeSinkLatency(all_, &SinkOperator::swm_latency);
 }
 
 Histogram DistEngine::AggregateMarkerLatency() const {
-  Histogram h;
-  for (const DeployedQuery& dq : queries_) {
-    h.Merge(dq.query->sink().marker_latency());
-  }
-  return h;
+  return MergeSinkLatency(all_, &SinkOperator::marker_latency);
 }
 
 }  // namespace klink

@@ -9,13 +9,14 @@
 #include "src/common/histogram.h"
 #include "src/common/types.h"
 #include "src/dist/forwarding.h"
-#include "src/dist/node.h"
 #include "src/dist/placement.h"
 #include "src/query/query.h"
+#include "src/runtime/audit.h"
 #include "src/runtime/event_feed.h"
 #include "src/runtime/execution_context.h"
-#include "src/runtime/feed_ingest.h"
 #include "src/runtime/metrics.h"
+#include "src/runtime/node.h"
+#include "src/runtime/query_fabric.h"
 
 namespace klink {
 
@@ -34,14 +35,17 @@ struct DistEngineConfig {
 };
 
 /// Multi-node SPE: operators are partitioned across nodes by the physical
-/// plan; each node runs its own cores and its own autonomous policy over
-/// the locally deployed sub-queries. A node's share of a query is one
-/// contiguous operator range, drained by the engine's ExecutionContext and
-/// observed by the engine's CollectQueryInfo. Cross-node edges deliver
-/// events after link_latency; Klink's runtime information travels through
-/// per-query ForwardingChannels with the same latency, so every policy
-/// decision uses locally fresh + remotely stale data, as in the paper's
-/// decentralized design.
+/// plan; each node runs the single-node step (runtime/node.h: the ingest
+/// distributor and the policy step, with its own cores, memory and
+/// autonomous policy) over the locally deployed sub-queries. A node's
+/// share of a query is one contiguous operator range, drained by the
+/// engine's ExecutionContext and observed by the engine's
+/// CollectQueryInfo. Cross-node edges deliver events after link_latency;
+/// Klink's runtime information travels through per-query
+/// ForwardingChannels with the same latency, so every policy decision uses
+/// locally fresh + remotely stale data, as in the paper's decentralized
+/// design. Under KLINK_AUDIT=1 every cycle runs the InvariantAuditor's
+/// memory-accounting and progress-monotonicity checks over all queries.
 class DistEngine : private Egress {
  public:
   using PolicyFactory =
@@ -96,11 +100,9 @@ class DistEngine : private Egress {
 
   void RunCycle();
   void DeliverTransit();
-  /// Walks every node's memory once into node_usage_, then ingests feed
-  /// elements due by now() into source queues, each poll bounded by the
-  /// memory its source node leaves free and charged to that node.
-  void Ingest();
   void PublishInfo();
+  /// Collects the queries node `node_id` hosts into `snap->queries`: fresh
+  /// local state of the node's range merged with forwarded remote state.
   void BuildNodeSnapshot(NodeId node_id, RuntimeSnapshot* snap);
   /// Egress: outputs crossing to another node enter the transit heap.
   void Ship(QueryId query, int downstream, TimeMicros completed,
@@ -112,14 +114,18 @@ class DistEngine : private Egress {
   std::priority_queue<Transit, std::vector<Transit>, std::greater<Transit>>
       transit_;
   int64_t transit_seq_ = 0;
+  /// fed_[n]: the fed queries whose sources node n hosts, in id order —
+  /// node n's ingest order.
+  std::vector<std::vector<QueryFabric::LiveQuery>> fed_;
+  /// Every deployed query, in id order.
+  std::vector<const Query*> all_;
   EngineMetrics metrics_;
   TimeMicros now_ = 0;
-  FeedIngest feed_ingest_;
-  /// node_usage_[n]: bytes held by node n's operators, as of Ingest().
-  std::vector<int64_t> node_usage_;
   /// Nodes and their slots drain one after another, so one context serves
   /// them all.
   ExecutionContext context_{0};
+  /// Non-null when KLINK_AUDIT=1 at construction (see runtime/audit.h).
+  std::unique_ptr<InvariantAuditor> audit_;
 };
 
 }  // namespace klink

@@ -1,7 +1,6 @@
 #include "src/harness/experiment.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "src/common/check.h"
@@ -395,33 +394,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config,
   engine.RefreshLateEventMetrics();
   result.late = engine.metrics().TotalLateMetrics();
   return result;
-}
-
-RepeatedResult RunRepeated(const ExperimentConfig& config, int runs) {
-  KLINK_CHECK_GE(runs, 1);
-  RepeatedResult agg;
-  agg.runs = runs;
-  double sum = 0.0, sum_sq = 0.0;
-  for (int i = 0; i < runs; ++i) {
-    ExperimentConfig c = config;
-    c.seed = config.seed + static_cast<uint64_t>(i);
-    ExperimentResult r = RunExperiment(c);
-    sum += r.mean_latency_s;
-    sum_sq += r.mean_latency_s * r.mean_latency_s;
-    agg.p99_latency_s += r.p99_latency_s;
-    agg.throughput_eps += r.throughput_eps;
-    agg.results.push_back(std::move(r));
-  }
-  const double n = static_cast<double>(runs);
-  agg.mean_latency_s = sum / n;
-  agg.p99_latency_s /= n;
-  agg.throughput_eps /= n;
-  if (runs >= 2) {
-    const double var =
-        std::max(0.0, (sum_sq - sum * sum / n) / (n - 1.0));  // sample var
-    agg.latency_ci95_s = 1.96 * std::sqrt(var / n);
-  }
-  return agg;
 }
 
 }  // namespace klink

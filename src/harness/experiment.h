@@ -173,22 +173,6 @@ using SnapshotProbe = std::function<void(const RuntimeSnapshot&)>;
 ExperimentResult RunExperiment(const ExperimentConfig& config,
                                SnapshotProbe probe = nullptr);
 
-/// Aggregate of several independent runs (the paper averages >= 10 runs
-/// and reports 95% confidence intervals, Sec. 6.2).
-struct RepeatedResult {
-  int runs = 0;
-  double mean_latency_s = 0.0;
-  /// Half-width of the 95% confidence interval on the mean latency.
-  double latency_ci95_s = 0.0;
-  double p99_latency_s = 0.0;  // averaged across runs
-  double throughput_eps = 0.0;
-  std::vector<ExperimentResult> results;
-};
-
-/// Runs `runs` independent repetitions of `config` with seeds
-/// config.seed, config.seed+1, ... and aggregates them.
-RepeatedResult RunRepeated(const ExperimentConfig& config, int runs);
-
 }  // namespace klink
 
 #endif  // KLINK_HARNESS_EXPERIMENT_H_

@@ -22,9 +22,6 @@ class LinearRegressionEstimator final : public IngestionEstimator {
   IngestionPrediction Predict(const StreamProgress& progress) const override;
   std::string name() const override { return "LR"; }
 
-  double weight() const { return w_; }
-  double bias() const { return b_; }
-
  private:
   void OnEpochClosed(const StreamProgress& progress) override;
 

@@ -51,11 +51,6 @@ class IngestionEstimator {
   /// Sum over scored predictions of |actual ingestion - frozen mean|, in
   /// virtual micros; divide by predictions() for the mean absolute error.
   double abs_error_sum_micros() const { return abs_error_sum_; }
-  double mean_abs_error_micros() const {
-    return predictions_ == 0
-               ? 0.0
-               : abs_error_sum_ / static_cast<double>(predictions_);
-  }
 
  protected:
   /// Subclass hook: one epoch closed; update the model from its statistics.

@@ -12,6 +12,9 @@
 namespace klink {
 namespace {
 
+/// Wall time between send bursts of a paced replay (speed > 0).
+constexpr DurationMicros kPacedPollStep = MillisToMicros(20);
+
 /// Backoff with jitter: sleep a uniform-ish duration in [b/2, b], so a
 /// fleet of clients reconnecting after a server restart doesn't stampede
 /// in lockstep.
@@ -292,8 +295,7 @@ Status ReplayFeed(EventFeed& feed,
     }
     if (horizon >= options.until) break;
     if (paced) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options.poll_step));
+      std::this_thread::sleep_for(std::chrono::microseconds(kPacedPollStep));
     }
   }
 

@@ -97,10 +97,6 @@ class LoadgenConnection {
   uint64_t acked_seq() const { return acked_seq_; }
   /// Sequence number the next SendEvent will assign.
   uint64_t next_seq() const { return next_seq_; }
-  /// Elements retained for potential replay (sent but not yet durable).
-  int64_t retained_events() const {
-    return static_cast<int64_t>(retained_.size());
-  }
 
  private:
   static constexpr size_t kFlushThresholdBytes = 32 * 1024;
@@ -148,8 +144,6 @@ struct ReplayOptions {
   /// time per step — loopback throughput tests); 1.0 = one virtual second
   /// per wall second (live replay); other values scale accordingly.
   double speed = 0.0;
-  /// Pacing granularity (wall time between send bursts) when speed > 0.
-  DurationMicros poll_step = MillisToMicros(20);
   /// Send kBye on every connection once the replay completes.
   bool send_bye = true;
   /// When a send fails mid-replay (server crashed), reconnect with this

@@ -76,7 +76,6 @@ void WindowJoinOperator::FirePane(const PaneKey& pane_key, Pane& pane,
   for (const uint64_t key : scratch_keys_) {
     const Aggregate& agg = *pane.per_stream[smallest].Find(key);
     double sum = agg.sum;
-    int64_t count = agg.count;
     bool in_all = true;
     for (size_t s = 0; s < pane.per_stream.size(); ++s) {
       if (s == smallest) continue;
@@ -86,14 +85,12 @@ void WindowJoinOperator::FirePane(const PaneKey& pane_key, Pane& pane,
         break;
       }
       sum += other->sum;
-      count += other->count;
     }
     if (!in_all) continue;
     Event result = MakeDataEvent(/*event_time=*/end, /*ingest_time=*/now, key,
                                  /*value=*/sum, output_payload_bytes_);
     // Join cardinality is carried in `value`; count joins for diagnostics.
     ++emitted_joins_;
-    (void)count;
     EmitData(result, out);
   }
   int64_t keys = 0;

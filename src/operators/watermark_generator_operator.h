@@ -20,7 +20,6 @@ class WatermarkGeneratorOperator final : public Operator {
                              DurationMicros period, DurationMicros lag);
 
   int64_t emitted_watermarks() const { return emitted_watermarks_; }
-  TimeMicros max_event_time() const { return max_event_time_; }
 
  protected:
   void OnData(const Event& e, TimeMicros now, Emitter& out) override;

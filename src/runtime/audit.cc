@@ -52,13 +52,6 @@ void InvariantAuditor::CheckMemoryAccounting(
   }
 }
 
-void InvariantAuditor::CheckSelection(const Selection& selection,
-                                      int num_cores) const {
-  KLINK_CHECK_LE(selection.size(), static_cast<size_t>(num_cores));
-  KLINK_CHECK(selection.IsDistinct());
-  for (const SlotAssignment& slot : selection) KLINK_CHECK_GE(slot.query, 0);
-}
-
 void InvariantAuditor::CheckCycleStats(const Executor& executor,
                                        const std::vector<ExecutorTask>& tasks,
                                        const CycleStats& stats) const {

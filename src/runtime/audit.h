@@ -7,7 +7,6 @@
 #include "src/common/types.h"
 #include "src/query/query.h"
 #include "src/runtime/executor.h"
-#include "src/sched/selection.h"
 
 namespace klink {
 
@@ -38,10 +37,11 @@ bool AuditEnabledFromEnv();
 ///  - SWM epoch ordering: per input stream of each windowed operator, epoch
 ///    counts, swept deadlines, and sweep ingestion times are non-decreasing,
 ///    and upcoming window deadlines never move backwards.
-///  - Selection invariants: at most one assignment per core, distinct
-///    queries.
 ///  - Executor cycle stats: the merged CycleStats equal the slot-order sum
 ///    of the per-context counters, and no slot overran its budget.
+///
+/// The selection invariants (at most one unit per core, none twice) are
+/// not audited here: Node::Schedule checks them every cycle, audited or not.
 ///
 /// Cost: the recomputation walks every queued event, so an audited cycle is
 /// O(queued events) on top of normal work — debug/CI tooling, not a
@@ -56,9 +56,6 @@ class InvariantAuditor {
   /// Cross-checks every queue counter of `active` queries against full
   /// recomputation, and their operator state bytes for sign.
   void CheckMemoryAccounting(const std::vector<const Query*>& active) const;
-
-  /// Validates the policy's Selection: at most `num_cores` distinct units.
-  void CheckSelection(const Selection& selection, int num_cores) const;
 
   /// Validates the merged cycle stats against the per-slot contexts.
   void CheckCycleStats(const Executor& executor,

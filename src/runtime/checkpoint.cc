@@ -4,7 +4,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -61,8 +60,24 @@ bool SyncDir(const std::string& dir) {
   return (::close(fd) == 0) && ok;
 }
 
-std::vector<uint8_t> ManifestBytes(
-    const std::map<uint64_t, std::pair<std::string, uint64_t>>& manifest) {
+/// MANIFEST entries: epoch -> (file name, FNV-1a hash of the file).
+using Manifest = std::map<uint64_t, std::pair<std::string, uint64_t>>;
+
+/// Parses `dir`/MANIFEST, one "epoch file hash_hex" line per entry, up to
+/// the first line that does not parse. A missing MANIFEST has no entries.
+Manifest ReadManifest(const std::string& dir) {
+  Manifest entries;
+  std::ifstream in(JoinPath(dir, "MANIFEST"));
+  uint64_t epoch = 0;
+  uint64_t hash = 0;
+  std::string file;
+  while (in >> epoch >> file >> std::hex >> hash >> std::dec) {
+    entries[epoch] = {file, hash};
+  }
+  return entries;
+}
+
+std::vector<uint8_t> ManifestBytes(const Manifest& manifest) {
   std::ostringstream out;
   for (const auto& [epoch, entry] : manifest) {
     char hash_hex[32];
@@ -91,14 +106,8 @@ CheckpointCoordinator::CheckpointCoordinator(CheckpointConfig config)
   ::mkdir(config_.dir.c_str(), 0755);  // may already exist
   // Adopt any epochs a previous incarnation left behind, so the fallback
   // chain survives a restore and pruning sees the whole set.
-  std::ifstream manifest(JoinPath(config_.dir, "MANIFEST"));
-  uint64_t epoch = 0;
-  uint64_t hash = 0;
-  std::string file;
-  while (manifest >> epoch >> file >> std::hex >> hash >> std::dec) {
-    manifest_[epoch] = {file, hash};
-    last_durable_epoch_ = std::max(last_durable_epoch_, epoch);
-  }
+  manifest_ = ReadManifest(config_.dir);
+  if (!manifest_.empty()) last_durable_epoch_ = manifest_.rbegin()->first;
   writer_ = std::thread([this] { WriterLoop(); });
 }
 
@@ -162,22 +171,20 @@ void CheckpointCoordinator::ResumeFrom(uint64_t epoch,
   next_time_armed_ = true;
 }
 
-int64_t CheckpointCoordinator::OnCycleStart(TimeMicros now) {
+void CheckpointCoordinator::OnCycleStart(TimeMicros now) {
   HandOverAligned();
   DeliverDurableEpochs();
-  if (queries_.empty()) return 0;
+  if (queries_.empty()) return;
   if (!next_time_armed_) {
     // First cycle: the first barrier fires one interval into the run.
     next_checkpoint_time_ = now + config_.interval;
     next_time_armed_ = true;
   }
-  if (now < next_checkpoint_time_) return 0;
-  int64_t added = 0;
-  InjectBarriers(now, &added);
+  if (now < next_checkpoint_time_) return;
+  InjectBarriers(now);
   while (next_checkpoint_time_ <= now) {
     next_checkpoint_time_ += config_.interval;
   }
-  return added;
 }
 
 void CheckpointCoordinator::HandOverAligned() {
@@ -220,8 +227,7 @@ void CheckpointCoordinator::Flush() {
   DeliverDurableEpochs();
 }
 
-void CheckpointCoordinator::InjectBarriers(TimeMicros now,
-                                           int64_t* added_bytes) {
+void CheckpointCoordinator::InjectBarriers(TimeMicros now) {
   const uint64_t epoch = next_epoch_++;
   PendingEpoch pending;
   pending.checkpoint_time = now;
@@ -241,7 +247,6 @@ void CheckpointCoordinator::InjectBarriers(TimeMicros now,
     for (SourceOperator* src : reg.query->sources()) {
       const Event barrier = MakeCheckpointBarrier(epoch, now);
       src->input(0).Push(barrier);
-      *added_bytes += barrier.payload_bytes + StreamQueue::kPerEventOverhead;
       ++barriers_injected_;
     }
   }
@@ -337,7 +342,7 @@ bool CheckpointCoordinator::PersistEpoch(uint64_t epoch,
   // kKeepEpochs; their files go only once it is durable. Two, so a torn
   // newest checkpoint always leaves a complete predecessor to fall back to.
   constexpr size_t kKeepEpochs = 2;
-  std::map<uint64_t, std::pair<std::string, uint64_t>> next = manifest_;
+  Manifest next = manifest_;
   next[epoch] = {file, hash};
   std::vector<std::string> retired;
   while (next.size() > kKeepEpochs) {
@@ -363,15 +368,7 @@ bool CheckpointCoordinator::PersistEpoch(uint64_t epoch,
 
 bool LoadLatestCheckpoint(const std::string& dir, LoadedCheckpoint* out) {
   KLINK_CHECK(out != nullptr);
-  std::ifstream manifest(JoinPath(dir, "MANIFEST"));
-  if (!manifest) return false;
-  std::map<uint64_t, std::pair<std::string, uint64_t>> entries;
-  uint64_t epoch = 0;
-  uint64_t hash = 0;
-  std::string file;
-  while (manifest >> epoch >> file >> std::hex >> hash >> std::dec) {
-    entries[epoch] = {file, hash};
-  }
+  const Manifest entries = ReadManifest(dir);
   // Newest first; a torn newest file falls back to its predecessor (the
   // coordinator keeps >= 2 complete epochs for exactly this case).
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {

@@ -130,9 +130,8 @@ class CheckpointCoordinator final : public BarrierObserver {
   /// Engine hook, called once per cycle after ingest. Hands every epoch
   /// whose barriers have fully aligned to the writer, delivers the epochs
   /// it has made durable, then injects the next epoch's barriers if `now`
-  /// reached the interval. Returns the queue bytes added by injected
-  /// barriers, so the engine can fold them into the cycle's memory update.
-  int64_t OnCycleStart(TimeMicros now);
+  /// reached the interval.
+  void OnCycleStart(TimeMicros now);
 
   /// Delivers the epochs the writer has made durable since the last
   /// delivery (frontier + acks) without blocking. Listen loops call it
@@ -181,7 +180,7 @@ class CheckpointCoordinator final : public BarrierObserver {
     std::vector<std::pair<uint32_t, uint64_t>> acks;
   };
 
-  void InjectBarriers(TimeMicros now, int64_t* added_bytes);
+  void InjectBarriers(TimeMicros now);
   /// Moves fully aligned epochs from pending_ to the writer, in order.
   void HandOverAligned();
   void WriterLoop();

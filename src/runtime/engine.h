@@ -11,9 +11,9 @@
 #include "src/runtime/audit.h"
 #include "src/runtime/event_feed.h"
 #include "src/runtime/executor.h"
-#include "src/runtime/feed_ingest.h"
 #include "src/runtime/memory_tracker.h"
 #include "src/runtime/metrics.h"
+#include "src/runtime/node.h"
 #include "src/runtime/query_fabric.h"
 #include "src/runtime/snapshot.h"
 #include "src/sched/policy.h"
@@ -49,20 +49,21 @@ struct EngineConfig {
 };
 
 /// The stream processing engine: a virtual-time, state-based-scheduled SPE
-/// (Sec. 5), layered as orchestration (this class) over policy
-/// (sched/policy.h) over execution (runtime/executor.h). Each scheduling
-/// cycle the engine (1) ingests feed elements due by now into source
-/// queues unless backpressured, (2) collects the runtime snapshot I,
-/// (3) asks the policy for a Selection of one query per core, charging the
-/// policy's modeled evaluation cost against the cycle budget, (4) hands
+/// (Sec. 5), layered as orchestration (this class) over one Node (its
+/// cores, memory and policy, runtime/node.h) over execution
+/// (runtime/executor.h). Each scheduling cycle the node (1) ingests feed
+/// elements due by now into source queues unless backpressured; the
+/// engine (2) collects the runtime snapshot I; the node (3) asks the
+/// policy for a Selection of one query per core, charging the policy's
+/// modeled evaluation cost against the cycle budget; the engine (4) hands
 /// the selection to the executor, which runs each slot for up to r of
 /// virtual CPU time and merges per-worker counters at the cycle barrier,
 /// and (5) samples resource metrics and advances the clock.
 ///
 /// Query membership is managed by a QueryFabric (runtime/query_fabric.h):
 /// queries attach and detach live. Each cycle the engine collects every
-/// live query, in slot order, into the runtime snapshot and sums their
-/// memory, as DistEngine does per node; policies then scan the snapshot.
+/// live query, in slot order, into the runtime snapshot, as DistEngine does
+/// per node; policies then scan the snapshot.
 class Engine {
  public:
   Engine(const EngineConfig& config, std::unique_ptr<SchedulingPolicy> policy);
@@ -77,11 +78,6 @@ class Engine {
   QueryId AddQuery(std::unique_ptr<Query> query, std::unique_ptr<EventFeed> feed,
                    TimeMicros deploy_time = 0);
 
-  /// Undeploys a query immediately: ingestion stops, queued elements are
-  /// discarded, and the policy no longer sees it. The Query object (and
-  /// its sink's recorded statistics) remains accessible via query(id).
-  void RemoveQuery(QueryId id);
-
   /// Gracefully detaches a query: ingestion stops now, but queued work —
   /// including in-flight checkpoint barriers — keeps being scheduled until
   /// the queues drain, then the query retires. Stats stay readable via
@@ -89,7 +85,7 @@ class Engine {
   void DetachQuery(QueryId id);
 
   /// True while the query is deployed (active or draining); false once
-  /// removed/retired or for unknown ids.
+  /// retired or for unknown ids.
   bool IsActive(QueryId id) const { return fabric_.IsLive(id); }
 
   /// Runs whole scheduling cycles until now() >= end_time.
@@ -98,7 +94,7 @@ class Engine {
 
   TimeMicros now() const { return now_; }
   /// Live (attached, non-retired) queries — tombstones are not a concept
-  /// the fabric has, so removed queries never inflate this count.
+  /// the fabric has, so retired queries never inflate this count.
   int num_queries() const { return fabric_.live_count(); }
   /// Live or retired query; aborts on unknown ids.
   Query& query(QueryId id);
@@ -113,15 +109,15 @@ class Engine {
   /// query into metrics().late_by_query(). Operator counters are
   /// cumulative, so calling this at any point yields totals-so-far.
   void RefreshLateEventMetrics();
-  const MemoryTracker& memory() const { return memory_; }
-  SchedulingPolicy& policy() { return *policy_; }
+  const MemoryTracker& memory() const { return node_.memory(); }
+  SchedulingPolicy& policy() { return node_.policy(); }
   const Executor& executor() const { return *executor_; }
   const EngineConfig& config() const { return config_; }
 
   /// Attaches a checkpoint coordinator (not owned; may be null to detach).
   /// Each cycle, right after ingest, the engine gives it a chance to
-  /// finalize durable epochs and inject the next barriers; injected barrier
-  /// bytes fold into the cycle's memory update.
+  /// finalize durable epochs and inject the next barriers; the snapshot
+  /// collected after it sees the injected barriers' bytes.
   void SetCheckpointCoordinator(CheckpointCoordinator* coordinator) {
     coordinator_ = coordinator;
   }
@@ -152,22 +148,20 @@ class Engine {
   void RunCycle();
   /// Active queries, rebuilt into audit_scratch_ for the invariant auditor.
   const std::vector<const Query*>& ActiveQueriesForAudit();
-  /// Ingests feed elements due by now() into source queues, bounded by the
-  /// memory the live queries leave free.
-  void Ingest();
-  /// Collects every live query into `snap->queries`, in slot order, and
-  /// returns their summed memory_bytes.
-  int64_t BuildSnapshot(RuntimeSnapshot* snap);
+  /// Live queries in slot order, then retired ones in id order: every
+  /// query the engine ever ran, for the folds over all sinks.
+  std::vector<const Query*> AllQueries() const;
+  /// Collects every live query into `snap->queries`, in slot order.
+  void BuildSnapshot(RuntimeSnapshot* snap);
   /// Deregisters a retired query from checkpointing and reports it to the
   /// policy through the next snapshot's `detached` list.
   void OnQueryRetired(QueryId id);
   void MaybeSampleMetrics();
 
   EngineConfig config_;
-  std::unique_ptr<SchedulingPolicy> policy_;
+  Node node_;
   std::unique_ptr<Executor> executor_;
   QueryFabric fabric_;
-  MemoryTracker memory_;
   EngineMetrics metrics_;
   TimeMicros now_ = 0;
   TimeMicros next_sample_time_ = 0;
@@ -175,7 +169,6 @@ class Engine {
   // Rolling counters for windowed metric samples.
   double busy_since_sample_ = 0.0;
   int64_t processed_at_last_sample_ = 0;
-  FeedIngest feed_ingest_;
   Selection selection_scratch_;
   std::vector<ExecutorTask> tasks_scratch_;
   RuntimeSnapshot snapshot_scratch_;

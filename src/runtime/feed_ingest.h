@@ -12,7 +12,7 @@
 namespace klink {
 
 /// Moves one poll of a query's feed into the query's source queues, for
-/// Engine and DistEngine alike. The polled elements are split into one run
+/// Node::Ingest (runtime/node.h), which both engines call. The polled elements are split into one run
 /// per source, keeping delivery order, and each run enters its queue with
 /// one StreamQueue::PushBatch: one memory delta per source per poll instead
 /// of one per element. Source queues are independent, so their contents

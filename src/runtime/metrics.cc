@@ -30,4 +30,11 @@ QueryLateMetrics CollectQueryLateMetrics(const Query& query) {
   return out;
 }
 
+Histogram MergeSinkLatency(const std::vector<const Query*>& queries,
+                           const Histogram& (SinkOperator::*which)() const) {
+  Histogram h;
+  for (const Query* q : queries) h.Merge((q->sink().*which)());
+  return h;
+}
+
 }  // namespace klink

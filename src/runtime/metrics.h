@@ -11,6 +11,7 @@
 namespace klink {
 
 class Query;
+class SinkOperator;
 
 /// Per-query late-data accounting (allowed lateness, src/window/lateness.h):
 /// operator-side counters aggregated over the query's windowed operators
@@ -35,6 +36,12 @@ struct QueryLateMetrics {
 /// Walks the query's operators (windowed aggregates, session windows) and
 /// its sink, summing their late-event counters.
 QueryLateMetrics CollectQueryLateMetrics(const Query& query);
+
+/// Merges one latency histogram of every query's sink, in `queries` order:
+/// `which` is &SinkOperator::swm_latency (output latency) or
+/// &SinkOperator::marker_latency. Both engines' aggregates fold here.
+Histogram MergeSinkLatency(const std::vector<const Query*>& queries,
+                           const Histogram& (SinkOperator::*which)() const);
 
 /// One point of the resource-utilization time series (paper Fig. 8),
 /// sampled every 200 ms of virtual time, as the paper samples.

@@ -59,24 +59,17 @@ QueryId QueryFabric::Attach(std::unique_ptr<Query> query,
   return id;
 }
 
-void QueryFabric::Detach(QueryId id, DetachMode mode) {
+void QueryFabric::Detach(QueryId id) {
   Slot* s = LiveSlot(id);
   if (s == nullptr || s->state == QueryState::kDetached) return;
   s->feed.reset();
-  if (mode == DetachMode::kDrain && s->query->QueuedEvents() > 0) {
+  if (s->query->QueuedEvents() > 0) {
     // Queued work (including in-flight checkpoint barriers) still runs;
     // SweepDrained retires the query once the queues empty.
     if (s->state != QueryState::kDraining) ++draining_;
     s->state = QueryState::kDraining;
     InvalidateViews();  // drops the feed from fed()
     return;
-  }
-  if (mode == DetachMode::kImmediate) {
-    // Discard queued elements now (the old RemoveQuery semantics).
-    for (int i = 0; i < s->query->num_operators(); ++i) {
-      Operator& op = s->query->op(i);
-      for (int st = 0; st < op.num_inputs(); ++st) op.input(st).Clear();
-    }
   }
   Retire(QuerySlot(id));
   if (audit_) AuditConsistency();

@@ -31,24 +31,17 @@ enum class QueryState {
 ///    generation-stamped QueryId (common/types.h): ids are never reused,
 ///    so a stale id held across a detach resolves to kDetached/kUnknown
 ///    instead of aliasing a newer tenant in the same slot.
-///  - Detach is graceful by default: the feed is dropped immediately but
-///    the query keeps its scheduling eligibility until its queues drain
-///    (in-flight elements — including checkpoint barriers — are processed,
-///    not discarded). kImmediate discards queued elements, matching the
-///    old RemoveQuery semantics.
+///  - Detach is graceful: the feed is dropped immediately but the query
+///    keeps its scheduling eligibility until its queues drain (in-flight
+///    elements — including checkpoint barriers — are processed, not
+///    discarded).
 ///  - Detached queries are retained (not freed): their sinks' recorded
-///    statistics stay readable via Find(), exactly as RemoveQuery
-///    guaranteed before.
+///    statistics stay readable via Find().
 ///
 /// The engine reads every live query once per cycle, in slot order
 /// (live()), to build the runtime snapshot and the memory total.
 class QueryFabric {
  public:
-  enum class DetachMode {
-    kDrain,      ///< stop ingest, process remaining queued work, then retire
-    kImmediate,  ///< stop ingest and discard queued elements now
-  };
-
   /// One live slot's view handed to engine loops.
   struct LiveQuery {
     QueryId id = -1;
@@ -68,9 +61,10 @@ class QueryFabric {
   QueryId Attach(std::unique_ptr<Query> query, std::unique_ptr<EventFeed> feed,
                  TimeMicros deploy_time);
 
-  /// Begins (kDrain) or completes (kImmediate) a detach. Draining queries
-  /// retire via SweepDrained once empty. No-op on non-live ids.
-  void Detach(QueryId id, DetachMode mode);
+  /// Stops ingestion now. A query with queued work drains and retires via
+  /// SweepDrained once empty; an empty one retires at once. No-op on
+  /// non-live ids.
+  void Detach(QueryId id);
 
   /// Retires draining queries whose queues are empty, appending each
   /// retired query to `retired` (the engine notifies the checkpoint

@@ -14,7 +14,7 @@ const QueryInfo* RuntimeSnapshot::Find(QueryId id) const {
   return nullptr;
 }
 
-void CollectQueryInfo(const Query& query, TimeMicros now, int begin, int end,
+void CollectQueryInfo(const Query& query, int begin, int end,
                       QueryInfo* info) {
   KLINK_CHECK(info != nullptr);
   const int n = query.num_operators();
@@ -202,8 +202,6 @@ void CollectQueryInfo(const Query& query, TimeMicros now, int begin, int end,
     cost_sum += info->op_cost[idx];
   }
   info->output_rate = cost_sum <= 0.0 ? 0.0 : sel_product / cost_sum;
-
-  (void)now;
 }
 
 }  // namespace klink

@@ -134,20 +134,19 @@ struct RuntimeSnapshot {
 };
 
 /// Fills `info` from the live state of the operators [begin, end) of
-/// `query` at virtual time `now` — a distributed node's share of the query.
+/// `query` — a distributed node's share of the query.
 /// The queue counts (op_queued and queued_events), memory, oldest ingest,
 /// stream progress, upcoming deadline, drain cost, refire debt and lanes
 /// cover only the range; the per-operator cost, selectivity and kind
 /// arrays, unit_cost_micros and output_rate cover the whole query. Sharded
 /// queries take only the full range. Reads exclusively through const
 /// accessors — data acquisition must never perturb the state it observes.
-void CollectQueryInfo(const Query& query, TimeMicros now, int begin, int end,
+void CollectQueryInfo(const Query& query, int begin, int end,
                       QueryInfo* info);
 
 /// CollectQueryInfo over the whole query.
-inline void CollectQueryInfo(const Query& query, TimeMicros now,
-                             QueryInfo* info) {
-  CollectQueryInfo(query, now, 0, query.num_operators(), info);
+inline void CollectQueryInfo(const Query& query, QueryInfo* info) {
+  CollectQueryInfo(query, 0, query.num_operators(), info);
 }
 
 }  // namespace klink

@@ -244,6 +244,93 @@ TEST(DistEngineTest, OneNodeMatchesEngineForEveryPolicy) {
   }
 }
 
+// A k-node kLocal DistEngine is k Engines: query q runs whole on node
+// q mod k, whose node step ingests, schedules and budgets it exactly as an
+// Engine running that node's queries with that node's policy seed does.
+// In the 40-query runs every node reaches the 4 MB cap by 9 s and its
+// backpressure toggles, so each node's own budget and hysteresis count.
+TEST(DistEngineTest, LocalNodesMatchOneEngineEach) {
+  struct Setup {
+    int nodes;
+    YsbDeployment deployment;
+    TimeMicros end;
+    std::vector<PolicyKind> policies;
+  };
+  const Setup setups[] = {
+      {2,
+       {12, 1500.0},
+       SecondsToMicros(12),
+       {PolicyKind::kDefault, PolicyKind::kFcfs, PolicyKind::kRoundRobin,
+        PolicyKind::kHighestRate, PolicyKind::kStreamBox, PolicyKind::kKlink,
+        PolicyKind::kKlinkNoMm}},
+      {4,
+       {40, 3000.0},
+       SecondsToMicros(9),
+       {PolicyKind::kFcfs, PolicyKind::kKlink}},
+  };
+  constexpr int kCores = 2;
+  constexpr int64_t kMemoryBytes = 4ll << 20;
+  const auto seed_of = [](NodeId n) { return uint64_t{11} + n; };
+  for (const Setup& setup : setups) {
+    for (const PolicyKind policy : setup.policies) {
+      SCOPED_TRACE(std::string(PolicyKindName(policy)) + " on " +
+                   std::to_string(setup.nodes) + " nodes");
+      KlinkPolicyConfig kc;
+      DistEngineConfig dc;
+      dc.num_nodes = setup.nodes;
+      dc.placement = PlacementMode::kLocal;
+      dc.node.num_cores = kCores;
+      dc.node.memory_capacity_bytes = kMemoryBytes;
+      kc.cycle_length = dc.cycle_length;
+      DistEngine dist(
+          dc, [&](NodeId n) { return MakePolicy(policy, kc, seed_of(n)); });
+
+      std::vector<std::unique_ptr<Engine>> engines;
+      for (NodeId n = 0; n < setup.nodes; ++n) {
+        EngineConfig ec;
+        ec.num_cores = kCores;
+        ec.memory_capacity_bytes = kMemoryBytes;
+        ec.cycle_length = dc.cycle_length;
+        engines.push_back(std::make_unique<Engine>(
+            ec, MakePolicy(policy, kc, seed_of(n))));
+      }
+      // (engine, id in that engine) of each query, in query id order.
+      std::vector<std::pair<Engine*, QueryId>> hosts;
+      // Both deployments draw the same queries, feeds and deploy times.
+      setup.deployment.Deploy([&](std::unique_ptr<Query> q,
+                                  std::unique_ptr<EventFeed> feed,
+                                  TimeMicros deploy) {
+        Engine& engine =
+            *engines[hosts.size() % static_cast<size_t>(setup.nodes)];
+        hosts.emplace_back(
+            &engine, engine.AddQuery(std::move(q), std::move(feed), deploy));
+      });
+      setup.deployment.Deploy([&](std::unique_ptr<Query> q,
+                                  std::unique_ptr<EventFeed> feed,
+                                  TimeMicros deploy) {
+        dist.AddQuery(std::move(q), std::move(feed), deploy);
+      });
+      dist.RunUntil(setup.end);
+      for (const auto& engine : engines) engine->RunUntil(setup.end);
+
+      int64_t swm_total = 0;
+      for (QueryId id = 0; id < dist.num_queries(); ++id) {
+        SCOPED_TRACE("query " + std::to_string(id));
+        const SinkOperator& got = dist.query(id).sink();
+        const SinkOperator& want =
+            hosts[static_cast<size_t>(id)].first->query(
+                hosts[static_cast<size_t>(id)].second).sink();
+        EXPECT_EQ(got.results_hash(), want.results_hash());
+        EXPECT_EQ(got.results_received(), want.results_received());
+        EXPECT_EQ(got.swm_latency().count(), want.swm_latency().count());
+        EXPECT_EQ(got.swm_latency().mean(), want.swm_latency().mean());
+        swm_total += want.swm_latency().count();
+      }
+      EXPECT_GT(swm_total, 0);
+    }
+  }
+}
+
 // Pins the cross-node path: split pipelines over 3 nodes, where every
 // output crossing a node boundary enters the link at the completion time
 // of the element that produced it. The constants come from a scalar

@@ -180,43 +180,53 @@ TEST(EngineTest, AggregateMarkerLatencyRecorded) {
   EXPECT_GT(engine.AggregateMarkerLatency().count(), 20);
 }
 
-TEST(EngineTest, RemoveQueryStopsServiceButKeepsStats) {
+/// Runs `engine` one cycle at a time until `id` retires (at most 20
+/// virtual seconds).
+void RunUntilRetired(Engine& engine, QueryId id) {
+  for (int i = 0; i < 170 && engine.IsActive(id); ++i) {
+    engine.RunFor(engine.config().cycle_length);
+  }
+  ASSERT_FALSE(engine.IsActive(id));
+}
+
+TEST(EngineTest, DetachQueryStopsServiceButKeepsStats) {
   EngineConfig config;
   config.num_cores = 2;
   Engine engine(config, std::make_unique<RoundRobinPolicy>());
   engine.AddQuery(CountQuery(0), SteadyFeed(500, 1));
   engine.AddQuery(CountQuery(1), SteadyFeed(500, 2));
   engine.RunFor(SecondsToMicros(6));
-  const int64_t results_before = engine.query(0).sink().results_received();
-  ASSERT_GT(results_before, 0);
+  ASSERT_GT(engine.query(0).sink().results_received(), 0);
 
-  engine.RemoveQuery(0);
-  EXPECT_FALSE(engine.IsActive(0));
+  engine.DetachQuery(0);
+  RunUntilRetired(engine, 0);
   EXPECT_TRUE(engine.IsActive(1));
-  EXPECT_EQ(engine.query(0).QueuedEvents(), 0);  // queues released
+  EXPECT_EQ(engine.query(0).QueuedEvents(), 0);  // drained before retiring
+  const int64_t results_before = engine.query(0).sink().results_received();
 
   engine.RunFor(SecondsToMicros(6));
-  // The removed query made no further progress; its stats remain readable.
+  // The retired query made no further progress; its stats remain readable.
   EXPECT_EQ(engine.query(0).sink().results_received(), results_before);
   // The survivor kept running.
   EXPECT_GT(engine.query(1).sink().results_received(), results_before);
 }
 
-TEST(EngineTest, RemoveQueryFreesMemoryAccounting) {
+TEST(EngineTest, RetiredQueryLeavesMemoryAccounting) {
   EngineConfig config;
   config.num_cores = 1;
   Engine engine(config, std::make_unique<RoundRobinPolicy>());
   // Overloaded query builds a backlog.
   PipelineBuilder b("heavy");
-  b.Source("src", 500.0)
-      .TumblingAggregate("w", 500.0, SecondsToMicros(1),
+  b.Source("src", 50.0)
+      .TumblingAggregate("w", 50.0, SecondsToMicros(1),
                          AggregationKind::kCount)
       .Sink("out", 10.0);
   engine.AddQuery(b.Build(0), SteadyFeed(20000, 3));
-  engine.RunFor(SecondsToMicros(5));
+  engine.RunFor(SecondsToMicros(3));
   ASSERT_GT(engine.memory().used_bytes(), 1 << 20);
-  engine.RemoveQuery(0);
-  engine.RunFor(SecondsToMicros(1));
+  engine.DetachQuery(0);
+  RunUntilRetired(engine, 0);
+  engine.RunFor(config.cycle_length);  // the next cycle's memory update
   EXPECT_EQ(engine.memory().used_bytes(), 0);
 }
 
@@ -256,7 +266,7 @@ TEST(EngineTest, SnapshotFollowsLiveSlotOrderAndReportsRetirementsOnce) {
   engine.AddQuery(CountQuery(1), nullptr);
   engine.AddQuery(CountQuery(2), nullptr);
   run_cycle();
-  engine.RemoveQuery(first);
+  engine.DetachQuery(first);  // nothing queued: retires at once
   run_cycle();
   const QueryId fourth = engine.AddQuery(CountQuery(3), nullptr);
   EXPECT_EQ(QuerySlot(fourth), QuerySlot(first));  // reuses slot 0

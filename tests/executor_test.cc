@@ -296,7 +296,7 @@ TEST_P(ExecutorBackendTest, IdleCyclesAreHarmless) {
   EXPECT_EQ(engine.metrics().core_busy_micros(), 0.0);
 }
 
-TEST_P(ExecutorBackendTest, RemoveQueryMidRunKeepsSurvivorsGoing) {
+TEST_P(ExecutorBackendTest, DetachQueryMidRunKeepsSurvivorsGoing) {
   EngineConfig config;
   config.num_cores = 2;
   config.executor = GetParam();
@@ -304,10 +304,14 @@ TEST_P(ExecutorBackendTest, RemoveQueryMidRunKeepsSurvivorsGoing) {
   engine.AddQuery(CountQuery(0), SteadyFeed(500, 1));
   engine.AddQuery(CountQuery(1), SteadyFeed(500, 2));
   engine.RunFor(SecondsToMicros(6));
-  const int64_t results_before = engine.query(0).sink().results_received();
-  ASSERT_GT(results_before, 0);
+  ASSERT_GT(engine.query(0).sink().results_received(), 0);
 
-  engine.RemoveQuery(0);
+  engine.DetachQuery(0);
+  for (int i = 0; i < 50 && engine.IsActive(0); ++i) {
+    engine.RunFor(config.cycle_length);
+  }
+  ASSERT_FALSE(engine.IsActive(0));
+  const int64_t results_before = engine.query(0).sink().results_received();
   engine.RunFor(SecondsToMicros(6));
   EXPECT_EQ(engine.query(0).sink().results_received(), results_before);
   EXPECT_GT(engine.query(1).sink().results_received(), results_before);

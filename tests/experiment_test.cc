@@ -145,32 +145,6 @@ INSTANTIATE_TEST_SUITE_P(
         MatrixParam{PolicyKind::kDefault, WorkloadKind::kNyt},
         MatrixParam{PolicyKind::kKlink, WorkloadKind::kNyt}));
 
-TEST(ExperimentTest, RunRepeatedAggregatesAndBoundsCi) {
-  ExperimentConfig config = TinyConfig();
-  config.policy = PolicyKind::kKlink;
-  const RepeatedResult agg = RunRepeated(config, 3);
-  EXPECT_EQ(agg.runs, 3);
-  ASSERT_EQ(agg.results.size(), 3u);
-  // The aggregate mean lies within the per-run extremes.
-  double lo = agg.results[0].mean_latency_s, hi = lo;
-  for (const ExperimentResult& r : agg.results) {
-    lo = std::min(lo, r.mean_latency_s);
-    hi = std::max(hi, r.mean_latency_s);
-  }
-  EXPECT_GE(agg.mean_latency_s, lo);
-  EXPECT_LE(agg.mean_latency_s, hi);
-  EXPECT_GE(agg.latency_ci95_s, 0.0);
-  EXPECT_LE(agg.latency_ci95_s, (hi - lo) * 1.96 + 1e-12);
-  EXPECT_GT(agg.throughput_eps, 0.0);
-}
-
-TEST(ExperimentTest, RunRepeatedSingleRunHasNoCi) {
-  ExperimentConfig config = TinyConfig();
-  const RepeatedResult agg = RunRepeated(config, 1);
-  EXPECT_EQ(agg.runs, 1);
-  EXPECT_DOUBLE_EQ(agg.latency_ci95_s, 0.0);
-}
-
 // The modeled evaluator cost (Fig. 9d) charges every query in every cycle,
 // ready or not, and each memory-mode cycle once. Both runs are pinned to
 // their values: the second deploys queries until 30 s, so some sit idle

@@ -28,7 +28,7 @@ class KlinkPolicyTest : public ::testing::Test {
           .Sink("out", 1.0);
       queries_.push_back(b.Build(i));
       QueryInfo info;
-      CollectQueryInfo(*queries_.back(), 0, &info);
+      CollectQueryInfo(*queries_.back(), &info);
       info.queued_events = 10;
       snapshot_.queries.push_back(std::move(info));
     }
@@ -201,7 +201,7 @@ TEST_F(KlinkPolicyTest, WindowlessQueriesScheduledLast) {
   b.Source("s", 1.0).Map("m", 1.0).Sink("out", 1.0);
   queries_.push_back(b.Build(1));
   QueryInfo info;
-  CollectQueryInfo(*queries_.back(), 0, &info);
+  CollectQueryInfo(*queries_.back(), &info);
   info.queued_events = 100;
   snapshot_.queries.push_back(std::move(info));
 
@@ -213,8 +213,8 @@ TEST_F(KlinkPolicyTest, WindowlessQueriesScheduledLast) {
   EXPECT_EQ(out[1].query, 1);  // windowless still runs when slots remain
 }
 
-// A query that leaves the engine, by RemoveQuery or by a drained
-// DetachQuery, releases its stream estimators; a live one keeps its own.
+// A query that leaves the engine by a drained DetachQuery releases its
+// stream estimators; a live one keeps its own.
 TEST(KlinkPolicyEngineTest, DepartedQueriesReleaseTheirEstimators) {
   EngineConfig config;
   config.num_cores = 2;
@@ -245,11 +245,14 @@ TEST(KlinkPolicyEngineTest, DepartedQueriesReleaseTheirEstimators) {
     ASSERT_NE(policy.EstimatorFor(id, 1, 0), nullptr) << id;
   }
 
-  engine.RemoveQuery(ids[0]);
+  engine.DetachQuery(ids[0]);
   engine.DetachQuery(ids[1]);
-  for (int i = 0; i < 100 && engine.IsActive(ids[1]); ++i) {
+  for (int i = 0; i < 100 && (engine.IsActive(ids[0]) ||
+                              engine.IsActive(ids[1]));
+       ++i) {
     engine.RunFor(MillisToMicros(120));
   }
+  ASSERT_FALSE(engine.IsActive(ids[0]));
   ASSERT_FALSE(engine.IsActive(ids[1]));
   engine.RunFor(MillisToMicros(240));  // cycles past the retirement
   EXPECT_EQ(policy.EstimatorFor(ids[0], 1, 0), nullptr);

@@ -29,7 +29,7 @@ class SnapshotFixture : public ::testing::Test {
           .Sink("out", 1.0);
       queries_.push_back(b.Build(i));
       QueryInfo info;
-      CollectQueryInfo(*queries_.back(), 0, &info);
+      CollectQueryInfo(*queries_.back(), &info);
       info.queued_events = 10;  // ready by default
       snapshot_.queries.push_back(std::move(info));
     }
@@ -191,7 +191,7 @@ TEST_F(PolicyTest, StreamBoxReleasesAfterWatermark) {
 
 TEST_F(PolicyTest, StreamBoxHandlesSparseIdsAfterRemoval) {
   Build(6);
-  // Simulate RemoveQuery: only ids 3..5 survive, so every surviving id
+  // Simulate retirements: only ids 3..5 survive, so every surviving id
   // exceeds the snapshot length. Regression test for the dense-id
   // assumption in SBox's taken[] bitmap (previously sized by
   // snapshot.queries.size() and indexed by id).

@@ -59,7 +59,7 @@ TEST(QueryFabricTest, SlotReuseBumpsGenerationAndNeverAliases) {
   QueryFabric fabric;
   const QueryId a = fabric.Attach(CountQuery(0), nullptr, 0);
   fabric.Attach(CountQuery(1), nullptr, 0);
-  fabric.Detach(a, QueryFabric::DetachMode::kImmediate);
+  fabric.Detach(a);
   EXPECT_EQ(fabric.state(a), QueryState::kDetached);
   EXPECT_FALSE(fabric.IsLive(a));
 
@@ -82,7 +82,7 @@ TEST(QueryFabricTest, GracefulDetachDrainsBeforeRetiring) {
   const QueryId a = fabric.Attach(CountQuery(0), nullptr, 0);
   EnqueueOne(*fabric.Find(a));
 
-  fabric.Detach(a, QueryFabric::DetachMode::kDrain);
+  fabric.Detach(a);
   EXPECT_EQ(fabric.state(a), QueryState::kDraining);
   EXPECT_TRUE(fabric.IsLive(a));  // still schedulable
   EXPECT_EQ(fabric.draining_count(), 1);
@@ -106,7 +106,7 @@ TEST(QueryFabricTest, GracefulDetachDrainsBeforeRetiring) {
 TEST(QueryFabricTest, DrainWithEmptyQueuesRetiresImmediately) {
   QueryFabric fabric;
   const QueryId a = fabric.Attach(CountQuery(0), nullptr, 0);
-  fabric.Detach(a, QueryFabric::DetachMode::kDrain);
+  fabric.Detach(a);
   EXPECT_EQ(fabric.state(a), QueryState::kDetached);
   EXPECT_EQ(fabric.draining_count(), 0);
 }
@@ -125,7 +125,7 @@ TEST(QueryFabricTest, LiveAndFedViewsTrackChurn) {
   ASSERT_EQ(fabric.fed().size(), 1u);  // only b has a feed
   EXPECT_EQ(fabric.fed()[0].id, b);
 
-  fabric.Detach(a, QueryFabric::DetachMode::kImmediate);
+  fabric.Detach(a);
   EXPECT_EQ(fabric.live().size(), 1u);
   EXPECT_EQ(fabric.live()[0].id, b);
   fabric.AuditConsistency();

@@ -62,10 +62,10 @@ std::tuple<int64_t, int64_t, int64_t> ChurnRun(PolicyKind kind, bool audit) {
   }
   engine.RunFor(SecondsToMicros(3));
 
-  // Churn: one graceful drain, one hard remove, one live attach. The
-  // freed slots get reused with bumped generations.
+  // Churn: two graceful drains, two live attaches. The freed slots get
+  // reused with bumped generations.
   engine.DetachQuery(ids[1]);
-  engine.RemoveQuery(ids[2]);
+  engine.DetachQuery(ids[2]);
   const QueryId late_a = engine.AddQuery(CountQuery(6), SteadyFeed(800, 99));
   const QueryId late_b = engine.AddQuery(CountQuery(7), SteadyFeed(600, 98));
   engine.RunFor(SecondsToMicros(3));

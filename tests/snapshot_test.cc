@@ -19,7 +19,7 @@ std::unique_ptr<Query> BuildQuery() {
 TEST(SnapshotTest, PerOperatorArrays) {
   auto q = BuildQuery();
   QueryInfo info;
-  CollectQueryInfo(*q, 0, &info);
+  CollectQueryInfo(*q, &info);
   ASSERT_EQ(info.op_cost.size(), 4u);
   EXPECT_DOUBLE_EQ(info.op_cost[0], 10.0);
   EXPECT_DOUBLE_EQ(info.op_cost[2], 30.0);
@@ -36,7 +36,7 @@ TEST(SnapshotTest, DrainCostUsesSelectivityDiscountedPaths) {
     q->op(0).input(0).Push(MakeDataEvent(i, i, 0, 0.0));
   }
   QueryInfo info;
-  CollectQueryInfo(*q, 0, &info);
+  CollectQueryInfo(*q, &info);
   const double per_event = 10.0 + 20.0 + 0.5 * (30.0 + 0.05 * 5.0);
   EXPECT_NEAR(info.drain_cost_micros, 10.0 * per_event, 1e-9);
   EXPECT_EQ(info.queued_events, 10);
@@ -47,18 +47,18 @@ TEST(SnapshotTest, DrainCostCountsMidPipelineQueues) {
   auto q = BuildQuery();
   q->op(2).input(0).Push(MakeDataEvent(0, 0, 0, 0.0));  // at the window
   QueryInfo info;
-  CollectQueryInfo(*q, 0, &info);
+  CollectQueryInfo(*q, &info);
   EXPECT_NEAR(info.drain_cost_micros, 30.0 + 0.05 * 5.0, 1e-9);
 }
 
 TEST(SnapshotTest, OldestIngestAcrossOperators) {
   auto q = BuildQuery();
   QueryInfo info;
-  CollectQueryInfo(*q, 0, &info);
+  CollectQueryInfo(*q, &info);
   EXPECT_EQ(info.oldest_ingest, kNoTime);
   q->op(1).input(0).Push(MakeDataEvent(0, 500, 0, 0.0));
   q->op(0).input(0).Push(MakeDataEvent(0, 900, 0, 0.0));
-  CollectQueryInfo(*q, 0, &info);
+  CollectQueryInfo(*q, &info);
   EXPECT_EQ(info.oldest_ingest, 500);
 }
 
@@ -68,7 +68,7 @@ TEST(SnapshotTest, StreamProgressExtracted) {
   q->op(2).Process(MakeDataEvent(100, 150, 2, 1.0), 0, sinkhole);
   q->op(2).Process(MakeWatermark(1000, 1040), 0, sinkhole);
   QueryInfo info;
-  CollectQueryInfo(*q, 2000, &info);
+  CollectQueryInfo(*q, &info);
   ASSERT_EQ(info.streams.size(), 1u);
   const StreamProgress& p = info.streams[0];
   EXPECT_EQ(p.op_index, 2);
@@ -83,7 +83,7 @@ TEST(SnapshotTest, StreamProgressExtracted) {
 TEST(SnapshotTest, OutputRateUsesDeclaredSelectivities) {
   auto q = BuildQuery();
   QueryInfo info;
-  CollectQueryInfo(*q, 0, &info);
+  CollectQueryInfo(*q, &info);
   // Product of hints (filter 0.5, agg 0.05) over the total cost; the sink
   // is excluded from the product.
   const double expected = (1.0 * 0.5 * 0.05) / (10.0 + 20.0 + 30.0 + 5.0);
@@ -95,7 +95,7 @@ TEST(SnapshotTest, WindowlessQueryHasNoStreams) {
   b.Source("s", 1.0).Map("m", 1.0).Sink("out", 1.0);
   auto q = b.Build(0);
   QueryInfo info;
-  CollectQueryInfo(*q, 0, &info);
+  CollectQueryInfo(*q, &info);
   EXPECT_TRUE(info.streams.empty());
   EXPECT_EQ(info.upcoming_deadline, kNoTime);
 }
