@@ -54,14 +54,4 @@ double Rng::NextExponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::NextGaussian(double mean, double stddev) {
-  double u1 = NextDouble();
-  double u2 = NextDouble();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
-}
-
-Rng Rng::Fork() { return Rng(NextUint64()); }
-
 }  // namespace klink

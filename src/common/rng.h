@@ -26,12 +26,6 @@ class Rng {
   /// Returns a sample from Exp(1/mean). Requires mean > 0.
   double NextExponential(double mean);
 
-  /// Returns a sample from N(mean, stddev^2) via Box-Muller.
-  double NextGaussian(double mean, double stddev);
-
-  /// Forks an independent generator stream (for per-query generators).
-  Rng Fork();
-
  private:
   uint64_t state_[4];
 };

@@ -71,33 +71,6 @@ class RunningStats {
   double sum_sq_ = 0.0;
 };
 
-/// Exponentially weighted moving average, for smoothed runtime estimates
-/// (e.g., operator cost) that must adapt to workload changes.
-class EwmaStats {
- public:
-  /// alpha in (0, 1]: weight of the newest observation.
-  explicit EwmaStats(double alpha = 0.2) : alpha_(alpha) {}
-
-  void Add(double x) {
-    if (!seeded_) {
-      value_ = x;
-      seeded_ = true;
-    } else {
-      value_ = alpha_ * x + (1.0 - alpha_) * value_;
-    }
-  }
-
-  bool seeded() const { return seeded_; }
-
-  /// Current estimate, or fallback when no observation was added yet.
-  double ValueOr(double fallback) const { return seeded_ ? value_ : fallback; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool seeded_ = false;
-};
-
 }  // namespace klink
 
 #endif  // KLINK_COMMON_RUNNING_STATS_H_

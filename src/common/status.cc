@@ -9,16 +9,6 @@ const char* CodeName(StatusCode code) {
       return "OK";
     case StatusCode::kInvalidArgument:
       return "INVALID_ARGUMENT";
-    case StatusCode::kNotFound:
-      return "NOT_FOUND";
-    case StatusCode::kAlreadyExists:
-      return "ALREADY_EXISTS";
-    case StatusCode::kFailedPrecondition:
-      return "FAILED_PRECONDITION";
-    case StatusCode::kResourceExhausted:
-      return "RESOURCE_EXHAUSTED";
-    case StatusCode::kUnimplemented:
-      return "UNIMPLEMENTED";
     case StatusCode::kInternal:
       return "INTERNAL";
   }

@@ -8,17 +8,13 @@
 
 namespace klink {
 
-/// Error categories for recoverable failures (configuration errors, invalid
-/// user input, resource exhaustion). Engine invariants use KLINK_CHECK.
+/// Error categories for recoverable failures: invalid configuration or user
+/// input, and internal failures such as a socket error. Engine invariants
+/// use KLINK_CHECK.
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument = 1,
-  kNotFound = 2,
-  kAlreadyExists = 3,
-  kFailedPrecondition = 4,
-  kResourceExhausted = 5,
-  kUnimplemented = 6,
-  kInternal = 7,
+  kInternal = 2,
 };
 
 /// Lightweight status object, modelled after absl::Status. Functions that
@@ -38,21 +34,6 @@ class [[nodiscard]] Status {
   static Status Ok() { return Status(); }
   static Status InvalidArgument(std::string msg) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
-  }
-  static Status NotFound(std::string msg) {
-    return Status(StatusCode::kNotFound, std::move(msg));
-  }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
-  static Status FailedPrecondition(std::string msg) {
-    return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

@@ -203,11 +203,11 @@ DurationMicros WatermarkLagFor(DelayKind kind) {
 DurationMicros WindowOffsetRange(WorkloadKind workload) {
   switch (workload) {
     case WorkloadKind::kYsb:
-      return YsbConfig{}.window_size;
+      return YsbConfig::window_size;
     case WorkloadKind::kLrb:
-      return LrbConfig{}.join_window;
+      return LrbConfig::join_window;
     case WorkloadKind::kNyt:
-      return NytConfig{}.slide;
+      return NytConfig::slide;
   }
   return 0;
 }

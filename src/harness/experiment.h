@@ -59,8 +59,9 @@ DurationMicros WatermarkLagFor(DelayKind kind);
 
 /// One tenant of a run: a copy of the workload's fixed pipeline (Sec.
 /// 6.1.1) whose window deadlines are phase-shifted by its own offset
-/// (Sec. 6.2.1). Every other parameter keeps its YsbConfig, LrbConfig or
-/// NytConfig default.
+/// (Sec. 6.2.1). These fields are all a tenant varies; the pipeline's
+/// costs, key space, selectivity and windows are constants of its
+/// workload (src/workloads/{ysb,lrb,nyt}.cc).
 struct TenantSpec {
   WorkloadKind workload = WorkloadKind::kYsb;
   /// Data events per second per source (LRB has 3 sources).

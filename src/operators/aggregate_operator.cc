@@ -246,43 +246,23 @@ void WindowAggregateOperator::OnWatermark(const Event& incoming,
 
 void WindowAggregateOperator::ExportKeyedState(
     std::vector<KeyedStateEntry>* out) {
-  // One blob per key: open-pane records then retained-pane records (each
-  // in pane/deadline order), so redistribution moves the full late-data
-  // context — aggregate, emitted value, pending-refire mark — with the
-  // key. Keys emitted in sorted order so redistribution is deterministic.
-  struct KeyBlob {
-    StateWriter open;
-    StateWriter retained;
-    uint32_t open_records = 0;
-    uint32_t retained_records = 0;
-  };
-  std::map<uint64_t, KeyBlob> blobs;
+  // One entry per key, holding the full late-data context (aggregate,
+  // emitted value, pending-refire mark), so the key's new owner refires
+  // exactly what this shard would have. Keys go out in sorted order so
+  // redistribution is deterministic.
+  std::map<uint64_t, KeyedStateEntry> entries;
   int64_t keys = 0;
   for (const auto& [pane_key, pane] : panes_) {
     for (const auto& [key, agg] : pane) {
-      KeyBlob& b = blobs[key];
-      b.open.PutI64(pane_key.first);   // end
-      b.open.PutI64(pane_key.second);  // start
-      b.open.PutI64(agg.count);
-      b.open.PutDouble(agg.sum);
-      b.open.PutDouble(agg.max);
-      ++b.open_records;
+      entries[key].open.emplace_back(pane_key, agg);
       ++keys;
     }
   }
   int64_t retained_keys = 0;
   for (const auto& [pane_key, pane] : retained_) {
     for (const auto& [key, entry] : pane) {
-      KeyBlob& b = blobs[key];
-      b.retained.PutI64(pane_key.first);
-      b.retained.PutI64(pane_key.second);
-      b.retained.PutI64(entry.agg.count);
-      b.retained.PutDouble(entry.agg.sum);
-      b.retained.PutDouble(entry.agg.max);
-      b.retained.PutBool(entry.has_emitted);
-      b.retained.PutDouble(entry.emitted);
-      b.retained.PutBool(dirty_.count({pane_key, key}) != 0);
-      ++b.retained_records;
+      entries[key].retained.push_back(KeyedStateEntry::Retained{
+          pane_key, entry, dirty_.count({pane_key, key}) != 0});
       ++retained_keys;
     }
   }
@@ -296,32 +276,15 @@ void WindowAggregateOperator::ExportKeyedState(
   retained_.clear();
   dirty_.clear();
   pending_correction_elements_ = 0;
-  for (auto& [key, b] : blobs) {
-    StateWriter w;
-    w.PutU32(b.open_records);
-    w.PutU32(b.retained_records);
-    const std::vector<uint8_t> open_bytes = b.open.TakeBytes();
-    const std::vector<uint8_t> retained_bytes = b.retained.TakeBytes();
-    w.PutBytes(open_bytes.data(), open_bytes.size());
-    w.PutBytes(retained_bytes.data(), retained_bytes.size());
-    out->push_back(KeyedStateEntry{key, w.TakeBytes()});
+  for (auto& [key, entry] : entries) {
+    entry.key = key;
+    out->push_back(std::move(entry));
   }
 }
 
 void WindowAggregateOperator::ImportKeyedState(const KeyedStateEntry& entry) {
-  StateReader r(entry.blob);
-  const uint32_t open_records = r.GetU32();
-  const uint32_t retained_records = r.GetU32();
-  KLINK_CHECK(r.ok());
-  for (uint32_t i = 0; i < open_records; ++i) {
-    const TimeMicros end = r.GetI64();
-    const TimeMicros start = r.GetI64();
-    Aggregate agg;
-    agg.count = r.GetI64();
-    agg.sum = r.GetDouble();
-    agg.max = r.GetDouble();
-    KLINK_CHECK(r.ok());
-    auto [pane_it, pane_inserted] = panes_.try_emplace({end, start});
+  for (const auto& [pane_key, agg] : entry.open) {
+    auto [pane_it, pane_inserted] = panes_.try_emplace(pane_key);
     if (pane_inserted) AddStateBytes(kBytesPerPane);
     const auto [slot, inserted] = pane_it->second.TryEmplace(entry.key);
     KLINK_CHECK(inserted);  // each (pane, key) comes from exactly one shard
@@ -329,30 +292,19 @@ void WindowAggregateOperator::ImportKeyedState(const KeyedStateEntry& entry) {
     ++total_key_states_;
     AddStateBytes(kBytesPerKeyState);
   }
-  for (uint32_t i = 0; i < retained_records; ++i) {
-    const TimeMicros end = r.GetI64();
-    const TimeMicros start = r.GetI64();
-    RetainedEntry re;
-    re.agg.count = r.GetI64();
-    re.agg.sum = r.GetDouble();
-    re.agg.max = r.GetDouble();
-    re.has_emitted = r.GetBool();
-    re.emitted = r.GetDouble();
-    const bool dirty = r.GetBool();
-    KLINK_CHECK(r.ok());
-    auto [pane_it, pane_inserted] = retained_.try_emplace({end, start});
+  for (const KeyedStateEntry::Retained& r : entry.retained) {
+    auto [pane_it, pane_inserted] = retained_.try_emplace(r.pane);
     if (pane_inserted) AddStateBytes(kBytesPerPane);
     const auto [slot, inserted] = pane_it->second.TryEmplace(entry.key);
     KLINK_CHECK(inserted);
-    *slot = re;
+    *slot = r.entry;
     ++retained_key_states_;
     AddStateBytes(kBytesPerRetainedState);
-    if (dirty) {
-      KLINK_CHECK(dirty_.insert({{end, start}, entry.key}).second);
-      pending_correction_elements_ += re.has_emitted ? 2 : 1;
+    if (r.refire) {
+      KLINK_CHECK(dirty_.insert({r.pane, entry.key}).second);
+      pending_correction_elements_ += r.entry.has_emitted ? 2 : 1;
     }
   }
-  KLINK_CHECK(r.AtEnd());
 }
 
 void WindowAggregateOperator::SerializeState(StateWriter& w) const {

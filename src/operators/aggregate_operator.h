@@ -78,18 +78,13 @@ class WindowAggregateOperator final : public Operator {
 
   /// ---- live re-sharding ----------------------------------------------
   /// A shard region's lanes are all WindowAggregateOperators, and the
-  /// re-shard controller moves their keyed state between them:
-  /// ExportKeyedState drains every key into one (key, blob) entry
-  /// (reporting the byte shrink through AddStateBytes), and
-  /// ImportKeyedState upserts one entry (reporting growth). A blob holds
-  /// the key's open-pane (end, start, count, sum, max) records, then its
-  /// retained-pane records with their emitted value and refire mark.
-  /// Per-operator counters (processed/fired/dropped) stay put: they are
-  /// per-shard diagnostics.
-  struct KeyedStateEntry {
-    uint64_t key = 0;
-    std::vector<uint8_t> blob;
-  };
+  /// re-shard controller moves their keyed state between them, between
+  /// cycles: ExportKeyedState drains every key into one entry in sorted
+  /// key order (reporting the byte shrink through AddStateBytes), and
+  /// ImportKeyedState upserts one entry (reporting growth). Per-operator
+  /// counters (processed/fired/dropped) stay put: they are per-shard
+  /// diagnostics.
+  struct KeyedStateEntry;
   void ExportKeyedState(std::vector<KeyedStateEntry>* out);
   void ImportKeyedState(const KeyedStateEntry& entry);
 
@@ -155,6 +150,21 @@ class WindowAggregateOperator final : public Operator {
   /// order is its keys' arrival order, which would diverge between an
   /// uninterrupted run and a checkpoint-restored one.
   std::vector<uint64_t> scratch_keys_;
+};
+
+/// One key's state in a re-shard move: its open-pane aggregates, then its
+/// retained panes with their emitted value and refire mark, each in pane
+/// (deadline) order.
+struct WindowAggregateOperator::KeyedStateEntry {
+  struct Retained {
+    PaneKey pane;
+    RetainedEntry entry;
+    /// A retraction+update pair is pending for this (pane, key).
+    bool refire = false;
+  };
+  uint64_t key = 0;
+  std::vector<std::pair<PaneKey, Aggregate>> open;
+  std::vector<Retained> retained;
 };
 
 }  // namespace klink

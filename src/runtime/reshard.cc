@@ -50,10 +50,10 @@ bool ReshardController::Drained(Query& q) {
 
 void ReshardController::Redistribute(Query& q, int new_count) {
   const Query::ShardRegion& region = q.shard_region();
-  // Export drains each shard's keyed state (deterministically ordered by
-  // the operators' own keyed containers), then every entry is imported
-  // into the shard that will own its key under the new count. The routing
-  // hash is ShardOf — the same function the partition router uses — so
+  // Export drains each shard's keyed state as typed per-key entries in
+  // sorted key order, then every entry is imported, shard by shard, into
+  // the shard that will own its key under the new count. The routing hash
+  // is ShardOf — the same function the partition router uses — so
   // replayed and future data always finds the moved state.
   // The builder's typed factory constructs only WindowAggregateOperators
   // in a shard region.

@@ -7,6 +7,27 @@
 #include "src/workloads/workload.h"
 
 namespace klink {
+namespace {
+
+/// Highway segments (grouping keys).
+constexpr int64_t kNumSegments = 100;
+constexpr DurationMicros kAccidentWindow = SecondsToMicros(5);
+/// A third of the accident window's deadline period (1 s).
+constexpr DurationMicros kTollWindow = LrbConfig::accident_slide / 3;
+
+/// Load burstiness of each sub-stream (see SourceSpec::burstiness).
+constexpr double kBurstiness = 0.5;
+constexpr DurationMicros kWatermarkPeriod = MillisToMicros(500);
+
+/// Per-event virtual CPU costs (micros).
+constexpr double kSourceCost = 25.0;
+constexpr double kMapCost = 22.0;
+constexpr double kJoinCost = 42.0;
+constexpr double kAccidentCost = 40.0;
+constexpr double kTollCost = 30.0;
+constexpr double kSinkCost = 5.0;
+
+}  // namespace
 
 std::unique_ptr<Query> MakeLrbQuery(QueryId id, const LrbConfig& config) {
   PipelineBuilder b("lrb");
@@ -14,23 +35,21 @@ std::unique_ptr<Query> MakeLrbQuery(QueryId id, const LrbConfig& config) {
   // Three position-report sub-streams, each mapped onto its highway
   // segment before the group-by join.
   std::vector<BuilderStream> inputs;
-  const int64_t segments = std::max<int64_t>(1, config.num_segments);
   for (int i = 0; i < 3; ++i) {
     const std::string suffix = std::to_string(i);
     inputs.push_back(
-        b.Source("position-reports-" + suffix, config.source_cost)
-            .Map("segment-map-" + suffix, config.map_cost,
-                 [segments](Event& e) { e.key %= segments; }));
+        b.Source("position-reports-" + suffix, kSourceCost)
+            .Map("segment-map-" + suffix, kMapCost,
+                 [](Event& e) { e.key %= kNumSegments; }));
   }
-  b.TumblingJoin("segment-join", config.join_cost, config.join_window,
+  b.TumblingJoin("segment-join", kJoinCost, LrbConfig::join_window,
                  std::move(inputs), config.window_offset)
-      .SlidingAggregate("accident-detection", config.accident_cost,
-                        config.accident_window, config.accident_slide,
-                        AggregationKind::kMax, config.window_offset)
-      .TumblingAggregate("toll-calculation", config.toll_cost,
-                         config.toll_window, AggregationKind::kSum,
-                         config.window_offset)
-      .Sink("toll-output", config.sink_cost);
+      .SlidingAggregate("accident-detection", kAccidentCost, kAccidentWindow,
+                        LrbConfig::accident_slide, AggregationKind::kMax,
+                        config.window_offset)
+      .TumblingAggregate("toll-calculation", kTollCost, kTollWindow,
+                         AggregationKind::kSum, config.window_offset)
+      .Sink("toll-output", kSinkCost);
   return b.Build(id);
 }
 
@@ -41,13 +60,13 @@ std::unique_ptr<EventFeed> MakeLrbFeed(const LrbConfig& config,
   for (int i = 0; i < 3; ++i) {
     SourceSpec spec;
     spec.events_per_second = config.events_per_substream_per_second;
-    spec.key_cardinality = config.num_segments;
+    spec.key_cardinality = kNumSegments;
     spec.value_min = 0.0;
     spec.value_max = 180.0;  // vehicle speed
     spec.payload_bytes = 112;  // vehicle id, speed, lane, position, ...
-    spec.burstiness = config.burstiness;
+    spec.burstiness = kBurstiness;
     spec.key_skew = config.key_skew;
-    spec.watermark_period = config.watermark_period;
+    spec.watermark_period = kWatermarkPeriod;
     spec.watermark_lag = config.watermark_lag;
     specs.push_back(spec);
   }

@@ -15,42 +15,31 @@ namespace klink {
 /// accident-detection and toll-calculation queries.
 ///
 ///   3 x (source -> map(segment)) -> tumbling-join(join_window) ->
-///   sliding-agg(accident: accident_window/accident_slide) ->
-///   tumbling-agg(toll: toll_window) -> sink
+///   sliding-agg(accident: 5 s / accident_slide) ->
+///   tumbling-agg(toll: accident_slide / 3) -> sink
 ///
 /// Per the paper's stress setup, the deadline period of the last window
-/// operator (toll) defaults to 1/3 of the earlier deadline period so
-/// pipeline pressure intensifies at SWM ingestion.
+/// operator (toll) is 1/3 of the earlier deadline period so pipeline
+/// pressure intensifies at SWM ingestion. The pipeline is fixed: its key
+/// space, accident and toll windows and per-operator costs are constants
+/// beside MakeLrbQuery (lrb.cc). A tenant varies only the fields below.
 struct LrbConfig {
+  /// Tumbling window of the segment join.
+  static constexpr DurationMicros join_window = SecondsToMicros(2);
+  /// Deadline period of the sliding accident window.
+  static constexpr DurationMicros accident_slide = SecondsToMicros(3);
+
   /// Data events per second per sub-stream (paper: 6.5K per 2 s = 3250/s).
   double events_per_substream_per_second = 1000.0;
-  /// Highway segments (grouping keys).
-  int64_t num_segments = 100;
-
-  DurationMicros join_window = SecondsToMicros(2);
-  DurationMicros accident_window = SecondsToMicros(5);
-  DurationMicros accident_slide = SecondsToMicros(3);
-  /// Toll window = accident_slide / 3 by default (1 s).
-  DurationMicros toll_window = SecondsToMicros(1);
   DurationMicros window_offset = 0;
 
-  /// Load burstiness (see SourceSpec::burstiness).
-  double burstiness = 0.5;
   /// Key skew (see SourceSpec::key_skew); 0 = uniform segment keys.
   double key_skew = 0.0;
 
-  DurationMicros watermark_period = MillisToMicros(500);
   DurationMicros watermark_lag = MillisToMicros(150);
   /// Allowed-lateness horizon (see YsbConfig::allowed_lateness). Applies
   /// to the accident and toll windows; the join keeps its drop policy.
   DurationMicros allowed_lateness = 0;
-
-  double source_cost = 25.0;
-  double map_cost = 22.0;
-  double join_cost = 42.0;
-  double accident_cost = 40.0;
-  double toll_cost = 30.0;
-  double sink_cost = 5.0;
 };
 
 /// Builds the LRB accident-detection + toll query.

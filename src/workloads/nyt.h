@@ -16,35 +16,25 @@ namespace klink {
 /// second".
 ///
 ///   source -> parse -> valid-trip-filter -> map(cell) -> enrich(fare) ->
-///   sliding-avg(window/slide) -> sink
+///   sliding-avg(2 s / slide) -> sink
+///
+/// The pipeline is fixed: its key space, selectivity, window size and
+/// per-operator costs are constants beside MakeNytQuery (nyt.cc). A tenant
+/// varies only the fields below.
 struct NytConfig {
+  /// Slide (deadline period) of the sliding average.
+  static constexpr DurationMicros slide = SecondsToMicros(1);
+
   /// Data events per second per query (paper: 7K/s).
   double events_per_second = 1000.0;
-  /// Grid cells (grouping keys).
-  int64_t num_cells = 200;
-  double valid_fraction = 0.9;  // trips surviving validity filtering
-
-  DurationMicros window_size = SecondsToMicros(2);
-  DurationMicros slide = SecondsToMicros(1);
   DurationMicros window_offset = 0;
 
-  /// Load burstiness (see SourceSpec::burstiness).
-  double burstiness = 0.5;
   /// Key skew (see SourceSpec::key_skew); 0 = uniform location keys.
   double key_skew = 0.0;
 
-  DurationMicros watermark_period = MillisToMicros(500);
   DurationMicros watermark_lag = MillisToMicros(150);
   /// Allowed-lateness horizon (see YsbConfig::allowed_lateness).
   DurationMicros allowed_lateness = 0;
-
-  double source_cost = 12.0;
-  double parse_cost = 17.0;
-  double filter_cost = 12.0;
-  double cell_map_cost = 12.0;
-  double enrich_cost = 12.0;
-  double aggregate_cost = 35.0;
-  double sink_cost = 5.0;
 
   /// Intra-query key sharding of the sliding aggregation (DESIGN.md
   /// "Sharded execution"); see YsbConfig::shards.

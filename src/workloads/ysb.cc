@@ -7,31 +7,47 @@
 #include "src/workloads/workload.h"
 
 namespace klink {
+namespace {
+
+/// 100 campaigns of 10 ads each; the ad id is the event key and its
+/// campaign is ad / kAdsPerCampaign.
+constexpr int64_t kNumCampaigns = 100;
+constexpr int64_t kAdsPerCampaign = 10;
+/// Fraction of events that are "view" events passing the filter.
+constexpr double kViewFraction = 1.0 / 3.0;
+
+/// Per-event virtual CPU costs (micros).
+constexpr double kSourceCost = 30.0;
+constexpr double kFilterCost = 35.0;
+constexpr double kMapCost = 25.0;
+constexpr double kAggregateCost = 60.0;
+constexpr double kSinkCost = 5.0;
+
+}  // namespace
 
 std::unique_ptr<Query> MakeYsbQuery(QueryId id, const YsbConfig& config) {
   PipelineBuilder b("ysb");
   b.SetAllowedLateness(config.allowed_lateness);
-  const int64_t ads_per_campaign = std::max<int64_t>(1, config.ads_per_campaign);
   BuilderStream head =
-      b.Source("ad-events", config.source_cost)
-          .Filter("view-filter", config.filter_cost,
-                  FilterOperator::HashPassRate(config.view_fraction),
-                  config.view_fraction)
-          .Map("project-join-campaign", config.map_cost,
-               [ads_per_campaign](Event& e) { e.key /= ads_per_campaign; });
+      b.Source("ad-events", kSourceCost)
+          .Filter("view-filter", kFilterCost,
+                  FilterOperator::HashPassRate(kViewFraction), kViewFraction)
+          .Map("project-join-campaign", kMapCost,
+               [](Event& e) { e.key /= kAdsPerCampaign; });
   const int shards = std::max(1, config.shards);
   const int max_shards = std::max(shards, config.max_shards);
   if (max_shards > 1) {
     head = head.ShardedTumblingAggregate(
-        "campaign-count", config.aggregate_cost, config.window_size,
+        "campaign-count", kAggregateCost, YsbConfig::window_size,
         AggregationKind::kCount, ShardSpec{shards, max_shards},
         config.window_offset);
   } else {
-    head = head.TumblingAggregate("campaign-count", config.aggregate_cost,
-                                  config.window_size, AggregationKind::kCount,
+    head = head.TumblingAggregate("campaign-count", kAggregateCost,
+                                  YsbConfig::window_size,
+                                  AggregationKind::kCount,
                                   config.window_offset);
   }
-  head.Sink("output", config.sink_cost);
+  head.Sink("output", kSinkCost);
   return b.Build(id);
 }
 
@@ -40,11 +56,11 @@ std::unique_ptr<EventFeed> MakeYsbFeed(const YsbConfig& config,
                                        uint64_t seed, TimeMicros start_time) {
   SourceSpec spec;
   spec.events_per_second = config.events_per_second;
-  spec.key_cardinality = config.num_campaigns * config.ads_per_campaign;
+  spec.key_cardinality = kNumCampaigns * kAdsPerCampaign;
   spec.payload_bytes = 96;  // ad id, page id, event type, timestamp, ip
-  spec.burstiness = config.burstiness;
+  spec.burstiness = YsbConfig::burstiness;
   spec.key_skew = config.key_skew;
-  spec.watermark_period = config.watermark_period;
+  spec.watermark_period = YsbConfig::watermark_period;
   spec.watermark_lag = config.watermark_lag;
   return std::make_unique<SyntheticFeed>(std::vector<SourceSpec>{spec},
                                          std::move(delay), seed, start_time);

@@ -15,37 +15,30 @@ namespace klink {
 ///
 ///   source -> filter(view, ~1/3) -> map(ad->campaign) ->
 ///   tumbling-count(window_size) -> sink
+///
+/// The pipeline is fixed: its key space, selectivity and per-operator costs
+/// are constants beside MakeYsbQuery (ysb.cc). A tenant varies only the
+/// fields below.
 struct YsbConfig {
+  /// Tumbling window size (paper: 3 s windows).
+  static constexpr DurationMicros window_size = SecondsToMicros(3);
+  /// Load burstiness of the feed (see SourceSpec::burstiness).
+  static constexpr double burstiness = 0.5;
+  /// Watermark period of the feed.
+  static constexpr DurationMicros watermark_period = MillisToMicros(500);
+
   /// Data events per second per query.
   double events_per_second = 1000.0;
-  /// Tumbling window size (paper: 3 s windows).
-  DurationMicros window_size = SecondsToMicros(3);
   /// Phase shift of the window deadlines (randomized per query, Sec. 6.2.1).
   DurationMicros window_offset = 0;
-  int64_t num_campaigns = 100;
-  /// Ads per campaign (ad id = key; campaign = ad / ads_per_campaign).
-  int64_t ads_per_campaign = 10;
-  /// Fraction of events that are "view" events passing the filter.
-  double view_fraction = 1.0 / 3.0;
-
-  /// Load burstiness (see SourceSpec::burstiness).
-  double burstiness = 0.5;
   /// Key skew (see SourceSpec::key_skew); 0 = uniform ad keys.
   double key_skew = 0.0;
 
-  DurationMicros watermark_period = MillisToMicros(500);
   DurationMicros watermark_lag = MillisToMicros(150);
   /// Allowed-lateness horizon (PipelineBuilder::SetAllowedLateness): 0
   /// drops late events, > 0 retains fired panes and emits
   /// retraction+update corrections for late arrivals within the horizon.
   DurationMicros allowed_lateness = 0;
-
-  /// Per-event virtual CPU costs (micros).
-  double source_cost = 30.0;
-  double filter_cost = 35.0;
-  double map_cost = 25.0;
-  double aggregate_cost = 60.0;
-  double sink_cost = 5.0;
 
   /// Intra-query key sharding of the aggregation (DESIGN.md "Sharded
   /// execution"): shards > 1 hash-partitions campaign-count into that many

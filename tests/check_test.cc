@@ -71,8 +71,8 @@ TEST(CheckDeathTest, CheckOpPrintsDoubleValues) {
 TEST(CheckDeathTest, CheckOkPrintsStatus) {
   EXPECT_DEATH(KLINK_CHECK_OK(Status::InvalidArgument("bad port")),
                "INVALID_ARGUMENT: bad port");
-  EXPECT_DEATH(KLINK_CHECK_OK(StatusOr<int>(Status::NotFound("no stream"))),
-               "NOT_FOUND: no stream");
+  EXPECT_DEATH(KLINK_CHECK_OK(StatusOr<int>(Status::Internal("no stream"))),
+               "INTERNAL: no stream");
 }
 
 TEST(CheckDeathTest, DcheckActiveMatchesBuildMode) {

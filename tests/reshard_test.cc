@@ -4,7 +4,8 @@
 // to 8 mid-run, under backlog, with barriers flowing — and its fully
 // drained results_hash must be byte-identical to runs that never
 // re-sharded at all (static 2 shards, static 8 shards, and the unsharded
-// reference), on both executors.
+// reference), on both executors. With allowed lateness and Pareto-delayed
+// data, the move carries retained panes and pending refires too.
 //
 // Subprocess: the crash race. A klink_run --listen server with a timed
 // --reshard trigger is SIGKILLed while the re-shard protocol is near the
@@ -25,6 +26,7 @@
 #include "src/common/types.h"
 #include "src/net/delay_model.h"
 #include "src/net/loadgen.h"
+#include "src/operators/aggregate_operator.h"
 #include "src/operators/exchange_operator.h"
 #include "src/query/pipeline_builder.h"
 #include "src/runtime/checkpoint.h"
@@ -64,8 +66,10 @@ class CutoffFeed final : public EventFeed {
   std::unique_ptr<EventFeed> inner_;
 };
 
-std::unique_ptr<Query> MakeQuery(int shards, int max_shards) {
+std::unique_ptr<Query> MakeQuery(int shards, int max_shards,
+                                 DurationMicros lateness) {
   PipelineBuilder b("reshard");
+  b.SetAllowedLateness(lateness);
   BuilderStream head = b.Source("src", 0.5);
   if (max_shards > 0) {
     head = head.ShardedTumblingAggregate(
@@ -80,20 +84,35 @@ std::unique_ptr<Query> MakeQuery(int shards, int max_shards) {
   return b.Build(/*id=*/0);
 }
 
-std::unique_ptr<EventFeed> MakeFeed() {
+/// Delays stay within the 60 ms watermark lag unless `pareto`: then the
+/// default Pareto tail delays about one event in seven past it.
+std::unique_ptr<EventFeed> MakeFeed(bool pareto) {
   SourceSpec spec;
   spec.events_per_second = 6000.0;
   spec.key_cardinality = 256;
   spec.watermark_period = MillisToMicros(250);
   spec.watermark_lag = MillisToMicros(60);
+  std::unique_ptr<DelayModel> delay =
+      pareto ? MakeDefaultParetoDelay()
+             : std::make_unique<UniformDelay>(0, MillisToMicros(20));
   return std::make_unique<CutoffFeed>(std::make_unique<SyntheticFeed>(
-      std::vector<SourceSpec>{spec},
-      std::make_unique<UniformDelay>(0, MillisToMicros(20)), /*seed=*/9, 0));
+      std::vector<SourceSpec>{spec}, std::move(delay), /*seed=*/9, 0));
 }
 
+/// The shard lanes' late-data state right after a re-shard move, summed:
+/// the move conserves refire marks, and leaves a retained pane on every
+/// shard that received one of its keys.
+struct MovedLateState {
+  int64_t retained_panes = 0;
+  int64_t pending_refires = 0;
+};
+
 /// One fully drained run; `reshard_to` > 0 requests that count at t=1.5s.
+/// `lateness` > 0 retains fired panes and feeds Pareto-delayed data; then
+/// `moved`, when given, receives the state the re-shard moved.
 uint64_t RunHash(int shards, int max_shards, int reshard_to,
-                 ExecutorKind executor) {
+                 ExecutorKind executor, DurationMicros lateness = 0,
+                 MovedLateState* moved = nullptr) {
   const std::string dir = MakeTempDir("reshard");
   CheckpointConfig cc;
   cc.dir = dir;
@@ -105,8 +124,8 @@ uint64_t RunHash(int shards, int max_shards, int reshard_to,
   config.memory_capacity_bytes = 64ll << 20;
   config.executor = executor;
   Engine engine(config, std::make_unique<FcfsPolicy>());
-  const QueryId id =
-      engine.AddQuery(MakeQuery(shards, max_shards), MakeFeed());
+  const QueryId id = engine.AddQuery(MakeQuery(shards, max_shards, lateness),
+                                     MakeFeed(/*pareto=*/lateness > 0));
   coordinator.RegisterQuery(&engine.query(id), {}, nullptr);
   engine.SetCheckpointCoordinator(&coordinator);
   ReshardController resharder(&engine);
@@ -115,6 +134,24 @@ uint64_t RunHash(int shards, int max_shards, int reshard_to,
   engine.RunUntil(MillisToMicros(1500));
   if (reshard_to > 0) {
     EXPECT_TRUE(resharder.RequestReshard(id, reshard_to));
+  }
+  if (moved != nullptr) {
+    // One cycle at a time until the move ran at a cycle end; no operator
+    // runs between it and the next cycle.
+    while (resharder.completed_reshards() == 0 && engine.now() < kFeedCutoff) {
+      engine.RunFor(config.cycle_length);
+    }
+    EXPECT_EQ(resharder.completed_reshards(), 1);
+    const Query& q = engine.query(id);
+    for (int i = q.shard_region().shard_begin; i < q.shard_region().shard_end;
+         ++i) {
+      const auto* shard =
+          dynamic_cast<const WindowAggregateOperator*>(&q.op(i));
+      EXPECT_NE(shard, nullptr);
+      if (shard == nullptr) continue;
+      moved->retained_panes += shard->retained_panes();
+      moved->pending_refires += shard->PendingRefires();
+    }
   }
   engine.RunUntil(kFeedCutoff);
   const TimeMicros deadline = kFeedCutoff + SecondsToMicros(60);
@@ -159,6 +196,27 @@ TEST(ReshardTest, ScaleDownIsByteIdentical) {
   const uint64_t resharded =
       RunHash(8, 8, /*reshard_to=*/2, ExecutorKind::kThreads);
   EXPECT_EQ(resharded, unsharded);
+}
+
+// With allowed lateness the move carries each key's retained panes, emitted
+// values and pending refire marks: the new owner must retract and correct
+// exactly what the old one would have.
+TEST(ReshardTest, MidRunReshardMovesLateDataState) {
+  // A horizon past the 800 ms window: a fired pane is still retained when
+  // the next one fires, so the move always finds retained panes.
+  constexpr DurationMicros kLateness = SecondsToMicros(1);
+  for (const ExecutorKind executor :
+       {ExecutorKind::kSequential, ExecutorKind::kThreads}) {
+    SCOPED_TRACE(ExecutorKindName(executor));
+    const uint64_t unsharded =
+        RunHash(0, 0, /*reshard_to=*/0, executor, kLateness);
+    MovedLateState moved;
+    const uint64_t resharded =
+        RunHash(2, 8, /*reshard_to=*/8, executor, kLateness, &moved);
+    EXPECT_GT(moved.retained_panes, 0);
+    EXPECT_GT(moved.pending_refires, 0);
+    EXPECT_EQ(resharded, unsharded);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -45,23 +45,5 @@ TEST(RunningStatsTest, ResetClears) {
   EXPECT_DOUBLE_EQ(s.sum(), 0.0);
 }
 
-TEST(EwmaStatsTest, FirstValueSeeds) {
-  EwmaStats e(0.5);
-  EXPECT_FALSE(e.seeded());
-  EXPECT_DOUBLE_EQ(e.ValueOr(7.0), 7.0);
-  e.Add(10.0);
-  EXPECT_TRUE(e.seeded());
-  EXPECT_DOUBLE_EQ(e.ValueOr(0.0), 10.0);
-}
-
-TEST(EwmaStatsTest, ExponentialBlend) {
-  EwmaStats e(0.5);
-  e.Add(10.0);
-  e.Add(20.0);  // 0.5*20 + 0.5*10 = 15
-  EXPECT_DOUBLE_EQ(e.ValueOr(0.0), 15.0);
-  e.Add(15.0);  // 0.5*15 + 0.5*15 = 15
-  EXPECT_DOUBLE_EQ(e.ValueOr(0.0), 15.0);
-}
-
 }  // namespace
 }  // namespace klink

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <set>
 #include <utility>
+#include <vector>
 
 #include "src/common/serialize.h"
+#include "src/operators/aggregate_operator.h"
+#include "src/operators/join_operator.h"
 #include "src/workloads/lrb.h"
 #include "src/workloads/nyt.h"
 #include "src/workloads/ysb.h"
@@ -111,6 +116,21 @@ TEST(SyntheticFeedTest, BurstinessPreservesMeanRate) {
   EXPECT_NEAR(static_cast<double>(b.size()),
               static_cast<double>(a.size()),
               static_cast<double>(a.size()) * 0.15);
+}
+
+TEST(SyntheticFeedTest, SteadySourcesKeepExactRates) {
+  // Three sub-streams of one feed, each at its own steady rate.
+  SourceSpec spec;
+  spec.events_per_second = 200;
+  SyntheticFeed feed({spec, spec, spec}, std::make_unique<ConstantDelay>(0),
+                     1, 0);
+  int per_source[3] = {0, 0, 0};
+  for (const auto& fe : Drain(feed, SecondsToMicros(2))) {
+    ASSERT_GE(fe.source_index, 0);
+    ASSERT_LT(fe.source_index, 3);
+    if (fe.event.is_data()) ++per_source[fe.source_index];
+  }
+  for (int s = 0; s < 3; ++s) EXPECT_NEAR(per_source[s], 400, 20);
 }
 
 TEST(SyntheticFeedTest, DeterministicForSeed) {
@@ -239,6 +259,75 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(param_info.param.name);
     });
 
+/// An operator's name, per-event cost and selectivity hint.
+struct OperatorPin {
+  const char* name;
+  double cost;
+  double selectivity;
+};
+
+void ExpectOperators(const Query& q, const std::vector<OperatorPin>& pins) {
+  ASSERT_EQ(q.num_operators(), static_cast<int>(pins.size()));
+  for (int i = 0; i < q.num_operators(); ++i) {
+    const OperatorPin& pin = pins[static_cast<size_t>(i)];
+    SCOPED_TRACE(pin.name);
+    EXPECT_EQ(q.op(i).name(), pin.name);
+    EXPECT_EQ(q.op(i).cost_per_event(), pin.cost);
+    EXPECT_EQ(q.op(i).selectivity_hint(), pin.selectivity);
+  }
+}
+
+/// Size and slide of the windowed operator `op`.
+std::pair<DurationMicros, DurationMicros> WindowOf(const Operator* op) {
+  const WindowAssigner* assigner = nullptr;
+  if (const auto* agg = dynamic_cast<const WindowAggregateOperator*>(op)) {
+    assigner = &agg->assigner();
+  } else if (const auto* join = dynamic_cast<const WindowJoinOperator*>(op)) {
+    assigner = &join->assigner();
+  }
+  if (assigner == nullptr) return {-1, -1};
+  return {assigner->size(), assigner->slide()};
+}
+
+/// What a feed delivers in its first 5 s: its distinct sources, and its
+/// data events' payload sizes, key range and value range.
+struct FeedShape {
+  size_t sources = 0;
+  std::set<uint32_t> payload_bytes;
+  uint64_t min_key = std::numeric_limits<uint64_t>::max();
+  uint64_t max_key = 0;
+  double min_value = std::numeric_limits<double>::max();
+  double max_value = std::numeric_limits<double>::lowest();
+};
+
+FeedShape ShapeOf(EventFeed& feed) {
+  FeedShape shape;
+  std::set<int32_t> sources;
+  for (const auto& fe : Drain(feed, SecondsToMicros(5))) {
+    sources.insert(fe.source_index);
+    if (!fe.event.is_data()) continue;
+    shape.payload_bytes.insert(fe.event.payload_bytes);
+    shape.min_key = std::min(shape.min_key, fe.event.key);
+    shape.max_key = std::max(shape.max_key, fe.event.key);
+    shape.min_value = std::min(shape.min_value, fe.event.value);
+    shape.max_value = std::max(shape.max_value, fe.event.value);
+  }
+  shape.sources = sources.size();
+  return shape;
+}
+
+/// Values are drawn from [lo, hi): within it, and within 1% of each end.
+void ExpectValueRange(const FeedShape& shape, double lo, double hi) {
+  const double tolerance = (hi - lo) * 0.01;
+  EXPECT_GE(shape.min_value, lo);
+  EXPECT_LT(shape.min_value, lo + tolerance);
+  EXPECT_LT(shape.max_value, hi);
+  EXPECT_GT(shape.max_value, hi - tolerance);
+}
+
+// The pipeline shape, costs, windows and feed of each workload are pinned
+// at the values the paper's pipelines were reproduced with; a constant
+// that moves would otherwise show only in the hashes and figure tables.
 TEST(YsbWorkloadTest, PipelineShape) {
   YsbConfig config;
   auto q = MakeYsbQuery(0, config);
@@ -246,11 +335,25 @@ TEST(YsbWorkloadTest, PipelineShape) {
   EXPECT_EQ(q->sources().size(), 1u);
   EXPECT_EQ(q->windowed_operators().size(), 1u);
   EXPECT_EQ(q->windowed_operators()[0]->DeadlinePeriod(), config.window_size);
+  ExpectOperators(*q, {{"ad-events", 30.0, 1.0},
+                       {"view-filter", 35.0, 1.0 / 3.0},
+                       {"project-join-campaign", 25.0, 1.0},
+                       {"campaign-count", 60.0, 0.05},
+                       {"output", 5.0, 1.0}});
+  EXPECT_EQ(WindowOf(q->windowed_operators()[0]),
+            std::make_pair(SecondsToMicros(3), SecondsToMicros(3)));
+
+  auto feed = MakeYsbFeed(config, std::make_unique<ConstantDelay>(0), 1, 0);
+  const FeedShape shape = ShapeOf(*feed);
+  EXPECT_EQ(shape.sources, 1u);
+  EXPECT_EQ(shape.payload_bytes, std::set<uint32_t>{96});
+  EXPECT_EQ(shape.min_key, 0u);
+  EXPECT_EQ(shape.max_key, 999u);  // 100 campaigns x 10 ads
+  ExpectValueRange(shape, 0.0, 100.0);
 }
 
 TEST(YsbWorkloadTest, CampaignMappingGroupsAds) {
   YsbConfig config;
-  config.ads_per_campaign = 10;
   auto q = MakeYsbQuery(0, config);
   // Operator 2 is the ad->campaign projection.
   VectorEmitter out;
@@ -267,12 +370,35 @@ TEST(LrbWorkloadTest, PipelineShape) {
   // The toll window's deadline period is a third of the accident slide.
   EXPECT_EQ(q->windowed_operators()[2]->DeadlinePeriod(),
             config.accident_slide / 3);
+  ExpectOperators(*q, {{"position-reports-0", 25.0, 1.0},
+                       {"segment-map-0", 22.0, 1.0},
+                       {"position-reports-1", 25.0, 1.0},
+                       {"segment-map-1", 22.0, 1.0},
+                       {"position-reports-2", 25.0, 1.0},
+                       {"segment-map-2", 22.0, 1.0},
+                       {"segment-join", 42.0, 0.05},
+                       {"accident-detection", 40.0, 0.05},
+                       {"toll-calculation", 30.0, 0.05},
+                       {"toll-output", 5.0, 1.0}});
+  EXPECT_EQ(WindowOf(q->windowed_operators()[0]),
+            std::make_pair(SecondsToMicros(2), SecondsToMicros(2)));
+  EXPECT_EQ(WindowOf(q->windowed_operators()[1]),
+            std::make_pair(SecondsToMicros(5), SecondsToMicros(3)));
+  EXPECT_EQ(WindowOf(q->windowed_operators()[2]),
+            std::make_pair(SecondsToMicros(1), SecondsToMicros(1)));
+
+  auto feed = MakeLrbFeed(config, std::make_unique<ConstantDelay>(0), 1, 0);
+  const FeedShape shape = ShapeOf(*feed);
+  EXPECT_EQ(shape.sources, 3u);
+  EXPECT_EQ(shape.payload_bytes, std::set<uint32_t>{112});
+  EXPECT_EQ(shape.min_key, 0u);
+  EXPECT_EQ(shape.max_key, 99u);  // 100 highway segments
+  ExpectValueRange(shape, 0.0, 180.0);
 }
 
 TEST(LrbWorkloadTest, FeedHasThreeSubStreams) {
   LrbConfig config;
   config.events_per_substream_per_second = 200;
-  config.burstiness = 0.0;  // exact rates for this assertion
   auto feed = MakeLrbFeed(config, std::make_unique<ConstantDelay>(0), 1, 0);
   std::vector<EventFeed::FeedElement> out;
   feed->PollUpTo(SecondsToMicros(2), 1ll << 40, &out);
@@ -282,7 +408,7 @@ TEST(LrbWorkloadTest, FeedHasThreeSubStreams) {
     ASSERT_LT(fe.source_index, 3);
     if (fe.event.is_data()) ++per_source[fe.source_index];
   }
-  for (int s = 0; s < 3; ++s) EXPECT_NEAR(per_source[s], 400, 20);
+  for (int s = 0; s < 3; ++s) EXPECT_GT(per_source[s], 0);
 }
 
 TEST(NytWorkloadTest, PipelineShape) {
@@ -291,16 +417,33 @@ TEST(NytWorkloadTest, PipelineShape) {
   EXPECT_EQ(q->num_operators(), 7);  // long stateless prefix + window + sink
   EXPECT_EQ(q->windowed_operators().size(), 1u);
   EXPECT_EQ(q->windowed_operators()[0]->DeadlinePeriod(), config.slide);
+  ExpectOperators(*q, {{"taxi-trips", 12.0, 1.0},
+                       {"parse", 17.0, 1.0},
+                       {"valid-trip", 12.0, 0.9},
+                       {"pickup-cell", 12.0, 1.0},
+                       {"fare-enrich", 12.0, 1.0},
+                       {"fare-average", 35.0, 0.05},
+                       {"dashboard", 5.0, 1.0}});
+  EXPECT_EQ(WindowOf(q->windowed_operators()[0]),
+            std::make_pair(SecondsToMicros(2), SecondsToMicros(1)));
+
+  auto feed = MakeNytFeed(config, std::make_unique<ConstantDelay>(0), 1, 0);
+  const FeedShape shape = ShapeOf(*feed);
+  EXPECT_EQ(shape.sources, 1u);
+  EXPECT_EQ(shape.payload_bytes, std::set<uint32_t>{128});
+  EXPECT_EQ(shape.min_key, 0u);
+  EXPECT_EQ(shape.max_key, 3198u);  // raw location ids: 16 per cell
+  ExpectValueRange(shape, 2.5, 80.0);
 }
 
 TEST(NytWorkloadTest, CellMappingBoundsKeys) {
   NytConfig config;
-  config.num_cells = 50;
   auto q = MakeNytQuery(0, config);
   VectorEmitter out;
   q->op(3).Process(MakeDataEvent(0, 0, /*raw location=*/987654, 1.0), 0, out);
   ASSERT_EQ(out.events.size(), 1u);
-  EXPECT_LT(out.events[0].key, 50u);
+  EXPECT_LT(out.events[0].key, 200u);  // 200 grid cells
+  EXPECT_EQ(out.events[0].key, 987654u % 200u);
 }
 
 }  // namespace
