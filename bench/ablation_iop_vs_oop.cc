@@ -23,8 +23,7 @@ using namespace klink;
 using namespace klink::bench;
 
 struct Outcome {
-  double mean_latency_ms;
-  double p99_latency_ms;
+  Histogram swm_latency;
   double propagation_ms;  // latency-marker (per-event) propagation delay
   int64_t results;
 };
@@ -55,13 +54,11 @@ Outcome Run(bool iop) {
                         MakePaperUniformDelay(), rng.NextUint64(), 0));
   }
   engine.RunFor(SmokeMode() ? SecondsToMicros(40) : SecondsToMicros(120));
-  const Histogram lat = engine.AggregateSwmLatency();
   int64_t results = 0;
   for (int q = 0; q < engine.num_queries(); ++q) {
     results += engine.query(q).sink().results_received();
   }
-  return Outcome{lat.mean() / 1e3,
-                 static_cast<double>(lat.Percentile(99)) / 1e3,
+  return Outcome{engine.AggregateSwmLatency(),
                  engine.AggregateMarkerLatency().mean() / 1e3, results};
 }
 
@@ -74,14 +71,15 @@ int main(int argc, char** argv) {
   TableReporter table("Ablation: OOP (watermarks) vs IOP (reorder buffer)");
   table.SetHeader({"mode", "swm_latency_ms", "p99_ms", "event_propagation_ms",
                    "window_results"});
-  table.AddRow({"OOP", TableReporter::Num(oop.mean_latency_ms, 1),
-                TableReporter::Num(oop.p99_latency_ms, 1),
-                TableReporter::Num(oop.propagation_ms, 1),
-                std::to_string(oop.results)});
-  table.AddRow({"IOP", TableReporter::Num(iop.mean_latency_ms, 1),
-                TableReporter::Num(iop.p99_latency_ms, 1),
-                TableReporter::Num(iop.propagation_ms, 1),
-                std::to_string(iop.results)});
+  const auto add_row = [&table](const char* mode, const Outcome& o) {
+    const Histogram& lat = o.swm_latency;
+    table.AddRow(
+        {mode, WindowCell(lat, lat.mean() / 1e3, 1),
+         WindowCell(lat, static_cast<double>(lat.Percentile(99)) / 1e3, 1),
+         TableReporter::Num(o.propagation_ms, 1), std::to_string(o.results)});
+  };
+  add_row("OOP", oop);
+  add_row("IOP", iop);
   table.Print();
   std::printf(
       "IOP event-propagation overhead over OOP: %.0f%% (same window "

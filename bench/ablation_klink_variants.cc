@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
       config.num_queries = n;
       v.tweak(&config);
       const ExperimentResult result = RunExperiment(config);
-      row.push_back(TableReporter::Num(result.mean_latency_s, 3));
+      row.push_back(WindowCell(result.latency, result.mean_latency_s, 3));
     }
     table.AddRow(row);
   }

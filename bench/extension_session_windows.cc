@@ -33,8 +33,7 @@ using namespace klink;
 using namespace klink::bench;
 
 struct Outcome {
-  double mean_latency_s;
-  double p99_latency_s;
+  Histogram swm_latency;
   double accuracy = -1.0;
 };
 
@@ -75,9 +74,7 @@ Outcome Run(PolicyKind policy, int num_queries) {
     engine.query(q).sink().ResetStats();
   }
   engine.RunUntil(SmokeMode() ? SecondsToMicros(60) : SecondsToMicros(120));
-  const Histogram lat = engine.AggregateSwmLatency();
-  Outcome o{lat.mean() / 1e6,
-            static_cast<double>(lat.Percentile(99)) / 1e6};
+  Outcome o{engine.AggregateSwmLatency()};
   if (klink_policy != nullptr) o.accuracy = klink_policy->EstimatorAccuracy();
   return o;
 }
@@ -95,9 +92,11 @@ int main(int argc, char** argv) {
        {PolicyKind::kDefault, PolicyKind::kFcfs, PolicyKind::kStreamBox,
         PolicyKind::kKlink}) {
     const Outcome o = Run(policy, kQueries);
+    const Histogram& lat = o.swm_latency;
     table.AddRow({PolicyKindName(policy),
-                  TableReporter::Num(o.mean_latency_s, 3),
-                  TableReporter::Num(o.p99_latency_s, 3),
+                  WindowCell(lat, lat.mean() / 1e6, 3),
+                  WindowCell(lat, static_cast<double>(lat.Percentile(99)) / 1e6,
+                             3),
                   o.accuracy < 0 ? "-" : TableReporter::Num(o.accuracy * 100, 1)});
   }
   table.Print();

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
                                      ? total / kQueries / 3.0
                                      : total / kQueries;
       const ExperimentResult result = RunExperiment(config);
-      row.push_back(TableReporter::Num(result.mean_latency_s, 3));
+      row.push_back(WindowCell(result.latency, result.mean_latency_s, 3));
     }
     table.AddRow(row);
   }

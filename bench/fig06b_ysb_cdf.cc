@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
     const ExperimentResult result = RunExperiment(config);
     std::vector<std::string> row = {PolicyKindName(policy)};
     for (double p : percentiles) {
-      row.push_back(TableReporter::Num(
+      row.push_back(WindowCell(
+          result.latency,
           static_cast<double>(result.latency.Percentile(p)) / 1e6, 3));
     }
     table.AddRow(row);

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
       config.workload = WorkloadKind::kYsb;
       config.num_queries = n;
       const ExperimentResult result = RunExperiment(config);
-      row.push_back(TableReporter::Num(result.slowdown, 0));
+      row.push_back(WindowCell(result.latency, result.slowdown, 0));
     }
     table.AddRow(row);
   }

@@ -19,8 +19,9 @@ namespace {
 using namespace klink;
 using namespace klink::bench;
 
-double RunDistributed(PolicyKind policy, int num_nodes, int num_queries,
-                      DurationMicros duration, DurationMicros warmup) {
+/// The cluster's merged SWM latency over the measured interval.
+Histogram RunDistributed(PolicyKind policy, int num_nodes, int num_queries,
+                         DurationMicros duration, DurationMicros warmup) {
   DistEngineConfig config;
   config.num_nodes = num_nodes;
   config.node.num_cores = 8;
@@ -55,7 +56,7 @@ double RunDistributed(PolicyKind policy, int num_nodes, int num_queries,
     engine.query(q).sink().ResetStats();
   }
   engine.RunUntil(duration);
-  return engine.AggregateSwmLatency().mean() / 1e6;
+  return engine.AggregateSwmLatency();
 }
 
 }  // namespace
@@ -80,8 +81,9 @@ int main(int argc, char** argv) {
                             PolicyKind::kKlink}) {
     std::vector<std::string> row = {PolicyKindName(policy)};
     for (int nodes : node_counts) {
-      row.push_back(TableReporter::Num(
-          RunDistributed(policy, nodes, kQueries, duration, warmup), 3));
+      const Histogram latency =
+          RunDistributed(policy, nodes, kQueries, duration, warmup);
+      row.push_back(WindowCell(latency, latency.mean() / 1e6, 3));
     }
     table.AddRow(row);
   }

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
           config.events_per_second = 1000.0 / 3.0;
         }
         const ExperimentResult result = RunExperiment(config);
-        row.push_back(TableReporter::Num(result.mean_latency_s, 3));
+        row.push_back(WindowCell(result.latency, result.mean_latency_s, 3));
       }
       table.AddRow(row);
     }

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     const ExperimentResult result = RunExperiment(config);
     table.AddRow({TableReporter::Num(f * 100.0, 0),
                   TableReporter::Num(result.scheduler_overhead * 100.0, 3),
-                  TableReporter::Num(result.mean_latency_s, 3)});
+                  WindowCell(result.latency, result.mean_latency_s, 3)});
   }
   table.Print();
   return 0;

@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
     const ExperimentResult def = RunExperiment(config);
 
     table.AddRow({std::to_string(r),
-                  TableReporter::Num(klink.mean_latency_s, 3),
+                  WindowCell(klink.latency, klink.mean_latency_s, 3),
                   TableReporter::Num(klink.scheduler_overhead * 100.0, 3),
-                  TableReporter::Num(def.mean_latency_s, 3)});
+                  WindowCell(def.latency, def.mean_latency_s, 3)});
   }
   table.Print();
   return 0;

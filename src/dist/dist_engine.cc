@@ -50,8 +50,7 @@ QueryId DistEngine::AddQuery(std::unique_ptr<Query> query,
   // The node hosting the sources (the first placement segment) ingests.
   if (dq.feed != nullptr) {
     fed_[static_cast<size_t>(dq.placement.front())].push_back(
-        QueryFabric::LiveQuery{id, dq.query.get(), dq.feed.get(),
-                               deploy_time});
+        QueryFabric::LiveQuery{id, dq.query.get(), dq.feed.get()});
   }
   all_.push_back(dq.query.get());
   queries_.push_back(std::move(dq));

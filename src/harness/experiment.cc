@@ -391,8 +391,9 @@ ExperimentResult RunExperiment(const ExperimentConfig& config,
     result.estimator_predictions = klink_policy->total_predictions();
     result.estimator_mae_s = klink_policy->EstimatorMeanAbsErrorMicros() / 1e6;
   }
-  engine.RefreshLateEventMetrics();
-  result.late = engine.metrics().TotalLateMetrics();
+  for (const QueryFabric::LiveQuery& lq : engine.fabric().live()) {
+    result.late += CollectQueryLateMetrics(*lq.query);
+  }
   return result;
 }
 

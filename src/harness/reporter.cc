@@ -126,6 +126,11 @@ void PrintIngestMetrics(const IngestMetrics& metrics) {
   streams.Print();
 }
 
+std::string WindowCell(const Histogram& latency, double value, int precision) {
+  return latency.count() > 0 ? TableReporter::Num(value, precision)
+                             : "n/a (no completed windows)";
+}
+
 void PrintShardMetrics(Engine& engine, QueryId id) {
   const Query& q = engine.query(id);
   if (!q.sharded()) return;
@@ -158,30 +163,26 @@ void PrintShardMetrics(Engine& engine, QueryId id) {
   table.Print();
 }
 
-void PrintLateEventMetrics(Engine& engine) {
-  engine.RefreshLateEventMetrics();
-  const auto& by_query = engine.metrics().late_by_query();
-  // Only print when some query actually saw late data or corrections:
-  // lateness-disabled runs keep their report output unchanged.
-  bool any = false;
-  for (const auto& [id, m] : by_query) {
-    any = any || m.late_accepted != 0 || m.late_dropped_beyond_horizon != 0 ||
-          m.retractions_emitted != 0 || m.updates_emitted != 0 ||
-          m.retractions_received != 0 || m.unmatched_retractions != 0;
-  }
-  if (!any) return;
+void PrintLateEventMetrics(const Engine& engine) {
   TableReporter table("Late-data accounting (allowed lateness)");
   table.SetHeader({"query", "late accepted", "late dropped", "retractions",
                    "updates", "sink retracted", "unmatched"});
-  for (const auto& [id, m] : by_query) {
-    table.AddRow({std::to_string(id), std::to_string(m.late_accepted),
+  // Only print when some query actually saw late data or corrections:
+  // lateness-disabled runs keep their report output unchanged.
+  bool any = false;
+  for (const QueryFabric::LiveQuery& lq : engine.fabric().live()) {
+    const QueryLateMetrics m = CollectQueryLateMetrics(*lq.query);
+    any = any || m.late_accepted != 0 || m.late_dropped_beyond_horizon != 0 ||
+          m.retractions_emitted != 0 || m.updates_emitted != 0 ||
+          m.retractions_received != 0 || m.unmatched_retractions != 0;
+    table.AddRow({std::to_string(lq.id), std::to_string(m.late_accepted),
                   std::to_string(m.late_dropped_beyond_horizon),
                   std::to_string(m.retractions_emitted),
                   std::to_string(m.updates_emitted),
                   std::to_string(m.retractions_received),
                   std::to_string(m.unmatched_retractions)});
   }
-  table.Print();
+  if (any) table.Print();
 }
 
 }  // namespace klink

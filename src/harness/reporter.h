@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/histogram.h"
 #include "src/common/types.h"
 #include "src/runtime/metrics.h"
 
@@ -41,6 +42,12 @@ class TableReporter {
   std::vector<std::vector<std::string>> rows_;
 };
 
+/// Formats a cell derived from SWM latency (a latency or a slowdown) of a
+/// run whose merged SWM latency histogram is `latency`: the value with
+/// `precision` decimals, or "n/a (no completed windows)" when the histogram
+/// is empty, because its zeros would read as perfect latency.
+std::string WindowCell(const Histogram& latency, double value, int precision);
+
 /// Prints the TCP ingest counters (connections, frames, bytes, malformed
 /// frames) plus one row per ingest stream (frames, data events, wire
 /// bytes, backpressure stalls and stall time, peak staged bytes). Used by
@@ -54,14 +61,13 @@ void PrintIngestMetrics(const IngestMetrics& metrics);
 /// the shard benches to make skew and re-shards visible.
 void PrintShardMetrics(Engine& engine, QueryId id);
 
-/// Refreshes the engine's late-data accounting and prints one row per
-/// query: late events accepted within the lateness horizon, late events
-/// dropped beyond it, retraction/update elements emitted by windowed
-/// operators, and retractions absorbed (or unmatched) at the sink. Prints
-/// nothing when every counter is zero, so lateness-disabled runs keep
-/// their output unchanged. Used by klink_run when --allowed-lateness-ms
-/// is set and by the lateness bench.
-void PrintLateEventMetrics(Engine& engine);
+/// Prints the late-data accounting of every live query, one row per query
+/// in id order: late events accepted within the lateness horizon, late
+/// events dropped beyond it, retraction/update elements emitted by
+/// windowed operators, and retractions absorbed (or unmatched) at the
+/// sink. Prints nothing when every counter is zero, so lateness-disabled
+/// runs keep their output unchanged. Used by klink_run --listen.
+void PrintLateEventMetrics(const Engine& engine);
 
 }  // namespace klink
 

@@ -28,14 +28,9 @@ struct KlinkPolicyConfig {
 
   /// Memory management (Sec. 3.4). When disabled the policy is the paper's
   /// "Klink (w/o MM)" variant and the engine's backpressure is the only
-  /// defense against memory exhaustion.
+  /// defense against memory exhaustion. Its thresholds are constants
+  /// (KlinkPolicy::kMemoryBoundFraction and klink_policy.cc).
   bool enable_memory_management = true;
-  /// b: memory utilization fraction that activates the MM policy.
-  double memory_bound_fraction = 0.55;
-  /// MM runs until this fraction of the consumed memory has been freed...
-  double mm_release_fraction = 0.25;
-  /// ...or this much virtual time elapsed, whichever comes first.
-  DurationMicros mm_max_duration = SecondsToMicros(1);
 
   /// Rejects a confidence outside (0, 1] (klink_run --confidence), which
   /// the SWM estimator would abort on.
@@ -74,6 +69,9 @@ class KlinkPolicy final : public SchedulingPolicy {
   void SelectQueries(const RuntimeSnapshot& snapshot, int slots,
                      Selection* out) override;
   double EvaluationCostMicros(const RuntimeSnapshot& snapshot) override;
+
+  /// b: the memory utilization at which the MM policy (Sec. 3.4) starts.
+  static constexpr double kMemoryBoundFraction = 0.55;
 
   /// ---- introspection --------------------------------------------------
   const KlinkPolicyConfig& config() const { return config_; }

@@ -106,8 +106,8 @@ class Query {
   void set_deploy_time(TimeMicros t) { deploy_time_ = t; }
 
  private:
-  /// The fabric stamps the generation-stamped id it allocates at attach
-  /// (runtime/query_fabric.h); nothing else may rebind an id.
+  /// The fabric binds the id it allocates at attach, the query's attach
+  /// index (runtime/query_fabric.h); nothing else may rebind an id.
   friend class QueryFabric;
 
   void BindId(QueryId id) { id_ = id; }

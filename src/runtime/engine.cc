@@ -50,10 +50,10 @@ const std::vector<const Query*>& Engine::ActiveQueriesForAudit() {
 
 std::vector<const Query*> Engine::AllQueries() const {
   std::vector<const Query*> all;
-  for (const QueryFabric::LiveQuery& lq : fabric_.live()) {
-    all.push_back(lq.query);
+  all.reserve(static_cast<size_t>(fabric_.size()));
+  for (QueryId id = 0; id < fabric_.size(); ++id) {
+    all.push_back(fabric_.Find(id));
   }
-  for (const auto& [id, q] : fabric_.retired()) all.push_back(q.get());
   return all;
 }
 
@@ -89,12 +89,6 @@ const Query& Engine::query(QueryId id) const {
   const Query* q = fabric_.Find(id);
   KLINK_CHECK(q != nullptr);
   return *q;
-}
-
-void Engine::RefreshLateEventMetrics() {
-  for (const QueryFabric::LiveQuery& lq : fabric_.live()) {
-    metrics_.SetQueryLateMetrics(lq.id, CollectQueryLateMetrics(*lq.query));
-  }
 }
 
 void Engine::RunUntil(TimeMicros end_time) {

@@ -62,7 +62,7 @@ struct EngineConfig {
 ///
 /// Query membership is managed by a QueryFabric (runtime/query_fabric.h):
 /// queries attach and detach live. Each cycle the engine collects every
-/// live query, in slot order, into the runtime snapshot, as DistEngine does
+/// live query, in id order, into the runtime snapshot, as DistEngine does
 /// per node; policies then scan the snapshot.
 class Engine {
  public:
@@ -72,9 +72,9 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Deploys a query live; ingestion starts once now() >= deploy_time.
-  /// `feed` may be null for manually driven tests. Returns the
-  /// generation-stamped query id (equal to the builder-assigned id for a
-  /// fixed up-front set — slots are dense and generations start at 0).
+  /// `feed` may be null for manually driven tests. Returns the query id,
+  /// its attach index (equal to the builder-assigned id for a fixed
+  /// up-front set built with ids 0..n-1).
   QueryId AddQuery(std::unique_ptr<Query> query, std::unique_ptr<EventFeed> feed,
                    TimeMicros deploy_time = 0);
 
@@ -93,8 +93,8 @@ class Engine {
   void RunFor(DurationMicros duration) { RunUntil(now_ + duration); }
 
   TimeMicros now() const { return now_; }
-  /// Live (attached, non-retired) queries — tombstones are not a concept
-  /// the fabric has, so retired queries never inflate this count.
+  /// Live (attached, non-retired) queries; retired queries keep their
+  /// fabric slot but never count here.
   int num_queries() const { return fabric_.live_count(); }
   /// Live or retired query; aborts on unknown ids.
   Query& query(QueryId id);
@@ -105,10 +105,6 @@ class Engine {
   const QueryFabric& fabric() const { return fabric_; }
 
   const EngineMetrics& metrics() const { return metrics_; }
-  /// Recollects late-data accounting (allowed lateness) of every live
-  /// query into metrics().late_by_query(). Operator counters are
-  /// cumulative, so calling this at any point yields totals-so-far.
-  void RefreshLateEventMetrics();
   const MemoryTracker& memory() const { return node_.memory(); }
   SchedulingPolicy& policy() { return node_.policy(); }
   const Executor& executor() const { return *executor_; }
@@ -148,10 +144,10 @@ class Engine {
   void RunCycle();
   /// Active queries, rebuilt into audit_scratch_ for the invariant auditor.
   const std::vector<const Query*>& ActiveQueriesForAudit();
-  /// Live queries in slot order, then retired ones in id order: every
-  /// query the engine ever ran, for the folds over all sinks.
+  /// Every query the engine ever ran, retired ones included, in id order:
+  /// the folds over all sinks walk these.
   std::vector<const Query*> AllQueries() const;
-  /// Collects every live query into `snap->queries`, in slot order.
+  /// Collects every live query into `snap->queries`, in id order.
   void BuildSnapshot(RuntimeSnapshot* snap);
   /// Deregisters a retired query from checkpointing and reports it to the
   /// policy through the next snapshot's `detached` list.

@@ -16,7 +16,7 @@ class SinkOperator;
 /// Per-query late-data accounting (allowed lateness, src/window/lateness.h):
 /// operator-side counters aggregated over the query's windowed operators
 /// plus sink-side correction bookkeeping. Collected on demand by
-/// CollectQueryLateMetrics and cached in EngineMetrics for reporting.
+/// CollectQueryLateMetrics from the operators' cumulative counters.
 struct QueryLateMetrics {
   /// Late data events folded into a retained pane/session.
   int64_t late_accepted = 0;
@@ -31,6 +31,16 @@ struct QueryLateMetrics {
   /// Sink retractions with no matching live entry (e.g. the target was
   /// emitted before a warm-up ResetStats); should be 0 in steady state.
   int64_t unmatched_retractions = 0;
+
+  QueryLateMetrics& operator+=(const QueryLateMetrics& o) {
+    late_accepted += o.late_accepted;
+    late_dropped_beyond_horizon += o.late_dropped_beyond_horizon;
+    retractions_emitted += o.retractions_emitted;
+    updates_emitted += o.updates_emitted;
+    retractions_received += o.retractions_received;
+    unmatched_retractions += o.unmatched_retractions;
+    return *this;
+  }
 };
 
 /// Walks the query's operators (windowed aggregates, session windows) and
@@ -63,11 +73,6 @@ class EngineMetrics {
   void AddCoreBusy(double micros) { core_busy_micros_ += micros; }
   void AddSchedulerCost(double micros) { scheduler_micros_ += micros; }
   void AddSample(const ResourceSample& s) { samples_.push_back(s); }
-  /// Overwrites the cached late-data accounting of one query (counters are
-  /// cumulative in the operators, so the latest collection wins).
-  void SetQueryLateMetrics(QueryId id, const QueryLateMetrics& m) {
-    late_by_query_[id] = m;
-  }
 
   /// ---- reporting ------------------------------------------------------
   /// Total operator-events processed (every operator invocation counts,
@@ -88,32 +93,12 @@ class EngineMetrics {
 
   const std::vector<ResourceSample>& samples() const { return samples_; }
 
-  /// Late-data accounting per query, keyed by QueryId (only queries with a
-  /// non-zero allowed lateness normally appear with non-zero counters).
-  const std::map<QueryId, QueryLateMetrics>& late_by_query() const {
-    return late_by_query_;
-  }
-  /// Sum of the per-query late-data counters.
-  QueryLateMetrics TotalLateMetrics() const {
-    QueryLateMetrics total;
-    for (const auto& [id, m] : late_by_query_) {
-      total.late_accepted += m.late_accepted;
-      total.late_dropped_beyond_horizon += m.late_dropped_beyond_horizon;
-      total.retractions_emitted += m.retractions_emitted;
-      total.updates_emitted += m.updates_emitted;
-      total.retractions_received += m.retractions_received;
-      total.unmatched_retractions += m.unmatched_retractions;
-    }
-    return total;
-  }
-
  private:
   int64_t processed_events_ = 0;
   int64_t ingested_events_ = 0;
   double core_busy_micros_ = 0.0;
   double scheduler_micros_ = 0.0;
   std::vector<ResourceSample> samples_;
-  std::map<QueryId, QueryLateMetrics> late_by_query_;
 };
 
 /// Per-ingest-stream counters maintained by the network ingest gateway

@@ -1,7 +1,6 @@
 #ifndef KLINK_RUNTIME_QUERY_FABRIC_H_
 #define KLINK_RUNTIME_QUERY_FABRIC_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -23,22 +22,20 @@ enum class QueryState {
 /// supporting live attach/detach while traffic flows (DESIGN.md "Query
 /// fabric").
 ///
-/// Replaces the wired-up-front Engine::queries_ vector (whose removals
-/// left tombstones that every per-cycle loop still visited) with a slot
-/// table:
+/// One append-only table indexed by QueryId:
 ///
-///  - Attach allocates the lowest free slot and stamps the query with a
-///    generation-stamped QueryId (common/types.h): ids are never reused,
-///    so a stale id held across a detach resolves to kDetached/kUnknown
-///    instead of aliasing a newer tenant in the same slot.
+///  - Attach appends a slot, and the query's id is the slot's index. Ids
+///    are never reused, so a stale id held across a detach resolves to the
+///    retired query instead of aliasing a newer tenant, and ids follow
+///    attach order.
 ///  - Detach is graceful: the feed is dropped immediately but the query
 ///    keeps its scheduling eligibility until its queues drain (in-flight
 ///    elements — including checkpoint barriers — are processed, not
 ///    discarded).
-///  - Detached queries are retained (not freed): their sinks' recorded
-///    statistics stay readable via Find().
+///  - A retired query stays in its slot as kDetached (not freed): its
+///    sinks' recorded statistics stay readable via Find().
 ///
-/// The engine reads every live query once per cycle, in slot order
+/// The engine reads every live query once per cycle, in id order
 /// (live()), to build the runtime snapshot and the memory total.
 class QueryFabric {
  public:
@@ -47,7 +44,6 @@ class QueryFabric {
     QueryId id = -1;
     Query* query = nullptr;
     EventFeed* feed = nullptr;  // null while draining or for manual tests
-    TimeMicros deploy_time = 0;
   };
 
   QueryFabric();
@@ -56,8 +52,8 @@ class QueryFabric {
   QueryFabric& operator=(const QueryFabric&) = delete;
   ~QueryFabric();
 
-  /// Attaches a query: allocates a slot and stamps the generation id onto
-  /// the query. `feed` may be null (manually driven).
+  /// Attaches a query: appends a slot and binds its index onto the query
+  /// as the query's id. `feed` may be null (manually driven).
   QueryId Attach(std::unique_ptr<Query> query, std::unique_ptr<EventFeed> feed,
                  TimeMicros deploy_time);
 
@@ -82,27 +78,20 @@ class QueryFabric {
 
   int live_count() const { return live_count_; }
   int draining_count() const { return draining_; }
-  /// Queries ever attached (diagnostics; includes retired ones).
-  int64_t attached_total() const { return attached_total_; }
+  /// Queries ever attached, retired ones included: ids are [0, size()).
+  int size() const { return static_cast<int>(slots_.size()); }
 
-  /// Retired queries in ascending id order (deterministic iteration for
-  /// aggregate statistics that fold over all queries ever deployed).
-  const std::map<QueryId, std::unique_ptr<Query>>& retired() const {
-    return retired_;
-  }
-
-  /// Live queries in slot order (== attach order for a fixed set). The
-  /// span is rebuilt lazily after churn; steady-state calls are O(1).
+  /// Live queries in id order. The span is rebuilt lazily after churn;
+  /// steady-state calls are O(1).
   const std::vector<LiveQuery>& live() const;
 
-  /// Live queries with a non-null feed, in slot order (the engine's ingest
+  /// Live queries with a non-null feed, in id order (the engine's ingest
   /// loop walks only these — idle tenants cost nothing per cycle).
   const std::vector<LiveQuery>& fed() const;
 
   /// KLINK_AUDIT=1 invariant check (also callable from tests): the live
-  /// count matches a full scan, slot ids decode back to their slot, and
-  /// retired ids never alias a live slot generation. Aborts on the first
-  /// violation.
+  /// count matches a full scan, and every slot's query carries the slot's
+  /// index as its id. Aborts on the first violation.
   void AuditConsistency() const;
 
  private:
@@ -113,30 +102,22 @@ class QueryFabric {
   struct Slot {
     std::unique_ptr<Query> query;
     std::unique_ptr<EventFeed> feed;
-    TimeMicros deploy_time = 0;
-    int32_t generation = 0;  // bumped when the slot is freed
-    QueryState state = QueryState::kUnknown;
+    QueryState state = QueryState::kActive;
   };
 
-  Slot* LiveSlot(QueryId id);
-  const Slot* LiveSlot(QueryId id) const;
-  void Retire(int32_t slot_index);
+  /// The slot of `id`, nullptr for ids never attached.
+  Slot* SlotOf(QueryId id);
+  const Slot* SlotOf(QueryId id) const;
+  void Retire(Slot& s);
   void InvalidateViews() { views_valid_ = false; }
   void RebuildViews() const;
 
   std::vector<Slot> slots_;
-  /// Free slot indices, ascending (lowest slot reused first, so ids stay
-  /// small and deterministic).
-  std::vector<int32_t> free_slots_;
-  /// Retired queries, retained for stats (id -> query). Ordered so
-  /// aggregate folds over them are deterministic.
-  std::map<QueryId, std::unique_ptr<Query>> retired_;
 
   int live_count_ = 0;
   int draining_ = 0;
-  int64_t attached_total_ = 0;
 
-  /// Cached slot-order views, invalidated by attach/retire and rebuilt
+  /// Cached id-order views, invalidated by attach/detach and rebuilt
   /// lazily on access (mutable: a logically-const cache).
   mutable std::vector<LiveQuery> live_view_;
   mutable std::vector<LiveQuery> fed_view_;

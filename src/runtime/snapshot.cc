@@ -22,7 +22,6 @@ void CollectQueryInfo(const Query& query, int begin, int end,
   KLINK_CHECK(!query.sharded() || (begin == 0 && end == n));
   info->id = query.id();
   info->query = &query;
-  info->deploy_time = query.deploy_time();
   info->upcoming_deadline = kNoTime;
 
   info->op_queued.assign(static_cast<size_t>(n), 0);

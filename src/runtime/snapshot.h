@@ -72,7 +72,6 @@ struct QueryInfo {
   /// thread-pool executor, potentially inspected while workers are parked
   /// at the cycle barrier), so nothing downstream may mutate the query.
   const Query* query = nullptr;
-  TimeMicros deploy_time = 0;
   /// Earliest upcoming window deadline across the query's windowed
   /// operators, kNoTime for windowless queries.
   TimeMicros upcoming_deadline = kNoTime;
@@ -121,7 +120,7 @@ struct RuntimeSnapshot {
   /// Engine memory usage / capacity.
   double memory_utilization = 0.0;
   bool backpressured = false;
-  /// One entry per live query, in slot order (QueryFabric::live()).
+  /// One entry per live query, in id order (QueryFabric::live()).
   std::vector<QueryInfo> queries;
 
   /// Ids retired since the previous cycle, in retirement order, so

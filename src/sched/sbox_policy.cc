@@ -17,8 +17,8 @@ void StreamBoxPolicy::SelectQueries(const RuntimeSnapshot& snapshot, int slots,
   if (slots <= 0) return;
   sticky_.resize(static_cast<size_t>(slots));
 
-  // Generation-stamped ids are sparse under attach/detach churn, so track
-  // taken queries in a set rather than a dense max-id-sized bitmap.
+  // Ids are attach indexes and retired ones leave gaps in the snapshot, so
+  // track taken queries in a set rather than a max-id-sized bitmap.
   std::unordered_set<QueryId> taken;
 
   // Keep sticky assignments whose query has not yet pushed a watermark

@@ -269,12 +269,12 @@ TEST(EngineTest, SnapshotFollowsLiveSlotOrderAndReportsRetirementsOnce) {
   engine.DetachQuery(first);  // nothing queued: retires at once
   run_cycle();
   const QueryId fourth = engine.AddQuery(CountQuery(3), nullptr);
-  EXPECT_EQ(QuerySlot(fourth), QuerySlot(first));  // reuses slot 0
+  EXPECT_EQ(fourth, 3);  // the next attach index; id 0 is not reused
   run_cycle();
   run_cycle();
 
   ASSERT_EQ(policy->seen_ids.size(), live_ids.size());
-  EXPECT_EQ(live_ids.back(), (std::vector<QueryId>{fourth, 1, 2}));
+  EXPECT_EQ(live_ids.back(), (std::vector<QueryId>{1, 2, fourth}));
   int64_t reported = 0;
   for (size_t c = 0; c < live_ids.size(); ++c) {
     EXPECT_EQ(policy->seen_ids[c], live_ids[c]) << "cycle " << c;

@@ -93,13 +93,12 @@ ServerResult RunChurn(const std::string& executor,
 
   const std::vector<uint64_t> seeds = FeedSeeds(kSeed, kTenants);
   std::vector<std::unique_ptr<EventFeed>> feeds;
-  std::vector<std::unique_ptr<LoadgenConnection>> conns;
+  std::vector<QueryClients> conns(kTenants);
   for (int q = 0; q < kTenants; ++q) {
     feeds.push_back(TenantFeed(seeds[static_cast<size_t>(q)]));
-    conns.push_back(std::make_unique<LoadgenConnection>());
   }
   for (int q = 0; q < kTenants - 1; ++q) {
-    Connect(*conns[static_cast<size_t>(q)], q, server.port);
+    Connect(conns[static_cast<size_t>(q)], q, /*sources=*/1, server.port);
     if (::testing::Test::HasFatalFailure()) return r;
   }
   // Survivors 1, 2 blast their entire runs before tenant 3 even connects.
@@ -108,7 +107,7 @@ ServerResult RunChurn(const std::string& executor,
               RetryPolicy{});
     if (::testing::Test::HasFatalFailure()) return r;
   }
-  Connect(*conns.back(), kTenants - 1, server.port);
+  Connect(conns.back(), kTenants - 1, /*sources=*/1, server.port);
   if (::testing::Test::HasFatalFailure()) return r;
   SendSlice(feeds, conns, kTenants - 1, TenantUntil(kTenants - 1),
             /*send_bye=*/true, RetryPolicy{});
@@ -162,13 +161,12 @@ TEST(FabricChurnTest, ChurnRacingCheckpointSurvivesKillAndRestore) {
 
   const std::vector<uint64_t> seeds = FeedSeeds(kSeed, kTenants);
   std::vector<std::unique_ptr<EventFeed>> feeds;
-  std::vector<std::unique_ptr<LoadgenConnection>> conns;
+  std::vector<QueryClients> conns;
   for (int q = 0; q < kTenants; ++q) {
     feeds.push_back(TenantFeed(seeds[static_cast<size_t>(q)]));
-    conns.push_back(std::make_unique<LoadgenConnection>());
-    Connect(*conns.back(), q, port);
-    if (::testing::Test::HasFatalFailure()) return;
   }
+  ConnectAll(conns, kTenants, /*sources=*/1, port);
+  if (::testing::Test::HasFatalFailure()) return;
   for (int q = 0; q < kTenants; ++q) {
     SendSlice(feeds, conns, q, kPreCrashSafe, /*send_bye=*/false,
               RetryPolicy{});
@@ -192,10 +190,7 @@ TEST(FabricChurnTest, ChurnRacingCheckpointSurvivesKillAndRestore) {
   ASSERT_GT(second.port, 0);
   EXPECT_TRUE(second.restored);
   int64_t replayed = 0;
-  for (auto& conn : conns) {
-    ASSERT_TRUE(conn->Reconnect(TestRetry()).ok());
-    replayed += conn->stats().replayed_frames;
-  }
+  ASSERT_NO_FATAL_FAILURE(ReconnectAll(conns, &replayed));
   EXPECT_GT(replayed, 0);
   for (int q = 1; q < kTenants; ++q) {
     SendSlice(feeds, conns, q, TenantUntil(q), /*send_bye=*/true,

@@ -104,9 +104,7 @@ TEST_F(KlinkPolicyTest, EstimatorsLearnAndSlackUsesIntervals) {
 
 TEST_F(KlinkPolicyTest, MemoryModeActivatesAtBound) {
   Build(2);
-  KlinkPolicyConfig config;
-  config.memory_bound_fraction = 0.5;
-  KlinkPolicy policy(config);
+  KlinkPolicy policy;
   Selection out;
   snapshot_.memory_utilization = 0.4;
   policy.SelectQueries(snapshot_, 1, &out);
@@ -116,14 +114,18 @@ TEST_F(KlinkPolicyTest, MemoryModeActivatesAtBound) {
   policy.SelectQueries(snapshot_, 1, &out);
   EXPECT_TRUE(policy.in_memory_mode());
   EXPECT_GE(policy.memory_mode_cycles(), 1);
+
+  // Utilization exactly at the bound b enters memory mode too.
+  KlinkPolicy at_bound;
+  snapshot_.memory_utilization = KlinkPolicy::kMemoryBoundFraction;
+  out.Clear();
+  at_bound.SelectQueries(snapshot_, 1, &out);
+  EXPECT_TRUE(at_bound.in_memory_mode());
 }
 
 TEST_F(KlinkPolicyTest, MemoryModeExitsOnRelease) {
   Build(1);
-  KlinkPolicyConfig config;
-  config.memory_bound_fraction = 0.5;
-  config.mm_release_fraction = 0.25;
-  KlinkPolicy policy(config);
+  KlinkPolicy policy;
   Selection out;
   snapshot_.memory_utilization = 0.6;
   policy.SelectQueries(snapshot_, 1, &out);
@@ -137,10 +139,7 @@ TEST_F(KlinkPolicyTest, MemoryModeExitsOnRelease) {
 
 TEST_F(KlinkPolicyTest, MemoryModeExitsOnTimeout) {
   Build(1);
-  KlinkPolicyConfig config;
-  config.memory_bound_fraction = 0.5;
-  config.mm_max_duration = SecondsToMicros(1);
-  KlinkPolicy policy(config);
+  KlinkPolicy policy;
   Selection out;
   snapshot_.memory_utilization = 0.9;  // stays high throughout
   snapshot_.now = 0;
@@ -156,9 +155,7 @@ TEST_F(KlinkPolicyTest, MemoryModeExitsOnTimeout) {
 
 TEST_F(KlinkPolicyTest, MemoryModePrefersLargestReduction) {
   Build(2);
-  KlinkPolicyConfig config;
-  config.memory_bound_fraction = 0.5;
-  KlinkPolicy policy(config);
+  KlinkPolicy policy;
   snapshot_.memory_utilization = 0.8;
   // Query 1 has far more reducible volume queued at its window.
   snapshot_.queries[0].op_queued = {0, 10, 0};

@@ -281,11 +281,11 @@ TEST(LatenessRecoveryTest, KillMidRunConvergesByteIdentical) {
         SpawnServer(ServerArgs(dir, /*port=*/0, /*restore=*/false));
     ASSERT_GT(server.port, 0);
     std::vector<std::unique_ptr<EventFeed>> feeds;
-    std::vector<std::unique_ptr<LoadgenConnection>> conns;
+    std::vector<QueryClients> conns;
     for (int q = 0; q < kQueries; ++q) {
       feeds.push_back(QueryFeed(seeds[static_cast<size_t>(q)]));
     }
-    ConnectAll(conns, kQueries, server.port);
+    ConnectAll(conns, kQueries, /*sources=*/1, server.port);
     if (::testing::Test::HasFatalFailure()) return;
     SendSlice(feeds, conns, kDuration, /*send_bye=*/true, RetryPolicy{});
     if (::testing::Test::HasFatalFailure()) return;
@@ -303,11 +303,11 @@ TEST(LatenessRecoveryTest, KillMidRunConvergesByteIdentical) {
   ASSERT_GT(first.port, 0);
   const uint16_t port = first.port;
   std::vector<std::unique_ptr<EventFeed>> feeds;
-  std::vector<std::unique_ptr<LoadgenConnection>> conns;
+  std::vector<QueryClients> conns;
   for (int q = 0; q < kQueries; ++q) {
     feeds.push_back(QueryFeed(seeds[static_cast<size_t>(q)]));
   }
-  ConnectAll(conns, kQueries, port);
+  ConnectAll(conns, kQueries, /*sources=*/1, port);
   if (::testing::Test::HasFatalFailure()) return;
   SendSlice(feeds, conns, kPreCrashSafe, /*send_bye=*/false, RetryPolicy{});
   if (::testing::Test::HasFatalFailure()) return;
@@ -321,9 +321,7 @@ TEST(LatenessRecoveryTest, KillMidRunConvergesByteIdentical) {
       SpawnServer(ServerArgs(dir, port, /*restore=*/true));
   ASSERT_GT(second.port, 0);
   EXPECT_TRUE(second.restored);
-  for (auto& conn : conns) {
-    ASSERT_TRUE(conn->Reconnect(TestRetry()).ok());
-  }
+  ASSERT_NO_FATAL_FAILURE(ReconnectAll(conns));
   SendSlice(feeds, conns, kDuration, /*send_bye=*/true, TestRetry());
   if (::testing::Test::HasFatalFailure()) return;
   const ServerResult r = WaitServer(second);

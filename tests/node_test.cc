@@ -61,7 +61,7 @@ class FedQueries {
         std::make_unique<ConstantDelay>(MillisToMicros(10)), /*seed=*/7 + id,
         0));
     list_.push_back(QueryFabric::LiveQuery{id, queries_.back().get(),
-                                           feeds_.back().get(), deploy_time});
+                                           feeds_.back().get()});
   }
 
   const std::vector<QueryFabric::LiveQuery>& list() const { return list_; }

@@ -1,11 +1,13 @@
 #include "src/runtime/query_fabric.h"
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/event/event.h"
 #include "src/net/delay_model.h"
@@ -20,8 +22,10 @@ namespace klink {
 class QueryFabricTestPeer {
  public:
   static void CorruptLiveCount(QueryFabric& f) { ++f.live_count_; }
-  static void CorruptGeneration(QueryFabric& f) {
-    ++f.slots_.at(0).generation;
+  /// Swaps the queries of slots 0 and 1: each slot then holds a query
+  /// whose id is not its index.
+  static void SwapFirstTwoQueries(QueryFabric& f) {
+    std::swap(f.slots_.at(0).query, f.slots_.at(1).query);
   }
 };
 
@@ -42,7 +46,15 @@ void EnqueueOne(Query& q) {
                     /*value=*/1.0));
 }
 
-TEST(QueryFabricTest, AttachAssignsDenseGenerationZeroIds) {
+std::unique_ptr<EventFeed> TenEventsPerSecond() {
+  SourceSpec spec;
+  spec.events_per_second = 10;
+  return std::make_unique<SyntheticFeed>(std::vector<SourceSpec>{spec},
+                                         std::make_unique<ConstantDelay>(0),
+                                         /*seed=*/1, /*start_time=*/0);
+}
+
+TEST(QueryFabricTest, AttachAssignsDenseIds) {
   QueryFabric fabric;
   const QueryId a = fabric.Attach(CountQuery(0), nullptr, 0);
   const QueryId b = fabric.Attach(CountQuery(1), nullptr, 0);
@@ -55,7 +67,7 @@ TEST(QueryFabricTest, AttachAssignsDenseGenerationZeroIds) {
   fabric.AuditConsistency();
 }
 
-TEST(QueryFabricTest, SlotReuseBumpsGenerationAndNeverAliases) {
+TEST(QueryFabricTest, DetachedIdsAreNeverReused) {
   QueryFabric fabric;
   const QueryId a = fabric.Attach(CountQuery(0), nullptr, 0);
   fabric.Attach(CountQuery(1), nullptr, 0);
@@ -63,17 +75,20 @@ TEST(QueryFabricTest, SlotReuseBumpsGenerationAndNeverAliases) {
   EXPECT_EQ(fabric.state(a), QueryState::kDetached);
   EXPECT_FALSE(fabric.IsLive(a));
 
-  // The freed slot is reused, but the new tenant's id carries the next
-  // generation: the retired id keeps resolving to the retired query.
+  // The next tenant takes the next attach index, not the retired id, which
+  // keeps resolving to the retired query.
+  const Query* retired = fabric.Find(a);
   const QueryId c = fabric.Attach(CountQuery(2), nullptr, 0);
-  EXPECT_EQ(QuerySlot(c), QuerySlot(a));
-  EXPECT_EQ(QueryGeneration(c), QueryGeneration(a) + 1);
-  EXPECT_NE(c, a);
+  EXPECT_EQ(c, 2);
   EXPECT_TRUE(fabric.IsLive(c));
   EXPECT_EQ(fabric.state(a), QueryState::kDetached);
-  EXPECT_EQ(fabric.Find(a)->name(), "count");
+  EXPECT_EQ(fabric.Find(a), retired);
+  EXPECT_EQ(fabric.Find(a)->id(), a);
   EXPECT_EQ(fabric.live_count(), 2);
-  EXPECT_EQ(fabric.attached_total(), 3);
+  EXPECT_EQ(fabric.size(), 3);
+  ASSERT_EQ(fabric.live().size(), 2u);
+  EXPECT_EQ(fabric.live()[0].id, 1);
+  EXPECT_EQ(fabric.live()[1].id, c);
   fabric.AuditConsistency();
 }
 
@@ -114,12 +129,7 @@ TEST(QueryFabricTest, DrainWithEmptyQueuesRetiresImmediately) {
 TEST(QueryFabricTest, LiveAndFedViewsTrackChurn) {
   QueryFabric fabric;
   const QueryId a = fabric.Attach(CountQuery(0), nullptr, 0);
-  SourceSpec spec;
-  spec.events_per_second = 10;
-  auto feed = std::make_unique<SyntheticFeed>(
-      std::vector<SourceSpec>{spec}, std::make_unique<ConstantDelay>(0),
-      /*seed=*/1, /*start_time=*/0);
-  const QueryId b = fabric.Attach(CountQuery(1), std::move(feed), 0);
+  const QueryId b = fabric.Attach(CountQuery(1), TenEventsPerSecond(), 0);
 
   EXPECT_EQ(fabric.live().size(), 2u);
   ASSERT_EQ(fabric.fed().size(), 1u);  // only b has a feed
@@ -131,6 +141,109 @@ TEST(QueryFabricTest, LiveAndFedViewsTrackChurn) {
   fabric.AuditConsistency();
 }
 
+/// The reference model's view of one id ever attached.
+struct ModelQuery {
+  const Query* query;
+  QueryState state;
+  bool fed;     // has a feed: attached with one and not yet detached
+  bool queued;  // holds the one element the test enqueued
+};
+
+// The table's contract under a seeded random mix of attaches (with and
+// without a feed), detaches (with and without queued work, of live and
+// retired ids), queue drains and sweeps, checked against a reference model
+// after every step.
+TEST(QueryFabricTest, RandomChurnMatchesReferenceModel) {
+  QueryFabric fabric;
+  std::vector<ModelQuery> model;  // indexed by id
+  Rng rng(/*seed=*/31);
+  int fed_attaches = 0, retired_at_once = 0, retired_by_sweep = 0;
+
+  const auto check = [&] {
+    std::vector<QueryId> live, fed;
+    for (size_t i = 0; i < model.size(); ++i) {
+      const QueryId id = static_cast<QueryId>(i);
+      const ModelQuery& m = model[i];
+      ASSERT_EQ(fabric.Find(id), m.query) << "id " << id;
+      ASSERT_EQ(m.query->id(), id);
+      ASSERT_EQ(fabric.state(id), m.state) << "id " << id;
+      if (m.state == QueryState::kDetached) continue;
+      live.push_back(id);
+      if (m.fed) fed.push_back(id);
+    }
+    std::vector<QueryId> live_view, fed_view;
+    for (const QueryFabric::LiveQuery& lq : fabric.live()) {
+      live_view.push_back(lq.id);
+    }
+    for (const QueryFabric::LiveQuery& lq : fabric.fed()) {
+      fed_view.push_back(lq.id);
+    }
+    ASSERT_EQ(live_view, live);
+    ASSERT_EQ(fed_view, fed);
+    ASSERT_EQ(fabric.live_count(), static_cast<int>(live.size()));
+    fabric.AuditConsistency();
+  };
+
+  for (int step = 0; step < 400; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const int64_t action = rng.NextInt(0, 9);
+    if (model.empty() || action < 3) {
+      const bool with_feed = rng.NextInt(0, 1) == 1;
+      std::unique_ptr<Query> query = CountQuery(0);
+      const Query* raw = query.get();
+      const QueryId id = fabric.Attach(
+          std::move(query), with_feed ? TenEventsPerSecond() : nullptr, 0);
+      // Each new id is the previous largest plus one.
+      ASSERT_EQ(id, static_cast<QueryId>(model.size()));
+      model.push_back({raw, QueryState::kActive, with_feed, false});
+      fed_attaches += with_feed ? 1 : 0;
+    } else if (action < 7) {
+      // Any id ever attached: detaching a retired one is a no-op.
+      const QueryId id = static_cast<QueryId>(
+          rng.NextInt(0, static_cast<int64_t>(model.size()) - 1));
+      ModelQuery& m = model[static_cast<size_t>(id)];
+      if (m.state == QueryState::kActive && rng.NextInt(0, 1) == 1) {
+        EnqueueOne(*fabric.Find(id));
+        m.queued = true;
+      }
+      fabric.Detach(id);
+      if (m.state != QueryState::kDetached) {
+        m.fed = false;
+        m.state = m.queued ? QueryState::kDraining : QueryState::kDetached;
+        retired_at_once += m.queued ? 0 : 1;
+      }
+    } else if (action < 8) {
+      // Execution empties the queues of the oldest draining query.
+      for (size_t i = 0; i < model.size(); ++i) {
+        if (model[i].state != QueryState::kDraining || !model[i].queued) {
+          continue;
+        }
+        fabric.Find(static_cast<QueryId>(i))->sources()[0]->input(0).Clear();
+        model[i].queued = false;
+        break;
+      }
+    } else {
+      std::vector<QueryId> expected;
+      for (size_t i = 0; i < model.size(); ++i) {
+        if (model[i].state == QueryState::kDraining && !model[i].queued) {
+          model[i].state = QueryState::kDetached;
+          expected.push_back(static_cast<QueryId>(i));
+        }
+      }
+      std::vector<QueryId> retired;
+      fabric.SweepDrained(&retired);
+      ASSERT_EQ(retired, expected);
+      retired_by_sweep += static_cast<int>(retired.size());
+    }
+    ASSERT_NO_FATAL_FAILURE(check());
+  }
+  // The seed reaches every path the test names.
+  EXPECT_GT(fed_attaches, 0);
+  EXPECT_GT(static_cast<int>(model.size()) - fed_attaches, 0);
+  EXPECT_GT(retired_at_once, 0);
+  EXPECT_GT(retired_by_sweep, 0);
+}
+
 using QueryFabricDeathTest = ::testing::Test;
 
 TEST(QueryFabricDeathTest, AuditDetectsCorruptLiveCount) {
@@ -140,10 +253,11 @@ TEST(QueryFabricDeathTest, AuditDetectsCorruptLiveCount) {
   EXPECT_DEATH(fabric.AuditConsistency(), "");
 }
 
-TEST(QueryFabricDeathTest, AuditDetectsGenerationMismatch) {
+TEST(QueryFabricDeathTest, AuditDetectsIdIndexMismatch) {
   QueryFabric fabric;
   fabric.Attach(CountQuery(0), nullptr, 0);
-  QueryFabricTestPeer::CorruptGeneration(fabric);
+  fabric.Attach(CountQuery(1), nullptr, 0);
+  QueryFabricTestPeer::SwapFirstTwoQueries(fabric);
   EXPECT_DEATH(fabric.AuditConsistency(), "");
 }
 

@@ -16,6 +16,14 @@ TEST(TableReporterTest, NumFormatsPrecision) {
   EXPECT_EQ(TableReporter::Num(1000000.0, 0), "1000000");
 }
 
+TEST(TableReporterTest, WindowCellSaysSoWithoutCompletedWindows) {
+  Histogram latency;
+  EXPECT_EQ(WindowCell(latency, 0.0, 3), "n/a (no completed windows)");
+  latency.Add(1500000);
+  EXPECT_EQ(WindowCell(latency, 1.5, 3), TableReporter::Num(1.5, 3));
+  EXPECT_EQ(WindowCell(latency, 0.0, 0), TableReporter::Num(0.0, 0));
+}
+
 TEST(TableReporterTest, WriteCsvRoundTrips) {
   TableReporter table("CSV test");
   table.SetHeader({"policy", "latency"});

@@ -1,6 +1,6 @@
 // Audited churn: every policy runs under KLINK_AUDIT=1 while queries
-// detach, are removed and attach mid-run, so slot reuse and retirement
-// reporting are exercised. The engine's invariant auditor checks queue
+// detach, drain and attach mid-run, so retirement and fresh attach indexes
+// are exercised. The engine's invariant auditor checks queue
 // accounting, selections, cycle stats and progress monotonicity every
 // cycle, and the query fabric checks its own consistency on every
 // mutation; either aborts on the first violation. A run that completes
@@ -62,8 +62,8 @@ std::tuple<int64_t, int64_t, int64_t> ChurnRun(PolicyKind kind, bool audit) {
   }
   engine.RunFor(SecondsToMicros(3));
 
-  // Churn: two graceful drains, two live attaches. The freed slots get
-  // reused with bumped generations.
+  // Churn: two graceful drains, two live attaches. The new tenants take
+  // the next attach indexes; the retired ids stay with the retired queries.
   engine.DetachQuery(ids[1]);
   engine.DetachQuery(ids[2]);
   const QueryId late_a = engine.AddQuery(CountQuery(6), SteadyFeed(800, 99));
@@ -73,7 +73,7 @@ std::tuple<int64_t, int64_t, int64_t> ChurnRun(PolicyKind kind, bool audit) {
   EXPECT_FALSE(engine.IsActive(ids[2]));
   EXPECT_TRUE(engine.IsActive(late_a));
   EXPECT_TRUE(engine.IsActive(late_b));
-  EXPECT_NE(late_a, ids[1]);  // reused slot, fresh generation: no alias
+  EXPECT_NE(late_a, ids[1]);  // ids are never reused: no alias
   EXPECT_NE(late_a, ids[2]);
   // 6 - 2 + 2 live, +1 while ids[1] still drains.
   EXPECT_GE(engine.num_queries(), 6);

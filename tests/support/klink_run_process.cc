@@ -161,57 +161,77 @@ void KillServer(ServerProc& p) {
   p.out = nullptr;
 }
 
-void Connect(LoadgenConnection& conn, int q, uint16_t port) {
-  ASSERT_TRUE(
-      conn.Connect("127.0.0.1", port, MakeStreamId(q, 0), TestRetry()).ok())
-      << "query " << q;
+void Connect(QueryClients& clients, int q, int sources, uint16_t port) {
+  for (int s = 0; s < sources; ++s) {
+    clients.push_back(std::make_unique<LoadgenConnection>());
+    ASSERT_TRUE(clients.back()
+                    ->Connect("127.0.0.1", port, MakeStreamId(q, s),
+                              TestRetry())
+                    .ok())
+        << "query " << q << " source " << s;
+  }
 }
 
-void ConnectAll(std::vector<std::unique_ptr<LoadgenConnection>>& conns,
-                int queries, uint16_t port) {
+void ConnectAll(std::vector<QueryClients>& conns, int queries, int sources,
+                uint16_t port) {
   for (int q = 0; q < queries; ++q) {
-    conns.push_back(std::make_unique<LoadgenConnection>());
-    Connect(*conns.back(), q, port);
+    conns.emplace_back();
+    Connect(conns.back(), q, sources, port);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
 void SendSlice(std::vector<std::unique_ptr<EventFeed>>& feeds,
-               std::vector<std::unique_ptr<LoadgenConnection>>& conns, int q,
-               TimeMicros until, bool send_bye, const RetryPolicy& reconnect) {
+               std::vector<QueryClients>& conns, int q, TimeMicros until,
+               bool send_bye, const RetryPolicy& reconnect) {
   ReplayOptions opts;
   opts.until = until;
   opts.speed = 0.0;
   opts.send_bye = send_bye;
   opts.reconnect = reconnect;
-  const Status s = ReplayFeed(*feeds[static_cast<size_t>(q)],
-                              {conns[static_cast<size_t>(q)].get()}, opts);
+  std::vector<LoadgenConnection*> clients;
+  for (auto& client : conns[static_cast<size_t>(q)]) {
+    clients.push_back(client.get());
+  }
+  const Status s = ReplayFeed(*feeds[static_cast<size_t>(q)], clients, opts);
   ASSERT_TRUE(s.ok()) << "query " << q << ": " << s.ToString();
 }
 
 void SendSlice(std::vector<std::unique_ptr<EventFeed>>& feeds,
-               std::vector<std::unique_ptr<LoadgenConnection>>& conns,
-               TimeMicros until, bool send_bye, const RetryPolicy& reconnect) {
+               std::vector<QueryClients>& conns, TimeMicros until,
+               bool send_bye, const RetryPolicy& reconnect) {
   for (size_t q = 0; q < feeds.size(); ++q) {
     SendSlice(feeds, conns, static_cast<int>(q), until, send_bye, reconnect);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-void AwaitDurableEpochs(
-    std::vector<std::unique_ptr<LoadgenConnection>>& conns, uint64_t epochs) {
+void AwaitDurableEpochs(std::vector<QueryClients>& conns, uint64_t epochs) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
   while (true) {
     uint64_t min_epoch = std::numeric_limits<uint64_t>::max();
-    for (auto& conn : conns) {
-      ASSERT_TRUE(conn->PollAcks().ok());
-      min_epoch = std::min(min_epoch, conn->durable_epoch());
+    for (QueryClients& clients : conns) {
+      for (auto& client : clients) {
+        ASSERT_TRUE(client->PollAcks().ok());
+        min_epoch = std::min(min_epoch, client->durable_epoch());
+      }
     }
     if (min_epoch >= epochs) return;
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "no durable checkpoint acks from the server";
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
+void ReconnectAll(std::vector<QueryClients>& conns, int64_t* replayed_frames) {
+  for (QueryClients& clients : conns) {
+    for (auto& client : clients) {
+      ASSERT_TRUE(client->Reconnect(TestRetry()).ok());
+      if (replayed_frames != nullptr) {
+        *replayed_frames += client->stats().replayed_frames;
+      }
+    }
   }
 }
 

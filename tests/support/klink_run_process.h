@@ -68,27 +68,37 @@ ServerResult WaitServer(ServerProc& p);
 /// The crash: SIGKILL, no flush, no shutdown hooks.
 void KillServer(ServerProc& p);
 
-/// Connects `conn` as the only source stream of query `q`.
-void Connect(LoadgenConnection& conn, int q, uint16_t port);
+/// One query's clients, one connection per source stream: client s
+/// carries stream MakeStreamId(q, s), as the loadgen tool connects them.
+using QueryClients = std::vector<std::unique_ptr<LoadgenConnection>>;
 
-/// Appends one connected client per query 0..queries-1 to `conns`.
-void ConnectAll(std::vector<std::unique_ptr<LoadgenConnection>>& conns,
-                int queries, uint16_t port);
+/// Appends `sources` clients to `clients` and connects them as the source
+/// streams of query `q`.
+void Connect(QueryClients& clients, int q, int sources, uint16_t port);
 
-/// Blasts query q's feed slice (ingest_time <= until) on its connection;
+/// Appends the connected clients of queries 0..queries-1 to `conns`.
+void ConnectAll(std::vector<QueryClients>& conns, int queries, int sources,
+                uint16_t port);
+
+/// Blasts query q's feed slice (ingest_time <= until) on its clients;
 /// the --lockstep server makes the result independent of the pacing.
 void SendSlice(std::vector<std::unique_ptr<EventFeed>>& feeds,
-               std::vector<std::unique_ptr<LoadgenConnection>>& conns, int q,
-               TimeMicros until, bool send_bye, const RetryPolicy& reconnect);
+               std::vector<QueryClients>& conns, int q, TimeMicros until,
+               bool send_bye, const RetryPolicy& reconnect);
 
 /// SendSlice for every query in index order.
 void SendSlice(std::vector<std::unique_ptr<EventFeed>>& feeds,
-               std::vector<std::unique_ptr<LoadgenConnection>>& conns,
-               TimeMicros until, bool send_bye, const RetryPolicy& reconnect);
+               std::vector<QueryClients>& conns, TimeMicros until,
+               bool send_bye, const RetryPolicy& reconnect);
 
-/// Polls acks until every connection has seen >= `epochs` durable epochs.
-void AwaitDurableEpochs(
-    std::vector<std::unique_ptr<LoadgenConnection>>& conns, uint64_t epochs);
+/// Polls acks until every client has seen >= `epochs` durable epochs.
+void AwaitDurableEpochs(std::vector<QueryClients>& conns, uint64_t epochs);
+
+/// Reconnects every client after a server restart; each replays its
+/// retained unacked tail. Adds the frames replayed to `*replayed_frames`
+/// unless it is null.
+void ReconnectAll(std::vector<QueryClients>& conns,
+                  int64_t* replayed_frames = nullptr);
 
 }  // namespace klink
 

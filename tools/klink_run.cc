@@ -140,17 +140,6 @@ Status CheckScaled(const char* name, int64_t value, int64_t scale) {
   return Status::Ok();
 }
 
-/// Formats the latency and slowdown cells of a results table. With no
-/// completed window the SWM latency histogram is empty and its zeros would
-/// read as perfect latency, so the cells say so instead.
-struct WindowCell {
-  bool any_completed;
-  std::string Num(double value, int precision) const {
-    return any_completed ? TableReporter::Num(value, precision)
-                         : "n/a (no completed windows)";
-  }
-};
-
 /// Checkpointing options of listen mode (see CheckpointConfig).
 struct CheckpointFlags {
   std::string dir;  // empty = checkpointing off
@@ -170,7 +159,7 @@ struct ReshardFlags {
 };
 
 /// One tenant of the listen-mode server: a query index in
-/// [0, --queries), its deployed (generation-stamped) query id, and the
+/// [0, --queries), its deployed query id (its attach index), and the
 /// gateway streams feeding its sources.
 struct Tenant {
   QueryId id = 0;
@@ -290,10 +279,12 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
         for (const LoadedQueryState& qs : loaded.queries) {
           QueryId target = qs.query_id;
           if (dynamic_attach) {
-            // Checkpointed tenants re-deploy before serving; the tenant
-            // index is recoverable from any cursor's stream id. The fresh
-            // attach may stamp a different generation than the captured
-            // id, so state restores into the new id.
+            // Checkpointed tenants re-deploy before serving, in the
+            // checkpoint's id order, which is their attach order; the
+            // tenant index is recoverable from any cursor's stream id. A
+            // retired tenant is not checkpointed but kept its id, so the
+            // fresh id can be lower than the captured one; state restores
+            // into the new id.
             const int q =
                 qs.cursors.empty()
                     ? -1
@@ -424,22 +415,24 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
               lockstep, each_iteration);
 
   const Histogram latency = engine.AggregateSwmLatency();
-  const WindowCell cell{latency.count() > 0};
   TableReporter table("Results (TCP ingest)");
   table.SetHeader({"metric", "value"});
-  table.AddRow({"mean latency (s)", cell.Num(latency.mean() / 1e6, 3)});
+  table.AddRow(
+      {"mean latency (s)", WindowCell(latency, latency.mean() / 1e6, 3)});
   table.AddRow({"p50 latency (s)",
-                cell.Num(static_cast<double>(latency.Percentile(50)) / 1e6,
-                         3)});
+                WindowCell(latency,
+                           static_cast<double>(latency.Percentile(50)) / 1e6,
+                           3)});
   table.AddRow({"p99 latency (s)",
-                cell.Num(static_cast<double>(latency.Percentile(99)) / 1e6,
-                         3)});
+                WindowCell(latency,
+                           static_cast<double>(latency.Percentile(99)) / 1e6,
+                           3)});
   table.AddRow({"ingested events",
                 std::to_string(engine.metrics().ingested_events())});
   table.AddRow({"throughput (op-events/s)",
                 TableReporter::Num(
                     engine.metrics().ThroughputEps(config.duration), 0)});
-  table.AddRow({"slowdown", cell.Num(engine.MeanSlowdown(), 0)});
+  table.AddRow({"slowdown", WindowCell(latency, engine.MeanSlowdown(), 0)});
   table.AddRow({"peak memory (MB)",
                 TableReporter::Num(
                     static_cast<double>(engine.memory().peak_bytes()) /
@@ -724,16 +717,16 @@ int main(int argc, char** argv) {
                  static_cast<long long>(config.deploy_spread / 1000000));
   }
 
-  const WindowCell cell{r.latency.count() > 0};
   TableReporter table("Results");
   table.SetHeader({"metric", "value"});
-  table.AddRow({"mean latency (s)", cell.Num(r.mean_latency_s, 3)});
-  table.AddRow({"p50 latency (s)", cell.Num(r.p50_latency_s, 3)});
-  table.AddRow({"p90 latency (s)", cell.Num(r.p90_latency_s, 3)});
-  table.AddRow({"p99 latency (s)", cell.Num(r.p99_latency_s, 3)});
+  table.AddRow(
+      {"mean latency (s)", WindowCell(r.latency, r.mean_latency_s, 3)});
+  table.AddRow({"p50 latency (s)", WindowCell(r.latency, r.p50_latency_s, 3)});
+  table.AddRow({"p90 latency (s)", WindowCell(r.latency, r.p90_latency_s, 3)});
+  table.AddRow({"p99 latency (s)", WindowCell(r.latency, r.p99_latency_s, 3)});
   table.AddRow({"throughput (op-events/s)",
                 TableReporter::Num(r.throughput_eps, 0)});
-  table.AddRow({"slowdown", cell.Num(r.slowdown, 0)});
+  table.AddRow({"slowdown", WindowCell(r.latency, r.slowdown, 0)});
   table.AddRow({"mean CPU (%)",
                 TableReporter::Num(r.mean_cpu_utilization * 100.0, 1)});
   table.AddRow({"mean memory (MB)",
