@@ -38,9 +38,8 @@ int main() {
               kQueries);
   for (int q = 0; q < engine.num_queries(); ++q) {
     Query& query = engine.query(q);
-    // The join is the query's first windowed operator.
-    const auto* join =
-        dynamic_cast<const WindowJoinOperator*>(query.windowed_operators()[0]);
+    // The join follows the three source -> segment-map chains.
+    const auto* join = dynamic_cast<const WindowJoinOperator*>(&query.op(6));
     std::printf(
         "  query %d: joined panes %-5lld toll rows %-6lld dropped late %-4lld "
         "mean latency %.1f ms\n",

@@ -149,7 +149,7 @@ void DistEngine::PublishInfo() {
       while (end < n && dq.placement[static_cast<size_t>(end)] == node) ++end;
       CollectQueryInfo(*dq.query, begin, end, &info);
       fwd.drain_cost_by_node[static_cast<size_t>(node)] =
-          info.drain_cost_micros;
+          info.whole.drain_cost_micros;
       fwd.streams.insert(fwd.streams.end(), info.streams.begin(),
                          info.streams.end());
       if (info.upcoming_deadline != kNoTime &&
@@ -174,8 +174,8 @@ void DistEngine::BuildNodeSnapshot(NodeId node_id, RuntimeSnapshot* snap) {
     QueryInfo& info = snap->queries.emplace_back();
     CollectQueryInfo(*dq.query, ops.begin, ops.end, &info);
     // Remote nodes' contributions come from the last forwarded record,
-    // stale by link_latency — the information flow of Sec. 4. The merged
-    // query-level fields are what policies read (sched/policy.h LaneAt).
+    // stale by link_latency — the information flow of Sec. 4. They merge
+    // into the whole-query unit, the one unit of an unsharded query.
     const ForwardedQueryInfo* remote =
         dq.channel.Latest(now_, config_.link_latency);
     if (remote == nullptr) continue;
@@ -186,7 +186,7 @@ void DistEngine::BuildNodeSnapshot(NodeId node_id, RuntimeSnapshot* snap) {
     }
     for (size_t nn = 0; nn < remote->drain_cost_by_node.size(); ++nn) {
       if (static_cast<NodeId>(nn) == node_id) continue;  // fresh above
-      info.drain_cost_micros += remote->drain_cost_by_node[nn];
+      info.whole.drain_cost_micros += remote->drain_cost_by_node[nn];
     }
     // Stream progress of remote windowed operators.
     for (const StreamProgress& p : remote->streams) {
@@ -195,6 +195,7 @@ void DistEngine::BuildNodeSnapshot(NodeId node_id, RuntimeSnapshot* snap) {
       }
       info.streams.push_back(p);
     }
+    info.whole.streams_end = static_cast<int>(info.streams.size());
   }
 }
 

@@ -1,6 +1,8 @@
 #include "src/harness/experiment.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <utility>
 
 #include "src/common/check.h"
@@ -278,13 +280,25 @@ TenantSpec TenantOf(const ExperimentConfig& config,
   return spec;
 }
 
+Status ValidateEventRate(double events_per_second) {
+  if (!(events_per_second > 0.0)) {
+    return Status::InvalidArgument(
+        "events_per_second (--rate) must be > 0");
+  }
+  if (events_per_second > kMaxEventsPerSecond) {
+    return Status::InvalidArgument(
+        "events_per_second (--rate) must be <= " +
+        std::to_string(static_cast<int64_t>(kMaxEventsPerSecond)));
+  }
+  return Status::Ok();
+}
+
 Status ExperimentConfig::Validate() const {
   if (num_queries < 1) {
     return Status::InvalidArgument("num_queries (--queries) must be >= 1");
   }
-  if (!(events_per_second > 0.0)) {
-    return Status::InvalidArgument(
-        "events_per_second (--rate) must be > 0");
+  if (const Status rate = ValidateEventRate(events_per_second); !rate.ok()) {
+    return rate;
   }
   if (warmup < 0) {
     return Status::InvalidArgument("warmup (--warmup) must be >= 0");

@@ -92,6 +92,19 @@ void MakeTenant(const TenantSpec& spec, QueryId id,
                 std::unique_ptr<DelayModel> delay = nullptr,
                 uint64_t feed_seed = 0, TimeMicros start_time = 0);
 
+/// The largest per-source rate (--rate of klink_run and loadgen). A
+/// synthetic feed materializes every element due by a poll
+/// (SyntheticFeed::GenerateUpTo), so its memory grows with the rate: at
+/// 1e15 ev/s one 120 ms cycle asks for ~1e14 elements and the run dies in
+/// std::bad_alloc. At the ceiling a cycle is 120k elements (~7 MB) per
+/// source, 20x the largest rate the repo runs (50000 ev/s).
+inline constexpr double kMaxEventsPerSecond = 1e6;
+
+/// Rejects a per-source rate outside (0, kMaxEventsPerSecond], naming
+/// --rate. ExperimentConfig::Validate, klink_run --listen and loadgen
+/// check their rates with it.
+Status ValidateEventRate(double events_per_second);
+
 /// One experiment = one engine run: N query instances of one workload under
 /// one scheduling policy for `duration` of virtual time.
 struct ExperimentConfig {

@@ -163,19 +163,20 @@ void PrintShardMetrics(Engine& engine, QueryId id) {
   table.Print();
 }
 
-void PrintLateEventMetrics(const Engine& engine) {
+void PrintLateEventMetrics(
+    const Engine& engine, const std::vector<std::pair<int, QueryId>>& tenants) {
   TableReporter table("Late-data accounting (allowed lateness)");
   table.SetHeader({"query", "late accepted", "late dropped", "retractions",
                    "updates", "sink retracted", "unmatched"});
   // Only print when some query actually saw late data or corrections:
   // lateness-disabled runs keep their report output unchanged.
   bool any = false;
-  for (const QueryFabric::LiveQuery& lq : engine.fabric().live()) {
-    const QueryLateMetrics m = CollectQueryLateMetrics(*lq.query);
+  for (const auto& [tenant, id] : tenants) {
+    const QueryLateMetrics m = CollectQueryLateMetrics(engine.query(id));
     any = any || m.late_accepted != 0 || m.late_dropped_beyond_horizon != 0 ||
           m.retractions_emitted != 0 || m.updates_emitted != 0 ||
           m.retractions_received != 0 || m.unmatched_retractions != 0;
-    table.AddRow({std::to_string(lq.id), std::to_string(m.late_accepted),
+    table.AddRow({std::to_string(tenant), std::to_string(m.late_accepted),
                   std::to_string(m.late_dropped_beyond_horizon),
                   std::to_string(m.retractions_emitted),
                   std::to_string(m.updates_emitted),

@@ -2,6 +2,7 @@
 #define KLINK_HARNESS_REPORTER_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/histogram.h"
@@ -61,13 +62,16 @@ void PrintIngestMetrics(const IngestMetrics& metrics);
 /// the shard benches to make skew and re-shards visible.
 void PrintShardMetrics(Engine& engine, QueryId id);
 
-/// Prints the late-data accounting of every live query, one row per query
-/// in id order: late events accepted within the lateness horizon, late
-/// events dropped beyond it, retraction/update elements emitted by
-/// windowed operators, and retractions absorbed (or unmatched) at the
-/// sink. Prints nothing when every counter is zero, so lateness-disabled
-/// runs keep their output unchanged. Used by klink_run --listen.
-void PrintLateEventMetrics(const Engine& engine);
+/// Prints the late-data accounting of every (tenant index, query id) in
+/// `tenants`, one row per tenant labelled with its index, in the given
+/// order; a detached tenant's query keeps its row. A row holds the late
+/// events accepted within the lateness horizon, late events dropped beyond
+/// it, retraction/update elements emitted by windowed operators, and
+/// retractions absorbed (or unmatched) at the sink. Prints nothing when
+/// every counter is zero, so lateness-disabled runs keep their output
+/// unchanged. Used by klink_run --listen.
+void PrintLateEventMetrics(const Engine& engine,
+                           const std::vector<std::pair<int, QueryId>>& tenants);
 
 }  // namespace klink
 

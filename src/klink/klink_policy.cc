@@ -37,15 +37,15 @@ KlinkEstimator& KlinkPolicy::EstimatorIn(EstimatorGroup& group, int op_index,
       .estimator;
 }
 
-double KlinkPolicy::EvaluateUnitSlack(const QueryInfo& info, size_t lane_idx,
-                                      TimeMicros now, EstimatorGroup* group) {
+double KlinkPolicy::EvaluateUnitSlack(const QueryInfo& info,
+                                      const LaneInfo& unit, TimeMicros now,
+                                      EstimatorGroup* group) {
   const double now_d = static_cast<double>(now);
-  const LaneView lane = LaneAt(info, lane_idx);
   // Pending corrections drain through the pipeline ahead of the sweep just
   // like queued events do; without this term the slack of lateness-heavy
   // units is systematically optimistic.
-  const double cost = lane.drain_cost_micros + lane.refire_debt_micros;
-  if (lane.streams_begin == lane.streams_end) {
+  const double cost = unit.drain_cost_micros + unit.refire_debt_micros;
+  if (unit.streams_begin == unit.streams_end) {
     // Windowless unit (a windowless query, or a lane holding no windowed
     // operator — the partition prefix and merge suffix of a sharded
     // query): no deadline to miss; order by drain cost so heavy backlogs
@@ -53,7 +53,7 @@ double KlinkPolicy::EvaluateUnitSlack(const QueryInfo& info, size_t lane_idx,
     return std::numeric_limits<double>::max() / 4.0 - cost;
   }
   double min_slack = std::numeric_limits<double>::max();
-  for (int si = lane.streams_begin; si < lane.streams_end; ++si) {
+  for (int si = unit.streams_begin; si < unit.streams_end; ++si) {
     const StreamProgress& progress = info.streams[static_cast<size_t>(si)];
     KlinkEstimator& est =
         EstimatorIn(*group, progress.op_index, progress.stream);
@@ -130,14 +130,13 @@ void KlinkPolicy::SelectQueries(const RuntimeSnapshot& snapshot, int slots,
     EstimatorGroup* group =
         info.streams.empty() ? nullptr : &estimators_[info.id];
     double min_slack = kInf;
-    for (size_t l = 0; l < NumLanes(info); ++l) {
-      const LaneView lane = LaneAt(info, l);
-      const double slack = EvaluateUnitSlack(info, l, snapshot.now, group);
-      const int64_t unit = UnitKey(info.id, lane.lane);
-      last_slack_.emplace_back(unit, slack);
+    for (const LaneInfo& unit : info.units()) {
+      const double slack = EvaluateUnitSlack(info, unit, snapshot.now, group);
+      const SlotAssignment key{info.id, unit.lane};
+      last_slack_.emplace_back(key, slack);
       min_slack = std::min(min_slack, slack);
-      if (!mm_active_ && lane.queued_events > 0) {
-        ranked_.emplace_back(slack, unit);
+      if (!mm_active_ && unit.queued_events > 0) {
+        ranked_.emplace_back(slack, key);
       }
     }
     if (mm_active_ && QueryIsReady(info)) {
@@ -184,7 +183,7 @@ void KlinkPolicy::SelectQueries(const RuntimeSnapshot& snapshot, int slots,
                       ranked_.begin() + static_cast<long>(take),
                       ranked_.end());
     for (size_t i = 0; i < take; ++i) {
-      out->AddLane(UnitQuery(ranked_[i].second), UnitLane(ranked_[i].second));
+      out->Add(ranked_[i].second.query, ranked_[i].second.lane);
     }
   }
 }
@@ -243,7 +242,7 @@ double KlinkPolicy::LastSlack(QueryId id) const {
   double best = kInf;
   bool found = false;
   for (const auto& [unit, slack] : last_slack_) {
-    if (UnitQuery(unit) != id) continue;
+    if (unit.query != id) continue;
     best = std::min(best, slack);
     found = true;
   }
@@ -251,7 +250,7 @@ double KlinkPolicy::LastSlack(QueryId id) const {
 }
 
 double KlinkPolicy::LastSlack(QueryId id, int lane) const {
-  const int64_t unit = UnitKey(id, lane);
+  const SlotAssignment unit{id, lane};
   for (const auto& [u, slack] : last_slack_) {
     if (u == unit) return slack;
   }

@@ -45,7 +45,7 @@ struct KlinkPolicyConfig {
 /// its streams (Sec. 3.3).
 ///
 /// Scheduling is unit-granular: unsharded queries are one unit, sharded
-/// queries contribute one unit per lane (sched/policy.h UnitKey). A lane's
+/// queries contribute one unit per lane (QueryInfo::units). A lane's
 /// slack is the minimum over *its* streams only, with the lane's own drain
 /// cost, so a straggling shard is prioritized independently of its idle
 /// siblings; lanes without windowed streams (the partition prefix and the
@@ -116,11 +116,11 @@ class KlinkPolicy final : public SchedulingPolicy {
   };
 
   /// Updates estimators with this cycle's progress and computes the slack
-  /// of one unit: min over the lane's streams with the lane's drain cost
-  /// (`lane_idx` indexes QueryInfo::lanes). `group` holds the query's
-  /// estimators; null when the query has no streams. Also accumulates the
-  /// overhead step count into eval_steps_.
-  double EvaluateUnitSlack(const QueryInfo& info, size_t lane_idx,
+  /// of one of `info`'s units: min over the unit's streams with the unit's
+  /// drain cost. `group` holds the query's estimators; null when the query
+  /// has no streams. Also accumulates the overhead step count into
+  /// eval_steps_.
+  double EvaluateUnitSlack(const QueryInfo& info, const LaneInfo& unit,
                            TimeMicros now, EstimatorGroup* group);
   /// The estimator of (op_index, stream) in `group`, created on first use.
   KlinkEstimator& EstimatorIn(EstimatorGroup& group, int op_index,
@@ -131,11 +131,12 @@ class KlinkPolicy final : public SchedulingPolicy {
   KlinkPolicyConfig config_;
   /// Estimator groups by query; a detached query's group is erased whole.
   std::unordered_map<QueryId, EstimatorGroup> estimators_;
-  /// (UnitKey, slack) of every unit evaluated in the last cycle, in
-  /// snapshot order.
-  std::vector<std::pair<int64_t, double>> last_slack_;
-  /// This cycle's ready units as (slack, UnitKey), outside memory mode.
-  std::vector<std::pair<double, int64_t>> ranked_;
+  /// (unit, slack) of every unit evaluated in the last cycle, in snapshot
+  /// order.
+  std::vector<std::pair<SlotAssignment, double>> last_slack_;
+  /// This cycle's ready units as (slack, unit), outside memory mode:
+  /// least slack first, ties by (query, lane).
+  std::vector<std::pair<double, SlotAssignment>> ranked_;
   /// This cycle's ready queries in memory mode, in snapshot order.
   std::vector<MemoryRank> memory_ranked_;
   bool mm_active_ = false;

@@ -55,10 +55,7 @@ void WindowAggregateOperator::FoldLateIntoRetained(const WindowSpan& w,
   auto [pane_it, pane_inserted] = retained_.try_emplace({w.end, w.start});
   if (pane_inserted) AddStateBytes(kBytesPerPane);
   const auto [slot, inserted] = pane_it->second.TryEmplace(e.key);
-  if (inserted) {
-    ++retained_key_states_;
-    AddStateBytes(kBytesPerRetainedState);
-  }
+  if (inserted) AddStateBytes(kBytesPerRetainedState);
   RetainedEntry& entry = *slot;
   ++entry.agg.count;
   entry.agg.sum += e.value;
@@ -99,10 +96,7 @@ void WindowAggregateOperator::FoldData(const Event& e) {
     auto [pane_it, pane_inserted] = panes_.try_emplace({w.end, w.start});
     if (pane_inserted) AddStateBytes(kBytesPerPane);
     const auto [slot, inserted] = pane_it->second.TryEmplace(e.key);
-    if (inserted) {
-      ++total_key_states_;
-      AddStateBytes(kBytesPerKeyState);
-    }
+    if (inserted) AddStateBytes(kBytesPerKeyState);
     Aggregate& agg = *slot;
     ++agg.count;
     agg.sum += e.value;
@@ -166,7 +160,6 @@ void WindowAggregateOperator::EvictRetained(TimeMicros min_watermark) {
                                 allowed_lateness_)) {
     const auto it = retained_.begin();
     const int64_t keys = static_cast<int64_t>(it->second.size());
-    retained_key_states_ -= keys;
     AddStateBytes(-(kBytesPerPane + keys * kBytesPerRetainedState));
     retained_.erase(it);
   }
@@ -225,11 +218,9 @@ void WindowAggregateOperator::OnWatermark(const Event& incoming,
       for (const auto& [key, agg] : it->second) {
         *rit->second.TryEmplace(key).first =
             RetainedEntry{agg, OutputValue(agg), true};
-        ++retained_key_states_;
         AddStateBytes(kBytesPerRetainedState);
       }
     }
-    total_key_states_ -= keys;
     AddStateBytes(-(kBytesPerPane + keys * kBytesPerKeyState));
     last_deadline = std::max(last_deadline, end);
     panes_.erase(it);
@@ -270,8 +261,6 @@ void WindowAggregateOperator::ExportKeyedState(
                   keys * kBytesPerKeyState));
   AddStateBytes(-(static_cast<int64_t>(retained_.size()) * kBytesPerPane +
                   retained_keys * kBytesPerRetainedState));
-  total_key_states_ = 0;
-  retained_key_states_ = 0;
   panes_.clear();
   retained_.clear();
   dirty_.clear();
@@ -289,7 +278,6 @@ void WindowAggregateOperator::ImportKeyedState(const KeyedStateEntry& entry) {
     const auto [slot, inserted] = pane_it->second.TryEmplace(entry.key);
     KLINK_CHECK(inserted);  // each (pane, key) comes from exactly one shard
     *slot = agg;
-    ++total_key_states_;
     AddStateBytes(kBytesPerKeyState);
   }
   for (const KeyedStateEntry::Retained& r : entry.retained) {
@@ -298,7 +286,6 @@ void WindowAggregateOperator::ImportKeyedState(const KeyedStateEntry& entry) {
     const auto [slot, inserted] = pane_it->second.TryEmplace(entry.key);
     KLINK_CHECK(inserted);
     *slot = r.entry;
-    ++retained_key_states_;
     AddStateBytes(kBytesPerRetainedState);
     if (r.refire) {
       KLINK_CHECK(dirty_.insert({r.pane, entry.key}).second);
@@ -376,7 +363,6 @@ void WindowAggregateOperator::RestoreState(StateReader& r) {
       agg.count = r.GetI64();
       agg.sum = r.GetDouble();
       agg.max = r.GetDouble();
-      ++total_key_states_;
       AddStateBytes(kBytesPerKeyState);
     }
   }
@@ -401,7 +387,6 @@ void WindowAggregateOperator::RestoreState(StateReader& r) {
       entry.agg.max = r.GetDouble();
       entry.has_emitted = r.GetBool();
       entry.emitted = r.GetDouble();
-      ++retained_key_states_;
       AddStateBytes(kBytesPerRetainedState);
     }
   }

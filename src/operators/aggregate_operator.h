@@ -48,11 +48,8 @@ class WindowAggregateOperator final : public Operator {
   DurationMicros allowed_lateness() const { return allowed_lateness_; }
 
   /// ---- Operator overrides -------------------------------------------
-  bool IsWindowed() const override { return true; }
-  bool SupportsPartialComputation() const override { return true; }
   TimeMicros UpcomingDeadline() const override;
   const SwmTracker* swm_tracker() const override { return &tracker_; }
-  DurationMicros DeadlinePeriod() const override { return assigner_->slide(); }
 
   /// ---- introspection -------------------------------------------------
   const WindowAssigner& assigner() const { return *assigner_; }
@@ -140,9 +137,7 @@ class WindowAggregateOperator final : public Operator {
   DurationMicros allowed_lateness_ = 0;
   LateEventCounters late_;
   int64_t pending_correction_elements_ = 0;
-  int64_t retained_key_states_ = 0;
   SwmTracker tracker_{1};
-  int64_t total_key_states_ = 0;  // sum of per-pane key counts
   int64_t fired_panes_ = 0;
   int64_t dropped_late_ = 0;
   std::vector<WindowSpan> scratch_windows_;

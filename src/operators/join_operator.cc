@@ -46,10 +46,7 @@ void WindowJoinOperator::OnData(const Event& e, TimeMicros /*now*/,
     }
     const auto [agg, inserted] =
         pane.per_stream[static_cast<size_t>(e.stream)].TryEmplace(e.key);
-    if (inserted) {
-      ++total_key_states_;
-      AddStateBytes(kBytesPerKeyState);
-    }
+    if (inserted) AddStateBytes(kBytesPerKeyState);
     ++agg->count;
     agg->sum += e.value;
   }
@@ -97,7 +94,6 @@ void WindowJoinOperator::FirePane(const PaneKey& pane_key, Pane& pane,
   for (const auto& m : pane.per_stream) {
     keys += static_cast<int64_t>(m.size());
   }
-  total_key_states_ -= keys;
   AddStateBytes(-(kBytesPerPane + keys * kBytesPerKeyState));
   ++fired_panes_;
 }
@@ -184,7 +180,6 @@ void WindowJoinOperator::RestoreState(StateReader& r) {
         Aggregate& agg = *stream_map.TryEmplace(key).first;
         agg.count = r.GetI64();
         agg.sum = r.GetDouble();
-        ++total_key_states_;
         AddStateBytes(kBytesPerKeyState);
       }
     }

@@ -33,11 +33,8 @@ class WindowJoinOperator final : public Operator {
                      uint32_t output_payload_bytes = 64);
 
   /// ---- Operator overrides -------------------------------------------
-  bool IsWindowed() const override { return true; }
-  bool SupportsPartialComputation() const override { return true; }
   TimeMicros UpcomingDeadline() const override;
   const SwmTracker* swm_tracker() const override { return &tracker_; }
-  DurationMicros DeadlinePeriod() const override { return assigner_->slide(); }
 
   /// ---- introspection -------------------------------------------------
   const WindowAssigner& assigner() const { return *assigner_; }
@@ -77,7 +74,6 @@ class WindowJoinOperator final : public Operator {
   SwmTracker tracker_;
   /// Next deadline each stream's watermark has yet to elapse.
   std::vector<TimeMicros> next_stream_deadline_;
-  int64_t total_key_states_ = 0;
   int64_t fired_panes_ = 0;
   int64_t emitted_joins_ = 0;
   int64_t dropped_late_ = 0;

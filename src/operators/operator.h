@@ -157,25 +157,14 @@ class Operator {
   /// Queue bytes + state bytes.
   int64_t MemoryBytes() const { return QueuedBytes() + StateBytes(); }
 
-  /// Whether the operator can shrink in-flight volume by partial/online
-  /// computation when scheduled (Klink memory management, Sec. 3.4).
-  virtual bool SupportsPartialComputation() const { return false; }
-
-  /// Whether this operator blocks the stream on window deadlines.
-  virtual bool IsWindowed() const { return false; }
-
   /// Per-input-stream SWM progress bookkeeping, or nullptr for
   /// non-windowed operators (see window/swm_tracker.h).
   virtual const class SwmTracker* swm_tracker() const { return nullptr; }
 
-  /// Period between window deadlines (the assigner's slide), or 0 for
-  /// non-windowed operators. Together with the watermark cadence this is
-  /// the SWM periodicity p^q of Sec. 3.1.
-  virtual DurationMicros DeadlinePeriod() const { return 0; }
-
-  /// Earliest un-fired window deadline, or kNoTime for non-windowed
-  /// operators. For windowed operators this is the deadline the next SWM
-  /// must elapse.
+  /// Earliest un-fired window deadline, or kNoTime for operators that do
+  /// not block the stream on window deadlines (count windows included).
+  /// For windowed operators this is the deadline the next SWM must
+  /// elapse.
   virtual TimeMicros UpcomingDeadline() const { return kNoTime; }
 
   /// Correction elements (retractions + updates) this operator will emit at

@@ -59,12 +59,7 @@ class SessionWindowOperator final : public Operator {
   const LateEventCounters& late_counters() const { return late_; }
 
   /// ---- Operator overrides --------------------------------------------
-  bool IsWindowed() const override { return true; }
-  bool SupportsPartialComputation() const override { return true; }
   TimeMicros UpcomingDeadline() const override;
-  /// Sessions have no fixed period; the gap is the best available hint
-  /// for the SWM periodicity term.
-  DurationMicros DeadlinePeriod() const override { return gap_; }
   const SwmTracker* swm_tracker() const override { return &tracker_; }
 
   static constexpr int64_t kBytesPerSession = 96;

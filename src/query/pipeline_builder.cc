@@ -218,8 +218,6 @@ std::unique_ptr<Query> PipelineBuilder::Build(QueryId id) {
         agg->SetAllowedLateness(allowed_lateness_);
       } else if (auto* sess = dynamic_cast<SessionWindowOperator*>(op.get())) {
         sess->SetAllowedLateness(allowed_lateness_);
-      } else if (auto* cnt = dynamic_cast<CountWindowOperator*>(op.get())) {
-        cnt->SetAllowedLateness(allowed_lateness_);
       } else if (auto* sink = dynamic_cast<SinkOperator*>(op.get())) {
         sink->SetAllowedLateness(allowed_lateness_);
       }

@@ -130,9 +130,9 @@ class PipelineBuilder {
   PipelineBuilder& operator=(const PipelineBuilder&) = delete;
 
   /// Per-query allowed-lateness horizon, applied at Build() to every
-  /// windowed operator (including shard lanes) and the sink: fired panes
-  /// are retained for `lateness` of watermark progress and late arrivals
-  /// within the horizon emit retraction+update corrections
+  /// time-windowed operator (including shard lanes) and the sink: fired
+  /// panes are retained for `lateness` of watermark progress and late
+  /// arrivals within the horizon emit retraction+update corrections
   /// (window/lateness.h). 0 (the default) keeps the strict drop policy.
   void SetAllowedLateness(DurationMicros lateness);
 

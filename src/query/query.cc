@@ -1,6 +1,5 @@
 #include "src/query/query.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
@@ -47,7 +46,6 @@ Query::Query(QueryId id, std::string name,
       KLINK_CHECK_LT(e.downstream, static_cast<int>(operators_.size()));
       ++in_degree[static_cast<size_t>(e.downstream)];
     }
-    if (op->IsWindowed()) windowed_.push_back(op);
   }
   KLINK_CHECK(sink_ != nullptr);
   for (size_t i = 0; i < operators_.size(); ++i) {
@@ -63,8 +61,8 @@ Query::Query(QueryId id, std::string name,
     sources_.push_back(src);
   }
   KLINK_CHECK(!sources_.empty());
-  // Lanes: the schedulable units. One whole-query lane when unsharded;
-  // stage-ordered {prefix, shard..., suffix} lanes when sharded.
+  // Lanes: the stage-ordered {prefix, shard..., suffix} schedulable units
+  // of a sharded query.
   if (sharded()) {
     lanes_.push_back(Lane{0, shard_region_.shard_begin, 0});
     for (int s = 0; s < shard_region_.max_shards; ++s) {
@@ -72,8 +70,6 @@ Query::Query(QueryId id, std::string name,
                             shard_region_.shard_begin + s + 1, 1});
     }
     lanes_.push_back(Lane{shard_region_.shard_end, num_operators(), 2});
-  } else {
-    lanes_.push_back(Lane{0, num_operators(), 0});
   }
 }
 
@@ -95,16 +91,6 @@ const Query::Edge& Query::edge(int i) const {
 const Query::Lane& Query::lane(int i) const {
   KLINK_CHECK(i >= 0 && i < num_lanes());
   return lanes_[static_cast<size_t>(i)];
-}
-
-TimeMicros Query::UpcomingDeadline() const {
-  TimeMicros earliest = kNoTime;
-  for (const Operator* op : windowed_) {
-    const TimeMicros d = op->UpcomingDeadline();
-    if (d == kNoTime) continue;
-    earliest = earliest == kNoTime ? d : std::min(earliest, d);
-  }
-  return earliest;
 }
 
 int64_t Query::QueuedEvents() const {

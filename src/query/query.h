@@ -44,13 +44,13 @@ class Query {
     int merge_op = 0;      // index of the merge exchange operator
   };
 
-  /// A lane is a contiguous operator range drained as one schedulable
-  /// unit. Unsharded queries have a single lane covering everything
-  /// (index -1 by convention at the scheduling seam). Sharded queries have
-  /// lane 0 = [0, shard_begin) at stage 0, one lane per shard at stage 1,
-  /// and a final lane [shard_end, num_operators) at stage 2. Stages order
-  /// execution within a cycle (producers before consumers) so concurrent
-  /// shard lanes never race their feeding partition or draining merge.
+  /// A lane is a contiguous operator range of a sharded query drained as
+  /// one schedulable unit: lane 0 = [0, shard_begin) at stage 0, one lane
+  /// per shard at stage 1, and a final lane [shard_end, num_operators) at
+  /// stage 2. An unsharded query has no lanes; it is scheduled whole (lane
+  /// -1 at the scheduling seam). Stages order execution within a cycle
+  /// (producers before consumers) so concurrent shard lanes never race
+  /// their feeding partition or draining merge.
   struct Lane {
     int begin = 0;
     int end = 0;
@@ -79,21 +79,12 @@ class Query {
   SinkOperator& sink() { return *sink_; }
   const SinkOperator& sink() const { return *sink_; }
 
-  /// Windowed (blocking) operators, in topological order.
-  const std::vector<Operator*>& windowed_operators() const {
-    return windowed_;
-  }
-
   /// ---- sharding -------------------------------------------------------
   bool sharded() const { return shard_region_.max_shards > 0; }
   const ShardRegion& shard_region() const { return shard_region_; }
-  /// Lanes in stage order (single whole-query lane when unsharded).
+  /// Lanes in stage order; none when unsharded.
   int num_lanes() const { return static_cast<int>(lanes_.size()); }
   const Lane& lane(int i) const;
-
-  /// Earliest upcoming window deadline across windowed operators, or
-  /// kNoTime for a windowless query.
-  TimeMicros UpcomingDeadline() const;
 
   /// Total queued elements across all operator inputs.
   int64_t QueuedEvents() const;
@@ -117,7 +108,6 @@ class Query {
   std::vector<std::unique_ptr<Operator>> operators_;
   std::vector<Edge> edges_;
   std::vector<SourceOperator*> sources_;
-  std::vector<Operator*> windowed_;
   SinkOperator* sink_ = nullptr;
   ShardRegion shard_region_;
   std::vector<Lane> lanes_;

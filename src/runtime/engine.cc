@@ -221,9 +221,20 @@ double Engine::MeanSlowdown() const {
   for (const Query* q : AllQueries()) {
     const Histogram& lat = q->sink().swm_latency();
     if (lat.count() == 0) continue;
+    // The ideal processing time of one source event (Sec. 6.1.2): the
+    // costliest end-to-end path from a source.
     CollectQueryInfo(*q, &info);
-    if (info.unit_cost_micros <= 0.0) continue;
-    total += lat.mean() / info.unit_cost_micros;
+    double unit_cost = 0.0;
+    for (const SourceOperator* src : q->sources()) {
+      for (int i = 0; i < q->num_operators(); ++i) {
+        if (&q->op(i) != src) continue;
+        unit_cost =
+            std::max(unit_cost, info.op_path_cost[static_cast<size_t>(i)]);
+        break;
+      }
+    }
+    if (unit_cost <= 0.0) continue;
+    total += lat.mean() / unit_cost;
     ++counted;
   }
   return counted == 0 ? 0.0 : total / counted;

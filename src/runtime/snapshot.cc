@@ -27,35 +27,30 @@ void CollectQueryInfo(const Query& query, int begin, int end,
   info->op_queued.assign(static_cast<size_t>(n), 0);
   info->op_selectivity.assign(static_cast<size_t>(n), 1.0);
   info->op_cost.assign(static_cast<size_t>(n), 0.0);
-  info->op_windowed.assign(static_cast<size_t>(n), 0);
-  info->op_partial.assign(static_cast<size_t>(n), 0);
   info->streams.clear();
 
-  info->queued_events = 0;
   info->memory_bytes = 0;
-  info->oldest_ingest = kNoTime;
+  LaneInfo& whole = info->whole;
+  whole = LaneInfo{};
 
   for (int i = 0; i < n; ++i) {
     const Operator& op = query.op(i);
     const size_t idx = static_cast<size_t>(i);
     info->op_selectivity[idx] = op.selectivity();
     info->op_cost[idx] = op.cost_per_event();
-    info->op_windowed[idx] = op.IsWindowed() ? 1 : 0;
-    info->op_partial[idx] = op.SupportsPartialComputation() ? 1 : 0;
     if (i < begin || i >= end) continue;
     info->op_queued[idx] = op.QueuedEvents();
-    info->queued_events += info->op_queued[idx];
+    whole.queued_events += info->op_queued[idx];
     info->memory_bytes += op.MemoryBytes();
     for (int s = 0; s < op.num_inputs(); ++s) {
       const TimeMicros oldest = op.input(s).OldestIngestTime();
       if (oldest == kNoTime) continue;
-      info->oldest_ingest = info->oldest_ingest == kNoTime
+      whole.oldest_ingest = whole.oldest_ingest == kNoTime
                                 ? oldest
-                                : std::min(info->oldest_ingest, oldest);
+                                : std::min(whole.oldest_ingest, oldest);
     }
-    // Only windowed operators have a deadline, and an SWM tracker.
-    const TimeMicros deadline =
-        info->op_windowed[idx] != 0 ? op.UpcomingDeadline() : kNoTime;
+    // kNoTime for every operator that is not a time window.
+    const TimeMicros deadline = op.UpcomingDeadline();
     if (deadline != kNoTime && (info->upcoming_deadline == kNoTime ||
                                 deadline < info->upcoming_deadline)) {
       info->upcoming_deadline = deadline;
@@ -67,10 +62,8 @@ void CollectQueryInfo(const Query& query, int begin, int end,
         progress.op_index = i;
         progress.stream = s;
         progress.upcoming_deadline = deadline;
-        progress.deadline_period = op.DeadlinePeriod();
         progress.epoch = st.epoch;
         progress.current_mu = st.current_delays.mean();
-        progress.current_chi = st.current_delays.mean_sq();
         progress.current_count = st.current_delays.count();
         progress.last_mu = st.last_mu;
         progress.last_chi = st.last_chi;
@@ -81,6 +74,7 @@ void CollectQueryInfo(const Query& query, int begin, int end,
       }
     }
   }
+  whole.streams_end = static_cast<int>(info->streams.size());
 
   // Expected remaining end-to-end cost per element queued at each operator:
   // path_cost[i] = cost_i + selectivity_i * path_cost[downstream(i)].
@@ -94,95 +88,61 @@ void CollectQueryInfo(const Query& query, int begin, int end,
         down == -1 ? 0.0 : path_cost[static_cast<size_t>(down)];
     path_cost[idx] = info->op_cost[idx] + info->op_selectivity[idx] * tail;
   }
+  // The cost an operator's pending corrections add: they are not queued
+  // anywhere yet, but will be emitted at the next watermark and must drain
+  // through the operator's downstream path before the sweep completes.
+  const auto refire_debt = [&](int i) {
+    const int64_t refires = query.op(i).PendingRefires();
+    if (refires <= 0) return 0.0;
+    const int down = query.edge(i).downstream;
+    return down == -1 ? 0.0
+                      : static_cast<double>(refires) *
+                            path_cost[static_cast<size_t>(down)];
+  };
 
   // cost^q(t): drain cost of everything currently queued (Sec. 3), and the
-  // ideal unit cost of one source event (slowdown denominator, Sec. 6.1.2).
-  info->drain_cost_micros = 0.0;
+  // refire debt of the range.
   for (int i = begin; i < end; ++i) {
-    const size_t idx = static_cast<size_t>(i);
-    info->drain_cost_micros +=
-        static_cast<double>(info->op_queued[idx]) * path_cost[idx];
+    whole.drain_cost_micros +=
+        static_cast<double>(info->op_queued[static_cast<size_t>(i)]) *
+        path_cost[static_cast<size_t>(i)];
+  }
+  for (int i = begin; i < end; ++i) {
+    whole.refire_debt_micros += refire_debt(i);
   }
 
-  // Refire debt: correction elements pending at windowed operators are not
-  // queued anywhere yet, but will be emitted at the next watermark and must
-  // drain through the emitting operator's downstream path before the sweep
-  // completes.
-  std::vector<double>& op_refire_debt = info->op_refire_debt;
-  op_refire_debt.assign(static_cast<size_t>(n), 0.0);
-  info->refire_debt_micros = 0.0;
-  for (int i = begin; i < end; ++i) {
-    const int64_t refires = query.op(i).PendingRefires();
-    if (refires <= 0) continue;
-    const int down = query.edge(i).downstream;
-    const double tail =
-        down == -1 ? 0.0 : path_cost[static_cast<size_t>(down)];
-    const size_t idx = static_cast<size_t>(i);
-    op_refire_debt[idx] = static_cast<double>(refires) * tail;
-    info->refire_debt_micros += op_refire_debt[idx];
-  }
-  // Schedulable units. Unsharded queries expose a single whole-query lane
-  // (-1) mirroring the aggregates above, so lane-iterating policies keep
-  // pre-sharding behavior bit for bit. Sharded queries get one LaneInfo
-  // per Query::Lane, aggregated over the lane's contiguous op range; the
-  // lanes partition [0, n) in op order, so stream subranges are found by
-  // a single monotone sweep over the op-ordered `streams` vector.
+  // A sharded query's units: one LaneInfo per Query::Lane, aggregated over
+  // the lane's contiguous op range. The lanes partition [0, n) in op
+  // order, so stream subranges are found by a single monotone sweep over
+  // the op-ordered `streams` vector.
   info->lanes.clear();
-  if (!query.sharded()) {
-    LaneInfo lane;
-    lane.lane = -1;
-    lane.stage = 0;
-    lane.queued_events = info->queued_events;
-    lane.oldest_ingest = info->oldest_ingest;
-    lane.drain_cost_micros = info->drain_cost_micros;
-    lane.refire_debt_micros = info->refire_debt_micros;
-    lane.streams_begin = 0;
-    lane.streams_end = static_cast<int>(info->streams.size());
-    info->lanes.push_back(lane);
-  } else {
-    int stream_pos = 0;
-    for (int l = 0; l < query.num_lanes(); ++l) {
-      const Query::Lane& ql = query.lane(l);
-      LaneInfo lane;
-      lane.lane = l;
-      lane.stage = ql.stage;
-      lane.streams_begin = stream_pos;
-      for (int i = ql.begin; i < ql.end; ++i) {
-        const size_t idx = static_cast<size_t>(i);
-        lane.queued_events += info->op_queued[idx];
-        lane.drain_cost_micros +=
-            static_cast<double>(info->op_queued[idx]) * path_cost[idx];
-        lane.refire_debt_micros += op_refire_debt[idx];
-        const Operator& op = query.op(i);
-        for (int s = 0; s < op.num_inputs(); ++s) {
-          const TimeMicros oldest = op.input(s).OldestIngestTime();
-          if (oldest == kNoTime) continue;
-          lane.oldest_ingest = lane.oldest_ingest == kNoTime
-                                   ? oldest
-                                   : std::min(lane.oldest_ingest, oldest);
-        }
-      }
-      while (stream_pos < static_cast<int>(info->streams.size()) &&
-             info->streams[static_cast<size_t>(stream_pos)].op_index <
-                 ql.end) {
-        ++stream_pos;
-      }
-      lane.streams_end = stream_pos;
-      info->lanes.push_back(lane);
-    }
-  }
-
-  double unit_cost = 0.0;
-  for (const SourceOperator* src : query.sources()) {
-    // Locate the source's operator index to read its path cost.
-    for (int i = 0; i < n; ++i) {
-      if (&query.op(i) == src) {
-        unit_cost = std::max(unit_cost, path_cost[static_cast<size_t>(i)]);
-        break;
+  int stream_pos = 0;
+  for (int l = 0; l < query.num_lanes(); ++l) {
+    const Query::Lane& ql = query.lane(l);
+    LaneInfo& lane = info->lanes.emplace_back();
+    lane.lane = l;
+    lane.streams_begin = stream_pos;
+    for (int i = ql.begin; i < ql.end; ++i) {
+      const size_t idx = static_cast<size_t>(i);
+      lane.queued_events += info->op_queued[idx];
+      lane.drain_cost_micros +=
+          static_cast<double>(info->op_queued[idx]) * path_cost[idx];
+      lane.refire_debt_micros += refire_debt(i);
+      const Operator& op = query.op(i);
+      for (int s = 0; s < op.num_inputs(); ++s) {
+        const TimeMicros oldest = op.input(s).OldestIngestTime();
+        if (oldest == kNoTime) continue;
+        lane.oldest_ingest = lane.oldest_ingest == kNoTime
+                                 ? oldest
+                                 : std::min(lane.oldest_ingest, oldest);
       }
     }
+    while (stream_pos < static_cast<int>(info->streams.size()) &&
+           info->streams[static_cast<size_t>(stream_pos)].op_index < ql.end) {
+      ++stream_pos;
+    }
+    lane.streams_end = stream_pos;
   }
-  info->unit_cost_micros = unit_cost;
 
   // HR priority [48]: global output rate of the pipeline — the product of
   // selectivities (output events per source event) over the total per-event

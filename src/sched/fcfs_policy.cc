@@ -1,7 +1,7 @@
 #include "src/sched/fcfs_policy.h"
 
 #include <algorithm>
-#include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace klink {
@@ -12,28 +12,21 @@ void FcfsPolicy::SelectQueries(const RuntimeSnapshot& snapshot, int slots,
   // of sharded ones — by the ingestion time of their oldest queued
   // element. Shards of one query compete independently, so a hot shard's
   // backlog is drained without waiting for its siblings.
-  struct Cand {
-    TimeMicros oldest;
-    int64_t unit;
-  };
-  std::vector<Cand> ready;
+  std::vector<std::pair<TimeMicros, SlotAssignment>> ready;
   ready.reserve(snapshot.queries.size());
   for (const QueryInfo& info : snapshot.queries) {
-    for (size_t li = 0; li < NumLanes(info); ++li) {
-      const LaneView lane = LaneAt(info, li);
-      if (lane.queued_events <= 0) continue;
-      ready.push_back({lane.oldest_ingest, UnitKey(info.id, lane.lane)});
+    for (const LaneInfo& unit : info.units()) {
+      if (unit.queued_events <= 0) continue;
+      ready.emplace_back(unit.oldest_ingest,
+                         SlotAssignment{info.id, unit.lane});
     }
   }
   const size_t take = std::min(
       ready.size(), static_cast<size_t>(std::max(slots, 0)));
   std::partial_sort(ready.begin(), ready.begin() + static_cast<long>(take),
-                    ready.end(), [](const Cand& a, const Cand& b) {
-                      if (a.oldest != b.oldest) return a.oldest < b.oldest;
-                      return a.unit < b.unit;
-                    });
+                    ready.end());
   for (size_t i = 0; i < take; ++i) {
-    out->AddLane(UnitQuery(ready[i].unit), UnitLane(ready[i].unit));
+    out->Add(ready[i].second.query, ready[i].second.lane);
   }
 }
 

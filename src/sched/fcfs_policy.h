@@ -12,8 +12,9 @@ namespace klink {
 /// optimizing for the maximum (not mean) latency of individual requests.
 ///
 /// Scheduling is unit-granular: unsharded queries are one unit, sharded
-/// queries contribute one unit per lane (sched/policy.h UnitKey), so the
-/// shards of one query drain on distinct slots in arrival order.
+/// queries contribute one unit per lane (QueryInfo::units), so the shards
+/// of one query drain on distinct slots in arrival order; ties break by
+/// (query, lane).
 class FcfsPolicy final : public SchedulingPolicy {
  public:
   std::string name() const override { return "FCFS"; }

@@ -4,7 +4,9 @@
 
 namespace klink {
 
-bool QueryIsReady(const QueryInfo& info) { return info.queued_events > 0; }
+bool QueryIsReady(const QueryInfo& info) {
+  return info.whole.queued_events > 0;
+}
 
 void SelectTopReadyQueries(
     const RuntimeSnapshot& snapshot, int slots,

@@ -2,9 +2,7 @@
 
 namespace klink {
 
-void Selection::Add(QueryId query) { slots_.push_back(SlotAssignment{query}); }
-
-void Selection::AddLane(QueryId query, int lane) {
+void Selection::Add(QueryId query, int lane) {
   slots_.push_back(SlotAssignment{query, lane});
 }
 

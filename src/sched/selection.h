@@ -1,6 +1,7 @@
 #ifndef KLINK_SCHED_SELECTION_H_
 #define KLINK_SCHED_SELECTION_H_
 
+#include <compare>
 #include <cstddef>
 #include <vector>
 
@@ -8,9 +9,11 @@
 
 namespace klink {
 
-/// One task slot's share of a scheduling cycle: which query (or lane) runs.
-/// Every slot is granted the full per-core quantum, net of the policy's
-/// own evaluation cost (strict cycle-grained scheduling, Sec. 5).
+/// A schedulable unit, and one task slot's share of a scheduling cycle:
+/// which query (or lane) runs. Every slot is granted the full per-core
+/// quantum, net of the policy's own evaluation cost (strict cycle-grained
+/// scheduling, Sec. 5). Units order by (query, lane), the tie-break of the
+/// lane-granular rankings.
 struct SlotAssignment {
   QueryId query = -1;
   /// Lane of the query this slot drains: -1 for the whole query (the only
@@ -18,6 +21,8 @@ struct SlotAssignment {
   /// query (see Query::Lane). Shard-granular policies assign individual
   /// lanes so shards of one query drain on distinct slots concurrently.
   int lane = -1;
+
+  auto operator<=>(const SlotAssignment&) const = default;
 };
 
 /// A policy's verdict for one scheduling cycle: at most one assignment per
@@ -30,11 +35,8 @@ class Selection {
  public:
   void Clear() { slots_.clear(); }
 
-  /// Appends a whole-query assignment.
-  void Add(QueryId query);
-
-  /// Appends a single-lane assignment of a sharded query.
-  void AddLane(QueryId query, int lane);
+  /// Appends an assignment of `query`, or of one lane of a sharded query.
+  void Add(QueryId query, int lane = -1);
 
   bool empty() const { return slots_.empty(); }
   size_t size() const { return slots_.size(); }

@@ -184,11 +184,10 @@ TEST(AggregateOperatorTest, ResultEventTimeIsDeadline) {
   EXPECT_EQ(out.events[0].ingest_time, 7777);  // produced "now"
 }
 
-TEST(AggregateOperatorTest, IsWindowedAndSupportsPartial) {
+TEST(AggregateOperatorTest, WindowSurfaceForScheduler) {
   auto op = MakeTumblingAgg(AggregationKind::kCount);
-  EXPECT_TRUE(op->IsWindowed());
-  EXPECT_TRUE(op->SupportsPartialComputation());
-  EXPECT_EQ(op->DeadlinePeriod(), 1000);
+  EXPECT_NE(op->swm_tracker(), nullptr);
+  EXPECT_EQ(op->assigner().slide(), 1000);
 }
 
 }  // namespace

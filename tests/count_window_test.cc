@@ -62,8 +62,9 @@ TEST(CountWindowTest, WatermarksPassThrough) {
 TEST(CountWindowTest, SelectivityHintIsInverseSize) {
   CountWindowOperator op("cw", 1.0, 4, AggregationKind::kCount);
   EXPECT_DOUBLE_EQ(op.selectivity_hint(), 0.25);
-  EXPECT_FALSE(op.IsWindowed());  // no time deadline to block on
-  EXPECT_TRUE(op.SupportsPartialComputation());
+  // No time deadline to block on, so no SWM progress for the scheduler.
+  EXPECT_EQ(op.UpcomingDeadline(), kNoTime);
+  EXPECT_EQ(op.swm_tracker(), nullptr);
 }
 
 }  // namespace

@@ -231,6 +231,11 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"Cores", "--cores=0", "--cores"},
         BadInput{"Rate", "--rate=-5", "--rate"},
         BadInput{"RateNotANumber", "--rate=abc", "--rate"},
+        // A feed would materialize ~1e14 elements per cycle and abort in
+        // std::bad_alloc; the rate is refused before any is generated.
+        BadInput{"RateAboveCeiling",
+                 "--rate=1e15 --queries=4 --duration=30 --warmup=25",
+                 "--rate"},
         BadInput{"QueriesFractional", "--queries=2.5", "--queries"},
         BadInput{"CoresTrailingGarbage", "--cores=4x", "--cores"},
         BadInput{"MemoryMb", "--memory-mb=0", "--memory-mb"},
@@ -248,6 +253,8 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"ListenQueries", "--listen=0 --queries=0", "--queries"},
         // The feed hint would print a command loadgen rejects.
         BadInput{"ListenRate", "--listen=0 --rate=0", "--rate"},
+        BadInput{"ListenRateAboveCeiling", "--listen=0 --rate=1e15",
+                 "--rate"},
         BadInput{"ListenDuration", "--listen=0 --duration=0", "--duration"},
         BadInput{"ListenPortOutOfRange", "--listen=99999", "--listen"},
         BadInput{"ListenIngestBudget", "--listen=0 --ingest-budget-kb=0",
@@ -367,6 +374,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"ZeroRate", "--port=1 --rate=0", "--rate"},
         BadInput{"NegativeRate", "--port=1 --rate=-5", "--rate"},
         BadInput{"RateNotANumber", "--port=1 --rate=abc", "--rate"},
+        BadInput{"RateAboveCeiling", "--port=1 --rate=1e15", "--rate"},
         BadInput{"Queries", "--port=1 --queries=0", "--queries"},
         BadInput{"QueriesFractional", "--port=1 --queries=1.5", "--queries"},
         BadInput{"PortOutOfRange", "--port=99999", "--port"},

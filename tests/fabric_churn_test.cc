@@ -9,13 +9,16 @@
 //  - churn racing barrier checkpoints survives a SIGKILL + --restore:
 //    the interrupted run's per-tenant hashes equal an uninterrupted
 //    churn baseline's, including the tenant that detaches right after
-//    the restore.
+//    the restore;
+//  - the late-data table keeps a row for a tenant that left, keyed by
+//    tenant index like the results_hash qN lines.
 //
 // Same harness as recovery_test.cc: tests/support/klink_run_process.h
 // fork/execs the real klink_run and parses its stdout over a pipe.
 
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,12 +43,13 @@ constexpr TimeMicros kDuration = SecondsToMicros(6);
 constexpr TimeMicros kPreCrashSafe = SecondsToMicros(2);
 constexpr TimeMicros kPreCrashSent = MillisToMicros(2500);
 
-std::unique_ptr<EventFeed> TenantFeed(uint64_t feed_seed) {
+std::unique_ptr<EventFeed> TenantFeed(
+    uint64_t feed_seed,
+    std::unique_ptr<DelayModel> delay = std::make_unique<ConstantDelay>(0)) {
   YsbConfig wc;
   wc.events_per_second = kRate;
   wc.watermark_lag = MillisToMicros(50);
-  return MakeYsbFeed(wc, std::make_unique<ConstantDelay>(0), feed_seed,
-                     /*start_time=*/0);
+  return MakeYsbFeed(wc, std::move(delay), feed_seed, /*start_time=*/0);
 }
 
 /// The server's command line (argv after the program name).
@@ -207,6 +211,69 @@ TEST(FabricChurnTest, ChurnRacingCheckpointSurvivesKillAndRestore) {
   EXPECT_EQ(r.tenant_hashes, baseline.tenant_hashes);
   EXPECT_EQ(r.results_hash, baseline.results_hash);
   EXPECT_EQ(r.results, baseline.results);
+}
+
+/// The first cell of every row of the "Late-data accounting" table in a
+/// server's output, or nothing when the run printed no such table.
+std::vector<std::string> LateTableRows(const std::string& output) {
+  std::vector<std::string> rows;
+  const size_t table = output.find("== Late-data accounting");
+  if (table == std::string::npos) return rows;
+  std::istringstream lines(output.substr(table));
+  std::string line;
+  std::getline(lines, line);  // title
+  std::getline(lines, line);  // header
+  std::getline(lines, line);  // rule
+  while (std::getline(lines, line) && !line.empty() && line[0] != '=') {
+    std::istringstream cells(line);
+    std::string first;
+    cells >> first;
+    if (first.empty() || first.find_first_not_of("0123456789") !=
+                             std::string::npos) {
+      break;  // past the table
+    }
+    rows.push_back(first);
+  }
+  return rows;
+}
+
+// Tenant 1 attaches first (query id 0), tenant 0 second (query id 1) and
+// says goodbye halfway under Pareto stragglers with 300 ms of allowed
+// lateness: its results still count, so its late-data row stays, under its
+// tenant index.
+TEST(FabricChurnTest, LateDataTableKeepsDepartedTenantsByIndex) {
+  ServerProc server = SpawnServer({
+      "--listen=0", "--lockstep", "--dynamic-attach", "--expect-tenants=2",
+      "--policy=fcfs", "--workload=ysb", "--queries=2", "--rate=500",
+      "--duration=6", "--cores=2", "--memory-mb=64", "--seed=1",
+      "--executor=sequential", "--allowed-lateness-ms=300"});
+  ASSERT_GT(server.port, 0);
+  const std::vector<uint64_t> seeds = FeedSeeds(kSeed, 2);
+  std::vector<std::unique_ptr<EventFeed>> feeds;
+  for (int q = 0; q < 2; ++q) {
+    feeds.push_back(TenantFeed(
+        seeds[static_cast<size_t>(q)],
+        std::make_unique<ParetoDelay>(0, 1.3, MillisToMicros(25))));
+  }
+  std::vector<QueryClients> conns(2);
+  Connect(conns[1], 1, /*sources=*/1, server.port);
+  if (::testing::Test::HasFatalFailure()) return;
+  SendSlice(feeds, conns, 1, kDuration, /*send_bye=*/true, RetryPolicy{});
+  if (::testing::Test::HasFatalFailure()) return;
+  Connect(conns[0], 0, /*sources=*/1, server.port);
+  if (::testing::Test::HasFatalFailure()) return;
+  SendSlice(feeds, conns, 0, kDetachAt, /*send_bye=*/true, RetryPolicy{});
+  if (::testing::Test::HasFatalFailure()) return;
+
+  const ServerResult r = WaitServer(server);
+  ASSERT_EQ(r.exit_code, 0);
+  EXPECT_NE(r.output.find("tenant 0 attached (query id 1)"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("tenant 0 detached"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(LateTableRows(r.output), (std::vector<std::string>{"0", "1"}))
+      << r.output;
 }
 
 }  // namespace

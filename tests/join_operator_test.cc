@@ -129,8 +129,7 @@ TEST(JoinOperatorTest, RequiresAtLeastTwoInputs) {
   // only assert the metadata of valid joins here.
   auto op = MakeJoin(2);
   EXPECT_EQ(op->num_inputs(), 2);
-  EXPECT_TRUE(op->IsWindowed());
-  EXPECT_TRUE(op->SupportsPartialComputation());
+  EXPECT_NE(op->swm_tracker(), nullptr);
 }
 
 }  // namespace

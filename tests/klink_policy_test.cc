@@ -29,7 +29,7 @@ class KlinkPolicyTest : public ::testing::Test {
       queries_.push_back(b.Build(i));
       QueryInfo info;
       CollectQueryInfo(*queries_.back(), &info);
-      info.queued_events = 10;
+      info.whole.queued_events = 10;
       snapshot_.queries.push_back(std::move(info));
     }
   }
@@ -79,7 +79,7 @@ TEST_F(KlinkPolicyTest, DrainCostReducesSlack) {
   KlinkPolicy policy;
   snapshot_.queries[0].streams[0].upcoming_deadline = SecondsToMicros(2);
   snapshot_.queries[1].streams[0].upcoming_deadline = SecondsToMicros(2);
-  snapshot_.queries[1].drain_cost_micros = 1.5e6;  // heavy backlog
+  snapshot_.queries[1].whole.drain_cost_micros = 1.5e6;  // heavy backlog
   Selection out;
   policy.SelectQueries(snapshot_, 1, &out);
   ASSERT_EQ(out.size(), 1u);
@@ -199,7 +199,7 @@ TEST_F(KlinkPolicyTest, WindowlessQueriesScheduledLast) {
   queries_.push_back(b.Build(1));
   QueryInfo info;
   CollectQueryInfo(*queries_.back(), &info);
-  info.queued_events = 100;
+  info.whole.queued_events = 100;
   snapshot_.queries.push_back(std::move(info));
 
   KlinkPolicy policy;

@@ -390,7 +390,9 @@ TEST(LatenessSweepTest, ParetoHorizonSweepAndRefireDebt) {
   const ExperimentResult debt_run = RunExperiment(
       ParetoYsbConfig(MillisToMicros(300)), [&](const RuntimeSnapshot& snap) {
         double debt = 0.0;
-        for (const QueryInfo& q : snap.queries) debt += q.refire_debt_micros;
+        for (const QueryInfo& q : snap.queries) {
+          debt += q.whole.refire_debt_micros;
+        }
         debt_sum += debt;
         if (debt < prev) flushed += prev - debt;
         prev = debt;

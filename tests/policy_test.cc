@@ -30,7 +30,7 @@ class SnapshotFixture : public ::testing::Test {
       queries_.push_back(b.Build(i));
       QueryInfo info;
       CollectQueryInfo(*queries_.back(), &info);
-      info.queued_events = 10;  // ready by default
+      info.whole.queued_events = 10;  // ready by default
       snapshot_.queries.push_back(std::move(info));
     }
   }
@@ -45,7 +45,7 @@ using PolicyTest = SnapshotFixture;
 
 TEST_F(PolicyTest, ReadinessFiltersIdleQueries) {
   Build(3);
-  info(1).queued_events = 0;
+  info(1).whole.queued_events = 0;
   Selection out;
   RoundRobinPolicy rr;
   rr.SelectQueries(snapshot_, 3, &out);
@@ -58,17 +58,17 @@ TEST_F(PolicyTest, SelectTopRespectsSlots) {
   Build(10);
   Selection out;
   FcfsPolicy fcfs;
-  for (int i = 0; i < 10; ++i) info(i).oldest_ingest = 1000 - i;
+  for (int i = 0; i < 10; ++i) info(i).whole.oldest_ingest = 1000 - i;
   fcfs.SelectQueries(snapshot_, 4, &out);
   EXPECT_EQ(out.size(), 4u);
 }
 
 TEST_F(PolicyTest, FcfsPicksOldestFirst) {
   Build(4);
-  info(0).oldest_ingest = 400;
-  info(1).oldest_ingest = 100;
-  info(2).oldest_ingest = 300;
-  info(3).oldest_ingest = 200;
+  info(0).whole.oldest_ingest = 400;
+  info(1).whole.oldest_ingest = 100;
+  info(2).whole.oldest_ingest = 300;
+  info(3).whole.oldest_ingest = 200;
   Selection out;
   FcfsPolicy fcfs;
   fcfs.SelectQueries(snapshot_, 2, &out);

@@ -22,8 +22,9 @@ TEST(PipelineBuilderTest, LinearChainTopology) {
   EXPECT_EQ(q->sources().size(), 1u);
   EXPECT_EQ(q->sources()[0]->name(), "src");
   EXPECT_EQ(q->sink().name(), "out");
-  ASSERT_EQ(q->windowed_operators().size(), 1u);
-  EXPECT_EQ(q->windowed_operators()[0]->name(), "w");
+  EXPECT_EQ(q->op(2).name(), "w");
+  EXPECT_NE(q->op(2).swm_tracker(), nullptr);  // the window tracks SWMs
+  EXPECT_EQ(q->num_lanes(), 0);                // unsharded: scheduled whole
   // Edges point forward along the chain.
   for (int i = 0; i + 1 < q->num_operators(); ++i) {
     EXPECT_EQ(q->edge(i).downstream, i + 1);
@@ -40,9 +41,9 @@ TEST(PipelineBuilderTest, JoinConnectsInputStreams) {
   auto q = b.Build(3);
   EXPECT_EQ(q->id(), 3);
   EXPECT_EQ(q->sources().size(), 2u);
-  ASSERT_EQ(q->windowed_operators().size(), 1u);
-  const Operator* join = q->windowed_operators()[0];
-  EXPECT_EQ(join->num_inputs(), 2);
+  const Operator& join = q->op(3);
+  EXPECT_EQ(join.name(), "join");
+  EXPECT_EQ(join.num_inputs(), 2);
   // The left chain's tail feeds join stream 0, the right source stream 1.
   EXPECT_EQ(q->edge(1).downstream_stream, 0);  // lm -> join
   EXPECT_EQ(q->edge(2).downstream_stream, 1);  // right -> join
@@ -60,27 +61,12 @@ TEST(PipelineBuilderTest, ThreeWayJoin) {
       .Sink("out", 1.0);
   auto q = b.Build(0);
   EXPECT_EQ(q->sources().size(), 3u);
-  EXPECT_EQ(q->windowed_operators().size(), 3u);
   EXPECT_EQ(q->num_operators(), 7);
-}
-
-TEST(QueryTest, UpcomingDeadlineIsMinAcrossWindows) {
-  PipelineBuilder b("two-windows");
-  b.Source("s", 1.0)
-      .TumblingAggregate("w1", 1.0, 3000, AggregationKind::kCount)
-      .TumblingAggregate("w2", 1.0, 1000, AggregationKind::kCount)
-      .Sink("out", 1.0);
-  auto q = b.Build(0);
-  // With no watermarks yet, deadlines are the first after time 0.
-  EXPECT_EQ(q->UpcomingDeadline(), 1000);
-}
-
-TEST(QueryTest, WindowlessQueryHasNoDeadline) {
-  PipelineBuilder b("stateless");
-  b.Source("s", 1.0).Map("m", 1.0).Sink("out", 1.0);
-  auto q = b.Build(0);
-  EXPECT_EQ(q->UpcomingDeadline(), kNoTime);
-  EXPECT_TRUE(q->windowed_operators().empty());
+  int windows = 0;
+  for (int i = 0; i < q->num_operators(); ++i) {
+    windows += q->op(i).swm_tracker() != nullptr ? 1 : 0;
+  }
+  EXPECT_EQ(windows, 3);  // join + acc + toll
 }
 
 TEST(QueryTest, QueuedAndMemoryAggregation) {

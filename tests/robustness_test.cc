@@ -41,8 +41,8 @@ TEST(RobustnessTest, UnderestimatedWatermarkLagDropsLateEventsButFlows) {
                                                      MillisToMicros(100)),
                       /*seed=*/5, 0));
   engine.RunFor(SecondsToMicros(20));
-  auto* window =
-      dynamic_cast<WindowAggregateOperator*>(engine.query(0).windowed_operators()[0]);
+  const auto* window =
+      dynamic_cast<const WindowAggregateOperator*>(&engine.query(0).op(1));
   ASSERT_NE(window, nullptr);
   EXPECT_GT(window->dropped_late_events(), 0);  // contract violations dropped
   EXPECT_GT(engine.query(0).sink().results_received(), 0);  // output flows

@@ -12,6 +12,10 @@
 //
 // ShardScaleTest holds the scaling bar of bench/micro_shard_scale: sharding
 // must raise a keyed operator's drain throughput, not only keep its output.
+//
+// LaneContentionTest pins which lanes the lane-granular policies pick when
+// ready units outnumber cores: every cycle's Selection, folded into one
+// hash, on both executors.
 
 #include <cstdlib>
 #include <memory>
@@ -20,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/serialize.h"
 #include "src/common/types.h"
 #include "src/harness/experiment.h"
 #include "src/net/delay_model.h"
@@ -206,6 +211,152 @@ TEST(ShardScaleTest, FourShardsDrainAtLeastTwoAndAHalfTimesOne) {
   ASSERT_GT(one, 0);
   EXPECT_GE(static_cast<double>(four), 2.5 * static_cast<double>(one))
       << "1 shard drained " << one << ", 4 shards " << four;
+}
+
+uint64_t FoldWord(uint64_t hash, uint64_t word) {
+  uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<uint8_t>(word >> (8 * i));
+  return Fnv1aBytes(bytes, sizeof(bytes), hash);
+}
+
+/// Delegates to a real policy and folds every Selection it makes into an
+/// FNV-1a hash: the slot count, then each slot's (query, lane). Also counts
+/// the cycles in which more units were ready than slots, and the
+/// whole-query slots (lane -1), which only Klink's memory mode picks once
+/// every query is sharded.
+class SelectionHashPolicy final : public SchedulingPolicy {
+ public:
+  explicit SelectionHashPolicy(std::unique_ptr<SchedulingPolicy> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  void SelectQueries(const RuntimeSnapshot& snapshot, int slots,
+                     Selection* out) override {
+    inner_->SelectQueries(snapshot, slots, out);
+    int ready = 0;
+    for (const QueryInfo& info : snapshot.queries) {
+      for (const LaneInfo& unit : info.units()) {
+        ready += unit.queued_events > 0 ? 1 : 0;
+      }
+    }
+    contended_cycles += ready > slots ? 1 : 0;
+    hash = FoldWord(hash, out->size());
+    for (const SlotAssignment& slot : *out) {
+      hash = FoldWord(hash, static_cast<uint64_t>(slot.query));
+      hash = FoldWord(hash, static_cast<uint64_t>(slot.lane));
+      whole_query_slots += slot.lane == -1 ? 1 : 0;
+    }
+  }
+  double EvaluationCostMicros(const RuntimeSnapshot& snapshot) override {
+    return inner_->EvaluationCostMicros(snapshot);
+  }
+
+  uint64_t hash = 14695981039346656037ull;
+  int contended_cycles = 0;
+  int whole_query_slots = 0;
+
+ private:
+  std::unique_ptr<SchedulingPolicy> inner_;
+};
+
+struct ContentionRun {
+  uint64_t selections = 0;
+  uint64_t results_hash = 0;
+  double swm_mean = 0.0;
+  int contended_cycles = 0;
+  int whole_query_slots = 0;
+};
+
+/// Six YSB tenants with four shards each on four cores for 20 virtual
+/// seconds: 36 lanes compete for 4 slots in nearly every cycle.
+ContentionRun RunContended(PolicyKind policy, int64_t memory_bytes,
+                           ExecutorKind executor) {
+  constexpr int kTenants = 6;
+  EngineConfig config;
+  config.num_cores = 4;
+  config.memory_capacity_bytes = memory_bytes;
+  config.executor = executor;
+  auto owned = std::make_unique<SelectionHashPolicy>(
+      MakePolicy(policy, KlinkPolicyConfig{}, /*seed=*/7));
+  const SelectionHashPolicy* recorder = owned.get();
+  Engine engine(config, std::move(owned));
+  for (int q = 0; q < kTenants; ++q) {
+    TenantSpec tenant;
+    tenant.events_per_second = 2500.0;
+    tenant.watermark_lag = WatermarkLagFor(DelayKind::kUniform);
+    tenant.window_offset =
+        WindowOffsetRange(WorkloadKind::kYsb) * q / kTenants;
+    tenant.shards = 4;
+    tenant.max_shards = 4;
+    std::unique_ptr<Query> query;
+    std::unique_ptr<EventFeed> feed;
+    MakeTenant(tenant, q, &query, &feed, MakeDelayModel(DelayKind::kUniform),
+               /*feed_seed=*/100 + static_cast<uint64_t>(q));
+    engine.AddQuery(std::move(query), std::move(feed));
+  }
+  engine.RunUntil(SecondsToMicros(20));
+
+  ContentionRun run;
+  run.selections = recorder->hash;
+  run.contended_cycles = recorder->contended_cycles;
+  run.whole_query_slots = recorder->whole_query_slots;
+  run.results_hash = 14695981039346656037ull;
+  for (QueryId q = 0; q < kTenants; ++q) {
+    run.results_hash =
+        FoldWord(run.results_hash, engine.query(q).sink().results_hash());
+  }
+  run.swm_mean = engine.AggregateSwmLatency().mean();
+  return run;
+}
+
+// FCFS ranks lanes by oldest ingest, Klink by slack, both with (query,
+// lane) tie-breaks; Klink's memory mode picks whole sharded queries
+// instead. A change to a unit's stats, a ranking or a tie-break moves the
+// selection hash.
+TEST(LaneContentionTest, LaneDecisionsArePinnedOnBothExecutors) {
+  struct Pin {
+    PolicyKind policy;
+    int64_t memory_bytes;
+    uint64_t selections;
+    uint64_t results_hash;
+    double swm_mean;
+  };
+  const Pin pins[] = {
+      {PolicyKind::kFcfs, 16ll << 20, 0xdd9663c21bc769c7ull,
+       0xca72dbfd976c1756ull, 1456899.4545454546},
+      {PolicyKind::kFcfs, 4ll << 20, 0xdd9663c21bc769c7ull,
+       0xca72dbfd976c1756ull, 1456899.4545454546},
+      {PolicyKind::kKlink, 16ll << 20, 0x9729bafb457ec0c2ull,
+       0x242fecf2adbe7123ull, 1210522.6666666667},
+      {PolicyKind::kKlink, 4ll << 20, 0x49d64f5d5c89e2a6ull,
+       0x4546a2c860dec671ull, 3645248.96875},
+      {PolicyKind::kKlinkNoMm, 16ll << 20, 0xbbf20783ec685f41ull,
+       0x4dbd61d9e62d1f8dull, 1031364.9230769231},
+      {PolicyKind::kKlinkNoMm, 4ll << 20, 0x5a263e08c67641a3ull,
+       0xd59154138c92ed11ull, 2857376.3333333335},
+  };
+  for (const Pin& pin : pins) {
+    for (const ExecutorKind executor :
+         {ExecutorKind::kSequential, ExecutorKind::kThreads}) {
+      SCOPED_TRACE(std::string(PolicyKindName(pin.policy)) + " " +
+                   std::to_string(pin.memory_bytes >> 20) + " MB " +
+                   ExecutorKindName(executor));
+      const ContentionRun run =
+          RunContended(pin.policy, pin.memory_bytes, executor);
+      EXPECT_EQ(run.selections, pin.selections);
+      EXPECT_EQ(run.results_hash, pin.results_hash);
+      EXPECT_EQ(run.swm_mean, pin.swm_mean);
+      // Contended: more ready units than the 4 cores in at least 9 of
+      // every 10 of the 167 cycles.
+      EXPECT_GE(run.contended_cycles, 150);
+      // Whole-query slots are memory-mode picks, which only Klink makes.
+      if (pin.policy == PolicyKind::kKlink) {
+        EXPECT_GT(run.whole_query_slots, 0);
+      } else {
+        EXPECT_EQ(run.whole_query_slots, 0);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -16,7 +16,6 @@ StreamProgress MakeProgress(int64_t epoch, TimeMicros swept_deadline,
   p.last_swept_deadline = swept_deadline;
   p.last_sweep_ingest = sweep_ingest;
   p.upcoming_deadline = upcoming_deadline;
-  p.deadline_period = 1000;
   p.has_finalized_epoch = true;
   p.last_mu = 50.0;
   p.last_chi = 3000.0;

@@ -277,12 +277,12 @@ void ExpectOperators(const Query& q, const std::vector<OperatorPin>& pins) {
   }
 }
 
-/// Size and slide of the windowed operator `op`.
-std::pair<DurationMicros, DurationMicros> WindowOf(const Operator* op) {
+/// Size and slide of the windowed operator `op`, {-1, -1} for any other.
+std::pair<DurationMicros, DurationMicros> WindowOf(const Operator& op) {
   const WindowAssigner* assigner = nullptr;
-  if (const auto* agg = dynamic_cast<const WindowAggregateOperator*>(op)) {
+  if (const auto* agg = dynamic_cast<const WindowAggregateOperator*>(&op)) {
     assigner = &agg->assigner();
-  } else if (const auto* join = dynamic_cast<const WindowJoinOperator*>(op)) {
+  } else if (const auto* join = dynamic_cast<const WindowJoinOperator*>(&op)) {
     assigner = &join->assigner();
   }
   if (assigner == nullptr) return {-1, -1};
@@ -333,15 +333,14 @@ TEST(YsbWorkloadTest, PipelineShape) {
   auto q = MakeYsbQuery(0, config);
   EXPECT_EQ(q->num_operators(), 5);
   EXPECT_EQ(q->sources().size(), 1u);
-  EXPECT_EQ(q->windowed_operators().size(), 1u);
-  EXPECT_EQ(q->windowed_operators()[0]->DeadlinePeriod(), config.window_size);
   ExpectOperators(*q, {{"ad-events", 30.0, 1.0},
                        {"view-filter", 35.0, 1.0 / 3.0},
                        {"project-join-campaign", 25.0, 1.0},
                        {"campaign-count", 60.0, 0.05},
                        {"output", 5.0, 1.0}});
-  EXPECT_EQ(WindowOf(q->windowed_operators()[0]),
+  EXPECT_EQ(WindowOf(q->op(3)),
             std::make_pair(SecondsToMicros(3), SecondsToMicros(3)));
+  EXPECT_EQ(config.window_size, SecondsToMicros(3));
 
   auto feed = MakeYsbFeed(config, std::make_unique<ConstantDelay>(0), 1, 0);
   const FeedShape shape = ShapeOf(*feed);
@@ -366,10 +365,6 @@ TEST(LrbWorkloadTest, PipelineShape) {
   LrbConfig config;
   auto q = MakeLrbQuery(0, config);
   EXPECT_EQ(q->sources().size(), 3u);
-  EXPECT_EQ(q->windowed_operators().size(), 3u);  // join + accident + toll
-  // The toll window's deadline period is a third of the accident slide.
-  EXPECT_EQ(q->windowed_operators()[2]->DeadlinePeriod(),
-            config.accident_slide / 3);
   ExpectOperators(*q, {{"position-reports-0", 25.0, 1.0},
                        {"segment-map-0", 22.0, 1.0},
                        {"position-reports-1", 25.0, 1.0},
@@ -380,12 +375,15 @@ TEST(LrbWorkloadTest, PipelineShape) {
                        {"accident-detection", 40.0, 0.05},
                        {"toll-calculation", 30.0, 0.05},
                        {"toll-output", 5.0, 1.0}});
-  EXPECT_EQ(WindowOf(q->windowed_operators()[0]),
+  // The join, accident and toll windows; the toll window's slide is a
+  // third of the accident slide.
+  EXPECT_EQ(WindowOf(q->op(6)),
             std::make_pair(SecondsToMicros(2), SecondsToMicros(2)));
-  EXPECT_EQ(WindowOf(q->windowed_operators()[1]),
+  EXPECT_EQ(WindowOf(q->op(7)),
             std::make_pair(SecondsToMicros(5), SecondsToMicros(3)));
-  EXPECT_EQ(WindowOf(q->windowed_operators()[2]),
+  EXPECT_EQ(WindowOf(q->op(8)),
             std::make_pair(SecondsToMicros(1), SecondsToMicros(1)));
+  EXPECT_EQ(config.accident_slide, SecondsToMicros(3));
 
   auto feed = MakeLrbFeed(config, std::make_unique<ConstantDelay>(0), 1, 0);
   const FeedShape shape = ShapeOf(*feed);
@@ -415,8 +413,6 @@ TEST(NytWorkloadTest, PipelineShape) {
   NytConfig config;
   auto q = MakeNytQuery(0, config);
   EXPECT_EQ(q->num_operators(), 7);  // long stateless prefix + window + sink
-  EXPECT_EQ(q->windowed_operators().size(), 1u);
-  EXPECT_EQ(q->windowed_operators()[0]->DeadlinePeriod(), config.slide);
   ExpectOperators(*q, {{"taxi-trips", 12.0, 1.0},
                        {"parse", 17.0, 1.0},
                        {"valid-trip", 12.0, 0.9},
@@ -424,8 +420,9 @@ TEST(NytWorkloadTest, PipelineShape) {
                        {"fare-enrich", 12.0, 1.0},
                        {"fare-average", 35.0, 0.05},
                        {"dashboard", 5.0, 1.0}});
-  EXPECT_EQ(WindowOf(q->windowed_operators()[0]),
+  EXPECT_EQ(WindowOf(q->op(5)),
             std::make_pair(SecondsToMicros(2), SecondsToMicros(1)));
+  EXPECT_EQ(config.slide, SecondsToMicros(1));
 
   auto feed = MakeNytFeed(config, std::make_unique<ConstantDelay>(0), 1, 0);
   const FeedShape shape = ShapeOf(*feed);

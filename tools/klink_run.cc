@@ -440,8 +440,12 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
                     1)});
   table.Print();
   PrintIngestMetrics(gateway.metrics());
-  for (const auto& [q, t] : tenants) PrintShardMetrics(engine, t.id);
-  PrintLateEventMetrics(engine);
+  std::vector<std::pair<int, QueryId>> tenant_ids;
+  for (const auto& [q, t] : tenants) {
+    PrintShardMetrics(engine, t.id);
+    tenant_ids.emplace_back(q, t.id);
+  }
+  PrintLateEventMetrics(engine, tenant_ids);
   if (resharder != nullptr) {
     std::printf("reshards completed %lld\n",
                 static_cast<long long>(resharder->completed_reshards()));
@@ -616,9 +620,11 @@ int main(int argc, char** argv) {
     }
     // Tenant indexes lie in [0, --queries), also under --dynamic-attach.
     if (config.num_queries < 1) return reject("--queries must be >= 1");
-    // The feed hint passes these to loadgen, which needs both positive.
-    if (!(config.events_per_second > 0.0)) {
-      return reject("--rate must be > 0");
+    // The feed hint passes these to loadgen, which checks both the same
+    // way.
+    if (const Status rate = ValidateEventRate(config.events_per_second);
+        !rate.ok()) {
+      return reject(rate.message());
     }
     if (duration_s < 1) return reject("--duration must be >= 1");
     // More expected tenants than can attach would hold virtual time

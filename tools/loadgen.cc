@@ -121,7 +121,9 @@ int main(int argc, char** argv) {
   }
   const auto port = static_cast<uint16_t>(port_flag);
   if (num_queries < 1) return reject("--queries must be >= 1");
-  if (!(rate > 0.0)) return reject("--rate must be > 0");
+  if (const Status st = ValidateEventRate(rate); !st.ok()) {
+    return reject(st.message());
+  }
   if (duration_s < 1) return reject("--duration must be >= 1");
   if (duration_s > std::numeric_limits<int64_t>::max() / SecondsToMicros(1)) {
     return reject("--duration is out of range");
