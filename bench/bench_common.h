@@ -3,11 +3,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/flags.h"
 #include "src/harness/experiment.h"
+#include "src/harness/reporter.h"
 
 namespace klink::bench {
 
@@ -77,6 +80,77 @@ inline void ApplySmoke(ExperimentConfig* config) {
   config->duration = SecondsToMicros(40);
   config->warmup = SecondsToMicros(10);
   config->deploy_spread = SecondsToMicros(5);
+}
+
+/// One deployment sweep (Sec. 6.2): `base` run once under every policy of
+/// AllPolicies() at every query count. A figure prints all its panels from
+/// one sweep instead of rerunning the same experiments per panel.
+struct Sweep {
+  std::vector<int> query_counts;
+  /// runs[p][i]: policy AllPolicies()[p] at query_counts[i] queries.
+  std::vector<std::vector<ExperimentResult>> runs;
+};
+
+inline Sweep RunSweep(const ExperimentConfig& base,
+                      std::vector<int> query_counts) {
+  Sweep sweep{std::move(query_counts), {}};
+  for (PolicyKind policy : AllPolicies()) {
+    std::vector<ExperimentResult>& row = sweep.runs.emplace_back();
+    for (int n : sweep.query_counts) {
+      ExperimentConfig config = base;
+      config.policy = policy;
+      config.num_queries = n;
+      row.push_back(RunExperiment(config));
+    }
+  }
+  return sweep;
+}
+
+/// Prints a policy x query-count panel: one `cell` per run of `sweep`.
+inline void PrintCountPanel(
+    const std::string& title, const Sweep& sweep,
+    const std::function<std::string(const ExperimentResult&)>& cell) {
+  TableReporter table(title);
+  std::vector<std::string> header = {"policy"};
+  for (int n : sweep.query_counts) header.push_back("q=" + std::to_string(n));
+  table.SetHeader(header);
+  for (const std::vector<ExperimentResult>& runs : sweep.runs) {
+    std::vector<std::string> row = {runs.front().policy_name};
+    for (const ExperimentResult& result : runs) row.push_back(cell(result));
+    table.AddRow(row);
+  }
+  table.Print();
+}
+
+/// Prints a policy x percentile panel: the latency CDF of `sweep`'s runs at
+/// its largest query count up to the paper's 60 (a smoke grid may stop
+/// short of 60). The title, "<prefix> latency CDF (s) at N queries", names
+/// the count used.
+inline void PrintCdfPanel(const std::string& prefix, const Sweep& sweep) {
+  size_t column = 0;
+  while (column + 1 < sweep.query_counts.size() &&
+         sweep.query_counts[column + 1] <= 60) {
+    ++column;
+  }
+  const std::vector<double> percentiles = {40, 50, 60, 70, 80, 90, 95, 99};
+  TableReporter table(prefix + " latency CDF (s) at " +
+                      std::to_string(sweep.query_counts[column]) +
+                      " queries");
+  std::vector<std::string> header = {"policy"};
+  for (double p : percentiles) {
+    header.push_back(std::string("p").append(TableReporter::Num(p, 0)));
+  }
+  table.SetHeader(header);
+  for (const std::vector<ExperimentResult>& runs : sweep.runs) {
+    const Histogram& latency = runs[column].latency;
+    std::vector<std::string> row = {runs[column].policy_name};
+    for (double pct : percentiles) {
+      row.push_back(WindowCell(
+          latency, static_cast<double>(latency.Percentile(pct)) / 1e6, 3));
+    }
+    table.AddRow(row);
+  }
+  table.Print();
 }
 
 }  // namespace klink::bench

@@ -1,7 +1,5 @@
 #include "src/common/rng.h"
 
-#include <cmath>
-
 #include "src/common/check.h"
 #include "src/common/hash.h"
 
@@ -44,14 +42,6 @@ int64_t Rng::NextInt(int64_t lo, int64_t hi) {
   const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
   if (range == 0) return static_cast<int64_t>(NextUint64());  // full range
   return lo + static_cast<int64_t>(NextUint64() % range);
-}
-
-double Rng::NextExponential(double mean) {
-  KLINK_CHECK_GT(mean, 0.0);
-  double u = NextDouble();
-  // Guard against log(0).
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -mean * std::log(u);
 }
 
 }  // namespace klink

@@ -23,9 +23,6 @@ class Rng {
   /// Returns a uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   int64_t NextInt(int64_t lo, int64_t hi);
 
-  /// Returns a sample from Exp(1/mean). Requires mean > 0.
-  double NextExponential(double mean);
-
  private:
   uint64_t state_[4];
 };

@@ -366,7 +366,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config,
   result.mean_latency_s = result.latency.mean() / 1e6;
   result.p50_latency_s = static_cast<double>(result.latency.Percentile(50)) / 1e6;
   result.p90_latency_s = static_cast<double>(result.latency.Percentile(90)) / 1e6;
-  result.p95_latency_s = static_cast<double>(result.latency.Percentile(95)) / 1e6;
   result.p99_latency_s = static_cast<double>(result.latency.Percentile(99)) / 1e6;
 
   const double measured_seconds =

@@ -150,7 +150,6 @@ struct ExperimentResult {
   double mean_latency_s = 0.0;
   double p50_latency_s = 0.0;
   double p90_latency_s = 0.0;
-  double p95_latency_s = 0.0;
   double p99_latency_s = 0.0;
   /// Aggregate operator-events processed per second.
   double throughput_eps = 0.0;

@@ -1,8 +1,6 @@
 #ifndef KLINK_KLINK_LINEAR_REGRESSION_H_
 #define KLINK_KLINK_LINEAR_REGRESSION_H_
 
-#include <string>
-
 #include "src/klink/swm_estimator.h"
 
 namespace klink {
@@ -20,7 +18,6 @@ class LinearRegressionEstimator final : public IngestionEstimator {
   explicit LinearRegressionEstimator(double learning_rate = 0.4);
 
   IngestionPrediction Predict(const StreamProgress& progress) const override;
-  std::string name() const override { return "LR"; }
 
  private:
   void OnEpochClosed(const StreamProgress& progress) override;

@@ -36,10 +36,6 @@ KlinkEstimator::KlinkEstimator(int history, double confidence)
   KLINK_CHECK_LE(confidence, 1.0);
 }
 
-std::string KlinkEstimator::name() const {
-  return "Klink-" + std::to_string(static_cast<int>(confidence_ * 100.0));
-}
-
 double KlinkEstimator::ZFromConfidence(double f) {
   // Two-sided normal quantiles; 0.95 maps to the paper's 2-sigma interval
   // (Alg. 1 line 4: "compute >= 95% interval").

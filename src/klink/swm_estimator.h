@@ -2,7 +2,6 @@
 #define KLINK_KLINK_SWM_ESTIMATOR_H_
 
 #include <cstdint>
-#include <string>
 
 #include "src/klink/epoch_tracker.h"
 #include "src/runtime/snapshot.h"
@@ -36,8 +35,6 @@ class IngestionEstimator {
 
   /// Predicts the ingestion time of the stream's next SWM.
   virtual IngestionPrediction Predict(const StreamProgress& progress) const = 0;
-
-  virtual std::string name() const = 0;
 
   /// ---- estimation accuracy (fraction of SWMs ingested within the
   /// frozen interval, Sec. 6.2.5) -----------------------------------------
@@ -77,7 +74,6 @@ class KlinkEstimator final : public IngestionEstimator {
   KlinkEstimator(int history, double confidence);
 
   IngestionPrediction Predict(const StreamProgress& progress) const override;
-  std::string name() const override;
 
   const EpochTracker& tracker() const { return tracker_; }
   double confidence() const { return confidence_; }

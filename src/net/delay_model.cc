@@ -52,17 +52,6 @@ DurationMicros ParetoDelay::Sample(Rng& rng) {
   return lo_ + static_cast<DurationMicros>(capped);
 }
 
-ExponentialDelay::ExponentialDelay(DurationMicros lo, DurationMicros mean)
-    : lo_(lo), mean_(mean) {
-  KLINK_CHECK_GE(lo, 0);
-  KLINK_CHECK_GT(mean, 0);
-}
-
-DurationMicros ExponentialDelay::Sample(Rng& rng) {
-  return lo_ + static_cast<DurationMicros>(
-                   rng.NextExponential(static_cast<double>(mean_)));
-}
-
 std::unique_ptr<DelayModel> MakePaperUniformDelay() {
   // Uniform 5..100 ms: moderate, bounded variability.
   return std::make_unique<UniformDelay>(MillisToMicros(5),

@@ -2,7 +2,6 @@
 #define KLINK_NET_DELAY_MODEL_H_
 
 #include <memory>
-#include <string>
 
 #include "src/common/rng.h"
 #include "src/common/types.h"
@@ -12,17 +11,14 @@ namespace klink {
 
 /// Samples the network delay an event experiences between generation at the
 /// source and ingestion at the SPE. The paper evaluates Uniform and
-/// Zipf(0.99) delays (Sec. 6); Constant and Exponential are provided for
-/// tests and examples.
+/// Zipf(0.99) delays (Sec. 6); Pareto is the straggler regime of the
+/// allowed-lateness experiments, and Constant serves zero-delay feeds.
 class DelayModel {
  public:
   virtual ~DelayModel() = default;
 
   /// Draws one delay (>= 0).
   virtual DurationMicros Sample(Rng& rng) = 0;
-
-  /// Human-readable name for reports.
-  virtual std::string name() const = 0;
 };
 
 /// Always `delay`.
@@ -30,7 +26,6 @@ class ConstantDelay final : public DelayModel {
  public:
   explicit ConstantDelay(DurationMicros delay);
   DurationMicros Sample(Rng& rng) override;
-  std::string name() const override { return "constant"; }
 
  private:
   DurationMicros delay_;
@@ -41,7 +36,6 @@ class UniformDelay final : public DelayModel {
  public:
   UniformDelay(DurationMicros lo, DurationMicros hi);
   DurationMicros Sample(Rng& rng) override;
-  std::string name() const override { return "uniform"; }
 
  private:
   DurationMicros lo_;
@@ -57,7 +51,6 @@ class ZipfDelay final : public DelayModel {
   /// Delays take values {lo, lo+step, ..., lo+(n-1)*step}.
   ZipfDelay(DurationMicros lo, DurationMicros step, int64_t n, double s = 0.99);
   DurationMicros Sample(Rng& rng) override;
-  std::string name() const override { return "zipf"; }
 
  private:
   DurationMicros lo_;
@@ -77,7 +70,6 @@ class ParetoDelay final : public DelayModel {
   ParetoDelay(DurationMicros lo, double alpha, DurationMicros scale,
               DurationMicros cap = SecondsToMicros(30));
   DurationMicros Sample(Rng& rng) override;
-  std::string name() const override { return "pareto"; }
 
   double alpha() const { return alpha_; }
   DurationMicros scale() const { return scale_; }
@@ -87,18 +79,6 @@ class ParetoDelay final : public DelayModel {
   double alpha_;
   DurationMicros scale_;
   DurationMicros cap_;
-};
-
-/// Exponential with the given mean, shifted by `lo`.
-class ExponentialDelay final : public DelayModel {
- public:
-  ExponentialDelay(DurationMicros lo, DurationMicros mean);
-  DurationMicros Sample(Rng& rng) override;
-  std::string name() const override { return "exponential"; }
-
- private:
-  DurationMicros lo_;
-  DurationMicros mean_;
 };
 
 /// The paper's two evaluation distributions with default magnitudes

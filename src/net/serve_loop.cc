@@ -68,16 +68,29 @@ void ServeIngest(Engine* engine, IngestServer* server,
   // when queued work is absorbed, so a lockstep run cut at a fixed virtual
   // time would fingerprint whatever tail it had not drained. Staged events
   // count: a delayed tail would otherwise be cut off once the queues empty.
+  // Virtual time advances only while something is staged or queued. While
+  // only connections are open, the loop waits for their goodbyes in wall
+  // time: idle cycles would spend the 60 s virtual deadline in
+  // milliseconds and close a client still mid-replay.
   if (lockstep) {
     const TimeMicros drain_deadline = engine->now() + SecondsToMicros(60);
-    while ((server->num_connections() > 0 ||
-            PendingEvents(*engine, gateway) > 0) &&
-           engine->now() < drain_deadline) {
+    int64_t idle_since = -1;  // wall time the drain last had nothing to run
+    while (engine->now() < drain_deadline) {
+      const bool pending = PendingEvents(*engine, gateway) > 0;
+      if (!pending && server->num_connections() == 0) break;
       if (each_iteration != nullptr) each_iteration();
-      // Paced clients may still be flushing their post-duration delay
-      // tail; keep reading so it lands in the drain instead of in flight.
-      if (server->num_connections() > 0) server->PollOnce(0);
-      engine->RunUntil(engine->now() + cycle);
+      if (pending) {
+        // Paced clients may still be flushing their post-duration delay
+        // tail; keep reading so it lands in the drain instead of in flight.
+        if (server->num_connections() > 0) server->PollOnce(0);
+        engine->RunUntil(engine->now() + cycle);
+        idle_since = -1;
+      } else {
+        const int64_t wall = WallMicros();
+        if (idle_since < 0) idle_since = wall;
+        if (wall - idle_since >= kGoodbyeWait) break;
+        poll(10);
+      }
     }
   }
   if (coordinator != nullptr) coordinator->Flush();

@@ -12,6 +12,10 @@ class Engine;
 class IngestGateway;
 class IngestServer;
 
+/// How long, in wall time, a lockstep drain with nothing left to run waits
+/// for open connections to say goodbye before it closes them.
+inline constexpr DurationMicros kGoodbyeWait = SecondsToMicros(2);
+
 /// The listen-mode serve loop: runs `engine` against what a started
 /// `server` stages into `gateway` until virtual time reaches `duration`,
 /// then persists and acks every aligned epoch (`coordinator` may be null)
@@ -23,7 +27,9 @@ class IngestServer;
 ///    `each_iteration` returns true. Past `duration` the run drains until
 ///    no connection is open and nothing is staged or queued (at most 60 s
 ///    of virtual time more), so runs of one stream compare over their
-///    complete output.
+///    complete output. Virtual time advances only while something is
+///    staged or queued; open connections that send nothing are waited for
+///    up to kGoodbyeWait of wall time before the server closes them.
 ///  - real time: virtual time tracks the wall clock; no drain.
 void ServeIngest(Engine* engine, IngestServer* server,
                  const IngestGateway& gateway,

@@ -19,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <deque>
@@ -189,10 +191,11 @@ QueryId AddTenant(Engine* engine, IngestGateway* gateway, int q) {
 }
 
 /// Replays `feed` through `until` as query q's stream, then says goodbye;
-/// SendBye returns once the server has closed the connection. Returns the
-/// data events sent.
+/// SendBye returns once the server has closed the connection. A positive
+/// `pause` keeps the connection open that long after the last data, before
+/// a final Flush and the goodbye. Returns the data events sent.
 int64_t Replay(uint16_t port, int q, EventFeed& feed, TimeMicros until,
-               double speed) {
+               double speed, DurationMicros pause = 0) {
   LoadgenConnection conn;
   if (!conn.Connect("127.0.0.1", port, MakeStreamId(q, 0)).ok()) {
     ADD_FAILURE() << "query " << q << " could not connect";
@@ -201,7 +204,16 @@ int64_t Replay(uint16_t port, int q, EventFeed& feed, TimeMicros until,
   ReplayOptions opts;
   opts.until = until;
   opts.speed = speed;
-  EXPECT_TRUE(ReplayFeed(feed, {&conn}, opts).ok());
+  opts.send_bye = pause == 0;
+  const Status replayed = ReplayFeed(feed, {&conn}, opts);
+  EXPECT_TRUE(replayed.ok()) << replayed.ToString();
+  if (pause > 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(pause));
+    const Status flushed = conn.Flush();
+    EXPECT_TRUE(flushed.ok()) << flushed.ToString();
+    const Status bye = conn.SendBye();
+    EXPECT_TRUE(bye.ok()) << bye.ToString();
+  }
   return conn.stats().data_events_sent;
 }
 
@@ -254,6 +266,76 @@ TEST(IngestLoopbackTest, TcpIngestMatchesInProcessResults) {
       static_cast<size_t>(kBlastSlice / SourceSpec{}.marker_period + 1);
   EXPECT_GT(replay_feed.polls(), 1);
   EXPECT_LE(replay_feed.largest_poll(), slice_elements);
+}
+
+// The feed's last watermark and latency marker are due at kDuration, so
+// the run reaches its drain while the client is still connected. A client
+// that pauses there before its goodbye keeps its connection: the drain
+// waits for the goodbye in wall time instead of spending its virtual
+// deadline on idle cycles and closing the client mid-replay.
+TEST(IngestLoopbackTest, DrainWaitsForPausedClientsGoodbye) {
+  const SinkSnapshot expected = RunInProcess({kSeed})[0];
+
+  Engine engine(TestEngineConfig(),
+                MakePolicy(PolicyKind::kFcfs, KlinkPolicyConfig{}, kSeed));
+  IngestGateway gateway;
+  const QueryId id = AddTenant(&engine, &gateway, 0);
+  IngestServer server(IngestServerConfig{}, &gateway);
+  ASSERT_TRUE(server.Start().ok());
+  const uint16_t port = server.port();
+
+  int64_t sent = 0;
+  std::thread client([&]() {
+    const std::unique_ptr<EventFeed> feed = TestFeed(kSeed);
+    sent = Replay(port, 0, *feed, kDuration, /*speed=*/0.0,
+                  /*pause=*/MillisToMicros(200));
+  });
+  ServeIngest(&engine, &server, gateway, /*coordinator=*/nullptr, kDuration,
+              /*lockstep=*/true, /*each_iteration=*/nullptr);
+  client.join();
+
+  ExpectSameSink(Snapshot(engine.query(id)), expected);
+  EXPECT_EQ(gateway.data_events(MakeStreamId(0, 0)), sent);
+  EXPECT_TRUE(gateway.end_of_stream(MakeStreamId(0, 0)));
+}
+
+// A client that never says goodbye still ends the run: once nothing is
+// left to run, the drain waits kGoodbyeWait of wall time for the goodbye,
+// then closes the connection.
+TEST(IngestLoopbackTest, DrainClosesClientThatNeverSaysGoodbye) {
+  const SinkSnapshot expected = RunInProcess({kSeed})[0];
+
+  Engine engine(TestEngineConfig(),
+                MakePolicy(PolicyKind::kFcfs, KlinkPolicyConfig{}, kSeed));
+  IngestGateway gateway;
+  const QueryId id = AddTenant(&engine, &gateway, 0);
+  IngestServer server(IngestServerConfig{}, &gateway);
+  ASSERT_TRUE(server.Start().ok());
+  const uint16_t port = server.port();
+
+  std::atomic<bool> served{false};
+  std::thread client([&]() {
+    LoadgenConnection conn;
+    ASSERT_TRUE(conn.Connect("127.0.0.1", port, MakeStreamId(0, 0)).ok());
+    const std::unique_ptr<EventFeed> feed = TestFeed(kSeed);
+    ReplayOptions opts;
+    opts.until = kDuration;
+    opts.send_bye = false;
+    const Status replayed = ReplayFeed(*feed, {&conn}, opts);
+    EXPECT_TRUE(replayed.ok()) << replayed.ToString();
+    while (!served) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  });
+  const int64_t wall_start = WallMicros();
+  ServeIngest(&engine, &server, gateway, /*coordinator=*/nullptr, kDuration,
+              /*lockstep=*/true, /*each_iteration=*/nullptr);
+  const int64_t wall = WallMicros() - wall_start;
+  served = true;
+  client.join();
+
+  ExpectSameSink(Snapshot(engine.query(id)), expected);
+  EXPECT_FALSE(gateway.end_of_stream(MakeStreamId(0, 0)));
+  EXPECT_GE(wall, kGoodbyeWait);
+  EXPECT_LT(wall, kGoodbyeWait + SecondsToMicros(20));
 }
 
 // A closed-world lockstep server waits for every registered stream: a

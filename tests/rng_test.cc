@@ -55,13 +55,5 @@ TEST(RngTest, NextIntSingleValueRange) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.NextInt(42, 42), 42);
 }
 
-TEST(RngTest, ExponentialMeanMatches) {
-  Rng rng(11);
-  double sum = 0.0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) sum += rng.NextExponential(250.0);
-  EXPECT_NEAR(sum / n, 250.0, 5.0);
-}
-
 }  // namespace
 }  // namespace klink

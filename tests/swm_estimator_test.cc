@@ -135,11 +135,8 @@ TEST(LinearRegressionEstimatorTest, InvalidBeforeFourSamples) {
   EXPECT_FALSE(lr.Predict(MakeProgress(3, 3000, 3400, 4000)).valid);
 }
 
-TEST(LinearRegressionEstimatorTest, NamesAndAccuracyPlumbing) {
+TEST(LinearRegressionEstimatorTest, AccuracyStartsEmpty) {
   LinearRegressionEstimator lr;
-  KlinkEstimator k(400, 0.9);
-  EXPECT_EQ(lr.name(), "LR");
-  EXPECT_EQ(k.name(), "Klink-90");
   EXPECT_EQ(lr.predictions(), 0);
   EXPECT_DOUBLE_EQ(lr.accuracy(), 0.0);
 }
