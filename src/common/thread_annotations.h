@@ -2,6 +2,8 @@
 #define KLINK_COMMON_THREAD_ANNOTATIONS_H_
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -100,10 +102,19 @@ class ScheduleHooks {
   /// true when the hook handled the wait (parked the thread until a
   /// CvNotify on `cv`, then reacquired `mu`); false to fall back to the
   /// real wait (non-participating thread). Spurious wakeups allowed —
-  /// callers loop on their predicate either way.
-  virtual bool CvWait(void* cv, Mutex* mu) = 0;
+  /// callers loop on their predicate either way. A timed wait
+  /// (`timeout_micros` >= 0; -1 waits for a notify) also ends once its
+  /// timeout passed and the explorer picks it, or early when no other
+  /// participant could ever wake it.
+  virtual bool CvWait(void* cv, Mutex* mu, int64_t timeout_micros) = 0;
   /// Called on notify_one/notify_all before the real notification.
   virtual void CvNotify(void* cv) = 0;
+
+  /// Bracket a blocking system call outside every klink primitive (the
+  /// ingest I/O thread's poll()): the other participants run meanwhile,
+  /// and End waits for the turn again.
+  virtual void ExternalWaitBegin() = 0;
+  virtual void ExternalWaitEnd() = 0;
 
   /// Called by a thread about to perform an uninstrumented blocking join
   /// on the participating threads `joined`: grants turns until each of
@@ -155,6 +166,24 @@ class ThreadScheduleScope {
  private:
   /// Captured at Begin so a hook uninstalled mid-run still gets its End.
   ScheduleHooks* hooks_ = nullptr;
+};
+
+/// RAII bracket of a blocking system call in a participating thread
+/// (ScheduleHooks::ExternalWaitBegin/End); no-op in production.
+class ScheduleExternalWait {
+ public:
+  ScheduleExternalWait() : hooks_(GetScheduleHooks()) {
+    if (hooks_ != nullptr) hooks_->ExternalWaitBegin();
+  }
+  ~ScheduleExternalWait() {
+    if (hooks_ != nullptr) hooks_->ExternalWaitEnd();
+  }
+
+  ScheduleExternalWait(const ScheduleExternalWait&) = delete;
+  ScheduleExternalWait& operator=(const ScheduleExternalWait&) = delete;
+
+ private:
+  ScheduleHooks* hooks_;
 };
 
 /// Blocks until each of the `joined` explorer participants has signed
@@ -240,10 +269,21 @@ class CondVar {
   /// reacquires `mu`.
   void Wait(Mutex& mu) KLINK_REQUIRES(mu) {
     if (ScheduleHooks* h = GetScheduleHooks()) {
-      if (h->CvWait(this, &mu)) return;
+      if (h->CvWait(this, &mu, /*timeout_micros=*/-1)) return;
     }
     std::unique_lock<std::mutex> l(mu.mu_, std::adopt_lock);
     cv_.wait(l);
+    l.release();  // caller's MutexLock still owns the mutex
+  }
+
+  /// Wait() that also returns after `timeout_micros`; callers re-check
+  /// their own clock along with their predicate.
+  void WaitFor(Mutex& mu, int64_t timeout_micros) KLINK_REQUIRES(mu) {
+    if (ScheduleHooks* h = GetScheduleHooks()) {
+      if (h->CvWait(this, &mu, timeout_micros)) return;
+    }
+    std::unique_lock<std::mutex> l(mu.mu_, std::adopt_lock);
+    cv_.wait_for(l, std::chrono::microseconds(timeout_micros));
     l.release();  // caller's MutexLock still owns the mutex
   }
 

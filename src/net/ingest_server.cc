@@ -1,8 +1,13 @@
 #include "src/net/ingest_server.h"
 
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <utility>
 
 #include "src/common/check.h"
+#include "src/common/thread_annotations.h"
 #include "src/net/socket.h"
 
 namespace klink {
@@ -33,19 +38,42 @@ Status IngestServer::Start() {
   StatusOr<int> fd = ListenTcp(config_.port, &port_);
   if (!fd.ok()) return fd.status();
   listen_fd_ = fd.value();
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) {
+    Stop();
+    return Status::Internal("eventfd failed");
+  }
+  gateway_->SetResumeHook([this] { Wake(); });
   return Status::Ok();
 }
 
 void IngestServer::Stop() {
+  if (listen_fd_ >= 0) SendQueuedAcks();
   for (Connection& c : conns_) CloseFd(c.fd);
   conns_.clear();
   CloseFd(listen_fd_);
   listen_fd_ = -1;
+  if (wake_fd_ >= 0) gateway_->SetResumeHook(nullptr);
+  CloseFd(wake_fd_);
+  wake_fd_ = -1;
+}
+
+void IngestServer::Wake() {
+  const uint64_t one = 1;
+  // A full counter already wakes the poll; nothing else can fail here.
+  (void)!::write(wake_fd_, &one, sizeof(one));
+}
+
+std::function<bool(uint32_t)> IngestServer::ExchangeUnknownStreamHook(
+    std::function<bool(uint32_t)> hook) {
+  std::swap(config_.on_unknown_stream, hook);
+  return hook;
 }
 
 int64_t IngestServer::PollOnce(int timeout_ms) {
   KLINK_CHECK_GE(listen_fd_, 0);
   int64_t delivered = 0;
+  SendQueuedAcks();
 
   // Resume connections whose streams regained credit since the last poll
   // (the engine drains staging queues between polls). Buffered bytes are
@@ -65,21 +93,32 @@ int64_t IngestServer::PollOnce(int timeout_ms) {
   poll_fds_.clear();
   poll_conns_.clear();
   poll_fds_.push_back(pollfd{listen_fd_, POLLIN, 0});
+  poll_fds_.push_back(pollfd{wake_fd_, POLLIN, 0});
   for (size_t i = 0; i < conns_.size(); ++i) {
     if (conns_[i].paused) continue;
     poll_fds_.push_back(pollfd{conns_[i].fd, POLLIN, 0});
     poll_conns_.push_back(i);
   }
 
-  const int rc = ::poll(poll_fds_.data(),
-                        static_cast<nfds_t>(poll_fds_.size()), timeout_ms);
+  int rc = 0;
+  {
+    // Under the schedule explorer the other threads run while this one
+    // waits in the kernel.
+    ScheduleExternalWait external;
+    rc = ::poll(poll_fds_.data(), static_cast<nfds_t>(poll_fds_.size()),
+                timeout_ms);
+  }
   if (rc < 0) return delivered;  // EINTR: retry next iteration
 
+  if ((poll_fds_[1].revents & POLLIN) != 0) {
+    uint64_t wakes = 0;
+    (void)!::read(wake_fd_, &wakes, sizeof(wakes));  // re-arm the wake
+  }
   if ((poll_fds_[0].revents & POLLIN) != 0) AcceptPending();
 
   to_close_.clear();
   for (size_t i = 0; i < poll_conns_.size(); ++i) {
-    const short ev = poll_fds_[i + 1].revents;
+    const short ev = poll_fds_[i + 2].revents;
     if ((ev & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
     Connection& c = conns_[poll_conns_[i]];
     if (!ReadAndDecode(c, &delivered)) to_close_.push_back(poll_conns_[i]);
@@ -96,7 +135,7 @@ int64_t IngestServer::PollOnce(int timeout_ms) {
     for (size_t i = conns_.size(); i > 0; --i) {
       Connection& c = conns_[i - 1];
       if (c.paused || now - c.last_activity_micros <= limit) continue;
-      gateway_->metrics().AddIdleTimeout();
+      gateway_->NoteIdleTimeout();
       FailConnection(c, WireError::kIdleTimeout, "idle timeout");
       conns_.erase(conns_.begin() + static_cast<ptrdiff_t>(i - 1));
     }
@@ -124,7 +163,7 @@ void IngestServer::AcceptPending() {
     c.fd = fd.value();
     c.last_activity_micros = WallMicros();
     conns_.push_back(std::move(c));
-    gateway_->metrics().AddConnection();
+    gateway_->NoteAccepted();
   }
 }
 
@@ -148,7 +187,7 @@ bool IngestServer::ReadAndDecode(Connection& c, int64_t* delivered) {
     return false;
   }
   c.last_activity_micros = WallMicros();
-  gateway_->metrics().AddBytesRead(n.value());
+  c.read_bytes += n.value();
   c.end += static_cast<size_t>(n.value());
   return DecodeBuffered(c, delivered);
 }
@@ -174,14 +213,14 @@ bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
       // Version skew (e.g. a v1 client against this v2 server) draws a
       // typed error, not a generic malformed-frame close: the client can
       // tell "upgrade me" apart from "I sent garbage".
-      gateway_->metrics().AddMalformedFrame();
+      gateway_->NoteMalformedFrame();
       FailConnection(c, WireError::kVersionMismatch,
                      "unsupported protocol version");
       open = false;
       break;
     }
     if (r == DecodeResult::kMalformed) {
-      gateway_->metrics().AddMalformedFrame();
+      gateway_->NoteMalformedFrame();
       FailConnection(c, WireError::kMalformedFrame, "malformed frame");
       open = false;
       break;
@@ -194,9 +233,13 @@ bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
         break;
       }
       if (!stream->HasCredit()) {
+        // The credit seen at the last commit may be stale: commit the run
+        // so far, which looks again.
+        CommitRead(c, stream);
+      }
+      if (!stream->HasCredit()) {
         // Out of credit: leave the frame in the buffer and stop reading
         // this socket until the engine drains the staging queue.
-        gateway_->Flush(static_cast<uint32_t>(c.stream_id));
         gateway_->NoteStall(static_cast<uint32_t>(c.stream_id));
         c.paused = true;
         break;
@@ -217,7 +260,7 @@ bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
       }
       if (!open) break;
     } else {
-      gateway_->metrics().AddControlFrame();
+      ++c.control_frames;
       switch (frame.type) {
         case FrameType::kHello:
           if (c.stream_id >= 0) {
@@ -254,9 +297,10 @@ bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
           break;
         case FrameType::kBye:
           if (c.stream_id >= 0) {
-            const uint32_t id = static_cast<uint32_t>(c.stream_id);
-            gateway_->Flush(id);
-            gateway_->MarkEndOfStream(id);
+            // Staged before the goodbye: an ended stream's arrival
+            // watermark is infinite.
+            CommitRead(c, stream);
+            gateway_->MarkEndOfStream(static_cast<uint32_t>(c.stream_id));
           }
           CloseConnection(c);
           open = false;
@@ -281,26 +325,41 @@ bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
     if (!open) break;
     c.off += consumed;
   }
-  // Every exit commits the staged run with its frame counts: here, or in
-  // the pause branch, or in CloseConnection.
-  if (open && c.stream_id >= 0) {
-    gateway_->Flush(static_cast<uint32_t>(c.stream_id));
+  // Every exit commits the staged run with the read's counters: here, or
+  // in CloseConnection.
+  if (open) {
+    CommitRead(c, stream);
+    CompactBuffer(c);
   }
-  if (open) CompactBuffer(c);
   *delivered += staged;
   return open;
 }
 
+void IngestServer::CommitRead(Connection& c, IngestGateway::Stream* stream) {
+  gateway_->CommitRead(stream, c.read_bytes, c.control_frames);
+  c.read_bytes = 0;
+  c.control_frames = 0;
+}
+
 void IngestServer::SendCheckpointAck(uint32_t stream_id, uint64_t epoch,
                                      uint64_t durable_seq) {
-  for (Connection& c : conns_) {
-    if (c.fd < 0 || c.stream_id != static_cast<int64_t>(stream_id)) continue;
-    send_scratch_.clear();
-    EncodeCheckpointAck(epoch, durable_seq, &send_scratch_);
-    // Best effort: a failed send just leaves the client's replay buffer
-    // larger than necessary; the next ack (or HELLO_ACK) trims it.
-    (void)SendAll(c.fd, send_scratch_.data(), send_scratch_.size());
-    return;
+  gateway_->QueueAck(stream_id, epoch, durable_seq);
+}
+
+void IngestServer::SendQueuedAcks() {
+  gateway_->TakeAcks(&acks_);
+  for (const QueuedAck& ack : acks_) {
+    for (Connection& c : conns_) {
+      if (c.fd < 0 || c.stream_id != static_cast<int64_t>(ack.stream_id)) {
+        continue;
+      }
+      send_scratch_.clear();
+      EncodeCheckpointAck(ack.epoch, ack.durable_seq, &send_scratch_);
+      // Best effort: a failed send just leaves the client's replay buffer
+      // larger than necessary; the next ack (or HELLO_ACK) trims it.
+      (void)SendAll(c.fd, send_scratch_.data(), send_scratch_.size());
+      break;
+    }
   }
 }
 
@@ -315,14 +374,16 @@ void IngestServer::FailConnection(Connection& c, WireError code,
 
 void IngestServer::CloseConnection(Connection& c) {
   if (c.stream_id >= 0) {
-    gateway_->Flush(static_cast<uint32_t>(c.stream_id));
-    gateway_->NoteConnection(static_cast<uint32_t>(c.stream_id),
-                             /*open=*/false);
+    const uint32_t id = static_cast<uint32_t>(c.stream_id);
+    CommitRead(c, &gateway_->GetStream(id));
+    gateway_->NoteConnection(id, /*open=*/false);
     c.stream_id = -1;
+  } else {
+    CommitRead(c, nullptr);
   }
   CloseFd(c.fd);
   c.fd = -1;
-  gateway_->metrics().AddDisconnect();
+  gateway_->NoteClosed();
 }
 
 void IngestServer::CompactBuffer(Connection& c) {

@@ -1,9 +1,12 @@
 #include "src/net/serve_loop.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
-#include <limits>
+#include <thread>
+#include <utility>
 
+#include "src/common/thread_annotations.h"
 #include "src/net/ingest_gateway.h"
 #include "src/net/ingest_server.h"
 #include "src/net/socket.h"
@@ -13,45 +16,97 @@
 namespace klink {
 namespace {
 
-/// Elements staged in the gateway or queued in a live query.
-int64_t PendingEvents(const Engine& engine, const IngestGateway& gateway) {
-  int64_t total = gateway.TotalStagedEvents();
+/// The longest the engine thread waits between looks at its clocks and
+/// the checkpoint writer's durable epochs, and the I/O thread's poll
+/// timeout (idle-connection checks).
+constexpr DurationMicros kWaitSlice = MillisToMicros(10);
+
+/// Elements queued in a live query.
+int64_t QueuedEvents(const Engine& engine) {
+  int64_t total = 0;
   for (const QueryFabric::LiveQuery& lq : engine.fabric().live()) {
     total += lq.query->QueuedEvents();
   }
   return total;
 }
 
+/// The I/O thread: polls, decodes and stages for the whole serve, drain
+/// included, until Stop joins it.
+class IoThread {
+ public:
+  explicit IoThread(IngestServer* server)
+      : server_(server), thread_([this] { Run(); }) {}
+
+  void Stop() {
+    stop_.store(true, std::memory_order_release);
+    server_->Wake();
+    // Under the schedule explorer the thread needs turns to sign off; an
+    // uninstrumented join would deadlock against the turn token.
+    ScheduleQuiesceBeforeJoin({thread_.get_id()});
+    thread_.join();
+  }
+
+ private:
+  void Run() {
+    ThreadScheduleScope sched("ingest-io");
+    while (!stop_.load(std::memory_order_acquire)) {
+      server_->PollOnce(static_cast<int>(kWaitSlice / 1000));
+    }
+  }
+
+  IngestServer* server_;
+  /// Set once by the engine thread; the I/O thread reads it after every
+  /// poll, and Wake ends the poll it is in.
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
 }  // namespace
 
-void ServeIngest(Engine* engine, IngestServer* server,
-                 const IngestGateway& gateway,
+void ServeIngest(Engine* engine, IngestServer* server, IngestGateway* gateway,
                  CheckpointCoordinator* coordinator, TimeMicros duration,
                  bool lockstep, const std::function<bool()>& each_iteration) {
   const DurationMicros cycle = engine->config().cycle_length;
-  const auto poll = [&](int timeout_ms) {
+  // The dynamic-attach hook deploys a query, which is the engine thread's
+  // work: the I/O thread hands each unknown stream over and waits.
+  std::function<bool(uint32_t)> attach =
+      server->ExchangeUnknownStreamHook(nullptr);
+  if (attach != nullptr) {
+    server->ExchangeUnknownStreamHook(
+        [gateway](uint32_t id) { return gateway->RequestAttach(id); });
+  }
+  IoThread io(server);
+
+  // Reads what arrived, answering an attach request first. Lockstep cycles
+  // run only through prefixes every stream has fully delivered, so results
+  // are independent of when bytes arrive and of the hand-off.
+  const auto arrivals = [&]() {
+    IngestGateway::Arrivals a = gateway->ReadArrivals();
+    if (a.attach_requested) {
+      gateway->AnswerAttach(attach);
+      a = gateway->ReadArrivals();
+    }
+    return a;
+  };
+  // Waits until something arrives, or `timeout` passes, delivering
+  // durable-epoch acks first: no cycle runs while it waits.
+  const auto await = [&](uint64_t seen, DurationMicros timeout) {
     if (coordinator != nullptr) coordinator->DeliverDurableEpochs();
-    server->PollOnce(timeout_ms);
+    gateway->AwaitChange(seen, std::min(timeout, kWaitSlice));
   };
   const int64_t wall_start = WallMicros();
   while (engine->now() < duration) {
+    const IngestGateway::Arrivals a = arrivals();
     const bool hold = each_iteration != nullptr && each_iteration();
     if (lockstep) {
-      // Run only through prefixes every stream has fully delivered, so
-      // results are independent of network timing.
-      TimeMicros safe = engine->now();
-      if (!hold) {
-        safe = gateway.AllStreamsFinished()
-                   ? std::numeric_limits<TimeMicros>::max()
-                   : gateway.MinStagedThrough();
-      }
+      const TimeMicros safe = hold ? engine->now() : a.frontier;
       if (safe >= duration) {
         // A cycle per iteration, so `each_iteration` keeps running.
         engine->RunUntil(std::min(duration, engine->now() + cycle));
       } else if (engine->now() + cycle <= safe) {
         engine->RunUntil(engine->now() + cycle);
       } else {
-        poll(10);
+        await(a.version, kWaitSlice);
       }
     } else {
       const TimeMicros elapsed = WallMicros() - wall_start;
@@ -60,7 +115,7 @@ void ServeIngest(Engine* engine, IngestServer* server,
       } else if (engine->now() + cycle <= elapsed) {
         engine->RunUntil(elapsed);
       } else {
-        poll(static_cast<int>((cycle - (elapsed - engine->now())) / 1000 + 1));
+        await(a.version, cycle - (elapsed - engine->now()));
       }
     }
   }
@@ -76,23 +131,24 @@ void ServeIngest(Engine* engine, IngestServer* server,
     const TimeMicros drain_deadline = engine->now() + SecondsToMicros(60);
     int64_t idle_since = -1;  // wall time the drain last had nothing to run
     while (engine->now() < drain_deadline) {
-      const bool pending = PendingEvents(*engine, gateway) > 0;
-      if (!pending && server->num_connections() == 0) break;
+      const IngestGateway::Arrivals a = arrivals();
+      const bool pending = a.staged_events + QueuedEvents(*engine) > 0;
+      if (!pending && a.connections == 0) break;
       if (each_iteration != nullptr) each_iteration();
       if (pending) {
-        // Paced clients may still be flushing their post-duration delay
-        // tail; keep reading so it lands in the drain instead of in flight.
-        if (server->num_connections() > 0) server->PollOnce(0);
         engine->RunUntil(engine->now() + cycle);
         idle_since = -1;
       } else {
         const int64_t wall = WallMicros();
         if (idle_since < 0) idle_since = wall;
         if (wall - idle_since >= kGoodbyeWait) break;
-        poll(10);
+        await(a.version, kGoodbyeWait - (wall - idle_since));
       }
     }
   }
+  gateway->CloseAttach();
+  io.Stop();
+  server->ExchangeUnknownStreamHook(std::move(attach));
   if (coordinator != nullptr) coordinator->Flush();
   server->Stop();
 }

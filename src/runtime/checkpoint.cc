@@ -190,15 +190,15 @@ void CheckpointCoordinator::OnCycleStart(TimeMicros now) {
 void CheckpointCoordinator::HandOverAligned() {
   MutexLock lock(&mu_);
   // Barriers flow FIFO, so epochs align in epoch order and the first
-  // incomplete one ends the sweep.
+  // incomplete one ends the sweep. An aligned epoch replaces the one still
+  // queued behind the epoch being written: acks are cumulative prefixes,
+  // so persisting the newer epoch covers the older one, and the engine
+  // thread never waits for the writer's fsyncs here.
   while (!pending_.empty() && pending_.begin()->second.total_captured ==
                                   pending_.begin()->second.expected_operators) {
-    if (unfinished_ >= kMaxEpochsInFlight) {
-      done_cv_.Wait(mu_);
-      continue;
-    }
-    to_write_.emplace_back(pending_.begin()->first,
-                           std::move(pending_.begin()->second));
+    if (queued_.has_value()) --unfinished_;
+    queued_.emplace(pending_.begin()->first,
+                    std::move(pending_.begin()->second));
     pending_.erase(pending_.begin());
     ++unfinished_;
     work_cv_.NotifyOne();
@@ -285,18 +285,18 @@ void CheckpointCoordinator::WriterLoop() {
   // before any lock scope so sign-off happens after the last unlock.
   ThreadScheduleScope sched("ckpt-writer");
   for (;;) {
-    std::pair<uint64_t, PendingEpoch> job;
+    DurableEpoch done;
+    PendingEpoch pending;
     {
       MutexLock lock(&mu_);
-      while (to_write_.empty() && !stopping_) work_cv_.Wait(mu_);
-      if (to_write_.empty()) return;  // stopping, and nothing left to write
-      job = std::move(to_write_.front());
-      to_write_.pop_front();
+      while (!queued_.has_value() && !stopping_) work_cv_.Wait(mu_);
+      if (!queued_.has_value()) return;  // stopping, nothing left to write
+      done.epoch = queued_->first;
+      pending = std::move(queued_->second);
+      queued_.reset();
     }
-    const bool durable = PersistEpoch(job.first, job.second);
-    DurableEpoch done;
-    done.epoch = job.first;
-    for (const auto& [qid, pq] : job.second.queries) {
+    const bool durable = PersistEpoch(done.epoch, pending);
+    for (const auto& [qid, pq] : pending.queries) {
       done.acks.insert(done.acks.end(), pq.cursors.begin(), pq.cursors.end());
     }
     MutexLock lock(&mu_);

@@ -2,9 +2,9 @@
 #define KLINK_RUNTIME_CHECKPOINT_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -67,8 +67,10 @@ struct LoadedCheckpoint {
 ///      file's bytes and FNV-1a hash, writes `epoch_<N>.ckpt` via
 ///      tmp+fsync+rename, rewrites the MANIFEST the same way, fsyncs the
 ///      directory, and only then prunes old epochs. The engine thread does
-///      no file I/O; it waits only when the writer is kMaxEpochsInFlight
-///      epochs behind.
+///      no file I/O and never waits at a hand-over: an epoch handed over
+///      while another still waits behind the one being written replaces
+///      it (acks are cumulative, so the newer epoch covers the older), so
+///      at most two epochs are in flight.
 ///   4. The engine thread delivers each epoch the writer made durable, in
 ///      epoch order, at the next OnCycleStart (or DeliverDurableEpochs /
 ///      Flush): it advances last_durable_epoch() and the ack callback
@@ -79,18 +81,15 @@ struct LoadedCheckpoint {
 ///
 /// Thread safety: OnBarrierAligned may run on executor worker threads (one
 /// query runs on one thread, but queries run concurrently); captures are
-/// mutex-buffered. Persistence runs on the writer thread. Everything else,
-/// acks included, runs on the engine thread.
+/// mutex-buffered. Persistence runs on the writer thread. Everything else
+/// runs on the engine thread, the ack callback included (the ingest server
+/// queues the acks there, and its polling thread sends them).
 class CheckpointCoordinator final : public BarrierObserver {
  public:
   /// (stream_id, epoch, durable_seq): every element with seq <= durable_seq
   /// on stream_id is covered by durable checkpoint `epoch`.
   using AckFn =
       std::function<void(uint32_t stream_id, uint64_t epoch, uint64_t seq)>;
-
-  /// Epochs handed to the writer and not yet persisted before the engine
-  /// thread waits for it at a hand-over.
-  static constexpr int kMaxEpochsInFlight = 2;
 
   explicit CheckpointCoordinator(CheckpointConfig config);
   /// Persists every epoch already handed to the writer, then joins it.
@@ -211,9 +210,11 @@ class CheckpointCoordinator final : public BarrierObserver {
   /// to the writer and collects durable ones from it.
   Mutex mu_{"ckpt.mu"};
   CondVar work_cv_;  // writer: an epoch was handed over, or stopping_
-  CondVar done_cv_;  // engine: the writer finished an epoch
+  CondVar done_cv_;  // Flush: the writer finished an epoch
   std::map<uint64_t, PendingEpoch> pending_ KLINK_GUARDED_BY(mu_);
-  std::deque<std::pair<uint64_t, PendingEpoch>> to_write_ KLINK_GUARDED_BY(mu_);
+  /// The epoch handed over and not yet started (HandOverAligned).
+  std::optional<std::pair<uint64_t, PendingEpoch>> queued_
+      KLINK_GUARDED_BY(mu_);
   /// Epochs handed over and not yet finished (queued + being written).
   int unfinished_ KLINK_GUARDED_BY(mu_) = 0;
   std::vector<DurableEpoch> durable_ KLINK_GUARDED_BY(mu_);

@@ -133,7 +133,7 @@ class IngestMetrics {
     s.bytes += wire_bytes;
     s.data_events += data_events;
   }
-  void AddControlFrame() { ++frames_decoded_; }
+  void AddControlFrames(int64_t n) { frames_decoded_ += n; }
   IngestStreamMetrics& stream(uint32_t stream_id) {
     return streams_[stream_id];
   }

@@ -12,7 +12,7 @@ namespace klink {
 SyntheticFeed::SyntheticFeed(std::vector<SourceSpec> sources,
                              std::unique_ptr<DelayModel> delay, uint64_t seed,
                              TimeMicros start_time)
-    : delay_(std::move(delay)), rng_(seed) {
+    : delay_(std::move(delay)), rng_(seed), generated_through_(start_time - 1) {
   KLINK_CHECK(!sources.empty());
   KLINK_CHECK(delay_ != nullptr);
   sources_.reserve(sources.size());
@@ -100,6 +100,7 @@ void SyntheticFeed::GenerateUpTo(TimeMicros horizon) {
       src.next_marker_time += src.spec.marker_period;
     }
   }
+  generated_through_ = std::max(generated_through_, horizon);
 }
 
 void SyntheticFeed::SortDue(TimeMicros now) {
@@ -150,8 +151,14 @@ void SyntheticFeed::SortDue(TimeMicros now) {
 
 void SyntheticFeed::PollUpTo(TimeMicros now, int64_t max_bytes,
                              std::vector<FeedElement>* out) {
-  GenerateUpTo(now);
-  SortDue(now);
+  // Generation advances a slice at a time, and only once every element due
+  // by what was generated has been delivered. Delays are non-negative, so
+  // an element generated later is ingested no earlier than the generation
+  // frontier, and the elements delivered, and each poll's prefix of them,
+  // are those of generating through `now` at once. What the byte budget
+  // refuses therefore waits in pending_, which holds at most one slice
+  // plus the delay tail, however far the feed runs ahead of its consumer.
+  constexpr DurationMicros kMaxGenerationSlice = MillisToMicros(500);
   int64_t delivered = 0;
   const auto admit = [&delivered, max_bytes](const FeedElement& fe) {
     const int64_t sz =
@@ -160,28 +167,24 @@ void SyntheticFeed::PollUpTo(TimeMicros now, int64_t max_bytes,
     delivered += sz;
     return true;
   };
-  // Elements an earlier poll held back were due by that poll's `now`, and
-  // nothing left in pending_ was, so the held elements go first.
-  while (!held_.empty() && held_.front().event.ingest_time <= now &&
-         admit(held_.front())) {
-    out->push_back(held_.front());
-    held_.pop_front();
-  }
-  size_t taken = 0;
-  if (held_.empty()) {
-    while (taken < due_.size() && admit(pending_[due_[taken].index])) {
-      out->push_back(pending_[due_[taken++].index]);
+  while (true) {
+    if (!backlog_ && generated_through_ < now) {
+      GenerateUpTo(std::min(now, generated_through_ + kMaxGenerationSlice));
     }
+    SortDue(std::min(now, generated_through_));
+    size_t taken = 0;
+    while (taken < due_.size() && admit(pending_[due_[taken].index])) {
+      FeedElement& fe = pending_[due_[taken++].index];
+      out->push_back(fe);
+      fe.source_index = -1;  // delivered: dropped below
+    }
+    backlog_ = taken < due_.size();
+    if (taken > 0) {
+      std::erase_if(pending_,
+                    [](const FeedElement& fe) { return fe.source_index < 0; });
+    }
+    if (backlog_ || generated_through_ >= now) return;
   }
-  // Hold back the due elements that did not fit, in delivery order, and
-  // drop every due element from pending_, keeping generation order.
-  for (size_t k = taken; k < due_.size(); ++k) {
-    held_.push_back(pending_[due_[k].index]);
-  }
-  if (due_.empty()) return;
-  std::erase_if(pending_, [now](const FeedElement& fe) {
-    return fe.event.ingest_time <= now;
-  });
 }
 
 }  // namespace klink

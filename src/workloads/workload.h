@@ -2,7 +2,6 @@
 #define KLINK_WORKLOADS_WORKLOAD_H_
 
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -84,8 +83,8 @@ class SyntheticFeed final : public EventFeed {
   };
 
   /// Generates all elements with generation time <= horizon into pending_
-  /// (delays are non-negative, so nothing ingestible by `horizon` can be
-  /// generated after it).
+  /// and advances generated_through_ to it (delays are non-negative, so
+  /// nothing generated later is ingested before `horizon`).
   void GenerateUpTo(TimeMicros horizon);
   /// Fills due_ with the keys of pending_'s elements due by `now`, in
   /// delivery order.
@@ -94,11 +93,15 @@ class SyntheticFeed final : public EventFeed {
   std::vector<SourceState> sources_;
   std::unique_ptr<DelayModel> delay_;
   Rng rng_;
-  /// Generated elements not yet due by the last poll, in generation order.
+  /// Generated elements not yet delivered, in generation order: at most
+  /// one generation slice plus the delay tail (PollUpTo).
   std::vector<FeedElement> pending_;
-  /// Due elements a poll's byte bound held back, in delivery order. They
-  /// precede everything in pending_, which was not due yet.
-  std::deque<FeedElement> held_;
+  /// Every element generated at or before this time is in pending_ or
+  /// was delivered.
+  TimeMicros generated_through_;
+  /// The last poll's byte budget refused an element due by
+  /// generated_through_, so generation waits until those are delivered.
+  bool backlog_ = false;
   /// SortDue scratch: the sorted keys, the bucket scatter target, and the
   /// bucket offsets.
   std::vector<DueKey> due_;

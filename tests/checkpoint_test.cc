@@ -392,7 +392,8 @@ TEST(CheckpointCoordinatorTest, WritesDurableEpochsDuringRun) {
 }
 
 /// Runs a short checkpointed engine and returns the checkpoint dir with at
-/// least two durable epochs in it.
+/// least two durable epochs in it, consecutive ones: it flushes after every
+/// cycle, so no aligned epoch replaces another still queued for the writer.
 std::string RunWithCheckpoints(const std::string& tag) {
   const std::string dir = MakeTempDir("ckpt_" + tag);
   CheckpointConfig cc;
@@ -404,8 +405,10 @@ std::string RunWithCheckpoints(const std::string& tag) {
   engine.AddQuery(CountQuery(0), SteadyFeed(500, 1));
   coordinator.RegisterQuery(&engine.query(0), {}, nullptr);
   engine.SetCheckpointCoordinator(&coordinator);
-  engine.RunFor(SecondsToMicros(5));
-  coordinator.Flush();
+  while (engine.now() < SecondsToMicros(5)) {
+    engine.RunFor(config.cycle_length);
+    coordinator.Flush();
+  }
   EXPECT_GE(coordinator.last_durable_epoch(), 2u);
   return dir;
 }

@@ -1,6 +1,8 @@
 #include "src/harness/experiment.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -541,6 +543,31 @@ TEST(KlinkRunReportTest, NoCompletedWindowsSaysSo) {
     EXPECT_NE(line.find("n/a (no completed windows)"), std::string::npos)
         << line;
   }
+}
+
+// A feed above what the engine drains holds back what the byte budget
+// refuses and generates no further until the engine takes it, so a run at
+// the rate ceiling stays in bounded memory instead of ending in
+// std::bad_alloc (it held every refused element: past 1 GB, where a 1 GB
+// address-space limit aborted it). The bound leaves room for a sanitizer's
+// shadow memory.
+TEST(KlinkRunReportTest, RateAboveDrainRateStaysInBoundedMemory) {
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const int devnull = ::open("/dev/null", O_WRONLY);
+    ::dup2(devnull, STDOUT_FILENO);
+    ::dup2(devnull, STDERR_FILENO);
+    ::execl(KLINK_RUN_PATH, KLINK_RUN_PATH, "--rate=1e6", "--queries=1",
+            "--duration=30", "--warmup=25", "--policy=fcfs", nullptr);
+    ::_exit(127);
+  }
+  int status = 0;
+  struct rusage usage {};
+  ASSERT_EQ(::wait4(pid, &status, 0, &usage), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_LT(usage.ru_maxrss, 512 * 1024);  // KiB
 }
 
 // Queries deploy at uniform times within the first 20 s. A shorter

@@ -239,7 +239,7 @@ TEST(IngestLoopbackTest, TcpIngestMatchesInProcessResults) {
   std::thread client([&]() {
     sent = Replay(port, 0, replay_feed, kDuration, /*speed=*/0.0);
   });
-  ServeIngest(&engine, &server, gateway, /*coordinator=*/nullptr, kDuration,
+  ServeIngest(&engine, &server, &gateway, /*coordinator=*/nullptr, kDuration,
               /*lockstep=*/true, /*each_iteration=*/nullptr);
   client.join();
 
@@ -290,7 +290,7 @@ TEST(IngestLoopbackTest, DrainWaitsForPausedClientsGoodbye) {
     sent = Replay(port, 0, *feed, kDuration, /*speed=*/0.0,
                   /*pause=*/MillisToMicros(200));
   });
-  ServeIngest(&engine, &server, gateway, /*coordinator=*/nullptr, kDuration,
+  ServeIngest(&engine, &server, &gateway, /*coordinator=*/nullptr, kDuration,
               /*lockstep=*/true, /*each_iteration=*/nullptr);
   client.join();
 
@@ -326,7 +326,7 @@ TEST(IngestLoopbackTest, DrainClosesClientThatNeverSaysGoodbye) {
     while (!served) std::this_thread::sleep_for(std::chrono::milliseconds(5));
   });
   const int64_t wall_start = WallMicros();
-  ServeIngest(&engine, &server, gateway, /*coordinator=*/nullptr, kDuration,
+  ServeIngest(&engine, &server, &gateway, /*coordinator=*/nullptr, kDuration,
               /*lockstep=*/true, /*each_iteration=*/nullptr);
   const int64_t wall = WallMicros() - wall_start;
   served = true;
@@ -364,7 +364,7 @@ TEST(IngestLoopbackTest, LateTenantHoldsVirtualTime) {
                        /*speed=*/0.0);
     }
   });
-  ServeIngest(&engine, &server, gateway, /*coordinator=*/nullptr, kDuration,
+  ServeIngest(&engine, &server, &gateway, /*coordinator=*/nullptr, kDuration,
               /*lockstep=*/true, /*each_iteration=*/nullptr);
   client.join();
 
@@ -375,6 +375,53 @@ TEST(IngestLoopbackTest, LateTenantHoldsVirtualTime) {
     EXPECT_EQ(gateway.data_events(MakeStreamId(static_cast<int>(q), 0)),
               sent[q]);
   }
+}
+
+// A dynamic tenant attaches on the engine thread: the I/O thread hands the
+// unknown stream's hello over and answers it only once the hook has
+// deployed the query, so a client that holds its HELLO_ACK can count on
+// the tenant being there. Virtual time holds until it attaches, so the
+// tenant still computes what it computes in-process.
+TEST(IngestLoopbackTest, DynamicAttachRunsOnTheEngineThread) {
+  const SinkSnapshot expected = RunInProcess({kSeed})[0];
+
+  Engine engine(TestEngineConfig(),
+                MakePolicy(PolicyKind::kFcfs, KlinkPolicyConfig{}, kSeed));
+  IngestGateway gateway;
+  const std::thread::id engine_thread = std::this_thread::get_id();
+  std::atomic<bool> attached{false};
+  std::atomic<bool> attached_on_engine_thread{false};
+  QueryId id = 0;
+  IngestServerConfig config;
+  config.on_unknown_stream = [&](uint32_t stream_id) {
+    if (stream_id != MakeStreamId(0, 0) || attached) return false;
+    id = AddTenant(&engine, &gateway, 0);
+    attached_on_engine_thread = std::this_thread::get_id() == engine_thread;
+    attached = true;
+    return true;
+  };
+  IngestServer server(config, &gateway);
+  ASSERT_TRUE(server.Start().ok());
+  const uint16_t port = server.port();
+
+  bool attached_before_hello_ack = false;
+  std::thread client([&]() {
+    LoadgenConnection conn;
+    ASSERT_TRUE(conn.Connect("127.0.0.1", port, MakeStreamId(0, 0)).ok());
+    attached_before_hello_ack = attached;
+    const std::unique_ptr<EventFeed> feed = TestFeed(kSeed);
+    ReplayOptions opts;
+    opts.until = kDuration;
+    const Status replayed = ReplayFeed(*feed, {&conn}, opts);
+    EXPECT_TRUE(replayed.ok()) << replayed.ToString();
+  });
+  ServeIngest(&engine, &server, &gateway, /*coordinator=*/nullptr, kDuration,
+              /*lockstep=*/true, [&]() { return !attached; });
+  client.join();
+
+  EXPECT_TRUE(attached_before_hello_ack);
+  EXPECT_TRUE(attached_on_engine_thread);
+  ExpectSameSink(Snapshot(engine.query(id)), expected);
 }
 
 // Without lockstep, virtual time tracks the wall clock: the loop returns
@@ -397,7 +444,7 @@ TEST(IngestLoopbackTest, RealTimeServeIngestsPacedReplay) {
     sent = Replay(port, 0, *feed, kReplay, /*speed=*/1.0);
   });
   const int64_t wall_start = WallMicros();
-  ServeIngest(&engine, &server, gateway, /*coordinator=*/nullptr, kRun,
+  ServeIngest(&engine, &server, &gateway, /*coordinator=*/nullptr, kRun,
               /*lockstep=*/false, /*each_iteration=*/nullptr);
   const int64_t wall = WallMicros() - wall_start;
   client.join();
@@ -524,6 +571,77 @@ uint16_t DrainUntilClosed(IngestServer& server, int fd) {
     off += consumed;
   }
   return 0;
+}
+
+/// Polls the server until `want` frames arrived on `fd` (or the peer
+/// closed it), and returns them.
+std::vector<Frame> ReadFrames(IngestServer& server, int fd, size_t want) {
+  std::vector<uint8_t> received;
+  std::vector<Frame> frames;
+  size_t off = 0;
+  uint8_t chunk[512];
+  for (int i = 0; i < 500 && frames.size() < want; ++i) {
+    server.PollOnce(/*timeout_ms=*/2);
+    const StatusOr<int64_t> n = ReadSome(fd, chunk, sizeof(chunk));
+    if (!n.ok() || n.value() == 0) break;
+    if (n.value() < 0) continue;
+    received.insert(received.end(), chunk, chunk + n.value());
+    Frame frame;
+    size_t consumed = 0;
+    while (DecodeFrame(received.data() + off, received.size() - off, &frame,
+                       &consumed) == DecodeResult::kOk) {
+      frames.push_back(frame);
+      off += consumed;
+    }
+  }
+  return frames;
+}
+
+// The perfbench driver acks and polls from one thread: SendCheckpointAck
+// only queues, and the next PollOnce sends every queued ack, in order, to
+// the stream's connection; Stop sends what is still queued.
+TEST(IngestLoopbackTest, AcksQueuedOnThePollingThreadReachTheClient) {
+  IngestGateway gateway;
+  gateway.RegisterStream(1, IngestStreamConfig{});
+  gateway.RegisterStream(2, IngestStreamConfig{});
+  IngestServer server(IngestServerConfig{}, &gateway);
+  ASSERT_TRUE(server.Start().ok());
+
+  const int fd = MustConnect(server.port());
+  std::vector<uint8_t> bytes;
+  EncodeHello(1, &bytes);
+  SendBytes(fd, bytes);
+  std::vector<Frame> frames = ReadFrames(server, fd, 1);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].type, FrameType::kHelloAck);
+
+  for (uint64_t epoch = 1; epoch <= 5; ++epoch) {
+    server.SendCheckpointAck(1, epoch, epoch * 10);
+    server.SendCheckpointAck(2, epoch, epoch * 20);  // no connection: dropped
+  }
+  frames = ReadFrames(server, fd, 5);
+  ASSERT_EQ(frames.size(), 5u);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].type, FrameType::kCheckpointAck);
+    EXPECT_EQ(frames[i].epoch, i + 1);
+    EXPECT_EQ(frames[i].durable_seq, (i + 1) * 10);
+  }
+
+  server.SendCheckpointAck(1, 6, 60);
+  server.Stop();
+  uint8_t chunk[64];
+  const StatusOr<int64_t> n = ReadSome(fd, chunk, sizeof(chunk));
+  ASSERT_TRUE(n.ok());
+  Frame last;
+  size_t consumed = 0;
+  ASSERT_EQ(DecodeFrame(chunk, static_cast<size_t>(std::max<int64_t>(
+                                   n.value(), 0)),
+                        &last, &consumed),
+            DecodeResult::kOk);
+  EXPECT_EQ(last.type, FrameType::kCheckpointAck);
+  EXPECT_EQ(last.epoch, 6u);
+  EXPECT_EQ(last.durable_seq, 60u);
+  CloseFd(fd);
 }
 
 TEST(IngestLoopbackTest, MalformedFrameDrawsErrorAndClose) {

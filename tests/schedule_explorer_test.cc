@@ -36,6 +36,9 @@
 #include "src/common/types.h"
 #include "src/net/delay_model.h"
 #include "src/net/ingest_gateway.h"
+#include "src/net/ingest_server.h"
+#include "src/net/loadgen.h"
+#include "src/net/serve_loop.h"
 #include "src/net/wire.h"
 #include "src/query/pipeline_builder.h"
 #include "src/runtime/checkpoint.h"
@@ -593,6 +596,98 @@ uint64_t RunAckedKillRestore(uint64_t explorer_seed) {
 }
 
 // ---------------------------------------------------------------------------
+// Protocol: the TCP serve loop's hand-off between its I/O thread and the
+// engine thread.
+
+/// What a served run acked, in the order the engine thread acked it.
+struct ServedRun {
+  uint64_t hash = 0;
+  std::vector<QueuedAck> acks;
+};
+
+/// Three tenants served over loopback TCP by the lockstep ServeIngest loop
+/// with barrier checkpoints: tenants 0 and 1 are registered up front,
+/// tenant 2 attaches through the dynamic-attach hand-off, and virtual time
+/// holds until it has. Client threads (not explorer participants) blast
+/// each tenant's feed and say goodbye. Returns the tenants' combined
+/// results hash and every ack the coordinator fired.
+ServedRun RunServedCheckpoints(uint64_t explorer_seed) {
+  std::optional<ScheduleExplorer> explorer;
+  if (explorer_seed != 0) explorer.emplace(ExplorerCfg(explorer_seed));
+
+  CheckpointConfig cc;
+  cc.dir = MakeTempDir("explorer_serve");
+  cc.interval = MillisToMicros(300);
+  CheckpointCoordinator coordinator(cc);
+  IngestGateway gateway;
+  EngineConfig config;
+  config.num_cores = 2;
+  config.executor = ExecutorKind::kThreads;
+  Engine engine(config, std::make_unique<FcfsPolicy>());
+  if (explorer) {
+    explorer->AwaitParticipants(2 + engine.executor().num_workers());
+  }
+  std::vector<QueryId> ids;
+  const auto attach = [&](int q) {
+    const uint32_t stream = MakeStreamId(q, 0);
+    gateway.RegisterStream(stream, IngestStreamConfig{});
+    ids.push_back(engine.AddQuery(
+        MakeGatewayQuery(),
+        std::make_unique<NetworkFeed>(&gateway, std::vector<uint32_t>{stream}),
+        engine.now()));
+    coordinator.RegisterQuery(&engine.query(ids.back()), {stream}, &gateway);
+  };
+  attach(0);
+  attach(1);
+  engine.SetCheckpointCoordinator(&coordinator);
+
+  IngestServerConfig sc;
+  sc.on_unknown_stream = [&](uint32_t stream) {
+    if (stream != MakeStreamId(2, 0) || ids.size() != 2) return false;
+    attach(2);
+    return true;
+  };
+  IngestServer server(sc, &gateway);
+  KLINK_CHECK(server.Start().ok());
+  ServedRun run;
+  coordinator.SetAckCallback(
+      [&](uint32_t stream, uint64_t epoch, uint64_t durable_seq) {
+        run.acks.push_back(QueuedAck{stream, epoch, durable_seq});
+        server.SendCheckpointAck(stream, epoch, durable_seq);
+      });
+
+  const uint16_t port = server.port();
+  std::vector<std::thread> clients;
+  for (int q = 0; q < 3; ++q) {
+    clients.emplace_back([port, q]() {
+      SourceSpec spec;
+      spec.events_per_second = 2000.0;
+      spec.key_cardinality = 32;
+      SyntheticFeed feed(std::vector<SourceSpec>{spec},
+                         std::make_unique<ConstantDelay>(MillisToMicros(10)),
+                         /*seed=*/13 + static_cast<uint64_t>(q), 0);
+      LoadgenConnection conn;
+      EXPECT_TRUE(conn.Connect("127.0.0.1", port, MakeStreamId(q, 0)).ok());
+      ReplayOptions opts;
+      opts.until = kGatewayCutoff;
+      const Status replayed = ReplayFeed(feed, {&conn}, opts);
+      EXPECT_TRUE(replayed.ok()) << replayed.ToString();
+    });
+  }
+  ServeIngest(&engine, &server, &gateway, &coordinator, kGatewayCutoff,
+              /*lockstep=*/true, [&]() { return ids.size() < 3; });
+  for (std::thread& t : clients) t.join();
+
+  uint64_t h = 1469598103934665603ull;
+  for (const QueryId id : ids) {
+    EXPECT_EQ(engine.query(id).QueuedEvents(), 0);
+    h = (h ^ engine.query(id).sink().results_hash()) * 1099511628211ull;
+  }
+  run.hash = h;
+  return run;
+}
+
+// ---------------------------------------------------------------------------
 // Invariance: every explored schedule reproduces the sequential reference.
 
 TEST(ScheduleExplorerTest, CheckpointReshardHashInvariantAcrossSchedules) {
@@ -655,6 +750,52 @@ TEST(ScheduleExplorerTest, CheckpointAcksFollowDurabilityAcrossSchedules) {
   for (const uint64_t seed : ExplorerSeeds()) {
     SCOPED_TRACE("explorer seed " + std::to_string(seed));
     EXPECT_EQ(RunAckedKillRestore(seed), reference);
+  }
+}
+
+// The serve loop's I/O thread commits staged runs, wakes the engine thread
+// waiting for the arrival frontier, queues and drains acks and hands a
+// dynamic attach over, all under the gateway lock; lockstep keeps results
+// independent of how those interleave. Which epochs an ack names depends
+// on the writer's pace (an epoch aligned while the writer is behind
+// replaces the queued one), but acks name epochs in increasing order,
+// every stream in each, and the final flush acks the same last epoch and
+// cursors in every schedule.
+TEST(ScheduleExplorerTest, ServeLoopHandOffInvariantAcrossSchedules) {
+  ScopedAuditOn audit;
+  const ServedRun reference = RunServedCheckpoints(0);
+  ASSERT_FALSE(reference.acks.empty());
+  const auto last_epoch = [](const ServedRun& run) {
+    std::vector<QueuedAck> last;
+    for (const QueuedAck& a : run.acks) {
+      if (a.epoch == run.acks.back().epoch) last.push_back(a);
+    }
+    return last;
+  };
+  const std::vector<QueuedAck> reference_last = last_epoch(reference);
+  ASSERT_EQ(reference_last.size(), 3u);
+  for (const uint64_t seed : ExplorerSeeds()) {
+    SCOPED_TRACE("explorer seed " + std::to_string(seed));
+    const ServedRun run = RunServedCheckpoints(seed);
+    EXPECT_EQ(run.hash, reference.hash);
+    ASSERT_EQ(run.acks.size() % 3, 0u);
+    for (size_t i = 0; i < run.acks.size(); i += 3) {
+      for (size_t k = 0; k < 3; ++k) {
+        const QueuedAck& a = run.acks[i + k];
+        EXPECT_EQ(a.stream_id, MakeStreamId(static_cast<int>(k), 0));
+        EXPECT_EQ(a.epoch, run.acks[i].epoch);
+        if (i > 0) {
+          EXPECT_GT(a.epoch, run.acks[i - 3 + k].epoch);
+          EXPECT_GE(a.durable_seq, run.acks[i - 3 + k].durable_seq);
+        }
+      }
+    }
+    const std::vector<QueuedAck> last = last_epoch(run);
+    ASSERT_EQ(last.size(), reference_last.size());
+    for (size_t k = 0; k < last.size(); ++k) {
+      EXPECT_EQ(last[k].epoch, reference_last[k].epoch);
+      EXPECT_EQ(last[k].durable_seq, reference_last[k].durable_seq);
+    }
   }
 }
 

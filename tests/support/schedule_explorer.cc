@@ -29,8 +29,15 @@ uint64_t Fnv1aString(const std::string& s) {
 
 const char* RunName(int run) {
   static const char* kNames[] = {"running",   "ready",     "blocked-mutex",
-                                 "parked-cv", "quiescing", "ended"};
+                                 "parked-cv", "quiescing", "external",
+                                 "ended"};
   return kNames[run];
+}
+
+int64_t SteadyMicros() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
 }  // namespace
@@ -95,20 +102,26 @@ ScheduleExplorer::Thread* ScheduleExplorer::SelfLocked() {
 }
 
 bool ScheduleExplorer::RunnableLocked(const Thread& t) const {
+  const auto wanted_free = [this, &t] {
+    const auto it = owner_.find(t.wants);
+    return it == owner_.end() || it->second == nullptr;
+  };
   switch (t.run) {
     case Run::kReady:
       return true;
-    case Run::kBlockedMutex: {
-      const auto it = owner_.find(t.wants);
-      return it == owner_.end() || it->second == nullptr;
-    }
+    case Run::kBlockedMutex:
+      return wanted_free();
+    case Run::kParkedCv:
+      // A timed wait whose timeout passed competes like a notified one.
+      return t.deadline >= 0 && SteadyMicros() >= t.deadline &&
+             wanted_free();
     case Run::kQuiescing:
       for (const Thread* u : t.joins) {
         if (u->run != Run::kEnded) return false;
       }
       return true;
     case Run::kRunning:
-    case Run::kParkedCv:
+    case Run::kExternal:
     case Run::kEnded:
       return false;
   }
@@ -137,7 +150,9 @@ void ScheduleExplorer::StepLocked(Thread* self, const char* kind,
 }
 
 void ScheduleExplorer::PickNextLocked() {
+  constexpr int kMaxPassedOver = 32;
   Thread* best = nullptr;
+  Thread* starved = nullptr;
   for (const auto& t : threads_) {
     if (!RunnableLocked(*t)) continue;
     if (best == nullptr || t->priority > best->priority ||
@@ -146,6 +161,33 @@ void ScheduleExplorer::PickNextLocked() {
           (t->name == best->name && t->index < best->index)))) {
       best = t.get();
     }
+    if (t->passed_over >= kMaxPassedOver &&
+        (starved == nullptr || t->passed_over > starved->passed_over)) {
+      starved = t.get();
+    }
+  }
+  if (starved != nullptr) best = starved;
+  for (const auto& t : threads_) {
+    if (t.get() != best && RunnableLocked(*t)) ++t->passed_over;
+  }
+  if (best != nullptr) best->passed_over = 0;
+  if (best == nullptr) {
+    // A thread in a system call picks again when it returns.
+    for (const auto& t : threads_) {
+      if (t->run == Run::kExternal) {
+        current_ = nullptr;
+        return;
+      }
+    }
+    // Nothing else can ever wake a timed waiter: its timeout fires now.
+    for (const auto& t : threads_) {
+      if (t->run == Run::kParkedCv && t->deadline >= 0 &&
+          (best == nullptr || t->deadline < best->deadline)) {
+        best = t.get();
+      }
+    }
+    if (best != nullptr) best->deadline = 0;  // fired: runnable from now on
+    if (best != nullptr && !RunnableLocked(*best)) best = nullptr;
   }
   if (best != nullptr) {
     current_ = best;
@@ -287,11 +329,13 @@ void ScheduleExplorer::LockRelease(Mutex* mu) {
   RescheduleLocked(lock, self, "release", mu->name());
 }
 
-bool ScheduleExplorer::CvWait(void* cv, Mutex* mu) {
+bool ScheduleExplorer::CvWait(void* cv, Mutex* mu, int64_t timeout_micros) {
   std::unique_lock<std::mutex> lock(m_);
   Thread* self = SelfLocked();
   if (self == nullptr) return false;  // non-participant: real wait
-  StepLocked(self, "cv-wait", mu->name());
+  StepLocked(self, timeout_micros >= 0 ? "cv-timed-wait" : "cv-wait",
+             mu->name());
+  self->deadline = timeout_micros >= 0 ? SteadyMicros() + timeout_micros : -1;
   // Release the real mutex so the participant we switch to can take it;
   // park until a CvNotify makes us runnable again (as a blocked acquirer
   // of `mu` — the grant implies the mutex is free to reacquire).
@@ -304,6 +348,7 @@ bool ScheduleExplorer::CvWait(void* cv, Mutex* mu) {
   PickNextLocked();
   WaitForTurnLocked(lock, self);
   self->parked_on = nullptr;
+  self->deadline = -1;
   self->wants = nullptr;
   self->run = Run::kRunning;
   owner_[mu] = self;
@@ -323,6 +368,7 @@ void ScheduleExplorer::CvNotify(void* cv) {
     if (t->run == Run::kParkedCv && t->parked_on == cv) {
       t->run = Run::kBlockedMutex;
       t->parked_on = nullptr;
+      t->deadline = -1;
     }
   }
   Thread* self = SelfLocked();
@@ -331,6 +377,25 @@ void ScheduleExplorer::CvNotify(void* cv) {
   } else if (current_ == nullptr) {
     PickNextLocked();
   }
+}
+
+void ScheduleExplorer::ExternalWaitBegin() {
+  std::unique_lock<std::mutex> lock(m_);
+  Thread* self = SelfLocked();
+  if (self == nullptr) return;
+  StepLocked(self, "external", "");
+  self->run = Run::kExternal;
+  PickNextLocked();
+}
+
+void ScheduleExplorer::ExternalWaitEnd() {
+  std::unique_lock<std::mutex> lock(m_);
+  Thread* self = SelfLocked();
+  if (self == nullptr) return;
+  self->run = Run::kReady;
+  if (current_ == nullptr) PickNextLocked();
+  WaitForTurnLocked(lock, self);
+  self->run = Run::kRunning;
 }
 
 void ScheduleExplorer::Quiesce(const std::vector<std::thread::id>& joined) {

@@ -53,8 +53,12 @@ struct ScheduleExplorerConfig {
 /// non-ended threads remain) with a full state and trace dump.
 ///
 /// Participants are the thread-pool workers (ThreadScheduleScope in
-/// WorkerLoop), the checkpoint writer (CheckpointCoordinator::WriterLoop)
-/// and the thread that constructed the explorer (registered as "main").
+/// WorkerLoop), the checkpoint writer (CheckpointCoordinator::WriterLoop),
+/// the ingest I/O thread (ServeIngest) and the thread that constructed the
+/// explorer (registered as "main"). A participant blocked in a system call
+/// (ScheduleExternalWait: the I/O thread's poll) gives the token up until
+/// it returns, so a schedule with one is not exactly replayable: when the
+/// kernel returns it decides when that thread asks for its next turn.
 /// Threads that never touch klink sync primitives while an explorer is
 /// installed are unaffected.
 ///
@@ -94,8 +98,10 @@ class ScheduleExplorer final : public ScheduleHooks {
   void Yield(const char* tag) override;
   void LockAcquire(Mutex* mu) override;
   void LockRelease(Mutex* mu) override;
-  bool CvWait(void* cv, Mutex* mu) override;
+  bool CvWait(void* cv, Mutex* mu, int64_t timeout_micros) override;
   void CvNotify(void* cv) override;
+  void ExternalWaitBegin() override;
+  void ExternalWaitEnd() override;
   void Quiesce(const std::vector<std::thread::id>& joined) override;
 
  private:
@@ -105,6 +111,7 @@ class ScheduleExplorer final : public ScheduleHooks {
     kBlockedMutex, // needs `wants` free before it can be granted
     kParkedCv,     // waiting for a CvNotify on `parked_on`
     kQuiescing,    // runnable only once every thread in `joins` ended
+    kExternal,     // blocked in a system call, without the token
     kEnded,
   };
   struct Thread {
@@ -113,10 +120,15 @@ class ScheduleExplorer final : public ScheduleHooks {
     Run run = Run::kReady;
     Mutex* wants = nullptr;     // kBlockedMutex / kParkedCv reacquire target
     const void* parked_on = nullptr;  // kParkedCv
+    /// kParkedCv in a timed wait: steady-clock micros its timeout fires
+    /// at, or -1 for an untimed wait.
+    int64_t deadline = -1;
     std::vector<const Thread*> joins;  // kQuiescing
     std::condition_variable cv;
     std::thread::id os_id;
     int index = 0;  // registration order, last-resort tie break
+    /// Consecutive picks this thread was runnable and passed over.
+    int passed_over = 0;
   };
 
   Thread* SelfLocked();
@@ -125,9 +137,15 @@ class ScheduleExplorer final : public ScheduleHooks {
   /// Advances the step counter, applies a pending priority demotion, and
   /// appends a trace entry.
   void StepLocked(Thread* self, const char* kind, const char* detail);
-  /// Picks the next thread to hold the token and wakes it; aborts with a
-  /// state + trace dump when non-ended threads remain but none is
-  /// runnable (deadlock).
+  /// Picks the next thread to hold the token and wakes it: the runnable
+  /// thread of highest priority, unless another runnable one has been
+  /// passed over kMaxPassedOver times in a row (a thread the OS would run
+  /// on another core, like the checkpoint writer behind an engine thread
+  /// that never waits for it, starves no longer than that). With none
+  /// runnable it leaves the token free while a thread is in a system call
+  /// (that thread picks on its return), else fires the earliest timed
+  /// wait, and aborts with a state + trace dump when non-ended threads
+  /// remain but none can ever run (deadlock).
   void PickNextLocked();
   void WaitForTurnLocked(std::unique_lock<std::mutex>& lock, Thread* self);
   /// kReady decision point: yield the token, wait to get it back.

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <limits>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/common/serialize.h"
+#include "src/event/stream_queue.h"
 #include "src/operators/aggregate_operator.h"
 #include "src/operators/join_operator.h"
 #include "src/workloads/lrb.h"
@@ -258,6 +261,75 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<FeedCase>& param_info) {
       return std::string(param_info.param.name);
     });
+
+bool SameElement(const EventFeed::FeedElement& a,
+                 const EventFeed::FeedElement& b) {
+  return a.source_index == b.source_index && a.event.kind == b.event.kind &&
+         a.event.event_time == b.event.event_time &&
+         a.event.ingest_time == b.event.ingest_time &&
+         a.event.key == b.event.key && a.event.value == b.event.value &&
+         a.event.payload_bytes == b.event.payload_bytes;
+}
+
+// A poll delivers the prefix of the feed's due elements that its byte
+// budget admits (at least one, none past the budget), whatever the budgets
+// and horizons of earlier polls. The due elements are the ones an earlier
+// poll refused, then what an unbounded poll of a twin feed returns at the
+// same horizon. The feed generates in slices and pauses while a refused
+// element waits, so this holds it to the contract of generating through
+// every horizon at once.
+TEST(SyntheticFeedTest, BoundedPollsDeliverTheDuePrefix) {
+  for (auto* make : {YsbUniformFeed, LrbZipfFeed, ParetoFeed, TiedFeed}) {
+    const std::unique_ptr<EventFeed> feed = make();
+    const std::unique_ptr<EventFeed> twin = make();
+    Rng rng(11);
+    std::deque<EventFeed::FeedElement> due;
+    int64_t refusals = 0;
+    TimeMicros now = 0;
+    for (int poll = 0; poll < 1500; ++poll) {
+      // Mostly a cycle or less, now and then several seconds at once.
+      now += rng.NextInt(0, 9) == 0 ? rng.NextInt(0, SecondsToMicros(3))
+                                    : rng.NextInt(0, kCycle);
+      const int64_t max_bytes =
+          rng.NextInt(0, 3) == 0 ? kUnbounded : rng.NextInt(0, 40000);
+      std::vector<EventFeed::FeedElement> newly_due;
+      twin->PollUpTo(now, kUnbounded, &newly_due);
+      due.insert(due.end(), newly_due.begin(), newly_due.end());
+      std::vector<EventFeed::FeedElement> got;
+      feed->PollUpTo(now, max_bytes, &got);
+      int64_t bytes = 0;
+      size_t want = 0;
+      for (; want < due.size(); ++want) {
+        const int64_t sz =
+            due[want].event.payload_bytes + StreamQueue::kPerEventOverhead;
+        if (want > 0 && bytes + sz > max_bytes) break;
+        bytes += sz;
+      }
+      refusals += want < due.size() ? 1 : 0;
+      ASSERT_EQ(got.size(), want) << "poll " << poll << " at " << now;
+      for (size_t i = 0; i < want; ++i) {
+        ASSERT_TRUE(SameElement(got[i], due[i])) << "poll " << poll;
+      }
+      due.erase(due.begin(), due.begin() + static_cast<ptrdiff_t>(want));
+    }
+    EXPECT_GT(refusals, 100);
+  }
+}
+
+// Generation runs at most a slice ahead of what the consumer takes: a feed
+// polled far ahead under a budget that admits one element per poll
+// generates about one slice, not the whole horizon, however far the
+// horizon runs (an open-loop feed above the drain rate used to hold every
+// refused element).
+TEST(SyntheticFeedTest, RefusedElementsHoldGenerationBack) {
+  const std::unique_ptr<EventFeed> feed = ParetoFeed();  // 2000 events/s
+  std::vector<EventFeed::FeedElement> out;
+  for (int poll = 1; poll <= 100; ++poll) {
+    feed->PollUpTo(SecondsToMicros(60) * poll, /*max_bytes=*/0, &out);
+  }
+  EXPECT_EQ(out.size(), 100u);
+  EXPECT_LT(feed->generated_events(), 2000);
+}
 
 /// An operator's name, per-event cost and selectivity hint.
 struct OperatorPin {

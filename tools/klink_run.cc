@@ -411,7 +411,7 @@ int RunListenMode(const ExperimentConfig& config, uint16_t port,
     // blasted.
     return static_cast<int>(tenants.size()) < expect_tenants;
   };
-  ServeIngest(&engine, &server, gateway, coordinator.get(), config.duration,
+  ServeIngest(&engine, &server, &gateway, coordinator.get(), config.duration,
               lockstep, each_iteration);
 
   const Histogram latency = engine.AggregateSwmLatency();
